@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly, doteq, fox_milnor_pairing, substitute_power
+from .realroots import poly_eval
 from .seifert import (
     RootOfUnity,
     SeifertMatrix,
     SignatureFunction,
     _assemble_signature_function,
-    _compact_coeffs,
-    _int_coeffs,
+    _v_polys,
+    _x_of_u,
     alexander,
     signature_function,
 )
@@ -234,21 +235,21 @@ def cable_signature(sig: SignatureFunction, p: int) -> SignatureFunction:
     The cabled step function satisfies sigma_cable(omega) = sigma(omega^p);
     its jump angles are the p-th roots of the original jump angles, so the
     arcs are re-isolated from delta(t^p) and each new arc is sampled through
-    the original function.
+    the original function: a rational sample x = 2*cos(theta) of a new arc
+    maps to the rational point 2*cos(p*theta) = v_p(x), which avoids the
+    original jumps.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError("cable parameter p must be a positive integer")
     if p == 1:
         return sig
-    ints = sig._delta
+    ints = sig.delta_coeffs
     g = (len(ints) - 1) // 2
     delta = LaurentPoly({e - g: c for e, c in enumerate(ints)})
-    pulled = substitute_power(delta, p)
-    # a sample angle avoiding the pullback's jumps maps to a non-jump of sig
+    v_p = _v_polys(p)[p]
     return _assemble_signature_function(
-        _int_coeffs(pulled),
-        _compact_coeffs(pulled),
-        lambda q: sig.evaluate((p * q) % 1),
+        substitute_power(delta, p),
+        lambda u: sig.value_at_x(poly_eval(v_p, _x_of_u(u))),
     )
 
 
@@ -463,7 +464,7 @@ def _signature_mismatch(
     """First prime-denominator angle where two signature functions differ."""
     if sig0.is_identically_zero() and sig1.is_identically_zero():
         return None
-    if sig0._delta == sig1._delta and sig0._values == sig1._values:
+    if sig0.delta_coeffs == sig1.delta_coeffs and sig0.arc_values == sig1.arc_values:
         return None  # same polynomial and arc values: the functions coincide
     for b in _primes_upto(denominator_bound):
         one_b = Fraction(1, b)

@@ -1,14 +1,26 @@
-"""Exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b), plus Hermitian
-signatures over it.
+"""Cyclotomic polynomials, certified cosines of rational angles, and
+exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b).
 
-Elements are integer combinations of powers zeta_b^k with exponents folded
-mod b, i.e. residues of Z[x]/(x^b - 1) under evaluation at zeta_b.  The
-kernel of that evaluation is generated by the b-th cyclotomic polynomial,
-so zero testing is exact polynomial divisibility (for prime b it collapses
-to "all b coefficients equal").  Sign determination of real elements uses
-certified interval refinement at increasing precision; it terminates
-because zero is excluded symbolically first, so no floating-point
-tolerance ever decides anything.
+The library uses two things from here: the cyclotomic polynomials, whose
+exact divisibility decides where a signature function jumps, and
+``cos2pi_bounds``, the certified rational enclosure of 2*cos(2*pi*a/b)
+that places a root of unity among isolated real roots.  Signatures
+themselves are computed in ``seifert`` from rational matrices.
+
+``CycloInt`` and ``hermitian_signature`` are an independent second route
+to the same signatures, kept as the oracle the tests compare against.
+Elements are integer combinations of powers zeta_b^k with exponents
+folded mod b, i.e. residues of Z[x]/(x^b - 1) under evaluation at
+zeta_b.  The kernel of that evaluation is generated by the b-th
+cyclotomic polynomial, so zero testing is exact polynomial divisibility
+(for prime b it collapses to "all b coefficients equal").  Sign
+determination of real elements uses certified interval refinement at
+increasing precision; it terminates because zero is excluded
+symbolically first, so no floating-point tolerance ever decides
+anything.  The Hermitian congruence recursion scales each Schur
+complement by the square of its pivot, so entries grow doubly
+exponentially with the depth and the sign ladder can run out of
+precision on forms of genus 4 and more.
 """
 
 from __future__ import annotations

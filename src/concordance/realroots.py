@@ -9,7 +9,8 @@ commit to a floating-point answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -67,24 +68,15 @@ def squarefree_part(coeffs: list) -> list:
         return coeffs
     g = poly_gcd(coeffs, poly_derivative(coeffs))
     sf, rem = _poly_divmod(coeffs, g)
-    assert not rem
-    den_lcm = 1
-    for c in sf:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+    if rem:
+        raise ArithmeticError("division by gcd(p, p') left a remainder")
+    den_lcm = math.lcm(*(c.denominator for c in sf))
     out = [int(c * den_lcm) for c in sf]
-    g_all = 0
-    for c in out:
-        g_all = _gcd(g_all, abs(c))
+    g_all = math.gcd(*out)
     out = [c // g_all for c in out]
     if out[-1] < 0:
         out = [-c for c in out]
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def sturm_chain(coeffs: list) -> list[list]:
@@ -192,7 +184,8 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
             if poly_eval(sf, mid) == 0:
                 exacts.append(mid)
                 q, rem = _poly_divmod(sf, [-mid, Fraction(1)])
-                assert not rem
+                if rem:
+                    raise ArithmeticError("deflating a rational root left a remainder")
                 sf = squarefree_part(q)
                 restart = True
                 break

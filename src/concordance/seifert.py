@@ -2,11 +2,19 @@
 polynomial, Levine-Tristram signatures at exact roots of unity, and the
 whole signature step function on the unit circle.
 
-Everything here is exact.  Signatures come from a congruence recursion
-over cyclotomic integers with certified interval signs, never from
-floating-point eigenvalues; jump points are detected by cyclotomic
-divisibility of the Alexander polynomial; and the arcs between jumps are
-isolated with Sturm sequences after the substitution x = 2*cos(theta).
+Everything here is exact.  For omega = exp(i*theta) the form
+(1 - omega)V + (1 - conj(omega))V^T equals 2*sin(theta/2)^2 * (A - i*u*S)
+with A = V + V^T, S = V - V^T and u = cot(theta/2), so sigma(omega) is
+half the signature of the real symmetric matrix [[A, u*S], [-u*S, A]].
+The signature is constant on each arc between unit-circle roots of the
+Alexander polynomial, and every arc holds points with rational u, where
+that matrix is rational and its signature comes from exact congruence
+elimination over the integers.  Jump points are detected by cyclotomic
+divisibility of the Alexander polynomial; the arcs between jumps are
+isolated with Sturm sequences after the substitution x = 2*cos(theta),
+and a sample lies in its arc by exact comparison of
+x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating intervals.  No
+floating-point value decides anything.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
 >>> str(alexander(V))
@@ -18,17 +26,11 @@ isolated with Sturm sequences after the substitution x = 2*cos(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import (
-    CycloInt,
-    cos2pi_bounds,
-    cyclotomic_coeffs,
-    hermitian_signature,
-    poly_divmod_monic,
-)
+from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, poly_divmod_monic
 from .laurent import LaurentPoly, reciprocal
 from .realroots import RootMarker, isolate_roots
 
@@ -192,10 +194,13 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     det = _poly_det(rows)
     norm = det.associate_normal()
     d = norm.high()
-    assert d % 2 == 0, "Alexander degree of a Seifert form is even"
+    if d % 2:
+        raise ArithmeticError("Alexander degree of a Seifert form must be even")
     bal = norm.shift(-(d // 2))
-    assert reciprocal(bal) == bal, "Alexander polynomial must be symmetric"
-    assert abs(bal.evaluate(Fraction(1))) == 1
+    if reciprocal(bal) != bal:
+        raise ArithmeticError("Alexander polynomial must be symmetric")
+    if abs(bal.evaluate(Fraction(1))) != 1:
+        raise ArithmeticError("Alexander polynomial must have |delta(1)| = 1")
     return bal
 
 
@@ -232,9 +237,158 @@ def _int_coeffs(p: LaurentPoly) -> list[int]:
     return [int(norm.coeff(k)) for k in range(norm.high() + 1)]
 
 
-def _cyclotomic_divides(coeffs: list[int], b: int) -> bool:
-    _, rem = poly_divmod_monic(coeffs, cyclotomic_coeffs(b))
+def _totient(b: int) -> int:
+    """Euler's phi by trial division."""
+    phi, n, d = b, b, 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            phi -= phi // d
+        d += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
+def _cyclotomic_divides(coeffs: Sequence[int], b: int) -> bool:
+    # Phi_b has degree phi(b), so it cannot divide a nonzero polynomial of
+    # lower degree; this skips building Phi_b for all but small b
+    if _totient(b) > len(coeffs) - 1:
+        return False
+    _, rem = poly_divmod_monic(list(coeffs), cyclotomic_coeffs(b))
     return not rem
+
+
+def _symmetric_signature(m: list[list[int]]) -> tuple[int, int]:
+    """(signature, rank) of a symmetric integer matrix, by congruence.
+
+    Fraction-free symmetric elimination: after each pivot the trailing
+    block is the Schur complement scaled by the pivot minor (Bareiss), so
+    every division is exact, and the sign of each LDL^T pivot is the sign
+    of d * prev.  Symmetric swaps and the step e_i <- e_i + e_j (which
+    makes the (i, i) entry 2*m[i][j] when the trailing diagonal vanishes)
+    are unimodular congruences of the trailing block, which commute with
+    taking the Schur complement, so the divisions stay exact after them.
+    """
+    m = [row[:] for row in m]
+    n = len(m)
+    sig = 0
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][i]), None)
+        if p is None:
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
+                None,
+            )
+            if pair is None:
+                return sig, k  # the trailing block is zero
+            p, j = pair
+            row_p, row_j = m[p], m[j]
+            for c in range(k, n):
+                row_p[c] += row_j[c]
+            for r in range(k, n):
+                m[r][p] += m[r][j]
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            for row in m[k:]:
+                row[k], row[p] = row[p], row[k]
+        d = m[k][k]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            mik = row_i[k]
+            for j in range(i, n):
+                val = (d * row_i[j] - mik * row_k[j]) // prev
+                row_i[j] = val
+                m[j][i] = val
+        prev = d
+    return sig, n
+
+
+def _forms(v: SeifertMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """A = V + V^T and S = V - V^T."""
+    e, n = v.entries, v.size
+    A = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
+    S = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
+    return A, S
+
+
+def _signature_at(A: list[list[int]], S: list[list[int]], u: Fraction) -> int:
+    """sigma(omega) at the omega with cot(theta/2) = u, where the form
+    (1 - omega)V + (1 - conj(omega))V^T is a positive multiple of
+    A - i*u*S; its real model [[A, u*S], [-u*S, A]], scaled by the
+    denominator of u, has twice the signature.  At u = 0 (omega = -1)
+    the model is A twice over."""
+    n = len(A)
+    r, s = u.numerator, u.denominator
+    if r == 0:
+        sig, rank = _symmetric_signature(A)
+        sig, rank = 2 * sig, 2 * rank
+    else:
+        sA = [[s * a for a in row] for row in A]
+        rS = [[r * c for c in row] for row in S]
+        top = [sA[i] + rS[i] for i in range(n)]
+        bottom = [[-c for c in rS[i]] + sA[i] for i in range(n)]
+        sig, rank = _symmetric_signature(top + bottom)
+    if rank != 2 * n:
+        raise ArithmeticError(f"the form is singular at the sample point u = {u}")
+    if sig % 4:
+        raise ArithmeticError("nonsingular even-rank form must have even signature")
+    return sig // 2
+
+
+def _x_of_u(u: Fraction) -> Fraction:
+    """x = 2*cos(theta) at cot(theta/2) = u."""
+    u2 = u * u
+    return 2 * (u2 - 1) / (u2 + 1)
+
+
+def _arc_sample(markers: list[RootMarker], idx: int) -> Fraction:
+    """A rational u whose angle lies inside arc idx: between marker idx-1
+    and marker idx (angle-ascending, so x-descending).  The last arc
+    holds omega = -1, which is u = 0; elsewhere u is the first dyadic
+    rational with x(u) strictly inside the gap between the two isolating
+    intervals, checked exactly.  Narrow gaps are widened on copies of the
+    markers, so shared markers keep their bisection history."""
+    if idx == len(markers):
+        return Fraction(0)
+    lower = markers[idx]
+    upper = markers[idx - 1] if idx > 0 else None
+    # an exact marker has lo = hi = its root, so (lower.hi, upper.lo) is
+    # root-free either way
+    while lower.hi >= (2 if upper is None else upper.lo):
+        lower = replace(lower)
+        lower.refine((lower.hi - lower.lo) / 2)
+        if upper is not None:
+            upper = replace(upper)
+            upper.refine((upper.hi - upper.lo) / 2)
+    a = lower.hi
+    b = Fraction(2) if upper is None else upper.lo
+    # x(u) = 2 - 4/(u^2 + 1) increases with u >= 0: a < x(u) < b exactly
+    # when alpha < u^2 < beta
+    alpha = (2 + a) / (2 - a)
+    den = 1
+    while True:
+        num = math.isqrt(alpha.numerator * den * den // alpha.denominator) + 1
+        u = Fraction(num, den)
+        if upper is None or (2 - b) * (num * num) < (2 + b) * (den * den):
+            break
+        den *= 2
+    x = _x_of_u(u)
+    if not a < x < b:
+        raise ArithmeticError(f"sample u = {u} fell outside its arc")
+    return u
+
+
+def _circle_markers(g_coeffs: list) -> list[RootMarker]:
+    """Roots of g in (-2, 2), that is the unit-circle roots of delta in
+    the upper half, ascending in angle."""
+    markers = isolate_roots(g_coeffs, Fraction(-2), Fraction(2))
+    markers.reverse()  # descending x = ascending angle
+    return markers
 
 
 def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
@@ -242,46 +396,54 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
 
     Raises OmegaIsOne at omega = 1 and SingularAtOmega when omega is a
     root of the Alexander polynomial (detected by exact divisibility by
-    the cyclotomic polynomial of order denominator(omega))."""
+    the cyclotomic polynomial of order denominator(omega)).  Otherwise
+    the certified arc of omega is located among the isolated roots and
+    the signature is taken at a rational sample u of that arc."""
     if not isinstance(omega, RootOfUnity):
         omega = RootOfUnity.from_fraction(omega)
     if omega.is_one:
         raise OmegaIsOne("signature is undefined at omega = 1")
-    a, b = omega.numerator, omega.denominator
     delta = alexander(v)
-    if _cyclotomic_divides(_int_coeffs(delta), b):
+    if _cyclotomic_divides(_int_coeffs(delta), omega.denominator):
         raise SingularAtOmega(
             f"omega = {omega} is a root of the Alexander polynomial"
         )
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return 0
-    one_minus = CycloInt(b, {0: 1, a: -1})
-    one_minus_bar = one_minus.conj()
-    M = [
-        [
-            v.entries[i][j] * one_minus + v.entries[j][i] * one_minus_bar
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    sig = hermitian_signature(M)
-    assert sig % 2 == 0, "nonsingular even-rank form has even signature"
-    return sig
+    q = omega.fraction
+    if q > Fraction(1, 2):
+        q = 1 - q  # conjugation leaves the signature unchanged
+    if q == Fraction(1, 2):
+        u = Fraction(0)  # omega = -1 itself, on the last arc
+    else:
+        # Fraction coefficients keep the square-free step exact: on integer
+        # input poly_gcd can return floats when g is a power of one linear
+        # factor, which signature_function still trips over
+        markers = _circle_markers([Fraction(c) for c in _compact_coeffs(delta)])
+        idx = sum(1 for m in markers if _marker_angle_below(m, q))
+        u = _arc_sample(markers, idx)
+    return _signature_at(*_forms(v), u)
+
+
+def _v_polys(n: int) -> list[list[int]]:
+    """v_0, ..., v_n with v_j(t + 1/t) = t^j + t^-j, so that
+    v_j(2*cos(theta)) = 2*cos(j*theta): v_0 = 2, v_1 = x and
+    v_j = x*v_{j-1} - v_{j-2}."""
+    basis: list[list[int]] = [[2], [0, 1]]
+    while len(basis) <= n:
+        prev, cur = basis[-2], basis[-1]
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        basis.append(nxt)
+    return basis
 
 
 def _compact_coeffs(delta: LaurentPoly) -> list[int]:
     """Integer polynomial g with delta(t) = t^g_deg * g(t + 1/t) for the
     balanced symmetric delta; the circle values are g(2*cos(theta))."""
     g_deg = delta.high()
-    # basis polynomials v_j(x) = t^j + t^-j under x = t + 1/t
-    basis: list[list[int]] = [[2], [0, 1]]
-    while len(basis) <= g_deg:
-        prev, cur = basis[-2], basis[-1]
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        basis.append(nxt)
+    basis = _v_polys(g_deg)
     acc = [0] * (g_deg + 1)
     acc[0] = int(delta.coeff(0))
     for j in range(1, g_deg + 1):
@@ -304,19 +466,34 @@ class SignatureFunction:
 
     def __init__(
         self,
-        delta_coeffs: list[int],
+        delta_coeffs: Sequence[int],
         markers: list[RootMarker],
-        values: list[int],
+        values: Sequence[int],
     ):
         # markers ascend in angle (descend in x = 2 cos 2*pi*angle);
         # values[i] is the constant on the arc between marker i-1 and i
-        assert len(values) == len(markers) + 1
-        assert values[0] == 0, "the arc at omega = 1 carries signature 0"
-        assert all(val % 2 == 0 for val in values)
-        self._delta = delta_coeffs
+        if len(values) != len(markers) + 1:
+            raise ValueError("a step function needs one value per arc")
+        if values[0] != 0:
+            raise ArithmeticError("the arc at omega = 1 must carry signature 0")
+        if any(val % 2 for val in values):
+            raise ArithmeticError("signature values must be even")
+        self._delta = tuple(delta_coeffs)
         self._markers = markers
-        self._values = values
+        self._values = tuple(values)
         self._jump_cache: dict[int, bool] = {}
+
+    @property
+    def delta_coeffs(self) -> tuple[int, ...]:
+        """Associate-normal integer coefficients of the Alexander
+        polynomial, lowest degree first."""
+        return self._delta
+
+    @property
+    def arc_values(self) -> tuple[int, ...]:
+        """Values on the arcs of the upper half circle, from omega = 1 to
+        omega = -1."""
+        return self._values
 
     def is_jump(self, q) -> bool:
         """Is exp(2*pi*i*q) a root of the Alexander polynomial?"""
@@ -342,6 +519,17 @@ class SignatureFunction:
             q = 1 - q
         idx = sum(1 for m in self._markers if _marker_angle_below(m, q))
         return self._values[idx]
+
+    def value_at_x(self, x: Fraction) -> int:
+        """Value at the points omega with omega + 1/omega = x, for exact
+        rational x in [-2, 2]; x = 2 gives 0.
+
+        Raises SingularAtOmega when x is a root.  Comparisons run on
+        copies, so the markers keep their bisection history."""
+        sides = [replace(m).compare_rational(x) for m in self._markers]
+        if 0 in sides:
+            raise SingularAtOmega(f"signature function jumps at x = {x}")
+        return self._values[sides.count(1)]
 
     def jump_angles_approx(self) -> list[float]:
         """Approximate jump angles in (0, 1/2), ascending."""
@@ -401,53 +589,14 @@ def _marker_angle_below(m: RootMarker, q: Fraction) -> bool:
     raise ArithmeticError("could not separate jump angle from sample angle")
 
 
-def _select_arc_sample(
-    markers: list[RootMarker],
-    idx: int,
-    lo_f: float,
-    hi_f: float,
-    is_jump: Callable[[Fraction], bool],
-) -> Fraction:
-    """An exact rational angle certified to lie inside arc idx (bounded
-    below by marker idx-1 and above by marker idx, angle-ascending)."""
-    mid = (lo_f + hi_f) / 2.0
-    for den in (16, 64, 256, 1024, 4096, 16384, 65536, 1 << 18, 1 << 20):
-        q = Fraction(round(mid * den), den)
-        if q <= 0 or q > Fraction(1, 2):
-            continue
-        if not (lo_f < float(q) <= hi_f):
-            continue
-        if is_jump(q):
-            continue
-        if idx > 0 and not _marker_angle_below(markers[idx - 1], q):
-            continue
-        if idx < len(markers) and _marker_angle_below(markers[idx], q):
-            continue
-        return q
-    raise ArithmeticError("no rational sample found inside arc")
-
-
 def _assemble_signature_function(
-    delta_coeffs: list[int],
-    g_coeffs: list[int],
-    value_at: Callable[[Fraction], int],
+    delta: LaurentPoly, value_at: Callable[[Fraction], int]
 ) -> SignatureFunction:
-    markers = isolate_roots(g_coeffs, Fraction(-2), Fraction(2))
-    markers.reverse()  # descending x = ascending angle
-    jump_cache: dict[int, bool] = {}
-
-    def is_jump(q: Fraction) -> bool:
-        b = q.denominator
-        if b not in jump_cache:
-            jump_cache[b] = _cyclotomic_divides(delta_coeffs, b)
-        return jump_cache[b]
-
-    angle_cuts = [0.0] + [_marker_angle_float(m) for m in markers] + [0.5]
-    values = []
-    for i in range(len(markers) + 1):
-        q = _select_arc_sample(markers, i, angle_cuts[i], angle_cuts[i + 1], is_jump)
-        values.append(value_at(q))
-    return SignatureFunction(delta_coeffs, markers, values)
+    """Isolate the circle roots of delta and take value_at(u) at one
+    rational sample u per arc."""
+    markers = _circle_markers(_compact_coeffs(delta))
+    values = [value_at(_arc_sample(markers, i)) for i in range(len(markers) + 1)]
+    return SignatureFunction(_int_coeffs(delta), markers, values)
 
 
 def signature_function(v: SeifertMatrix) -> SignatureFunction:
@@ -455,11 +604,8 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
 
     Roots of the Alexander polynomial on the circle are isolated exactly
     via Sturm sequences in x = 2cos(theta); each arc between consecutive
-    roots gets one Levine-Tristram evaluation at a certified interior
-    rational angle."""
-    delta = alexander(v)
-    delta_coeffs = _int_coeffs(delta)
-    g = _compact_coeffs(delta)
+    roots gets one rational signature at a certified interior sample."""
+    A, S = _forms(v)
     return _assemble_signature_function(
-        delta_coeffs, g, lambda q: levine_tristram(v, RootOfUnity.from_fraction(q))
+        alexander(v), lambda u: _signature_at(A, S, u)
     )

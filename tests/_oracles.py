@@ -9,7 +9,9 @@ import random
 
 import sympy
 
+from concordance.cyclotomic import CycloInt, hermitian_signature
 from concordance.laurent import LaurentPoly, doteq, fox_milnor_pairing
+from concordance.seifert import SeifertMatrix
 
 
 def _candidate_table():
@@ -130,3 +132,43 @@ def assert_valid_snf(M, U, D, V):
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
     return diag
+
+
+def cyclotomic_levine_tristram(v, a, b):
+    """Signature of (1 - omega)V + (1 - conj(omega))V^T at omega =
+    zeta_b^a, as a Hermitian form over Z[zeta_b]: a route that shares no
+    code with the rational signature engine."""
+    n = v.size
+    if n == 0:
+        return 0
+    one_minus = CycloInt(b, {0: 1, a: -1})
+    one_minus_bar = one_minus.conj()
+    e = v.entries
+    M = [
+        [e[i][j] * one_minus + e[j][i] * one_minus_bar for j in range(n)]
+        for i in range(n)
+    ]
+    return hermitian_signature(M)
+
+
+def scrambled_seifert(r, v):
+    """P V P^T for a random unimodular P: the same Seifert form in another
+    basis, so Alexander polynomial and signatures are unchanged."""
+    n = v.size
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = r.randrange(n), r.randrange(n)
+        if i != j:
+            c = r.choice((-1, 1))
+            for k in range(n):
+                p[i][k] += c * p[j][k]
+    e = v.entries
+    return SeifertMatrix(
+        [
+            [
+                sum(p[i][a] * e[a][c] * p[j][c] for a in range(n) for c in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )

@@ -21,6 +21,7 @@ from concordance.cabling import (
     rational_concordance_verdict,
     tau_cable_rule,
 )
+from concordance.catalog import load_catalog
 from concordance.laurent import LaurentPoly, doteq
 from concordance.seifert import (
     RootOfUnity,
@@ -139,6 +140,21 @@ class TestCableSignature:
                 continue
             assert cable.evaluate(q) == base.evaluate((p * q) % 1)
             checked += 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_catalog_cables_at_pinned_witnesses(self, p):
+        # the pullback arcs are sampled at rational points 2cos(p*theta),
+        # never through base.evaluate; the two routes must agree
+        catalog = load_catalog()
+        knots = [e.profile for e in catalog if e.profile and e.profile.seifert]
+        assert len(knots) == 5
+        for K in knots:
+            base = signature_function(K.seifert)
+            cable = cable_signature(base, p)
+            for q in (Fraction(1, 7), Fraction(3, 7), Fraction(1, 3)):
+                if cable.is_jump(q):
+                    continue
+                assert cable.evaluate(q) == base.evaluate((p * q) % 1), (K.name, q)
 
 
 class TestKnotProfile:

@@ -2,10 +2,12 @@
 eigenvalue oracle, and the algebraic symmetries of signatures."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from _oracles import cyclotomic_levine_tristram, scrambled_seifert
 
 from concordance.laurent import LaurentPoly, doteq, reciprocal
 from concordance.seifert import (
@@ -13,6 +15,7 @@ from concordance.seifert import (
     RootOfUnity,
     SeifertMatrix,
     SingularAtOmega,
+    _symmetric_signature,
     alexander,
     block_sum,
     levine_tristram,
@@ -216,8 +219,9 @@ def test_congruence_invariance_of_signature():
 
 
 def test_dense_sampling_agrees_with_arc_values():
-    # 100 interior rational samples per arc, evaluated both through the
-    # step function and through a fresh Hermitian signature
+    # 100 interior rational angles per arc, evaluated both through the
+    # step function and through levine_tristram, which locates each angle
+    # among freshly isolated roots and takes a rational signature there
     for v in (TREFOIL, FIGURE_EIGHT, block_sum(TREFOIL, TREFOIL)):
         sig = signature_function(v)
         for lo, hi, val in sig.arcs():
@@ -240,3 +244,87 @@ def test_signature_function_values_always_even():
         v = _random_seifert(rng, rng.randint(1, 2))
         sig = signature_function(v)
         assert all(val % 2 == 0 for _, _, val in sig.arcs())
+
+
+def _torus_2(q):
+    """Seifert matrix of the torus knot T(2, q), q odd."""
+    n = q - 1
+    return SeifertMatrix(
+        [[-1 if j == i else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+    )
+
+
+def test_symmetric_signature_matches_numpy():
+    rng = random.Random(808)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.choice((0, 0, 0, -2, -1, 1, 3))
+        if rng.random() < 0.5:
+            for i in range(n):
+                m[i][i] = 0  # forces the e_i <- e_i + e_j step
+        eigs = np.linalg.eigvalsh(np.array(m, dtype=float))
+        pos = sum(1 for e in eigs if e > 1e-9)
+        neg = sum(1 for e in eigs if e < -1e-9)
+        assert _symmetric_signature(m) == (pos - neg, pos + neg)
+
+
+def test_levine_tristram_matches_cyclotomic_route():
+    # random Seifert forms of genus <= 3 in scrambled bases, against the
+    # Hermitian signature over Z[zeta_b], which shares no code with the
+    # rational engine
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 160:
+        v = scrambled_seifert(rng, _random_seifert(rng, rng.randint(1, 3)))
+        b = rng.randint(2, 13)
+        om = RootOfUnity(rng.randint(1, b - 1), b)
+        try:
+            got = levine_tristram(v, om)
+        except SingularAtOmega:
+            continue
+        assert got == cyclotomic_levine_tristram(v, om.numerator, om.denominator)
+        checked += 1
+
+
+def test_genus_four_sum_at_one_sixteenth():
+    # T + F + F + T with F the 3-twist knot: sigma_T(1/16) = 0 and
+    # sigma_F = 0 everywhere
+    v = block_sum(block_sum(TREFOIL, TWIST3), block_sum(TWIST3, TREFOIL))
+    assert levine_tristram(v, RootOfUnity(1, 16)) == 0
+    assert levine_tristram(v, RootOfUnity(1, 2)) == -4
+
+
+def test_torus_knot_2_9_step_function():
+    # Litherland: T(2, q) jumps by -2 at the angles (2j - 1)/(2q)
+    v = _torus_2(9)
+    assert str(alexander(v)) == (
+        "1*t^4 - 1*t^3 + 1*t^2 - 1*t^1 + 1 - 1*t^-1 + 1*t^-2 - 1*t^-3 + 1*t^-4"
+    )
+    sig = signature_function(v)
+    jumps = sig.jumps()
+    assert [h for _, h in jumps] == [-2, -2, -2, -2]
+    for (angle, _), j in zip(jumps, range(1, 5)):
+        assert abs(angle - (2 * j - 1) / 18) < 1e-9
+        assert sig.is_jump(Fraction(2 * j - 1, 18))
+    assert sig.arc_values == (0, -2, -4, -6, -8)
+
+
+def test_levine_tristram_at_large_denominator_is_fast():
+    start = time.perf_counter()
+    assert levine_tristram(TREFOIL, RootOfUnity(1, 55440)) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ArithmeticError,
+    reason="poly_gcd returns floats on integer input whose derivative divides "
+    "it, so the square-free part of (3x - 7)^2 is inexact",
+)
+def test_signature_function_of_repeated_twist_factor():
+    sig = signature_function(block_sum(TWIST3, TWIST3))
+    assert sig.jumps() == []
+    assert sig.is_identically_zero()
