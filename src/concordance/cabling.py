@@ -23,16 +23,20 @@ two signature values, a violating irreducible factor, or a tau mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .laurent import LaurentPoly, doteq, fox_milnor_pairing, substitute_power
-from .realroots import poly_eval
+from .realroots import RootMarker, compare_markers, poly_eval, poly_gcd
 from .seifert import (
     RootOfUnity,
     SeifertMatrix,
     SignatureFunction,
     _assemble_signature_function,
+    _marker_angle_below,
+    _marker_angle_float,
     _v_polys,
     _x_of_u,
     alexander,
@@ -311,13 +315,99 @@ def tau_cable_rule(K: KnotProfile, p: int) -> KnotProfile:
     )
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+def _primes():
+    """2, 3, 5, 7, ... without end, by trial division."""
+    yield 2
+    n = 3
+    while True:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
+def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:
+    """The sub-arcs of (0, 1/2] cut out by the jumps of either function,
+    ascending in angle, as (lower, upper, value_0, value_1).
+
+    lower and upper are the bounding jump markers, None at angle 0 and at
+    angle 1/2, which the last sub-arc holds.  The two marker lists are
+    merged by exact comparison, so each sub-arc's values are read off
+    the two value lists."""
+    m0, m1 = sig0.root_markers(), sig1.root_markers()
+    values0, values1 = sig0.arc_values, sig1.arc_values
+    # all markers of one function share its square-free polynomial
+    common = poly_gcd(m0[0].poly, m1[0].poly) if m0 and m1 else [1]
+    arcs = []
+    i = j = 0
+    lower = None
+    while i < len(m0) or j < len(m1):
+        if i == len(m0):
+            c = -1
+        elif j == len(m1):
+            c = 1
+        else:
+            c = compare_markers(m0[i], m1[j], common)
+        # ascending angle is descending x = 2*cos(2*pi*angle)
+        upper = m0[i] if c >= 0 else m1[j]
+        arcs.append((lower, upper, values0[i], values1[j]))
+        i += c >= 0
+        j += c <= 0
+        lower = upper
+    arcs.append((lower, None, values0[i], values1[j]))
+    return arcs
+
+
+def _least_numerator_above(m: RootMarker, b: int) -> int | None:
+    """Least a in [1, b/2] with a/b above the marker's jump angle, or None;
+    b must not be a jump denominator.  The float angle is only a starting
+    guess.  (The test compares cosines, so it only sees angles up to 1/2.)"""
+    half = b // 2
+    a = min(max(1, math.floor(_marker_angle_float(m) * b) + 1), half)
+    while a > 1 and _marker_angle_below(m, Fraction(a - 1, b)):
+        a -= 1
+    while a <= half and not _marker_angle_below(m, Fraction(a, b)):
+        a += 1
+    return a if a <= half else None
+
+
+def _first_witness(
+    sig0: SignatureFunction,
+    sig1: SignatureFunction,
+    bad: Callable[[int, int], bool],
+    denominator_bound: int,
+    p: int = 1,
+) -> tuple[bool, tuple | None]:
+    """Where bad(sigma_0(omega), sigma_1(omega)) holds, decided on whole
+    arcs, and the first such omega = exp(2*pi*i*a/b) in scan order.
+
+    Returns (some sub-arc is bad, (omega, value_0, value_1) or None).  If
+    no sub-arc is bad, no root of unity of any order off the jumps is a
+    witness.  Otherwise the witness is the least a/b strictly inside a
+    bad sub-arc, by increasing prime b up to denominator_bound (skipping
+    b | p and the jump denominators of either function), then by
+    increasing a.  The bad set is symmetric under q -> 1 - q, so the
+    least a lies in (0, 1/2], and the sub-arcs ascend, so the first bad
+    sub-arc that holds some a/b holds the least."""
+    if sig0.is_identically_zero() and sig1.is_identically_zero():
+        return False, None
+    if sig0.delta_coeffs == sig1.delta_coeffs and sig0.arc_values == sig1.arc_values:
+        return False, None  # same polynomial and arc values: the functions coincide
+    bad_arcs = [arc for arc in _sub_arcs(sig0, sig1) if bad(arc[2], arc[3])]
+    if not bad_arcs:
+        return False, None
+    for b in _primes():
+        if b > denominator_bound:
+            break
+        one_b = Fraction(1, b)
+        if p % b == 0 or sig0.is_jump(one_b) or sig1.is_jump(one_b):
+            continue
+        for lower, upper, v0, v1 in bad_arcs:
+            a = 1 if lower is None else _least_numerator_above(lower, b)
+            if a is None:
+                break  # no a/b in (0, 1/2] above this sub-arc's start, nor later ones
+            if upper is None or not _marker_angle_below(upper, Fraction(a, b)):
+                return True, (RootOfUnity(a, b), v0, v1)
+    return True, None
 
 
 def finite_order_obstruction(
@@ -327,55 +417,65 @@ def finite_order_obstruction(
 
     Such an omega shows K is not rationally concordant to K(p,1) in the
     topological category, because rational concordance forces the two
-    signature functions to agree away from jumps.  The search runs over
-    omega = exp(2 pi i a/b) with b prime up to ``denominator_bound``, in
-    increasing b then increasing a, skipping jump angles of the signature
-    function and of its pullback; the first hit is reported.
+    signature functions to agree away from jumps.  Whether one exists is
+    decided exactly, on the arcs between the jumps of sigma and of its
+    pullback; the reported witness is the first omega = exp(2 pi i a/b)
+    with b prime up to ``denominator_bound``, in increasing b then
+    increasing a, off the jumps of both functions.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("the cable obstruction needs an integer p >= 2")
     sig = profile_signature(K)
     parameters = {"p": p, "denominator_bound": denominator_bound, "knot": K.name}
-    for b in _primes_upto(denominator_bound):
-        if p % b == 0:
-            continue  # omega^p = 1 for no a; and a/b, pa/b share denominator b
-        if sig.is_jump(Fraction(1, b)):
-            continue  # jumping depends only on the denominator for prime b
-        for a in range(1, b):
-            q = Fraction(a, b)
-            if sig.evaluate(q) != 0:
-                continue
-            power_value = sig.evaluate((p * q) % 1)
-            if power_value == 0:
-                continue
-            witness = Witness(
-                "signature-at-root-of-unity",
-                {
-                    "omega": RootOfUnity(a, b),
-                    "p": p,
-                    "sigma_at_omega": 0,
-                    "sigma_at_omega_power": power_value,
-                },
-            )
-            return ObstructionReport(
-                verdict="obstructed",
-                category="topological",
-                witnesses=(witness,),
-                parameters=parameters,
-                notes=(
-                    "sigma(omega) = 0 with sigma(omega^p) != 0 rules out "
-                    f"topological rational concordance of {K.name!r} to its "
-                    f"({p},1)-cable",
-                ),
-            )
+    if sig.is_identically_zero():
+        exists, found = False, None  # the pullback of zero is zero
+    else:
+        exists, found = _first_witness(
+            sig,
+            cable_signature(sig, p),
+            lambda value, power_value: value == 0 and power_value != 0,
+            denominator_bound,
+            p,
+        )
+    if found is not None:
+        omega, _, power_value = found
+        witness = Witness(
+            "signature-at-root-of-unity",
+            {
+                "omega": omega,
+                "p": p,
+                "sigma_at_omega": 0,
+                "sigma_at_omega_power": power_value,
+            },
+        )
+        return ObstructionReport(
+            verdict="obstructed",
+            category="topological",
+            witnesses=(witness,),
+            parameters=parameters,
+            notes=(
+                "sigma(omega) = 0 with sigma(omega^p) != 0 rules out "
+                f"topological rational concordance of {K.name!r} to its "
+                f"({p},1)-cable",
+            ),
+        )
+    if exists:
+        note = (
+            "an obstruction exists, but its smallest witness has "
+            f"b > {denominator_bound}: on some arc sigma(omega) = 0 and "
+            "sigma(omega^p) != 0"
+        )
+    else:
+        note = (
+            "no bad arc: sigma(omega^p) = 0 wherever sigma(omega) = 0, so "
+            "no root of unity of any order is a witness"
+        )
     return ObstructionReport(
         verdict="no-obstruction-found",
         category=None,
         witnesses=(),
         parameters=parameters,
-        notes=(
-            f"no witness among angles a/b with b prime, b <= {denominator_bound}",
-        ),
+        notes=(note,),
     )
 
 
@@ -458,30 +558,6 @@ def fox_milnor_obstruction(
     )
 
 
-def _signature_mismatch(
-    sig0: SignatureFunction, sig1: SignatureFunction, denominator_bound: int
-) -> Witness | None:
-    """First prime-denominator angle where two signature functions differ."""
-    if sig0.is_identically_zero() and sig1.is_identically_zero():
-        return None
-    if sig0.delta_coeffs == sig1.delta_coeffs and sig0.arc_values == sig1.arc_values:
-        return None  # same polynomial and arc values: the functions coincide
-    for b in _primes_upto(denominator_bound):
-        one_b = Fraction(1, b)
-        if sig0.is_jump(one_b) or sig1.is_jump(one_b):
-            continue
-        for a in range(1, b):
-            q = Fraction(a, b)
-            v0 = sig0.evaluate(q)
-            v1 = sig1.evaluate(q)
-            if v0 != v1:
-                return Witness(
-                    "signature-mismatch",
-                    {"omega": RootOfUnity(a, b), "sigma_0": v0, "sigma_1": v1},
-                )
-    return None
-
-
 def rational_concordance_verdict(
     K0: KnotProfile,
     K1: KnotProfile,
@@ -537,13 +613,26 @@ def rational_concordance_verdict(
     except MissingSeifert as missing:
         notes.append(f"signature comparison unavailable: {missing}")
     else:
-        mismatch = _signature_mismatch(sig0, sig1, denominator_bound)
-        if mismatch is not None:
-            witnesses.append(mismatch)
+        differ, found = _first_witness(
+            sig0, sig1, lambda v0, v1: v0 != v1, denominator_bound
+        )
+        if found is not None:
+            omega, v0, v1 = found
+            witnesses.append(
+                Witness(
+                    "signature-mismatch",
+                    {"omega": omega, "sigma_0": v0, "sigma_1": v1},
+                )
+            )
             category = "topological"
             notes.append(
                 "the signature functions differ away from jumps, which "
                 "obstructs topological rational concordance"
+            )
+        elif differ:
+            notes.append(
+                "the signature functions differ on some arc, but the smallest "
+                f"witness has b > {denominator_bound}"
             )
 
     fox_milnor = None

@@ -47,7 +47,8 @@ def _is_prime(n: int) -> bool:
 
 def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Long division by a monic integer polynomial; coefficients low->high."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ValueError("the divisor must be monic")
     rem = list(num)
     dd = len(den) - 1
     quo = [0] * max(len(rem) - dd, 0)
@@ -72,7 +73,10 @@ def cyclotomic_coeffs(b: int) -> list[int]:
         for d in range(1, b):
             if b % d == 0:
                 poly, rem = poly_divmod_monic(poly, cyclotomic_coeffs(d))
-                assert not rem
+                if rem:
+                    raise ArithmeticError(
+                        f"Phi_{d} left a remainder in x^{b} - 1"
+                    )
         _PHI_CACHE[b] = poly
     return list(_PHI_CACHE[b])
 

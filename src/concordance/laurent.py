@@ -389,7 +389,8 @@ def factor(a: LaurentPoly) -> Factorization:
         content=abs(unit),
         factors=tuple(factors),
     )
-    assert result.expand() == a, "factorization failed to round-trip"
+    if result.expand() != a:
+        raise ArithmeticError(f"factorization of {a} failed to round-trip")
     return result
 
 
@@ -448,5 +449,6 @@ def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
                 return fail(q, m)
             if _factor_sort_key(q) < _factor_sort_key(qstar):
                 witness = witness * q**m
-    assert doteq(a, witness * witness.reciprocal())
+    if not doteq(a, witness * witness.reciprocal()):
+        raise ArithmeticError(f"norm witness {witness} does not reproduce {a}")
     return FoxMilnorResult(True, witness, None, None, None, fact)

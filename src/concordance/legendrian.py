@@ -186,7 +186,11 @@ class FrontDiagram:
                     else:
                         # closed fronts have an even number of cusps per
                         # component, so 2-coloring never conflicts
-                        assert dirs[other] == want
+                        if dirs[other] != want:
+                            raise RuntimeError(
+                                f"segments {seg} and {other} get opposite "
+                                "orientations"
+                            )
             components.append(tuple(component))
         self._dirs = dirs
         self._components = components
@@ -233,11 +237,15 @@ class FrontDiagram:
             if side == RIGHT_CUSP and self._dirs[upper] == WEST
         )
         cusps = len(self._cusps)
-        assert cusps % 2 == 0
+        if cusps % 2:
+            raise ArithmeticError(f"a closed front has {cusps} cusps, an odd count")
         tb = writhe - cusps // 2
         rot = down_left - up_right
         if self.seam_strands == 0:
-            assert (tb + abs(rot)) % 2 == 1
+            if (tb + abs(rot)) % 2 != 1:
+                raise ArithmeticError(
+                    f"tb + |rot| = {tb + abs(rot)} must be odd for a knot front"
+                )
         return LegendrianInvariants(tb, rot, writhe, cusps, down_left, up_right)
 
     def __repr__(self):

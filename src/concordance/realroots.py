@@ -21,6 +21,18 @@ def poly_eval(coeffs: list, x: Fraction) -> Fraction:
     return acc
 
 
+def _sign_at(coeffs: list, x: Fraction) -> int:
+    """Sign of the polynomial at x, from d^deg * p(n/d) in integer
+    arithmetic when the coefficients are integers."""
+    n, d = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * scale
+        scale *= d
+    return (acc > 0) - (acc < 0)
+
+
 def poly_derivative(coeffs: list) -> list:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
@@ -56,7 +68,7 @@ def poly_gcd(a: list, b: list) -> list:
         a, b = b, r
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [Fraction(c) / lead for c in a]
     return a
 
 
@@ -70,30 +82,32 @@ def squarefree_part(coeffs: list) -> list:
     sf, rem = _poly_divmod(coeffs, g)
     if rem:
         raise ArithmeticError("division by gcd(p, p') left a remainder")
-    den_lcm = math.lcm(*(c.denominator for c in sf))
-    out = [int(c * den_lcm) for c in sf]
-    g_all = math.gcd(*out)
-    out = [c // g_all for c in out]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
+    out = _integer_multiple(sf)
+    return [-c for c in out] if out[-1] < 0 else out
+
+
+def _integer_multiple(coeffs: list) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of
+    coeffs; a positive factor changes no sign."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
 def sturm_chain(coeffs: list) -> list[list]:
+    """Sturm sequence of coeffs, each member scaled to a primitive
+    integer polynomial, which leaves every sign variation count as is."""
     chain = [_trim(coeffs), _trim(poly_derivative(coeffs))]
     while chain[-1]:
         _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
+        chain.append(_integer_multiple([-c for c in r]) if r else [])
     chain.pop()
     return chain
 
 
 def _variations(chain: list[list], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -115,15 +129,15 @@ class RootMarker:
         may discover the root is a rational bisection point and go exact."""
         if self.exact is not None:
             return
-        s_lo = 1 if poly_eval(self.poly, self.lo) > 0 else -1
+        s_lo = _sign_at(self.poly, self.lo)
         while self.hi - self.lo > width:
             mid = (self.lo + self.hi) / 2
-            v = poly_eval(self.poly, mid)
+            v = _sign_at(self.poly, mid)
             if v == 0:
                 self.exact = mid
                 self.lo = self.hi = mid
                 return
-            if (1 if v > 0 else -1) == s_lo:
+            if v == s_lo:
                 self.lo = mid
             else:
                 self.hi = mid
@@ -136,12 +150,11 @@ class RootMarker:
         if self.exact is not None:
             return -1 if self.exact < x else (0 if self.exact == x else 1)
         if self.lo < x < self.hi:
-            if poly_eval(self.poly, x) == 0:
+            s_x = _sign_at(self.poly, x)
+            if s_x == 0:
                 return 0
             # x splits the interval; keep the half with the sign change
-            s_lo = 1 if poly_eval(self.poly, self.lo) > 0 else -1
-            s_x = 1 if poly_eval(self.poly, x) > 0 else -1
-            if s_x == s_lo:
+            if s_x == _sign_at(self.poly, self.lo):
                 self.lo = x
             else:
                 self.hi = x
@@ -152,6 +165,33 @@ class RootMarker:
             return float(self.exact)
         self.refine(Fraction(1, 10**12))
         return float((self.lo + self.hi) / 2)
+
+
+def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
+    """-1, 0, +1 as the root of m1 is below, equal to, or above the root
+    of m2, where common = gcd(m1.poly, m2.poly).
+
+    Two overlapping isolating intervals hold the same root exactly when
+    common changes sign across their intersection: each interval holds
+    one root of its square-free polynomial, so at most one root of
+    common, and a root of common in both is the root of each.  Otherwise
+    the roots differ and bisection separates them, so refinement never
+    tries to separate a root from itself.  Refines both markers in place.
+    """
+    while True:
+        if m1.exact is not None:
+            return -m2.compare_rational(m1.exact)
+        if m2.exact is not None:
+            return m1.compare_rational(m2.exact)
+        if m1.hi <= m2.lo:
+            return -1
+        if m2.hi <= m1.lo:
+            return 1
+        lo, hi = max(m1.lo, m2.lo), min(m1.hi, m2.hi)
+        if _sign_at(common, lo) != _sign_at(common, hi):
+            return 0
+        m1.refine((m1.hi - m1.lo) / 2)
+        m2.refine((m2.hi - m2.lo) / 2)
 
 
 def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
@@ -181,7 +221,7 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
                 intervals.append((a, b))
                 continue
             mid = (a + b) / 2
-            if poly_eval(sf, mid) == 0:
+            if _sign_at(sf, mid) == 0:
                 exacts.append(mid)
                 q, rem = _poly_divmod(sf, [-mid, Fraction(1)])
                 if rem:

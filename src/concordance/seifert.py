@@ -60,7 +60,7 @@ class SingularAtOmega(ValueError):
 class SeifertMatrix:
     """Square integer matrix V with |det(V - V^T)| = 1."""
 
-    __slots__ = ("entries", "name")
+    __slots__ = ("entries", "name", "_delta")
 
     def __init__(self, entries: Sequence[Sequence[int]], name: str | None = None):
         rows = tuple(tuple(v for v in row) for row in entries)
@@ -77,6 +77,15 @@ class SeifertMatrix:
         # an odd-size integer skew form has det 0, so n is forced even
         self.entries = rows
         self.name = name
+        self._delta: LaurentPoly | None = None
+
+    @property
+    def delta(self) -> LaurentPoly:
+        """The Alexander polynomial (see :func:`alexander`), computed on
+        first use and kept: the entries never change."""
+        if self._delta is None:
+            self._delta = _balanced_alexander(self)
+        return self._delta
 
     @property
     def size(self) -> int:
@@ -182,7 +191,11 @@ class RootOfUnity:
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """det(V - t*V^T) in balanced normal form: exponents symmetric about 0,
     positive leading coefficient, reciprocal(delta) equal to delta, and
-    |delta(1)| = 1."""
+    |delta(1)| = 1.  Computed once per matrix and cached on it."""
+    return v.delta
+
+
+def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
     n = v.size
     if n == 0:
         return LaurentPoly.one()
@@ -403,7 +416,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
         omega = RootOfUnity.from_fraction(omega)
     if omega.is_one:
         raise OmegaIsOne("signature is undefined at omega = 1")
-    delta = alexander(v)
+    delta = v.delta
     if _cyclotomic_divides(_int_coeffs(delta), omega.denominator):
         raise SingularAtOmega(
             f"omega = {omega} is a root of the Alexander polynomial"
@@ -416,10 +429,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     if q == Fraction(1, 2):
         u = Fraction(0)  # omega = -1 itself, on the last arc
     else:
-        # Fraction coefficients keep the square-free step exact: on integer
-        # input poly_gcd can return floats when g is a power of one linear
-        # factor, which signature_function still trips over
-        markers = _circle_markers([Fraction(c) for c in _compact_coeffs(delta)])
+        markers = _circle_markers(_compact_coeffs(delta))
         idx = sum(1 for m in markers if _marker_angle_below(m, q))
         u = _arc_sample(markers, idx)
     return _signature_at(*_forms(v), u)
@@ -520,6 +530,12 @@ class SignatureFunction:
         idx = sum(1 for m in self._markers if _marker_angle_below(m, q))
         return self._values[idx]
 
+    def root_markers(self) -> list[RootMarker]:
+        """Copies of the isolating markers of the jumps in (0, 1/2),
+        ascending in angle; refining a copy leaves this function as it
+        is, float output included."""
+        return [replace(m) for m in self._markers]
+
     def value_at_x(self, x: Fraction) -> int:
         """Value at the points omega with omega + 1/omega = x, for exact
         rational x in [-2, 2]; x = 2 gives 0.
@@ -607,5 +623,5 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     roots gets one rational signature at a certified interior sample."""
     A, S = _forms(v)
     return _assemble_signature_function(
-        alexander(v), lambda u: _signature_at(A, S, u)
+        v.delta, lambda u: _signature_at(A, S, u)
     )

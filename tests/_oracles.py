@@ -6,12 +6,13 @@ complete decision procedure for products whose witnesses must live in
 that box; the generators below only produce such products."""
 
 import random
+from fractions import Fraction
 
 import sympy
 
 from concordance.cyclotomic import CycloInt, hermitian_signature
 from concordance.laurent import LaurentPoly, doteq, fox_milnor_pairing
-from concordance.seifert import SeifertMatrix
+from concordance.seifert import RootOfUnity, SeifertMatrix
 
 
 def _candidate_table():
@@ -172,3 +173,38 @@ def scrambled_seifert(r, v):
             for i in range(n)
         ]
     )
+
+
+def _primes_upto(n):
+    return [b for b in range(2, n + 1) if all(b % d for d in range(2, b))]
+
+
+def scan_cable_witness(sig, p, denominator_bound):
+    """The angle scan that preceded the arc merge: the first a/b, b prime
+    up to the bound, in increasing b then a, with sigma(a/b) = 0 and
+    sigma(p*a/b) != 0, as (omega, sigma(omega^p)), or None."""
+    for b in _primes_upto(denominator_bound):
+        if p % b == 0 or sig.is_jump(Fraction(1, b)):
+            continue
+        for a in range(1, b):
+            q = Fraction(a, b)
+            if sig.evaluate(q) == 0:
+                power_value = sig.evaluate((p * q) % 1)
+                if power_value != 0:
+                    return RootOfUnity(a, b), power_value
+    return None
+
+
+def scan_signature_mismatch(sig0, sig1, denominator_bound):
+    """The angle scan that preceded the arc merge: the first a/b, b prime
+    up to the bound, where two signature functions differ, as
+    (omega, sigma_0, sigma_1), or None."""
+    for b in _primes_upto(denominator_bound):
+        if sig0.is_jump(Fraction(1, b)) or sig1.is_jump(Fraction(1, b)):
+            continue
+        for a in range(1, b):
+            q = Fraction(a, b)
+            v0, v1 = sig0.evaluate(q), sig1.evaluate(q)
+            if v0 != v1:
+                return RootOfUnity(a, b), v0, v1
+    return None

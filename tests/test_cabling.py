@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracles import scan_cable_witness, scan_signature_mismatch, scrambled_seifert
 
 from concordance.cabling import (
     Cited,
@@ -27,7 +28,9 @@ from concordance.seifert import (
     RootOfUnity,
     SeifertMatrix,
     SingularAtOmega,
+    block_sum,
     levine_tristram,
+    mirror,
     signature_function,
 )
 
@@ -273,6 +276,27 @@ class TestFiniteOrderObstruction:
         assert report.verdict == "no-obstruction-found"
         assert report.category is None
         assert not report.witnesses
+        assert report.notes[0].startswith("no bad arc:")
+
+    def test_witness_beyond_the_bound(self):
+        # the first witness is 1/7; a bound of 5 cannot reach it, but the
+        # arc merge still knows that one exists
+        report = finite_order_obstruction(TREFOIL_PROFILE, 2, denominator_bound=5)
+        assert report.verdict == "no-obstruction-found"
+        assert not report.witnesses
+        assert report.notes == (
+            "an obstruction exists, but its smallest witness has b > 5: on "
+            "some arc sigma(omega) = 0 and sigma(omega^p) != 0",
+        )
+        report = finite_order_obstruction(TREFOIL_PROFILE, 2, denominator_bound=7)
+        assert report.witnesses[0].data["omega"] == RootOfUnity(1, 7)
+
+    def test_repeated_twist_factor(self):
+        # Delta = (3t - 7 + 3/t)^2 has no roots on the circle
+        profile = KnotProfile("F#F", seifert=block_sum(TWIST3, TWIST3))
+        report = finite_order_obstruction(profile, 2)
+        assert report.verdict == "no-obstruction-found"
+        assert report.notes[0].startswith("no bad arc:")
 
     def test_unknot_finds_nothing(self):
         report = finite_order_obstruction(UNKNOT_PROFILE, 3)
@@ -428,6 +452,19 @@ class TestRationalConcordanceVerdict:
         assert report.category == "topological"
         assert len(report.witnesses) == 3
 
+    def test_signature_difference_beyond_the_bound(self):
+        # the first mismatch of the trefoil and its (3,1)-cable is at 1/3
+        cable = cable_profile(TREFOIL_PROFILE, 3)
+        report = rational_concordance_verdict(
+            TREFOIL_PROFILE, cable, k_max=1, denominator_bound=2
+        )
+        assert report.verdict == "obstructed-up-to-complexity-1"
+        assert not any(w.kind == "signature-mismatch" for w in report.witnesses)
+        assert (
+            "the signature functions differ on some arc, but the smallest "
+            "witness has b > 2"
+        ) in report.notes
+
     def test_symmetry(self):
         wd_cable = tau_cable_rule(WHITEHEAD_PROFILE, 2)
         tre_cable = cable_profile(TREFOIL_PROFILE, 3)
@@ -453,3 +490,88 @@ class TestRationalConcordanceVerdict:
             "signature comparison unavailable" in note for note in report.notes
         )
         assert any("Fox-Milnor test unavailable" in note for note in report.notes)
+
+
+T_2_5 = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]])
+GENUS_ONE = (TREFOIL, FIGURE_EIGHT, TWIST3, SeifertMatrix([[-1, 1], [0, -2]]))
+
+
+def _scan_cases():
+    """60 seeded (knot, partner, p, bound) cases: random scrambled sums of
+    genus at most 3 (every fifth one K # mirror K, whose jumps cancel) and
+    cables of cables, against their (p,1)-cable or a second random knot,
+    with p in {2, 3, 5} and bounds {7, 30, 100}."""
+    rng = random.Random(20261018)
+
+    def random_knot(label):
+        blocks, genus = [], 0
+        target = rng.randint(1, 3)
+        while genus < target:
+            v = rng.choice(GENUS_ONE + (T_2_5,) if target - genus >= 2 else GENUS_ONE)
+            blocks.append(mirror(v) if rng.random() < 0.5 else v)
+            genus += v.genus
+        v = blocks[0]
+        for w in blocks[1:]:
+            v = block_sum(v, w)
+        return KnotProfile(label, seifert=scrambled_seifert(rng, v))
+
+    cases = []
+    for i in range(60):
+        p = (2, 3, 5)[i % 3]
+        bound = (7, 30, 100)[(i // 3) % 3]
+        if i % 10 == 7:
+            base = KnotProfile(f"k{i}", seifert=scrambled_seifert(rng, rng.choice(GENUS_ONE)))
+            knot = cable_profile(cable_profile(base, 2), rng.choice((2, 3)))
+        elif i % 5 == 4:
+            v = rng.choice(GENUS_ONE)
+            knot = KnotProfile(f"k{i}", seifert=scrambled_seifert(rng, block_sum(v, mirror(v))))
+        else:
+            knot = random_knot(f"k{i}")
+        partner = cable_profile(knot, p) if i % 2 else random_knot(f"j{i}")
+        cases.append((knot, partner, p, bound))
+    return cases
+
+
+class TestAgainstAngleScan:
+    """The arc merge gives the same witnesses, in the same order, as the
+    prime-denominator angle scan it replaced (kept in _oracles)."""
+
+    def test_finite_order_matches_scan(self):
+        found = 0
+        for knot, _, p, bound in _scan_cases():
+            report = finite_order_obstruction(knot, p, bound)
+            expected = scan_cable_witness(profile_signature(knot), p, bound)
+            assert report.parameters == {
+                "p": p, "denominator_bound": bound, "knot": knot.name
+            }
+            if expected is None:
+                assert report.verdict == "no-obstruction-found", knot.name
+                assert not report.witnesses
+            else:
+                found += 1
+                assert report.verdict == "obstructed", knot.name
+                data = report.witnesses[0].data
+                assert (data["omega"], data["sigma_at_omega_power"]) == expected
+        assert found >= 15
+
+    def test_verdict_matches_scan(self):
+        found = 0
+        for knot, partner, _, bound in _scan_cases():
+            report = rational_concordance_verdict(
+                knot, partner, k_max=1, denominator_bound=bound
+            )
+            expected = scan_signature_mismatch(
+                profile_signature(knot), profile_signature(partner), bound
+            )
+            got = [
+                (w.data["omega"], w.data["sigma_0"], w.data["sigma_1"])
+                for w in report.witnesses
+                if w.kind == "signature-mismatch"
+            ]
+            assert got == ([] if expected is None else [expected]), knot.name
+            if expected is not None:
+                found += 1
+                assert (report.verdict, report.category) == ("obstructed", "topological")
+            else:
+                assert report.verdict != "obstructed"
+        assert found >= 15

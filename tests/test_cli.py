@@ -1,6 +1,7 @@
 """Catalog loading and command-line reports."""
 
 import json
+import time
 
 import pytest
 
@@ -286,6 +287,26 @@ class TestReports:
     def test_verdict_two_knots(self, capsys):
         data = run_json(capsys, "verdict", "unknot", "figure-eight")
         assert data["verdict"] == "no-obstruction-found"
+
+    def test_huge_angle_bound_is_fast(self):
+        # the bound only caps the witness denominator: with no bad arc the
+        # answer comes at once, and a witness stops the prime walk
+        catalog = load_catalog()
+        knots = [e.name for e in catalog if e.profile]
+        assert len(knots) == 5
+        for name in knots:
+            for command, argv in (
+                ("cable-obstruction", [name, "--p", "2"]),
+                ("verdict", [name, "--cable", "2"]),
+            ):
+                default = report(command, argv)
+                start = time.perf_counter()
+                huge = report(
+                    command, argv + ["--angle-denominator-bound", "1000000000"]
+                )
+                assert time.perf_counter() - start < 2.0, (command, name)
+                assert huge["verdict"] == default["verdict"]
+                assert huge["witnesses"] == default["witnesses"]
 
     def test_report_helper(self):
         data = report("alexander", ["RH-trefoil"])

@@ -1,0 +1,20 @@
+"""No check in the library may be an assert statement, which python -O
+strips: every guard raises an explicit exception."""
+
+import ast
+from pathlib import Path
+
+import concordance
+
+SOURCES = sorted(Path(concordance.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    assert len(SOURCES) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

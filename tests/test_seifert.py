@@ -318,13 +318,9 @@ def test_levine_tristram_at_large_denominator_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ArithmeticError,
-    reason="poly_gcd returns floats on integer input whose derivative divides "
-    "it, so the square-free part of (3x - 7)^2 is inexact",
-)
 def test_signature_function_of_repeated_twist_factor():
+    # the compact polynomial is (3x - 7)^2, whose derivative divides it:
+    # the gcd in the square-free step must stay exact on integer input
     sig = signature_function(block_sum(TWIST3, TWIST3))
     assert sig.jumps() == []
     assert sig.is_identically_zero()
