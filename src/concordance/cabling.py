@@ -249,11 +249,13 @@ def cable_signature(sig: SignatureFunction, p: int) -> SignatureFunction:
         return sig
     ints = sig.delta_coeffs
     g = (len(ints) - 1) // 2
-    delta = LaurentPoly({e - g: c for e, c in enumerate(ints)})
+    delta = substitute_power(LaurentPoly.from_coeffs(ints, -g), p)
+    if sig.is_identically_zero():
+        # so is the pullback; v_p alone would cost O(p^2) integers
+        return _assemble_signature_function(delta, lambda u: 0)
     v_p = _v_polys(p)[p]
     return _assemble_signature_function(
-        substitute_power(delta, p),
-        lambda u: sig.value_at_x(poly_eval(v_p, _x_of_u(u))),
+        delta, lambda u: sig.value_at_x(poly_eval(v_p, _x_of_u(u)))
     )
 
 

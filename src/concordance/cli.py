@@ -42,6 +42,14 @@ class BadFlag(ValueError):
     """A flag value is out of range or malformed."""
 
 
+# The largest degree of a polynomial a command may build: deg(delta) * p
+# for a (p,1)-cable, k_max * (deg(delta_0) + deg(delta_1)) for the
+# Fox-Milnor loop.  On a 2-vCPU VM, catalog commands at this bound take
+# 1 to 4 s, but factoring time is erratic: the 3-twist knot alone at
+# k_max 36 takes 10 s.
+MAX_DEGREE = 72
+
+
 def _plain(value):
     """Deterministic JSON-ready form of any report value."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -103,6 +111,15 @@ def _positive(name, value, minimum):
     return value
 
 
+def _bounded(what, degree):
+    if degree > MAX_DEGREE:
+        raise BadFlag(f"{what} would have degree {degree}, above {MAX_DEGREE}")
+
+
+def _degree(*profiles):
+    return sum(K.alexander.span() for K in profiles if K.alexander is not None)
+
+
 def _cmd_signature(catalog, args):
     K = catalog.profile(args.knot)
     if K.seifert is None:
@@ -150,6 +167,7 @@ def _cmd_cable_obstruction(catalog, args):
     K = catalog.profile(args.knot)
     _positive("--p", args.p, 2)
     _positive("--angle-denominator-bound", args.angle_denominator_bound, 2)
+    _bounded("the cable's Alexander polynomial", _degree(K) * args.p)
     report = finite_order_obstruction(
         K, args.p, denominator_bound=args.angle_denominator_bound
     )
@@ -173,6 +191,7 @@ def _pair(catalog, args):
 def _cmd_fox_milnor(catalog, args):
     K0, K1 = _pair(catalog, args)
     _positive("--k-max", args.k_max, 1)
+    _bounded("the last Fox-Milnor product", args.k_max * _degree(K0, K1))
     report = fox_milnor_obstruction(K0, K1, k_max=args.k_max)
     return _obstruction_dict("fox-milnor", report)
 
@@ -180,6 +199,7 @@ def _cmd_fox_milnor(catalog, args):
 def _cmd_verdict(catalog, args):
     K0, K1 = _pair(catalog, args)
     _positive("--k-max", args.k_max, 1)
+    _bounded("the last Fox-Milnor product", args.k_max * _degree(K0, K1))
     _positive("--angle-denominator-bound", args.angle_denominator_bound, 2)
     report = rational_concordance_verdict(
         K0,

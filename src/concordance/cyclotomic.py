@@ -33,16 +33,6 @@ from mpmath.libmp import to_rational
 _iv = ctx_iv.MPIntervalContext()
 
 _PHI_CACHE: dict[int, list[int]] = {}
-_PRIME_CACHE: dict[int, bool] = {}
-
-
-def _is_prime(n: int) -> bool:
-    if n not in _PRIME_CACHE:
-        if n < 2:
-            _PRIME_CACHE[n] = False
-        else:
-            _PRIME_CACHE[n] = all(n % d for d in range(2, int(n**0.5) + 1))
-    return _PRIME_CACHE[n]
 
 
 def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -161,8 +151,6 @@ class CycloInt:
         dense = [0] * b
         for k, v in self._c.items():
             dense[k] = v
-        if _is_prime(b):
-            return len(set(dense)) == 1
         _, rem = poly_divmod_monic(dense, cyclotomic_coeffs(b))
         return not rem
 
@@ -262,34 +250,6 @@ def hermitian_signature(M: list[list[CycloInt]]) -> int:
         for r in rest
     ]
     return s + hermitian_signature(schur)
-
-
-def cyclo_det(M: list[list[CycloInt]]) -> CycloInt:
-    """Determinant by cofactor expansion with column-subset memoization."""
-    n = len(M)
-    if n == 0:
-        raise ValueError("empty matrix has no determinant here")
-    b = M[0][0].b
-    cache: dict[int, CycloInt] = {}
-
-    def rec(cols: int, row: int) -> CycloInt:
-        if row == n:
-            return CycloInt.integer(b, 1)
-        if cols in cache:
-            return cache[cols]
-        total = CycloInt.zero(b)
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if cols & bit:
-                continue
-            if M[row][j]._c:
-                total = total + sign * (M[row][j] * rec(cols | bit, row + 1))
-            sign = -sign
-        cache[cols] = total
-        return total
-
-    return rec(0, 0)
 
 
 def cos2pi_bounds(numerator: int, denominator: int, prec: int) -> tuple[Fraction, Fraction]:

@@ -121,9 +121,6 @@ class RootMarker:
     hi: Fraction
     exact: Fraction | None = None
 
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def refine(self, width: Fraction) -> None:
         """Shrink the isolating interval below the given width by bisection;
         may discover the root is a rational bisection point and go exact."""

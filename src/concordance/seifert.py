@@ -2,7 +2,11 @@
 polynomial, Levine-Tristram signatures at exact roots of unity, and the
 whole signature step function on the unit circle.
 
-Everything here is exact.  For omega = exp(i*theta) the form
+Everything here is exact.  det(V - t*V^T) has degree at most n, the
+size of V, so it is fixed by its values at t = 0, 1, ..., n: each value
+is an integer determinant by fraction-free Bareiss elimination, the one
+determinant routine of the library, and Newton forward differences give
+back the integer coefficients.  For omega = exp(i*theta) the form
 (1 - omega)V + (1 - conj(omega))V^T equals 2*sin(theta/2)^2 * (A - i*u*S)
 with A = V + V^T, S = V - V^T and u = cot(theta/2), so sigma(omega) is
 half the signature of the real symmetric matrix [[A, u*S], [-u*S, A]].
@@ -196,16 +200,12 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
 
 
 def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
-    n = v.size
-    if n == 0:
-        return LaurentPoly.one()
-    t = LaurentPoly.t_power(1)
-    rows = [
-        [LaurentPoly({0: v.entries[i][j]}) - t * v.entries[j][i] for j in range(n)]
-        for i in range(n)
+    e, n = v.entries, v.size
+    values = [
+        _int_det([[e[i][j] - k * e[j][i] for j in range(n)] for i in range(n)])
+        for k in range(n + 1)
     ]
-    det = _poly_det(rows)
-    norm = det.associate_normal()
+    norm = LaurentPoly.from_coeffs(_interpolate(values)).associate_normal()
     d = norm.high()
     if d % 2:
         raise ArithmeticError("Alexander degree of a Seifert form must be even")
@@ -217,31 +217,28 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
     return bal
 
 
-def _poly_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant over the Laurent ring; cofactor expansion memoized on
-    the set of unused columns."""
-    n = len(rows)
-    cache: dict[int, LaurentPoly] = {}
+def _interpolate(values: list[int]) -> list[int]:
+    """Integer coefficients, lowest degree first, of the polynomial of
+    degree < len(values) taking values[k] at k = 0, 1, ...
 
-    def rec(cols: int, row: int) -> LaurentPoly:
-        if row == n:
-            return LaurentPoly.one()
-        if cols in cache:
-            return cache[cols]
-        total = LaurentPoly.zero()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if cols & bit:
-                continue
-            if not rows[row][j].is_zero:
-                term = rows[row][j] * rec(cols | bit, row + 1)
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        cache[cols] = total
-        return total
-
-    return rec(0, 0)
+    Newton forward differences: p(t) = sum_j a_j * t(t-1)...(t-j+1) with
+    a_j = (j-th difference at 0) / j!, which is an integer whenever p has
+    integer coefficients."""
+    diffs, newton = list(values), []
+    for j in range(len(values)):
+        a, r = divmod(diffs[0], math.factorial(j))
+        if r:
+            raise ArithmeticError("interpolated coefficient is not an integer")
+        newton.append(a)
+        diffs = [y1 - y0 for y0, y1 in zip(diffs, diffs[1:])]
+    # Horner in the falling-factorial basis: acc <- acc * (t - j) + a_j
+    acc = [0]
+    for j in reversed(range(len(newton))):
+        nxt = [newton[j]] + acc
+        for i, c in enumerate(acc):
+            nxt[i] -= j * c
+        acc = nxt
+    return acc
 
 
 def _int_coeffs(p: LaurentPoly) -> list[int]:
@@ -546,10 +543,6 @@ class SignatureFunction:
         if 0 in sides:
             raise SingularAtOmega(f"signature function jumps at x = {x}")
         return self._values[sides.count(1)]
-
-    def jump_angles_approx(self) -> list[float]:
-        """Approximate jump angles in (0, 1/2), ascending."""
-        return [_marker_angle_float(m) for m in self._markers]
 
     def jumps(self) -> list[tuple[float, int]]:
         """(approximate angle, jump height) per jump in (0, 1/2)."""

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from concordance.cyclotomic import CycloInt, hermitian_signature
 from concordance.laurent import LaurentPoly, doteq, fox_milnor_pairing
@@ -150,6 +151,22 @@ def cyclotomic_levine_tristram(v, a, b):
         for i in range(n)
     ]
     return hermitian_signature(M)
+
+
+def sympy_alexander(v):
+    """det(V - t*V^T) in the balanced normal form of ``alexander``, as
+    (-1)^n times the constant term of sympy's division-free Berkowitz
+    characteristic polynomial over Z[t]: a route that shares no code with
+    the Bareiss determinant and the interpolation."""
+    n = v.size
+    if n == 0:
+        return LaurentPoly.one()
+    t = sympy.Symbol("t")
+    V = sympy.Matrix(v.entries)
+    M = DomainMatrix.from_Matrix(V - t * V.T).convert_to(sympy.ZZ[t])
+    det = (-1) ** n * M.charpoly()[-1]
+    norm = LaurentPoly({e: int(c) for (e,), c in det.terms()}).associate_normal()
+    return norm.shift(-(norm.high() // 2))
 
 
 def scrambled_seifert(r, v):

@@ -11,7 +11,7 @@ from concordance.catalog import (
     ValidationError,
     load_catalog,
 )
-from concordance.cli import main, render, report
+from concordance.cli import MAX_DEGREE, main, render, report
 
 
 def run_cli(capsys, *argv):
@@ -337,6 +337,42 @@ class TestExitCodes:
         assert code == 2
         assert fragment in err
         assert out == ""
+
+    def test_size_flags_fail_fast(self, capsys):
+        # each of these ran for more than 10 s without the degree bound
+        start = time.perf_counter()
+        for argv in (
+            ("cable-obstruction", "RH-trefoil", "--p", "100000"),
+            ("fox-milnor", "RH-trefoil", "--k-max", "100000"),
+            ("verdict", "RH-trefoil", "--cable", "100000"),
+            ("fox-milnor", "RH-trefoil", "--cable", "2", "--k-max", "30"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and f"above {MAX_DEGREE}" in err
+        assert time.perf_counter() - start < 2.0
+
+    def test_degree_bound_is_sharp(self, capsys):
+        # the trefoil's delta(t^p) has degree 2p
+        p = MAX_DEGREE // 2
+        code, _, _ = run_cli(capsys, "cable-obstruction", "RH-trefoil", "--p", str(p))
+        assert code == 0
+        code, _, err = run_cli(
+            capsys, "cable-obstruction", "RH-trefoil", "--p", str(p + 1)
+        )
+        assert code == 2 and f"degree {2 * p + 2}" in err
+
+    def test_huge_cable_of_trivial_alexander_is_fast(self, capsys):
+        # degree 0 at every p; the pullback of a zero signature function
+        # is zero, without the O(p^2) polynomial v_p
+        start = time.perf_counter()
+        for argv in (
+            ("verdict", "whitehead-double-RH-trefoil", "--cable", "100000"),
+            ("verdict", "unknot", "--cable", "100000", "--k-max", "100000"),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        assert time.perf_counter() - start < 2.0
 
     def test_hypothesis_not_met_is_three(self, capsys):
         code, out, err = run_cli(capsys, "theorem31", "figure-eight")

@@ -9,7 +9,6 @@ import pytest
 from concordance.cyclotomic import (
     CycloInt,
     cos2pi_bounds,
-    cyclo_det,
     cyclotomic_coeffs,
     hermitian_signature,
 )
@@ -144,15 +143,6 @@ def test_hermitian_signature_matches_numpy_on_random_matrices():
         expected = int(sum(1 for e in eigs if e > 0) - sum(1 for e in eigs if e < 0))
         assert hermitian_signature(m) == expected
         checked += 1
-
-
-def test_cyclo_det_unit_example():
-    z = CycloInt.root_power(12, 1)
-    m = [[z, CycloInt.zero(12)], [CycloInt.zero(12), z.conj()]]
-    d = cyclo_det(m)
-    assert d == CycloInt.integer(12, 1)
-    with pytest.raises(ValueError):
-        cyclo_det([])
 
 
 def test_cos2pi_bounds_encloses_known_values():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import cyclotomic_levine_tristram, scrambled_seifert
+from _oracles import cyclotomic_levine_tristram, scrambled_seifert, sympy_alexander
 
 from concordance.laurent import LaurentPoly, doteq, reciprocal
 from concordance.seifert import (
@@ -324,3 +324,50 @@ def test_signature_function_of_repeated_twist_factor():
     sig = signature_function(block_sum(TWIST3, TWIST3))
     assert sig.jumps() == []
     assert sig.is_identically_zero()
+
+
+def _torus_2_delta(q):
+    """(t^q + 1)/(t + 1) = t^(q-1) - t^(q-2) + ... + 1, balanced."""
+    g = (q - 1) // 2
+    return LaurentPoly({e - g: (-1) ** e for e in range(q)})
+
+
+def test_alexander_matches_sympy_oracle():
+    # scrambled sums of twist knots, torus knots T(2, q) and random forms
+    # of genus <= 4, against sympy's Berkowitz determinant of V - t*V^T
+    rng = random.Random(1968)
+    for _ in range(40):
+        genus = rng.randint(1, 4)
+        v = UNKNOT
+        while v.genus < genus:
+            left = genus - v.genus
+            kind = rng.randrange(3)
+            if kind == 0:
+                part = SeifertMatrix([[-1, 1], [0, rng.choice((-3, -2, 1, 2, 3))]])
+            elif kind == 1:
+                part = _torus_2(rng.choice((3, 5, 7)[:left]))
+            else:
+                part = _random_seifert(rng, rng.randint(1, min(left, 2)))
+            v = block_sum(v, mirror(part) if rng.random() < 0.5 else part)
+        v = scrambled_seifert(rng, v)
+        assert alexander(v) == sympy_alexander(v)
+    for q in (3, 5, 7, 9):
+        v = scrambled_seifert(rng, _torus_2(q))
+        assert alexander(v) == _torus_2_delta(q) == sympy_alexander(v)
+
+
+def test_dense_genus_eight_alexander_is_fast():
+    # a unimodular congruence of eight trefoils leaves few zero entries
+    rng = random.Random(8)
+    v = TREFOIL
+    for _ in range(7):
+        v = block_sum(v, TREFOIL)
+    v = scrambled_seifert(rng, v)
+    assert sum(1 for row in v.entries for x in row if x == 0) < 64
+    start = time.perf_counter()
+    delta = alexander(v)
+    assert time.perf_counter() - start < 1.0
+    expected = LaurentPoly.one()
+    for _ in range(8):
+        expected = expected * alexander(TREFOIL)
+    assert delta == expected
