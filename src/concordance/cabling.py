@@ -23,23 +23,14 @@ two signature values, a violating irreducible factor, or a tau mismatch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 from .laurent import LaurentPoly, doteq, fox_milnor_pairing, substitute_power
-from .realroots import RootMarker, compare_markers, poly_eval, poly_gcd
 from .seifert import (
-    RootOfUnity,
     SeifertMatrix,
     SignatureFunction,
-    _assemble_signature_function,
-    _marker_angle_below,
-    _marker_angle_float,
-    _v_polys,
-    _x_of_u,
     alexander,
+    first_witness,
     signature_function,
 )
 
@@ -234,29 +225,10 @@ def cable_alexander(delta: LaurentPoly, p: int) -> LaurentPoly:
 
 
 def cable_signature(sig: SignatureFunction, p: int) -> SignatureFunction:
-    """Signature function of the (p,1)-cable: the pullback along omega^p.
-
-    The cabled step function satisfies sigma_cable(omega) = sigma(omega^p);
-    its jump angles are the p-th roots of the original jump angles, so the
-    arcs are re-isolated from delta(t^p) and each new arc is sampled through
-    the original function: a rational sample x = 2*cos(theta) of a new arc
-    maps to the rational point 2*cos(p*theta) = v_p(x), which avoids the
-    original jumps.
-    """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("cable parameter p must be a positive integer")
-    if p == 1:
-        return sig
-    ints = sig.delta_coeffs
-    g = (len(ints) - 1) // 2
-    delta = substitute_power(LaurentPoly.from_coeffs(ints, -g), p)
-    if sig.is_identically_zero():
-        # so is the pullback; v_p alone would cost O(p^2) integers
-        return _assemble_signature_function(delta, lambda u: 0)
-    v_p = _v_polys(p)[p]
-    return _assemble_signature_function(
-        delta, lambda u: sig.value_at_x(poly_eval(v_p, _x_of_u(u)))
-    )
+    """Signature function of the (p,1)-cable: the pullback along omega^p,
+    sigma_cable(omega) = sigma(omega^p) (Litherland, 'Signatures of
+    iterated torus knots', 1979); see SignatureFunction.pullback."""
+    return sig.pullback(p)
 
 
 def profile_signature(K: KnotProfile) -> SignatureFunction:
@@ -317,101 +289,6 @@ def tau_cable_rule(K: KnotProfile, p: int) -> KnotProfile:
     )
 
 
-def _primes():
-    """2, 3, 5, 7, ... without end, by trial division."""
-    yield 2
-    n = 3
-    while True:
-        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
-            yield n
-        n += 2
-
-
-def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:
-    """The sub-arcs of (0, 1/2] cut out by the jumps of either function,
-    ascending in angle, as (lower, upper, value_0, value_1).
-
-    lower and upper are the bounding jump markers, None at angle 0 and at
-    angle 1/2, which the last sub-arc holds.  The two marker lists are
-    merged by exact comparison, so each sub-arc's values are read off
-    the two value lists."""
-    m0, m1 = sig0.root_markers(), sig1.root_markers()
-    values0, values1 = sig0.arc_values, sig1.arc_values
-    # all markers of one function share its square-free polynomial
-    common = poly_gcd(m0[0].poly, m1[0].poly) if m0 and m1 else [1]
-    arcs = []
-    i = j = 0
-    lower = None
-    while i < len(m0) or j < len(m1):
-        if i == len(m0):
-            c = -1
-        elif j == len(m1):
-            c = 1
-        else:
-            c = compare_markers(m0[i], m1[j], common)
-        # ascending angle is descending x = 2*cos(2*pi*angle)
-        upper = m0[i] if c >= 0 else m1[j]
-        arcs.append((lower, upper, values0[i], values1[j]))
-        i += c >= 0
-        j += c <= 0
-        lower = upper
-    arcs.append((lower, None, values0[i], values1[j]))
-    return arcs
-
-
-def _least_numerator_above(m: RootMarker, b: int) -> int | None:
-    """Least a in [1, b/2] with a/b above the marker's jump angle, or None;
-    b must not be a jump denominator.  The float angle is only a starting
-    guess.  (The test compares cosines, so it only sees angles up to 1/2.)"""
-    half = b // 2
-    a = min(max(1, math.floor(_marker_angle_float(m) * b) + 1), half)
-    while a > 1 and _marker_angle_below(m, Fraction(a - 1, b)):
-        a -= 1
-    while a <= half and not _marker_angle_below(m, Fraction(a, b)):
-        a += 1
-    return a if a <= half else None
-
-
-def _first_witness(
-    sig0: SignatureFunction,
-    sig1: SignatureFunction,
-    bad: Callable[[int, int], bool],
-    denominator_bound: int,
-    p: int = 1,
-) -> tuple[bool, tuple | None]:
-    """Where bad(sigma_0(omega), sigma_1(omega)) holds, decided on whole
-    arcs, and the first such omega = exp(2*pi*i*a/b) in scan order.
-
-    Returns (some sub-arc is bad, (omega, value_0, value_1) or None).  If
-    no sub-arc is bad, no root of unity of any order off the jumps is a
-    witness.  Otherwise the witness is the least a/b strictly inside a
-    bad sub-arc, by increasing prime b up to denominator_bound (skipping
-    b | p and the jump denominators of either function), then by
-    increasing a.  The bad set is symmetric under q -> 1 - q, so the
-    least a lies in (0, 1/2], and the sub-arcs ascend, so the first bad
-    sub-arc that holds some a/b holds the least."""
-    if sig0.is_identically_zero() and sig1.is_identically_zero():
-        return False, None
-    if sig0.delta_coeffs == sig1.delta_coeffs and sig0.arc_values == sig1.arc_values:
-        return False, None  # same polynomial and arc values: the functions coincide
-    bad_arcs = [arc for arc in _sub_arcs(sig0, sig1) if bad(arc[2], arc[3])]
-    if not bad_arcs:
-        return False, None
-    for b in _primes():
-        if b > denominator_bound:
-            break
-        one_b = Fraction(1, b)
-        if p % b == 0 or sig0.is_jump(one_b) or sig1.is_jump(one_b):
-            continue
-        for lower, upper, v0, v1 in bad_arcs:
-            a = 1 if lower is None else _least_numerator_above(lower, b)
-            if a is None:
-                break  # no a/b in (0, 1/2] above this sub-arc's start, nor later ones
-            if upper is None or not _marker_angle_below(upper, Fraction(a, b)):
-                return True, (RootOfUnity(a, b), v0, v1)
-    return True, None
-
-
 def finite_order_obstruction(
     K: KnotProfile, p: int, denominator_bound: int = 211
 ) -> ObstructionReport:
@@ -432,7 +309,7 @@ def finite_order_obstruction(
     if sig.is_identically_zero():
         exists, found = False, None  # the pullback of zero is zero
     else:
-        exists, found = _first_witness(
+        exists, found = first_witness(
             sig,
             cable_signature(sig, p),
             lambda value, power_value: value == 0 and power_value != 0,
@@ -615,7 +492,7 @@ def rational_concordance_verdict(
     except MissingSeifert as missing:
         notes.append(f"signature comparison unavailable: {missing}")
     else:
-        differ, found = _first_witness(
+        differ, found = first_witness(
             sig0, sig1, lambda v0, v1: v0 != v1, denominator_bound
         )
         if found is not None:

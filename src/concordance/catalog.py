@@ -184,15 +184,16 @@ def _cited_bounds(raw, where):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _load_front_file(base, filename, where):
-    if not isinstance(filename, str) or not filename.endswith(".front"):
-        raise ParseError(f"{where}: front references end in .front")
+def _load_file(base, filename, where, kind, suffix, parse):
+    """Read and parse a file referenced by a catalog entry."""
+    if not isinstance(filename, str) or not filename.endswith(suffix):
+        raise ParseError(f"{where}: {kind} references end in {suffix}")
     try:
         text = (base / filename).read_text()
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {filename!r}: {exc}") from None
     try:
-        return front_from_text(text)
+        return parse(text)
     except ValueError as exc:
         raise ParseError(f"{where}: {filename}: {exc}") from None
 
@@ -264,7 +265,7 @@ def _parse_entry(raw, index, base):
 
     fronts = {}
     for filename in raw.get("fronts", []):
-        front = _load_front_file(base, filename, where)
+        front = _load_file(base, filename, where, "front", ".front", front_from_text)
         fronts[filename[: -len(".front")]] = front
 
     pattern = None
@@ -276,7 +277,9 @@ def _parse_entry(raw, index, base):
             f"{where}: pattern: unknown field",
         )
         _require("front" in obj, f"{where}: pattern: missing front")
-        front = _load_front_file(base, obj["front"], f"{where}: pattern")
+        front = _load_file(
+            base, obj["front"], f"{where}: pattern", "front", ".front", front_from_text
+        )
         fronts.setdefault(obj["front"][: -len(".front")], front)
         try:
             pattern = PatternData.from_front(
@@ -290,18 +293,9 @@ def _parse_entry(raw, index, base):
 
     presentations = {}
     for filename in raw.get("presentations", []):
-        if not isinstance(filename, str) or not filename.endswith(".pres"):
-            raise ParseError(f"{where}: presentation references end in .pres")
-        try:
-            text = (base / filename).read_text()
-        except OSError as exc:
-            raise ParseError(
-                f"{where}: cannot read {filename!r}: {exc}"
-            ) from None
-        try:
-            presentations[filename[: -len(".pres")]] = presentation_from_text(text)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {filename}: {exc}") from None
+        presentations[filename[: -len(".pres")]] = _load_file(
+            base, filename, where, "presentation", ".pres", presentation_from_text
+        )
 
     if profile is None and not fronts and pattern is None and not presentations:
         raise ValidationError(f"{where}: entry declares nothing")

@@ -408,7 +408,6 @@ class FoxMilnorResult:
     violating_factor: LaurentPoly | None
     violating_multiplicity: int | None
     violating_content: int | None
-    factorization: Factorization
 
 
 def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
@@ -431,7 +430,7 @@ def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
     fact = factor(a)
 
     def fail(q=None, m=None, content=None):
-        return FoxMilnorResult(False, None, q, m, content, fact)
+        return FoxMilnorResult(False, None, q, m, content)
 
     root = math.isqrt(fact.content)
     if root * root != fact.content:
@@ -451,4 +450,4 @@ def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
                 witness = witness * q**m
     if not doteq(a, witness * witness.reciprocal()):
         raise ArithmeticError(f"norm witness {witness} does not reproduce {a}")
-    return FoxMilnorResult(True, witness, None, None, None, fact)
+    return FoxMilnorResult(True, witness, None, None, None)

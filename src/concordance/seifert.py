@@ -1,6 +1,8 @@
 """Seifert matrices and the invariants read off them: the Alexander
 polynomial, Levine-Tristram signatures at exact roots of unity, and the
-whole signature step function on the unit circle.
+whole signature step function on the unit circle, with its pullback
+along omega -> omega^p and the search for roots of unity where two step
+functions differ.
 
 Everything here is exact.  det(V - t*V^T) has degree at most n, the
 size of V, so it is fixed by its values at t = 0, 1, ..., n: each value
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, poly_divmod_monic
 from .laurent import LaurentPoly, reciprocal
-from .realroots import RootMarker, isolate_roots
+from .realroots import RootMarker, compare_markers, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
     "SeifertMatrix",
@@ -48,6 +50,7 @@ __all__ = [
     "levine_tristram",
     "signature_function",
     "block_sum",
+    "first_witness",
     "mirror",
 ]
 
@@ -261,12 +264,15 @@ def _totient(b: int) -> int:
     return phi
 
 
-def _cyclotomic_divides(coeffs: Sequence[int], b: int) -> bool:
-    # Phi_b has degree phi(b), so it cannot divide a nonzero polynomial of
-    # lower degree; this skips building Phi_b for all but small b
-    if _totient(b) > len(coeffs) - 1:
+def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
+    """Does Phi_b divide delta?  Phi_b has degree phi(b) >= sqrt(b/2), so
+    it cannot divide a nonzero polynomial of lower degree d: b > 2*d^2
+    is ruled out before factoring b, and the test phi(b) > d skips
+    building Phi_b for all but small b."""
+    d = delta.high() - delta.low()
+    if b > 2 * d * d or _totient(b) > d:
         return False
-    _, rem = poly_divmod_monic(list(coeffs), cyclotomic_coeffs(b))
+    _, rem = poly_divmod_monic(_int_coeffs(delta), cyclotomic_coeffs(b))
     return not rem
 
 
@@ -414,22 +420,26 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     if omega.is_one:
         raise OmegaIsOne("signature is undefined at omega = 1")
     delta = v.delta
-    if _cyclotomic_divides(_int_coeffs(delta), omega.denominator):
+    if _cyclotomic_divides(delta, omega.denominator):
         raise SingularAtOmega(
             f"omega = {omega} is a root of the Alexander polynomial"
         )
     if v.size == 0:
         return 0
-    q = omega.fraction
-    if q > Fraction(1, 2):
-        q = 1 - q  # conjugation leaves the signature unchanged
-    if q == Fraction(1, 2):
+    if omega.fraction == Fraction(1, 2):
         u = Fraction(0)  # omega = -1 itself, on the last arc
     else:
         markers = _circle_markers(_compact_coeffs(delta))
-        idx = sum(1 for m in markers if _marker_angle_below(m, q))
-        u = _arc_sample(markers, idx)
+        u = _arc_sample(markers, _arc_index(markers, omega.fraction))
     return _signature_at(*_forms(v), u)
+
+
+def _arc_index(markers: list[RootMarker], q: Fraction) -> int:
+    """Index of the arc that holds angle q, which must not be a jump
+    angle: the number of markers below q folded into [0, 1/2], since
+    conjugation leaves the signature unchanged."""
+    q = min(q, 1 - q)
+    return sum(1 for m in markers if _marker_angle_below(m, q))
 
 
 def _v_polys(n: int) -> list[list[int]]:
@@ -473,28 +483,23 @@ class SignatureFunction:
 
     def __init__(
         self,
-        delta_coeffs: Sequence[int],
+        delta: LaurentPoly,
         markers: list[RootMarker],
         values: Sequence[int],
     ):
-        # markers ascend in angle (descend in x = 2 cos 2*pi*angle);
-        # values[i] is the constant on the arc between marker i-1 and i
+        # delta is the balanced Alexander polynomial; markers ascend in
+        # angle (descend in x = 2 cos 2*pi*angle); values[i] is the
+        # constant on the arc between marker i-1 and i
         if len(values) != len(markers) + 1:
             raise ValueError("a step function needs one value per arc")
         if values[0] != 0:
             raise ArithmeticError("the arc at omega = 1 must carry signature 0")
         if any(val % 2 for val in values):
             raise ArithmeticError("signature values must be even")
-        self._delta = tuple(delta_coeffs)
+        self._delta = delta
         self._markers = markers
         self._values = tuple(values)
         self._jump_cache: dict[int, bool] = {}
-
-    @property
-    def delta_coeffs(self) -> tuple[int, ...]:
-        """Associate-normal integer coefficients of the Alexander
-        polynomial, lowest degree first."""
-        return self._delta
 
     @property
     def arc_values(self) -> tuple[int, ...]:
@@ -522,27 +527,35 @@ class SignatureFunction:
             return 0
         if self.is_jump(q):
             raise SingularAtOmega(f"signature function jumps at angle {q}")
-        if q > Fraction(1, 2):
-            q = 1 - q
-        idx = sum(1 for m in self._markers if _marker_angle_below(m, q))
-        return self._values[idx]
+        return self._values[_arc_index(self._markers, q)]
 
-    def root_markers(self) -> list[RootMarker]:
-        """Copies of the isolating markers of the jumps in (0, 1/2),
-        ascending in angle; refining a copy leaves this function as it
-        is, float output included."""
-        return [replace(m) for m in self._markers]
+    def pullback(self, p: int) -> "SignatureFunction":
+        """The step function omega -> sigma(omega^p), for an integer p >= 1.
 
-    def value_at_x(self, x: Fraction) -> int:
-        """Value at the points omega with omega + 1/omega = x, for exact
-        rational x in [-2, 2]; x = 2 gives 0.
+        Its jump angles are the p-th roots of the jump angles of sigma, so
+        the arcs are isolated afresh from delta(t^p) and each new arc is
+        sampled through sigma: a rational sample x = 2*cos(theta) of a new
+        arc maps to the rational point 2*cos(p*theta) = v_p(x), which
+        avoids the jumps of sigma.  Comparisons with the markers of sigma
+        run on copies, so they keep their bisection history."""
+        if not isinstance(p, int) or p < 1:
+            raise ValueError("cable parameter p must be a positive integer")
+        if p == 1:
+            return self
+        delta = self._delta.substitute_power(p)
+        if self.is_identically_zero():
+            # so is the pullback; v_p alone would cost O(p^2) integers
+            return _assemble_signature_function(delta, lambda u: 0)
+        v_p = _v_polys(p)[p]
 
-        Raises SingularAtOmega when x is a root.  Comparisons run on
-        copies, so the markers keep their bisection history."""
-        sides = [replace(m).compare_rational(x) for m in self._markers]
-        if 0 in sides:
-            raise SingularAtOmega(f"signature function jumps at x = {x}")
-        return self._values[sides.count(1)]
+        def value_at(u: Fraction) -> int:
+            x = poly_eval(v_p, _x_of_u(u))
+            sides = [replace(m).compare_rational(x) for m in self._markers]
+            if 0 in sides:
+                raise SingularAtOmega(f"signature function jumps at x = {x}")
+            return self._values[sides.count(1)]
+
+        return _assemble_signature_function(delta, value_at)
 
     def jumps(self) -> list[tuple[float, int]]:
         """(approximate angle, jump height) per jump in (0, 1/2)."""
@@ -605,7 +618,7 @@ def _assemble_signature_function(
     rational sample u per arc."""
     markers = _circle_markers(_compact_coeffs(delta))
     values = [value_at(_arc_sample(markers, i)) for i in range(len(markers) + 1)]
-    return SignatureFunction(_int_coeffs(delta), markers, values)
+    return SignatureFunction(delta, markers, values)
 
 
 def signature_function(v: SeifertMatrix) -> SignatureFunction:
@@ -618,3 +631,100 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     return _assemble_signature_function(
         v.delta, lambda u: _signature_at(A, S, u)
     )
+
+
+def _primes():
+    """2, 3, 5, 7, ... without end, by trial division."""
+    yield 2
+    n = 3
+    while True:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
+def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:
+    """The sub-arcs of (0, 1/2] cut out by the jumps of either function,
+    ascending in angle, as (lower, upper, value_0, value_1).
+
+    lower and upper are the bounding jump markers (copies, so the two
+    functions keep their bisection history), None at angle 0 and at
+    angle 1/2, which the last sub-arc holds.  The two marker lists are
+    merged by exact comparison, so each sub-arc's values are read off
+    the two value lists."""
+    m0 = [replace(m) for m in sig0._markers]
+    m1 = [replace(m) for m in sig1._markers]
+    values0, values1 = sig0._values, sig1._values
+    # all markers of one function share its square-free polynomial
+    common = poly_gcd(m0[0].poly, m1[0].poly) if m0 and m1 else [1]
+    arcs = []
+    i = j = 0
+    lower = None
+    while i < len(m0) or j < len(m1):
+        if i == len(m0):
+            c = -1
+        elif j == len(m1):
+            c = 1
+        else:
+            c = compare_markers(m0[i], m1[j], common)
+        # ascending angle is descending x = 2*cos(2*pi*angle)
+        upper = m0[i] if c >= 0 else m1[j]
+        arcs.append((lower, upper, values0[i], values1[j]))
+        i += c >= 0
+        j += c <= 0
+        lower = upper
+    arcs.append((lower, None, values0[i], values1[j]))
+    return arcs
+
+
+def _least_numerator_above(m: RootMarker, b: int) -> int | None:
+    """Least a in [1, b/2] with a/b above the marker's jump angle, or None;
+    b must not be a jump denominator.  The float angle is only a starting
+    guess.  (The test compares cosines, so it only sees angles up to 1/2.)"""
+    half = b // 2
+    a = min(max(1, math.floor(_marker_angle_float(m) * b) + 1), half)
+    while a > 1 and _marker_angle_below(m, Fraction(a - 1, b)):
+        a -= 1
+    while a <= half and not _marker_angle_below(m, Fraction(a, b)):
+        a += 1
+    return a if a <= half else None
+
+
+def first_witness(
+    sig0: SignatureFunction,
+    sig1: SignatureFunction,
+    bad: Callable[[int, int], bool],
+    denominator_bound: int,
+    p: int = 1,
+) -> tuple[bool, tuple | None]:
+    """Where bad(sigma_0(omega), sigma_1(omega)) holds, decided on whole
+    arcs, and the first such omega = exp(2*pi*i*a/b) in scan order.
+
+    Returns (some sub-arc is bad, (omega, value_0, value_1) or None).  If
+    no sub-arc is bad, no root of unity of any order off the jumps is a
+    witness.  Otherwise the witness is the least a/b strictly inside a
+    bad sub-arc, by increasing prime b up to denominator_bound (skipping
+    b | p and the jump denominators of either function), then by
+    increasing a.  The bad set is symmetric under q -> 1 - q, so the
+    least a lies in (0, 1/2], and the sub-arcs ascend, so the first bad
+    sub-arc that holds some a/b holds the least."""
+    if sig0.is_identically_zero() and sig1.is_identically_zero():
+        return False, None
+    if sig0._delta == sig1._delta and sig0._values == sig1._values:
+        return False, None  # same polynomial and arc values: the functions coincide
+    bad_arcs = [arc for arc in _sub_arcs(sig0, sig1) if bad(arc[2], arc[3])]
+    if not bad_arcs:
+        return False, None
+    for b in _primes():
+        if b > denominator_bound:
+            break
+        one_b = Fraction(1, b)
+        if p % b == 0 or sig0.is_jump(one_b) or sig1.is_jump(one_b):
+            continue
+        for lower, upper, v0, v1 in bad_arcs:
+            a = 1 if lower is None else _least_numerator_above(lower, b)
+            if a is None:
+                break  # no a/b in (0, 1/2] above this sub-arc's start, nor later ones
+            if upper is None or not _marker_angle_below(upper, Fraction(a, b)):
+                return True, (RootOfUnity(a, b), v0, v1)
+    return True, None

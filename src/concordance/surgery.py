@@ -208,8 +208,15 @@ def first_homology(presentation):
     )
 
 
+def _prime_to(d, p):
+    """d with every prime factor of p divided out; d must be nonzero."""
+    while (g := math.gcd(d, p)) > 1:
+        d //= g
+    return d
+
+
 def localize(group, p):
-    """Invert p: strip the p-primary part of every invariant factor.
+    """Invert p: strip from every invariant factor the primes dividing p.
 
     Rank is unchanged; torsion coordinates of class images are reduced
     into the surviving factors.  Idempotent; p = 1 is the identity.
@@ -220,8 +227,7 @@ def localize(group, p):
         return group
     kept = []   # (old index, reduced factor)
     for i, d in enumerate(group.torsion):
-        while d % p == 0:
-            d //= p
+        d = _prime_to(d, p)
         if d >= 2:
             kept.append((i, d))
     k = len(group.torsion)
@@ -256,9 +262,12 @@ def cobordism_meridian_check(presentation, name0, name1, p):
     Two conditions, matching "homology cobordant rel meridians" over
     Z[1/p]: (i) in the integral homology of the presentation the classes
     satisfy image(name0) = p * image(name1); (ii) after inverting p the
-    common class spans a free rank-one summand (torsion components zero,
-    content a power of p), unless both images already vanish.  Raises
-    ClassMismatch with the residual as evidence when either fails.
+    common class spans a free rank-one summand, unless both images
+    already vanish.  In T + Z[1/p]^r that holds exactly when the free
+    part has content a unit of Z[1/p], whatever the torsion components:
+    the functional dual to the primitive free part splits the class off.
+    A class with zero free part has finite order.  Raises ClassMismatch
+    with the residual as evidence when either fails.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"need an integer p >= 1, got {p!r}")
@@ -287,17 +296,14 @@ def cobordism_meridian_check(presentation, name0, name1, p):
     notes = [f"integral check: {name0} = {p} * {name1} in {group.describe()}"]
     if any(v0) or any(v1):
         kt = len(localized.torsion)
-        if any(v1[:kt]):
+        if any(v1[:kt]) and not any(v1[kt:]):
             raise ClassMismatch(
                 f"{name1} has torsion components {v1[:kt]} after inverting "
                 f"{p}; it cannot span a free summand",
                 residual=v1,
             )
         content = math.gcd(*v1[kt:]) if v1[kt:] else 0
-        reduced = content
-        while p > 1 and reduced and reduced % p == 0:
-            reduced //= p
-        if reduced != 1:
+        if not content or _prime_to(content, p) != 1:
             raise ClassMismatch(
                 f"{name1} has content {content} after inverting {p}, not a "
                 f"power of {p}; it spans a finite-index subgroup, not a "

@@ -141,6 +141,22 @@ class TestLoadCatalog:
         with pytest.raises(error, match=message):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "filename, message",
+        [
+            ("k.txt", "entry 'k': presentation references end in .pres"),
+            ("missing.pres", "entry 'k': cannot read 'missing.pres': "),
+            ("bad.pres", "entry 'k': bad.pres: line 1: unknown record 'Q'"),
+        ],
+    )
+    def test_rejects_bad_presentation_files(self, tmp_path, filename, message):
+        (tmp_path / "bad.pres").write_text("Q 1\n")
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "k", "presentations": [filename]}]))
+        with pytest.raises(ParseError) as info:
+            load_catalog(path)
+        assert str(info.value).startswith(message)
+
     def test_pattern_front_needs_a_seam(self, tmp_path):
         (tmp_path / "k.front").write_text("O E\nL 0\nR 0\n")
         path = tmp_path / "catalog.json"
@@ -372,6 +388,18 @@ class TestExitCodes:
         ):
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, err
+        assert time.perf_counter() - start < 2.0
+
+    def test_huge_omega_is_fast(self, capsys):
+        # phi(b) >= sqrt(b/2) rules out every b above 2 * deg(delta)^2 as a
+        # jump denominator without factoring b; m/b and (m + 1)/b lie
+        # within 1/b on either side of the trefoil's jump at 1/6
+        b = 10**18 + 3
+        m = b // 6
+        start = time.perf_counter()
+        for a, expected in ((1, 0), (m, 0), (m + 1, -2), (b // 2, -2)):
+            data = run_json(capsys, "signature", "RH-trefoil", "--omega", f"{a}/{b}")
+            assert data["signature"] == expected, a
         assert time.perf_counter() - start < 2.0
 
     def test_hypothesis_not_met_is_three(self, capsys):

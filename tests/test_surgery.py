@@ -168,6 +168,13 @@ class TestLocalize:
         assert (G3.rank, G3.torsion) == (1, (4,))
         assert G3.images["x"] == (1, 7)
 
+    def test_composite_p_inverts_each_prime_factor(self):
+        # inverting 4 inverts 2, and inverting 6 inverts 2 and 3
+        G = AbelianGroupDescription(rank=0, torsion=(2, 12), images={"x": (1, 5)})
+        G4 = localize(G, 4)
+        assert (G4.torsion, G4.images["x"]) == ((3,), (2,))
+        assert localize(G, 6).torsion == ()
+
     def test_factor_can_vanish(self):
         G = AbelianGroupDescription(rank=0, torsion=(8,), images={"x": (3,)})
         G2 = localize(G, 2)
@@ -186,6 +193,45 @@ class TestLocalize:
         for bad in (0, -2, 2.0):
             with pytest.raises(ValueError, match="p >= 1"):
                 localize(G, bad)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cobordism_sum(ps, torsion, ops):
+    """Cobordism blocks (one per p) and torsion blocks [d] in the basis
+    P = E_m ... E_1, where (i, j, c) adds c times row j to row i.
+
+    Returns the presentation P L P^T with classes mu_K_k = P e_{3k} and
+    mu_Ptilde_k = P e_{3k+1}, and for each mu_Ptilde_k the splitting
+    functional f P^-1, where f = p e_{3k} + e_{3k+1} kills every column
+    of the block.  P^-1 = E_1^-1 ... E_m^-1 is built alongside P."""
+    blocks = [[[0, 0, -1], [0, 0, p], [-1, p, 0]] for p in ps]
+    blocks += [[[d]] for d in torsion]
+    n = sum(len(b) for b in blocks)
+    L = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            L[at + i][at : at + len(b)] = row
+        at += len(b)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    P_inv = [row[:] for row in P]
+    for i, j, c in ops:
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in P_inv:
+            row[j] -= c * row[i]
+    PL = [[_dot(P[i], [L[a][c] for a in range(n)]) for c in range(n)] for i in range(n)]
+    matrix = [[_dot(PL[i], P[j]) for j in range(n)] for i in range(n)]
+    classes, split = {}, {}
+    for k, p in enumerate(ps):
+        classes[f"mu_K_{k}"] = tuple(P[i][3 * k] for i in range(n))
+        classes[f"mu_Ptilde_{k}"] = tuple(P[i][3 * k + 1] for i in range(n))
+        split[f"mu_Ptilde_{k}"] = tuple(
+            p * P_inv[3 * k][c] + P_inv[3 * k + 1][c] for c in range(n)
+        )
+    return SurgeryPresentation(matrix, classes), split
 
 
 class TestMeridianCheck:
@@ -211,9 +257,53 @@ class TestMeridianCheck:
         assert info.value.residual == (1, -2)
 
     def test_torsion_component_fails(self):
-        S = SurgeryPresentation([[9, 0], [0, 0]], {"x": (6, 2), "y": (3, 1)})
+        # y has zero free part, so finite order: no free summand
+        S = SurgeryPresentation([[9, 0], [0, 0]], {"x": (6, 0), "y": (3, 0)})
         with pytest.raises(ClassMismatch, match="torsion components"):
             cobordism_meridian_check(S, "x", "y", 2)
+
+    def test_torsion_coordinate_with_free_part_holds(self):
+        # y = (3, 1) in Z/9 + Z spans a free summand, with complement Z/9
+        S = SurgeryPresentation([[9, 0], [0, 0]], {"x": (6, 2), "y": (3, 1)})
+        result = cobordism_meridian_check(S, "x", "y", 2)
+        assert result.localized.images["y"] == (3, 1)
+        assert any("free rank-one summand" in note for note in result.notes)
+
+    def test_torsion_probe(self):
+        # the cobordism block for p = 2 plus a [3] block, after adding row
+        # 1 to row 3: H = Z/3 + Z, and mu_Ptilde_0 has a torsion coordinate
+        S, split = _cobordism_sum((2,), (3,), [(3, 1, 1)])
+        result = cobordism_meridian_check(S, "mu_K_0", "mu_Ptilde_0", 2)
+        assert result.homology.describe() == "Z/3 + Z"
+        assert result.localized.images["mu_Ptilde_0"][0] != 0
+        assert split["mu_Ptilde_0"] == (2, 1, 0, 0)
+
+    def test_seeded_basis_changes_against_splitting_functional(self):
+        r = random.Random(20111)
+        torsion_coordinates = 0
+        for _ in range(40):
+            ps = tuple(r.randint(2, 7) for _ in range(r.randint(1, 2)))
+            torsion = tuple(r.choice((2, 3, 4, 6, 9)) for _ in range(r.randint(1, 3)))
+            n = 3 * len(ps) + len(torsion)
+            ops = [(*r.sample(range(n), 2), r.choice((-1, 1))) for _ in range(2 * n)]
+            S, split = _cobordism_sum(ps, torsion, ops)
+            for k, p in enumerate(ps):
+                x, y = f"mu_K_{k}", f"mu_Ptilde_{k}"
+                g = split[y]
+                # the oracle: g kills every relation, g(y) = 1 and g(x) = p,
+                # so y spans a free summand and x = p * y splits off with it
+                assert all(
+                    sum(g[a] * S.matrix[a][c] for a in range(n)) == 0
+                    for c in range(n)
+                )
+                assert _dot(g, S.classes[y]) == 1
+                assert _dot(g, S.classes[x]) == p
+                result = cobordism_meridian_check(S, x, y, p)
+                kt = len(result.localized.torsion)
+                torsion_coordinates += any(result.localized.images[y][:kt])
+                with pytest.raises(ClassMismatch, match="residual"):
+                    cobordism_meridian_check(S, x, y, p + 1)
+        assert torsion_coordinates > 0
 
     def test_content_must_be_a_power_of_p(self):
         S = SurgeryPresentation([[0]], {"x": (6,), "y": (2,)})
