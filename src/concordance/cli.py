@@ -44,9 +44,8 @@ class BadFlag(ValueError):
 
 # The largest degree of a polynomial a command may build: deg(delta) * p
 # for a (p,1)-cable, k_max * (deg(delta_0) + deg(delta_1)) for the
-# Fox-Milnor loop.  On a 2-vCPU VM, catalog commands at this bound take
-# 1 to 4 s, but factoring time is erratic: the 3-twist knot alone at
-# k_max 36 takes 10 s.
+# Fox-Milnor loop.  On a 2-vCPU VM the slowest catalog form at this
+# bound, the 3-twist knot alone at k_max 36, takes about 1.4 s.
 MAX_DEGREE = 72
 
 
@@ -420,6 +419,23 @@ def build_parser():
     return parser
 
 
+# the inputs an internal-error line names after its subcommand
+_CONTEXT = ("knot", "knot0", "knot1", "front", "pattern", "companion",
+            "presentation", "omega", "p", "cable")
+
+
+def _context(args):
+    """The subcommand and its inputs, as ``fox-milnor knot0=K cable=2``."""
+    words = [args.command]
+    if args.command == "legendrian":
+        words.append(args.legendrian_command)
+    for name in _CONTEXT:
+        value = getattr(args, name, None)
+        if value is not None:
+            words.append(f"{name}={value}")
+    return " ".join(words)
+
+
 def _dispatch(catalog, args):
     if args.command == "legendrian":
         handler = {
@@ -454,7 +470,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(
+            f"internal error in {_context(args)}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return 4
     sys.stdout.write(text)
     return 0

@@ -1,8 +1,10 @@
 """Cyclotomic polynomials, certified cosines of rational angles, and
 exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b).
 
-The library uses two things from here: the cyclotomic polynomials, whose
-exact divisibility decides where a signature function jumps, and
+The library uses three things from here: the cyclotomic polynomials,
+whose exact divisibility decides where a signature function jumps and
+which ``laurent.factor`` recognises and expands without factoring, the
+number theory around them (Euler's phi and the primes), and
 ``cos2pi_bounds``, the certified rational enclosure of 2*cos(2*pi*a/b)
 that places a root of unity among isolated real roots.  Signatures
 themselves are computed in ``seifert`` from rational matrices.
@@ -25,6 +27,7 @@ precision on forms of genus 4 and more.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import ctx_iv
@@ -51,6 +54,30 @@ def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[i
     while rem and rem[-1] == 0:
         rem.pop()
     return quo, rem
+
+
+def totient(b: int) -> int:
+    """Euler's phi by trial division."""
+    phi, n, d = b, b, 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            phi -= phi // d
+        d += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
+def primes():
+    """2, 3, 5, 7, ... without end, by trial division."""
+    yield 2
+    n = 3
+    while True:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
 
 
 def cyclotomic_coeffs(b: int) -> list[int]:

@@ -6,6 +6,18 @@ associate normal form.  Coefficients are Python ints (exact rationals are
 accepted by the arithmetic, but factorization and the Fox-Milnor test
 require integer coefficients).  Nothing in this module rounds.
 
+``factor`` factors by structure and hands sympy only what structure
+cannot settle.  (1) A polynomial in t^m is factored in t, and each
+factor is substituted back on its own; a cyclotomic Phi_e is recognised
+exactly and Phi_e(t^m) expands into known Phi_d without factoring.
+(2) A self-reciprocal polynomial of degree 2n is t^n * g(t + 1/t) with
+deg g = n; sympy factors the trace polynomial g, and each irreducible h
+of g lifts to t^deg(h) * h(t + 1/t), which is irreducible unless
+x^2 - 4 is a square modulo h.  A lift is certified irreducible when
+h(2)*h(-2) is not a rational square (a norm), or when a simple root of h
+modulo a small odd prime has a^2 - 4 a non-residue (Hensel); sympy
+factors only an uncertified lift.  (3) Anything else goes to sympy whole.
+
 The textual syntax round-trips bit-exactly through ``parse``/``str``:
 
 >>> p = LaurentPoly({1: 3, 0: -7, -1: 3})
@@ -21,8 +33,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from sympy import ZZ, Poly, Symbol
+
+from .cyclotomic import cyclotomic_coeffs, primes, totient
+from .realroots import poly_eval
 
 _T = Symbol("t")
 
@@ -329,6 +345,39 @@ def substitute_power(a: LaurentPoly, k: int) -> LaurentPoly:
     return a.substitute_power(k)
 
 
+def v_polys(n: int) -> list[list[int]]:
+    """v_0, ..., v_n with v_j(t + 1/t) = t^j + t^-j, so that
+    v_j(2*cos(theta)) = 2*cos(j*theta): v_0 = 2, v_1 = x and
+    v_j = x*v_{j-1} - v_{j-2}."""
+    basis: list[list[int]] = [[2], [0, 1]]
+    while len(basis) <= n:
+        prev, cur = basis[-2], basis[-1]
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        basis.append(nxt)
+    return basis
+
+
+def trace_polynomial(a: LaurentPoly) -> list[int]:
+    """The trace coordinate: the integer polynomial g (coefficients lowest
+    degree first) with a(t) = g(t + 1/t) for a balanced self-reciprocal
+    a, that is, t^n * g(t + 1/t) once a is shifted to t^0..t^2n.  On the
+    unit circle its values are g(2*cos(theta))."""
+    n = a.high()
+    basis = v_polys(n)
+    acc = [0] * (n + 1)
+    acc[0] = int(a.coeff(0))
+    for j in range(1, n + 1):
+        c = int(a.coeff(j))
+        if c:
+            for i, bc in enumerate(basis[j]):
+                acc[i] += c * bc
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
 def _factor_sort_key(p: LaurentPoly):
     """Deterministic factor order: degree, then coefficient tuple from the
     constant term upward."""
@@ -359,10 +408,39 @@ class Factorization:
         return out
 
 
+# Odd primes tried for the Hensel certificate of a lift before it is
+# handed to sympy; an uncertified lift is only slower, never wrong.
+_CERTIFICATE_PRIMES = 12
+
+
 def factor(a: LaurentPoly) -> Factorization:
     """Factor into irreducibles over the rationals.
 
     pre: a nonzero with integer coefficients.
+
+    After the sign, the content and the power of t are split off, the
+    primitive part b(t^m), with m the gcd of its exponents, is factored
+    by structure, and sympy sees only what structure cannot settle:
+
+    1. Power substitution.  b is factored (steps 2 and 3) and each
+       irreducible q is substituted back on its own; distinct q give
+       coprime q(t^m).  A cyclotomic q = Phi_e is recognised exactly
+       (phi(e) = deg q forces e <= 2*deg(q)^2) and expanded without
+       factoring: Phi_e(t^m) is the product of Phi_d over the d | e*m
+       with d / gcd(d, m) = e.  Any other q(t^m) goes to step 2.
+    2. Trace coordinate.  A self-reciprocal polynomial of even degree 2n
+       is t^n * g(t + 1/t) with deg g = n (``trace_polynomial``); sympy
+       factors g.  Each irreducible h of g lifts to
+       H(t) = t^deg(h) * h(t + 1/t), which is irreducible unless x^2 - 4
+       is a square in Q[x]/(h).  That is certified to fail when
+       h(2)*h(-2), a square times the norm of x^2 - 4, is not a rational
+       square, or when for some odd prime p not dividing lc(h), h has a
+       simple root a mod p (it lifts to a p-adic root by Hensel) with
+       a^2 - 4 a quadratic non-residue.  Only an uncertified lift goes to
+       sympy; such a lift is typically a pair F * F(1/t), or holds t -+ 1.
+    3. Everything else goes to sympy whole.
+
+    The result is multiplied out again and must reproduce a exactly.
 
     >>> f = factor(LaurentPoly.parse("t^4 - 3*t^2 + 1"))
     >>> [str(q) for q, m in f.factors]
@@ -372,26 +450,118 @@ def factor(a: LaurentPoly) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if not a.is_integer():
         raise ValueError("factorization requires integer coefficients")
-    low = a.low()
-    deg = a.high() - low
-    coeffs_desc = [a.coeff(low + e) for e in range(deg, -1, -1)]
-    unit, raw = Poly(coeffs_desc, _T, domain=ZZ).factor_list()
-    unit = int(unit)
-    factors = []
-    for f, m in raw:
-        coeffs = [int(x) for x in reversed(f.all_coeffs())]
-        q = LaurentPoly({e: c for e, c in enumerate(coeffs)}).primitive_normal()
-        factors.append((q, int(m)))
-    factors.sort(key=lambda fm: _factor_sort_key(fm[0]))
-    result = Factorization(
-        sign=1 if unit > 0 else -1,
-        power=low,
-        content=abs(unit),
-        factors=tuple(factors),
+    low, content = a.low(), a.content()
+    sign = 1 if a.coeff(a.high()) > 0 else -1
+    b = [sign * a.coeff(e) // content for e in range(low, a.high() + 1)]
+    m = math.gcd(*(e for e, c in enumerate(b) if c))
+    merged: dict[tuple, int] = {}
+    if m:
+        for q, mu in _factor_primitive(b[::m]):
+            for f, nu in _substitute(q, m):
+                merged[f] = merged.get(f, 0) + mu * nu
+    factors = sorted(
+        ((LaurentPoly.from_coeffs(f), mu) for f, mu in merged.items()),
+        key=lambda fm: _factor_sort_key(fm[0]),
     )
+    result = Factorization(sign=sign, power=low, content=content, factors=tuple(factors))
     if result.expand() != a:
         raise ArithmeticError(f"factorization of {a} failed to round-trip")
     return result
+
+
+def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
+    """Irreducible factors (coefficient tuples, lowest degree first) and
+    multiplicities of a primitive b with b[0] != 0 and b[-1] > 0."""
+    if len(b) % 2 and b == b[::-1]:
+        return _factor_reciprocal(b)
+    return _sympy_factor(b)
+
+
+def _sympy_factor(b: list[int]) -> list[tuple[tuple, int]]:
+    _, raw = Poly(b[::-1], _T, domain=ZZ).factor_list()
+    out = []
+    for f, mu in raw:
+        coeffs = [int(x) for x in reversed(f.all_coeffs())]
+        if coeffs[-1] < 0:
+            coeffs = [-c for c in coeffs]
+        out.append((tuple(coeffs), int(mu)))
+    return out
+
+
+def _factor_reciprocal(b: list[int]) -> list[tuple[tuple, int]]:
+    """Step 2: factor g in the trace coordinate and lift each factor."""
+    n = len(b) // 2
+    out = []
+    for h, mu in _sympy_factor(trace_polynomial(LaurentPoly.from_coeffs(b, -n))):
+        lift = _lift(h)
+        if _lift_is_irreducible(h):
+            out.append((lift, mu))
+        else:
+            out.extend((f, mu * nu) for f, nu in _sympy_factor(list(lift)))
+    return out
+
+
+def _lift(h: tuple) -> tuple:
+    """t^n * h(t + 1/t) for h of degree n, by Horner in x = t + 1/t:
+    T_j = T_{j+1} * (t^2 + 1) + h_j * t^(n-j) has degree 2(n - j)."""
+    n = len(h) - 1
+    acc = [h[n]]
+    for j in range(n - 1, -1, -1):
+        nxt = acc + [0, 0]
+        for i, c in enumerate(acc):
+            nxt[i + 2] += c
+        nxt[n - j] += h[j]
+        acc = nxt
+    return tuple(acc)
+
+
+def _lift_is_irreducible(h: tuple) -> bool:
+    """A certificate that x^2 - 4 is not a square in Q[x]/(h), for an
+    irreducible h, so that its lift t^deg(h) * h(t + 1/t) is irreducible.
+    False means no certificate was found, not that the lift is reducible."""
+    # the norm of x^2 - 4 = (x - 2)(x + 2) is h(2)*h(-2) / lc(h)^2
+    norm = poly_eval(h, 2) * poly_eval(h, -2)
+    if norm < 0 or math.isqrt(norm) ** 2 != norm:
+        return True
+    dh = [i * c for i, c in enumerate(h)][1:]
+    for p in islice(primes(), 1, 1 + _CERTIFICATE_PRIMES):
+        if h[-1] % p == 0:
+            continue
+        for r in range(p):
+            if (
+                poly_eval(h, r) % p == 0
+                and poly_eval(dh, r) % p
+                and pow(r * r - 4, (p - 1) // 2, p) == p - 1
+            ):
+                return True
+    return False
+
+
+def _substitute(q: tuple, m: int) -> list[tuple[tuple, int]]:
+    """Step 1: the irreducible factors of q(t^m) for an irreducible q."""
+    if m == 1:
+        return [(q, 1)]
+    e = _cyclotomic_index(q)
+    if e:
+        return [
+            (tuple(cyclotomic_coeffs(d)), 1)
+            for d in range(1, e * m + 1)
+            if (e * m) % d == 0 and d // math.gcd(d, m) == e
+        ]
+    qm = [0] * (m * (len(q) - 1) + 1)
+    qm[::m] = q
+    return _factor_primitive(qm)
+
+
+def _cyclotomic_index(q: tuple) -> int | None:
+    """e with q = Phi_e, or None.  phi(e) >= sqrt(e/2), so e <= 2*deg^2."""
+    deg = len(q) - 1
+    if q[-1] != 1 or abs(q[0]) != 1:
+        return None
+    for e in range(1, 2 * deg * deg + 1):
+        if totient(e) == deg and tuple(cyclotomic_coeffs(e)) == q:
+            return e
+    return None
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def poly_eval(coeffs: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def poly_eval(coeffs: list, x):
+    """Exact value at x by Horner: an int at an int, a Fraction at a Fraction."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, poly_divmod_monic
-from .laurent import LaurentPoly, reciprocal
+from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, poly_divmod_monic, primes, totient
+from .laurent import LaurentPoly, reciprocal, trace_polynomial, v_polys
 from .realroots import RootMarker, compare_markers, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
@@ -250,27 +250,13 @@ def _int_coeffs(p: LaurentPoly) -> list[int]:
     return [int(norm.coeff(k)) for k in range(norm.high() + 1)]
 
 
-def _totient(b: int) -> int:
-    """Euler's phi by trial division."""
-    phi, n, d = b, b, 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            phi -= phi // d
-        d += 1
-    if n > 1:
-        phi -= phi // n
-    return phi
-
-
 def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     """Does Phi_b divide delta?  Phi_b has degree phi(b) >= sqrt(b/2), so
     it cannot divide a nonzero polynomial of lower degree d: b > 2*d^2
     is ruled out before factoring b, and the test phi(b) > d skips
     building Phi_b for all but small b."""
     d = delta.high() - delta.low()
-    if b > 2 * d * d or _totient(b) > d:
+    if b > 2 * d * d or totient(b) > d:
         return False
     _, rem = poly_divmod_monic(_int_coeffs(delta), cyclotomic_coeffs(b))
     return not rem
@@ -429,7 +415,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     if omega.fraction == Fraction(1, 2):
         u = Fraction(0)  # omega = -1 itself, on the last arc
     else:
-        markers = _circle_markers(_compact_coeffs(delta))
+        markers = _circle_markers(trace_polynomial(delta))
         u = _arc_sample(markers, _arc_index(markers, omega.fraction))
     return _signature_at(*_forms(v), u)
 
@@ -440,37 +426,6 @@ def _arc_index(markers: list[RootMarker], q: Fraction) -> int:
     conjugation leaves the signature unchanged."""
     q = min(q, 1 - q)
     return sum(1 for m in markers if _marker_angle_below(m, q))
-
-
-def _v_polys(n: int) -> list[list[int]]:
-    """v_0, ..., v_n with v_j(t + 1/t) = t^j + t^-j, so that
-    v_j(2*cos(theta)) = 2*cos(j*theta): v_0 = 2, v_1 = x and
-    v_j = x*v_{j-1} - v_{j-2}."""
-    basis: list[list[int]] = [[2], [0, 1]]
-    while len(basis) <= n:
-        prev, cur = basis[-2], basis[-1]
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        basis.append(nxt)
-    return basis
-
-
-def _compact_coeffs(delta: LaurentPoly) -> list[int]:
-    """Integer polynomial g with delta(t) = t^g_deg * g(t + 1/t) for the
-    balanced symmetric delta; the circle values are g(2*cos(theta))."""
-    g_deg = delta.high()
-    basis = _v_polys(g_deg)
-    acc = [0] * (g_deg + 1)
-    acc[0] = int(delta.coeff(0))
-    for j in range(1, g_deg + 1):
-        c = int(delta.coeff(j))
-        if c:
-            for i, bc in enumerate(basis[j]):
-                acc[i] += c * bc
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    return acc
 
 
 class SignatureFunction:
@@ -546,7 +501,7 @@ class SignatureFunction:
         if self.is_identically_zero():
             # so is the pullback; v_p alone would cost O(p^2) integers
             return _assemble_signature_function(delta, lambda u: 0)
-        v_p = _v_polys(p)[p]
+        v_p = v_polys(p)[p]
 
         def value_at(u: Fraction) -> int:
             x = poly_eval(v_p, _x_of_u(u))
@@ -616,7 +571,7 @@ def _assemble_signature_function(
 ) -> SignatureFunction:
     """Isolate the circle roots of delta and take value_at(u) at one
     rational sample u per arc."""
-    markers = _circle_markers(_compact_coeffs(delta))
+    markers = _circle_markers(trace_polynomial(delta))
     values = [value_at(_arc_sample(markers, i)) for i in range(len(markers) + 1)]
     return SignatureFunction(delta, markers, values)
 
@@ -631,16 +586,6 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     return _assemble_signature_function(
         v.delta, lambda u: _signature_at(A, S, u)
     )
-
-
-def _primes():
-    """2, 3, 5, 7, ... without end, by trial division."""
-    yield 2
-    n = 3
-    while True:
-        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
-            yield n
-        n += 2
 
 
 def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:
@@ -715,7 +660,7 @@ def first_witness(
     bad_arcs = [arc for arc in _sub_arcs(sig0, sig1) if bad(arc[2], arc[3])]
     if not bad_arcs:
         return False, None
-    for b in _primes():
+    for b in primes():
         if b > denominator_bound:
             break
         one_b = Fraction(1, b)

@@ -12,7 +12,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from concordance.cyclotomic import CycloInt, hermitian_signature
-from concordance.laurent import LaurentPoly, doteq, fox_milnor_pairing
+from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing
 from concordance.seifert import RootOfUnity, SeifertMatrix
 
 
@@ -106,6 +106,31 @@ def fox_milnor_disagreements(cases):
         if got.is_norm:
             assert doteq(a, got.witness * got.witness.reciprocal())
     return disagreements
+
+
+def sympy_factor(a):
+    """The whole-polynomial route: one ``Poly.factor_list`` call on the
+    integer Laurent polynomial a, its factors put in the normal form and
+    the order of ``laurent.Factorization`` (by degree, then by the
+    coefficients from the constant term up).  It shares no code with
+    ``laurent.factor``."""
+    low, high = a.low(), a.high()
+    t = sympy.Symbol("t")
+    desc = [a.coeff(e) for e in range(high, low - 1, -1)]
+    unit, raw = sympy.Poly(desc, t, domain=sympy.ZZ).factor_list()
+    factors = []
+    for f, m in raw:
+        coeffs = [int(c) for c in reversed(f.all_coeffs())]
+        if coeffs[-1] < 0:
+            coeffs = [-c for c in coeffs]
+        factors.append((coeffs, int(m)))
+    factors.sort(key=lambda fm: (len(fm[0]), tuple(fm[0])))
+    return Factorization(
+        sign=1 if unit > 0 else -1,
+        power=low,
+        content=abs(int(unit)),
+        factors=tuple((LaurentPoly.from_coeffs(c), m) for c, m in factors),
+    )
 
 
 def assert_valid_snf(M, U, D, V):

@@ -1,6 +1,7 @@
 """Cable transforms and the rational-concordance obstruction reports."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,18 @@ class TestFoxMilnorObstruction:
         cable = cable_profile(TWIST_PROFILE, 3)
         report = fox_milnor_obstruction(TWIST_PROFILE, cable, 3)
         assert report.verdict == "obstructed-up-to-complexity-3"
+
+    def test_trefoil_vs_cable_to_degree_120_is_fast(self):
+        # at k = 20 the product is Phi_24 * Phi_48 * Phi_120 * Phi_240,
+        # which ran for minutes when whole products were factored
+        cable = cable_profile(TREFOIL_PROFILE, 2)
+        start = time.perf_counter()
+        report = fox_milnor_obstruction(TREFOIL_PROFILE, cable, 20)
+        assert time.perf_counter() - start < 1.0
+        assert report.verdict == "obstructed-up-to-complexity-20"
+        last = report.witnesses[-1].data
+        assert last["k"] == 20
+        assert last["factor"] == LaurentPoly.from_coeffs([1, 0, 0, 0, -1, 0, 0, 0, 1])
 
     @pytest.mark.parametrize(
         "profile", [TREFOIL_PROFILE, FIGURE_EIGHT_PROFILE, TWIST_PROFILE]

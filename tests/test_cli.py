@@ -11,6 +11,7 @@ from concordance.catalog import (
     ValidationError,
     load_catalog,
 )
+from concordance import cli
 from concordance.cli import MAX_DEGREE, main, render, report
 
 
@@ -377,6 +378,34 @@ class TestExitCodes:
             capsys, "cable-obstruction", "RH-trefoil", "--p", str(p + 1)
         )
         assert code == 2 and f"degree {2 * p + 2}" in err
+
+    def test_fox_milnor_at_the_degree_bound_is_fast(self, capsys):
+        # 3*t^72 - 7*t^36 + 3 at the last k: the slowest catalog form the
+        # bound admits, 10 s when whole products were factored
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "fox-milnor", "3-twist-negative-clasp", "--k-max", "36"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0, err
+        assert "obstructed-up-to-complexity-36" in out
+        code, _, err = run_cli(
+            capsys, "fox-milnor", "3-twist-negative-clasp", "--k-max", "37"
+        )
+        assert code == 2 and f"above {MAX_DEGREE}" in err
+
+    def test_internal_error_names_command_and_inputs(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "fox_milnor_obstruction", broken)
+        code, out, err = run_cli(capsys, "fox-milnor", "RH-trefoil", "--cable", "2")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "internal error in fox-milnor knot0=RH-trefoil cable=2: "
+            "RuntimeError: boom\n"
+        )
 
     def test_huge_cable_of_trivial_alexander_is_fast(self, capsys):
         # degree 0 at every p; the pullback of a zero signature function

@@ -5,6 +5,7 @@ brute-force witness search (degree <= 4, coefficients in [-5, 5]) on a
 fixed-seed corpus of products, per the acceptance contract.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,116 @@ def test_norms_always_pass_fox_milnor(a):
     r = fox_milnor_pairing(a * a.reciprocal())
     assert r.is_norm
     assert doteq(a * a.reciprocal(), r.witness * r.witness.reciprocal())
+
+
+# -- factor against the whole-product oracle -----------------------------------
+
+
+def _twist(n):
+    """Alexander polynomial of the n-twist knot: n*t - (2n + 1) + n/t."""
+    return LaurentPoly({1: n, 0: -(2 * n + 1), -1: n})
+
+
+def _torus_2(q):
+    """Alexander polynomial of T(2, q), q odd: sum of (-t)^i, balanced."""
+    return LaurentPoly({i - (q - 1) // 2: (-1) ** i for i in range(q)})
+
+
+def _fox_milnor_products(r, count):
+    """count products delta_0(t^k) * delta_1(t^k), k <= 8, over twist
+    knots, T(2, q), their sums and their (p,1)-cables, degree <= 64."""
+    knots = [_twist(n) for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    knots += [_torus_2(q) for q in (3, 5, 7)]
+    products = []
+    while len(products) < count:
+        pair = []
+        for _ in range(2):
+            delta = r.choice(knots)
+            if r.random() < 0.3:
+                delta = delta * r.choice(knots)
+            if r.random() < 0.3:
+                delta = delta.substitute_power(r.choice((2, 3)))
+            pair.append(delta)
+        k = r.randint(1, 8)
+        product = pair[0].substitute_power(k) * pair[1].substitute_power(k)
+        if product.span() <= 64:
+            products.append(product)
+    return products
+
+
+def _random_polys(r, count):
+    """Random integer polynomials, half of them self-reciprocal, with
+    random content, sign, power of t, repeated factors and t -> t^m."""
+    polys = []
+    for i in range(count):
+        n = r.randint(1, 5)
+        half = [r.randint(-6, 6) for _ in range(n)] + [r.randint(1, 6)]
+        if i % 2:
+            coeffs = half
+        else:
+            coeffs = half[::-1] + half[1:]
+        a = LaurentPoly.from_coeffs(coeffs)
+        if r.random() < 0.3:
+            a = a * a
+        if r.random() < 0.4:
+            a = a.substitute_power(r.randint(2, 4))
+        polys.append(a.shift(r.randint(-3, 3)) * r.choice((1, -1, 2, -6)))
+    return polys
+
+
+_BRANCH_CASES = [
+    # Phi_e(t^m): Phi_6(t^4) * Phi_5(t^3), and the trefoil against its cable
+    LaurentPoly.from_coeffs([1, 0, 0, 0, -1, 0, 0, 0, 1])
+    * LaurentPoly.from_coeffs([1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1]),
+    _torus_2(3).substitute_power(6) * _torus_2(3).substitute_power(12),
+    # certified lifts: the 3-twist knot at k = 5, 5_2 against its (4,1)-cable
+    _twist(3).substitute_power(5),
+    _twist(-2).substitute_power(4) * _twist(-2),
+    # uncertified reducible lifts: the figure-eight at even m
+    _twist(1).substitute_power(2),
+    _twist(1).substitute_power(6) * _twist(1).substitute_power(4),
+    # non-self-reciprocal pair: the 2-twist knot, (2t - 1)(t - 2), at m = 3
+    _twist(2).substitute_power(3),
+    # (t - 1)^2, t + 1, content > 1, negative leading coefficient
+    P("t^1 - 1") ** 2,
+    P("t^1 + 1"),
+    LaurentPoly({-3: -6}) * P("t^1 - 1") ** 2 * P("t^1 + 1"),
+    LaurentPoly({2: 4}) * _twist(1).substitute_power(3) ** 3,
+    LaurentPoly({0: -5}),
+]
+
+
+def test_factor_matches_whole_product_route():
+    from _oracles import sympy_factor
+
+    r = random.Random(20261018)
+    cases = _BRANCH_CASES + _fox_milnor_products(r, 60) + _random_polys(r, 60)
+    mismatches = [a for a in cases if factor(a) != sympy_factor(a)]
+    assert mismatches == []
+
+
+def test_factor_hands_sympy_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
+    from concordance import laurent
+
+    degrees = []
+    whole = laurent._sympy_factor
+
+    def spy(b):
+        degrees.append(len(b) - 1)
+        return whole(b)
+
+    monkeypatch.setattr(laurent, "_sympy_factor", spy)
+    # trefoil against its cable at k = 20: b = Phi_6 * Phi_12 has g of
+    # degree 3, both lifts are certified, and both factors are cyclotomic
+    factor(_torus_2(3).substitute_power(20) * _torus_2(3).substitute_power(40))
+    assert degrees == [3]
+    # the 3-twist knot at k = 36: g of b, then g of b(t^36), never the
+    # degree-72 polynomial itself
+    degrees.clear()
+    factor(_twist(3).substitute_power(36))
+    assert degrees == [1, 36]
+    # the figure-eight at m = 2: x^2 - 5 lifts to (t^2 - t - 1)(t^2 + t - 1),
+    # which no certificate covers, so sympy factors the lift
+    degrees.clear()
+    assert len(factor(_twist(1).substitute_power(2)).factors) == 2
+    assert degrees == [1, 2, 4]
