@@ -2,12 +2,14 @@
 exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b).
 
 The library uses three things from here: the cyclotomic polynomials,
-whose exact divisibility decides where a signature function jumps and
-which ``laurent.factor`` recognises and expands without factoring, the
-number theory around them (Euler's phi and the primes), and
-``cos2pi_bounds``, the certified rational enclosure of 2*cos(2*pi*a/b)
-that places a root of unity among isolated real roots.  Signatures
-themselves are computed in ``seifert`` from rational matrices.
+built by exact division of x^b - 1 with ``realroots.poly_divmod``, whose
+divisibility (the same division, by the monic Phi_b) decides where a
+signature function jumps and which ``laurent.factor`` recognises and
+expands without factoring; the number theory around them (Euler's phi
+and the primes); and ``cos2pi_bounds``, the certified rational
+enclosure of 2*cos(2*pi*a/b) that places a root of unity among isolated
+real roots.  Signatures themselves are computed in ``seifert`` from
+rational matrices.
 
 ``CycloInt`` and ``hermitian_signature`` are an independent second route
 to the same signatures, kept as the oracle the tests compare against.
@@ -15,14 +17,14 @@ Elements are integer combinations of powers zeta_b^k with exponents
 folded mod b, i.e. residues of Z[x]/(x^b - 1) under evaluation at
 zeta_b.  The kernel of that evaluation is generated by the b-th
 cyclotomic polynomial, so zero testing is exact polynomial divisibility
-(for prime b it collapses to "all b coefficients equal").  Sign
-determination of real elements uses certified interval refinement at
-increasing precision; it terminates because zero is excluded
-symbolically first, so no floating-point tolerance ever decides
-anything.  The Hermitian congruence recursion scales each Schur
-complement by the square of its pivot, so entries grow doubly
-exponentially with the depth and the sign ladder can run out of
-precision on forms of genus 4 and more.
+by Phi_b, again through ``poly_divmod`` (for prime b it collapses to
+"all b coefficients equal").  Sign determination of real elements uses
+certified interval refinement at increasing precision; it terminates
+because zero is excluded symbolically first, so no floating-point
+tolerance ever decides anything.  The Hermitian congruence recursion
+scales each Schur complement by the square of its pivot, so entries
+grow doubly exponentially with the depth and the sign ladder can run
+out of precision on forms of genus 4 and more.
 """
 
 from __future__ import annotations
@@ -33,27 +35,11 @@ from fractions import Fraction
 from mpmath import ctx_iv
 from mpmath.libmp import to_rational
 
+from .realroots import poly_divmod
+
 _iv = ctx_iv.MPIntervalContext()
 
 _PHI_CACHE: dict[int, list[int]] = {}
-
-
-def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division by a monic integer polynomial; coefficients low->high."""
-    if den[-1] != 1:
-        raise ValueError("the divisor must be monic")
-    rem = list(num)
-    dd = len(den) - 1
-    quo = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - dd] = c
-            for j, dv in enumerate(den):
-                rem[i - dd + j] -= c * dv
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
 
 
 def totient(b: int) -> int:
@@ -89,7 +75,7 @@ def cyclotomic_coeffs(b: int) -> list[int]:
         poly = [-1] + [0] * (b - 1) + [1]
         for d in range(1, b):
             if b % d == 0:
-                poly, rem = poly_divmod_monic(poly, cyclotomic_coeffs(d))
+                poly, rem = poly_divmod(poly, cyclotomic_coeffs(d))
                 if rem:
                     raise ArithmeticError(
                         f"Phi_{d} left a remainder in x^{b} - 1"
@@ -178,7 +164,7 @@ class CycloInt:
         dense = [0] * b
         for k, v in self._c.items():
             dense[k] = v
-        _, rem = poly_divmod_monic(dense, cyclotomic_coeffs(b))
+        _, rem = poly_divmod(dense, cyclotomic_coeffs(b))
         return not rem
 
     def is_real(self) -> bool:

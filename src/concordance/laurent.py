@@ -35,12 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from sympy import ZZ, Poly, Symbol
-
 from .cyclotomic import cyclotomic_coeffs, primes, totient
 from .realroots import poly_eval
-
-_T = Symbol("t")
 
 _TERM_RE = re.compile(
     r"""^([+-]?)\s*
@@ -135,6 +131,8 @@ class LaurentPoly:
                 mag = 1
             elif "/" in mag_s:
                 num, den = mag_s.split("/")
+                if int(den) == 0:
+                    raise ValueError(f"zero denominator in term {term.strip()!r}")
                 mag = Fraction(int(num), int(den))
             else:
                 mag = int(mag_s)
@@ -478,7 +476,10 @@ def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
 
 
 def _sympy_factor(b: list[int]) -> list[tuple[tuple, int]]:
-    _, raw = Poly(b[::-1], _T, domain=ZZ).factor_list()
+    # sympy costs most of a cold start, and only factoring needs it
+    from sympy import ZZ, Poly, Symbol
+
+    _, raw = Poly(b[::-1], Symbol("t"), domain=ZZ).factor_list()
     out = []
     for f, mu in raw:
         coeffs = [int(x) for x in reversed(f.all_coeffs())]

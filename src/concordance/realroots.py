@@ -1,10 +1,15 @@
 """Real-root isolation for integer polynomials on an interval, via Sturm
-chains over exact rationals.
+chains over the integers.
 
-Polynomials are coefficient lists, lowest degree first.  Roots come back
-as markers that are either exact rationals or open isolating intervals
-with rational endpoints; intervals can be refined on demand and never
-commit to a floating-point answer.
+Polynomials are integer coefficient lists, lowest degree first.  The one
+polynomial division in the library is ``poly_divmod``, an integer
+pseudo-division whose scale factor is positive, so its remainder has the
+signs of the remainder over Q; Sturm chains, gcds and square-free parts
+are built from it with primitive parts, and ``cyclotomic`` divides by
+the monic Phi_b with it.  Roots come back as markers that are either
+exact rationals or open isolating intervals with rational endpoints;
+intervals can be refined on demand and never commit to a floating-point
+answer.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ def poly_eval(coeffs: list, x):
 
 def _sign_at(coeffs: list, x: Fraction) -> int:
     """Sign of the polynomial at x, from d^deg * p(n/d) in integer
-    arithmetic when the coefficients are integers."""
+    arithmetic."""
     n, d = x.numerator, x.denominator
     acc = 0
     scale = 1
@@ -45,64 +50,71 @@ def _trim(coeffs: list) -> list:
     return out
 
 
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    num = [Fraction(c) for c in num]
-    den = _trim([Fraction(c) for c in den])
+def poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """(q, r) with c*num = q*den + r and deg r < deg den, over the integers.
+
+    c = |lc(den)|^k, where k counts the steps whose leading coefficient
+    lc(den) does not divide; so a monic den divides plainly (c = 1), and
+    since c > 0, r has the signs of the remainder over Q."""
+    den = _trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i]
-        if c:
-            q = c / lead
-            quo[i - len(den) + 1] = q
-            for j, dv in enumerate(den):
-                num[i - len(den) + 1 + j] -= q * dv
-    return _trim(quo), _trim(num)
+    rem = _trim(num)
+    lead, dd = den[-1], len(den) - 1
+    quo = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        if c % lead:
+            rem = [abs(lead) * v for v in rem]
+            quo = [abs(lead) * v for v in quo]
+            c = rem[i]
+        q = c // lead
+        quo[i - dd] = q
+        for j, dv in enumerate(den):
+            rem[i - dd + j] -= q * dv
+    return _trim(quo), _trim(rem)
+
+
+def _primitive(coeffs: list) -> list:
+    """coeffs over its content and with positive leading coefficient."""
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs] if coeffs[-1] > 0 else [-c // g for c in coeffs]
 
 
 def poly_gcd(a: list, b: list) -> list:
+    """The gcd in Z[x], with positive leading coefficient: the content
+    gcd times the last member of the primitive remainder sequence."""
     a, b = _trim(a), _trim(b)
+    content = math.gcd(*a, *b)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [Fraction(c) / lead for c in a]
-    return a
+        _, r = poly_divmod(a, b)
+        a, b = b, (_primitive(r) if r else [])
+    return [content * c for c in _primitive(a)] if a else []
 
 
 def squarefree_part(coeffs: list) -> list:
-    """coeffs / gcd(coeffs, coeffs'), normalized to integer coefficients
-    with positive leading coefficient."""
+    """coeffs / gcd(coeffs, coeffs'), primitive, with positive leading
+    coefficient."""
     coeffs = _trim(coeffs)
     if len(coeffs) <= 1:
         return coeffs
-    g = poly_gcd(coeffs, poly_derivative(coeffs))
-    sf, rem = _poly_divmod(coeffs, g)
+    sf, rem = poly_divmod(coeffs, poly_gcd(coeffs, poly_derivative(coeffs)))
     if rem:
         raise ArithmeticError("division by gcd(p, p') left a remainder")
-    out = _integer_multiple(sf)
-    return [-c for c in out] if out[-1] < 0 else out
-
-
-def _integer_multiple(coeffs: list) -> list[int]:
-    """The primitive integer polynomial that is a positive multiple of
-    coeffs; a positive factor changes no sign."""
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    return _primitive(sf)
 
 
 def sturm_chain(coeffs: list) -> list[list]:
-    """Sturm sequence of coeffs, each member scaled to a primitive
-    integer polynomial, which leaves every sign variation count as is."""
+    """Sturm sequence of coeffs: each member after the first two is minus
+    a pseudo-remainder over its content, a positive multiple of minus the
+    remainder over Q, which leaves every sign variation count as is."""
     chain = [_trim(coeffs), _trim(poly_derivative(coeffs))]
     while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append(_integer_multiple([-c for c in r]) if r else [])
+        _, r = poly_divmod(chain[-2], chain[-1])
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
     chain.pop()
     return chain
 
@@ -139,9 +151,6 @@ class RootMarker:
                 self.lo = mid
             else:
                 self.hi = mid
-
-    def excludes(self, x: Fraction) -> bool:
-        return not (self.lo < x < self.hi)
 
     def compare_rational(self, x: Fraction) -> int:
         """-1, 0, +1 as the root is below, equal to, or above x."""
@@ -194,64 +203,40 @@ def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
 
 def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
     """All distinct real roots of coeffs in the open interval (lo, hi),
-    sorted ascending.  Endpoints must not be roots."""
+    sorted ascending.  Endpoints must not be roots.
+
+    Bisects (lo, hi) by Sturm counts.  A bisection point c that is a root
+    becomes an exact marker, and both halves are bisected on: for the
+    square-free part, V(c) = V(c+), so (a, c) holds V(a) - V(c) - 1 roots
+    and (c, b) holds V(c) - V(b).  An interval with one root becomes a
+    marker only once neither end is a root, so every marker interval is a
+    node of the bisection tree of (lo, hi) with root-free ends."""
     lo, hi = Fraction(lo), Fraction(hi)
     sf = squarefree_part(coeffs)
     if len(sf) <= 1:
         return []
-    if poly_eval(sf, lo) == 0 or poly_eval(sf, hi) == 0:
+    if _sign_at(sf, lo) == 0 or _sign_at(sf, hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
-
-    exacts: list[Fraction] = []
-    # peel off rational roots discovered at bisection points, restarting on
-    # the deflated polynomial so every interval root is irrational
-    while True:
-        chain = sturm_chain(sf)
-        intervals: list[tuple[Fraction, Fraction]] = []
-        restart = False
-        stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
-        while stack:
-            a, b, va, vb = stack.pop()
-            n = va - vb
-            if n == 0:
-                continue
-            if n == 1:
-                intervals.append((a, b))
-                continue
-            mid = (a + b) / 2
-            if _sign_at(sf, mid) == 0:
-                exacts.append(mid)
-                q, rem = _poly_divmod(sf, [-mid, Fraction(1)])
-                if rem:
-                    raise ArithmeticError("deflating a rational root left a remainder")
-                sf = squarefree_part(q)
-                restart = True
-                break
-            vm = _variations(chain, mid)
-            stack.append((a, mid, va, vm))
-            stack.append((mid, b, vm, vb))
-        if not restart:
-            break
-
-    markers = [RootMarker(sf, a, b) for a, b in intervals]
-    for x in exacts:
-        for m in markers:
-            if not m.excludes(x):
-                m.compare_rational(x)
-        markers.append(RootMarker(sf, x, x, exact=x))
+    chain = sturm_chain(sf)
+    markers = []
+    exact: set[Fraction] = set()
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb - (b in exact)
+        if n == 0:
+            continue
+        if n == 1 and a not in exact and b not in exact:
+            markers.append(RootMarker(sf, a, b))
+            continue
+        mid = (a + b) / 2
+        if _sign_at(sf, mid) == 0:
+            exact.add(mid)
+            markers.append(RootMarker(sf, mid, mid, exact=mid))
+        vm = _variations(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
     for m in markers:
         m.refine(Fraction(1, 64))
-    # separate any markers that still overlap (possible after deflation)
-    changed = True
-    while changed:
-        changed = False
-        for m1 in markers:
-            for m2 in markers:
-                if m1 is m2:
-                    continue
-                if m1.lo < m2.hi and m2.lo < m1.hi:
-                    m1.refine((m1.hi - m1.lo) / 4)
-                    m2.refine((m2.hi - m2.lo) / 4)
-                    changed = True
     markers.sort(key=lambda m: m.lo)
     return markers

@@ -36,9 +36,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, poly_divmod_monic, primes, totient
+from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient
 from .laurent import LaurentPoly, reciprocal, trace_polynomial, v_polys
-from .realroots import RootMarker, compare_markers, isolate_roots, poly_eval, poly_gcd
+from .realroots import RootMarker, compare_markers, isolate_roots, poly_divmod, poly_eval, poly_gcd
 
 __all__ = [
     "SeifertMatrix",
@@ -258,7 +258,7 @@ def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     d = delta.high() - delta.low()
     if b > 2 * d * d or totient(b) > d:
         return False
-    _, rem = poly_divmod_monic(_int_coeffs(delta), cyclotomic_coeffs(b))
+    _, rem = poly_divmod(_int_coeffs(delta), cyclotomic_coeffs(b))
     return not rem
 
 

@@ -1,6 +1,9 @@
 """Catalog loading and command-line reports."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -452,11 +455,32 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    def test_zero_denominator_in_catalog_is_two(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text('[{"name": "k", "alexander": "1/0*t - 1 + 1/0*t^-1"}]')
+        code, out, err = run_cli(capsys, "--catalog", str(path), "alexander", "k")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: entry 'k': alexander: zero denominator in term '1/0*t'\n"
+        )
+
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def test_cli_starts_without_sympy():
+    # sympy is imported only when a polynomial is factored
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, concordance.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 class TestDeterminism:

@@ -58,6 +58,12 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
+def test_parse_rejects_zero_denominator():
+    for bad in ["1/0*t - 1 + 1/0*t^-1", "0/0", "-3/00*t^2"]:
+        with pytest.raises(ValueError, match="zero denominator"):
+            P(bad)
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         LaurentPoly({0: 1.5})

@@ -1,0 +1,167 @@
+"""Real-root isolation over the integers, against sympy.
+
+Polynomials are seeded from chosen roots: dyadic rationals that are
+bisection points of (-2, 2) (0, +-1, 3/2) next to irrational roots,
+rationals that no bisection reaches, and repeated factors.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from concordance.laurent import LaurentPoly, trace_polynomial
+from concordance.realroots import (
+    isolate_roots,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    squarefree_part,
+)
+
+X = sympy.Symbol("x")
+
+# linear and quadratic factors, lowest degree first
+FACTORS = [
+    [0, 1],  # 0
+    [-1, 1],  # 1
+    [1, 1],  # -1
+    [-3, 2],  # 3/2
+    [1, 3],  # -1/3
+    [-5, 7],  # 5/7
+    [-2, 0, 1],  # +-sqrt(2)
+    [-1, -1, 1],  # golden ratio and its conjugate
+    [-3, 0, 1],  # +-sqrt(3), both inside only on wide intervals
+    [1, 0, 1],  # no real root
+    [-1, 0, 3],  # +-1/sqrt(3)
+]
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), X, domain=sympy.ZZ)
+
+
+def _seeded_polys(seed, count):
+    r = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = [r.choice((1, -1, 2, 5))]
+        for _ in range(r.randint(1, 4)):
+            f = r.choice(FACTORS)
+            for _ in range(r.choice((1, 1, 2, 3))):
+                p = _mul(p, f)
+        out.append(p)
+    return out
+
+
+def _t_2_q_trace(q):
+    """Trace polynomial of the Alexander polynomial of T(2, q)."""
+    n = (q - 1) // 2
+    return trace_polynomial(LaurentPoly({k: (-1) ** (k + n) for k in range(-n, n + 1)}))
+
+
+def _q(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _check_isolation(coeffs, lo, hi):
+    markers = isolate_roots(coeffs, lo, hi)
+    sqf = _sympy_poly(coeffs).sqf_part()
+    assert len(markers) == sqf.count_roots(_q(lo), _q(hi))
+    for m in markers:
+        if m.exact is not None:
+            assert m.lo == m.hi == m.exact
+            assert lo < m.exact < hi
+            assert sqf.eval(_q(m.exact)) == 0
+        else:
+            assert lo <= m.lo < m.hi <= hi
+            assert sqf.eval(_q(m.lo)) != 0 and sqf.eval(_q(m.hi)) != 0
+            assert sqf.count_roots(_q(m.lo), _q(m.hi)) == 1
+    for m1, m2 in zip(markers, markers[1:]):
+        assert m1.hi <= m2.lo
+        assert m1.exact is None or m1.hi < m2.lo
+        assert m2.exact is None or m1.hi < m2.lo
+    return markers
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(Fraction(-2), Fraction(2)), (Fraction(-5, 2), Fraction(9, 4))]
+)
+def test_isolate_roots_finds_each_root_once(lo, hi):
+    for coeffs in _seeded_polys(1, 150):
+        if poly_eval(coeffs, lo) and poly_eval(coeffs, hi):
+            _check_isolation(coeffs, lo, hi)
+
+
+def test_isolate_roots_keeps_bisecting_next_to_exact_roots():
+    # 0, 1 and 3/2 are bisection points of (-2, 2); each sits next to an
+    # irrational root, so both halves around it hold roots
+    coeffs = _mul(_mul(FACTORS[0], FACTORS[3]), _mul(FACTORS[1], FACTORS[6]))
+    coeffs = _mul(coeffs, FACTORS[7])
+    markers = _check_isolation(coeffs, Fraction(-2), Fraction(2))
+    assert [m.exact for m in markers if m.exact is not None] == [0, 1, Fraction(3, 2)]
+    assert len(markers) == 7
+
+
+def test_isolate_roots_on_t_2_9():
+    # roots 2*cos(k*pi/9) for odd k < 9; k = 3 gives the bisection point 1
+    markers = _check_isolation(_t_2_q_trace(9), Fraction(-2), Fraction(2))
+    got = [m.float_value() for m in markers]
+    expected = sorted(2 * float(sympy.cos(k * sympy.pi / 9)) for k in (1, 3, 5, 7))
+    assert got == pytest.approx(expected, abs=1e-11)
+    assert [m.exact for m in markers] == [None, None, 1, None]
+
+
+def test_isolate_roots_rejects_root_endpoints():
+    with pytest.raises(ValueError):
+        isolate_roots([-1, 1], Fraction(1), Fraction(2))
+
+
+def test_poly_divmod_is_a_pseudo_division():
+    r = random.Random(2)
+    for _ in range(300):
+        den = [r.randint(-4, 4) for _ in range(r.randint(0, 4))]
+        den.append(r.choice((1, -1, 2, -3, 6)))
+        num = [r.randint(-9, 9) for _ in range(r.randint(1, 9))] + [r.randint(1, 9)]
+        q, rem = poly_divmod(num, den)
+        assert len(rem) < len(den)
+        lhs = _mul(q, den) if q else []
+        lhs = [a + b for a, b in zip(lhs + [0] * len(num), rem + [0] * len(num))]
+        while lhs and lhs[-1] == 0:
+            lhs.pop()
+        assert len(lhs) == len(num)
+        c = Fraction(lhs[-1], num[-1])
+        assert c > 0 and c.denominator == 1
+        assert lhs == [c * a for a in num]
+        lead, power = abs(den[-1]), 1
+        while lead > 1 and power < c:
+            power *= lead
+        assert power == c
+
+
+def test_poly_divmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([1, 2], [0])
+
+
+def test_poly_gcd_and_squarefree_part_match_sympy():
+    polys = _seeded_polys(3, 120)
+    for a, b in zip(polys, polys[1:]):
+        a = [2 * c for c in _mul(a, FACTORS[7])]
+        g = poly_gcd(a, b)
+        expected = sympy.gcd(_sympy_poly(a), _sympy_poly(b)).all_coeffs()[::-1]
+        assert g in (expected, [-c for c in expected])
+        sf = squarefree_part(a)
+        expected = _sympy_poly(a).sqf_part().all_coeffs()[::-1]
+        assert sf in (expected, [-c for c in expected])
+    assert poly_gcd([], []) == []
+    assert poly_gcd([0, -4, -6], []) == [0, 4, 6]

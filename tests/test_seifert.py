@@ -371,3 +371,60 @@ def test_dense_genus_eight_alexander_is_fast():
     for _ in range(8):
         expected = expected * alexander(TREFOIL)
     assert delta == expected
+
+
+def _pretzel(p, q, r):
+    """Seifert matrix of the pretzel knot P(p, q, r), p, q, r odd."""
+    return SeifertMatrix([[(p + q) // 2, (q + 1) // 2], [(q - 1) // 2, (q + r) // 2]])
+
+
+def _pretzel_closed_forms(p, q, r):
+    """(delta, sigma(-1)) of P(p, q, r) from D = pq + qr + rp: delta is
+    ((D + 1)/4)(t + 1/t) - (D - 1)/2, and V + V^T = [[p + q, q], [q, q + r]]
+    has determinant D, so it is definite exactly when D > 0, with the
+    sign of p + q."""
+    d = p * q + q * r + r * p
+    delta = LaurentPoly({1: (d + 1) // 4, 0: -(d - 1) // 2, -1: (d + 1) // 4})
+    return delta, 0 if d < 0 else (2 if p + q > 0 else -2)
+
+
+def test_pretzel_sums_match_closed_forms():
+    rng = random.Random(1923)
+    odd = range(-9, 10, 2)
+    cases = [[(-3, 5, 7)]] + [
+        [tuple(rng.choice(odd) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+        for _ in range(40)
+    ]
+    for summands in cases:
+        v, delta, sigma = UNKNOT, LaurentPoly.one(), 0
+        for pqr in summands:
+            v = block_sum(v, _pretzel(*pqr))
+            d, s = _pretzel_closed_forms(*pqr)
+            delta, sigma = delta * d, sigma + s
+        v = scrambled_seifert(rng, v)
+        assert doteq(alexander(v), delta)
+        product = 1
+        for p, q, r in summands:
+            product *= p * q + q * r + r * p
+        assert abs(alexander(v).evaluate(-1)) == abs(product)
+        assert levine_tristram(v, RootOfUnity(1, 2)) == sigma
+        assert signature_function(v).evaluate(Fraction(1, 2)) == sigma
+    assert alexander(_pretzel(-3, 5, 7)) == LaurentPoly.one()
+
+
+def test_pretzel_sums_with_dyadic_circle_roots():
+    # D = 2^k - 1 puts the circle root at x = 2 - 2^(2 - k), a bisection
+    # point of (-2, 2); next to the roots of T(2, 3) (x = 1, also one) and
+    # T(2, 5) it is found as an exact root with roots on both sides
+    rng = random.Random(2015)
+    for pqr, x in (((1, 1, 3), 3 / 2), ((1, 3, 3), 7 / 4), ((1, 3, 7), 15 / 8)):
+        v = scrambled_seifert(rng, block_sum(block_sum(_pretzel(*pqr), TREFOIL), _torus_2(5)))
+        sig = signature_function(v)
+        angles = [angle for angle, _ in sig.jumps()]
+        assert len(angles) == 4
+        assert min(abs(a - np.arccos(x / 2) / (2 * np.pi)) for a in angles) < 1e-9
+        for lo, hi, val in sig.arcs():
+            q = Fraction((lo + hi) / 2).limit_denominator(10**4)
+            assert lo < q < hi
+            assert sig.evaluate(q) == val == levine_tristram(v, RootOfUnity.from_fraction(q))
+            assert val == _lt_oracle(v, q.numerator, q.denominator)
