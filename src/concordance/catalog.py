@@ -152,13 +152,18 @@ def _require(condition, message):
         raise ParseError(message)
 
 
+def _is_int(x):
+    # a JSON true or false loads as a bool, which is an int to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _cited(raw, where, kind, kind_name):
     _require(isinstance(raw, dict), f"{where}: expected an object")
     _require(set(raw) <= {"value", "citation"}, f"{where}: unknown field")
     _require("value" in raw, f"{where}: missing value")
     value = raw["value"]
     _require(
-        isinstance(value, kind) and not (kind is int and isinstance(value, bool)),
+        _is_int(value) if kind is int else isinstance(value, kind),
         f"{where}: value must be {kind_name}",
     )
     try:
@@ -174,10 +179,7 @@ def _cited_bounds(raw, where):
     )
     for side in ("lower", "upper"):
         if side in raw:
-            _require(
-                isinstance(raw[side], int) and not isinstance(raw[side], bool),
-                f"{where}: {side} must be an integer",
-            )
+            _require(_is_int(raw[side]), f"{where}: {side} must be an integer")
     try:
         return CitedBounds(raw.get("lower"), raw.get("upper"), raw.get("citation"))
     except ValueError as exc:
@@ -217,7 +219,7 @@ def _parse_entry(raw, index, base):
         _require(
             isinstance(rows, list)
             and all(
-                isinstance(row, list) and all(isinstance(x, int) for x in row)
+                isinstance(row, list) and all(_is_int(x) for x in row)
                 for row in rows
             ),
             f"{where}: seifert_matrix must be a list of integer rows",
@@ -263,6 +265,8 @@ def _parse_entry(raw, index, base):
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc}") from None
 
+    for key in ("fronts", "presentations"):
+        _require(isinstance(raw.get(key, []), list), f"{where}: {key} must be a list")
     fronts = {}
     for filename in raw.get("fronts", []):
         front = _load_file(base, filename, where, "front", ".front", front_from_text)
@@ -277,6 +281,10 @@ def _parse_entry(raw, index, base):
             f"{where}: pattern: unknown field",
         )
         _require("front" in obj, f"{where}: pattern: missing front")
+        _require(
+            isinstance(obj.get("citation", ""), str),
+            f"{where}: pattern: citation must be a string",
+        )
         front = _load_file(
             base, obj["front"], f"{where}: pattern", "front", ".front", front_from_text
         )

@@ -8,8 +8,11 @@ signature function jumps and which ``laurent.factor`` recognises and
 expands without factoring; the number theory around them (Euler's phi
 and the primes); and ``cos2pi_bounds``, the certified rational
 enclosure of 2*cos(2*pi*a/b) that places a root of unity among isolated
-real roots.  Signatures themselves are computed in ``seifert`` from
-rational matrices.
+real roots.  The enclosure is integer fixed point: pi by Machin's
+formula, the cosine by its Taylor series at a 2^r-th of the angle and r
+doublings, each step with a proven error bound, so it needs nothing
+beyond the standard library.  Signatures themselves are computed in
+``seifert`` from rational matrices.
 
 ``CycloInt`` and ``hermitian_signature`` are an independent second route
 to the same signatures, kept as the oracle the tests compare against.
@@ -18,26 +21,22 @@ folded mod b, i.e. residues of Z[x]/(x^b - 1) under evaluation at
 zeta_b.  The kernel of that evaluation is generated by the b-th
 cyclotomic polynomial, so zero testing is exact polynomial divisibility
 by Phi_b, again through ``poly_divmod`` (for prime b it collapses to
-"all b coefficients equal").  Sign determination of real elements uses
-certified interval refinement at increasing precision; it terminates
-because zero is excluded symbolically first, so no floating-point
-tolerance ever decides anything.  The Hermitian congruence recursion
-scales each Schur complement by the square of its pivot, so entries
-grow doubly exponentially with the depth and the sign ladder can run
-out of precision on forms of genus 4 and more.
+"all b coefficients equal").  The sign of a real element is read off the
+sum of its terms' ``cos2pi_bounds`` enclosures at increasing precision;
+it terminates because zero is excluded symbolically first, so no
+floating-point tolerance ever decides anything.  The Hermitian
+congruence recursion scales each Schur complement by the square of its
+pivot, so entries grow doubly exponentially with the depth and the sign
+ladder can run out of precision on forms of genus 4 and more.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from mpmath import ctx_iv
-from mpmath.libmp import to_rational
-
 from .realroots import poly_divmod
-
-_iv = ctx_iv.MPIntervalContext()
 
 _PHI_CACHE: dict[int, list[int]] = {}
 
@@ -171,24 +170,17 @@ class CycloInt:
         return (self - self.conj()).is_zero()
 
     def sign(self) -> int:
-        """Sign of a real element, certified.  pre: is_real() and not is_zero()."""
-        b = self.b
-        if b <= 2:
-            total = sum(v * (1 if b == 1 or k % 2 == 0 else -1) for k, v in self._c.items())
-            if total == 0:
-                raise ValueError("sign of zero requested")
-            return 1 if total > 0 else -1
-        # Re(self) = sum c_k cos(2 pi k / b); the value itself is real.
-        items = sorted(self._c.items())
+        """Sign of a real element, certified.  pre: is_real() and not is_zero().
+
+        A real element equals its real part, half the sum of c_k times
+        2*cos(2*pi*k/b), so the sum of the enclosures of its terms holds
+        twice the value."""
         for prec in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-            _iv.prec = prec
-            two_pi = 2 * _iv.pi
-            total = _iv.mpf(0)
-            for k, v in items:
-                total += v * _iv.cos(two_pi * _iv.mpf(k) / b)
-            if total.a > 0:
+            ends = [sorted(v * c for c in cos2pi_bounds(k, self.b, prec))
+                    for k, v in self._c.items()]
+            if sum(lo for lo, _ in ends) > 0:
                 return 1
-            if total.b < 0:
+            if sum(hi for _, hi in ends) < 0:
                 return -1
         raise ArithmeticError(
             "interval refinement failed to certify a sign; "
@@ -265,12 +257,79 @@ def hermitian_signature(M: list[list[CycloInt]]) -> int:
     return s + hermitian_signature(schur)
 
 
+@functools.lru_cache(maxsize=16)
+def _pi_fixed(bits: int) -> tuple[int, int]:
+    """Integers lo <= pi * 2^bits <= hi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239).
+
+    The k-th term of atan(1/n) * 2^bits is floor(2^bits / n^(2k+1)) //
+    (2k+1), which is the floor of the exact term, since nested floors by
+    integers are one floor.  So each of the K terms is off by less than
+    1, and once the power reaches 0 the alternating tail is below the
+    first omitted term, itself below 1: the sum is within K + 1."""
+
+    def atan_inv(n: int) -> tuple[int, int]:
+        total, power, k = 0, (1 << bits) // n, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= n * n
+            k += 1
+        return total, k + 1
+
+    (a, err_a), (b, err_b) = atan_inv(5), atan_inv(239)
+    pi, err = 16 * a - 4 * b, 16 * err_a + 4 * err_b
+    return pi - err, pi + err
+
+
+def _cos_fixed(x: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= cos(y) * 2^bits <= hi at y = x / 2^bits, 0 <= y <= pi.
+
+    The series runs at z = y / 2^r in units of 2^-B, B = bits + 2r, with
+    r >= 2, so z < 1.  Term k is t_k = 2^B z^(2k) / (2k)!, computed as
+    T_k = floor(T_(k-1) u / 2^B / ((2k-1) 2k)) with u = floor(2^B z^2),
+    one floor since the shift and the division nest.  As T_(k-1) <= 2^B,
+    T_(k-1) u / 2^B is within 1 of T_(k-1) z^2, so e_k = t_k - T_k obeys
+    0 <= e_k < e_(k-1) / 2 + 3/2 with e_0 = 0, hence e_k < 3.  The loop
+    stops at the first T_K = 0, where t_K = e_K bounds the Lagrange
+    remainder of the terms before it: the error is below 3K.  Then r
+    doublings cos 2z = 2 cos^2 z - 1, rounded outward, lift the bounds to
+    y; they keep the order because cos z >= 0 for z <= pi/2, and each
+    about quadruples the width, which the 2r extra bits absorb."""
+    r = math.isqrt(bits) // 2 + 1
+    bits += 2 * r
+    one = 1 << bits
+    u = (x << r) ** 2 >> bits
+    total, term, k = one, one, 0
+    while term:
+        k += 1
+        term = (term * u >> bits) // ((2 * k - 1) * 2 * k)
+        total += -term if k % 2 else term
+    lo, hi = total - 3 * k, total + 3 * k
+    for _ in range(r):
+        lo = (2 * max(lo, 0) ** 2 >> bits) - one
+        hi = -(-2 * hi * hi >> bits) - one
+    return lo >> 2 * r, -(-hi >> 2 * r)
+
+
 def cos2pi_bounds(numerator: int, denominator: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of 2*cos(2*pi*numerator/denominator),
-    certified by directed interval rounding at the given precision."""
-    _iv.prec = prec
-    x = 2 * _iv.cos(2 * _iv.pi * _iv.mpf(numerator) / denominator)
-    lo_t, hi_t = x._mpi_
-    lo = Fraction(*(int(v) for v in to_rational(lo_t)))
-    hi = Fraction(*(int(v) for v in to_rational(hi_t)))
-    return lo, hi
+    """Dyadic rationals lo <= 2*cos(2*pi*numerator/denominator) <= hi, for
+    denominator > 0, with hi - lo <= 2^(1 - prec).
+
+    q = numerator/denominator is folded into [0, 1/2], which leaves the
+    cosine as is, so x = 2*pi*q lies in [0, pi], where cos falls and is
+    1-Lipschitz.  With pi enclosed at w = prec + guard bits, x lies in
+    [x_lo, x_hi] (units of 2^-w, floor and ceiling), so cos(x_lo) - (x_hi
+    - x_lo) <= cos(x) <= cos(x_lo), and ``_cos_fixed`` bounds cos(x_lo).
+    The ends are rounded outward to 2^-prec.  Machin's error is about
+    3.7w units of 2^-w and the series' O(sqrt w), so the enclosure of cos
+    at 2^-w is narrower than 16w, below 2^(guard - 1): after rounding,
+    2*cos spans at most two units of 2^-prec."""
+    a, b = min(numerator % denominator, -numerator % denominator), denominator
+    guard = prec.bit_length() + 8
+    bits = prec + guard
+    pi_lo, pi_hi = _pi_fixed(bits)
+    x_lo = 2 * pi_lo * a // b
+    x_hi = -(-2 * pi_hi * a // b)
+    lo, hi = _cos_fixed(x_lo, bits)
+    lo -= x_hi - x_lo
+    return Fraction(lo >> guard - 1, 1 << prec), Fraction(-(-hi >> guard - 1), 1 << prec)

@@ -554,14 +554,16 @@ def _marker_angle_below(m: RootMarker, q: Fraction) -> bool:
     """Certified test: is the marker's jump angle strictly below q?
 
     In x = 2cos(2*pi*angle) coordinates the angle order reverses, so this
-    asks whether the marker's root exceeds 2*cos(2*pi*q).  Terminates
-    because q is never a jump angle when called."""
+    asks whether the marker's root exceeds 2*cos(2*pi*q).  The root is
+    compared exactly with both ends of an enclosure of that cosine, on a
+    copy of the marker, so the caller's keeps its bisection history.
+    Terminates because q is never a jump angle when called."""
+    m = replace(m)
     for prec in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
         lo, hi = cos2pi_bounds(q.numerator, q.denominator, prec)
-        m.refine(max(hi - lo, Fraction(1, 10**9)))
-        if m.lo >= hi:
+        if m.compare_rational(hi) > 0:
             return True
-        if m.hi <= lo:
+        if m.compare_rational(lo) < 0:
             return False
     raise ArithmeticError("could not separate jump angle from sample angle")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -465,6 +466,45 @@ class TestExitCodes:
             "error: entry 'k': alexander: zero denominator in term '1/0*t'\n"
         )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"seifert_matrix": [[True, 1], [0, -1]]},
+                "seifert_matrix must be a list of integer rows",
+            ),
+            (
+                {"pattern": {"front": "paper-pattern-P.front",
+                             "tilde_class": "unknot", "citation": 5}},
+                "pattern: citation must be a string",
+            ),
+            ({"fronts": 5}, "fronts must be a list"),
+            ({"presentations": "k.pres"}, "presentations must be a list"),
+        ],
+    )
+    def test_malformed_catalog_entry_is_two(self, capsys, tmp_path, fields, message):
+        data = os.path.join(os.path.dirname(cli.__file__), "_data")
+        shutil.copy(os.path.join(data, "paper-pattern-P.front"), tmp_path)
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "k", **fields}]))
+        code, out, err = run_cli(capsys, "--catalog", str(path), "alexander", "k")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: entry 'k': {message}\n"
+
+    def test_omega_next_to_an_irrational_jump(self, capsys, tmp_path):
+        # T(2,5) jumps at angle 1/10; omega lies 10^-13 above and below it
+        path = tmp_path / "catalog.json"
+        v = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
+        path.write_text(json.dumps([{"name": "T(2,5)", "seifert_matrix": v}]))
+        for a, expected in ((10**12 + 1, -2), (10**12 - 1, 0)):
+            code, out, err = run_cli(
+                capsys, "--catalog", str(path), "--output", "json",
+                "signature", "T(2,5)", "--omega", f"{a}/{10**13}",
+            )
+            assert code == 0, err
+            assert json.loads(out)["signature"] == expected
+
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -473,14 +513,24 @@ class TestExitCodes:
 
 
 def test_cli_starts_without_sympy():
-    # sympy is imported only when a polynomial is factored
+    # sympy is imported only when a polynomial is factored, and mpmath not
+    # at all: signatures run on the stdlib alone
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import concordance.cli\n"
+        "from concordance.seifert import SeifertMatrix, levine_tristram, signature_function\n"
+        "v = SeifertMatrix([[-1, 1], [0, -1]])\n"
+        "print(levine_tristram(v, Fraction(1, 7)), signature_function(v).arc_values)\n"
+        "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, concordance.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "0 (0, -2)\n[]\n"
 
 
 class TestDeterminism:

@@ -2,9 +2,12 @@
 against numpy eigenvalues on random matrices."""
 
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import to_rational
 
 from concordance.cyclotomic import (
     CycloInt,
@@ -154,6 +157,44 @@ def test_cos2pi_bounds_encloses_known_values():
     lo256 = cos2pi_bounds(1, 7, 256)
     assert lo256[1] - lo256[0] < lo64[1] - lo64[0]
     assert lo64[0] < lo256[0] and lo256[1] < lo64[1]
+
+
+def _mpmath_2cos(a, b, prec):
+    """mpmath's interval enclosure of 2*cos(2*pi*a/b) at prec + 64 bits,
+    as exact rationals."""
+    iv = mpmath.ctx_iv.MPIntervalContext()
+    iv.prec = prec + 64
+    ends = (2 * iv.cos(2 * iv.pi * iv.mpf(a) / b))._mpi_
+    return tuple(Fraction(*map(int, to_rational(end))) for end in ends)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 1024, 4096, 16384])
+def test_cos2pi_bounds_contains_mpmath_enclosure(prec):
+    rng = random.Random(prec)
+    denominators = [rng.randint(1, 10 ** rng.randint(1, 30)) for _ in range(4)]
+    if prec <= 1024:
+        denominators += [rng.randint(1, 10 ** rng.randint(1, 30)) for _ in range(60)]
+    denominators.append(rng.randrange(10**3999, 10**4000))
+    for b in denominators:
+        a = rng.randrange(-b, 2 * b)
+        lo, hi = cos2pi_bounds(a, b, prec)
+        m_lo, m_hi = _mpmath_2cos(a, b, prec)
+        assert lo <= m_lo and m_hi <= hi, (a, b)
+        assert hi - lo <= Fraction(2, 2**prec)
+
+
+@pytest.mark.parametrize("prec", [64, 1024, 16384])
+def test_cos2pi_bounds_at_rational_cosines(prec):
+    # 2cos(2 pi q) is an integer at these q; at q = 1/2 the upper end of
+    # the enclosure of 2 pi q passes pi
+    for q, value in ((0, 2), (Fraction(1, 6), 1), (Fraction(1, 4), 0),
+                     (Fraction(1, 3), -1), (Fraction(1, 2), -2)):
+        q = Fraction(q)
+        for a in (q.numerator, -q.numerator, q.numerator + 3 * q.denominator):
+            lo, hi = cos2pi_bounds(a, q.denominator, prec)
+            assert lo <= value <= hi
+            assert hi - lo <= Fraction(2, 2**prec)
+            assert lo.denominator & (lo.denominator - 1) == 0  # dyadic
 
 
 def test_mixed_orders_rejected():

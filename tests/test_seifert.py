@@ -318,6 +318,21 @@ def test_levine_tristram_at_large_denominator_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+T_2_5 = SeifertMatrix(
+    [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]], name="T(2,5)"
+)
+
+
+@pytest.mark.parametrize("k", range(6, 21))
+def test_levine_tristram_next_to_an_irrational_jump(k):
+    # T(2,5) jumps by -2 at angle 1/10, where 2cos(2 pi / 10) is
+    # irrational; 1/10 +- 10^-(k+1) are told apart from it exactly on
+    # both sides, however far below 1e-9 the distance falls
+    b = 10 ** (k + 1)
+    assert levine_tristram(T_2_5, RootOfUnity(b // 10 + 1, b)) == -2
+    assert levine_tristram(T_2_5, RootOfUnity(b // 10 - 1, b)) == 0
+
+
 def test_signature_function_of_repeated_twist_factor():
     # the compact polynomial is (3x - 7)^2, whose derivative divides it:
     # the gcd in the square-free step must stay exact on integer input
