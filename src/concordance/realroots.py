@@ -7,9 +7,10 @@ pseudo-division whose scale factor is positive, so its remainder has the
 signs of the remainder over Q; Sturm chains, gcds and square-free parts
 are built from it with primitive parts, and ``cyclotomic`` divides by
 the monic Phi_b with it.  Roots come back as markers that are either
-exact rationals or open isolating intervals with rational endpoints;
-intervals can be refined on demand and never commit to a floating-point
-answer.
+exact rationals or open isolating intervals with rational endpoints.
+Markers are values: refining one returns a narrower marker, nothing
+changes a marker in place, and no comparison commits to a
+floating-point answer.
 """
 
 from __future__ import annotations
@@ -124,7 +125,11 @@ def _variations(chain: list[list], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass
+# the isolating width behind RootMarker.float_value
+FLOAT_WIDTH = Fraction(1, 10**12)
+
+
+@dataclass(frozen=True)
 class RootMarker:
     """One real root of a squarefree polynomial: exact, or isolated in an
     open interval (lo, hi) whose endpoints are not roots."""
@@ -134,44 +139,41 @@ class RootMarker:
     hi: Fraction
     exact: Fraction | None = None
 
-    def refine(self, width: Fraction) -> None:
-        """Shrink the isolating interval below the given width by bisection;
-        may discover the root is a rational bisection point and go exact."""
+    def refine(self, width: Fraction) -> RootMarker:
+        """The same root isolated below the given width by bisection, or
+        an exact marker when a bisection point is the root."""
         if self.exact is not None:
-            return
-        s_lo = _sign_at(self.poly, self.lo)
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
+            return self
+        lo, hi = self.lo, self.hi
+        s_lo = _sign_at(self.poly, lo)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
             v = _sign_at(self.poly, mid)
             if v == 0:
-                self.exact = mid
-                self.lo = self.hi = mid
-                return
+                return RootMarker(self.poly, mid, mid, exact=mid)
             if v == s_lo:
-                self.lo = mid
+                lo = mid
             else:
-                self.hi = mid
+                hi = mid
+        return RootMarker(self.poly, lo, hi)
 
     def compare_rational(self, x: Fraction) -> int:
         """-1, 0, +1 as the root is below, equal to, or above x."""
         if self.exact is not None:
-            return -1 if self.exact < x else (0 if self.exact == x else 1)
-        if self.lo < x < self.hi:
-            s_x = _sign_at(self.poly, x)
-            if s_x == 0:
-                return 0
-            # x splits the interval; keep the half with the sign change
-            if s_x == _sign_at(self.poly, self.lo):
-                self.lo = x
-            else:
-                self.hi = x
-        return -1 if self.hi <= x else 1
+            return (self.exact > x) - (self.exact < x)
+        if x <= self.lo:
+            return 1
+        if x >= self.hi:
+            return -1
+        s_x = _sign_at(self.poly, x)
+        if s_x == 0:
+            return 0
+        # the sign changes on the side of x that holds the root
+        return 1 if s_x == _sign_at(self.poly, self.lo) else -1
 
     def float_value(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        self.refine(Fraction(1, 10**12))
-        return float((self.lo + self.hi) / 2)
+        m = self.refine(FLOAT_WIDTH)
+        return float((m.lo + m.hi) / 2)
 
 
 def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
@@ -183,8 +185,7 @@ def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
     one root of its square-free polynomial, so at most one root of
     common, and a root of common in both is the root of each.  Otherwise
     the roots differ and bisection separates them, so refinement never
-    tries to separate a root from itself.  Refines both markers in place.
-    """
+    tries to separate a root from itself."""
     while True:
         if m1.exact is not None:
             return -m2.compare_rational(m1.exact)
@@ -197,8 +198,8 @@ def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
         lo, hi = max(m1.lo, m2.lo), min(m1.hi, m2.hi)
         if _sign_at(common, lo) != _sign_at(common, hi):
             return 0
-        m1.refine((m1.hi - m1.lo) / 2)
-        m2.refine((m2.hi - m2.lo) / 2)
+        m1 = m1.refine((m1.hi - m1.lo) / 2)
+        m2 = m2.refine((m2.hi - m2.lo) / 2)
 
 
 def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
@@ -227,7 +228,7 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
         if n == 0:
             continue
         if n == 1 and a not in exact and b not in exact:
-            markers.append(RootMarker(sf, a, b))
+            markers.append(RootMarker(sf, a, b).refine(Fraction(1, 64)))
             continue
         mid = (a + b) / 2
         if _sign_at(sf, mid) == 0:
@@ -236,7 +237,5 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
         vm = _variations(chain, mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
-    for m in markers:
-        m.refine(Fraction(1, 64))
     markers.sort(key=lambda m: m.lo)
     return markers

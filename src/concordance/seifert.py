@@ -32,13 +32,13 @@ floating-point value decides anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient
 from .laurent import LaurentPoly, reciprocal, trace_polynomial, v_polys
-from .realroots import RootMarker, compare_markers, isolate_roots, poly_divmod, poly_eval, poly_gcd
+from .realroots import FLOAT_WIDTH, RootMarker, compare_markers, isolate_roots, poly_divmod, poly_eval, poly_gcd
 
 __all__ = [
     "SeifertMatrix",
@@ -101,9 +101,6 @@ class SeifertMatrix:
     @property
     def genus(self) -> int:
         return len(self.entries) // 2
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other):
         if not isinstance(other, SeifertMatrix):
@@ -353,8 +350,7 @@ def _arc_sample(markers: list[RootMarker], idx: int) -> Fraction:
     and marker idx (angle-ascending, so x-descending).  The last arc
     holds omega = -1, which is u = 0; elsewhere u is the first dyadic
     rational with x(u) strictly inside the gap between the two isolating
-    intervals, checked exactly.  Narrow gaps are widened on copies of the
-    markers, so shared markers keep their bisection history."""
+    intervals, checked exactly."""
     if idx == len(markers):
         return Fraction(0)
     lower = markers[idx]
@@ -362,11 +358,9 @@ def _arc_sample(markers: list[RootMarker], idx: int) -> Fraction:
     # an exact marker has lo = hi = its root, so (lower.hi, upper.lo) is
     # root-free either way
     while lower.hi >= (2 if upper is None else upper.lo):
-        lower = replace(lower)
-        lower.refine((lower.hi - lower.lo) / 2)
+        lower = lower.refine((lower.hi - lower.lo) / 2)
         if upper is not None:
-            upper = replace(upper)
-            upper.refine((upper.hi - upper.lo) / 2)
+            upper = upper.refine((upper.hi - upper.lo) / 2)
     a = lower.hi
     b = Fraction(2) if upper is None else upper.lo
     # x(u) = 2 - 4/(u^2 + 1) increases with u >= 0: a < x(u) < b exactly
@@ -410,8 +404,6 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
         raise SingularAtOmega(
             f"omega = {omega} is a root of the Alexander polynomial"
         )
-    if v.size == 0:
-        return 0
     if omega.fraction == Fraction(1, 2):
         u = Fraction(0)  # omega = -1 itself, on the last arc
     else:
@@ -420,12 +412,34 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     return _signature_at(*_forms(v), u)
 
 
+def _markers_above(markers: list[RootMarker], lo: Fraction, hi: Fraction) -> int | None:
+    """The number of markers whose root exceeds hi, or None when some
+    root lies in [lo, hi]."""
+    count = 0
+    for m in markers:
+        if m.compare_rational(hi) > 0:
+            count += 1
+        elif m.compare_rational(lo) >= 0:
+            return None
+    return count
+
+
 def _arc_index(markers: list[RootMarker], q: Fraction) -> int:
     """Index of the arc that holds angle q, which must not be a jump
     angle: the number of markers below q folded into [0, 1/2], since
-    conjugation leaves the signature unchanged."""
+    conjugation leaves the signature unchanged.  In x = 2cos(2*pi*angle)
+    the order reverses, so these are the roots above an enclosure of
+    2cos(2*pi*q), whose precision doubles from 64 bits until no root
+    lies in it, up to max(16384, 4 * bits of q's denominator): a larger
+    denominator can put q closer to a jump, and a jump q fails fast."""
     q = min(q, 1 - q)
-    return sum(1 for m in markers if _marker_angle_below(m, q))
+    prec, limit = 64, max(16384, 4 * q.denominator.bit_length())
+    while prec <= limit:
+        count = _markers_above(markers, *cos2pi_bounds(q.numerator, q.denominator, prec))
+        if count is not None:
+            return count
+        prec *= 2
+    raise ArithmeticError("could not separate jump angle from sample angle")
 
 
 class SignatureFunction:
@@ -491,8 +505,7 @@ class SignatureFunction:
         the arcs are isolated afresh from delta(t^p) and each new arc is
         sampled through sigma: a rational sample x = 2*cos(theta) of a new
         arc maps to the rational point 2*cos(p*theta) = v_p(x), which
-        avoids the jumps of sigma.  Comparisons with the markers of sigma
-        run on copies, so they keep their bisection history."""
+        avoids the jumps of sigma."""
         if not isinstance(p, int) or p < 1:
             raise ValueError("cable parameter p must be a positive integer")
         if p == 1:
@@ -505,10 +518,10 @@ class SignatureFunction:
 
         def value_at(u: Fraction) -> int:
             x = poly_eval(v_p, _x_of_u(u))
-            sides = [replace(m).compare_rational(x) for m in self._markers]
-            if 0 in sides:
+            count = _markers_above(self._markers, x, x)
+            if count is None:
                 raise SingularAtOmega(f"signature function jumps at x = {x}")
-            return self._values[sides.count(1)]
+            return self._values[count]
 
         return _assemble_signature_function(delta, value_at)
 
@@ -550,24 +563,6 @@ def _marker_angle_float(m: RootMarker) -> float:
     return math.acos(max(-1.0, min(1.0, m.float_value() / 2.0))) / (2 * math.pi)
 
 
-def _marker_angle_below(m: RootMarker, q: Fraction) -> bool:
-    """Certified test: is the marker's jump angle strictly below q?
-
-    In x = 2cos(2*pi*angle) coordinates the angle order reverses, so this
-    asks whether the marker's root exceeds 2*cos(2*pi*q).  The root is
-    compared exactly with both ends of an enclosure of that cosine, on a
-    copy of the marker, so the caller's keeps its bisection history.
-    Terminates because q is never a jump angle when called."""
-    m = replace(m)
-    for prec in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
-        lo, hi = cos2pi_bounds(q.numerator, q.denominator, prec)
-        if m.compare_rational(hi) > 0:
-            return True
-        if m.compare_rational(lo) < 0:
-            return False
-    raise ArithmeticError("could not separate jump angle from sample angle")
-
-
 def _assemble_signature_function(
     delta: LaurentPoly, value_at: Callable[[Fraction], int]
 ) -> SignatureFunction:
@@ -594,13 +589,11 @@ def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:
     """The sub-arcs of (0, 1/2] cut out by the jumps of either function,
     ascending in angle, as (lower, upper, value_0, value_1).
 
-    lower and upper are the bounding jump markers (copies, so the two
-    functions keep their bisection history), None at angle 0 and at
-    angle 1/2, which the last sub-arc holds.  The two marker lists are
+    lower and upper are the bounding jump markers, None at angle 0 and
+    at angle 1/2, which the last sub-arc holds.  The two marker lists are
     merged by exact comparison, so each sub-arc's values are read off
     the two value lists."""
-    m0 = [replace(m) for m in sig0._markers]
-    m1 = [replace(m) for m in sig1._markers]
+    m0, m1 = sig0._markers, sig1._markers
     values0, values1 = sig0._values, sig1._values
     # all markers of one function share its square-free polynomial
     common = poly_gcd(m0[0].poly, m1[0].poly) if m0 and m1 else [1]
@@ -630,9 +623,9 @@ def _least_numerator_above(m: RootMarker, b: int) -> int | None:
     guess.  (The test compares cosines, so it only sees angles up to 1/2.)"""
     half = b // 2
     a = min(max(1, math.floor(_marker_angle_float(m) * b) + 1), half)
-    while a > 1 and _marker_angle_below(m, Fraction(a - 1, b)):
+    while a > 1 and _arc_index([m], Fraction(a - 1, b)):
         a -= 1
-    while a <= half and not _marker_angle_below(m, Fraction(a, b)):
+    while a <= half and not _arc_index([m], Fraction(a, b)):
         a += 1
     return a if a <= half else None
 
@@ -659,7 +652,12 @@ def first_witness(
         return False, None
     if sig0._delta == sig1._delta and sig0._values == sig1._values:
         return False, None  # same polynomial and arc values: the functions coincide
-    bad_arcs = [arc for arc in _sub_arcs(sig0, sig1) if bad(arc[2], arc[3])]
+    # narrowed once here for the float guess of every prime b below
+    bad_arcs = [
+        (lower and lower.refine(FLOAT_WIDTH), upper, v0, v1)
+        for lower, upper, v0, v1 in _sub_arcs(sig0, sig1)
+        if bad(v0, v1)
+    ]
     if not bad_arcs:
         return False, None
     for b in primes():
@@ -672,6 +670,6 @@ def first_witness(
             a = 1 if lower is None else _least_numerator_above(lower, b)
             if a is None:
                 break  # no a/b in (0, 1/2] above this sub-arc's start, nor later ones
-            if upper is None or not _marker_angle_below(upper, Fraction(a, b)):
+            if upper is None or not _arc_index([upper], Fraction(a, b)):
                 return True, (RootOfUnity(a, b), v0, v1)
     return True, None

@@ -5,8 +5,11 @@ finite box (degree <= 4, coefficients in [-5, 5]) and is therefore a
 complete decision procedure for products whose witnesses must live in
 that box; the generators below only produce such products."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -14,6 +17,19 @@ from sympy.polys.matrices import DomainMatrix
 from concordance.cyclotomic import CycloInt, hermitian_signature
 from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing
 from concordance.seifert import RootOfUnity, SeifertMatrix
+
+
+def _load_families():
+    """perfbench/families.py, a stdlib-only module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+families = _load_families()
 
 
 def _candidate_table():
@@ -195,26 +211,11 @@ def sympy_alexander(v):
 
 
 def scrambled_seifert(r, v):
-    """P V P^T for a random unimodular P: the same Seifert form in another
-    basis, so Alexander polynomial and signatures are unchanged."""
-    n = v.size
-    p = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = r.randrange(n), r.randrange(n)
-        if i != j:
-            c = r.choice((-1, 1))
-            for k in range(n):
-                p[i][k] += c * p[j][k]
-    e = v.entries
-    return SeifertMatrix(
-        [
-            [
-                sum(p[i][a] * e[a][c] * p[j][c] for a in range(n) for c in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    """P V P^T for a random unimodular P from the benchmark's generator:
+    the same Seifert form in another basis, so Alexander polynomial and
+    signatures are unchanged."""
+    p = families.unimodular(r, v.size, 3 * v.size)
+    return SeifertMatrix(families.matmul(families.matmul(p, v.entries), families.transpose(p)))
 
 
 def _primes_upto(n):

@@ -1,13 +1,14 @@
 """Seifert-matrix invariants: frozen small-knot values, a numpy
 eigenvalue oracle, and the algebraic symmetries of signatures."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import cyclotomic_levine_tristram, scrambled_seifert, sympy_alexander
+from _oracles import cyclotomic_levine_tristram, families, scrambled_seifert, sympy_alexander
 
 from concordance.laurent import LaurentPoly, doteq, reciprocal
 from concordance.seifert import (
@@ -15,9 +16,11 @@ from concordance.seifert import (
     RootOfUnity,
     SeifertMatrix,
     SingularAtOmega,
+    _arc_index,
     _symmetric_signature,
     alexander,
     block_sum,
+    first_witness,
     levine_tristram,
     mirror,
     signature_function,
@@ -41,7 +44,7 @@ def test_construction_validates():
     with pytest.raises(TypeError):
         SeifertMatrix([[True, 1], [0, 1]])
     assert TREFOIL.genus == 1 and UNKNOT.genus == 0
-    assert TREFOIL[0, 1] == 1
+    assert TREFOIL.entries[0][1] == 1
 
 
 def test_alexander_frozen_values():
@@ -78,7 +81,8 @@ def test_levine_tristram_frozen_values():
     assert levine_tristram(TREFOIL, RootOfUnity(1, 7)) == 0
     assert levine_tristram(TREFOIL, RootOfUnity(2, 7)) == -2
     assert levine_tristram(TREFOIL, RootOfUnity(6, 7)) == 0
-    assert levine_tristram(UNKNOT, RootOfUnity(1, 2)) == 0
+    for q in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)):
+        assert levine_tristram(UNKNOT, q) == 0
 
 
 def test_levine_tristram_error_cases():
@@ -323,14 +327,45 @@ T_2_5 = SeifertMatrix(
 )
 
 
-@pytest.mark.parametrize("k", range(6, 21))
+@pytest.mark.parametrize("k", [*range(6, 21), 4290, 5000, 8000])
 def test_levine_tristram_next_to_an_irrational_jump(k):
     # T(2,5) jumps by -2 at angle 1/10, where 2cos(2 pi / 10) is
     # irrational; 1/10 +- 10^-(k+1) are told apart from it exactly on
-    # both sides, however far below 1e-9 the distance falls
+    # both sides, however far below 1e-9 the distance falls; from k = 5000
+    # on that takes more than 16384 bits, which serve small denominators
+    start = time.perf_counter()
     b = 10 ** (k + 1)
     assert levine_tristram(T_2_5, RootOfUnity(b // 10 + 1, b)) == -2
     assert levine_tristram(T_2_5, RootOfUnity(b // 10 - 1, b)) == 0
+    assert time.perf_counter() - start < 2.0
+
+
+def test_arc_index_at_a_jump_angle_fails_fast():
+    markers = signature_function(T_2_5)._markers
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError):
+        _arc_index(markers, Fraction(1, 10))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_markers_are_values():
+    rng = random.Random(1018)
+    for genus in range(1, 6):
+        for _ in range(3):
+            v = SeifertMatrix(families.random_knot(rng, genus).seifert())
+            sig = signature_function(v)
+            jumps, arcs = sig.jumps(), sig.arcs()
+            for q in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)):
+                try:
+                    assert sig.evaluate(q) == levine_tristram(v, q)
+                except SingularAtOmega:
+                    pass
+            pb = sig.pullback(2)
+            first_witness(sig, pb, lambda s0, s1: s0 == 0 and s1 != 0, 50, 2)
+            assert sig.jumps() == jumps and sig.arcs() == arcs
+            for m in sig._markers:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    m.lo = m.hi
 
 
 def test_signature_function_of_repeated_twist_factor():
