@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, doteq, fox_milnor_pairing, substitute_power
+from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing, substitute_power
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
@@ -368,6 +368,12 @@ def fox_milnor_obstruction(
     not proof; every k failing excludes rational concordance of every
     complexity up to k_max, and only up to k_max, since the underlying
     condition is existential in k.
+
+    The product is factored by its parts, with one memo for every k:
+    ``factor`` factors delta_0 and delta_1 once and each irreducible
+    q(t^j) once, and a (p,1)-cable's delta_0(t^(p*k)) reuses the entry
+    of delta_0 at p*k.  The merged factorization must multiply back to
+    the product.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
@@ -376,11 +382,11 @@ def fox_milnor_obstruction(
             raise MissingAlexander(f"{K.name!r} has no Alexander polynomial")
     parameters = {"k_max": k_max, "knots": (K0.name, K1.name)}
     violations = []
+    memo: dict = {}
     for k in range(1, k_max + 1):
-        product = substitute_power(K0.alexander, k) * substitute_power(
-            K1.alexander, k
-        )
-        result = fox_milnor_pairing(product)
+        d0 = substitute_power(K0.alexander, k)
+        d1 = substitute_power(K1.alexander, k)
+        result = fox_milnor_pairing(d0 * d1, factor(d0, memo) * factor(d1, memo))
         if result.is_norm:
             witness = Witness(
                 "fox-milnor-norm",

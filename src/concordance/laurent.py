@@ -6,17 +6,19 @@ associate normal form.  Coefficients are Python ints (exact rationals are
 accepted by the arithmetic, but factorization and the Fox-Milnor test
 require integer coefficients).  Nothing in this module rounds.
 
-``factor`` factors by structure and hands sympy only what structure
-cannot settle.  (1) A polynomial in t^m is factored in t, and each
-factor is substituted back on its own; a cyclotomic Phi_e is recognised
-exactly and Phi_e(t^m) expands into known Phi_d without factoring.
-(2) A self-reciprocal polynomial of degree 2n is t^n * g(t + 1/t) with
-deg g = n; sympy factors the trace polynomial g, and each irreducible h
-of g lifts to t^deg(h) * h(t + 1/t), which is irreducible unless
-x^2 - 4 is a square modulo h.  A lift is certified irreducible when
-h(2)*h(-2) is not a rational square (a norm), or when a simple root of h
-modulo a small odd prime has a^2 - 4 a non-residue (Hensel); sympy
-factors only an uncertified lift.  (3) Anything else goes to sympy whole.
+``factor`` factors by structure and runs the general algorithm only on
+what structure cannot settle.  (1) A polynomial in t^m is factored in t,
+and each factor is substituted back on its own; a cyclotomic Phi_e is
+recognised exactly and Phi_e(t^m) expands into known Phi_d without
+factoring.  (2) A self-reciprocal polynomial of degree 2n is
+t^n * g(t + 1/t) with deg g = n; the trace polynomial g is factored
+unless it is linear, and each irreducible h of g lifts to
+t^deg(h) * h(t + 1/t), which is irreducible unless x^2 - 4 is a square
+modulo h.  A lift is certified irreducible when h(2)*h(-2) is not a
+rational square (a norm), or when a simple root of h modulo a small odd
+prime has a^2 - 4 a non-residue (Hensel); only an uncertified lift is
+factored.  (3) Anything else is factored whole.  Factoring over Z is
+``intfactor``'s (Zassenhaus, with the standard library alone).
 
 The textual syntax round-trips bit-exactly through ``parse``/``str``:
 
@@ -400,25 +402,59 @@ class Factorization:
     factors: tuple
 
     def expand(self) -> LaurentPoly:
-        out = LaurentPoly.t_power(self.power, self.sign * self.content)
+        """The product, multiplied out by Kronecker substitution: t = 2^w
+        with 2^(w-1) above every coefficient of the product (a bound is
+        content * prod ||q||_1^m), one integer product, and its digits in
+        base 2^w, taken in [-2^(w-1), 2^(w-1)), as the coefficients."""
+        bound = self.content
         for q, m in self.factors:
-            out = out * q**m
-        return out
+            bound *= sum(abs(c) for _, c in q.items()) ** m
+        w = bound.bit_length() + 1
+        value = self.sign * self.content
+        for q, m in self.factors:
+            at = 0
+            for e in range(q.high(), -1, -1):
+                at = (at << w) + q.coeff(e)
+            value *= at**m
+        coeffs, e, half = {}, self.power, 1 << (w - 1)
+        while value:
+            digit = value & ((1 << w) - 1)
+            value >>= w
+            if digit >= half:
+                digit -= 1 << w
+                value += 1
+            coeffs[e] = digit
+            e += 1
+        return LaurentPoly(coeffs)
+
+    def __mul__(self, other: "Factorization") -> "Factorization":
+        """The factorization of the product: units and contents multiply,
+        multiplicities of equal factors add."""
+        merged = dict(self.factors)
+        for q, m in other.factors:
+            merged[q] = merged.get(q, 0) + m
+        return Factorization(
+            sign=self.sign * other.sign,
+            power=self.power + other.power,
+            content=self.content * other.content,
+            factors=tuple(sorted(merged.items(), key=lambda fm: _factor_sort_key(fm[0]))),
+        )
 
 
-# Odd primes tried for the Hensel certificate of a lift before it is
-# handed to sympy; an uncertified lift is only slower, never wrong.
+# Odd primes tried for the Hensel certificate of a lift before the lift
+# is factored whole; an uncertified lift is only slower, never wrong.
 _CERTIFICATE_PRIMES = 12
 
 
-def factor(a: LaurentPoly) -> Factorization:
+def factor(a: LaurentPoly, memo: dict | None = None) -> Factorization:
     """Factor into irreducibles over the rationals.
 
     pre: a nonzero with integer coefficients.
 
     After the sign, the content and the power of t are split off, the
     primitive part b(t^m), with m the gcd of its exponents, is factored
-    by structure, and sympy sees only what structure cannot settle:
+    by structure, and Zassenhaus's algorithm (``intfactor``) sees only
+    what structure cannot settle:
 
     1. Power substitution.  b is factored (steps 2 and 3) and each
        irreducible q is substituted back on its own; distinct q give
@@ -427,18 +463,25 @@ def factor(a: LaurentPoly) -> Factorization:
        factoring: Phi_e(t^m) is the product of Phi_d over the d | e*m
        with d / gcd(d, m) = e.  Any other q(t^m) goes to step 2.
     2. Trace coordinate.  A self-reciprocal polynomial of even degree 2n
-       is t^n * g(t + 1/t) with deg g = n (``trace_polynomial``); sympy
-       factors g.  Each irreducible h of g lifts to
+       is t^n * g(t + 1/t) with deg g = n (``trace_polynomial``).  A g of
+       degree at most 1 is irreducible as it stands; any other g is
+       factored over Z.  Each irreducible h of g lifts to
        H(t) = t^deg(h) * h(t + 1/t), which is irreducible unless x^2 - 4
        is a square in Q[x]/(h).  That is certified to fail when
        h(2)*h(-2), a square times the norm of x^2 - 4, is not a rational
        square, or when for some odd prime p not dividing lc(h), h has a
        simple root a mod p (it lifts to a p-adic root by Hensel) with
-       a^2 - 4 a quadratic non-residue.  Only an uncertified lift goes to
-       sympy; such a lift is typically a pair F * F(1/t), or holds t -+ 1.
-    3. Everything else goes to sympy whole.
+       a^2 - 4 a quadratic non-residue.  Only an uncertified lift is
+       factored over Z; such a lift is typically a pair F * F(1/t), or
+       holds t -+ 1.
+    3. Everything else is factored over Z whole.
 
-    The result is multiplied out again and must reproduce a exactly.
+    ``memo`` maps (q, j) to the irreducible factors of q(t^j); one dict
+    passed to several calls factors each b and each q(t^j) once.  Since
+    a(t^k) has the same b as a, the calls for a(t), a(t^2), ... share
+    the factorization of b, and a(t^p), a (p,1)-cable's polynomial,
+    reuses at k the entry of a at p*k.  The result is multiplied out
+    again and must reproduce a exactly.
 
     >>> f = factor(LaurentPoly.parse("t^4 - 3*t^2 + 1"))
     >>> [str(q) for q, m in f.factors]
@@ -448,14 +491,20 @@ def factor(a: LaurentPoly) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if not a.is_integer():
         raise ValueError("factorization requires integer coefficients")
+    memo = {} if memo is None else memo
     low, content = a.low(), a.content()
     sign = 1 if a.coeff(a.high()) > 0 else -1
     b = [sign * a.coeff(e) // content for e in range(low, a.high() + 1)]
     m = math.gcd(*(e for e, c in enumerate(b) if c))
     merged: dict[tuple, int] = {}
     if m:
-        for q, mu in _factor_primitive(b[::m]):
-            for f, nu in _substitute(q, m):
+        root = tuple(b[::m])
+        if (root, 1) not in memo:
+            memo[root, 1] = _factor_primitive(list(root))
+        for q, mu in memo[root, 1]:
+            if (q, m) not in memo:
+                memo[q, m] = _substitute(q, m)
+            for f, nu in memo[q, m]:
                 merged[f] = merged.get(f, 0) + mu * nu
     factors = sorted(
         ((LaurentPoly.from_coeffs(f), mu) for f, mu in merged.items()),
@@ -472,33 +521,19 @@ def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
     multiplicities of a primitive b with b[0] != 0 and b[-1] > 0."""
     if len(b) % 2 and b == b[::-1]:
         return _factor_reciprocal(b)
-    return _sympy_factor(b)
-
-
-def _sympy_factor(b: list[int]) -> list[tuple[tuple, int]]:
-    # sympy costs most of a cold start, and only factoring needs it
-    from sympy import ZZ, Poly, Symbol
-
-    _, raw = Poly(b[::-1], Symbol("t"), domain=ZZ).factor_list()
-    out = []
-    for f, mu in raw:
-        coeffs = [int(x) for x in reversed(f.all_coeffs())]
-        if coeffs[-1] < 0:
-            coeffs = [-c for c in coeffs]
-        out.append((tuple(coeffs), int(mu)))
-    return out
+    return _factor_zz(b)
 
 
 def _factor_reciprocal(b: list[int]) -> list[tuple[tuple, int]]:
     """Step 2: factor g in the trace coordinate and lift each factor."""
     n = len(b) // 2
+    g = trace_polynomial(LaurentPoly.from_coeffs(b, -n))
     out = []
-    for h, mu in _sympy_factor(trace_polynomial(LaurentPoly.from_coeffs(b, -n))):
-        lift = _lift(h)
+    for h, mu in [(tuple(g), 1)] if len(g) <= 2 else _factor_zz(g):
         if _lift_is_irreducible(h):
-            out.append((lift, mu))
+            out.append((_lift(h), mu))
         else:
-            out.extend((f, mu * nu) for f, nu in _sympy_factor(list(lift)))
+            out.extend((f, mu * nu) for f, nu in _factor_zz(list(_lift(h))))
     return out
 
 
@@ -565,6 +600,14 @@ def _cyclotomic_index(q: tuple) -> int | None:
     return None
 
 
+def _factor_zz(f: list[int]) -> list[tuple[tuple, int]]:
+    # imported on first use: without a bytecode cache every module that
+    # ``import concordance`` loads is compiled, and most commands never factor
+    from .intfactor import irreducible_factors
+
+    return irreducible_factors(f)
+
+
 @dataclass(frozen=True)
 class FoxMilnorResult:
     """Outcome of the norm test a =. f * reciprocal(f).
@@ -581,7 +624,9 @@ class FoxMilnorResult:
     violating_content: int | None
 
 
-def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
+def fox_milnor_pairing(
+    a: LaurentPoly, factorization: Factorization | None = None
+) -> FoxMilnorResult:
     """Decide whether a =. f * reciprocal(f) for some integer f.
 
     The decision runs on the irreducible factorization: the content must be
@@ -589,6 +634,9 @@ def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
     multiplicity, and the remaining factors must pair up (q with the normal
     form of reciprocal(q)) with equal multiplicities.  The first factor in
     the deterministic order to break one of these rules is reported.
+    A caller that already holds the factorization of a (say, merged from
+    its parts) passes it as ``factorization``; it must multiply back to a
+    exactly.
 
     >>> r = fox_milnor_pairing(LaurentPoly.parse("t^4 - 3*t^2 + 1"))
     >>> r.is_norm, str(r.witness)
@@ -598,7 +646,12 @@ def fox_milnor_pairing(a: LaurentPoly) -> FoxMilnorResult:
     >>> r.is_norm, str(r.violating_factor)
     (False, '3*t^2 - 7*t^1 + 3')
     """
-    fact = factor(a)
+    if factorization is None:
+        fact = factor(a)
+    elif factorization.expand() == a:
+        fact = factorization
+    else:
+        raise ArithmeticError(f"the factorization given does not multiply back to {a}")
 
     def fail(q=None, m=None, content=None):
         return FoxMilnorResult(False, None, q, m, content)

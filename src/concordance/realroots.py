@@ -2,11 +2,11 @@
 chains over the integers.
 
 Polynomials are integer coefficient lists, lowest degree first.  The one
-polynomial division in the library is ``poly_divmod``, an integer
-pseudo-division whose scale factor is positive, so its remainder has the
-signs of the remainder over Q; Sturm chains, gcds and square-free parts
-are built from it with primitive parts, and ``cyclotomic`` divides by
-the monic Phi_b with it.  Roots come back as markers that are either
+pseudo-division in the library is ``poly_divmod``, whose scale factor is
+positive, so its remainder has the signs of the remainder over Q
+(``intfactor`` divides only exactly or modulo a prime power).  Sturm
+chains, gcds and square-free parts are built from it with primitive
+parts, and ``cyclotomic`` divides by the monic Phi_b with it.  Roots come back as markers that are either
 exact rationals or open isolating intervals with rational endpoints.
 Markers are values: refining one returns a narrower marker, nothing
 changes a marker in place, and no comparison commits to a
@@ -78,7 +78,7 @@ def poly_divmod(num: list, den: list) -> tuple[list, list]:
     return _trim(quo), _trim(rem)
 
 
-def _primitive(coeffs: list) -> list:
+def primitive_part(coeffs: list) -> list:
     """coeffs over its content and with positive leading coefficient."""
     g = math.gcd(*coeffs)
     return [c // g for c in coeffs] if coeffs[-1] > 0 else [-c // g for c in coeffs]
@@ -91,8 +91,8 @@ def poly_gcd(a: list, b: list) -> list:
     content = math.gcd(*a, *b)
     while b:
         _, r = poly_divmod(a, b)
-        a, b = b, (_primitive(r) if r else [])
-    return [content * c for c in _primitive(a)] if a else []
+        a, b = b, (primitive_part(r) if r else [])
+    return [content * c for c in primitive_part(a)] if a else []
 
 
 def squarefree_part(coeffs: list) -> list:
@@ -104,7 +104,7 @@ def squarefree_part(coeffs: list) -> list:
     sf, rem = poly_divmod(coeffs, poly_gcd(coeffs, poly_derivative(coeffs)))
     if rem:
         raise ArithmeticError("division by gcd(p, p') left a remainder")
-    return _primitive(sf)
+    return primitive_part(sf)
 
 
 def sturm_chain(coeffs: list) -> list[list]:

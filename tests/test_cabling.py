@@ -24,7 +24,7 @@ from concordance.cabling import (
     tau_cable_rule,
 )
 from concordance.catalog import load_catalog
-from concordance.laurent import LaurentPoly, doteq
+from concordance.laurent import LaurentPoly, doteq, fox_milnor_pairing
 from concordance.seifert import (
     RootOfUnity,
     SeifertMatrix,
@@ -388,6 +388,66 @@ class TestFoxMilnorObstruction:
             forward = fox_milnor_obstruction(k0, k1, k_max)
             backward = fox_milnor_obstruction(k1, k0, k_max)
             assert forward.verdict == backward.verdict
+
+    def test_each_polynomial_is_factored_once_per_call(self, monkeypatch):
+        # the 3-twist knot against its (2,1)-cable to k = 4 needs the trace
+        # polynomials of delta(t^j) for j in {1, 2, 3, 4} and {2, 4, 6, 8};
+        # j = 1 is linear and never sent, and j = 2, 4 come back from the memo
+        from concordance import laurent
+
+        degrees = []
+        whole = laurent._factor_zz
+
+        def spy(b):
+            degrees.append(len(b) - 1)
+            return whole(b)
+
+        monkeypatch.setattr(laurent, "_factor_zz", spy)
+        cable = cable_profile(TWIST_PROFILE, 2)
+        fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
+        assert degrees == [2, 4, 3, 6, 8]
+        # the memo lives in one call: the next call factors them again
+        fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
+        assert degrees == [2, 4, 3, 6, 8] * 2
+
+    def test_parts_route_matches_whole_product_at_every_k(self):
+        # the report factors delta_0 and delta_1 by parts; each k must say
+        # what fox_milnor_pairing says of the whole product at that k
+        def twist(n):
+            return LaurentPoly({1: n, 0: -(2 * n + 1), -1: n})
+
+        def torus(q):
+            return LaurentPoly({i - (q - 1) // 2: (-1) ** i for i in range(q)})
+
+        r = random.Random(20261020)
+        bases = [twist(n) for n in (-3, -2, -1, 1, 2, 3)] + [torus(q) for q in (3, 5, 7)]
+        pairs = []
+        for i in range(24):
+            delta = r.choice(bases) * (r.choice(bases) if r.random() < 0.3 else 1)
+            K0 = KnotProfile(f"K{i}", alexander=delta)
+            if i % 2:
+                K1 = cable_profile(K0, r.choice((2, 3)))
+            else:
+                K1 = KnotProfile(f"L{i}", alexander=r.choice(bases + [LaurentPoly.one()]))
+            pairs.append((K0, K1))
+        for K0, K1 in pairs:
+            report = fox_milnor_obstruction(K0, K1, 6)
+            consistent = report.verdict == "consistent-up-to-bounds"
+            # a norm at k ends the report with that one witness
+            last = report.witnesses[0].data["k"] if consistent else 6
+            for k in range(1, last + 1):
+                product = K0.alexander.substitute_power(k) * K1.alexander.substitute_power(k)
+                whole = fox_milnor_pairing(product)
+                assert whole.is_norm == (consistent and k == last)
+                if whole.is_norm:
+                    assert report.witnesses[0].data == {"k": k, "f": whole.witness}
+                elif not consistent:
+                    data = report.witnesses[k - 1].data
+                    assert data["k"] == k
+                    assert data.get("factor") == whole.violating_factor
+                    assert data.get("multiplicity") == whole.violating_multiplicity
+                    assert data.get("content") == whole.violating_content
+            assert consistent or report.verdict == "obstructed-up-to-complexity-6"
 
     def test_validation(self):
         with pytest.raises(MissingAlexander):

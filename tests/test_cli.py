@@ -17,6 +17,8 @@ from concordance.catalog import (
 )
 from concordance import cli
 from concordance.cli import MAX_DEGREE, main, render, report
+from concordance.intfactor import MAX_MODULAR_FACTORS
+from concordance.laurent import LaurentPoly
 
 
 def run_cli(capsys, *argv):
@@ -398,6 +400,27 @@ class TestExitCodes:
         )
         assert code == 2 and f"above {MAX_DEGREE}" in err
 
+    def test_recombination_cap_is_an_input_error(self, capsys, tmp_path):
+        # t^36 * g(t + 1/t) for g = prod SD(x + c), SD = x^4 - 10x^2 + 1,
+        # c = 0..8: degree 72, within MAX_DEGREE, but its trace polynomial
+        # has at least 18 modular factors at every prime and no factor of
+        # degree < 4, so recombination would pass MAX_MODULAR_FACTORS
+        x = LaurentPoly.parse("t^1 + t^-1")
+        delta = LaurentPoly.one()
+        for c in range(9):
+            delta = delta * ((x + c) ** 4 - 10 * (x + c) ** 2 + 1)
+        path = tmp_path / "catalog.json"
+        entries = [{"name": "unknot", "seifert_matrix": []}, {"name": "sd", "alexander": str(delta)}]
+        path.write_text(json.dumps(entries))
+        code, out, err = run_cli(
+            capsys, "--catalog", str(path), "fox-milnor", "sd", "--k-max", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: factoring a polynomial of degree 36 needs recombination "
+            f"of 18 modular factors, above {MAX_MODULAR_FACTORS}\n"
+        )
+
     def test_internal_error_names_command_and_inputs(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -513,8 +536,8 @@ class TestExitCodes:
 
 
 def test_cli_starts_without_sympy():
-    # sympy is imported only when a polynomial is factored, and mpmath not
-    # at all: signatures run on the stdlib alone
+    # nothing in the library imports sympy or mpmath: signatures, factoring
+    # and the Fox-Milnor and verdict commands run on the stdlib alone
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
@@ -524,13 +547,19 @@ def test_cli_starts_without_sympy():
         "from concordance.seifert import SeifertMatrix, levine_tristram, signature_function\n"
         "v = SeifertMatrix([[-1, 1], [0, -1]])\n"
         "print(levine_tristram(v, Fraction(1, 7)), signature_function(v).arc_values)\n"
-        "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n"
+        "codes = [concordance.cli.main(argv) for argv in (\n"
+        "    ['fox-milnor', '3-twist-negative-clasp', '--cable', '2', '--k-max', '4'],\n"
+        "    ['verdict', 'RH-trefoil', '--cable', '3'],\n"
+        ")]\n"
+        "print(codes, sorted({'sympy', 'mpmath'} & set(sys.modules)), file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout == "0 (0, -2)\n[]\n"
+    assert done.stdout.startswith("0 (0, -2)\n")
+    assert "obstructed-up-to-complexity-4" in done.stdout
+    assert done.stderr == "[0, 0] []\n"
 
 
 class TestDeterminism:

@@ -172,6 +172,14 @@ def test_fox_milnor_square_content_condition():
     assert r.is_norm
 
 
+def test_fox_milnor_takes_a_factorization_that_multiplies_back():
+    a, b = P("t^4 - 3*t^2 + 1"), P("t^2 - 3*t^1 + 1")
+    assert fox_milnor_pairing(a, factor(a)) == fox_milnor_pairing(a)
+    assert fox_milnor_pairing(a * b, factor(a) * factor(b)) == fox_milnor_pairing(a * b)
+    with pytest.raises(ArithmeticError, match="does not multiply back"):
+        fox_milnor_pairing(a, factor(b))
+
+
 # -- brute-force oracle equivalence (shared oracle in _oracles.py) -------------
 
 
@@ -300,37 +308,89 @@ _BRANCH_CASES = [
 ]
 
 
+def _swinnerton_dyer(ps):
+    """The minimal polynomial of sum(sqrt(p) for p in ps), of degree
+    2^len(ps); it splits into factors of degree <= 2 modulo every prime."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.minimal_polynomial(sum(map(sympy.sqrt, ps)), x), x)
+    return LaurentPoly.from_coeffs([int(c) for c in reversed(poly.all_coeffs())])
+
+
+def _trace_lift(g):
+    """t^n * g(t + 1/t) for g of degree n, as a balanced Laurent polynomial."""
+    x = P("t^1 + t^-1")
+    return sum((g.coeff(j) * x**j for j in range(g.high() + 1)), LaurentPoly.zero())
+
+
+def _many_modular_factor_cases(r):
+    """Swinnerton-Dyer polynomials of degree 8 and 16, a lift and a
+    product of them, and seeded products of lifts with non-monic and
+    repeated factors."""
+    sd8 = _swinnerton_dyer((2, 3, 5))
+    cases = [sd8, _swinnerton_dyer((2, 3, 5, 7)), _trace_lift(sd8)]
+    cases.append(sd8 * _swinnerton_dyer((2, 3, 7)))
+    for _ in range(20):
+        a = LaurentPoly.one()
+        for _ in range(r.randint(2, 4)):
+            g = LaurentPoly.from_coeffs(
+                [r.randint(-5, 5) for _ in range(r.randint(1, 3))] + [r.randint(1, 4)]
+            )
+            a = a * (_trace_lift(g) if r.random() < 0.5 else g) ** r.randint(1, 2)
+        cases.append(a * r.choice((1, -3, 4)))
+    return cases
+
+
 def test_factor_matches_whole_product_route():
     from _oracles import sympy_factor
 
     r = random.Random(20261018)
     cases = _BRANCH_CASES + _fox_milnor_products(r, 60) + _random_polys(r, 60)
+    cases += _many_modular_factor_cases(r)
     mismatches = [a for a in cases if factor(a) != sympy_factor(a)]
     assert mismatches == []
 
 
-def test_factor_hands_sympy_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
+def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
     from concordance import laurent
 
     degrees = []
-    whole = laurent._sympy_factor
+    whole = laurent._factor_zz
 
     def spy(b):
         degrees.append(len(b) - 1)
         return whole(b)
 
-    monkeypatch.setattr(laurent, "_sympy_factor", spy)
+    monkeypatch.setattr(laurent, "_factor_zz", spy)
     # trefoil against its cable at k = 20: b = Phi_6 * Phi_12 has g of
     # degree 3, both lifts are certified, and both factors are cyclotomic
     factor(_torus_2(3).substitute_power(20) * _torus_2(3).substitute_power(40))
     assert degrees == [3]
-    # the 3-twist knot at k = 36: g of b, then g of b(t^36), never the
-    # degree-72 polynomial itself
+    # the 3-twist knot at k = 36: its g is linear and never sent, then g of
+    # b(t^36), never the degree-72 polynomial itself
     degrees.clear()
     factor(_twist(3).substitute_power(36))
-    assert degrees == [1, 36]
+    assert degrees == [36]
     # the figure-eight at m = 2: x^2 - 5 lifts to (t^2 - t - 1)(t^2 + t - 1),
-    # which no certificate covers, so sympy factors the lift
+    # which no certificate covers, so the lift is factored
     degrees.clear()
     assert len(factor(_twist(1).substitute_power(2)).factors) == 2
-    assert degrees == [1, 2, 4]
+    assert degrees == [2, 4]
+
+
+def test_recombination_cap_raises_a_named_input_error():
+    from concordance.intfactor import MAX_MODULAR_FACTORS, TooManyModularFactors
+
+    # the trace polynomial prod SD(x + c), SD = x^4 - 10x^2 + 1, c = 0..8,
+    # has no factor of degree < 4 over Z and at least 18 modular factors
+    # at every prime: past the cap once the single factors are tried
+    x = P("t^1")
+    g = LaurentPoly.one()
+    for c in range(9):
+        g = g * ((x + c) ** 4 - 10 * (x + c) ** 2 + 1)
+    assert issubclass(TooManyModularFactors, ValueError)
+    with pytest.raises(TooManyModularFactors, match=f"above {MAX_MODULAR_FACTORS}"):
+        factor(_trace_lift(g))
+    # within the cap: SD of degree 16 has 8 modular factors of degree 2
+    assert len(factor(_swinnerton_dyer((2, 3, 5, 7))).factors) == 1
