@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing, substitute_power
+from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
@@ -221,7 +221,7 @@ def cable_alexander(delta: LaurentPoly, p: int) -> LaurentPoly:
     """Alexander polynomial of the (p,1)-cable: delta(t) -> delta(t^p)."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("cable parameter p must be a positive integer")
-    return substitute_power(delta, p)
+    return delta.substitute_power(p)
 
 
 def cable_signature(sig: SignatureFunction, p: int) -> SignatureFunction:
@@ -384,8 +384,8 @@ def fox_milnor_obstruction(
     violations = []
     memo: dict = {}
     for k in range(1, k_max + 1):
-        d0 = substitute_power(K0.alexander, k)
-        d1 = substitute_power(K1.alexander, k)
+        d0 = K0.alexander.substitute_power(k)
+        d1 = K1.alexander.substitute_power(k)
         result = fox_milnor_pairing(d0 * d1, factor(d0, memo) * factor(d1, memo))
         if result.is_norm:
             witness = Witness(

@@ -1,18 +1,21 @@
-"""Cyclotomic polynomials, certified cosines of rational angles, and
-exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b).
+"""Cyclotomic polynomials, the trace coordinate, certified cosines of
+rational angles, and exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b).
 
-The library uses three things from here: the cyclotomic polynomials,
-built by exact division of x^b - 1 with ``realroots.poly_divmod``, whose
-divisibility (the same division, by the monic Phi_b) decides where a
-signature function jumps and which ``laurent.factor`` recognises and
-expands without factoring; the number theory around them (Euler's phi
-and the primes); and ``cos2pi_bounds``, the certified rational
-enclosure of 2*cos(2*pi*a/b) that places a root of unity among isolated
-real roots.  The enclosure is integer fixed point: pi by Machin's
-formula, the cosine by its Taylor series at a 2^r-th of the angle and r
-doublings, each step with a proven error bound, so it needs nothing
-beyond the standard library.  Signatures themselves are computed in
-``seifert`` from rational matrices.
+The library uses four things from here: the cyclotomic polynomials,
+built by exact division of x^b - 1 (``realroots.exact_quotient``), whose
+divisibility decides where a signature function jumps and which
+``intfactor`` expands without factoring; Euler's phi and the primes;
+the trace coordinate, in which the self-reciprocal t^n * g(t + 1/t) of
+degree 2n is g of degree n, with values g(2*cos(theta)) on the unit
+circle (``trace_polynomial`` and its inverse ``trace_lift``: ``seifert``
+isolates circle roots in it and ``intfactor`` factors in it); and
+``cos2pi_bounds``, the certified rational enclosure of 2*cos(2*pi*a/b)
+that places a root of unity among isolated real roots.  The enclosure is
+integer fixed point: pi by Machin's formula, the cosine by its Taylor
+series at a 2^r-th of the angle and r doublings, each step with a proven
+error bound, so it needs nothing beyond the standard library.
+Signatures themselves are computed in ``seifert`` from rational
+matrices.
 
 ``CycloInt`` and ``hermitian_signature`` are an independent second route
 to the same signatures, kept as the oracle the tests compare against.
@@ -20,7 +23,7 @@ Elements are integer combinations of powers zeta_b^k with exponents
 folded mod b, i.e. residues of Z[x]/(x^b - 1) under evaluation at
 zeta_b.  The kernel of that evaluation is generated by the b-th
 cyclotomic polynomial, so zero testing is exact polynomial divisibility
-by Phi_b, again through ``poly_divmod`` (for prime b it collapses to
+by Phi_b, again through ``exact_quotient`` (for prime b it collapses to
 "all b coefficients equal").  The sign of a real element is read off the
 sum of its terms' ``cos2pi_bounds`` enclosures at increasing precision;
 it terminates because zero is excluded symbolically first, so no
@@ -36,7 +39,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .realroots import poly_divmod
+from .realroots import exact_quotient
 
 _PHI_CACHE: dict[int, list[int]] = {}
 
@@ -74,13 +77,58 @@ def cyclotomic_coeffs(b: int) -> list[int]:
         poly = [-1] + [0] * (b - 1) + [1]
         for d in range(1, b):
             if b % d == 0:
-                poly, rem = poly_divmod(poly, cyclotomic_coeffs(d))
-                if rem:
+                poly = exact_quotient(poly, cyclotomic_coeffs(d))
+                if poly is None:
                     raise ArithmeticError(
                         f"Phi_{d} left a remainder in x^{b} - 1"
                     )
         _PHI_CACHE[b] = poly
     return list(_PHI_CACHE[b])
+
+
+def v_polys(n: int) -> list[list[int]]:
+    """v_0, ..., v_n with v_j(t + 1/t) = t^j + t^-j, so that
+    v_j(2*cos(theta)) = 2*cos(j*theta): v_0 = 2, v_1 = x and
+    v_j = x*v_{j-1} - v_{j-2}."""
+    basis: list[list[int]] = [[2], [0, 1]]
+    while len(basis) <= n:
+        prev, cur = basis[-2], basis[-1]
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        basis.append(nxt)
+    return basis
+
+
+def trace_polynomial(coeffs: list[int]) -> list[int]:
+    """g with t^n * g(t + 1/t) = coeffs, a self-reciprocal polynomial of
+    degree 2n nonzero at t^0: a(t) = c_0 + sum c_j (t^j + t^-j) in the
+    balanced form gives g = c_0 + sum c_j v_j, with lc(g) = lc(coeffs)."""
+    n = len(coeffs) // 2
+    basis = v_polys(n)
+    acc = [0] * (n + 1)
+    acc[0] = coeffs[n]
+    for j in range(1, n + 1):
+        c = coeffs[n + j]
+        if c:
+            for i, bc in enumerate(basis[j]):
+                acc[i] += c * bc
+    return acc
+
+
+def trace_lift(h: list[int]) -> list[int]:
+    """t^n * h(t + 1/t) for h of degree n, the inverse of
+    ``trace_polynomial``, by Horner in x = t + 1/t:
+    T_j = T_{j+1} * (t^2 + 1) + h_j * t^(n-j) has degree 2(n - j)."""
+    n = len(h) - 1
+    acc = [h[n]]
+    for j in range(n - 1, -1, -1):
+        nxt = acc + [0, 0]
+        for i, c in enumerate(acc):
+            nxt[i + 2] += c
+        nxt[n - j] += h[j]
+        acc = nxt
+    return acc
 
 
 class CycloInt:
@@ -163,8 +211,7 @@ class CycloInt:
         dense = [0] * b
         for k, v in self._c.items():
             dense[k] = v
-        _, rem = poly_divmod(dense, cyclotomic_coeffs(b))
-        return not rem
+        return exact_quotient(dense, cyclotomic_coeffs(b)) is not None
 
     def is_real(self) -> bool:
         return (self - self.conj()).is_zero()

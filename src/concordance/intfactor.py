@@ -1,13 +1,37 @@
-"""Factoring integer polynomials into irreducibles over Z (Zassenhaus).
+"""Factoring integer polynomials into irreducibles over Z.
 
-Polynomials are coefficient lists, lowest degree first.  Modulo m they
-hold residues in [0, m) with no trailing zeros; m is an odd prime p or a
-power of it.  ``irreducible_factors`` splits off x^j and the square-free
-parts (Yun), and factors each part by Zassenhaus's algorithm (1969):
-distinct-degree factorization at a few primes, Cantor-Zassenhaus (1981)
-equal-degree splitting, Hensel lifting to the Mignotte bound and
-recombination of the lifted factors.  Products mod m are single integer
-products (Kronecker substitution).  Recombination is refused past
+Polynomials are coefficient lists, lowest degree first.
+``factor_by_structure`` factors a primitive polynomial by its structure
+and runs Zassenhaus's algorithm only on what structure cannot settle:
+
+1. Power substitution.  A polynomial b(t^m), with m the gcd of its
+   exponents, is factored as b, and each irreducible q is substituted
+   back on its own; distinct q give coprime q(t^m).  A cyclotomic
+   q = Phi_e is recognised exactly (phi(e) = deg q forces
+   e <= 2*deg(q)^2) and expanded without factoring: Phi_e(t^m) is the
+   product of Phi_d over the d | e*m with d / gcd(d, m) = e.  Any other
+   q(t^m) goes to step 2.
+2. Trace coordinate.  A self-reciprocal polynomial of even degree 2n is
+   t^n * g(t + 1/t) with deg g = n (``cyclotomic.trace_polynomial``).  A
+   g of degree at most 1 is irreducible as it stands; any other g is
+   factored.  Each irreducible h of g lifts to H(t) = t^deg(h) *
+   h(t + 1/t), which is irreducible unless x^2 - 4 is a square in
+   Q[x]/(h).  That is certified to fail when h(2)*h(-2), a square times
+   the norm of x^2 - 4, is not a rational square, or when for some odd
+   prime p not dividing lc(h), h has a simple root a mod p (it lifts to
+   a p-adic root by Hensel) with a^2 - 4 a quadratic non-residue.  Only
+   an uncertified lift is factored; such a lift is typically a pair
+   F * F(1/t), or holds t -+ 1.
+3. Everything else is factored whole.
+
+``irreducible_factors`` is the general algorithm.  It splits off x^j and
+the square-free parts (Yun), and factors each part by Zassenhaus's
+algorithm (1969): distinct-degree factorization at a few primes,
+Cantor-Zassenhaus (1981) equal-degree splitting, Hensel lifting to the
+Mignotte bound and recombination of the lifted factors.  Modulo m,
+polynomials hold residues in [0, m) with no trailing zeros; m is an odd
+prime p or a power of it.  Products mod m are single integer products
+(Kronecker substitution).  Recombination is refused past
 ``MAX_MODULAR_FACTORS`` with ``TooManyModularFactors``, an input error.
 Only the standard library is used.
 """
@@ -18,8 +42,8 @@ import math
 import random
 from itertools import combinations, islice
 
-from .cyclotomic import primes
-from .realroots import poly_derivative, poly_gcd, primitive_part
+from .cyclotomic import cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial
+from .realroots import exact_quotient, poly_derivative, poly_eval, poly_gcd, primitive_part
 
 # Recombination tries the subsets of the modular factors, about 2^(r-1)
 # of them for r factors (39,202 at r = 16, a fraction of a second); it
@@ -27,11 +51,106 @@ from .realroots import poly_derivative, poly_gcd, primitive_part
 MAX_MODULAR_FACTORS = 16
 # square-free primes whose distinct-degree factorizations are compared
 _CANDIDATE_PRIMES = 5
+# Odd primes tried for the Hensel certificate of a lift before the lift
+# is factored whole; an uncertified lift is only slower, never wrong.
+_CERTIFICATE_PRIMES = 12
 
 
 class TooManyModularFactors(ValueError):
     """Zassenhaus recombination would search subsets of more than
     ``MAX_MODULAR_FACTORS`` modular factors."""
+
+
+def factor_by_structure(b: list[int], memo: dict) -> dict[tuple, int]:
+    """The irreducible factors (coefficient tuples, lowest degree first)
+    of a primitive b with b[0] != 0 and b[-1] > 0, with multiplicities.
+
+    ``memo`` maps (q, j) to the irreducible factors of q(t^j); one dict
+    passed to several calls factors each root b(t^(1/m)) and each q(t^j)
+    once.  Since a(t^k) has the same root as a, the calls for a(t),
+    a(t^2), ... share the factorization of the root, and a(t^p), a
+    (p,1)-cable's polynomial, reuses at k the entry of a at p*k."""
+    m = math.gcd(*(e for e, c in enumerate(b) if c))
+    merged: dict[tuple, int] = {}
+    if m:
+        root = tuple(b[::m])
+        if (root, 1) not in memo:
+            memo[root, 1] = _factor_primitive(list(root))
+        for q, mu in memo[root, 1]:
+            if (q, m) not in memo:
+                memo[q, m] = _substitute(q, m)
+            for f, nu in memo[q, m]:
+                merged[f] = merged.get(f, 0) + mu * nu
+    return merged
+
+
+def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
+    """Irreducible factors and multiplicities of a primitive b with
+    b[0] != 0 and b[-1] > 0: step 2 or step 3."""
+    if len(b) % 2 and b == b[::-1]:
+        return _factor_reciprocal(b)
+    return irreducible_factors(b)
+
+
+def _factor_reciprocal(b: list[int]) -> list[tuple[tuple, int]]:
+    """Step 2: factor g in the trace coordinate and lift each factor."""
+    g = trace_polynomial(b)
+    out = []
+    for h, mu in [(tuple(g), 1)] if len(g) <= 2 else irreducible_factors(g):
+        if _lift_is_irreducible(h):
+            out.append((tuple(trace_lift(h)), mu))
+        else:
+            out.extend((f, mu * nu) for f, nu in irreducible_factors(trace_lift(h)))
+    return out
+
+
+def _lift_is_irreducible(h: tuple) -> bool:
+    """A certificate that x^2 - 4 is not a square in Q[x]/(h), for an
+    irreducible h, so that its lift t^deg(h) * h(t + 1/t) is irreducible.
+    False means no certificate was found, not that the lift is reducible."""
+    # the norm of x^2 - 4 = (x - 2)(x + 2) is h(2)*h(-2) / lc(h)^2
+    norm = poly_eval(h, 2) * poly_eval(h, -2)
+    if norm < 0 or math.isqrt(norm) ** 2 != norm:
+        return True
+    dh = poly_derivative(h)
+    for p in islice(primes(), 1, 1 + _CERTIFICATE_PRIMES):
+        if h[-1] % p == 0:
+            continue
+        for r in range(p):
+            if (
+                poly_eval(h, r) % p == 0
+                and poly_eval(dh, r) % p
+                and pow(r * r - 4, (p - 1) // 2, p) == p - 1
+            ):
+                return True
+    return False
+
+
+def _substitute(q: tuple, m: int) -> list[tuple[tuple, int]]:
+    """Step 1: the irreducible factors of q(t^m) for an irreducible q."""
+    if m == 1:
+        return [(q, 1)]
+    e = _cyclotomic_index(q)
+    if e:
+        return [
+            (tuple(cyclotomic_coeffs(d)), 1)
+            for d in range(1, e * m + 1)
+            if (e * m) % d == 0 and d // math.gcd(d, m) == e
+        ]
+    qm = [0] * (m * (len(q) - 1) + 1)
+    qm[::m] = q
+    return _factor_primitive(qm)
+
+
+def _cyclotomic_index(q: tuple) -> int | None:
+    """e with q = Phi_e, or None.  phi(e) >= sqrt(e/2), so e <= 2*deg^2."""
+    deg = len(q) - 1
+    if q[-1] != 1 or abs(q[0]) != 1:
+        return None
+    for e in range(1, 2 * deg * deg + 1):
+        if totient(e) == deg and tuple(cyclotomic_coeffs(e)) == q:
+            return e
+    return None
 
 
 def irreducible_factors(f: list[int]) -> list[tuple[tuple, int]]:
@@ -43,29 +162,14 @@ def irreducible_factors(f: list[int]) -> list[tuple[tuple, int]]:
     f = f[j:]
     # Yun: w is the product of the factors of multiplicity >= i
     c = poly_gcd(f, poly_derivative(f))
-    w, i = _exact_quotient(f, c), 1
+    w, i = exact_quotient(f, c), 1
     while len(w) > 1:
         y = poly_gcd(w, c)
-        part = _exact_quotient(w, y)
+        part = exact_quotient(w, y)
         if len(part) > 1:
             out.extend((g, i) for g in _zassenhaus(part))
-        w, c, i = y, _exact_quotient(c, y), i + 1
+        w, c, i = y, exact_quotient(c, y), i + 1
     return out
-
-
-def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g in Z[x], or None when g does not divide f there."""
-    n = len(g) - 1
-    r, low = list(f), g[:n]
-    q = [0] * (len(r) - n)
-    for i in range(len(r) - 1, n - 1, -1):
-        c, rem = divmod(r[i], g[-1])
-        if rem:
-            return None
-        q[i - n] = c
-        if c:
-            r[i - n : i] = [x - c * y for x, y in zip(r[i - n : i], low)]
-    return None if any(r[:n]) else q
 
 
 def _zassenhaus(f: list[int]) -> list[tuple]:
@@ -334,7 +438,7 @@ def _recombine(f: list[int], lifted: list[list[int]], P: int, degrees: int) -> l
             for i in subset:
                 g = _mul_mod(g, lifted[i], P)
             g = primitive_part([c - P if 2 * c > P else c for c in g])
-            quotient = _exact_quotient(f, g)
+            quotient = exact_quotient(f, g)
             if quotient is not None:
                 found.append(tuple(g))
                 f = quotient

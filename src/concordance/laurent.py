@@ -1,24 +1,17 @@
-"""Exact Laurent polynomials in one variable over the integers.
+"""Exact Laurent polynomials in one variable over the integers, and the
+Fox-Milnor norm test.
 
 Concordance obstructions are stated as equalities that hold only up to a
 unit +-t^g of Z[t, t^-1], so every comparison here goes through an explicit
-associate normal form.  Coefficients are Python ints (exact rationals are
-accepted by the arithmetic, but factorization and the Fox-Milnor test
-require integer coefficients).  Nothing in this module rounds.
+associate normal form.  Coefficients are Python ints, never bools, floats
+or fractions.  Nothing in this module rounds.
 
-``factor`` factors by structure and runs the general algorithm only on
-what structure cannot settle.  (1) A polynomial in t^m is factored in t,
-and each factor is substituted back on its own; a cyclotomic Phi_e is
-recognised exactly and Phi_e(t^m) expands into known Phi_d without
-factoring.  (2) A self-reciprocal polynomial of degree 2n is
-t^n * g(t + 1/t) with deg g = n; the trace polynomial g is factored
-unless it is linear, and each irreducible h of g lifts to
-t^deg(h) * h(t + 1/t), which is irreducible unless x^2 - 4 is a square
-modulo h.  A lift is certified irreducible when h(2)*h(-2) is not a
-rational square (a norm), or when a simple root of h modulo a small odd
-prime has a^2 - 4 a non-residue (Hensel); only an uncertified lift is
-factored.  (3) Anything else is factored whole.  Factoring over Z is
-``intfactor``'s (Zassenhaus, with the standard library alone).
+``factor`` splits off the sign, the content and the power of t, and
+leaves the primitive part to ``intfactor``, which factors by structure
+(substitutions t^m, cyclotomic factors, the trace coordinate) and by
+Zassenhaus's algorithm; the result must multiply back exactly.
+``fox_milnor_pairing`` decides on that factorization whether a
+polynomial is a norm f * f(1/t).
 
 The textual syntax round-trips bit-exactly through ``parse``/``str``:
 
@@ -35,14 +28,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-
-from .cyclotomic import cyclotomic_coeffs, primes, totient
-from .realroots import poly_eval
 
 _TERM_RE = re.compile(
     r"""^([+-]?)\s*
-        (?:(\d+(?:/\d+)?)\s*)?          # optional magnitude, possibly a/b
+        (?:(\d+)\s*)?                   # optional magnitude
         (?:\*?\s*t(?:\^([+-]?\d+))?)?$  # optional t part with signed exponent
     """,
     re.VERBOSE,
@@ -50,18 +39,14 @@ _TERM_RE = re.compile(
 
 
 def _exact(v):
-    """Coerce a coefficient to int or Fraction, rejecting floats."""
-    if isinstance(v, bool):
-        raise TypeError("bool is not a coefficient")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
-    raise TypeError(f"coefficient {v!r} must be int or Fraction")
+    """A coefficient: an int, and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"coefficient {v!r} must be an int")
+    return v
 
 
 class LaurentPoly:
-    """sum(c_e * t**e) with exact coefficients; immutable after construction."""
+    """sum(c_e * t**e) with int coefficients; immutable after construction."""
 
     __slots__ = ("_c",)
 
@@ -79,16 +64,8 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def t_power(cls, e: int, c=1) -> "LaurentPoly":
-        return cls({e: c})
 
     @classmethod
     def from_coeffs(cls, coeffs, low: int = 0) -> "LaurentPoly":
@@ -99,8 +76,8 @@ class LaurentPoly:
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse ``3*t^1 - 7 + 3*t^-1`` style input.
 
-        Accepts bare ``t``, ``-t^2``, omitted ``*``, and rational
-        coefficients ``a/b``.  Raises ValueError on anything else.
+        Accepts bare ``t``, ``-t^2`` and omitted ``*``; coefficients are
+        integers.  Raises ValueError on anything else.
         """
         s = text.strip()
         if not s:
@@ -112,7 +89,7 @@ class LaurentPoly:
         buf = []
         prev = ""
         for ch in s:
-            if ch in "+-" and buf and prev not in "^+-*/":
+            if ch in "+-" and buf and prev not in "^+-*":
                 terms.append("".join(buf))
                 buf = [ch]
             else:
@@ -120,7 +97,7 @@ class LaurentPoly:
             if not ch.isspace():
                 prev = ch
         terms.append("".join(buf))
-        coeffs: dict[int, object] = {}
+        coeffs: dict[int, int] = {}
         for term in terms:
             m = _TERM_RE.match(term.strip())
             if not m or (m.group(2) is None and m.group(0).strip() in ("", "+", "-")):
@@ -131,11 +108,6 @@ class LaurentPoly:
                 if not has_t:
                     raise ValueError(f"cannot parse term {term!r}")
                 mag = 1
-            elif "/" in mag_s:
-                num, den = mag_s.split("/")
-                if int(den) == 0:
-                    raise ValueError(f"zero denominator in term {term.strip()!r}")
-                mag = Fraction(int(num), int(den))
             else:
                 mag = int(mag_s)
             if sign_s == "-":
@@ -160,9 +132,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_integer(self) -> bool:
-        return all(isinstance(v, int) for v in self._c.values())
-
     def low(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no lowest exponent")
@@ -178,14 +147,8 @@ class LaurentPoly:
         return self.high() - self.low()
 
     def content(self) -> int:
-        """gcd of the coefficients (integer polynomials only), positive."""
-        if not self.is_integer():
-            raise ValueError("content requires integer coefficients")
-        if self.is_zero:
-            return 0
-        return math.gcd(*[abs(v) for v in self._c.values()]) if len(self._c) > 1 else abs(
-            next(iter(self._c.values()))
-        )
+        """gcd of the coefficients, positive (0 for the zero polynomial)."""
+        return math.gcd(*self._c.values())
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction); x must be nonzero if any
@@ -221,7 +184,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        c: dict[int, object] = {}
+        c: dict[int, int] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 e = e1 + e2
@@ -276,7 +239,7 @@ class LaurentPoly:
         return shifted
 
     def primitive_normal(self) -> "LaurentPoly":
-        """Associate normal form divided by the content (integer inputs)."""
+        """Associate normal form divided by the content."""
         p = self.associate_normal()
         if p.is_zero:
             return p
@@ -289,7 +252,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, int):
                 return self == self._coerce(other)
             return NotImplemented
         return self._c == other._c
@@ -335,47 +298,6 @@ def doteq(a: LaurentPoly, b: LaurentPoly) -> bool:
     False
     """
     return a.associate_normal() == b.associate_normal()
-
-
-def reciprocal(a: LaurentPoly) -> LaurentPoly:
-    return a.reciprocal()
-
-
-def substitute_power(a: LaurentPoly, k: int) -> LaurentPoly:
-    return a.substitute_power(k)
-
-
-def v_polys(n: int) -> list[list[int]]:
-    """v_0, ..., v_n with v_j(t + 1/t) = t^j + t^-j, so that
-    v_j(2*cos(theta)) = 2*cos(j*theta): v_0 = 2, v_1 = x and
-    v_j = x*v_{j-1} - v_{j-2}."""
-    basis: list[list[int]] = [[2], [0, 1]]
-    while len(basis) <= n:
-        prev, cur = basis[-2], basis[-1]
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        basis.append(nxt)
-    return basis
-
-
-def trace_polynomial(a: LaurentPoly) -> list[int]:
-    """The trace coordinate: the integer polynomial g (coefficients lowest
-    degree first) with a(t) = g(t + 1/t) for a balanced self-reciprocal
-    a, that is, t^n * g(t + 1/t) once a is shifted to t^0..t^2n.  On the
-    unit circle its values are g(2*cos(theta))."""
-    n = a.high()
-    basis = v_polys(n)
-    acc = [0] * (n + 1)
-    acc[0] = int(a.coeff(0))
-    for j in range(1, n + 1):
-        c = int(a.coeff(j))
-        if c:
-            for i, bc in enumerate(basis[j]):
-                acc[i] += c * bc
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    return acc
 
 
 def _factor_sort_key(p: LaurentPoly):
@@ -441,71 +363,33 @@ class Factorization:
         )
 
 
-# Odd primes tried for the Hensel certificate of a lift before the lift
-# is factored whole; an uncertified lift is only slower, never wrong.
-_CERTIFICATE_PRIMES = 12
-
-
 def factor(a: LaurentPoly, memo: dict | None = None) -> Factorization:
     """Factor into irreducibles over the rationals.
 
-    pre: a nonzero with integer coefficients.
+    pre: a nonzero.
 
-    After the sign, the content and the power of t are split off, the
-    primitive part b(t^m), with m the gcd of its exponents, is factored
-    by structure, and Zassenhaus's algorithm (``intfactor``) sees only
-    what structure cannot settle:
-
-    1. Power substitution.  b is factored (steps 2 and 3) and each
-       irreducible q is substituted back on its own; distinct q give
-       coprime q(t^m).  A cyclotomic q = Phi_e is recognised exactly
-       (phi(e) = deg q forces e <= 2*deg(q)^2) and expanded without
-       factoring: Phi_e(t^m) is the product of Phi_d over the d | e*m
-       with d / gcd(d, m) = e.  Any other q(t^m) goes to step 2.
-    2. Trace coordinate.  A self-reciprocal polynomial of even degree 2n
-       is t^n * g(t + 1/t) with deg g = n (``trace_polynomial``).  A g of
-       degree at most 1 is irreducible as it stands; any other g is
-       factored over Z.  Each irreducible h of g lifts to
-       H(t) = t^deg(h) * h(t + 1/t), which is irreducible unless x^2 - 4
-       is a square in Q[x]/(h).  That is certified to fail when
-       h(2)*h(-2), a square times the norm of x^2 - 4, is not a rational
-       square, or when for some odd prime p not dividing lc(h), h has a
-       simple root a mod p (it lifts to a p-adic root by Hensel) with
-       a^2 - 4 a quadratic non-residue.  Only an uncertified lift is
-       factored over Z; such a lift is typically a pair F * F(1/t), or
-       holds t -+ 1.
-    3. Everything else is factored over Z whole.
-
-    ``memo`` maps (q, j) to the irreducible factors of q(t^j); one dict
-    passed to several calls factors each b and each q(t^j) once.  Since
-    a(t^k) has the same b as a, the calls for a(t), a(t^2), ... share
-    the factorization of b, and a(t^p), a (p,1)-cable's polynomial,
-    reuses at k the entry of a at p*k.  The result is multiplied out
-    again and must reproduce a exactly.
+    The sign, the content and the power of t are split off, and the
+    primitive part goes to ``intfactor.factor_by_structure``, which
+    factors it by structure and runs Zassenhaus's algorithm only on what
+    structure cannot settle.  ``memo`` maps (q, j) to the irreducible
+    factors of q(t^j); one dict passed to several calls (say, for a(t^k)
+    at k = 1, 2, ...) factors each polynomial once.  The result is
+    multiplied out again and must reproduce a exactly.
 
     >>> f = factor(LaurentPoly.parse("t^4 - 3*t^2 + 1"))
     >>> [str(q) for q, m in f.factors]
     ['1*t^2 - 1*t^1 - 1', '1*t^2 + 1*t^1 - 1']
     """
+    # imported on first use: without a bytecode cache every module that
+    # ``import concordance`` loads is compiled, and most commands never factor
+    from .intfactor import factor_by_structure
+
     if a.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if not a.is_integer():
-        raise ValueError("factorization requires integer coefficients")
-    memo = {} if memo is None else memo
     low, content = a.low(), a.content()
     sign = 1 if a.coeff(a.high()) > 0 else -1
     b = [sign * a.coeff(e) // content for e in range(low, a.high() + 1)]
-    m = math.gcd(*(e for e, c in enumerate(b) if c))
-    merged: dict[tuple, int] = {}
-    if m:
-        root = tuple(b[::m])
-        if (root, 1) not in memo:
-            memo[root, 1] = _factor_primitive(list(root))
-        for q, mu in memo[root, 1]:
-            if (q, m) not in memo:
-                memo[q, m] = _substitute(q, m)
-            for f, nu in memo[q, m]:
-                merged[f] = merged.get(f, 0) + mu * nu
+    merged = factor_by_structure(b, {} if memo is None else memo)
     factors = sorted(
         ((LaurentPoly.from_coeffs(f), mu) for f, mu in merged.items()),
         key=lambda fm: _factor_sort_key(fm[0]),
@@ -514,98 +398,6 @@ def factor(a: LaurentPoly, memo: dict | None = None) -> Factorization:
     if result.expand() != a:
         raise ArithmeticError(f"factorization of {a} failed to round-trip")
     return result
-
-
-def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
-    """Irreducible factors (coefficient tuples, lowest degree first) and
-    multiplicities of a primitive b with b[0] != 0 and b[-1] > 0."""
-    if len(b) % 2 and b == b[::-1]:
-        return _factor_reciprocal(b)
-    return _factor_zz(b)
-
-
-def _factor_reciprocal(b: list[int]) -> list[tuple[tuple, int]]:
-    """Step 2: factor g in the trace coordinate and lift each factor."""
-    n = len(b) // 2
-    g = trace_polynomial(LaurentPoly.from_coeffs(b, -n))
-    out = []
-    for h, mu in [(tuple(g), 1)] if len(g) <= 2 else _factor_zz(g):
-        if _lift_is_irreducible(h):
-            out.append((_lift(h), mu))
-        else:
-            out.extend((f, mu * nu) for f, nu in _factor_zz(list(_lift(h))))
-    return out
-
-
-def _lift(h: tuple) -> tuple:
-    """t^n * h(t + 1/t) for h of degree n, by Horner in x = t + 1/t:
-    T_j = T_{j+1} * (t^2 + 1) + h_j * t^(n-j) has degree 2(n - j)."""
-    n = len(h) - 1
-    acc = [h[n]]
-    for j in range(n - 1, -1, -1):
-        nxt = acc + [0, 0]
-        for i, c in enumerate(acc):
-            nxt[i + 2] += c
-        nxt[n - j] += h[j]
-        acc = nxt
-    return tuple(acc)
-
-
-def _lift_is_irreducible(h: tuple) -> bool:
-    """A certificate that x^2 - 4 is not a square in Q[x]/(h), for an
-    irreducible h, so that its lift t^deg(h) * h(t + 1/t) is irreducible.
-    False means no certificate was found, not that the lift is reducible."""
-    # the norm of x^2 - 4 = (x - 2)(x + 2) is h(2)*h(-2) / lc(h)^2
-    norm = poly_eval(h, 2) * poly_eval(h, -2)
-    if norm < 0 or math.isqrt(norm) ** 2 != norm:
-        return True
-    dh = [i * c for i, c in enumerate(h)][1:]
-    for p in islice(primes(), 1, 1 + _CERTIFICATE_PRIMES):
-        if h[-1] % p == 0:
-            continue
-        for r in range(p):
-            if (
-                poly_eval(h, r) % p == 0
-                and poly_eval(dh, r) % p
-                and pow(r * r - 4, (p - 1) // 2, p) == p - 1
-            ):
-                return True
-    return False
-
-
-def _substitute(q: tuple, m: int) -> list[tuple[tuple, int]]:
-    """Step 1: the irreducible factors of q(t^m) for an irreducible q."""
-    if m == 1:
-        return [(q, 1)]
-    e = _cyclotomic_index(q)
-    if e:
-        return [
-            (tuple(cyclotomic_coeffs(d)), 1)
-            for d in range(1, e * m + 1)
-            if (e * m) % d == 0 and d // math.gcd(d, m) == e
-        ]
-    qm = [0] * (m * (len(q) - 1) + 1)
-    qm[::m] = q
-    return _factor_primitive(qm)
-
-
-def _cyclotomic_index(q: tuple) -> int | None:
-    """e with q = Phi_e, or None.  phi(e) >= sqrt(e/2), so e <= 2*deg^2."""
-    deg = len(q) - 1
-    if q[-1] != 1 or abs(q[0]) != 1:
-        return None
-    for e in range(1, 2 * deg * deg + 1):
-        if totient(e) == deg and tuple(cyclotomic_coeffs(e)) == q:
-            return e
-    return None
-
-
-def _factor_zz(f: list[int]) -> list[tuple[tuple, int]]:
-    # imported on first use: without a bytecode cache every module that
-    # ``import concordance`` loads is compiled, and most commands never factor
-    from .intfactor import irreducible_factors
-
-    return irreducible_factors(f)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Real-root isolation for integer polynomials on an interval, via Sturm
 chains over the integers.
 
-Polynomials are integer coefficient lists, lowest degree first.  The one
-pseudo-division in the library is ``poly_divmod``, whose scale factor is
-positive, so its remainder has the signs of the remainder over Q
-(``intfactor`` divides only exactly or modulo a prime power).  Sturm
-chains, gcds and square-free parts are built from it with primitive
-parts, and ``cyclotomic`` divides by the monic Phi_b with it.  Roots come back as markers that are either
-exact rationals or open isolating intervals with rational endpoints.
+Polynomials are integer coefficient lists, lowest degree first.  Two
+divisions over Z serve the library: ``exact_quotient`` for every
+divisibility test and exact quotient (square-free parts here, cyclotomic
+divisibility, Zassenhaus's trial divisions), and ``poly_divmod``, a
+pseudo-division whose scale factor is positive, so its remainder has the
+signs of the remainder over Q; it builds the remainder sequences, Sturm
+chains and gcds, with primitive parts.  Roots come back as markers that
+are either exact rationals or open isolating intervals with rational
+endpoints.
 Markers are values: refining one returns a narrower marker, nothing
 changes a marker in place, and no comparison commits to a
 floating-point answer.
@@ -78,6 +80,21 @@ def poly_divmod(num: list, den: list) -> tuple[list, list]:
     return _trim(quo), _trim(rem)
 
 
+def exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g in Z[x], or None when g does not divide f there."""
+    n = len(g) - 1
+    r, low = list(f), g[:n]
+    q = [0] * (len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        c, rem = divmod(r[i], g[-1])
+        if rem:
+            return None
+        q[i - n] = c
+        if c:
+            r[i - n : i] = [x - c * y for x, y in zip(r[i - n : i], low)]
+    return None if any(r[:n]) else q
+
+
 def primitive_part(coeffs: list) -> list:
     """coeffs over its content and with positive leading coefficient."""
     g = math.gcd(*coeffs)
@@ -101,8 +118,8 @@ def squarefree_part(coeffs: list) -> list:
     coeffs = _trim(coeffs)
     if len(coeffs) <= 1:
         return coeffs
-    sf, rem = poly_divmod(coeffs, poly_gcd(coeffs, poly_derivative(coeffs)))
-    if rem:
+    sf = exact_quotient(coeffs, poly_gcd(coeffs, poly_derivative(coeffs)))
+    if sf is None:
         raise ArithmeticError("division by gcd(p, p') left a remainder")
     return primitive_part(sf)
 

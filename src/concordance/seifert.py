@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient
-from .laurent import LaurentPoly, reciprocal, trace_polynomial, v_polys
-from .realroots import FLOAT_WIDTH, RootMarker, compare_markers, isolate_roots, poly_divmod, poly_eval, poly_gcd
+from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_polynomial, v_polys
+from .laurent import LaurentPoly
+from .realroots import FLOAT_WIDTH, RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
     "SeifertMatrix",
@@ -210,7 +210,7 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
     if d % 2:
         raise ArithmeticError("Alexander degree of a Seifert form must be even")
     bal = norm.shift(-(d // 2))
-    if reciprocal(bal) != bal:
+    if bal.reciprocal() != bal:
         raise ArithmeticError("Alexander polynomial must be symmetric")
     if abs(bal.evaluate(Fraction(1))) != 1:
         raise ArithmeticError("Alexander polynomial must have |delta(1)| = 1")
@@ -244,7 +244,7 @@ def _interpolate(values: list[int]) -> list[int]:
 def _int_coeffs(p: LaurentPoly) -> list[int]:
     """Associate-normal integer coefficient list, lowest degree first."""
     norm = p.associate_normal()
-    return [int(norm.coeff(k)) for k in range(norm.high() + 1)]
+    return [norm.coeff(k) for k in range(norm.high() + 1)]
 
 
 def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
@@ -255,8 +255,7 @@ def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     d = delta.high() - delta.low()
     if b > 2 * d * d or totient(b) > d:
         return False
-    _, rem = poly_divmod(_int_coeffs(delta), cyclotomic_coeffs(b))
-    return not rem
+    return exact_quotient(_int_coeffs(delta), cyclotomic_coeffs(b)) is not None
 
 
 def _symmetric_signature(m: list[list[int]]) -> tuple[int, int]:
@@ -407,7 +406,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     if omega.fraction == Fraction(1, 2):
         u = Fraction(0)  # omega = -1 itself, on the last arc
     else:
-        markers = _circle_markers(trace_polynomial(delta))
+        markers = _circle_markers(trace_polynomial(_int_coeffs(delta)))
         u = _arc_sample(markers, _arc_index(markers, omega.fraction))
     return _signature_at(*_forms(v), u)
 
@@ -568,7 +567,7 @@ def _assemble_signature_function(
 ) -> SignatureFunction:
     """Isolate the circle roots of delta and take value_at(u) at one
     rational sample u per arc."""
-    markers = _circle_markers(trace_polynomial(delta))
+    markers = _circle_markers(trace_polynomial(_int_coeffs(delta)))
     values = [value_at(_arc_sample(markers, i)) for i in range(len(markers) + 1)]
     return SignatureFunction(delta, markers, values)
 

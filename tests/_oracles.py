@@ -108,6 +108,13 @@ def fox_milnor_oracle_cases(seed):
     return cases
 
 
+def _check(holds, message):
+    """An assert that python -O keeps: this module is not a test module,
+    so pytest does not rewrite its asserts and -O would strip them."""
+    if not holds:
+        raise AssertionError(message)
+
+
 def fox_milnor_disagreements(cases):
     """Compare fox_milnor_pairing against the oracle; both witnesses are
     re-verified exactly.  Returns the list of disagreements."""
@@ -118,9 +125,10 @@ def fox_milnor_disagreements(cases):
         if got.is_norm != (brute is not None):
             disagreements.append((a, got.is_norm, brute))
         if brute is not None:
-            assert doteq(a, brute * brute.reciprocal())
+            _check(doteq(a, brute * brute.reciprocal()), f"brute witness {brute} fails for {a}")
         if got.is_norm:
-            assert doteq(a, got.witness * got.witness.reciprocal())
+            _check(doteq(a, got.witness * got.witness.reciprocal()),
+                   f"witness {got.witness} fails for {a}")
     return disagreements
 
 
@@ -161,19 +169,17 @@ def assert_valid_snf(M, U, D, V):
     for i in range(m):
         for j in range(n):
             Dm[i, j] = D[i][j]
-    assert Um * Mm * Vm == Dm
-    assert abs(Um.det()) == 1
-    assert abs(Vm.det()) == 1
+    _check(Um * Mm * Vm == Dm, "U * M * V != D")
+    _check(abs(Um.det()) == 1, "U is not unimodular")
+    _check(abs(Vm.det()) == 1, "V is not unimodular")
     diag = [D[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert D[i][j] == 0
-    assert all(d >= 0 for d in diag)
+    _check(all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j),
+           "D has an off-diagonal entry")
+    _check(all(d >= 0 for d in diag), f"D has a negative diagonal entry: {diag}")
     nonzero = [d for d in diag if d]
-    assert diag[: len(nonzero)] == nonzero
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
+    _check(diag[: len(nonzero)] == nonzero, f"zeros do not trail on the diagonal: {diag}")
+    _check(all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])),
+           f"the diagonal is not a divisibility chain: {diag}")
     return diag
 
 

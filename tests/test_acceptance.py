@@ -23,7 +23,7 @@ from concordance.cabling import (
     tau_cable_rule,
 )
 from concordance.catalog import load_catalog
-from concordance.laurent import LaurentPoly, doteq, factor, substitute_power
+from concordance.laurent import LaurentPoly, doteq, factor
 from concordance.legendrian import satellite_genus_pipeline
 from concordance.seifert import (
     RootOfUnity,
@@ -136,7 +136,7 @@ def test_criterion_4_twist_knot_fox_milnor():
                     witness.data["reason"]
                     == "self-reciprocal factor with odd multiplicity"
                 )
-                delta_k = substitute_power(delta, k)
+                delta_k = delta.substitute_power(k)
                 assert doteq(witness.data["factor"], delta_k), (p, k)
                 # certify irreducibility of delta(t^k)
                 factors = factor(delta_k).factors

@@ -393,16 +393,16 @@ class TestFoxMilnorObstruction:
         # the 3-twist knot against its (2,1)-cable to k = 4 needs the trace
         # polynomials of delta(t^j) for j in {1, 2, 3, 4} and {2, 4, 6, 8};
         # j = 1 is linear and never sent, and j = 2, 4 come back from the memo
-        from concordance import laurent
+        from concordance import intfactor
 
         degrees = []
-        whole = laurent._factor_zz
+        whole = intfactor.irreducible_factors
 
         def spy(b):
             degrees.append(len(b) - 1)
             return whole(b)
 
-        monkeypatch.setattr(laurent, "_factor_zz", spy)
+        monkeypatch.setattr(intfactor, "irreducible_factors", spy)
         cable = cable_profile(TWIST_PROFILE, 2)
         fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
         assert degrees == [2, 4, 3, 6, 8]

@@ -353,6 +353,7 @@ class TestExitCodes:
             (("fox-milnor", "RH-trefoil", "--k-max", "0"), ">= 1"),
             (("fox-milnor", "RH-trefoil", "unknot", "--cable", "2"), "not both"),
             (("legendrian", "invariants", "nope"), "no front named"),
+            (("signature", "RH-trefoil", "--omega", "1/0"), "denominator must be positive"),
         ],
     )
     def test_input_errors_are_two(self, capsys, argv, fragment):
@@ -485,9 +486,8 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--catalog", str(path), "alexander", "k")
         assert code == 2
         assert out == ""
-        assert err == (
-            "error: entry 'k': alexander: zero denominator in term '1/0*t'\n"
-        )
+        # coefficients are integers: any a/b is a parse error at load
+        assert err == "error: entry 'k': alexander: cannot parse term '1/0*t '\n"
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -537,21 +537,26 @@ class TestExitCodes:
 
 def test_cli_starts_without_sympy():
     # nothing in the library imports sympy or mpmath: signatures, factoring
-    # and the Fox-Milnor and verdict commands run on the stdlib alone
+    # and the Fox-Milnor and verdict commands run on the stdlib alone; the
+    # factorizer is loaded by the first command that factors, not before
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "import concordance.cli\n"
+        "import concordance, concordance.cli\n"
+        "concordance.load_catalog()\n"
         "from concordance.seifert import SeifertMatrix, levine_tristram, signature_function\n"
         "v = SeifertMatrix([[-1, 1], [0, -1]])\n"
         "print(levine_tristram(v, Fraction(1, 7)), signature_function(v).arc_values)\n"
-        "codes = [concordance.cli.main(argv) for argv in (\n"
+        "codes = [concordance.cli.main(['alexander', 'RH-trefoil'])]\n"
+        "loaded = ['concordance.intfactor' in sys.modules]\n"
+        "codes += [concordance.cli.main(argv) for argv in (\n"
         "    ['fox-milnor', '3-twist-negative-clasp', '--cable', '2', '--k-max', '4'],\n"
         "    ['verdict', 'RH-trefoil', '--cable', '3'],\n"
         ")]\n"
-        "print(codes, sorted({'sympy', 'mpmath'} & set(sys.modules)), file=sys.stderr)\n"
+        "loaded.append('concordance.intfactor' in sys.modules)\n"
+        "print(codes, loaded, sorted({'sympy', 'mpmath'} & set(sys.modules)), file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -559,7 +564,7 @@ def test_cli_starts_without_sympy():
     )
     assert done.stdout.startswith("0 (0, -2)\n")
     assert "obstructed-up-to-complexity-4" in done.stdout
-    assert done.stderr == "[0, 0] []\n"
+    assert done.stderr == "[0, 0, 0] [False, True] []\n"
 
 
 class TestDeterminism:

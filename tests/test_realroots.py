@@ -5,14 +5,18 @@ bisection points of (-2, 2) (0, +-1, 3/2) next to irrational roots,
 rationals that no bisection reaches, and repeated factors.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from concordance.laurent import LaurentPoly, trace_polynomial
+from concordance.cyclotomic import trace_polynomial
 from concordance.realroots import (
+    RootMarker,
+    compare_markers,
+    exact_quotient,
     isolate_roots,
     poly_divmod,
     poly_eval,
@@ -65,8 +69,7 @@ def _seeded_polys(seed, count):
 
 def _t_2_q_trace(q):
     """Trace polynomial of the Alexander polynomial of T(2, q)."""
-    n = (q - 1) // 2
-    return trace_polynomial(LaurentPoly({k: (-1) ** (k + n) for k in range(-n, n + 1)}))
+    return trace_polynomial([(-1) ** k for k in range(q)])
 
 
 def _q(x):
@@ -119,6 +122,58 @@ def test_isolate_roots_on_t_2_9():
     expected = sorted(2 * float(sympy.cos(k * sympy.pi / 9)) for k in (1, 3, 5, 7))
     assert got == pytest.approx(expected, abs=1e-11)
     assert [m.exact for m in markers] == [None, None, 1, None]
+
+
+def _t_2_q_markers(q):
+    """The markers of T(2, q)'s trace polynomial, ascending in x, with
+    the angles (2j + 1)/(2q) of a full turn of their roots, descending."""
+    markers = isolate_roots(_t_2_q_trace(q), Fraction(-2), Fraction(2))
+    angles = sorted((Fraction(2 * j + 1, 2 * q) for j in range((q - 1) // 2)), reverse=True)
+    assert len(markers) == len(angles)
+    return list(zip(markers, angles))
+
+
+@pytest.mark.parametrize(
+    "q1, q2, refines",
+    [(15, 17, True), (19, 21, True), (5, 15, False)],
+)
+def test_compare_markers_agrees_with_the_known_angles(monkeypatch, q1, q2, refines):
+    # x = 2*cos(2*pi*angle); distinct angles (2j + 1)/(2q) with q <= 21
+    # differ by far more than float error, so float cosines order them
+    calls = []
+    refine = RootMarker.refine
+
+    def counting(self, width):
+        calls.append(width)
+        return refine(self, width)
+
+    pairs = [(a, b) for a in _t_2_q_markers(q1) for b in _t_2_q_markers(q2)]
+    monkeypatch.setattr(RootMarker, "refine", counting)
+    shared = 0
+    for (m1, a1), (m2, a2) in pairs:
+        got = compare_markers(m1, m2, poly_gcd(m1.poly, m2.poly))
+        if a1 == a2:
+            expected = 0
+            shared += 1
+        else:
+            x1, x2 = (math.cos(2 * math.pi * a) for a in (a1, a2))
+            expected = (x1 > x2) - (x1 < x2)
+        assert got == expected, (a1, a2)
+    # T(2,15) and T(2,17) share no root, yet some of their isolating
+    # intervals overlap and are refined apart; T(2,5)'s roots at 1/10
+    # and 3/10 are roots of T(2,15) too, found without refining
+    assert bool(calls) == refines
+    assert shared == (2 if (q1, q2) == (5, 15) else 0)
+
+
+def test_exact_quotient_divides_exactly_or_says_none():
+    polys = _seeded_polys(4, 60)
+    for a, b in zip(polys, polys[1:]):
+        assert exact_quotient(_mul(a, b), b) == a
+        assert exact_quotient(_mul(a, b), a) == b
+    assert exact_quotient([1, 0, 1], [1, 1]) is None  # remainder 2
+    assert exact_quotient([1, 2], [0, 2]) is None  # 2x + 1 over 2x
+    assert exact_quotient([3, 6], [1, 2]) == [3]
 
 
 def test_isolate_roots_rejects_root_endpoints():
