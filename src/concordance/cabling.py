@@ -81,6 +81,12 @@ ALL_K_IRREDUCIBILITY_CITATION = (
 )
 
 
+def is_int(v) -> bool:
+    """An int, and not a bool: isinstance counts True and False (say, a
+    JSON true or false) as ints, and no declared integer is one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Cited:
     """A declared value paired with the literature reference backing it."""
@@ -107,7 +113,7 @@ class CitedBounds:
         if self.lower is None and self.upper is None:
             raise ValueError("bounds need at least one side")
         for side in (self.lower, self.upper):
-            if side is not None and (not isinstance(side, int) or side < 0):
+            if side is not None and (not is_int(side) or side < 0):
                 raise ValueError("genus bounds must be nonnegative integers")
         if self.lower is not None and self.upper is not None:
             if self.lower > self.upper:
@@ -150,13 +156,11 @@ class KnotProfile:
             object.__setattr__(self, "alexander", computed)
         if self.declared_genus is not None:
             g = self.declared_genus.value
-            if not isinstance(g, int) or g < 0:
+            if not is_int(g) or g < 0:
                 raise ValueError("declared genus must be a nonnegative integer")
-        if self.declared_tau is not None and not isinstance(
-            self.declared_tau.value, int
-        ):
+        if self.declared_tau is not None and not is_int(self.declared_tau.value):
             raise ValueError("declared tau must be an integer")
-        if self.declared_s is not None and not isinstance(self.declared_s.value, int):
+        if self.declared_s is not None and not is_int(self.declared_s.value):
             raise ValueError("declared s must be an integer")
         self._check_bounds()
         if self.cable_of is not None:
@@ -301,6 +305,12 @@ def finite_order_obstruction(
     pullback; the reported witness is the first omega = exp(2 pi i a/b)
     with b prime up to ``denominator_bound``, in increasing b then
     increasing a, off the jumps of both functions.
+
+    The search needs no skip for b dividing p: there omega^p = 1, so
+    delta(t^p) is delta(1) = +-1 at omega, omega is no jump of the
+    pullback, and it lies on the pullback arc whose image holds 1, where
+    the value is sigma's next to 1, namely 0.  So no such omega lies
+    inside a sub-arc where the cable's value is nonzero.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("the cable obstruction needs an integer p >= 2")
@@ -314,7 +324,6 @@ def finite_order_obstruction(
             cable_signature(sig, p),
             lambda value, power_value: value == 0 and power_value != 0,
             denominator_bound,
-            p,
         )
     if found is not None:
         omega, _, power_value = found
@@ -373,7 +382,8 @@ def fox_milnor_obstruction(
     ``factor`` factors delta_0 and delta_1 once and each irreducible
     q(t^j) once, and a (p,1)-cable's delta_0(t^(p*k)) reuses the entry
     of delta_0 at p*k.  The merged factorization must multiply back to
-    the product.
+    the product.  Each violation witness states the rule the pairing
+    names as broken (``FoxMilnorResult.reason``).
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
@@ -402,34 +412,16 @@ def fox_milnor_obstruction(
                     "is consistent with rational concordance, not a proof",
                 ),
             )
-        if result.violating_factor is not None:
-            violations.append(
-                Witness(
-                    "fox-milnor-violation",
-                    {
-                        "k": k,
-                        "factor": result.violating_factor,
-                        "multiplicity": result.violating_multiplicity,
-                        "reason": "self-reciprocal factor with odd multiplicity"
-                        if doteq(
-                            result.violating_factor,
-                            result.violating_factor.reciprocal(),
-                        )
-                        else "factor unmatched by its reciprocal",
-                    },
-                )
-            )
+        if result.violating_content is not None:
+            detail = {"content": result.violating_content}
         else:
-            violations.append(
-                Witness(
-                    "fox-milnor-violation",
-                    {
-                        "k": k,
-                        "content": result.violating_content,
-                        "reason": "content is not a perfect square",
-                    },
-                )
-            )
+            detail = {
+                "factor": result.violating_factor,
+                "multiplicity": result.violating_multiplicity,
+            }
+        violations.append(
+            Witness("fox-milnor-violation", {"k": k, **detail, "reason": result.reason})
+        )
     return ObstructionReport(
         verdict=f"obstructed-up-to-complexity-{k_max}",
         category="topological",

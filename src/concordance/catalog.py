@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .cabling import Cited, CitedBounds, KnotProfile
+from .cabling import Cited, CitedBounds, KnotProfile, is_int
 from .laurent import LaurentPoly
 from .legendrian import FrontDiagram, FrontError, PatternData, front_from_text
 from .seifert import SeifertMatrix
@@ -152,18 +152,13 @@ def _require(condition, message):
         raise ParseError(message)
 
 
-def _is_int(x):
-    # a JSON true or false loads as a bool, which is an int to isinstance
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _cited(raw, where, kind, kind_name):
     _require(isinstance(raw, dict), f"{where}: expected an object")
     _require(set(raw) <= {"value", "citation"}, f"{where}: unknown field")
     _require("value" in raw, f"{where}: missing value")
     value = raw["value"]
     _require(
-        _is_int(value) if kind is int else isinstance(value, kind),
+        is_int(value) if kind is int else isinstance(value, kind),
         f"{where}: value must be {kind_name}",
     )
     try:
@@ -179,7 +174,7 @@ def _cited_bounds(raw, where):
     )
     for side in ("lower", "upper"):
         if side in raw:
-            _require(_is_int(raw[side]), f"{where}: {side} must be an integer")
+            _require(is_int(raw[side]), f"{where}: {side} must be an integer")
     try:
         return CitedBounds(raw.get("lower"), raw.get("upper"), raw.get("citation"))
     except ValueError as exc:
@@ -219,7 +214,7 @@ def _parse_entry(raw, index, base):
         _require(
             isinstance(rows, list)
             and all(
-                isinstance(row, list) and all(_is_int(x) for x in row)
+                isinstance(row, list) and all(is_int(x) for x in row)
                 for row in rows
             ),
             f"{where}: seifert_matrix must be a list of integer rows",

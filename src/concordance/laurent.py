@@ -99,24 +99,16 @@ class LaurentPoly:
         terms.append("".join(buf))
         coeffs: dict[int, int] = {}
         for term in terms:
-            m = _TERM_RE.match(term.strip())
-            if not m or (m.group(2) is None and m.group(0).strip() in ("", "+", "-")):
+            term = term.strip()
+            m = _TERM_RE.match(term)
+            if not m or (m.group(2) is None and "t" not in term):
                 raise ValueError(f"cannot parse term {term!r}")
             sign_s, mag_s, exp_s = m.groups()
-            has_t = "t" in term
-            if mag_s is None:
-                if not has_t:
-                    raise ValueError(f"cannot parse term {term!r}")
-                mag = 1
-            else:
-                mag = int(mag_s)
-            if sign_s == "-":
-                mag = -mag
+            mag = int(sign_s + (mag_s or "1"))  # an omitted magnitude is 1
             e = 0
-            if has_t:
+            if "t" in term:
                 e = 1 if exp_s is None else int(exp_s)
-            prev_val = coeffs.get(e, 0)
-            coeffs[e] = prev_val + mag
+            coeffs[e] = coeffs.get(e, 0) + mag
         return cls(coeffs)
 
     # -- inspection --------------------------------------------------------
@@ -237,16 +229,6 @@ class LaurentPoly:
         if shifted.coeff(shifted.high()) < 0:
             shifted = -shifted
         return shifted
-
-    def primitive_normal(self) -> "LaurentPoly":
-        """Associate normal form divided by the content."""
-        p = self.associate_normal()
-        if p.is_zero:
-            return p
-        c = p.content()
-        if c > 1:
-            p = LaurentPoly({e: v // c for e, v in p._c.items()})
-        return p
 
     # -- comparison / output -------------------------------------------------
 
@@ -406,7 +388,10 @@ class FoxMilnorResult:
 
     On success ``witness`` holds one valid f.  On failure exactly one of
     ``violating_factor`` (with its odd or unpaired multiplicity) or
-    ``violating_content`` (a non-square content) is set.
+    ``violating_content`` (a non-square content) is set, and ``reason``
+    names the rule that failed: "content is not a perfect square",
+    "self-reciprocal factor with odd multiplicity" or "factor unmatched
+    by its reciprocal".
     """
 
     is_norm: bool
@@ -414,6 +399,7 @@ class FoxMilnorResult:
     violating_factor: LaurentPoly | None
     violating_multiplicity: int | None
     violating_content: int | None
+    reason: str | None = None
 
 
 def fox_milnor_pairing(
@@ -445,23 +431,24 @@ def fox_milnor_pairing(
     else:
         raise ArithmeticError(f"the factorization given does not multiply back to {a}")
 
-    def fail(q=None, m=None, content=None):
-        return FoxMilnorResult(False, None, q, m, content)
+    def fail(reason, q=None, m=None, content=None):
+        return FoxMilnorResult(False, None, q, m, content, reason)
 
     root = math.isqrt(fact.content)
     if root * root != fact.content:
-        return fail(content=fact.content)
+        return fail("content is not a perfect square", content=fact.content)
     witness = LaurentPoly({0: root})
     multiplicity = dict(fact.factors)
     for q, m in fact.factors:
-        qstar = q.reciprocal().primitive_normal()
+        # q is primitive, so this is the normal form the factors are keyed by
+        qstar = q.reciprocal().associate_normal()
         if qstar == q:
             if m % 2:
-                return fail(q, m)
+                return fail("self-reciprocal factor with odd multiplicity", q, m)
             witness = witness * q ** (m // 2)
         else:
             if multiplicity.get(qstar, 0) != m:
-                return fail(q, m)
+                return fail("factor unmatched by its reciprocal", q, m)
             if _factor_sort_key(q) < _factor_sort_key(qstar):
                 witness = witness * q**m
     if not doteq(a, witness * witness.reciprocal()):

@@ -142,9 +142,6 @@ def _variations(chain: list[list], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-# the isolating width behind RootMarker.float_value
-FLOAT_WIDTH = Fraction(1, 10**12)
-
 
 @dataclass(frozen=True)
 class RootMarker:
@@ -189,7 +186,8 @@ class RootMarker:
         return 1 if s_x == _sign_at(self.poly, self.lo) else -1
 
     def float_value(self) -> float:
-        m = self.refine(FLOAT_WIDTH)
+        """An approximation of the root, for display only."""
+        m = self.refine(Fraction(1, 10**12))
         return float((m.lo + m.hi) / 2)
 
 

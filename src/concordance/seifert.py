@@ -19,8 +19,10 @@ elimination over the integers.  Jump points are detected by cyclotomic
 divisibility of the Alexander polynomial; the arcs between jumps are
 isolated with Sturm sequences after the substitution x = 2*cos(theta),
 and a sample lies in its arc by exact comparison of
-x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating intervals.  No
-floating-point value decides anything.
+x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating intervals.  Floats
+are for display only: the approximate angles that ``jumps``, ``arcs``
+and ``repr`` print.  No floating-point value decides anything, and the
+witness search places each angle a/b by exact comparison of cosines.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
 >>> str(alexander(V))
@@ -31,6 +33,7 @@ floating-point value decides anything.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +41,7 @@ from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_polynomial, v_polys
 from .laurent import LaurentPoly
-from .realroots import FLOAT_WIDTH, RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
+from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
     "SeifertMatrix",
@@ -617,15 +620,14 @@ def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:
 
 
 def _least_numerator_above(m: RootMarker, b: int) -> int | None:
-    """Least a in [1, b/2] with a/b above the marker's jump angle, or None;
-    b must not be a jump denominator.  The float angle is only a starting
-    guess.  (The test compares cosines, so it only sees angles up to 1/2.)"""
+    """Least a in [1, b/2] with a/b above the marker's jump angle, or None,
+    by bisection on the exact test _arc_index([m], a/b), which is monotone
+    in a; b must not be a jump denominator, so no a/b is the jump itself.
+    (The test compares cosines, so it only sees angles up to 1/2.)"""
     half = b // 2
-    a = min(max(1, math.floor(_marker_angle_float(m) * b) + 1), half)
-    while a > 1 and _arc_index([m], Fraction(a - 1, b)):
-        a -= 1
-    while a <= half and not _arc_index([m], Fraction(a, b)):
-        a += 1
+    a = 1 + bisect.bisect_left(
+        range(1, half + 1), 1, key=lambda n: _arc_index([m], Fraction(n, b))
+    )
     return a if a <= half else None
 
 
@@ -634,7 +636,6 @@ def first_witness(
     sig1: SignatureFunction,
     bad: Callable[[int, int], bool],
     denominator_bound: int,
-    p: int = 1,
 ) -> tuple[bool, tuple | None]:
     """Where bad(sigma_0(omega), sigma_1(omega)) holds, decided on whole
     arcs, and the first such omega = exp(2*pi*i*a/b) in scan order.
@@ -643,27 +644,22 @@ def first_witness(
     no sub-arc is bad, no root of unity of any order off the jumps is a
     witness.  Otherwise the witness is the least a/b strictly inside a
     bad sub-arc, by increasing prime b up to denominator_bound (skipping
-    b | p and the jump denominators of either function), then by
-    increasing a.  The bad set is symmetric under q -> 1 - q, so the
-    least a lies in (0, 1/2], and the sub-arcs ascend, so the first bad
-    sub-arc that holds some a/b holds the least."""
+    the jump denominators of either function), then by increasing a.
+    The bad set is symmetric under q -> 1 - q, so the least a lies in
+    (0, 1/2], and the sub-arcs ascend, so the first bad sub-arc that
+    holds some a/b holds the least.  Each a/b is placed against the
+    markers by exact comparison of cosines; no float is consulted."""
     if sig0.is_identically_zero() and sig1.is_identically_zero():
         return False, None
     if sig0._delta == sig1._delta and sig0._values == sig1._values:
         return False, None  # same polynomial and arc values: the functions coincide
-    # narrowed once here for the float guess of every prime b below
-    bad_arcs = [
-        (lower and lower.refine(FLOAT_WIDTH), upper, v0, v1)
-        for lower, upper, v0, v1 in _sub_arcs(sig0, sig1)
-        if bad(v0, v1)
-    ]
+    bad_arcs = [arc for arc in _sub_arcs(sig0, sig1) if bad(arc[2], arc[3])]
     if not bad_arcs:
         return False, None
     for b in primes():
         if b > denominator_bound:
             break
-        one_b = Fraction(1, b)
-        if p % b == 0 or sig0.is_jump(one_b) or sig1.is_jump(one_b):
+        if sig0.is_jump(Fraction(1, b)) or sig1.is_jump(Fraction(1, b)):
             continue
         for lower, upper, v0, v1 in bad_arcs:
             a = 1 if lower is None else _least_numerator_above(lower, b)

@@ -25,6 +25,7 @@ from concordance.cabling import (
 )
 from concordance.catalog import load_catalog
 from concordance.laurent import LaurentPoly, doteq, fox_milnor_pairing
+from concordance.realroots import RootMarker
 from concordance.seifert import (
     RootOfUnity,
     SeifertMatrix,
@@ -192,6 +193,16 @@ class TestKnotProfile:
             CitedBounds(2, 1, "x")
         with pytest.raises(ValueError, match="nonnegative"):
             CitedBounds(-1, 1, "x")
+
+    def test_bools_are_not_declared_integers(self):
+        with pytest.raises(ValueError, match="genus bounds must be nonnegative integers"):
+            CitedBounds(True, None, "x")
+        with pytest.raises(ValueError, match="declared genus must be"):
+            KnotProfile("k", declared_genus=Cited(True, "x"))
+        with pytest.raises(ValueError, match="declared tau must be"):
+            KnotProfile("k", declared_tau=Cited(False, "x"))
+        with pytest.raises(ValueError, match="declared s must be"):
+            KnotProfile("k", declared_s=Cited(True, "x"))
 
     def test_profile_consistency_checks(self):
         full = KnotProfile(
@@ -648,3 +659,12 @@ class TestAgainstAngleScan:
             else:
                 assert report.verdict != "obstructed"
         assert found >= 15
+
+    def test_witness_search_reads_no_float(self, monkeypatch):
+        def no_float(marker):
+            raise RuntimeError("a float reached the witness search")
+
+        # jumps(), arcs() and repr() are the only readers of float_value
+        monkeypatch.setattr(RootMarker, "float_value", no_float)
+        self.test_finite_order_matches_scan()
+        self.test_verdict_matches_scan()

@@ -487,7 +487,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         # coefficients are integers: any a/b is a parse error at load
-        assert err == "error: entry 'k': alexander: cannot parse term '1/0*t '\n"
+        assert err == "error: entry 'k': alexander: cannot parse term '1/0*t'\n"
 
     @pytest.mark.parametrize(
         "fields, message",

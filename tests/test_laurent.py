@@ -155,6 +155,14 @@ def test_fox_milnor_spec_no_case_names_violator():
     assert not r.is_norm
     assert str(r.violating_factor) == "3*t^2 - 7*t^1 + 3"
     assert r.violating_multiplicity == 1
+    assert r.reason == "self-reciprocal factor with odd multiplicity"
+
+
+def test_fox_milnor_names_an_unmatched_factor():
+    r = fox_milnor_pairing(P("t^1 - 2"))
+    assert not r.is_norm
+    assert (str(r.violating_factor), r.violating_multiplicity) == ("1*t^1 - 2", 1)
+    assert r.reason == "factor unmatched by its reciprocal"
 
 
 def test_fox_milnor_reciprocal_pair_case():
@@ -168,8 +176,9 @@ def test_fox_milnor_square_content_condition():
     # 2*(t-1)^2 pairs factors correctly but the content 2 is not a square.
     r = fox_milnor_pairing(LaurentPoly({0: 2}) * P("t^1 - 1") ** 2)
     assert not r.is_norm and r.violating_content == 2
+    assert r.reason == "content is not a perfect square"
     r = fox_milnor_pairing(LaurentPoly({0: 4}) * P("t^1 - 1") ** 2)
-    assert r.is_norm
+    assert r.is_norm and r.reason is None
 
 
 def test_fox_milnor_takes_a_factorization_that_multiplies_back():

@@ -361,7 +361,7 @@ def test_markers_are_values():
                 except SingularAtOmega:
                     pass
             pb = sig.pullback(2)
-            first_witness(sig, pb, lambda s0, s1: s0 == 0 and s1 != 0, 50, 2)
+            first_witness(sig, pb, lambda s0, s1: s0 == 0 and s1 != 0, 50)
             assert sig.jumps() == jumps and sig.arcs() == arcs
             for m in sig._markers:
                 with pytest.raises(dataclasses.FrozenInstanceError):
