@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing
+from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing, is_int
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
@@ -79,12 +79,6 @@ ALL_K_IRREDUCIBILITY_CITATION = (
     "polynomials: Cha, 'The structure of the rational concordance group "
     "of knots', Mem. Amer. Math. Soc. 189 (2007), Prop. 3.18"
 )
-
-
-def is_int(v) -> bool:
-    """An int, and not a bool: isinstance counts True and False (say, a
-    JSON true or false) as ints, and no declared integer is one."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class KnotProfile:
         self._check_bounds()
         if self.cable_of is not None:
             base, p = self.cable_of
-            if not isinstance(base, KnotProfile) or not isinstance(p, int) or p < 1:
+            if not isinstance(base, KnotProfile) or not is_int(p) or p < 1:
                 raise ValueError("cable_of must be (profile, positive integer)")
 
     def _check_bounds(self):
@@ -223,7 +217,7 @@ class ObstructionReport:
 
 def cable_alexander(delta: LaurentPoly, p: int) -> LaurentPoly:
     """Alexander polynomial of the (p,1)-cable: delta(t) -> delta(t^p)."""
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValueError("cable parameter p must be a positive integer")
     return delta.substitute_power(p)
 
@@ -256,7 +250,7 @@ def cable_profile(K: KnotProfile, p: int) -> KnotProfile:
     the one rule that needs no further input: a trivial Alexander
     polynomial is topologically slice.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValueError("cable parameter p must be a positive integer")
     delta = None if K.alexander is None else cable_alexander(K.alexander, p)
     slice_note = None
@@ -312,7 +306,7 @@ def finite_order_obstruction(
     the value is sigma's next to 1, namely 0.  So no such omega lies
     inside a sub-arc where the cable's value is nonzero.
     """
-    if not isinstance(p, int) or p < 2:
+    if not is_int(p) or p < 2:
         raise ValueError("the cable obstruction needs an integer p >= 2")
     sig = profile_signature(K)
     parameters = {"p": p, "denominator_bound": denominator_bound, "knot": K.name}
@@ -385,7 +379,7 @@ def fox_milnor_obstruction(
     the product.  Each violation witness states the rule the pairing
     names as broken (``FoxMilnorResult.reason``).
     """
-    if not isinstance(k_max, int) or k_max < 1:
+    if not is_int(k_max) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
     for K in (K0, K1):
         if K.alexander is None:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .cabling import Cited, CitedBounds, KnotProfile, is_int
-from .laurent import LaurentPoly
+from .cabling import Cited, CitedBounds, KnotProfile
+from .laurent import LaurentPoly, is_int
 from .legendrian import FrontDiagram, FrontError, PatternData, front_from_text
 from .seifert import SeifertMatrix
 from .surgery import SurgeryPresentation, presentation_from_text

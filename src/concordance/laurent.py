@@ -38,9 +38,16 @@ _TERM_RE = re.compile(
 )
 
 
+def is_int(v) -> bool:
+    """An int, and not a bool: isinstance counts True and False (say, a
+    JSON true or false) as ints, and no integer input of the library is
+    one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _exact(v):
     """A coefficient: an int, and not a bool."""
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_int(v):
         raise TypeError(f"coefficient {v!r} must be an int")
     return v
 
@@ -51,15 +58,15 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
+        coeffs = coeffs or {}
+        # one pass over the types, not a call per term: plain ints pass
+        # at once, and anything else goes through is_int term by term
+        if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
             for e, v in coeffs.items():
-                if not isinstance(e, int) or isinstance(e, bool):
+                if not is_int(e):
                     raise TypeError(f"exponent {e!r} must be an int")
-                v = _exact(v)
-                if v != 0:
-                    c[e] = v
-        self._c = c
+                _exact(v)
+        self._c = {e: v for e, v in coeffs.items() if v != 0}
 
     # -- constructors ------------------------------------------------------
 
@@ -187,7 +194,7 @@ class LaurentPoly:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValueError("exponent must be a nonnegative int")
         result = LaurentPoly.one()
         base = self
@@ -216,7 +223,7 @@ class LaurentPoly:
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """t -> t^k for k >= 1; exponents multiply, coefficients unchanged."""
-        if not isinstance(k, int) or k < 1:
+        if not is_int(k) or k < 1:
             raise ValueError("substitution power must be an int >= 1")
         return LaurentPoly({e * k: v for e, v in self._c.items()})
 

@@ -12,10 +12,13 @@ A closed front starts and ends with zero strands.  A front with
 strands, and position j on the right edge is glued back to position j on
 the left edge.  Annular fronts model patterns in a solid torus.
 
-Orientations are propagated from the marked direction of segment 0
-(east = rightward).  Over/under data at crossings is not recorded: the
-crossing sign, the cusp up/down classification, and hence tb and rot
-depend only on the horizontal directions of the strands involved:
+A segment is an arc of the front from a cusp or the seam to the next
+cusp or the seam: it keeps one horizontal direction, and a crossing does
+not cut it.  Orientations are propagated from the marked direction of
+segment 0 (east = rightward).  Over/under data at crossings is not
+recorded: the crossing sign, the cusp up/down classification, and hence
+tb and rot depend only on the horizontal directions of the strands
+involved:
 
   * a crossing is positive exactly when its two strands point in the
     same horizontal direction;
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cabling import KnotProfile
+from .laurent import is_int
 
 EAST = "E"
 WEST = "W"
@@ -91,6 +95,10 @@ class LegendrianInvariants:
 class FrontDiagram:
     """An oriented front, validated and analyzed at construction.
 
+    Segments, the arcs between cusps or the seam, are numbered in sweep
+    order: seam strand j is segment j, and each left cusp starts two,
+    upper then lower.  A crossing only swaps two segments on the stack.
+
     Parameters
     ----------
     events : iterable of (kind, position) pairs
@@ -102,11 +110,11 @@ class FrontDiagram:
     """
 
     def __init__(self, events, seam_strands=0, orient=EAST):
-        if not isinstance(seam_strands, int) or seam_strands < 0:
+        if not is_int(seam_strands) or seam_strands < 0:
             raise FrontError(f"seam_strands must be a nonnegative int, got {seam_strands!r}")
         if orient not in (EAST, WEST):
             raise FrontError(f"orient must be {EAST!r} or {WEST!r}, got {orient!r}")
-        self.events = tuple((str(kind), int(pos)) for kind, pos in events)
+        self.events = tuple((kind, pos) for kind, pos in events)
         self.seam_strands = seam_strands
         self.orient = orient
         self._sweep()
@@ -119,61 +127,54 @@ class FrontDiagram:
         next_id = self.seam_strands
         cusps = []       # (side, upper_seg, lower_seg)
         crossings = []   # (upper_seg, lower_seg)
-        links = []       # (seg_a, seg_b, flips_direction)
-        for n, (kind, pos) in enumerate(self.events):
-            where = f"event {n} ({kind} {pos})"
-            if pos < 0:
-                raise FrontError(f"{where}: negative position")
-            if kind == LEFT_CUSP:
-                if pos > len(positions):
-                    raise FrontError(f"{where}: position beyond {len(positions)} strands")
-                upper, lower = next_id, next_id + 1
-                next_id += 2
-                positions[pos:pos] = [upper, lower]
-                cusps.append((LEFT_CUSP, upper, lower))
-                links.append((upper, lower, True))
-            elif kind == RIGHT_CUSP:
-                if pos > len(positions) - 2:
-                    raise FrontError(f"{where}: needs two strands at {pos}, have {len(positions)}")
-                upper, lower = positions[pos], positions[pos + 1]
-                del positions[pos:pos + 2]
-                cusps.append((RIGHT_CUSP, upper, lower))
-                links.append((upper, lower, True))
-            elif kind == CROSSING:
-                if pos > len(positions) - 2:
-                    raise FrontError(f"{where}: needs two strands at {pos}, have {len(positions)}")
-                upper, lower = positions[pos], positions[pos + 1]
-                crossings.append((upper, lower))
-                cont_lower, cont_upper = next_id, next_id + 1
-                next_id += 2
-                links.append((lower, cont_lower, False))
-                links.append((upper, cont_upper, False))
-                positions[pos] = cont_lower
-                positions[pos + 1] = cont_upper
-            else:
-                raise FrontError(f"{where}: unknown event kind")
+        try:
+            for n, (kind, pos) in enumerate(self.events):
+                if not is_int(pos):
+                    raise FrontError("position must be an integer")
+                if pos < 0:
+                    raise FrontError("negative position")
+                if kind == LEFT_CUSP:
+                    if pos > len(positions):
+                        raise FrontError(f"position beyond {len(positions)} strands")
+                    positions[pos:pos] = [next_id, next_id + 1]
+                    cusps.append((LEFT_CUSP, next_id, next_id + 1))
+                    next_id += 2
+                elif kind in (RIGHT_CUSP, CROSSING):
+                    if pos > len(positions) - 2:
+                        raise FrontError(f"needs two strands at {pos}, have {len(positions)}")
+                    upper, lower = positions[pos], positions[pos + 1]
+                    if kind == RIGHT_CUSP:
+                        del positions[pos:pos + 2]
+                        cusps.append((RIGHT_CUSP, upper, lower))
+                    else:
+                        positions[pos:pos + 2] = lower, upper
+                        crossings.append((upper, lower))
+                else:
+                    raise FrontError("unknown event kind")
+        except FrontError as exc:
+            raise FrontError(f"event {n} ({kind} {pos}): {exc}") from None
         self._segment_count = next_id
         self._cusps = cusps
         self._crossings = crossings
-        self._links = links
         self._right_edge = tuple(positions)
         self.is_closed = len(positions) == self.seam_strands
-        if self.is_closed:
-            for j in range(self.seam_strands):
-                links.append((j, positions[j], False))
 
     def _orient_components(self):
+        # a cusp joins two segments of opposite directions; the seam glues
+        # right-edge position j to seam strand j in the same direction
         adjacency = [[] for _ in range(self._segment_count)]
-        for a, b, flip in self._links:
+        links = [(upper, lower, True) for _, upper, lower in self._cusps]
+        links += [(j, seg, False) for j, seg in enumerate(self._right_edge)]
+        for a, b, flip in links:
             adjacency[a].append((b, flip))
             adjacency[b].append((a, flip))
         dirs = [None] * self._segment_count
-        components = []
+        components = 0
         for start in range(self._segment_count):
             if dirs[start] is not None:
                 continue
+            components += 1
             dirs[start] = self.orient if start == 0 else EAST
-            component = [start]
             stack = [start]
             while stack:
                 seg = stack.pop()
@@ -181,24 +182,18 @@ class FrontDiagram:
                     want = _flip(dirs[seg]) if flip else dirs[seg]
                     if dirs[other] is None:
                         dirs[other] = want
-                        component.append(other)
                         stack.append(other)
-                    else:
-                        # closed fronts have an even number of cusps per
-                        # component, so 2-coloring never conflicts
-                        if dirs[other] != want:
-                            raise RuntimeError(
-                                f"segments {seg} and {other} get opposite "
-                                "orientations"
-                            )
-            components.append(tuple(component))
+                    elif dirs[other] != want:
+                        # cusps alternate left and right along a closed
+                        # curve, so 2-coloring never conflicts
+                        raise RuntimeError(f"segments {seg} and {other} get opposite orientations")
         self._dirs = dirs
         self._components = components
 
     @property
     def component_count(self):
         self._require_closed()
-        return len(self._components)
+        return self._components
 
     def _require_closed(self):
         if not self.is_closed:
@@ -221,31 +216,27 @@ class FrontDiagram:
         MultiComponent when it traces more than one curve.
         """
         self._require_closed()
-        if len(self._components) != 1:
+        if self._components != 1:
             raise MultiComponent(
-                f"front has {len(self._components)} components, expected 1"
+                f"front has {self._components} components, expected 1"
             )
-        writhe = 0
-        for upper, lower in self._crossings:
-            writhe += 1 if self._dirs[upper] == self._dirs[lower] else -1
+        dirs = self._dirs
+        writhe = sum(1 if dirs[upper] == dirs[lower] else -1 for upper, lower in self._crossings)
         down_left = sum(
             1 for side, upper, _ in self._cusps
-            if side == LEFT_CUSP and self._dirs[upper] == WEST
+            if side == LEFT_CUSP and dirs[upper] == WEST
         )
         up_right = sum(
             1 for side, upper, _ in self._cusps
-            if side == RIGHT_CUSP and self._dirs[upper] == WEST
+            if side == RIGHT_CUSP and dirs[upper] == WEST
         )
         cusps = len(self._cusps)
         if cusps % 2:
             raise ArithmeticError(f"a closed front has {cusps} cusps, an odd count")
         tb = writhe - cusps // 2
         rot = down_left - up_right
-        if self.seam_strands == 0:
-            if (tb + abs(rot)) % 2 != 1:
-                raise ArithmeticError(
-                    f"tb + |rot| = {tb + abs(rot)} must be odd for a knot front"
-                )
+        if self.seam_strands == 0 and (tb + abs(rot)) % 2 != 1:
+            raise ArithmeticError(f"tb + |rot| = {tb + abs(rot)} must be odd for a knot front")
         return LegendrianInvariants(tb, rot, writhe, cusps, down_left, up_right)
 
     def __repr__(self):
@@ -266,8 +257,7 @@ def front_from_text(text):
     One record per line: `S n` (seam strand count), `O E|W` (direction of
     segment 0), and events `L i`, `R i`, `X i`.  `#` starts a comment.
     """
-    seam = 0
-    orient = EAST
+    header = {}   # the S and O records
     events = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -277,19 +267,23 @@ def front_from_text(text):
         if len(parts) != 2:
             raise FrontError(f"line {lineno}: expected 'KIND VALUE', got {raw!r}")
         kind, value = parts
+        if kind in header:
+            raise FrontError(f"line {lineno}: second {kind} record")
         if kind == "S":
             if events:
                 raise FrontError(f"line {lineno}: S must precede events")
-            seam = _parse_int(value, lineno)
+            header[kind] = _parse_int(value, lineno)
         elif kind == "O":
             if value not in (EAST, WEST):
                 raise FrontError(f"line {lineno}: O takes E or W, got {value!r}")
-            orient = value
+            header[kind] = value
         elif kind in (LEFT_CUSP, RIGHT_CUSP, CROSSING):
             events.append((kind, _parse_int(value, lineno)))
         else:
             raise FrontError(f"line {lineno}: unknown record {kind!r}")
-    return FrontDiagram(events, seam_strands=seam, orient=orient)
+    return FrontDiagram(
+        events, seam_strands=header.get("S", 0), orient=header.get("O", EAST)
+    )
 
 
 def _parse_int(value, lineno):
@@ -311,20 +305,9 @@ def front_to_text(front):
 
 def _interleave_down(base, n):
     """Crossings turning [u0 l0 u1 l1 ...] into [u0 .. u_{n-1} l0 .. l_{n-1}]."""
-    out = []
-    for i in range(1, n):
-        for q in range(2 * i - 1, i - 1, -1):
-            out.append((CROSSING, base + q))
-    return out
-
-
-def _interleave_up(base, n):
-    """Inverse of _interleave_down."""
-    out = []
-    for i in range(n - 1, 0, -1):
-        for q in range(i, 2 * i):
-            out.append((CROSSING, base + q))
-    return out
+    return [
+        (CROSSING, base + q) for i in range(1, n) for q in range(2 * i - 1, i - 1, -1)
+    ]
 
 
 def _cable_block(event, n):
@@ -333,7 +316,8 @@ def _cable_block(event, n):
     if kind == LEFT_CUSP:
         return [(LEFT_CUSP, base + 2 * j) for j in range(n)] + _interleave_down(base, n)
     if kind == RIGHT_CUSP:
-        return _interleave_up(base, n) + [(RIGHT_CUSP, base)] * n
+        # a crossing sequence read backwards undoes its permutation
+        return _interleave_down(base, n)[::-1] + [(RIGHT_CUSP, base)] * n
     # crossing: walk the upper block of n strands down through the lower one
     return [
         (CROSSING, base + (n - 1) - i + j) for i in range(n) for j in range(n)
@@ -346,13 +330,11 @@ def cable_front(front, n):
     The cable of a closed front is an n-component link diagram; it becomes
     a knot only after a pattern tangle is spliced in (satellite_front).
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError(f"need an integer n >= 1, got {n!r}")
     if n == 1:
         return front
-    events = []
-    for event in front.events:
-        events.extend(_cable_block(event, n))
+    events = [e for event in front.events for e in _cable_block(event, n)]
     return FrontDiagram(
         events, seam_strands=front.seam_strands * n, orient=front.orient
     )
@@ -374,13 +356,9 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
         raise FrontError("pattern must have seam_strands >= 1")
     if not 0 <= splice_after <= len(companion.events):
         raise FrontError(f"splice_after out of range: {splice_after}")
-    events = []
-    for idx, event in enumerate(companion.events):
-        if idx == splice_after:
-            events.extend((kind, pos + base) for kind, pos in pattern.events)
-        events.extend(_cable_block(event, n))
-    if splice_after == len(companion.events):
-        events.extend((kind, pos + base) for kind, pos in pattern.events)
+    blocks = [_cable_block(event, n) for event in companion.events]
+    blocks.insert(splice_after, [(kind, pos + base) for kind, pos in pattern.events])
+    events = [e for block in blocks for e in block]
     return FrontDiagram(events, seam_strands=0, orient=companion.orient)
 
 
@@ -436,7 +414,7 @@ def stabilize(inv, direction, count=1):
     """
     if direction not in ("positive", "negative"):
         raise ValueError(f"direction must be 'positive' or 'negative', got {direction!r}")
-    if not isinstance(count, int) or count < 0:
+    if not is_int(count) or count < 0:
         raise ValueError(f"count must be a nonnegative int, got {count!r}")
     step = 1 if direction == "positive" else -1
     return LegendrianInvariants(inv.tb - count, inv.rot + step * count)

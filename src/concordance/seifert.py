@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_polynomial, v_polys
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, is_int
 from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
@@ -79,7 +79,7 @@ class SeifertMatrix:
             if len(row) != n:
                 raise ValueError("Seifert matrix must be square")
             for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not is_int(v):
                     raise TypeError("Seifert matrix entries must be integers")
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         if abs(_int_det(skew)) != 1:
@@ -508,7 +508,7 @@ class SignatureFunction:
         sampled through sigma: a rational sample x = 2*cos(theta) of a new
         arc maps to the rational point 2*cos(p*theta) = v_p(x), which
         avoids the jumps of sigma."""
-        if not isinstance(p, int) or p < 1:
+        if not is_int(p) or p < 1:
             raise ValueError("cable parameter p must be a positive integer")
         if p == 1:
             return self

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .laurent import is_int
+
 
 class ClassMismatch(ValueError):
     """The tracked classes violate the meridian condition; carries evidence.
@@ -58,9 +60,11 @@ def smith_normal_form(M):
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [[int(x) for x in row] for row in M]
+    A = [list(row) for row in M]
     if any(len(row) != n for row in A):
         raise ValueError("matrix rows have unequal lengths")
+    if not all(is_int(x) for row in A for x in row):
+        raise ValueError("matrix entries must be integers")
     U = _identity(m)
     V = _identity(n)
 
@@ -130,11 +134,13 @@ class SurgeryPresentation:
     """Symmetric linking matrix plus named classes in the meridian basis."""
 
     def __init__(self, matrix, classes, name=None):
-        self.matrix = [[int(x) for x in row] for row in matrix]
+        self.matrix = [list(row) for row in matrix]
         n = len(self.matrix)
         for row in self.matrix:
             if len(row) != n:
                 raise ValueError("linking matrix must be square")
+            if not all(is_int(x) for x in row):
+                raise ValueError("linking matrix entries must be integers")
         for i in range(n):
             for j in range(i):
                 if self.matrix[i][j] != self.matrix[j][i]:
@@ -143,11 +149,13 @@ class SurgeryPresentation:
                     )
         self.classes = {}
         for label, vector in dict(classes).items():
-            vec = tuple(int(x) for x in vector)
+            vec = tuple(vector)
             if len(vec) != n:
                 raise ValueError(
                     f"class {label!r} has length {len(vec)}, matrix has {n}"
                 )
+            if not all(is_int(x) for x in vec):
+                raise ValueError(f"class {label!r} coordinates must be integers")
             self.classes[str(label)] = vec
         self.name = name
 
@@ -221,7 +229,7 @@ def localize(group, p):
     Rank is unchanged; torsion coordinates of class images are reduced
     into the surviving factors.  Idempotent; p = 1 is the identity.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValueError(f"need an integer p >= 1, got {p!r}")
     if p == 1:
         return group
@@ -269,7 +277,7 @@ def cobordism_meridian_check(presentation, name0, name1, p):
     A class with zero free part has finite order.  Raises ClassMismatch
     with the residual as evidence when either fails.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValueError(f"need an integer p >= 1, got {p!r}")
     for label in (name0, name1):
         if label not in presentation.classes:
@@ -339,7 +347,7 @@ def satellite_cobordism_presentation(p):
     times.  Its homology is Z generated by mu_Ptilde, with mu_K mapping
     to p times the generator.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValueError(f"need an integer p >= 1, got {p!r}")
     return SurgeryPresentation(
         [[0, 0, -1], [0, 0, p], [-1, p, 0]],
@@ -393,6 +401,8 @@ def presentation_from_text(text):
         elif parts[0] == "C":
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: C needs a name")
+            if parts[1] in classes:
+                raise ValueError(f"line {lineno}: second class named {parts[1]!r}")
             try:
                 classes[parts[1]] = [int(x) for x in parts[2:]]
             except ValueError:

@@ -490,6 +490,27 @@ class TestExitCodes:
         assert err == "error: entry 'k': alexander: cannot parse term '1/0*t'\n"
 
     @pytest.mark.parametrize(
+        "filename, text, argv, message",
+        [
+            ("k.front", "S 2\nS 3\n", ("legendrian", "invariants", "k"),
+             "k.front: line 2: second S record"),
+            ("k.pres", "M 1\n2\nC mu 1\nC mu 3\n", ("homology-check", "k"),
+             "k.pres: line 4: second class named 'mu'"),
+        ],
+        ids=["front", "presentation"],
+    )
+    def test_duplicate_records_in_catalog_files_are_two(
+        self, capsys, tmp_path, filename, text, argv, message
+    ):
+        (tmp_path / filename).write_text(text)
+        key = "fronts" if filename.endswith(".front") else "presentations"
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "k", key: [filename]}]))
+        code, out, err = run_cli(capsys, "--catalog", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: entry 'k': {message}\n"
+
+    @pytest.mark.parametrize(
         "fields, message",
         [
             (

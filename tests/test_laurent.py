@@ -5,6 +5,7 @@ brute-force witness search (degree <= 4, coefficients in [-5, 5]) on a
 fixed-seed corpus of products, per the acceptance contract.
 """
 
+import enum
 import random
 from fractions import Fraction
 
@@ -63,6 +64,21 @@ def test_parse_rejects_zero_denominator():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         LaurentPoly({0: 1.5})
+
+
+def test_constructor_checks_every_term():
+    # zero terms are dropped only after their types are checked
+    for bad, message in [
+        ({0: 0.0}, "coefficient 0.0"),
+        ({0: 1, 1: False}, "coefficient False"),
+        ({1.0: 1}, "exponent 1.0"),
+        ({True: 1}, "exponent True"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly(bad)
+    # an int subclass other than bool is an int
+    one = enum.IntEnum("One", "ONE").ONE
+    assert LaurentPoly({one: one, 0: 0}) == LaurentPoly({1: 1})
 
 
 # -- arithmetic and normal forms ---------------------------------------------
@@ -403,3 +419,54 @@ def test_recombination_cap_raises_a_named_input_error():
         factor(_trace_lift(g))
     # within the cap: SD of degree 16 has 8 modular factors of degree 2
     assert len(factor(_swinnerton_dyer((2, 3, 5, 7))).factors) == 1
+
+
+# -- the integer rule ----------------------------------------------------------
+
+
+def _integer_parameter_cases():
+    """One case per integer parameter: a call of the library with the
+    parameter set to b, and the message that rejects a bad b."""
+    from concordance import cabling, legendrian, surgery
+    from concordance.seifert import SeifertMatrix, signature_function
+
+    trefoil = SeifertMatrix([[-1, 1], [0, -1]], name="RH-trefoil")
+    K = cabling.KnotProfile("RH-trefoil", seifert=trefoil)
+    front = legendrian.FrontDiagram([("L", 0), ("R", 0)])
+    inv = legendrian.LegendrianInvariants(1, 0)
+    pres = surgery.satellite_cobordism_presentation(2)
+    group = surgery.first_homology(pres)
+    cases = {
+        "LaurentPoly.__pow__": (lambda b: P("t^1") ** b, "exponent must be"),
+        "LaurentPoly.substitute_power": (
+            lambda b: P("t^1").substitute_power(b), "substitution power"),
+        "cable_alexander": (
+            lambda b: cabling.cable_alexander(K.alexander, b), "cable parameter p"),
+        "cable_profile": (lambda b: cabling.cable_profile(K, b), "cable parameter p"),
+        "KnotProfile.cable_of": (
+            lambda b: cabling.KnotProfile("c", cable_of=(K, b)), "cable_of must be"),
+        "finite_order_obstruction": (
+            lambda b: cabling.finite_order_obstruction(K, b), "integer p >= 2"),
+        "fox_milnor_obstruction": (
+            lambda b: cabling.fox_milnor_obstruction(K, K, k_max=b), "k_max must be"),
+        "SignatureFunction.pullback": (
+            lambda b: signature_function(trefoil).pullback(b), "cable parameter p"),
+        "FrontDiagram.seam_strands": (
+            lambda b: legendrian.FrontDiagram([], seam_strands=b), "seam_strands must be"),
+        "cable_front": (lambda b: legendrian.cable_front(front, b), "integer n >= 1"),
+        "stabilize": (lambda b: legendrian.stabilize(inv, "positive", b), "count must be"),
+        "localize": (lambda b: surgery.localize(group, b), "integer p >= 1"),
+        "cobordism_meridian_check": (
+            lambda b: surgery.cobordism_meridian_check(pres, "mu_K", "mu_Ptilde", b),
+            "integer p >= 1"),
+        "satellite_cobordism_presentation": (
+            lambda b: surgery.satellite_cobordism_presentation(b), "integer p >= 1"),
+    }
+    return [pytest.param(call, message, id=name) for name, (call, message) in cases.items()]
+
+
+@pytest.mark.parametrize("call, message", _integer_parameter_cases())
+def test_bools_are_not_integer_parameters(call, message):
+    # isinstance(True, int) holds, yet no integer parameter is a bool
+    with pytest.raises(ValueError, match=message):
+        call(True)

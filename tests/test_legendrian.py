@@ -126,6 +126,20 @@ class TestFrontInvariants:
         with pytest.raises(FrontError, match="seam_strands"):
             FrontDiagram([], seam_strands=-1)
 
+    @pytest.mark.parametrize(
+        "events, seam, message",
+        [
+            ([("L", 0.9), ("R", 0)], 0, r"event 0 \(L 0.9\): position must be an integer"),
+            ([("L", "0"), ("R", 0)], 0, r"event 0 \(L 0\): position must be an integer"),
+            ([("L", 0), ("R", False)], 0, r"event 1 \(R False\): position must be an integer"),
+            ([("L", 0), ("R", 0)], False, "seam_strands must be a nonnegative int, got False"),
+        ],
+        ids=["float-position", "str-position", "bool-position", "bool-seam"],
+    )
+    def test_inputs_are_checked_not_truncated(self, events, seam, message):
+        with pytest.raises(FrontError, match=message):
+            FrontDiagram(events, seam_strands=seam)
+
 
 class TestFrontFiles:
     @pytest.mark.parametrize(
@@ -153,6 +167,18 @@ class TestFrontFiles:
             front_from_text("O Q\n")
         with pytest.raises(FrontError, match="unknown record"):
             front_from_text("Z 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("S 2\nS 3\n", "line 2: second S record"),
+            ("O E\nL 0\nO W\nR 0\n", "line 3: second O record"),
+        ],
+        ids=["S", "O"],
+    )
+    def test_duplicate_records(self, text, message):
+        with pytest.raises(FrontError, match=message):
+            front_from_text(text)
 
 
 class TestCableAndSatelliteFronts:
@@ -193,6 +219,29 @@ class TestCableAndSatelliteFronts:
             TREFOIL_MAXTB.invariants(),
         )
         assert (diagram.tb, diagram.rot) == (formula.tb, formula.rot) == (5, 0)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_sweep_at_benchmark_sizes(self, n):
+        # the cyclic pattern: n parallel strands, one full turn of crossings
+        cyclic = FrontDiagram([("X", i) for i in range(n - 1)], seam_strands=n)
+        pattern = PatternData.from_front("cyclic", cyclic)
+        for companion in (TREFOIL_FRONT, TREFOIL_MAXTB, SATELLITE_FRONT):
+            diagram = satellite_front(companion, cyclic).invariants()
+            formula = satellite_invariants(pattern, companion.invariants())
+            assert (diagram.tb, diagram.rot) == (formula.tb, formula.rot)
+            assert genus_bounds(diagram) == genus_bounds(formula)
+        # each cusp becomes n cusps and n(n-1)/2 crossings, each crossing n^2
+        for front in (TREFOIL_FRONT, TREFOIL_MAXTB, PATTERN_FRONT, SATELLITE_FRONT):
+            cable = cable_front(front, n)
+            kinds = [kind for kind, _ in front.events]
+            cable_kinds = [kind for kind, _ in cable.events]
+            cusps = kinds.count("L") + kinds.count("R")
+            assert cable_kinds.count("L") == n * kinds.count("L")
+            assert cable_kinds.count("R") == n * kinds.count("R")
+            assert cable_kinds.count("X") == (
+                cusps * n * (n - 1) // 2 + kinds.count("X") * n * n
+            )
+            assert cable.component_count == n
 
     def test_satellite_validation(self):
         with pytest.raises(FrontError, match="closed front"):

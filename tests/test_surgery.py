@@ -66,6 +66,13 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="unequal"):
             smith_normal_form([[1, 2], [3]])
 
+    @pytest.mark.parametrize(
+        "M", [[[2.5]], [[1, 0], [0, "3"]], [[True]]], ids=["float", "str", "bool"]
+    )
+    def test_entries_are_checked_not_truncated(self, M):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            smith_normal_form(M)
+
     def test_random_matrices(self):
         rng = random.Random(20260818)
         for _ in range(200):
@@ -90,6 +97,12 @@ class TestSurgeryPresentation:
             SurgeryPresentation([[0, 1], [2, 0]], {})
         with pytest.raises(ValueError, match="length 1, matrix has 2"):
             SurgeryPresentation(UNLINK2, {"mu": (1,)})
+
+    def test_entries_are_checked_not_truncated(self):
+        with pytest.raises(ValueError, match="linking matrix entries must be integers"):
+            SurgeryPresentation([[2.5]], {"mu": (1,)})
+        with pytest.raises(ValueError, match="class 'mu' coordinates must be integers"):
+            SurgeryPresentation([[2]], {"mu": (1.7,)})
 
     def test_repr(self):
         S = SurgeryPresentation(HOPF, {"a": (1, 0)}, name="hopf")
@@ -387,3 +400,7 @@ class TestPresentationFiles:
     def test_parse_errors(self, text, message):
         with pytest.raises(ValueError, match=message):
             presentation_from_text(text)
+
+    def test_duplicate_class_is_an_error(self):
+        with pytest.raises(ValueError, match="line 4: second class named 'mu'"):
+            presentation_from_text("M 1\n2\nC mu 1\nC mu 3\n")
