@@ -308,6 +308,8 @@ def finite_order_obstruction(
     """
     if not is_int(p) or p < 2:
         raise ValueError("the cable obstruction needs an integer p >= 2")
+    if not is_int(denominator_bound) or denominator_bound < 2:
+        raise ValueError("denominator_bound must be an integer >= 2")
     sig = profile_signature(K)
     parameters = {"p": p, "denominator_bound": denominator_bound, "knot": K.name}
     if sig.is_identically_zero():
@@ -445,6 +447,10 @@ def rational_concordance_verdict(
     shrinks the evidence set, recorded in the notes.  The verdict is
     symmetric in the argument order.
     """
+    if not is_int(k_max) or k_max < 1:
+        raise ValueError("k_max must be a positive integer")
+    if not is_int(denominator_bound) or denominator_bound < 2:
+        raise ValueError("denominator_bound must be an integer >= 2")
     parameters = {
         "knots": (K0.name, K1.name),
         "k_max": k_max,

@@ -241,7 +241,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
-            if isinstance(other, int):
+            if is_int(other):
                 return self == self._coerce(other)
             return NotImplemented
         return self._c == other._c

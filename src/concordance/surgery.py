@@ -5,7 +5,11 @@ the diagonal) together with named classes written in the meridian basis.
 First homology of the presented manifold is the cokernel of the matrix,
 computed through an exact Smith normal form that tracks the change of
 basis, so named classes can be followed into the canonical decomposition
-Z^rank + Z/d_1 + ... + Z/d_k (d_1 | d_2 | ...).
+Z^rank + Z/d_1 + ... + Z/d_k (d_1 | d_2 | ...).  The elimination runs on
+one working matrix that carries both transforms (see `smith_normal_form`).
+One rule writes a class's coordinates: reduce each mod its modulus (0 for
+a free one) and drop those of modulus 1.  The Smith diagonal reads units,
+the torsion chain, zeros, and inverting p keeps that order.
 
 `cobordism_meridian_check` verifies the two-sided meridian condition for
 a homology cobordism built from such a presentation: the first meridian
@@ -16,6 +20,7 @@ meridians differ by a positive unit of Z[1/p].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,18 +39,13 @@ class ClassMismatch(ValueError):
         self.residual = residual
 
 
-def _identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _find_pivot(A, t):
-    """Smallest nonzero absolute value in A[t:][t:], ties row-major."""
-    best = None
-    for i in range(t, len(A)):
-        for j in range(t, len(A[0])):
-            if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                best = (i, j)
-    return best
+def _find_pivot(W, t, m, n):
+    """(|entry|, i, j) of the smallest nonzero entry in W[t:m][t:n], ties
+    row-major; None when that block is zero."""
+    return min(
+        ((abs(W[i][j]), i, j) for i in range(t, m) for j in range(t, n) if W[i][j]),
+        default=None,
+    )
 
 
 def smith_normal_form(M):
@@ -56,78 +56,74 @@ def smith_normal_form(M):
     The pivot rule (smallest nonzero absolute value, ties in row-major
     order) makes the transforms deterministic.
 
+    The elimination runs on one working matrix W: its first m rows are
+    [M | I_m] and the n rows below are I_n.  A row operation on the first
+    m rows builds U in the right block, and a column operation on the
+    first n columns builds V in the bottom block; at the end the first m
+    rows are [D | U] and the rest is V.
+
     Returns (U, D, V) as lists of lists.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [list(row) for row in M]
-    if any(len(row) != n for row in A):
+    if any(len(row) != n for row in M):
         raise ValueError("matrix rows have unequal lengths")
-    if not all(is_int(x) for row in A for x in row):
+    if not all(is_int(x) for row in M for x in row):
         raise ValueError("matrix entries must be integers")
-    U = _identity(m)
-    V = _identity(n)
+    W = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(M)]
+    W += [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
+        W[i], W[k] = W[k], W[i]
 
     def col_swap(j, k):
-        for row in A:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
+        for row in W:
             row[j], row[k] = row[k], row[j]
 
     def row_sub(i, k, q):
         # row_i -= q * row_k
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        W[i] = [a - q * b for a, b in zip(W[i], W[k])]
 
     def col_sub(j, k, q):
         # col_j -= q * col_k
-        for row in A:
-            row[j] -= q * row[k]
-        for row in V:
+        for row in W:
             row[j] -= q * row[k]
 
-    t = 0
-    while t < min(m, n):
-        pivot = _find_pivot(A, t)
+    for t in range(min(m, n)):
+        pivot = _find_pivot(W, t, m, n)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        row_swap(t, pivot[1])
+        col_swap(t, pivot[2])
         while True:
             for i in range(t + 1, m):
-                if A[i][t]:
-                    row_sub(i, t, A[i][t] // A[t][t])
-            left = [i for i in range(t + 1, m) if A[i][t]]
+                if W[i][t]:
+                    row_sub(i, t, W[i][t] // W[t][t])
+            left = [i for i in range(t + 1, m) if W[i][t]]
             if left:
                 # a remainder smaller than the pivot surfaced; promote it
-                row_swap(t, min(left, key=lambda i: (abs(A[i][t]), i)))
+                row_swap(t, min(left, key=lambda i: (abs(W[i][t]), i)))
                 continue
             for j in range(t + 1, n):
-                if A[t][j]:
-                    col_sub(j, t, A[t][j] // A[t][t])
-            left = [j for j in range(t + 1, n) if A[t][j]]
+                if W[t][j]:
+                    col_sub(j, t, W[t][j] // W[t][t])
+            left = [j for j in range(t + 1, n) if W[t][j]]
             if left:
-                col_swap(t, min(left, key=lambda j: (abs(A[t][j]), j)))
+                col_swap(t, min(left, key=lambda j: (abs(W[t][j]), j)))
                 continue
             # pivot must divide the rest of the submatrix for the chain
             bad = next(
                 (i for i in range(t + 1, m)
-                 if any(A[i][j] % A[t][t] for j in range(t + 1, n))),
+                 if any(W[i][j] % W[t][t] for j in range(t + 1, n))),
                 None,
             )
             if bad is None:
                 break
             row_sub(t, bad, -1)
-        t += 1
     for i in range(min(m, n)):
-        if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-    return U, A, V
+        if W[i][i] < 0:
+            W[i] = [-x for x in W[i]]
+    return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], W[m:]
 
 
 class SurgeryPresentation:
@@ -195,23 +191,24 @@ class AbelianGroupDescription:
         return " + ".join(parts) if parts else "0"
 
 
+def _coordinates(vector, moduli):
+    """Each entry reduced mod its modulus (0 for a free one), the entries
+    whose modulus is 1 dropped: with a Smith diagonal's moduli (units, the
+    torsion chain, zeros), a class's coordinates in Z/d_1 + ... + Z^rank."""
+    return tuple(x % d if d else x for x, d in zip(vector, moduli) if d != 1)
+
+
 def first_homology(presentation):
     """Cokernel of the linking matrix, with class images tracked."""
-    L = presentation.matrix
-    n = len(L)
-    U, D, _ = smith_normal_form(L)
-    diag = [D[i][i] for i in range(n)]
-    torsion_pos = [i for i, d in enumerate(diag) if d >= 2]
-    free_pos = [i for i, d in enumerate(diag) if d == 0]
-    images = {}
-    for label, vector in presentation.classes.items():
-        w = [sum(U[i][j] * vector[j] for j in range(n)) for i in range(n)]
-        images[label] = tuple(
-            [w[i] % diag[i] for i in torsion_pos] + [w[i] for i in free_pos]
-        )
+    U, D, _ = smith_normal_form(presentation.matrix)
+    diag = [row[i] for i, row in enumerate(D)]
+    images = {
+        label: _coordinates([sum(a * b for a, b in zip(u, vector)) for u in U], diag)
+        for label, vector in presentation.classes.items()
+    }
     return AbelianGroupDescription(
-        rank=len(free_pos),
-        torsion=tuple(diag[i] for i in torsion_pos),
+        rank=diag.count(0),
+        torsion=tuple(d for d in diag if d >= 2),
         images=images,
     )
 
@@ -233,22 +230,14 @@ def localize(group, p):
         raise ValueError(f"need an integer p >= 1, got {p!r}")
     if p == 1:
         return group
-    kept = []   # (old index, reduced factor)
-    for i, d in enumerate(group.torsion):
-        d = _prime_to(d, p)
-        if d >= 2:
-            kept.append((i, d))
-    k = len(group.torsion)
-    images = {
-        label: tuple(
-            [coords[i] % d for i, d in kept] + list(coords[k:])
-        )
-        for label, coords in group.images.items()
-    }
+    moduli = [_prime_to(d, p) for d in group.torsion] + [0] * group.rank
     return AbelianGroupDescription(
         rank=group.rank,
-        torsion=tuple(d for _, d in kept),
-        images=images,
+        torsion=tuple(d for d in moduli if d >= 2),
+        images={
+            label: _coordinates(coords, moduli)
+            for label, coords in group.images.items()
+        },
     )
 
 
@@ -283,14 +272,9 @@ def cobordism_meridian_check(presentation, name0, name1, p):
         if label not in presentation.classes:
             raise ValueError(f"presentation has no class named {label!r}")
     group = first_homology(presentation)
-    w0 = group.images[name0]
-    w1 = group.images[name1]
-    k = len(group.torsion)
-    residual = tuple(
-        (a - p * b) % d if i < k else a - p * b
-        for i, (a, b, d) in enumerate(
-            zip(w0, w1, group.torsion + (0,) * group.rank)
-        )
+    residual = _coordinates(
+        [a - p * b for a, b in zip(group.images[name0], group.images[name1])],
+        group.torsion + (0,) * group.rank,
     )
     if any(residual):
         raise ClassMismatch(
@@ -362,31 +346,27 @@ def presentation_from_text(text):
     `M n` starts an n x n matrix given on the following n lines; `C name
     v1 .. vn` declares a tracked class.  `#` starts a comment.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    records = (
+        (lineno, fields)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (fields := raw.split("#", 1)[0].split())
+    )
     matrix = None
     classes = {}
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        parts = line.split()
-        if parts[0] == "M":
+    for lineno, fields in records:
+        if fields[0] == "M":
             if matrix is not None:
                 raise ValueError(f"line {lineno}: second matrix block")
             try:
-                n = int(parts[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"line {lineno}: M needs a size") from None
-            rows = []
-            for k in range(n):
-                if i + 1 + k >= len(lines):
-                    raise ValueError(f"line {lineno}: matrix needs {n} rows")
-                row_lineno, row_line = lines[i + 1 + k]
+                (n,) = map(int, fields[1:])
+            except ValueError:  # no size, a second field, or not an integer
+                n = -1
+            if n < 0:
+                raise ValueError(f"line {lineno}: M needs a size")
+            matrix = []
+            for row_lineno, row_fields in itertools.islice(records, n):
                 try:
-                    row = [int(x) for x in row_line.split()]
+                    row = [int(x) for x in row_fields]
                 except ValueError:
                     raise ValueError(
                         f"line {row_lineno}: matrix rows are integers"
@@ -395,23 +375,22 @@ def presentation_from_text(text):
                     raise ValueError(
                         f"line {row_lineno}: expected {n} entries, got {len(row)}"
                     )
-                rows.append(row)
-            matrix = rows
-            i += 1 + n
-        elif parts[0] == "C":
-            if len(parts) < 2:
+                matrix.append(row)
+            if len(matrix) < n:
+                raise ValueError(f"line {lineno}: matrix needs {n} rows")
+        elif fields[0] == "C":
+            if len(fields) < 2:
                 raise ValueError(f"line {lineno}: C needs a name")
-            if parts[1] in classes:
-                raise ValueError(f"line {lineno}: second class named {parts[1]!r}")
+            if fields[1] in classes:
+                raise ValueError(f"line {lineno}: second class named {fields[1]!r}")
             try:
-                classes[parts[1]] = [int(x) for x in parts[2:]]
+                classes[fields[1]] = [int(x) for x in fields[2:]]
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: class coordinates are integers"
                 ) from None
-            i += 1
         else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+            raise ValueError(f"line {lineno}: unknown record {fields[0]!r}")
     if matrix is None:
         raise ValueError("no matrix block (M n) found")
     return SurgeryPresentation(matrix, classes)

@@ -19,17 +19,17 @@ from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pa
 from concordance.seifert import RootOfUnity, SeifertMatrix
 
 
-def _load_families():
-    """perfbench/families.py, a stdlib-only module, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+def load_perfbench(name):
+    """perfbench/<name>.py, a stdlib-only module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-families = _load_families()
+families = load_perfbench("families")
 
 
 def _candidate_table():

@@ -495,6 +495,18 @@ class TestTauCableRule:
             tau_cable_rule(TREFOIL_PROFILE, 2)
 
 
+@pytest.mark.parametrize("bound", [2.5, True, 0, -3])
+def test_library_bounds_are_checked_on_entry(bound):
+    cable = cable_profile(TREFOIL_PROFILE, 2)
+    with pytest.raises(ValueError, match="denominator_bound must be an integer >= 2"):
+        finite_order_obstruction(TREFOIL_PROFILE, 2, denominator_bound=bound)
+    with pytest.raises(ValueError, match="denominator_bound must be an integer >= 2"):
+        rational_concordance_verdict(TREFOIL_PROFILE, cable, denominator_bound=bound)
+    # a pair without Alexander polynomials never reaches fox_milnor_obstruction
+    with pytest.raises(ValueError, match="k_max must be a positive integer"):
+        rational_concordance_verdict(KnotProfile("a"), KnotProfile("b"), k_max=bound)
+
+
 class TestRationalConcordanceVerdict:
     def test_whitehead_vs_cable_obstructed_smooth(self):
         cable = tau_cable_rule(WHITEHEAD_PROFILE, 2)

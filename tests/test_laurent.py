@@ -84,6 +84,14 @@ def test_constructor_checks_every_term():
 # -- arithmetic and normal forms ---------------------------------------------
 
 
+def test_equality_with_non_integers_answers():
+    # a bool is no integer coefficient: the comparison answers, it does not raise
+    assert LaurentPoly.one() == 1
+    assert not LaurentPoly.one() == True  # noqa: E712
+    assert LaurentPoly.one() != False  # noqa: E712
+    assert not LaurentPoly.one() == 1.0
+
+
 def test_evaluate_exact():
     p = P("3*t^1 - 7 + 3*t^-1")
     assert p.evaluate(1) == -1

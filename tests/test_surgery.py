@@ -1,5 +1,15 @@
-"""Smith normal form, surgery homology, and the meridian condition."""
+"""Smith normal form, surgery homology, and the meridian condition.
 
+The transforms U, D, V and the homology images of a fixed set of seeded
+cases are pinned by their digests in ``data/snf_digests.json``.  An
+intended change to them regenerates the file:
+
+    PYTHONPATH=src python tests/test_surgery.py
+"""
+
+import hashlib
+import json
+import pathlib
 import random
 from importlib import resources
 
@@ -387,6 +397,8 @@ class TestPresentationFiles:
         [
             ("Q 1\n", "line 1: unknown record 'Q'"),
             ("M x\n", "M needs a size"),
+            ("M -1\n", "line 1: M needs a size"),
+            ("M 2 x\n0 0\n0 0\n", "line 1: M needs a size"),
             ("M 2\n0 0\n", "matrix needs 2 rows"),
             ("M 2\n0 0 0\n0 0\n", "line 2: expected 2 entries, got 3"),
             ("M 1\na\n", "matrix rows are integers"),
@@ -404,3 +416,52 @@ class TestPresentationFiles:
     def test_duplicate_class_is_an_error(self):
         with pytest.raises(ValueError, match="line 4: second class named 'mu'"):
             presentation_from_text("M 1\n2\nC mu 1\nC mu 3\n")
+
+
+DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "snf_digests.json"
+
+
+def digest_cases():
+    """Seeded cases by name: a dense and a sparse m x n matrix for every m,
+    n in 1..9, plus n = 0 and the empty matrix; then a cobordism sum of
+    every size from 6 to 48, with its meridian classes."""
+    rng = random.Random(20261018)
+    yield "0x0", []
+    for m in range(1, 10):
+        for n in range(10):
+            yield f"{m}x{n} dense", [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            yield f"{m}x{n} sparse", [
+                [rng.choice((0, 0, 0, 1, -1, 2, -2, 3, 4, 6)) for _ in range(n)]
+                for _ in range(m)
+            ]
+    for size in range(6, 49):
+        blocks = rng.randint(1, size // 3)
+        ps = tuple(rng.randint(2, 7) for _ in range(blocks))
+        torsion = tuple(rng.choice((2, 3, 4, 6, 9)) for _ in range(size - 3 * blocks))
+        ops = [(*rng.sample(range(size), 2), rng.choice((-1, 1))) for _ in range(2 * size)]
+        yield f"cobordism sum {size}", _cobordism_sum(ps, torsion, ops)[0]
+
+
+def record_digests():
+    """sha256 of each case's JSON: (U, D, V), and for a presentation also
+    its first homology (rank, torsion, images)."""
+    digests = {}
+    for name, case in digest_cases():
+        if isinstance(case, SurgeryPresentation):
+            G = first_homology(case)
+            value = [smith_normal_form(case.matrix), G.rank, G.torsion, G.images]
+        else:
+            value = smith_normal_form(case)
+        digests[name] = hashlib.sha256(json.dumps(value).encode()).hexdigest()
+    return digests
+
+
+def test_transforms_match_the_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    got = record_digests()
+    assert list(got) == list(recorded)
+    assert [name for name in got if got[name] != recorded[name]] == []
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(record_digests(), indent=1) + "\n")
