@@ -347,7 +347,9 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
     pattern's events, shifted down by `base`, are inserted after the first
     `splice_after` cabled blocks.  `base` selects which companion arc the
     pattern rides on (copies of that arc occupy positions base..base+n-1
-    at the splice point); the sweep validates the choice.
+    at the splice point), so it must be a multiple of n: any other base
+    would straddle the copies of two arcs and build another knot.  The
+    sweep validates the choice of arc.
     """
     if companion.seam_strands != 0:
         raise FrontError("companion must be a closed front")
@@ -356,6 +358,8 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
         raise FrontError("pattern must have seam_strands >= 1")
     if not 0 <= splice_after <= len(companion.events):
         raise FrontError(f"splice_after out of range: {splice_after}")
+    if not is_int(base) or base < 0 or base % n:
+        raise FrontError(f"base must be a nonnegative multiple of {n}, got {base!r}")
     blocks = [_cable_block(event, n) for event in companion.events]
     blocks.insert(splice_after, [(kind, pos + base) for kind, pos in pattern.events])
     events = [e for block in blocks for e in block]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .laurent import is_int
@@ -41,11 +42,26 @@ class ClassMismatch(ValueError):
 
 def _find_pivot(W, t, m, n):
     """(|entry|, i, j) of the smallest nonzero entry in W[t:m][t:n], ties
-    row-major; None when that block is zero."""
-    return min(
-        ((abs(W[i][j]), i, j) for i in range(t, m) for j in range(t, n) if W[i][j]),
-        default=None,
-    )
+    row-major; None when that block is zero.
+
+    Rows are scanned in order, each by one `min` over its nonzero
+    absolute values; a later row replaces the best only with a strictly
+    smaller value, and the scan stops at the first row whose minimum is 1,
+    since no entry is smaller.  The column is the first in the best row
+    that holds the minimum.  So the pivot is the row-major minimum of
+    (|entry|, i, j), and the pivot sequence does not depend on the scan.
+    """
+    best = None
+    for i in range(t, m):
+        low = min(map(abs, filter(None, W[i][t:n])), default=0)
+        if low and (best is None or low < best[0]):
+            best = low, i
+            if low == 1:
+                break
+    if best is None:
+        return None
+    low, i = best
+    return low, i, next(j for j in range(t, n) if abs(W[i][j]) == low)
 
 
 def smith_normal_form(M):
@@ -62,6 +78,17 @@ def smith_normal_form(M):
     first n columns builds V in the bottom block; at the end the first m
     rows are [D | U] and the rest is V.
 
+    Three facts spare work without changing a single operation, so U, D
+    and V are those of the plain elimination.  The pivot search stops at
+    the first row that holds a unit, since no entry is smaller, and so
+    still finds the row-major minimum (`_find_pivot`).  When the row loop
+    at step t is done, column t of the first m rows is zero except at row
+    t: the rows below were just cleared, and a finished pivot row is zero
+    off its diagonal.  So a column operation against column t changes
+    only row t and the n rows of V.  The repair `row_sub(t, bad, -1)`
+    keeps this, because W[bad][t] is 0.  And a pivot of +-1 divides
+    everything, so the divisibility scan is skipped.
+
     Returns (U, D, V) as lists of lists.
     """
     m = len(M)
@@ -72,6 +99,7 @@ def smith_normal_form(M):
         raise ValueError("matrix entries must be integers")
     W = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(M)]
     W += [[int(i == j) for j in range(n)] for i in range(n)]
+    V = W[m:]  # the same row objects: only the first m rows are ever replaced
 
     def row_swap(i, k):
         W[i], W[k] = W[k], W[i]
@@ -84,11 +112,6 @@ def smith_normal_form(M):
         # row_i -= q * row_k
         W[i] = [a - q * b for a, b in zip(W[i], W[k])]
 
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        for row in W:
-            row[j] -= q * row[k]
-
     for t in range(min(m, n)):
         pivot = _find_pivot(W, t, m, n)
         if pivot is None:
@@ -96,25 +119,34 @@ def smith_normal_form(M):
         row_swap(t, pivot[1])
         col_swap(t, pivot[2])
         while True:
+            p = W[t][t]
+            left = []
             for i in range(t + 1, m):
                 if W[i][t]:
-                    row_sub(i, t, W[i][t] // W[t][t])
-            left = [i for i in range(t + 1, m) if W[i][t]]
+                    row_sub(i, t, W[i][t] // p)
+                    if W[i][t]:
+                        left.append(i)
             if left:
                 # a remainder smaller than the pivot surfaced; promote it
                 row_swap(t, min(left, key=lambda i: (abs(W[i][t]), i)))
                 continue
+            # col_j -= q * col_t, on the only rows where col_t can be nonzero
+            rows = [W[t], *V]
             for j in range(t + 1, n):
                 if W[t][j]:
-                    col_sub(j, t, W[t][j] // W[t][t])
+                    q = W[t][j] // p
+                    for row in rows:
+                        row[j] -= q * row[t]
             left = [j for j in range(t + 1, n) if W[t][j]]
             if left:
                 col_swap(t, min(left, key=lambda j: (abs(W[t][j]), j)))
                 continue
+            if abs(p) == 1:
+                break
             # pivot must divide the rest of the submatrix for the chain
             bad = next(
                 (i for i in range(t + 1, m)
-                 if any(W[i][j] % W[t][t] for j in range(t + 1, n))),
+                 if any(x % p for x in W[i][t + 1:n])),
                 None,
             )
             if bad is None:
@@ -123,7 +155,7 @@ def smith_normal_form(M):
     for i in range(min(m, n)):
         if W[i][i] < 0:
             W[i] = [-x for x in W[i]]
-    return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], W[m:]
+    return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], V
 
 
 class SurgeryPresentation:
@@ -203,7 +235,7 @@ def first_homology(presentation):
     U, D, _ = smith_normal_form(presentation.matrix)
     diag = [row[i] for i, row in enumerate(D)]
     images = {
-        label: _coordinates([sum(a * b for a, b in zip(u, vector)) for u in U], diag)
+        label: _coordinates([sum(map(operator.mul, u, vector)) for u in U], diag)
         for label, vector in presentation.classes.items()
     }
     return AbelianGroupDescription(

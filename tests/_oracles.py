@@ -15,7 +15,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from concordance.cyclotomic import CycloInt, hermitian_signature
-from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing
+from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing, is_int
 from concordance.seifert import RootOfUnity, SeifertMatrix
 
 
@@ -181,6 +181,99 @@ def assert_valid_snf(M, U, D, V):
     _check(all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])),
            f"the diagonal is not a divisibility chain: {diag}")
     return diag
+
+
+def _reference_find_pivot(W, t, m, n):
+    """(|entry|, i, j) of the smallest nonzero entry in W[t:m][t:n], ties
+    row-major; None when that block is zero."""
+    return min(
+        ((abs(W[i][j]), i, j) for i in range(t, m) for j in range(t, n) if W[i][j]),
+        default=None,
+    )
+
+
+def reference_smith_normal_form(M):
+    """Diagonalize an integer matrix: U * M * V = D.
+
+    The library's elimination as it stood before the search stopped at a
+    unit and column operations skipped the rows where column t is zero:
+    every elementary operation on every row of W, a full pivot scan and a
+    divisibility scan after every pivot.  The library must give the same
+    U, D and V byte for byte.
+
+    U and V are unimodular; D is diagonal, nonnegative, and its nonzero
+    entries form a divisibility chain d_1 | d_2 | ... followed by zeros.
+    The pivot rule (smallest nonzero absolute value, ties in row-major
+    order) makes the transforms deterministic.
+
+    The elimination runs on one working matrix W: its first m rows are
+    [M | I_m] and the n rows below are I_n.  A row operation on the first
+    m rows builds U in the right block, and a column operation on the
+    first n columns builds V in the bottom block; at the end the first m
+    rows are [D | U] and the rest is V.
+
+    Returns (U, D, V) as lists of lists.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix rows have unequal lengths")
+    if not all(is_int(x) for row in M for x in row):
+        raise ValueError("matrix entries must be integers")
+    W = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(M)]
+    W += [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_swap(i, k):
+        W[i], W[k] = W[k], W[i]
+
+    def col_swap(j, k):
+        for row in W:
+            row[j], row[k] = row[k], row[j]
+
+    def row_sub(i, k, q):
+        # row_i -= q * row_k
+        W[i] = [a - q * b for a, b in zip(W[i], W[k])]
+
+    def col_sub(j, k, q):
+        # col_j -= q * col_k
+        for row in W:
+            row[j] -= q * row[k]
+
+    for t in range(min(m, n)):
+        pivot = _reference_find_pivot(W, t, m, n)
+        if pivot is None:
+            break
+        row_swap(t, pivot[1])
+        col_swap(t, pivot[2])
+        while True:
+            for i in range(t + 1, m):
+                if W[i][t]:
+                    row_sub(i, t, W[i][t] // W[t][t])
+            left = [i for i in range(t + 1, m) if W[i][t]]
+            if left:
+                # a remainder smaller than the pivot surfaced; promote it
+                row_swap(t, min(left, key=lambda i: (abs(W[i][t]), i)))
+                continue
+            for j in range(t + 1, n):
+                if W[t][j]:
+                    col_sub(j, t, W[t][j] // W[t][t])
+            left = [j for j in range(t + 1, n) if W[t][j]]
+            if left:
+                col_swap(t, min(left, key=lambda j: (abs(W[t][j]), j)))
+                continue
+            # pivot must divide the rest of the submatrix for the chain
+            bad = next(
+                (i for i in range(t + 1, m)
+                 if any(W[i][j] % W[t][t] for j in range(t + 1, n))),
+                None,
+            )
+            if bad is None:
+                break
+            row_sub(t, bad, -1)
+    for i in range(min(m, n)):
+        if W[i][i] < 0:
+            W[i] = [-x for x in W[i]]
+    return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], W[m:]
 
 
 def cyclotomic_levine_tristram(v, a, b):

@@ -243,6 +243,20 @@ class TestCableAndSatelliteFronts:
             )
             assert cable.component_count == n
 
+    @pytest.mark.parametrize("base", [1, 2, 4, -3, 1.5, True])
+    def test_satellite_base_must_not_straddle_two_arcs(self, base):
+        # base 1 built a front with rot 3 and base 2 one with rot -1, where
+        # Ng's formula gives rot 1 for the pattern on either arc
+        with pytest.raises(FrontError, match="base must be a nonnegative multiple of 3"):
+            satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=1, base=base)
+
+    @pytest.mark.parametrize("base", [0, 3])
+    def test_satellite_on_either_arc_matches_formula(self, base):
+        built = satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=1, base=base)
+        diagram = built.invariants()
+        formula = satellite_invariants(PATTERN, TREFOIL_FRONT.invariants())
+        assert (diagram.tb, diagram.rot) == (formula.tb, formula.rot) == (2, 1)
+
     def test_satellite_validation(self):
         with pytest.raises(FrontError, match="closed front"):
             satellite_front(PATTERN_FRONT, PATTERN_FRONT)

@@ -16,7 +16,7 @@ from importlib import resources
 import pytest
 import sympy
 
-from _oracles import assert_valid_snf
+from _oracles import assert_valid_snf, families, reference_smith_normal_form
 
 from concordance.surgery import (
     AbelianGroupDescription,
@@ -59,6 +59,39 @@ class TestSmithNormalForm:
         U2, D2, V2 = smith_normal_form(M)
         assert (U, D, V) == (U2, D2, V2)
 
+    @pytest.mark.parametrize(
+        "M, U, D, V",
+        [
+            # row 0's minimum is 2; the first unit, row 1's, wins over row 2's
+            (
+                [[2, 4, 6], [4, 3, 1], [1, 5, 2]],
+                [[0, 1, 0], [0, 2, -1], [1, 22, -14]],
+                [[1, 0, 0], [0, 1, 0], [0, 0, 76]],
+                [[0, 0, 1], [0, 1, -7], [1, -3, 17]],
+            ),
+            # equal minima at (0, 2) and (1, 0): the row-major one wins
+            (
+                [[6, 4, 2], [2, 9, 8]],
+                [[-3, 1], [-25, 8]],
+                [[1, 0, 0], [0, 2, 0]],
+                [[0, -2, 7], [1, 6, -22], [2, -7, 23]],
+            ),
+            # equal minima at (0, 1), (0, 2) and (1, 0): the first column of row 0
+            (
+                [[7, 2, 2], [2, 5, 3]],
+                [[-2, 1], [5, -2]],
+                [[1, 0, 0], [0, 1, 0]],
+                [[0, -1, 4], [1, -4, 17], [0, 8, -31]],
+            ),
+            # 2 does not divide 3: the repair step adds row 1 to row 0
+            ([[2, 0], [0, 3]], [[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+        ],
+        ids=["later-unit", "tie-across-rows", "tie-in-a-row", "repair"],
+    )
+    def test_pivot_rule_pins_the_transforms(self, M, U, D, V):
+        assert smith_normal_form(M) == (U, D, V)
+        snf_is_valid(M, U, D, V)
+
     def test_rectangular(self):
         M = [[2, 4, 4], [-6, 6, 12]]
         U, D, V = smith_normal_form(M)
@@ -92,6 +125,36 @@ class TestSmithNormalForm:
             U, D, V = smith_normal_form(M)
             diag = snf_is_valid(M, U, D, V)
             assert len([d for d in diag if d]) == sympy.Matrix(M).rank()
+
+
+def reference_cases():
+    """Seeded matrices for the comparison with the reference elimination:
+    every m x n shape with m, n <= 9, n = 0 and the empty matrix; pools
+    with units, without units (so pivots above 1 and the divisibility
+    repair run) and with few values (so minima tie across rows and
+    columns); presentations of size 24 to 48; 100-bit entries."""
+    rng = random.Random(20261019)
+    pools = (
+        (0, 1, -1, 2, 3, -4, 6, 9, -12),
+        (0, 0, 2, -2, 3, 4, -6, 9, 12, -15),
+        (0, 0, 2, -2, 4),
+        (0, 0, 0, 1, -1, 2),
+    )
+    yield []
+    for _ in range(2000):
+        m, n = rng.randint(1, 9), rng.randint(0, 9)
+        pool = rng.choice(pools)
+        yield [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    for size in range(24, 49, 2):
+        yield families.random_presentation(rng, size).matrix
+    for _ in range(10):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.getrandbits(100) - 2**99 for _ in range(n)] for _ in range(m)]
+
+
+def test_transforms_match_the_reference_elimination():
+    mismatched = [M for M in reference_cases() if smith_normal_form(M) != reference_smith_normal_form(M)]
+    assert mismatched == []
 
 
 TREFOIL_SURGERY = [[0]]
