@@ -1,11 +1,11 @@
 """Time library layers one at a time, on inputs of growing size.
 
-    python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48] [--count 15] [--seed 1]
+    python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48]
 
 Run from anywhere; the library is imported from the `src/` beside this
 directory, and the inputs come from `perfbench/families.py` (loaded by
-path, not changed).  For each size, `--count` presentations are drawn
-from a fresh `random.Random(seed)`; each call is timed three times and
+path, not changed).  For each size, COUNT presentations are drawn from
+a fresh `random.Random(SEED)`; each call is timed REPEAT times and
 the fastest kept, and a layer's figure at that size is the median over
 the presentations, in milliseconds.  The JSON holds the machine, the
 Python version, the git commit (and whether `src/` differs from it), the
@@ -29,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+COUNT = 15
+SEED = 1
 REPEAT = 3
 
 sys.path.insert(0, str(SRC))
@@ -70,12 +72,12 @@ def git(*args):
     return out.stdout.strip()
 
 
-def measure(sizes, count, seed):
+def measure(sizes):
     families = load_families()
     layers = {name: {} for name in LAYERS}
     for size in sizes:
-        rng = random.Random(seed)
-        inputs = [families.random_presentation(rng, size) for _ in range(count)]
+        rng = random.Random(SEED)
+        inputs = [families.random_presentation(rng, size) for _ in range(COUNT)]
         for name, (fn, read) in LAYERS.items():
             args = [read(p) for p in inputs]
             layers[name][str(size)] = round(statistics.median(best_ms(fn, a) for a in args), 4)
@@ -90,7 +92,7 @@ def measure(sizes, count, seed):
         "git_sha": git("rev-parse", "HEAD"),
         "src_differs_from_commit": None if status is None else bool(status),
         "inputs": {"family": "perfbench/families.random_presentation", "sizes": sizes,
-                   "count": count, "seed": seed, "repeat": REPEAT},
+                   "count": COUNT, "seed": SEED, "repeat": REPEAT},
         "unit": "ms",
         "layers": layers,
         "src_lines": sum(len(p.read_text().splitlines()) for p in (SRC / "concordance").glob("*.py")),
@@ -101,10 +103,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="where to write the JSON")
     parser.add_argument("--sizes", nargs="+", type=int, default=[12, 24, 36, 48])
-    parser.add_argument("--count", type=int, default=15, help="presentations per size")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    report = measure(args.sizes, args.count, args.seed)
+    report = measure(args.sizes)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for name, medians in report["layers"].items():
         print(name, " ".join(f"{size}:{ms}ms" for size, ms in medians.items()))

@@ -11,7 +11,7 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 def test_layers_script_writes_its_keys(tmp_path):
     out = tmp_path / "BENCH.json"
     subprocess.run(
-        [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "6", "--count", "3"],
+        [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "6"],
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads(out.read_text())

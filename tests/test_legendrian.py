@@ -250,9 +250,9 @@ class TestCableAndSatelliteFronts:
         with pytest.raises(FrontError, match="base must be a nonnegative multiple of 3"):
             satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=1, base=base)
 
-    @pytest.mark.parametrize("base", [0, 3])
-    def test_satellite_on_either_arc_matches_formula(self, base):
-        built = satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=1, base=base)
+    def test_satellite_on_the_first_arc_matches_formula(self):
+        # base 3 is the stored SATELLITE_FRONT, checked above
+        built = satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=1, base=0)
         diagram = built.invariants()
         formula = satellite_invariants(PATTERN, TREFOIL_FRONT.invariants())
         assert (diagram.tb, diagram.rot) == (formula.tb, formula.rot) == (2, 1)
