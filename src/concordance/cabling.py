@@ -23,7 +23,7 @@ two signature values, a violating irreducible factor, or a tau mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing, is_int
 from .seifert import (
@@ -74,6 +74,10 @@ TRIVIAL_ALEXANDER_CITATION = (
     "trivial Alexander polynomial implies topologically slice: "
     "Freedman and Quinn, 'Topology of 4-Manifolds'"
 )
+# the default search bounds of the obstructions and of their subcommands
+K_MAX = 6
+DENOMINATOR_BOUND = 211
+
 ALL_K_IRREDUCIBILITY_CITATION = (
     "irreducibility of delta(t^k) for every k >= 1 for twist-knot "
     "polynomials: Cha, 'The structure of the rational concordance group "
@@ -273,22 +277,15 @@ def tau_cable_rule(K: KnotProfile, p: int) -> KnotProfile:
     """
     if K.declared_tau is None:
         raise MissingTau(f"{K.name!r} declares no tau value")
-    cable = cable_profile(K, p)
     tau = Cited(
         p * K.declared_tau.value,
         f"{TAU_CABLE_CITATION}; base value: {K.declared_tau.citation}",
     )
-    return KnotProfile(
-        name=cable.name,
-        alexander=cable.alexander,
-        declared_tau=tau,
-        topologically_slice=cable.topologically_slice,
-        cable_of=cable.cable_of,
-    )
+    return replace(cable_profile(K, p), declared_tau=tau)
 
 
 def finite_order_obstruction(
-    K: KnotProfile, p: int, denominator_bound: int = 211
+    K: KnotProfile, p: int, denominator_bound: int = DENOMINATOR_BOUND
 ) -> ObstructionReport:
     """Search for omega with sigma(omega) = 0 but sigma(omega^p) != 0.
 
@@ -311,7 +308,6 @@ def finite_order_obstruction(
     if not is_int(denominator_bound) or denominator_bound < 2:
         raise ValueError("denominator_bound must be an integer >= 2")
     sig = profile_signature(K)
-    parameters = {"p": p, "denominator_bound": denominator_bound, "knot": K.name}
     if sig.is_identically_zero():
         exists, found = False, None  # the pullback of zero is zero
     else:
@@ -321,29 +317,27 @@ def finite_order_obstruction(
             lambda value, power_value: value == 0 and power_value != 0,
             denominator_bound,
         )
+    verdict, category, witnesses = "no-obstruction-found", None, ()
     if found is not None:
         omega, _, power_value = found
-        witness = Witness(
-            "signature-at-root-of-unity",
-            {
-                "omega": omega,
-                "p": p,
-                "sigma_at_omega": 0,
-                "sigma_at_omega_power": power_value,
-            },
-        )
-        return ObstructionReport(
-            verdict="obstructed",
-            category="topological",
-            witnesses=(witness,),
-            parameters=parameters,
-            notes=(
-                "sigma(omega) = 0 with sigma(omega^p) != 0 rules out "
-                f"topological rational concordance of {K.name!r} to its "
-                f"({p},1)-cable",
+        verdict, category = "obstructed", "topological"
+        witnesses = (
+            Witness(
+                "signature-at-root-of-unity",
+                {
+                    "omega": omega,
+                    "p": p,
+                    "sigma_at_omega": 0,
+                    "sigma_at_omega_power": power_value,
+                },
             ),
         )
-    if exists:
+        note = (
+            "sigma(omega) = 0 with sigma(omega^p) != 0 rules out "
+            f"topological rational concordance of {K.name!r} to its "
+            f"({p},1)-cable"
+        )
+    elif exists:
         note = (
             "an obstruction exists, but its smallest witness has "
             f"b > {denominator_bound}: on some arc sigma(omega) = 0 and "
@@ -355,16 +349,16 @@ def finite_order_obstruction(
             "no root of unity of any order is a witness"
         )
     return ObstructionReport(
-        verdict="no-obstruction-found",
-        category=None,
-        witnesses=(),
-        parameters=parameters,
+        verdict=verdict,
+        category=category,
+        witnesses=witnesses,
+        parameters={"p": p, "denominator_bound": denominator_bound, "knot": K.name},
         notes=(note,),
     )
 
 
 def fox_milnor_obstruction(
-    K0: KnotProfile, K1: KnotProfile, k_max: int = 6
+    K0: KnotProfile, K1: KnotProfile, k_max: int = K_MAX
 ) -> ObstructionReport:
     """Norm test on delta_0(t^k) * delta_1(t^k) for each k up to k_max.
 
@@ -386,28 +380,20 @@ def fox_milnor_obstruction(
     for K in (K0, K1):
         if K.alexander is None:
             raise MissingAlexander(f"{K.name!r} has no Alexander polynomial")
-    parameters = {"k_max": k_max, "knots": (K0.name, K1.name)}
-    violations = []
+    witnesses = []
     memo: dict = {}
     for k in range(1, k_max + 1):
         d0 = K0.alexander.substitute_power(k)
         d1 = K1.alexander.substitute_power(k)
         result = fox_milnor_pairing(d0 * d1, factor(d0, memo) * factor(d1, memo))
         if result.is_norm:
-            witness = Witness(
-                "fox-milnor-norm",
-                {"k": k, "f": result.witness},
+            verdict, category = "consistent-up-to-bounds", None
+            witnesses = [Witness("fox-milnor-norm", {"k": k, "f": result.witness})]
+            note = (
+                f"delta_0(t^k) * delta_1(t^k) is a norm at k = {k}; this "
+                "is consistent with rational concordance, not a proof"
             )
-            return ObstructionReport(
-                verdict="consistent-up-to-bounds",
-                category=None,
-                witnesses=(witness,),
-                parameters=parameters,
-                notes=(
-                    f"delta_0(t^k) * delta_1(t^k) is a norm at k = {k}; this "
-                    "is consistent with rational concordance, not a proof",
-                ),
-            )
+            break
         if result.violating_content is not None:
             detail = {"content": result.violating_content}
         else:
@@ -415,27 +401,30 @@ def fox_milnor_obstruction(
                 "factor": result.violating_factor,
                 "multiplicity": result.violating_multiplicity,
             }
-        violations.append(
+        witnesses.append(
             Witness("fox-milnor-violation", {"k": k, **detail, "reason": result.reason})
         )
-    return ObstructionReport(
-        verdict=f"obstructed-up-to-complexity-{k_max}",
-        category="topological",
-        witnesses=tuple(violations),
-        parameters=parameters,
-        notes=(
+    else:
+        verdict, category = f"obstructed-up-to-complexity-{k_max}", "topological"
+        note = (
             f"every complexity k <= {k_max} fails the norm condition; "
             "complexities beyond the bound need an all-k argument, "
-            "e.g. " + ALL_K_IRREDUCIBILITY_CITATION,
-        ),
+            "e.g. " + ALL_K_IRREDUCIBILITY_CITATION
+        )
+    return ObstructionReport(
+        verdict=verdict,
+        category=category,
+        witnesses=tuple(witnesses),
+        parameters={"k_max": k_max, "knots": (K0.name, K1.name)},
+        notes=(note,),
     )
 
 
 def rational_concordance_verdict(
     K0: KnotProfile,
     K1: KnotProfile,
-    k_max: int = 6,
-    denominator_bound: int = 211,
+    k_max: int = K_MAX,
+    denominator_bound: int = DENOMINATOR_BOUND,
 ) -> ObstructionReport:
     """Aggregate every applicable obstruction to rational concordance.
 
@@ -451,11 +440,6 @@ def rational_concordance_verdict(
         raise ValueError("k_max must be a positive integer")
     if not is_int(denominator_bound) or denominator_bound < 2:
         raise ValueError("denominator_bound must be an integer >= 2")
-    parameters = {
-        "knots": (K0.name, K1.name),
-        "k_max": k_max,
-        "denominator_bound": denominator_bound,
-    }
     witnesses: list[Witness] = []
     notes: list[str] = []
     category = None
@@ -529,25 +513,21 @@ def rational_concordance_verdict(
             )
 
     if witnesses:
-        return ObstructionReport(
-            verdict="obstructed",
-            category=category,
-            witnesses=tuple(witnesses),
-            parameters=parameters,
-            notes=tuple(notes),
-        )
-    if fox_milnor is not None and fox_milnor.verdict.startswith("obstructed"):
-        return ObstructionReport(
-            verdict=fox_milnor.verdict,
-            category=fox_milnor.category,
-            witnesses=fox_milnor.witnesses,
-            parameters=parameters,
-            notes=tuple(notes) + fox_milnor.notes,
-        )
+        verdict = "obstructed"
+    elif fox_milnor is not None and fox_milnor.verdict.startswith("obstructed"):
+        verdict, category = fox_milnor.verdict, fox_milnor.category
+        witnesses.extend(fox_milnor.witnesses)
+        notes.extend(fox_milnor.notes)
+    else:
+        verdict = "no-obstruction-found"
     return ObstructionReport(
-        verdict="no-obstruction-found",
-        category=None,
-        witnesses=(),
-        parameters=parameters,
+        verdict=verdict,
+        category=category,
+        witnesses=tuple(witnesses),
+        parameters={
+            "knots": (K0.name, K1.name),
+            "k_max": k_max,
+            "denominator_bound": denominator_bound,
+        },
         notes=tuple(notes),
     )

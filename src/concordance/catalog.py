@@ -75,25 +75,14 @@ class Catalog:
 
     def __init__(self, entries):
         self.entries = list(entries)
-        self._by_name = {}
-        for entry in self.entries:
-            if entry.name in self._by_name:
-                raise ValidationError(f"duplicate entry name {entry.name!r}")
-            self._by_name[entry.name] = entry
-        self._fronts = {}
-        for entry in self.entries:
-            for label, front in entry.fronts.items():
-                if label in self._fronts:
-                    raise ValidationError(f"duplicate front name {label!r}")
-                self._fronts[label] = front
-        self._presentations = {}
-        for entry in self.entries:
-            for label, pres in entry.presentations.items():
-                if label in self._presentations:
-                    raise ValidationError(
-                        f"duplicate presentation name {label!r}"
-                    )
-                self._presentations[label] = pres
+        self._by_name = _table("entry", ((e.name, e) for e in self.entries))
+        self._fronts = _table(
+            "front", (pair for e in self.entries for pair in e.fronts.items())
+        )
+        self._presentations = _table(
+            "presentation",
+            (pair for e in self.entries for pair in e.presentations.items()),
+        )
 
     def __iter__(self):
         return iter(self.entries)
@@ -105,13 +94,7 @@ class Catalog:
         return [entry.name for entry in self.entries]
 
     def entry(self, name) -> CatalogEntry:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownKnot(
-                f"no catalog entry named {name!r} "
-                f"(available: {', '.join(self.names())})"
-            ) from None
+        return _lookup(self._by_name, name, "catalog entry", sort=False)
 
     def profile(self, name) -> KnotProfile:
         entry = self.entry(name)
@@ -123,13 +106,7 @@ class Catalog:
         return entry.profile
 
     def front(self, name) -> FrontDiagram:
-        try:
-            return self._fronts[name]
-        except KeyError:
-            raise UnknownKnot(
-                f"no front named {name!r} "
-                f"(available: {', '.join(sorted(self._fronts))})"
-            ) from None
+        return _lookup(self._fronts, name, "front")
 
     def pattern(self, name) -> PatternData:
         entry = self.entry(name)
@@ -138,13 +115,29 @@ class Catalog:
         return entry.pattern
 
     def presentation(self, name) -> SurgeryPresentation:
-        try:
-            return self._presentations[name]
-        except KeyError:
-            raise UnknownKnot(
-                f"no presentation named {name!r} "
-                f"(available: {', '.join(sorted(self._presentations))})"
-            ) from None
+        return _lookup(self._presentations, name, "presentation")
+
+
+def _table(kind, pairs):
+    """A name -> value table; a name may occur once across the catalog."""
+    table = {}
+    for name, value in pairs:
+        if name in table:
+            raise ValidationError(f"duplicate {kind} name {name!r}")
+        table[name] = value
+    return table
+
+
+def _lookup(table, name, kind, sort=True):
+    """table[name]; an unknown name lists the table's names, sorted or in
+    catalog order."""
+    try:
+        return table[name]
+    except KeyError:
+        available = ", ".join(sorted(table) if sort else table)
+        raise UnknownKnot(
+            f"no {kind} named {name!r} (available: {available})"
+        ) from None
 
 
 def _require(condition, message):

@@ -14,6 +14,8 @@ import re
 import sys
 
 from .cabling import (
+    DENOMINATOR_BOUND,
+    K_MAX,
     MissingAlexander,
     MissingSeifert,
     cable_profile,
@@ -334,18 +336,6 @@ def render(report, output):
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
 
 
-_HANDLERS = {
-    "signature": _cmd_signature,
-    "alexander": _cmd_alexander,
-    "sigfn": _cmd_sigfn,
-    "cable-obstruction": _cmd_cable_obstruction,
-    "fox-milnor": _cmd_fox_milnor,
-    "verdict": _cmd_verdict,
-    "theorem31": _cmd_theorem31,
-    "homology-check": _cmd_homology_check,
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="concordance",
@@ -365,12 +355,15 @@ def build_parser():
     p.add_argument("knot")
     p.add_argument("--omega", required=True, metavar="A/B",
                    help="angle as a fraction of a full turn")
+    p.set_defaults(handler=_cmd_signature)
 
     p = sub.add_parser("alexander", help="Alexander polynomial from the Seifert matrix")
     p.add_argument("knot")
+    p.set_defaults(handler=_cmd_alexander)
 
     p = sub.add_parser("sigfn", help="full signature step function")
     p.add_argument("knot")
+    p.set_defaults(handler=_cmd_sigfn)
 
     p = sub.add_parser(
         "cable-obstruction",
@@ -378,22 +371,26 @@ def build_parser():
     )
     p.add_argument("knot")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--angle-denominator-bound", type=int, default=211)
+    p.add_argument("--angle-denominator-bound", type=int, default=DENOMINATOR_BOUND)
+    p.set_defaults(handler=_cmd_cable_obstruction)
 
     p = sub.add_parser("fox-milnor", help="norm test on the Alexander polynomials")
     p.add_argument("knot0")
     p.add_argument("knot1", nargs="?")
     p.add_argument("--cable", type=int, metavar="P",
                    help="test knot0 against its (P,1)-cable")
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--k-max", type=int, default=K_MAX)
+    p.set_defaults(handler=_cmd_fox_milnor)
 
     p = sub.add_parser("legendrian", help="front diagram invariants")
     leg = p.add_subparsers(dest="legendrian_command", required=True)
     q = leg.add_parser("invariants", help="tb, rot, and cusp counts of a stored front")
     q.add_argument("front")
+    q.set_defaults(handler=_cmd_legendrian_invariants)
     q = leg.add_parser("satellite", help="satellite tb and rot by the cabling formulas")
     q.add_argument("pattern")
     q.add_argument("companion", help="name of the companion's stored front")
+    q.set_defaults(handler=_cmd_legendrian_satellite)
 
     p = sub.add_parser(
         "theorem31",
@@ -402,6 +399,7 @@ def build_parser():
     p.add_argument("knot")
     p.add_argument("--pattern", default="paper-pattern-P")
     p.add_argument("--front", help="stored front realizing tb = 2g - 1, rot = 0")
+    p.set_defaults(handler=_cmd_theorem31)
 
     p = sub.add_parser(
         "homology-check",
@@ -410,14 +408,16 @@ def build_parser():
     p.add_argument("presentation", nargs="?",
                    help="stored presentation (default: built for --p)")
     p.add_argument("--p", type=int, default=2)
+    p.set_defaults(handler=_cmd_homology_check)
 
     p = sub.add_parser("verdict", help="aggregate rational concordance obstructions")
     p.add_argument("knot0")
     p.add_argument("knot1", nargs="?")
     p.add_argument("--cable", type=int, metavar="P",
                    help="compare knot0 against its (P,1)-cable")
-    p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--angle-denominator-bound", type=int, default=211)
+    p.add_argument("--k-max", type=int, default=K_MAX)
+    p.add_argument("--angle-denominator-bound", type=int, default=DENOMINATOR_BOUND)
+    p.set_defaults(handler=_cmd_verdict)
 
     return parser
 
@@ -439,23 +439,12 @@ def _context(args):
     return " ".join(words)
 
 
-def _dispatch(catalog, args):
-    if args.command == "legendrian":
-        handler = {
-            "invariants": _cmd_legendrian_invariants,
-            "satellite": _cmd_legendrian_satellite,
-        }[args.legendrian_command]
-    else:
-        handler = _HANDLERS[args.command]
-    return handler(catalog, args)
-
-
 def report(command, argv=(), catalog=None):
     """Run one subcommand programmatically; returns the report dict."""
     args = build_parser().parse_args([command, *argv])
     if catalog is None:
         catalog = load_catalog(args.catalog)
-    return _dispatch(catalog, args)
+    return args.handler(catalog, args)
 
 
 def main(argv=None):
@@ -463,7 +452,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         catalog = load_catalog(args.catalog)
-        text = render(_dispatch(catalog, args), args.output)
+        text = render(args.handler(catalog, args), args.output)
     except (HypothesisNotMet, ClassMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

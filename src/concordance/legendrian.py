@@ -356,8 +356,8 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
     n = pattern.seam_strands
     if n < 1:
         raise FrontError("pattern must have seam_strands >= 1")
-    if not 0 <= splice_after <= len(companion.events):
-        raise FrontError(f"splice_after out of range: {splice_after}")
+    if not is_int(splice_after) or not 0 <= splice_after <= len(companion.events):
+        raise FrontError(f"splice_after out of range: {splice_after!r}")
     if not is_int(base) or base < 0 or base % n:
         raise FrontError(f"base must be a nonnegative multiple of {n}, got {base!r}")
     blocks = [_cable_block(event, n) for event in companion.events]

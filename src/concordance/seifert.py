@@ -470,7 +470,6 @@ class SignatureFunction:
         self._delta = delta
         self._markers = markers
         self._values = tuple(values)
-        self._jump_cache: dict[int, bool] = {}
 
     @property
     def arc_values(self) -> tuple[int, ...]:
@@ -483,10 +482,7 @@ class SignatureFunction:
         q = _as_fraction(q)
         if q == 0:
             return False
-        b = q.denominator
-        if b not in self._jump_cache:
-            self._jump_cache[b] = _cyclotomic_divides(self._delta, b)
-        return self._jump_cache[b]
+        return _cyclotomic_divides(self._delta, q.denominator)
 
     def evaluate(self, q) -> int:
         """Value at omega = exp(2*pi*i*q) for exact rational q.

@@ -187,6 +187,65 @@ class TestLoadCatalog:
         with pytest.raises(UnknownKnot, match="no presentation named"):
             catalog.presentation("nope")
 
+    def test_unknown_names_list_what_is_available(self):
+        catalog = load_catalog()
+        cases = [
+            (
+                catalog.entry,
+                "no catalog entry named 'nope' (available: unknot, RH-trefoil, "
+                "figure-eight, 3-twist-negative-clasp, whitehead-double-RH-trefoil, "
+                "paper-pattern-P, satellite-P-of-trefoil)",
+            ),
+            (
+                catalog.front,
+                "no front named 'nope' (available: legendrian-RH-trefoil, "
+                "legendrian-RH-trefoil-maxtb, paper-pattern-P, satellite-P-of-trefoil)",
+            ),
+            (
+                catalog.presentation,
+                "no presentation named 'nope' (available: satellite-cobordism-p2)",
+            ),
+        ]
+        for lookup, message in cases:
+            with pytest.raises(UnknownKnot) as info:
+                lookup("nope")
+            assert str(info.value) == message
+
+    def test_entries_list_in_catalog_order_and_files_sorted(self, tmp_path):
+        for name in ("z.front", "a.front"):
+            (tmp_path / name).write_text("O E\nL 0\nR 0\n")
+        for name in ("z.pres", "a.pres"):
+            (tmp_path / name).write_text("M 1\n1\n")
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([
+            {"name": "zeta", "fronts": ["z.front"], "presentations": ["z.pres"]},
+            {"name": "alpha", "fronts": ["a.front"], "presentations": ["a.pres"]},
+        ]))
+        catalog = load_catalog(path)
+        for lookup, message in [
+            (catalog.entry, "no catalog entry named 'x' (available: zeta, alpha)"),
+            (catalog.front, "no front named 'x' (available: a, z)"),
+            (catalog.presentation, "no presentation named 'x' (available: a, z)"),
+        ]:
+            with pytest.raises(UnknownKnot) as info:
+                lookup("x")
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, suffix, text", [
+        ("front", ".front", "O E\nL 0\nR 0\n"),
+        ("presentation", ".pres", "M 1\n1\n"),
+    ], ids=["front", "presentation"])
+    def test_file_names_are_unique_across_entries(self, tmp_path, kind, suffix, text):
+        (tmp_path / f"k{suffix}").write_text(text)
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([
+            {"name": "first", f"{kind}s": [f"k{suffix}"]},
+            {"name": "second", f"{kind}s": [f"k{suffix}"]},
+        ]))
+        with pytest.raises(ValidationError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"duplicate {kind} name 'k'"
+
 
 class TestReports:
     def test_signature(self, capsys):

@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from _oracles import front_alexander
 
 from concordance.cabling import Cited, CitedBounds, KnotProfile
+from concordance.laurent import LaurentPoly
 from concordance.legendrian import (
     FrontDiagram,
     FrontError,
@@ -36,6 +39,10 @@ TREFOIL_FRONT = _load_front("legendrian-RH-trefoil.front")
 TREFOIL_MAXTB = _load_front("legendrian-RH-trefoil-maxtb.front")
 PATTERN_FRONT = _load_front("paper-pattern-P.front")
 SATELLITE_FRONT = _load_front("satellite-P-of-trefoil.front")
+# the pattern bundled before paper-pattern-P: its closure is a trefoil
+TREFOIL_CLOSURE_PATTERN = front_from_text(
+    (Path(__file__).parent / "data" / "trefoil-closure-pattern.front").read_text()
+)
 
 PATTERN = PatternData.from_front(
     "paper-pattern-P",
@@ -78,9 +85,9 @@ class TestFrontInvariants:
     def test_cyclic_rotation_of_annular_front(self):
         # rotating the event list across the seam preserves the diagram
         # whenever the cut point carries the full seam strand count
-        events = list(PATTERN_FRONT.events)
-        base = PATTERN_FRONT.invariants()
-        count = PATTERN_FRONT.seam_strands
+        events = list(TREFOIL_CLOSURE_PATTERN.events)
+        base = TREFOIL_CLOSURE_PATTERN.invariants()
+        count = TREFOIL_CLOSURE_PATTERN.seam_strands
         valid_shifts = []
         running = count
         for shift, (kind, _) in enumerate(events, start=1):
@@ -262,8 +269,31 @@ class TestCableAndSatelliteFronts:
             satellite_front(PATTERN_FRONT, PATTERN_FRONT)
         with pytest.raises(FrontError, match="seam_strands >= 1"):
             satellite_front(TREFOIL_FRONT, TREFOIL_MAXTB)
-        with pytest.raises(FrontError, match="splice_after"):
-            satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=99)
+        # 1.5 raised TypeError from list.insert, and True was taken as 1
+        for splice_after in (99, 1.5, True):
+            with pytest.raises(FrontError, match="splice_after"):
+                satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=splice_after)
+
+
+class TestFrontAlexander:
+    """The Wirtinger oracle on the bundled fronts: the pattern's closure
+    P(U) is unknotted, so its satellite of the trefoil keeps the trefoil's
+    Alexander polynomial, Delta_P(U)(t) * Delta_K(t^w) with w = 1."""
+
+    TREFOIL = LaurentPoly({-1: 1, 0: -1, 1: 1})
+
+    def test_trefoil_fronts(self):
+        assert front_alexander(TREFOIL_FRONT) == self.TREFOIL
+        assert front_alexander(TREFOIL_MAXTB) == self.TREFOIL
+
+    def test_pattern_closures(self):
+        assert front_alexander(PATTERN_FRONT) == LaurentPoly.one()
+        assert front_alexander(TREFOIL_CLOSURE_PATTERN) == self.TREFOIL
+
+    def test_satellites(self):
+        assert front_alexander(SATELLITE_FRONT) == self.TREFOIL
+        old = satellite_front(TREFOIL_FRONT, TREFOIL_CLOSURE_PATTERN, splice_after=1, base=3)
+        assert front_alexander(old) == self.TREFOIL * self.TREFOIL
 
 
 class TestPatternData:
