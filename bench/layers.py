@@ -4,13 +4,17 @@
 
 Run from anywhere; the library is imported from the `src/` beside this
 directory, and the inputs come from `perfbench/families.py` (loaded by
-path, not changed).  For each size, COUNT presentations are drawn from
-a fresh `random.Random(SEED)`; each call is timed REPEAT times and
-the fastest kept, and a layer's figure at that size is the median over
-the presentations, in milliseconds.  The JSON holds the machine, the
-Python version, the git commit (and whether `src/` differs from it), the
-medians keyed by layer name, and the line count of `src/concordance/*.py`.
-Standard library only.
+path, not changed).  The surgery layers take COUNT presentations of
+each size, drawn from a fresh `random.Random(SEED)`.  The front sweep,
+`satellite_front` of the bundled RH trefoil front followed by
+`invariants()`, takes the twist pattern on n strands (`pattern_events`)
+and is timed COUNT times over.  Each call is timed REPEAT times and the
+fastest kept, and a layer's figure at a size is the median over its
+inputs, in milliseconds.  Each layer has its own default sizes (`--sizes`
+sets them for every layer).  The JSON holds the machine, the Python
+version, the git commit (and whether `src/` differs from it), the inputs,
+the medians keyed by layer name, and the line count of
+`src/concordance/*.py`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ REPEAT = 3
 
 sys.path.insert(0, str(SRC))
 
+from concordance.catalog import load_catalog  # noqa: E402
+from concordance.legendrian import FrontDiagram, satellite_front  # noqa: E402
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
 
 
@@ -57,11 +63,40 @@ def best_ms(fn, arg):
     return 1000 * min(times)
 
 
-# layer name -> (function, how it reads a families.Presentation)
-LAYERS = {
-    "surgery.smith_normal_form": (smith_normal_form, lambda p: p.matrix),
-    "surgery.first_homology": (first_homology, lambda p: SurgeryPresentation(p.matrix, p.classes)),
-}
+def layers():
+    """Layer name -> (function, its inputs at one size, default sizes,
+    where the inputs come from)."""
+    families = load_families()
+    trefoil = load_catalog().front("legendrian-RH-trefoil")
+
+    def presentations(size):
+        rng = random.Random(SEED)
+        return [families.random_presentation(rng, size) for _ in range(COUNT)]
+
+    def front_sweep(pattern):
+        return satellite_front(trefoil, pattern).invariants()
+
+    surgery_sizes = [12, 24, 36, 48]
+    return {
+        "surgery.smith_normal_form": (
+            smith_normal_form,
+            lambda size: [p.matrix for p in presentations(size)],
+            surgery_sizes,
+            "perfbench/families.random_presentation",
+        ),
+        "surgery.first_homology": (
+            first_homology,
+            lambda size: [SurgeryPresentation(p.matrix, p.classes) for p in presentations(size)],
+            surgery_sizes,
+            "perfbench/families.random_presentation",
+        ),
+        "legendrian.front_sweep": (
+            front_sweep,
+            lambda n: [FrontDiagram(families.pattern_events(n), seam_strands=n)] * COUNT,
+            list(range(2, 15)),
+            "perfbench/families.pattern_events on the legendrian-RH-trefoil front",
+        ),
+    }
 
 
 def git(*args):
@@ -72,15 +107,16 @@ def git(*args):
     return out.stdout.strip()
 
 
-def measure(sizes):
-    families = load_families()
-    layers = {name: {} for name in LAYERS}
-    for size in sizes:
-        rng = random.Random(SEED)
-        inputs = [families.random_presentation(rng, size) for _ in range(COUNT)]
-        for name, (fn, read) in LAYERS.items():
-            args = [read(p) for p in inputs]
-            layers[name][str(size)] = round(statistics.median(best_ms(fn, a) for a in args), 4)
+def measure(sizes=None):
+    """The report; `sizes` replaces every layer's default sizes."""
+    medians, inputs = {}, {}
+    for name, (fn, make, default, family) in layers().items():
+        layer_sizes = sizes or default
+        medians[name] = {
+            str(size): round(statistics.median(best_ms(fn, a) for a in make(size)), 4)
+            for size in layer_sizes
+        }
+        inputs[name] = {"family": family, "sizes": layer_sizes}
     status = git("status", "--porcelain", "--", "src")
     return {
         "machine": {
@@ -91,10 +127,9 @@ def measure(sizes):
         "python": platform.python_version(),
         "git_sha": git("rev-parse", "HEAD"),
         "src_differs_from_commit": None if status is None else bool(status),
-        "inputs": {"family": "perfbench/families.random_presentation", "sizes": sizes,
-                   "count": COUNT, "seed": SEED, "repeat": REPEAT},
+        "inputs": {"layers": inputs, "count": COUNT, "seed": SEED, "repeat": REPEAT},
         "unit": "ms",
-        "layers": layers,
+        "layers": medians,
         "src_lines": sum(len(p.read_text().splitlines()) for p in (SRC / "concordance").glob("*.py")),
     }
 
@@ -102,7 +137,8 @@ def measure(sizes):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="where to write the JSON")
-    parser.add_argument("--sizes", nargs="+", type=int, default=[12, 24, 36, 48])
+    parser.add_argument("--sizes", nargs="+", type=int,
+                        help="sizes for every layer (default: each layer's own)")
     args = parser.parse_args(argv)
     report = measure(args.sizes)
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -3,10 +3,13 @@
 A surgery presentation is a symmetric integer linking matrix (framings on
 the diagonal) together with named classes written in the meridian basis.
 First homology of the presented manifold is the cokernel of the matrix,
-computed through an exact Smith normal form that tracks the change of
-basis, so named classes can be followed into the canonical decomposition
-Z^rank + Z/d_1 + ... + Z/d_k (d_1 | d_2 | ...).  The elimination runs on
-one working matrix that carries both transforms (see `smith_normal_form`).
+read off an exact Smith normal form, so named classes can be followed
+into the canonical decomposition Z^rank + Z/d_1 + ... + Z/d_k
+(d_1 | d_2 | ...).  One elimination serves both public routes: it runs on
+a working matrix whose first m rows are [M | B], and every choice it
+makes reads only M's columns.  `smith_normal_form` puts I_m in B (and
+I_n below) to build U (and V); `first_homology` puts the class vectors
+in B, so B ends as their images U*v without U ever being formed.
 One rule writes a class's coordinates: reduce each mod its modulus (0 for
 a free one) and drop those of modulus 1.  The Smith diagonal reads units,
 the torsion chain, zeros, and inverting p keeps that order.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .laurent import is_int
@@ -64,32 +66,28 @@ def _find_pivot(W, t, m, n):
     return low, i, next(j for j in range(t, n) if abs(W[i][j]) == low)
 
 
-def smith_normal_form(M):
-    """Diagonalize an integer matrix: U * M * V = D.
+def _eliminate(M, B, V):
+    """The Smith elimination of the m x n integer matrix M, carrying B
+    and V along; returns the first m rows of the working matrix, [D | U*B].
 
-    U and V are unimodular; D is diagonal, nonnegative, and its nonzero
-    entries form a divisibility chain d_1 | d_2 | ... followed by zeros.
-    The pivot rule (smallest nonzero absolute value, ties in row-major
-    order) makes the transforms deterministic.
+    The working matrix W has [M | B] as its first m rows (B: m rows of
+    any one length) and the rows of V, each of length n, below them.
+    Row operations act on whole rows of [M | B] and column operations on
+    the first n columns, V included; the sign fix negates whole rows.  So
+    B ends as U*B and V as V times the column transform.  The pivot
+    search, the divisibility scan and the choice of which row or column
+    to promote read only the first n columns: whatever B and V hold, the
+    operations, and with them U and D, are those of `smith_normal_form`.
 
-    The elimination runs on one working matrix W: its first m rows are
-    [M | I_m] and the n rows below are I_n.  A row operation on the first
-    m rows builds U in the right block, and a column operation on the
-    first n columns builds V in the bottom block; at the end the first m
-    rows are [D | U] and the rest is V.
-
-    Three facts spare work without changing a single operation, so U, D
-    and V are those of the plain elimination.  The pivot search stops at
-    the first row that holds a unit, since no entry is smaller, and so
-    still finds the row-major minimum (`_find_pivot`).  When the row loop
-    at step t is done, column t of the first m rows is zero except at row
-    t: the rows below were just cleared, and a finished pivot row is zero
-    off its diagonal.  So a column operation against column t changes
-    only row t and the n rows of V.  The repair `row_sub(t, bad, -1)`
-    keeps this, because W[bad][t] is 0.  And a pivot of +-1 divides
-    everything, so the divisibility scan is skipped.
-
-    Returns (U, D, V) as lists of lists.
+    Three facts spare work without changing a single operation.  The
+    pivot search stops at the first row that holds a unit, since no entry
+    is smaller, and so still finds the row-major minimum (`_find_pivot`).
+    When the row loop at step t is done, column t of the first m rows is
+    zero except at row t: the rows below were just cleared, and a
+    finished pivot row is zero off its diagonal.  So a column operation
+    against column t changes only row t and the rows of V.  The repair
+    `row_sub(t, bad, -1)` keeps this, because W[bad][t] is 0.  And a
+    pivot of +-1 divides everything, so the divisibility scan is skipped.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -97,9 +95,7 @@ def smith_normal_form(M):
         raise ValueError("matrix rows have unequal lengths")
     if not all(is_int(x) for row in M for x in row):
         raise ValueError("matrix entries must be integers")
-    W = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(M)]
-    W += [[int(i == j) for j in range(n)] for i in range(n)]
-    V = W[m:]  # the same row objects: only the first m rows are ever replaced
+    W = [list(row) + b for row, b in zip(M, B)] + V
 
     def row_swap(i, k):
         W[i], W[k] = W[k], W[i]
@@ -155,7 +151,29 @@ def smith_normal_form(M):
     for i in range(min(m, n)):
         if W[i][i] < 0:
             W[i] = [-x for x in W[i]]
-    return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], V
+    return W[:m]
+
+
+def smith_normal_form(M):
+    """Diagonalize an integer matrix: U * M * V = D.
+
+    U and V are unimodular; D is diagonal, nonnegative, and its nonzero
+    entries form a divisibility chain d_1 | d_2 | ... followed by zeros.
+    The pivot rule (smallest nonzero absolute value, ties in row-major
+    order) makes the transforms deterministic.
+
+    It is the module's one elimination (`_eliminate`), run on [M | I_m]
+    with the n rows of I_n below.  A row operation on the first m rows
+    builds U in the right block, and a column operation on the first n
+    columns builds V in the bottom block; at the end the first m rows are
+    [D | U] and the rest is V.
+
+    Returns (U, D, V) as lists of lists.
+    """
+    n = len(M[0]) if M else 0
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    W = _eliminate(M, [[int(i == k) for k in range(len(M))] for i in range(len(M))], V)
+    return [row[n:] for row in W], [row[:n] for row in W], V
 
 
 class SurgeryPresentation:
@@ -172,16 +190,12 @@ class SurgeryPresentation:
         for i in range(n):
             for j in range(i):
                 if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError(
-                        f"linking matrix not symmetric at ({i}, {j})"
-                    )
+                    raise ValueError(f"linking matrix not symmetric at ({i}, {j})")
         self.classes = {}
         for label, vector in dict(classes).items():
             vec = tuple(vector)
             if len(vec) != n:
-                raise ValueError(
-                    f"class {label!r} has length {len(vec)}, matrix has {n}"
-                )
+                raise ValueError(f"class {label!r} has length {len(vec)}, matrix has {n}")
             if not all(is_int(x) for x in vec):
                 raise ValueError(f"class {label!r} coordinates must be integers")
             self.classes[str(label)] = vec
@@ -231,17 +245,25 @@ def _coordinates(vector, moduli):
 
 
 def first_homology(presentation):
-    """Cokernel of the linking matrix, with class images tracked."""
-    U, D, _ = smith_normal_form(presentation.matrix)
-    diag = [row[i] for i, row in enumerate(D)]
-    images = {
-        label: _coordinates([sum(map(operator.mul, u, vector)) for u in U], diag)
-        for label, vector in presentation.classes.items()
-    }
+    """Cokernel of the linking matrix, with class images tracked.
+
+    A class v maps to U * v, written in the Smith basis by `_coordinates`,
+    where U is the row transform of `smith_normal_form`.  Here the same
+    elimination runs on [M | C], the columns of C being the class vectors,
+    with no V below.  No choice of the elimination reads the right block,
+    so its row operations are those that turn I_m into U, and the block
+    ends as U * C: the images, integer for integer, without U or V.
+    """
+    M = presentation.matrix
+    W = _eliminate(M, [[v[i] for v in presentation.classes.values()] for i in range(len(M))], [])
+    diag = [row[i] for i, row in enumerate(W)]
     return AbelianGroupDescription(
         rank=diag.count(0),
         torsion=tuple(d for d in diag if d >= 2),
-        images=images,
+        images={
+            label: _coordinates([row[len(M) + j] for row in W], diag)
+            for j, label in enumerate(presentation.classes)
+        },
     )
 
 

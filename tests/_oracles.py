@@ -6,6 +6,7 @@ complete decision procedure for products whose witnesses must live in
 that box; the generators below only produce such products."""
 
 import importlib.util
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from concordance.cyclotomic import CycloInt, hermitian_signature
 from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing, is_int
 from concordance.seifert import RootOfUnity, SeifertMatrix
+from concordance.surgery import AbelianGroupDescription, smith_normal_form
 
 
 def load_perfbench(name):
@@ -274,6 +276,28 @@ def reference_smith_normal_form(M):
         if W[i][i] < 0:
             W[i] = [-x for x in W[i]]
     return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], W[m:]
+
+
+def reference_first_homology(presentation):
+    """First homology by the library's earlier route: U from
+    `smith_normal_form`, each class image the product U * v, one dot
+    product per row of U.  A coordinate is reduced mod its diagonal entry
+    (kept as is for a zero one) and dropped for a unit entry."""
+    U, D, _ = smith_normal_form(presentation.matrix)
+    diag = [row[i] for i, row in enumerate(D)]
+    images = {
+        label: tuple(
+            x % d if d else x
+            for x, d in zip((sum(map(operator.mul, u, vector)) for u in U), diag)
+            if d != 1
+        )
+        for label, vector in presentation.classes.items()
+    }
+    return AbelianGroupDescription(
+        rank=diag.count(0),
+        torsion=tuple(d for d in diag if d >= 2),
+        images=images,
+    )
 
 
 def cyclotomic_levine_tristram(v, a, b):

@@ -16,7 +16,9 @@ def test_layers_script_writes_its_keys(tmp_path):
     )
     report = json.loads(out.read_text())
     assert set(report) >= {"machine", "python", "git_sha", "layers", "src_lines", "unit"}
-    assert set(report["layers"]) == {"surgery.smith_normal_form", "surgery.first_homology"}
+    assert set(report["layers"]) == {
+        "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
+    }
     for medians in report["layers"].values():
         assert list(medians) == ["6"]
         assert medians["6"] > 0

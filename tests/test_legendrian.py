@@ -48,7 +48,11 @@ PATTERN = PatternData.from_front(
     "paper-pattern-P",
     PATTERN_FRONT,
     tilde_class="unknot",
-    tilde_citation="pattern closure in the surgered torus is a 0-crossing diagram",
+    tilde_citation=(
+        "closed up in the plane, the front is a three-crossing diagram with "
+        "Alexander polynomial 1; a diagram with at most three crossings is "
+        "the unknot or a trefoil, and a trefoil has polynomial t - 1 + t^-1"
+    ),
 )
 
 

@@ -16,11 +16,12 @@ from importlib import resources
 import pytest
 import sympy
 
-from _oracles import assert_valid_snf, families, reference_smith_normal_form
+from _oracles import assert_valid_snf, families, reference_first_homology, reference_smith_normal_form
 
 from concordance.surgery import (
     AbelianGroupDescription,
     ClassMismatch,
+    MeridianCheck,
     SurgeryPresentation,
     cobordism_meridian_check,
     first_homology,
@@ -155,6 +156,74 @@ def reference_cases():
 def test_transforms_match_the_reference_elimination():
     mismatched = [M for M in reference_cases() if smith_normal_form(M) != reference_smith_normal_form(M)]
     assert mismatched == []
+
+
+def homology_oracle_cases():
+    """Seeded presentations for the comparison with the dot-product route:
+    the empty one, some without classes, random symmetric matrices up to
+    9 x 9 (a third made singular by a repeated row and column), every
+    `random_presentation` size up to 48, and the meridian family (cobordism
+    blocks only) at sizes 6, 24 and 48."""
+    rng = random.Random(20261020)
+    yield SurgeryPresentation([], {})
+    yield SurgeryPresentation([], {"x": ()})
+    yield SurgeryPresentation([[0, 0], [0, 0]], {})
+    yield SurgeryPresentation([[2, 1], [1, 2]], {})
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        pool = rng.choice(((0, 1, -1, 2, 3), (0, 0, 2, -4, 6), (0, 0, 0, 3, -9)))
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                M[i][j] = M[j][i] = rng.choice(pool)
+        if n > 1 and rng.random() < 1 / 3:
+            a, b = rng.sample(range(n), 2)
+            M[b] = list(M[a])
+            for row in M:
+                row[b] = row[a]
+        classes = {f"c{k}": [rng.randint(-6, 6) for _ in range(n)] for k in range(rng.randint(0, 3))}
+        yield SurgeryPresentation(M, classes)
+    for size in range(1, 49):
+        p = families.random_presentation(rng, size)
+        yield SurgeryPresentation(p.matrix, p.classes)
+    for size in (6, 24, 48):
+        for _ in range(3):
+            p = families.Presentation(
+                tuple(rng.randint(2, 7) for _ in range(size // 3)), (), families.unimodular(rng, size, size)
+            )
+            yield SurgeryPresentation(p.matrix, p.classes)
+
+
+def test_first_homology_matches_the_dot_product_route():
+    cases = list(homology_oracle_cases())
+    assert any(not P.classes for P in cases)
+    assert any(first_homology(P).rank and "mu_K_0" not in P.classes for P in cases)  # singular
+    assert [P for P in cases if first_homology(P) != reference_first_homology(P)] == []
+
+
+def _meridian_outcome(P, name0, name1, p):
+    """The check's result, or its ClassMismatch message and residual."""
+    try:
+        return cobordism_meridian_check(P, name0, name1, p)
+    except ClassMismatch as e:
+        return str(e), e.residual
+
+
+def test_meridian_check_matches_the_dot_product_route(monkeypatch):
+    rng = random.Random(20261021)
+    queries = []
+    for P in homology_oracle_cases():
+        labels = sorted(P.classes)
+        if "mu_K_0" in P.classes:  # a block's p is in 2..7: the right p and wrong ones
+            i = rng.randrange(len(labels) // 2)
+            queries += [(P, f"mu_K_{i}", f"mu_Ptilde_{i}", q) for q in range(1, 8)]
+        elif labels:
+            queries += [(P, rng.choice(labels), rng.choice(labels), rng.choice((1, 2, 3, 6)))]
+    got = [_meridian_outcome(*q) for q in queries]
+    monkeypatch.setattr("concordance.surgery.first_homology", reference_first_homology)
+    want = [_meridian_outcome(*q) for q in queries]
+    assert got == want
+    assert {type(outcome) for outcome in got} == {tuple, MeridianCheck}
 
 
 TREFOIL_SURGERY = [[0]]

@@ -7,7 +7,7 @@ import sys
 import concordance
 from _oracles import load_perfbench
 
-from concordance.surgery import SurgeryPresentation
+from concordance.surgery import satellite_cobordism_presentation
 
 tracer = load_perfbench("tracer")
 
@@ -39,18 +39,20 @@ def test_install_records_spans_and_uninstall_restores_every_binding():
     t = tracer.Tracer()
     t.install(concordance)
     try:
-        group = concordance.surgery.first_homology(
-            SurgeryPresentation([[4, 0], [0, 0]], {"x": (1, 1)})
+        check = concordance.surgery.cobordism_meridian_check(
+            satellite_cobordism_presentation(2), "mu_K", "mu_Ptilde", 2
         )
     finally:
         t.uninstall()
-    assert group.describe() == "Z/4 + Z"
+    assert check.homology.describe() == "Z"
     spans = {t.names[name_id]: parent for name_id, _, _, parent in t.spans}
-    assert set(spans) == {"surgery.first_homology", "surgery.smith_normal_form"}
-    # the Smith form span is a child of the homology span, which is the root
-    assert spans["surgery.first_homology"] == -1
-    assert spans["surgery.smith_normal_form"] == 0
-    assert t.stats["surgery.smith_normal_form"]["calls"] == 1
+    assert set(spans) == {"surgery.cobordism_meridian_check", "surgery.first_homology"}
+    # the homology span is a child of the meridian check's span, which is the root
+    assert spans["surgery.cobordism_meridian_check"] == -1
+    assert spans["surgery.first_homology"] == 0
+    assert t.stats["surgery.first_homology"]["calls"] == 1
+    # first_homology runs the elimination itself, not through smith_normal_form
+    assert t.stats["surgery.smith_normal_form"]["calls"] == 0
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, (_, value) in before.items() if after[key][1] is not value] == []
