@@ -7,14 +7,16 @@ directory, and the inputs come from `perfbench/families.py` (loaded by
 path, not changed).  The surgery layers take COUNT presentations of
 each size, drawn from a fresh `random.Random(SEED)`.  The front sweep,
 `satellite_front` of the bundled RH trefoil front followed by
-`invariants()`, takes the twist pattern on n strands (`pattern_events`)
-and is timed COUNT times over.  Each call is timed REPEAT times and the
-fastest kept, and a layer's figure at a size is the median over its
-inputs, in milliseconds.  Each layer has its own default sizes (`--sizes`
-sets them for every layer).  The JSON holds the machine, the Python
-version, the git commit (and whether `src/` differs from it), the inputs,
-the medians keyed by layer name, and the line count of
-`src/concordance/*.py`.  Standard library only.
+`invariants()`, takes the twist pattern on n strands (`pattern_events`);
+the cable layer, `cable_front` of the bundled satellite-P-of-trefoil
+front followed by `component_count`, takes n itself; each is timed COUNT
+times over.  Each call is timed REPEAT times and the fastest kept, and a
+layer's figure at a size is the median over its inputs, in milliseconds.
+Each layer has its own default sizes (`--sizes` sets them for every
+layer).  The JSON holds the machine, the Python version, the git commit
+(and whether `src/` differs from it), the inputs, the medians keyed by
+layer name, and the line count of `src/concordance/*.py`.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ REPEAT = 3
 sys.path.insert(0, str(SRC))
 
 from concordance.catalog import load_catalog  # noqa: E402
-from concordance.legendrian import FrontDiagram, satellite_front  # noqa: E402
+from concordance.legendrian import FrontDiagram, cable_front, satellite_front  # noqa: E402
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
 
 
@@ -67,7 +69,9 @@ def layers():
     """Layer name -> (function, its inputs at one size, default sizes,
     where the inputs come from)."""
     families = load_families()
-    trefoil = load_catalog().front("legendrian-RH-trefoil")
+    catalog = load_catalog()
+    trefoil = catalog.front("legendrian-RH-trefoil")
+    satellite = catalog.front("satellite-P-of-trefoil")
 
     def presentations(size):
         rng = random.Random(SEED)
@@ -75,6 +79,9 @@ def layers():
 
     def front_sweep(pattern):
         return satellite_front(trefoil, pattern).invariants()
+
+    def cable_sweep(n):
+        return cable_front(satellite, n).component_count
 
     surgery_sizes = [12, 24, 36, 48]
     return {
@@ -95,6 +102,12 @@ def layers():
             lambda n: [FrontDiagram(families.pattern_events(n), seam_strands=n)] * COUNT,
             list(range(2, 15)),
             "perfbench/families.pattern_events on the legendrian-RH-trefoil front",
+        ),
+        "legendrian.cable_front": (
+            cable_sweep,
+            lambda n: [n] * COUNT,
+            list(range(2, 15)),
+            "n-copy cables of the satellite-P-of-trefoil front",
         ),
     }
 

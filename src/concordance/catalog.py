@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .cabling import Cited, CitedBounds, KnotProfile
-from .laurent import LaurentPoly, is_int
+from .laurent import LaurentPoly, all_int, is_int
 from .legendrian import FrontDiagram, FrontError, PatternData, front_from_text
 from .seifert import SeifertMatrix
 from .surgery import SurgeryPresentation, presentation_from_text
@@ -207,7 +207,7 @@ def _parse_entry(raw, index, base):
         _require(
             isinstance(rows, list)
             and all(
-                isinstance(row, list) and all(is_int(x) for x in row)
+                isinstance(row, list) and all_int(row)
                 for row in rows
             ),
             f"{where}: seifert_matrix must be a list of integer rows",

@@ -28,6 +28,7 @@ from .cabling import (
 from .catalog import UnknownKnot, load_catalog
 from .legendrian import (
     SATELLITE_FORMULA_CITATION,
+    FrontError,
     HypothesisNotMet,
     satellite_genus_pipeline,
     satellite_invariants,
@@ -226,10 +227,16 @@ def _cmd_legendrian_invariants(catalog, args):
     return report
 
 
+def _companion_front(catalog, name):
+    front = catalog.front(name)
+    if front.seam_strands:  # an annular front is a pattern, never a companion
+        raise FrontError("companion must be a closed front")
+    return front
+
+
 def _cmd_legendrian_satellite(catalog, args):
     pattern = catalog.pattern(args.pattern)
-    front = catalog.front(args.companion)
-    inv = front.invariants()
+    inv = _companion_front(catalog, args.companion).invariants()
     sat = satellite_invariants(pattern, inv)
     return {
         "command": "legendrian satellite",
@@ -247,7 +254,7 @@ def _cmd_theorem31(catalog, args):
     pattern = catalog.pattern(args.pattern)
     if args.front is not None:
         front_name = args.front
-        realization = catalog.front(front_name).invariants()
+        realization = _companion_front(catalog, front_name).invariants()
     else:
         if profile.declared_genus is None:
             raise HypothesisNotMet(f"{profile.name}: no declared genus")

@@ -45,6 +45,13 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def all_int(values) -> bool:
+    """is_int of every item of a sequence, by one pass over the types: if
+    every type is exactly int, no item is a bool and no call is needed;
+    any other type sends the check through is_int item by item."""
+    return {*map(type, values)} <= {int} or all(map(is_int, values))
+
+
 def _exact(v):
     """A coefficient: an int, and not a bool."""
     if not is_int(v):

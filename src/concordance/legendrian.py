@@ -114,7 +114,7 @@ class FrontDiagram:
             raise FrontError(f"seam_strands must be a nonnegative int, got {seam_strands!r}")
         if orient not in (EAST, WEST):
             raise FrontError(f"orient must be {EAST!r} or {WEST!r}, got {orient!r}")
-        self.events = tuple((kind, pos) for kind, pos in events)
+        self.events = tuple(map(tuple, events))
         self.seam_strands = seam_strands
         self.orient = orient
         self._sweep()
@@ -122,36 +122,42 @@ class FrontDiagram:
             self._orient_components()
 
     def _sweep(self):
-        """Run the left-to-right simulation, recording segments and features."""
+        """Run the left-to-right simulation, recording segments and features.
+
+        No shortcut changes a result: a position of type exactly int is
+        never a bool, so it skips is_int; crossings, most events of a
+        cable, are tested first and swap two entries by two stores; and a
+        missing strand at a crossing or right cusp is the IndexError of
+        its read, exact because negative positions were rejected."""
         positions = list(range(self.seam_strands))
         next_id = self.seam_strands
         cusps = []       # (side, upper_seg, lower_seg)
         crossings = []   # (upper_seg, lower_seg)
         try:
             for n, (kind, pos) in enumerate(self.events):
-                if not is_int(pos):
+                if type(pos) is not int and not is_int(pos):
                     raise FrontError("position must be an integer")
                 if pos < 0:
                     raise FrontError("negative position")
-                if kind == LEFT_CUSP:
+                if kind == CROSSING:
+                    upper, lower = positions[pos], positions[pos + 1]
+                    positions[pos], positions[pos + 1] = lower, upper
+                    crossings.append((upper, lower))
+                elif kind == LEFT_CUSP:
                     if pos > len(positions):
                         raise FrontError(f"position beyond {len(positions)} strands")
                     positions[pos:pos] = [next_id, next_id + 1]
                     cusps.append((LEFT_CUSP, next_id, next_id + 1))
                     next_id += 2
-                elif kind in (RIGHT_CUSP, CROSSING):
-                    if pos > len(positions) - 2:
-                        raise FrontError(f"needs two strands at {pos}, have {len(positions)}")
+                elif kind == RIGHT_CUSP:
                     upper, lower = positions[pos], positions[pos + 1]
-                    if kind == RIGHT_CUSP:
-                        del positions[pos:pos + 2]
-                        cusps.append((RIGHT_CUSP, upper, lower))
-                    else:
-                        positions[pos:pos + 2] = lower, upper
-                        crossings.append((upper, lower))
+                    del positions[pos:pos + 2]
+                    cusps.append((RIGHT_CUSP, upper, lower))
                 else:
                     raise FrontError("unknown event kind")
-        except FrontError as exc:
+        except (FrontError, IndexError) as exc:
+            if isinstance(exc, IndexError):  # a read past the last strand
+                exc = f"needs two strands at {pos}, have {len(positions)}"
             raise FrontError(f"event {n} ({kind} {pos}): {exc}") from None
         self._segment_count = next_id
         self._cusps = cusps
@@ -221,7 +227,7 @@ class FrontDiagram:
                 f"front has {self._components} components, expected 1"
             )
         dirs = self._dirs
-        writhe = sum(1 if dirs[upper] == dirs[lower] else -1 for upper, lower in self._crossings)
+        writhe = 2 * sum([dirs[a] == dirs[b] for a, b in self._crossings]) - len(self._crossings)
         down_left = sum(
             1 for side, upper, _ in self._cusps
             if side == LEFT_CUSP and dirs[upper] == WEST

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .laurent import is_int
+from .laurent import all_int, is_int
 
 
 class ClassMismatch(ValueError):
@@ -93,7 +93,7 @@ def _eliminate(M, B, V):
     n = len(M[0]) if m else 0
     if any(len(row) != n for row in M):
         raise ValueError("matrix rows have unequal lengths")
-    if not all(is_int(x) for row in M for x in row):
+    if not all(map(all_int, M)):
         raise ValueError("matrix entries must be integers")
     W = [list(row) + b for row, b in zip(M, B)] + V
 
@@ -185,7 +185,7 @@ class SurgeryPresentation:
         for row in self.matrix:
             if len(row) != n:
                 raise ValueError("linking matrix must be square")
-            if not all(is_int(x) for x in row):
+            if not all_int(row):
                 raise ValueError("linking matrix entries must be integers")
         for i in range(n):
             for j in range(i):
@@ -196,7 +196,7 @@ class SurgeryPresentation:
             vec = tuple(vector)
             if len(vec) != n:
                 raise ValueError(f"class {label!r} has length {len(vec)}, matrix has {n}")
-            if not all(is_int(x) for x in vec):
+            if not all_int(vec):
                 raise ValueError(f"class {label!r} coordinates must be integers")
             self.classes[str(label)] = vec
         self.name = name

@@ -17,6 +17,17 @@ from sympy.polys.matrices import DomainMatrix
 
 from concordance.cyclotomic import CycloInt, hermitian_signature
 from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing, is_int
+from concordance.legendrian import (
+    CROSSING,
+    EAST,
+    LEFT_CUSP,
+    RIGHT_CUSP,
+    WEST,
+    FrontDiagram,
+    FrontError,
+    LegendrianInvariants,
+    MultiComponent,
+)
 from concordance.seifert import RootOfUnity, SeifertMatrix
 from concordance.surgery import AbelianGroupDescription, smith_normal_form
 
@@ -298,6 +309,135 @@ def reference_first_homology(presentation):
         torsion=tuple(d for d in diag if d >= 2),
         images=images,
     )
+
+
+class _ReferenceFront(FrontDiagram):
+    """A front analyzed by the library's earlier sweep: the event copy of
+    `__init__`, `_sweep`, `_orient_components` and `invariants` as they
+    stood before the sweep tested positions by type, crossings first and
+    bounds by the IndexError of the read.  The rest (winding, component
+    count, the closure check) is the library's.  The library must give
+    the same events, results, exceptions and messages."""
+
+    def __init__(self, events, seam_strands=0, orient=EAST):
+        if not is_int(seam_strands) or seam_strands < 0:
+            raise FrontError(f"seam_strands must be a nonnegative int, got {seam_strands!r}")
+        if orient not in (EAST, WEST):
+            raise FrontError(f"orient must be {EAST!r} or {WEST!r}, got {orient!r}")
+        self.events = tuple((kind, pos) for kind, pos in events)
+        self.seam_strands = seam_strands
+        self.orient = orient
+        self._sweep()
+        if self.is_closed:
+            self._orient_components()
+
+    def _sweep(self):
+        """Run the left-to-right simulation, recording segments and features."""
+        positions = list(range(self.seam_strands))
+        next_id = self.seam_strands
+        cusps = []       # (side, upper_seg, lower_seg)
+        crossings = []   # (upper_seg, lower_seg)
+        try:
+            for n, (kind, pos) in enumerate(self.events):
+                if not is_int(pos):
+                    raise FrontError("position must be an integer")
+                if pos < 0:
+                    raise FrontError("negative position")
+                if kind == LEFT_CUSP:
+                    if pos > len(positions):
+                        raise FrontError(f"position beyond {len(positions)} strands")
+                    positions[pos:pos] = [next_id, next_id + 1]
+                    cusps.append((LEFT_CUSP, next_id, next_id + 1))
+                    next_id += 2
+                elif kind in (RIGHT_CUSP, CROSSING):
+                    if pos > len(positions) - 2:
+                        raise FrontError(f"needs two strands at {pos}, have {len(positions)}")
+                    upper, lower = positions[pos], positions[pos + 1]
+                    if kind == RIGHT_CUSP:
+                        del positions[pos:pos + 2]
+                        cusps.append((RIGHT_CUSP, upper, lower))
+                    else:
+                        positions[pos:pos + 2] = lower, upper
+                        crossings.append((upper, lower))
+                else:
+                    raise FrontError("unknown event kind")
+        except FrontError as exc:
+            raise FrontError(f"event {n} ({kind} {pos}): {exc}") from None
+        self._segment_count = next_id
+        self._cusps = cusps
+        self._crossings = crossings
+        self._right_edge = tuple(positions)
+        self.is_closed = len(positions) == self.seam_strands
+
+    def _orient_components(self):
+        # a cusp joins two segments of opposite directions; the seam glues
+        # right-edge position j to seam strand j in the same direction
+        adjacency = [[] for _ in range(self._segment_count)]
+        links = [(upper, lower, True) for _, upper, lower in self._cusps]
+        links += [(j, seg, False) for j, seg in enumerate(self._right_edge)]
+        for a, b, flip in links:
+            adjacency[a].append((b, flip))
+            adjacency[b].append((a, flip))
+        dirs = [None] * self._segment_count
+        components = 0
+        for start in range(self._segment_count):
+            if dirs[start] is not None:
+                continue
+            components += 1
+            dirs[start] = self.orient if start == 0 else EAST
+            stack = [start]
+            while stack:
+                seg = stack.pop()
+                for other, flip in adjacency[seg]:
+                    want = _flip(dirs[seg]) if flip else dirs[seg]
+                    if dirs[other] is None:
+                        dirs[other] = want
+                        stack.append(other)
+                    elif dirs[other] != want:
+                        # cusps alternate left and right along a closed
+                        # curve, so 2-coloring never conflicts
+                        raise RuntimeError(f"segments {seg} and {other} get opposite orientations")
+        self._dirs = dirs
+        self._components = components
+
+    def invariants(self):
+        """Compute (tb, rot) and the raw counts behind them.
+
+        Raises NonClosed for a front that does not close up and
+        MultiComponent when it traces more than one curve.
+        """
+        self._require_closed()
+        if self._components != 1:
+            raise MultiComponent(
+                f"front has {self._components} components, expected 1"
+            )
+        dirs = self._dirs
+        writhe = sum(1 if dirs[upper] == dirs[lower] else -1 for upper, lower in self._crossings)
+        down_left = sum(
+            1 for side, upper, _ in self._cusps
+            if side == LEFT_CUSP and dirs[upper] == WEST
+        )
+        up_right = sum(
+            1 for side, upper, _ in self._cusps
+            if side == RIGHT_CUSP and dirs[upper] == WEST
+        )
+        cusps = len(self._cusps)
+        if cusps % 2:
+            raise ArithmeticError(f"a closed front has {cusps} cusps, an odd count")
+        tb = writhe - cusps // 2
+        rot = down_left - up_right
+        if self.seam_strands == 0 and (tb + abs(rot)) % 2 != 1:
+            raise ArithmeticError(f"tb + |rot| = {tb + abs(rot)} must be odd for a knot front")
+        return LegendrianInvariants(tb, rot, writhe, cusps, down_left, up_right)
+
+
+def _flip(direction):
+    return WEST if direction == EAST else EAST
+
+
+def reference_front_sweep(events, seam_strands=0, orient=EAST):
+    """The front the earlier sweep builds from the same arguments."""
+    return _ReferenceFront(events, seam_strands, orient)
 
 
 def cyclotomic_levine_tristram(v, a, b):

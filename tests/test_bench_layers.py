@@ -18,6 +18,7 @@ def test_layers_script_writes_its_keys(tmp_path):
     assert set(report) >= {"machine", "python", "git_sha", "layers", "src_lines", "unit"}
     assert set(report["layers"]) == {
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
+        "legendrian.cable_front",
     }
     for medians in report["layers"].values():
         assert list(medians) == ["6"]

@@ -413,6 +413,11 @@ class TestExitCodes:
             (("fox-milnor", "RH-trefoil", "unknot", "--cable", "2"), "not both"),
             (("legendrian", "invariants", "nope"), "no front named"),
             (("signature", "RH-trefoil", "--omega", "1/0"), "denominator must be positive"),
+            # an annular pattern front cannot carry a satellite
+            (("legendrian", "satellite", "paper-pattern-P", "paper-pattern-P"),
+             "companion must be a closed front"),
+            (("theorem31", "RH-trefoil", "--front", "paper-pattern-P"),
+             "companion must be a closed front"),
         ],
     )
     def test_input_errors_are_two(self, capsys, argv, fragment):

@@ -4,8 +4,11 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import collections
+import random
+
 import pytest
-from _oracles import front_alexander
+from _oracles import front_alexander, reference_front_sweep
 
 from concordance.cabling import Cited, CitedBounds, KnotProfile
 from concordance.laurent import LaurentPoly
@@ -28,6 +31,10 @@ from concordance.legendrian import (
     stabilize,
 )
 from concordance.seifert import SeifertMatrix
+
+
+class Int(int):
+    """An int subclass: an integer input, so accepted like a plain int."""
 
 
 def _load_front(name):
@@ -144,10 +151,21 @@ class TestFrontInvariants:
             ([("L", "0"), ("R", 0)], 0, r"event 0 \(L 0\): position must be an integer"),
             ([("L", 0), ("R", False)], 0, r"event 1 \(R False\): position must be an integer"),
             ([("L", 0), ("R", 0)], False, "seam_strands must be a nonnegative int, got False"),
+            # an int subclass is an integer: accepted, with the plain-int result
+            ([(kind, Int(pos)) for kind, pos in TREFOIL_FRONT.events], 0, None),
+            ([(kind, Int(pos)) for kind, pos in PATTERN_FRONT.events], Int(3), None),
         ],
-        ids=["float-position", "str-position", "bool-position", "bool-seam"],
+        ids=["float-position", "str-position", "bool-position", "bool-seam",
+             "int-subclass-position", "int-subclass-seam"],
     )
     def test_inputs_are_checked_not_truncated(self, events, seam, message):
+        if message is None:
+            front = FrontDiagram(events, seam_strands=seam)
+            plain = FrontDiagram([(kind, int(pos)) for kind, pos in events], seam_strands=int(seam))
+            assert front.events == plain.events
+            assert front.invariants() == plain.invariants()
+            assert front.winding() == plain.winding()
+            return
         with pytest.raises(FrontError, match=message):
             FrontDiagram(events, seam_strands=seam)
 
@@ -277,6 +295,102 @@ class TestCableAndSatelliteFronts:
         for splice_after in (99, 1.5, True):
             with pytest.raises(FrontError, match="splice_after"):
                 satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=splice_after)
+
+
+def _random_pattern(rng, n, length):
+    """Events of a random annular front on n seam strands: crossings and
+    cusps at random positions, then right cusps until n strands remain
+    (or not, one time in eight)."""
+    events, strands = [], n
+    for _ in range(length):
+        kind = rng.choice("XXXLR") if strands >= 2 else "L"
+        if kind == "L":
+            events.append(("L", rng.randint(0, strands)))
+            strands += 2
+        elif kind == "R" and strands - 2 >= n:
+            events.append(("R", rng.randint(0, strands - 2)))
+            strands -= 2
+        else:
+            events.append(("X", rng.randint(0, strands - 2)))
+    if rng.random() >= 1 / 8:
+        while strands > n:
+            events.append(("R", rng.randint(0, strands - 2)))
+            strands -= 2
+    return events
+
+
+def _block_lengths(front, n):
+    """Length of each event's block in the n-copy cable (see cable_front)."""
+    return [n * n if kind == "X" else n + n * (n - 1) // 2 for kind, _ in front.events]
+
+
+def _corrupt(rng, events, seam):
+    """A copy with one event made invalid, or an int subclass position."""
+    events = list(events)
+    i = rng.randrange(len(events))
+    kind, pos = events[i]
+    strands = seam + 2 * sum((k == "L") - (k == "R") for k, _ in events[:i])
+    bad = rng.choice([
+        1.5, True, False, "0", -1, None, Int(pos), 10 ** 20,
+        strands + 1 if kind == "L" else strands - 1,  # the first position out of range
+    ])
+    events[i] = (kind, bad)
+    if rng.random() < 1 / 6:
+        events[i] = rng.choice([("Q", pos), ("x", pos), (None, pos), (kind, pos, 0)])
+    return events
+
+
+def _sweep_summary(build, events, seam, orient):
+    """Everything a front reports, with each exception as (type, message)."""
+    try:
+        front = build(events, seam_strands=seam, orient=orient)
+    except Exception as exc:  # the exception is the result
+        return type(exc), str(exc)
+    reads = [front.events, front.is_closed]
+    for read in (lambda: front.component_count, front.winding, front.invariants):
+        try:
+            reads.append(read())
+        except Exception as exc:
+            reads.append((type(exc), str(exc)))
+    return reads
+
+
+def test_sweep_matches_the_reference_sweep():
+    """On 888 seeded fronts (cables and satellites of the bundled fronts
+    with random patterns, random annular patterns, and corrupted copies)
+    the sweep gives the events, closure, components, winding, tb, rot,
+    writhe and cusp counts of the earlier sweep, or its exception and
+    message."""
+    rng = random.Random(19)
+    closed = [TREFOIL_FRONT, TREFOIL_MAXTB, SATELLITE_FRONT]
+    annular = [PATTERN_FRONT, TREFOIL_CLOSURE_PATTERN]
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        pattern = _random_pattern(rng, n, rng.randint(0, 12))
+        cases.append((pattern, n))
+        companion = rng.choice(closed)
+        blocks = _block_lengths(companion, n)
+        splice = rng.randint(0, len(blocks))
+        at = sum(blocks[:splice])
+        # a base on one arc, mostly; now and then one that straddles two
+        base = n * rng.randint(0, 3) + (rng.random() < 0.1)
+        cable = cable_front(companion, n).events
+        cases.append((list(cable[:at]) + [(k, p + base) for k, p in pattern] + list(cable[at:]), 0))
+        front = rng.choice(closed + annular)
+        cases.append((cable_front(front, n).events, front.seam_strands * n))
+    for events, seam in list(cases):
+        if events:
+            cases.append((_corrupt(rng, events, seam), seam))
+    assert len(cases) >= 500
+    outcomes = collections.Counter()
+    for events, seam in cases:
+        orient = rng.choice("EW")
+        got = _sweep_summary(FrontDiagram, events, seam, orient)
+        assert got == _sweep_summary(reference_front_sweep, events, seam, orient), (events, seam)
+        last = got if isinstance(got, tuple) else got[-1]  # the exception, or invariants'
+        outcomes[last[0].__name__ if isinstance(last, tuple) else "invariants"] += 1
+    assert set(outcomes) >= {"invariants", "MultiComponent", "NonClosed", "FrontError", "ValueError"}
 
 
 class TestFrontAlexander:

@@ -36,6 +36,10 @@ from concordance.surgery import (
 snf_is_valid = assert_valid_snf
 
 
+class Int(int):
+    """An int subclass: an integer input, so accepted like a plain int."""
+
+
 class TestSmithNormalForm:
     def test_zero_one_by_one(self):
         U, D, V = smith_normal_form([[0]])
@@ -111,9 +115,20 @@ class TestSmithNormalForm:
             smith_normal_form([[1, 2], [3]])
 
     @pytest.mark.parametrize(
-        "M", [[[2.5]], [[1, 0], [0, "3"]], [[True]]], ids=["float", "str", "bool"]
+        "M, accepted",
+        [
+            ([[2.5]], False),
+            ([[1, 0], [0, "3"]], False),
+            ([[True]], False),
+            # an int subclass is an integer: accepted, with the plain-int result
+            ([[Int(4), 6], [Int(-2), Int(10)]], True),
+        ],
+        ids=["float", "str", "bool", "int-subclass"],
     )
-    def test_entries_are_checked_not_truncated(self, M):
+    def test_entries_are_checked_not_truncated(self, M, accepted):
+        if accepted:
+            assert smith_normal_form(M) == smith_normal_form([[int(x) for x in row] for row in M])
+            return
         with pytest.raises(ValueError, match="matrix entries must be integers"):
             smith_normal_form(M)
 
@@ -245,6 +260,15 @@ class TestSurgeryPresentation:
             SurgeryPresentation([[2.5]], {"mu": (1,)})
         with pytest.raises(ValueError, match="class 'mu' coordinates must be integers"):
             SurgeryPresentation([[2]], {"mu": (1.7,)})
+        with pytest.raises(ValueError, match="linking matrix entries must be integers"):
+            SurgeryPresentation([[0, True], [True, 0]], {"mu": (1, 0)})
+        with pytest.raises(ValueError, match="class 'mu' coordinates must be integers"):
+            SurgeryPresentation(HOPF, {"mu": (False, 1)})
+        # an int subclass is an integer: accepted, with the plain-int result
+        S = SurgeryPresentation([[Int(2), 1], [1, Int(4)]], {"mu": (Int(1), 0), "nu": (1, Int(3))})
+        plain = SurgeryPresentation([[2, 1], [1, 4]], {"mu": (1, 0), "nu": (1, 3)})
+        assert first_homology(S) == first_homology(plain)
+        assert presentation_to_text(S) == presentation_to_text(plain)
 
     def test_repr(self):
         S = SurgeryPresentation(HOPF, {"a": (1, 0)}, name="hopf")
