@@ -10,8 +10,11 @@ each size, drawn from a fresh `random.Random(SEED)`.  The front sweep,
 `invariants()`, takes the twist pattern on n strands (`pattern_events`);
 the cable layer, `cable_front` of the bundled satellite-P-of-trefoil
 front followed by `component_count`, takes n itself; each is timed COUNT
-times over.  Each call is timed REPEAT times and the fastest kept, and a
-layer's figure at a size is the median over its inputs, in milliseconds.
+times over.  Each input is timed REPEAT times and its fastest kept; the
+repeats go round-robin over a layer's inputs at a size, so a slow
+stretch of the host falls on one repeat of several inputs, not on every
+repeat of one.  A layer's figure at a size is the median over its
+inputs, in milliseconds.
 Each layer has its own default sizes (`--sizes` sets them for every
 layer).  The JSON holds the machine, the Python version, the git commit
 (and whether `src/` differs from it), the inputs, the medians keyed by
@@ -55,14 +58,16 @@ def load_families():
     return module
 
 
-def best_ms(fn, arg):
-    """Fastest of REPEAT calls, in milliseconds."""
-    times = []
+def best_ms(fn, args):
+    """Each input's fastest of REPEAT calls, in milliseconds; round r
+    calls every input once before round r + 1 begins."""
+    best = [float("inf")] * len(args)
     for _ in range(REPEAT):
-        start = time.perf_counter()
-        fn(arg)
-        times.append(time.perf_counter() - start)
-    return 1000 * min(times)
+        for i, arg in enumerate(args):
+            start = time.perf_counter()
+            fn(arg)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [1000 * t for t in best]
 
 
 def layers():
@@ -126,7 +131,7 @@ def measure(sizes=None):
     for name, (fn, make, default, family) in layers().items():
         layer_sizes = sizes or default
         medians[name] = {
-            str(size): round(statistics.median(best_ms(fn, a) for a in make(size)), 4)
+            str(size): round(statistics.median(best_ms(fn, make(size))), 4)
             for size in layer_sizes
         }
         inputs[name] = {"family": family, "sizes": layer_sizes}

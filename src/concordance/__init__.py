@@ -3,157 +3,21 @@
 Modules cover Laurent polynomial norms (Fox-Milnor), Seifert form
 signatures at roots of unity, cabling obstructions, Legendrian front
 invariants with slice-genus bounds, surgery-presentation homology, and
-a catalog-driven command line.
+a catalog-driven command line.  Each module's ``__all__`` lists its
+public names; the package republishes them.
 """
 
-from .laurent import (
-    Factorization,
-    FoxMilnorResult,
-    LaurentPoly,
-    doteq,
-    factor,
-    fox_milnor_pairing,
-)
-from .seifert import (
-    OmegaIsOne,
-    RootOfUnity,
-    SeifertMatrix,
-    SignatureFunction,
-    SingularAtOmega,
-    alexander,
-    block_sum,
-    levine_tristram,
-    mirror,
-    signature_function,
-)
-from .cabling import (
-    Cited,
-    CitedBounds,
-    KnotProfile,
-    MissingAlexander,
-    MissingSeifert,
-    MissingTau,
-    ObstructionReport,
-    Witness,
-    cable_alexander,
-    cable_profile,
-    cable_signature,
-    finite_order_obstruction,
-    fox_milnor_obstruction,
-    profile_signature,
-    rational_concordance_verdict,
-    tau_cable_rule,
-)
-from .legendrian import (
-    FrontDiagram,
-    FrontError,
-    GenusBounds,
-    HypothesisNotMet,
-    LegendrianInvariants,
-    MultiComponent,
-    NonClosed,
-    PatternData,
-    SatelliteGenusReport,
-    cable_front,
-    front_from_text,
-    front_to_text,
-    genus_bounds,
-    satellite_front,
-    satellite_genus_pipeline,
-    satellite_invariants,
-    stabilize,
-)
-from .surgery import (
-    AbelianGroupDescription,
-    ClassMismatch,
-    MeridianCheck,
-    SurgeryPresentation,
-    cobordism_meridian_check,
-    first_homology,
-    localize,
-    presentation_from_text,
-    presentation_to_text,
-    satellite_cobordism_presentation,
-    smith_normal_form,
-)
-from .catalog import (
-    CATALOG_ENV_VAR,
-    Catalog,
-    CatalogEntry,
-    ParseError,
-    UnknownKnot,
-    ValidationError,
-    load_catalog,
-)
+from . import cabling, catalog, laurent, legendrian, seifert, surgery
+from .laurent import *
+from .seifert import *
+from .cabling import *
+from .legendrian import *
+from .surgery import *
+from .catalog import *
 
-__all__ = [
-    "AbelianGroupDescription",
-    "CATALOG_ENV_VAR",
-    "Catalog",
-    "CatalogEntry",
-    "Cited",
-    "CitedBounds",
-    "ClassMismatch",
-    "Factorization",
-    "FoxMilnorResult",
-    "FrontDiagram",
-    "FrontError",
-    "GenusBounds",
-    "HypothesisNotMet",
-    "KnotProfile",
-    "LaurentPoly",
-    "LegendrianInvariants",
-    "MeridianCheck",
-    "MissingAlexander",
-    "MissingSeifert",
-    "MissingTau",
-    "MultiComponent",
-    "NonClosed",
-    "ObstructionReport",
-    "OmegaIsOne",
-    "ParseError",
-    "PatternData",
-    "RootOfUnity",
-    "SatelliteGenusReport",
-    "SeifertMatrix",
-    "SignatureFunction",
-    "SingularAtOmega",
-    "SurgeryPresentation",
-    "UnknownKnot",
-    "ValidationError",
-    "Witness",
-    "alexander",
-    "block_sum",
-    "cable_alexander",
-    "cable_front",
-    "cable_profile",
-    "cable_signature",
-    "cobordism_meridian_check",
-    "doteq",
-    "factor",
-    "finite_order_obstruction",
-    "first_homology",
-    "fox_milnor_obstruction",
-    "fox_milnor_pairing",
-    "front_from_text",
-    "front_to_text",
-    "genus_bounds",
-    "levine_tristram",
-    "load_catalog",
-    "localize",
-    "mirror",
-    "presentation_from_text",
-    "presentation_to_text",
-    "profile_signature",
-    "rational_concordance_verdict",
-    "satellite_cobordism_presentation",
-    "satellite_front",
-    "satellite_genus_pipeline",
-    "satellite_invariants",
-    "signature_function",
-    "smith_normal_form",
-    "stabilize",
-    "tau_cable_rule",
-]
+__all__ = sorted([
+    *laurent.__all__, *seifert.__all__, *cabling.__all__,
+    *legendrian.__all__, *surgery.__all__, *catalog.__all__,
+])
 
 __version__ = "0.1.0"

@@ -35,22 +35,10 @@ from .seifert import (
 )
 
 __all__ = [
-    "Cited",
-    "CitedBounds",
-    "KnotProfile",
-    "MissingAlexander",
-    "MissingSeifert",
-    "MissingTau",
-    "ObstructionReport",
-    "Witness",
-    "cable_alexander",
-    "cable_profile",
-    "cable_signature",
-    "finite_order_obstruction",
-    "fox_milnor_obstruction",
-    "profile_signature",
-    "rational_concordance_verdict",
-    "tau_cable_rule",
+    "Cited", "CitedBounds", "KnotProfile", "MissingAlexander", "MissingSeifert",
+    "MissingTau", "ObstructionReport", "Witness", "cable_alexander", "cable_profile",
+    "cable_signature", "finite_order_obstruction", "fox_milnor_obstruction",
+    "profile_signature", "rational_concordance_verdict", "tau_cable_rule",
 ]
 
 
@@ -190,10 +178,6 @@ class Witness:
 
     kind: str
     data: dict
-
-    def describe(self) -> str:
-        inner = ", ".join(f"{k} = {v}" for k, v in self.data.items())
-        return f"{self.kind}: {inner}"
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,21 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .cabling import Cited, CitedBounds, KnotProfile
 from .laurent import LaurentPoly, all_int, is_int
-from .legendrian import FrontDiagram, FrontError, PatternData, front_from_text
+from .legendrian import FrontDiagram, PatternData, front_from_text
 from .seifert import SeifertMatrix
 from .surgery import SurgeryPresentation, presentation_from_text
+
+__all__ = [
+    "CATALOG_ENV_VAR", "Catalog", "CatalogEntry", "ParseError", "UnknownKnot",
+    "ValidationError", "load_catalog",
+]
 
 CATALOG_ENV_VAR = "CONCORDANCE_CATALOG"
 
@@ -145,6 +151,16 @@ def _require(condition, message):
         raise ParseError(message)
 
 
+@contextmanager
+def _reraise(error, where):
+    """Turn a library ValueError raised in the block into `error`, with
+    the text "{where}: {exc}"."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
 def _cited(raw, where, kind, kind_name):
     _require(isinstance(raw, dict), f"{where}: expected an object")
     _require(set(raw) <= {"value", "citation"}, f"{where}: unknown field")
@@ -154,10 +170,8 @@ def _cited(raw, where, kind, kind_name):
         is_int(value) if kind is int else isinstance(value, kind),
         f"{where}: value must be {kind_name}",
     )
-    try:
+    with _reraise(ValidationError, where):
         return Cited(value, raw.get("citation"))
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _cited_bounds(raw, where):
@@ -168,10 +182,8 @@ def _cited_bounds(raw, where):
     for side in ("lower", "upper"):
         if side in raw:
             _require(is_int(raw[side]), f"{where}: {side} must be an integer")
-    try:
+    with _reraise(ValidationError, where):
         return CitedBounds(raw.get("lower"), raw.get("upper"), raw.get("citation"))
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _load_file(base, filename, where, kind, suffix, parse):
@@ -182,10 +194,8 @@ def _load_file(base, filename, where, kind, suffix, parse):
         text = (base / filename).read_text()
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {filename!r}: {exc}") from None
-    try:
+    with _reraise(ParseError, f"{where}: {filename}"):
         return parse(text)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {filename}: {exc}") from None
 
 
 def _parse_entry(raw, index, base):
@@ -212,10 +222,8 @@ def _parse_entry(raw, index, base):
             ),
             f"{where}: seifert_matrix must be a list of integer rows",
         )
-        try:
+        with _reraise(ValidationError, where):
             seifert = SeifertMatrix(rows, name=name)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
 
     alexander = None
     if "alexander" in raw:
@@ -223,10 +231,8 @@ def _parse_entry(raw, index, base):
             isinstance(raw["alexander"], str),
             f"{where}: alexander must be a polynomial string",
         )
-        try:
+        with _reraise(ParseError, f"{where}: alexander"):
             alexander = LaurentPoly.parse(raw["alexander"])
-        except ValueError as exc:
-            raise ParseError(f"{where}: alexander: {exc}") from None
 
     declared = {}
     for json_field, profile_field, kind, kind_name in (
@@ -246,12 +252,10 @@ def _parse_entry(raw, index, base):
 
     profile = None
     if seifert is not None or alexander is not None or declared:
-        try:
+        with _reraise(ValidationError, where):
             profile = KnotProfile(
                 name=name, seifert=seifert, alexander=alexander, **declared
             )
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
 
     for key in ("fronts", "presentations"):
         _require(isinstance(raw.get(key, []), list), f"{where}: {key} must be a list")
@@ -277,15 +281,13 @@ def _parse_entry(raw, index, base):
             base, obj["front"], f"{where}: pattern", "front", ".front", front_from_text
         )
         fronts.setdefault(obj["front"][: -len(".front")], front)
-        try:
+        with _reraise(ValidationError, f"{where}: pattern"):
             pattern = PatternData.from_front(
                 name,
                 front,
                 tilde_class=obj.get("tilde_class"),
                 tilde_citation=obj.get("citation"),
             )
-        except (FrontError, ValueError) as exc:
-            raise ValidationError(f"{where}: pattern: {exc}") from None
 
     presentations = {}
     for filename in raw.get("presentations", []):

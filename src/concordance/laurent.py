@@ -29,6 +29,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = [
+    "Factorization", "FoxMilnorResult", "LaurentPoly", "doteq", "factor",
+    "fox_milnor_pairing",
+]
+
 _TERM_RE = re.compile(
     r"""^([+-]?)\s*
         (?:(\d+)\s*)?                   # optional magnitude

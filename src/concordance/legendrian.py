@@ -41,6 +41,14 @@ from fractions import Fraction
 from .cabling import KnotProfile
 from .laurent import is_int
 
+__all__ = [
+    "FrontDiagram", "FrontError", "GenusBounds", "HypothesisNotMet",
+    "LegendrianInvariants", "MultiComponent", "NonClosed", "PatternData",
+    "SatelliteGenusReport", "cable_front", "front_from_text", "front_to_text",
+    "genus_bounds", "satellite_front", "satellite_genus_pipeline",
+    "satellite_invariants", "stabilize",
+]
+
 EAST = "E"
 WEST = "W"
 
@@ -309,24 +317,23 @@ def front_to_text(front):
     return "\n".join(lines) + "\n"
 
 
-def _interleave_down(base, n):
-    """Crossings turning [u0 l0 u1 l1 ...] into [u0 .. u_{n-1} l0 .. l_{n-1}]."""
-    return [
-        (CROSSING, base + q) for i in range(1, n) for q in range(2 * i - 1, i - 1, -1)
-    ]
+def _cable_blocks(events, n):
+    """Each event's block of the n-copy cable, in order.
 
-
-def _cable_block(event, n):
-    kind, pos = event
-    base = n * pos
-    if kind == LEFT_CUSP:
-        return [(LEFT_CUSP, base + 2 * j) for j in range(n)] + _interleave_down(base, n)
-    if kind == RIGHT_CUSP:
+    The block of an event at position pos is a template, built once per
+    kind at position 0, with every position shifted by n * pos.
+    """
+    # crossings turning [u0 l0 u1 l1 ...] into [u0 .. u_{n-1} l0 .. l_{n-1}]
+    down = [(CROSSING, q) for i in range(1, n) for q in range(2 * i - 1, i - 1, -1)]
+    templates = {
+        LEFT_CUSP: [(LEFT_CUSP, 2 * j) for j in range(n)] + down,
         # a crossing sequence read backwards undoes its permutation
-        return _interleave_down(base, n)[::-1] + [(RIGHT_CUSP, base)] * n
-    # crossing: walk the upper block of n strands down through the lower one
+        RIGHT_CUSP: down[::-1] + [(RIGHT_CUSP, 0)] * n,
+        # walk the upper block of n strands down through the lower one
+        CROSSING: [(CROSSING, (n - 1) - i + j) for i in range(n) for j in range(n)],
+    }
     return [
-        (CROSSING, base + (n - 1) - i + j) for i in range(n) for j in range(n)
+        [(k, n * pos + q) for k, q in templates[kind]] for kind, pos in events
     ]
 
 
@@ -340,7 +347,7 @@ def cable_front(front, n):
         raise ValueError(f"need an integer n >= 1, got {n!r}")
     if n == 1:
         return front
-    events = [e for event in front.events for e in _cable_block(event, n)]
+    events = [e for block in _cable_blocks(front.events, n) for e in block]
     return FrontDiagram(
         events, seam_strands=front.seam_strands * n, orient=front.orient
     )
@@ -366,7 +373,7 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
         raise FrontError(f"splice_after out of range: {splice_after!r}")
     if not is_int(base) or base < 0 or base % n:
         raise FrontError(f"base must be a nonnegative multiple of {n}, got {base!r}")
-    blocks = [_cable_block(event, n) for event in companion.events]
+    blocks = _cable_blocks(companion.events, n)
     blocks.insert(splice_after, [(kind, pos + base) for kind, pos in pattern.events])
     events = [e for block in blocks for e in block]
     return FrontDiagram(events, seam_strands=0, orient=companion.orient)

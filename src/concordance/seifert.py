@@ -44,17 +44,9 @@ from .laurent import LaurentPoly, is_int
 from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
-    "SeifertMatrix",
-    "RootOfUnity",
-    "SignatureFunction",
-    "OmegaIsOne",
-    "SingularAtOmega",
-    "alexander",
-    "levine_tristram",
-    "signature_function",
-    "block_sum",
-    "first_witness",
-    "mirror",
+    "SeifertMatrix", "RootOfUnity", "SignatureFunction", "OmegaIsOne",
+    "SingularAtOmega", "alexander", "levine_tristram", "signature_function",
+    "block_sum", "mirror",
 ]
 
 
@@ -215,7 +207,7 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
     bal = norm.shift(-(d // 2))
     if bal.reciprocal() != bal:
         raise ArithmeticError("Alexander polynomial must be symmetric")
-    if abs(bal.evaluate(Fraction(1))) != 1:
+    if abs(sum(c for _, c in bal.items())) != 1:  # delta(1), the coefficient sum
         raise ArithmeticError("Alexander polynomial must have |delta(1)| = 1")
     return bal
 

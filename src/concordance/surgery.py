@@ -25,9 +25,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass
 
 from .laurent import all_int, is_int
+
+__all__ = [
+    "AbelianGroupDescription", "ClassMismatch", "MeridianCheck", "SurgeryPresentation",
+    "cobordism_meridian_check", "first_homology", "localize", "presentation_from_text",
+    "presentation_to_text", "satellite_cobordism_presentation", "smith_normal_form",
+]
 
 
 class ClassMismatch(ValueError):
@@ -88,13 +95,11 @@ def _eliminate(M, B, V):
     against column t changes only row t and the rows of V.  The repair
     `row_sub(t, bad, -1)` keeps this, because W[bad][t] is 0.  And a
     pivot of +-1 divides everything, so the divisibility scan is skipped.
+    M is not checked here; its callers check it (`smith_normal_form`, or
+    `SurgeryPresentation` when it is built).
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    if any(len(row) != n for row in M):
-        raise ValueError("matrix rows have unequal lengths")
-    if not all(map(all_int, M)):
-        raise ValueError("matrix entries must be integers")
     W = [list(row) + b for row, b in zip(M, B)] + V
 
     def row_swap(i, k):
@@ -171,16 +176,22 @@ def smith_normal_form(M):
     Returns (U, D, V) as lists of lists.
     """
     n = len(M[0]) if M else 0
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix rows have unequal lengths")
+    if not all(map(all_int, M)):
+        raise ValueError("matrix entries must be integers")
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     W = _eliminate(M, [[int(i == k) for k in range(len(M))] for i in range(len(M))], V)
     return [row[n:] for row in W], [row[:n] for row in W], V
 
 
 class SurgeryPresentation:
-    """Symmetric linking matrix plus named classes in the meridian basis."""
+    """Symmetric linking matrix plus named classes in the meridian basis,
+    checked once when built: `matrix` is a tuple of integer tuples and
+    `classes` a read-only mapping from label to integer tuple."""
 
     def __init__(self, matrix, classes, name=None):
-        self.matrix = [list(row) for row in matrix]
+        self.matrix = tuple(map(tuple, matrix))
         n = len(self.matrix)
         for row in self.matrix:
             if len(row) != n:
@@ -191,14 +202,15 @@ class SurgeryPresentation:
             for j in range(i):
                 if self.matrix[i][j] != self.matrix[j][i]:
                     raise ValueError(f"linking matrix not symmetric at ({i}, {j})")
-        self.classes = {}
+        checked = {}
         for label, vector in dict(classes).items():
             vec = tuple(vector)
             if len(vec) != n:
                 raise ValueError(f"class {label!r} has length {len(vec)}, matrix has {n}")
             if not all_int(vec):
                 raise ValueError(f"class {label!r} coordinates must be integers")
-            self.classes[str(label)] = vec
+            checked[str(label)] = vec
+        self.classes = types.MappingProxyType(checked)
         self.name = name
 
     @property
@@ -252,7 +264,8 @@ def first_homology(presentation):
     elimination runs on [M | C], the columns of C being the class vectors,
     with no V below.  No choice of the elimination reads the right block,
     so its row operations are those that turn I_m into U, and the block
-    ends as U * C: the images, integer for integer, without U or V.
+    ends as U * C: the images, integer for integer, without U or V.  The
+    presentation was checked when it was built.
     """
     M = presentation.matrix
     W = _eliminate(M, [[v[i] for v in presentation.classes.values()] for i in range(len(M))], [])

@@ -440,6 +440,41 @@ def reference_front_sweep(events, seam_strands=0, orient=EAST):
     return _ReferenceFront(events, seam_strands, orient)
 
 
+def _interleave_down(base, n):
+    """Crossings turning [u0 l0 u1 l1 ...] into [u0 .. u_{n-1} l0 .. l_{n-1}]."""
+    return [
+        (CROSSING, base + q) for i in range(1, n) for q in range(2 * i - 1, i - 1, -1)
+    ]
+
+
+def _cable_block(event, n):
+    kind, pos = event
+    base = n * pos
+    if kind == LEFT_CUSP:
+        return [(LEFT_CUSP, base + 2 * j) for j in range(n)] + _interleave_down(base, n)
+    if kind == RIGHT_CUSP:
+        # a crossing sequence read backwards undoes its permutation
+        return _interleave_down(base, n)[::-1] + [(RIGHT_CUSP, base)] * n
+    # crossing: walk the upper block of n strands down through the lower one
+    return [
+        (CROSSING, base + (n - 1) - i + j) for i in range(n) for j in range(n)
+    ]
+
+
+def reference_cable_events(events, n):
+    """The events of the n-copy cable as the library built them when each
+    event's block was built afresh (`_cable_block`, verbatim)."""
+    return [e for event in events for e in _cable_block(event, n)]
+
+
+def reference_satellite_events(companion_events, pattern_events, splice_after, base, n):
+    """The satellite's events by the same earlier route: the cabled
+    blocks with the shifted pattern inserted after `splice_after` of them."""
+    blocks = [_cable_block(event, n) for event in companion_events]
+    blocks.insert(splice_after, [(kind, pos + base) for kind, pos in pattern_events])
+    return [e for block in blocks for e in block]
+
+
 def cyclotomic_levine_tristram(v, a, b):
     """Signature of (1 - omega)V + (1 - conj(omega))V^T at omega =
     zeta_b^a, as a Hermitian form over Z[zeta_b]: a route that shares no

@@ -8,6 +8,7 @@ import sys
 import time
 
 import pytest
+from _oracles import front_alexander
 
 from concordance.catalog import (
     ParseError,
@@ -65,7 +66,7 @@ class TestLoadCatalog:
         assert (pattern.winding, pattern.tb, pattern.rot) == (1, 2, 0)
         assert pattern.tilde_class == "unknot"
         pres = catalog.presentation("satellite-cobordism-p2")
-        assert pres.matrix == [[0, 0, -1], [0, 0, 2], [-1, 2, 0]]
+        assert pres.matrix == ((0, 0, -1), (0, 0, 2), (-1, 2, 0))
 
     def test_empty_catalog(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -199,7 +200,8 @@ class TestLoadCatalog:
             (
                 catalog.front,
                 "no front named 'nope' (available: legendrian-RH-trefoil, "
-                "legendrian-RH-trefoil-maxtb, paper-pattern-P, satellite-P-of-trefoil)",
+                "legendrian-RH-trefoil-maxtb, paper-pattern-P, satellite-P-of-trefoil, "
+                "whitehead-double-RH-trefoil)",
             ),
             (
                 catalog.presentation,
@@ -310,6 +312,27 @@ class TestReports:
         assert data["bounds"] == {"g4_lower": 2, "tau_lower": "2", "s_lower": 4}
         assert any("g4 strictly increases: 2 > 1" in c for c in data["conclusions"])
         assert any("Z-homology cobordant" in c for c in data["conclusions"])
+
+    def test_theorem31_whitehead_double(self, capsys):
+        # the paper's smooth example: the stored front draws a knot with the
+        # double's Delta = 1 (by Fox calculus, not the Seifert matrix), and
+        # tau rises while both knots stay topologically slice
+        catalog = load_catalog()
+        name = "whitehead-double-RH-trefoil"
+        delta = front_alexander(catalog.front(name))
+        assert delta == catalog.profile(name).alexander == LaurentPoly.one()
+        code, out, err = run_cli(capsys, "theorem31", name)
+        assert (code, err) == (0, "")
+        data = run_json(capsys, "theorem31", name)
+        assert data["realization"]["front"] == name
+        assert (data["realization"]["tb"], data["realization"]["rot"]) == (1, 0)
+        conclusions = data["conclusions"]
+        assert any(
+            c.startswith("tau strictly increases: tau(satellite) >= 2 > 1 ")
+            for c in conclusions
+        )
+        assert any("Z-homology cobordant rel meridians" in c for c in conclusions)
+        assert any(c.startswith("both knots are topologically slice") for c in conclusions)
 
     def test_theorem31_explicit_front(self, capsys):
         data = run_json(

@@ -8,7 +8,12 @@ import collections
 import random
 
 import pytest
-from _oracles import front_alexander, reference_front_sweep
+from _oracles import (
+    front_alexander,
+    reference_cable_events,
+    reference_front_sweep,
+    reference_satellite_events,
+)
 
 from concordance.cabling import Cited, CitedBounds, KnotProfile
 from concordance.laurent import LaurentPoly
@@ -46,6 +51,9 @@ TREFOIL_FRONT = _load_front("legendrian-RH-trefoil.front")
 TREFOIL_MAXTB = _load_front("legendrian-RH-trefoil-maxtb.front")
 PATTERN_FRONT = _load_front("paper-pattern-P.front")
 SATELLITE_FRONT = _load_front("satellite-P-of-trefoil.front")
+WHITEHEAD_FRONT = _load_front("whitehead-double-RH-trefoil.front")
+# the clasp of the Whitehead double: winding 0, tb 1, rot 0
+CLASP = front_from_text("S 2\nO E\nL 1\nX 0\nX 2\nR 1\n")
 # the pattern bundled before paper-pattern-P: its closure is a trefoil
 TREFOIL_CLOSURE_PATTERN = front_from_text(
     (Path(__file__).parent / "data" / "trefoil-closure-pattern.front").read_text()
@@ -172,7 +180,7 @@ class TestFrontInvariants:
 
 class TestFrontFiles:
     @pytest.mark.parametrize(
-        "front", [TREFOIL_FRONT, TREFOIL_MAXTB, PATTERN_FRONT, SATELLITE_FRONT]
+        "front", [TREFOIL_FRONT, TREFOIL_MAXTB, PATTERN_FRONT, SATELLITE_FRONT, WHITEHEAD_FRONT]
     )
     def test_round_trip(self, front):
         again = front_from_text(front_to_text(front))
@@ -232,6 +240,16 @@ class TestCableAndSatelliteFronts:
         built = satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=1, base=3)
         assert built.events == SATELLITE_FRONT.events
         assert built.orient == SATELLITE_FRONT.orient
+
+    def test_whitehead_double_reproduces_frozen_front(self):
+        built = satellite_front(TREFOIL_FRONT, CLASP, splice_after=1, base=2)
+        assert built.events == WHITEHEAD_FRONT.events
+        assert built.orient == WHITEHEAD_FRONT.orient
+        assert WHITEHEAD_FRONT.invariants() == LegendrianInvariants(1, 0, 8, 14, 3, 3)
+        formula = satellite_invariants(
+            PatternData.from_front("clasp", CLASP), TREFOIL_FRONT.invariants()
+        )
+        assert (formula.tb, formula.rot) == (1, 0)
 
     def test_satellite_diagram_matches_formula(self):
         # diagram-level and formula-level (tb, rot) must agree on the stored satellite
@@ -391,6 +409,49 @@ def test_sweep_matches_the_reference_sweep():
         last = got if isinstance(got, tuple) else got[-1]  # the exception, or invariants'
         outcomes[last[0].__name__ if isinstance(last, tuple) else "invariants"] += 1
     assert set(outcomes) >= {"invariants", "MultiComponent", "NonClosed", "FrontError", "ValueError"}
+
+
+def _events_or_error(build):
+    try:
+        return list(build().events)
+    except FrontError as exc:  # the exception is the result
+        return type(exc), str(exc)
+
+
+def _strands_before(front):
+    """The number of strands before each event, and after the last."""
+    counts = [front.seam_strands]
+    for kind, _ in front.events:
+        counts.append(counts[-1] + 2 * (kind == "L") - 2 * (kind == "R"))
+    return counts
+
+
+def test_cables_and_satellites_match_the_blockwise_route():
+    """Cables of the bundled fronts and of random patterns for n = 1..14,
+    and their satellites at every splice point and every base that is a
+    multiple of n (each arc, and the first position past the last), give
+    the events of the earlier route that built every block afresh."""
+    rng = random.Random(20)
+    closed = [TREFOIL_FRONT, TREFOIL_MAXTB]
+    compared = 0
+    for n in range(1, 15):
+        pattern = FrontDiagram(_random_pattern(rng, n, rng.randint(0, 8)), seam_strands=n)
+        bundled = [SATELLITE_FRONT, WHITEHEAD_FRONT, PATTERN_FRONT, TREFOIL_CLOSURE_PATTERN]
+        for front in closed + bundled + [pattern]:
+            assert list(cable_front(front, n).events) == reference_cable_events(front.events, n)
+            compared += 1
+        for companion in closed + [SATELLITE_FRONT] * (n <= 2):
+            for splice, strands in enumerate(_strands_before(companion)):
+                for base in range(0, n * strands + 1, n):
+                    got = _events_or_error(
+                        lambda: satellite_front(companion, pattern, splice, base)
+                    )
+                    want = _events_or_error(lambda: FrontDiagram(reference_satellite_events(
+                        companion.events, pattern.events, splice, base, n
+                    )))
+                    assert got == want, (n, splice, base)
+                    compared += 1
+    assert compared >= 500
 
 
 class TestFrontAlexander:

@@ -1,4 +1,4 @@
-"""The ten command forms of the README, replayed through ``cli.main``
+"""The eleven command forms of the README, replayed through ``cli.main``
 and compared byte for byte (stdout, stderr, exit code, in table and json
 output) with the outputs recorded in ``data/readme_forms.json``.
 
@@ -56,7 +56,7 @@ RECORDED = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
 
 def test_fixture_covers_the_readme_forms():
     forms = readme_forms()
-    assert len(forms) == 10
+    assert len(forms) == 11
     assert [entry["argv"] for entry in RECORDED] == [
         argv for form in forms for argv in (form, ["--output", "json", *form])
     ]

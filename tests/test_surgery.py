@@ -270,6 +270,25 @@ class TestSurgeryPresentation:
         assert first_homology(S) == first_homology(plain)
         assert presentation_to_text(S) == presentation_to_text(plain)
 
+    def test_checked_data_cannot_be_changed(self):
+        # checked once when built: the matrix and classes are read-only
+        M = [[0, 2], [2, 0]]
+        classes = {"mu": [1, 0]}
+        S = SurgeryPresentation(M, classes)
+        M[0][0] = 0.5
+        classes["mu"][0] = 0.5
+        assert S.matrix == ((0, 2), (2, 0))
+        assert S.classes == {"mu": (1, 0)}
+        with pytest.raises(TypeError):
+            S.matrix[0] = (0.5, 2)
+        with pytest.raises(TypeError):
+            S.matrix[0][0] = 0.5
+        with pytest.raises(TypeError):
+            S.classes["mu"] = (0.5, 0)
+        with pytest.raises(TypeError):
+            S.classes["nu"] = (0, 1)
+        assert first_homology(S).describe() == "Z/2 + Z/2"
+
     def test_repr(self):
         S = SurgeryPresentation(HOPF, {"a": (1, 0)}, name="hopf")
         assert "hopf" in repr(S)
@@ -545,7 +564,7 @@ class TestPresentationFiles:
         S = presentation_from_text(
             "# header\n\nM 1   # inline\n0\n\nC mu 1  # class\n"
         )
-        assert S.matrix == [[0]]
+        assert S.matrix == ((0,),)
         assert S.classes == {"mu": (1,)}
 
     @pytest.mark.parametrize(
