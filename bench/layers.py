@@ -10,7 +10,11 @@ each size, drawn from a fresh `random.Random(SEED)`.  The front sweep,
 `invariants()`, takes the twist pattern on n strands (`pattern_events`);
 the cable layer, `cable_front` of the bundled satellite-P-of-trefoil
 front followed by `component_count`, takes n itself; each is timed COUNT
-times over.  Each input is timed REPEAT times and its fastest kept; the
+times over.  The signature layers (`alexander`, `levine_tristram` at
+omega = exp(2 pi i 5/1260), `signature_function`) take COUNT scrambled
+sums of genus g (`random_knot`), drawn from a fresh `random.Random(SEED)`;
+each call builds a fresh `SeifertMatrix`, since delta is cached on the
+matrix.  Each input is timed REPEAT times and its fastest kept; the
 repeats go round-robin over a layer's inputs at a size, so a slow
 stretch of the host falls on one repeat of several inputs, not on every
 repeat of one.  A layer's figure at a size is the median over its
@@ -46,6 +50,13 @@ sys.path.insert(0, str(SRC))
 
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.legendrian import FrontDiagram, cable_front, satellite_front  # noqa: E402
+from concordance.seifert import (  # noqa: E402
+    RootOfUnity,
+    SeifertMatrix,
+    alexander,
+    levine_tristram,
+    signature_function,
+)
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
 
 
@@ -82,6 +93,21 @@ def layers():
         rng = random.Random(SEED)
         return [families.random_presentation(rng, size) for _ in range(COUNT)]
 
+    def knots(genus):
+        rng = random.Random(SEED)
+        return [families.random_knot(rng, genus).seifert() for _ in range(COUNT)]
+
+    def fresh(fn):
+        """fn on a new SeifertMatrix per call: delta is cached on the matrix."""
+        return lambda matrix: fn(SeifertMatrix(matrix))
+
+    omega = RootOfUnity(5, 1260)
+    signature_layers = {
+        "seifert.alexander": alexander,
+        "seifert.levine_tristram": lambda v: levine_tristram(v, omega),
+        "seifert.signature_function": signature_function,
+    }
+
     def front_sweep(pattern):
         return satellite_front(trefoil, pattern).invariants()
 
@@ -114,6 +140,10 @@ def layers():
             list(range(2, 15)),
             "n-copy cables of the satellite-P-of-trefoil front",
         ),
+        **{
+            name: (fresh(fn), knots, list(range(1, 9)), "perfbench/families.random_knot")
+            for name, fn in signature_layers.items()
+        },
     }
 
 

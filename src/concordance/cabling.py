@@ -23,7 +23,7 @@ two signature values, a violating irreducible factor, or a tau mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing, is_int
 from .seifert import (
@@ -36,9 +36,9 @@ from .seifert import (
 
 __all__ = [
     "Cited", "CitedBounds", "KnotProfile", "MissingAlexander", "MissingSeifert",
-    "MissingTau", "ObstructionReport", "Witness", "cable_alexander", "cable_profile",
-    "cable_signature", "finite_order_obstruction", "fox_milnor_obstruction",
-    "profile_signature", "rational_concordance_verdict", "tau_cable_rule",
+    "MissingTau", "ObstructionReport", "Witness", "cable_profile", "cable_signature",
+    "finite_order_obstruction", "fox_milnor_obstruction", "profile_signature",
+    "rational_concordance_verdict", "tau_cable_rule",
 ]
 
 
@@ -203,13 +203,6 @@ class ObstructionReport:
             raise ValueError("an obstructed verdict needs at least one witness")
 
 
-def cable_alexander(delta: LaurentPoly, p: int) -> LaurentPoly:
-    """Alexander polynomial of the (p,1)-cable: delta(t) -> delta(t^p)."""
-    if not is_int(p) or p < 1:
-        raise ValueError("cable parameter p must be a positive integer")
-    return delta.substitute_power(p)
-
-
 def cable_signature(sig: SignatureFunction, p: int) -> SignatureFunction:
     """Signature function of the (p,1)-cable: the pullback along omega^p,
     sigma_cable(omega) = sigma(omega^p) (Litherland, 'Signatures of
@@ -231,41 +224,41 @@ def profile_signature(K: KnotProfile) -> SignatureFunction:
 
 
 def cable_profile(K: KnotProfile, p: int) -> KnotProfile:
-    """Profile of the (p,1)-cable of K.
+    """Profile of the (p,1)-cable of K: the one rule for what it holds.
 
-    Carries the cabled Alexander polynomial and a back reference for
-    signature pullbacks.  Topological sliceness is propagated only through
-    the one rule that needs no further input: a trivial Alexander
-    polynomial is topologically slice.
+    It carries delta(t^p) and a back reference for signature pullbacks.
+    Topological sliceness is propagated only through the one rule that
+    needs no further input: a trivial Alexander polynomial is
+    topologically slice.  tau(K(p,1)) = p*tau(K), its citation chained
+    onto the base value's, is carried only when K declares tau = g or
+    p = 1: by Hom's cabling formula (2014) the rule holds when epsilon(K)
+    is 1, which tau = g > 0 forces, or 0, but when epsilon(K) = -1 the
+    cable has tau = p*tau(K) + p - 1.
     """
     if not is_int(p) or p < 1:
         raise ValueError("cable parameter p must be a positive integer")
-    delta = None if K.alexander is None else cable_alexander(K.alexander, p)
+    delta = None if K.alexander is None else K.alexander.substitute_power(p)
     slice_note = None
     if delta is not None and doteq(delta, LaurentPoly.one()):
         slice_note = Cited(True, TRIVIAL_ALEXANDER_CITATION)
+    base, genus, tau = K.declared_tau, K.declared_genus, None
+    if base is not None and (p == 1 or genus is not None and base.value == genus.value):
+        tau = Cited(p * base.value, f"{TAU_CABLE_CITATION}; base value: {base.citation}")
     return KnotProfile(
         name=f"{K.name}({p},1)",
         alexander=delta,
+        declared_tau=tau,
         topologically_slice=slice_note,
         cable_of=(K, p),
     )
 
 
 def tau_cable_rule(K: KnotProfile, p: int) -> KnotProfile:
-    """Profile of K(p,1) with tau propagated by the cabling formula.
-
-    The rule tau(K(p,1)) = p*tau(K) is a cited literature fact, applied
-    only when the base profile declares tau; the resulting citation chains
-    the rule's reference onto the base value's reference.
-    """
+    """:func:`cable_profile` for a K that declares tau; the cable carries
+    tau only where that function's rule applies."""
     if K.declared_tau is None:
         raise MissingTau(f"{K.name!r} declares no tau value")
-    tau = Cited(
-        p * K.declared_tau.value,
-        f"{TAU_CABLE_CITATION}; base value: {K.declared_tau.citation}",
-    )
-    return replace(cable_profile(K, p), declared_tau=tau)
+    return cable_profile(K, p)
 
 
 def finite_order_obstruction(

@@ -23,7 +23,6 @@ from .cabling import (
     fox_milnor_obstruction,
     profile_signature,
     rational_concordance_verdict,
-    tau_cable_rule,
 )
 from .catalog import UnknownKnot, load_catalog
 from .legendrian import (
@@ -185,8 +184,6 @@ def _pair(catalog, args):
         if args.knot1 is not None:
             raise BadFlag("give either a second knot or --cable, not both")
         _positive("--cable", args.cable, 1)
-        if K0.declared_tau is not None:
-            return K0, tau_cable_rule(K0, args.cable)
         return K0, cable_profile(K0, args.cable)
     if args.knot1 is not None:
         return K0, catalog.profile(args.knot1)

@@ -14,7 +14,6 @@ from concordance.cabling import (
     MissingAlexander,
     MissingSeifert,
     MissingTau,
-    cable_alexander,
     cable_profile,
     cable_signature,
     finite_order_obstruction,
@@ -49,10 +48,22 @@ WHITEHEAD_PROFILE = KnotProfile(
     "whitehead-double-RH-trefoil",
     seifert=WHITEHEAD,
     declared_tau=Cited(1, "Hedden, 'Knot Floer homology of Whitehead doubles'"),
+    declared_genus=Cited(1, "the doubling surface has genus one"),
     topologically_slice=Cited(
         True, "trivial Alexander polynomial; Freedman and Quinn"
     ),
 )
+LH_TREFOIL_PROFILE = KnotProfile(
+    "LH-trefoil",
+    seifert=mirror(TREFOIL),
+    declared_tau=Cited(-1, "tau negates under mirroring"),
+    declared_genus=Cited(1, "mirror of a genus-one knot"),
+)
+
+
+def cable_alexander(delta, p):
+    """delta(t^p), read off the (p,1)-cable's profile."""
+    return cable_profile(KnotProfile("K", alexander=delta), p).alexander
 
 
 class TestCableAlexander:
@@ -480,7 +491,10 @@ class TestTauCableRule:
 
     def test_tau_zero_fixed(self):
         base = KnotProfile(
-            "slicey", alexander=LaurentPoly.one(), declared_tau=Cited(0, "x")
+            "slicey",
+            alexander=LaurentPoly.one(),
+            declared_tau=Cited(0, "x"),
+            declared_genus=Cited(0, "x"),
         )
         assert tau_cable_rule(base, 7).declared_tau.value == 0
 
@@ -493,6 +507,42 @@ class TestTauCableRule:
     def test_missing_tau(self):
         with pytest.raises(MissingTau):
             tau_cable_rule(TREFOIL_PROFILE, 2)
+
+    def test_catalog_whitehead_double_citation(self):
+        double = load_catalog().profile("whitehead-double-RH-trefoil")
+        tau = cable_profile(double, 2).declared_tau
+        assert tau == Cited(
+            2,
+            "tau(K(p,1)) = p*tau(K): Hedden, 'On knot Floer homology and "
+            "cabling', Theorem 1.2; base value: Hedden, 'Knot Floer homology "
+            "of Whitehead doubles'",
+        )
+
+    def test_only_tau_equal_to_genus_is_cabled(self):
+        # Hom's cabling formula: for epsilon(K) = -1, which the left-handed
+        # trefoil has, tau(K(p,1)) = p*tau(K) + p - 1, so p*tau(K) is wrong
+        catalog = load_catalog()
+        for K in (LH_TREFOIL_PROFILE, catalog.profile("figure-eight")):
+            for p in (2, 3):
+                assert cable_profile(K, p).declared_tau is None
+                assert tau_cable_rule(K, p).declared_tau is None
+        assert cable_profile(catalog.profile("unknot"), 5).declared_tau.value == 0
+        assert cable_profile(catalog.profile("RH-trefoil"), 3).declared_tau.value == 3
+
+    def test_p1_keeps_tau(self):
+        for K in (LH_TREFOIL_PROFILE, load_catalog().profile("figure-eight")):
+            assert cable_profile(K, 1).declared_tau.value == K.declared_tau.value
+
+    def test_left_handed_trefoil_verdict_has_no_tau_witness(self):
+        for cable in (cable_profile, tau_cable_rule):
+            report = rational_concordance_verdict(
+                LH_TREFOIL_PROFILE, cable(LH_TREFOIL_PROFILE, 2)
+            )
+            assert report.category == "topological"
+            assert [w.kind for w in report.witnesses] == ["signature-mismatch"]
+            assert "tau comparison unavailable: not declared for both knots" in (
+                report.notes
+            )
 
 
 @pytest.mark.parametrize("bound", [2.5, True, 0, -3])

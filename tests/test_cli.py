@@ -393,6 +393,35 @@ class TestReports:
         data = run_json(capsys, "verdict", "unknot", "figure-eight")
         assert data["verdict"] == "no-obstruction-found"
 
+    def test_verdict_cable_without_tau_rule(self, capsys):
+        # tau = 0 differs from the genus 1, so the cable declares no tau
+        data = run_json(capsys, "verdict", "figure-eight", "--cable", "2")
+        assert data["verdict"] == "no-obstruction-found"
+        assert data["notes"][0] == "tau comparison unavailable: not declared for both knots"
+
+    def test_verdict_left_handed_trefoil_cable(self, capsys, tmp_path):
+        # Hom: epsilon = -1 gives tau(K(2,1)) = -1, not -2, so tau is not compared
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{
+            "name": "LH-trefoil",
+            "seifert_matrix": [[1, 0], [-1, 1]],
+            "genus": {"value": 1, "citation": "mirror of the RH trefoil"},
+            "tau": {"value": -1, "citation": "tau negates under mirroring"},
+        }]))
+        data = run_json(
+            capsys, "--catalog", str(path), "verdict", "LH-trefoil", "--cable", "2"
+        )
+        assert data["category"] == "topological"
+        assert [w["kind"] for w in data["witnesses"]] == ["signature-mismatch"]
+
+    def test_verdict_knot_against_itself(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "K", "seifert_matrix": [[-1, 1], [0, -1]]}]))
+        data = run_json(capsys, "--catalog", str(path), "verdict", "K", "K")
+        assert (data["verdict"], data["category"], data["witnesses"]) == (
+            "no-obstruction-found", None, [],
+        )
+
     def test_huge_angle_bound_is_fast(self):
         # the bound only caps the witness denominator: with no bad arc the
         # answer comes at once, and a witness stops the prime walk
@@ -550,6 +579,31 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "theorem31", "figure-eight")
         assert code == 3
         assert "tb = 2g - 1" in err
+
+    @pytest.mark.parametrize(
+        "fields, argv, code, message",
+        [
+            ({"alexander": "t - 1 + t^-1"}, ("signature", "k", "--omega", "1/3"),
+             2, "'k' has no Seifert matrix in the catalog"),
+            ({"genus": {"value": 1, "citation": "c"}}, ("alexander", "k"),
+             2, "'k' has no Alexander polynomial"),
+            ({"seifert_matrix": [[-1, 1], [0, -1]]}, ("theorem31", "k"),
+             3, "k: no declared genus"),
+        ],
+        ids=["signature-without-seifert", "alexander-without-polynomial",
+             "theorem31-without-genus"],
+    )
+    def test_missing_entry_data(self, capsys, tmp_path, fields, argv, code, message):
+        data = os.path.join(os.path.dirname(cli.__file__), "_data")
+        shutil.copy(os.path.join(data, "paper-pattern-P.front"), tmp_path)
+        pattern = {"front": "paper-pattern-P.front", "tilde_class": "unknot", "citation": "c"}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([
+            {"name": "k", **fields}, {"name": "paper-pattern-P", "pattern": pattern},
+        ]))
+        assert run_cli(capsys, "--catalog", str(path), *argv) == (
+            code, "", f"error: {message}\n",
+        )
 
     def test_class_mismatch_is_three(self, capsys):
         code, out, err = run_cli(

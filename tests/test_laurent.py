@@ -448,8 +448,6 @@ def _integer_parameter_cases():
         "LaurentPoly.__pow__": (lambda b: P("t^1") ** b, "exponent must be"),
         "LaurentPoly.substitute_power": (
             lambda b: P("t^1").substitute_power(b), "substitution power"),
-        "cable_alexander": (
-            lambda b: cabling.cable_alexander(K.alexander, b), "cable parameter p"),
         "cable_profile": (lambda b: cabling.cable_profile(K, b), "cable parameter p"),
         "KnotProfile.cable_of": (
             lambda b: cabling.KnotProfile("c", cable_of=(K, b)), "cable_of must be"),
