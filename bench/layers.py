@@ -14,7 +14,11 @@ times over.  The signature layers (`alexander`, `levine_tristram` at
 omega = exp(2 pi i 5/1260), `signature_function`) take COUNT scrambled
 sums of genus g (`random_knot`), drawn from a fresh `random.Random(SEED)`;
 each call builds a fresh `SeifertMatrix`, since delta is cached on the
-matrix.  Each input is timed REPEAT times and its fastest kept; the
+matrix.  The polynomial layers take delta of the same knots, computed
+before timing: `factor` takes delta(t^6) with no memo, and
+`isolate_roots` takes the trace polynomial of delta
+(`cyclotomic.trace_polynomial`) on (-2, 2), as a signature function
+does.  Each input is timed REPEAT times and its fastest kept; the
 repeats go round-robin over a layer's inputs at a size, so a slow
 stretch of the host falls on one repeat of several inputs, not on every
 repeat of one.  A layer's figure at a size is the median over its
@@ -38,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +54,8 @@ REPEAT = 3
 sys.path.insert(0, str(SRC))
 
 from concordance.catalog import load_catalog  # noqa: E402
+from concordance.cyclotomic import trace_polynomial  # noqa: E402
+from concordance.laurent import factor  # noqa: E402
 from concordance.legendrian import FrontDiagram, cable_front, satellite_front  # noqa: E402
 from concordance.seifert import (  # noqa: E402
     RootOfUnity,
@@ -57,6 +64,7 @@ from concordance.seifert import (  # noqa: E402
     levine_tristram,
     signature_function,
 )
+from concordance.realroots import isolate_roots  # noqa: E402
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
 
 
@@ -96,6 +104,12 @@ def layers():
     def knots(genus):
         rng = random.Random(SEED)
         return [families.random_knot(rng, genus).seifert() for _ in range(COUNT)]
+
+    def deltas(genus):
+        return [alexander(SeifertMatrix(matrix)) for matrix in knots(genus)]
+
+    def coefficients(delta):
+        return [delta.coeff(e) for e in range(delta.low(), delta.high() + 1)]
 
     def fresh(fn):
         """fn on a new SeifertMatrix per call: delta is cached on the matrix."""
@@ -144,6 +158,18 @@ def layers():
             name: (fresh(fn), knots, list(range(1, 9)), "perfbench/families.random_knot")
             for name, fn in signature_layers.items()
         },
+        "laurent.factor": (
+            factor,
+            lambda genus: [delta.substitute_power(6) for delta in deltas(genus)],
+            list(range(1, 9)),
+            "delta(t^6) of perfbench/families.random_knot",
+        ),
+        "realroots.isolate_roots": (
+            lambda g: isolate_roots(g, Fraction(-2), Fraction(2)),
+            lambda genus: [trace_polynomial(coefficients(delta)) for delta in deltas(genus)],
+            list(range(1, 9)),
+            "trace polynomial of delta of perfbench/families.random_knot",
+        ),
     }
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, doteq, factor, fox_milnor_pairing, is_int
+from .laurent import LaurentPoly, factor, fox_milnor_pairing, is_int
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
     alexander,
+    balanced_alexander,
     first_witness,
     signature_function,
 )
@@ -112,7 +113,9 @@ class KnotProfile:
 
     The Alexander polynomial is computed from the Seifert matrix when one
     is present (a declared polynomial is then cross-checked against it);
-    otherwise it may be declared directly, as happens for cables.  Profiles
+    otherwise it may be declared directly, as happens for cables.  Either
+    way it passes :func:`seifert.balanced_alexander` and is stored
+    balanced, so a declared polynomial that is no knot's is rejected.  Profiles
     built by :func:`cable_profile` remember their companion in ``cable_of``
     so the signature function can be obtained by pullback even though no
     Seifert matrix for the cable is stored.
@@ -131,14 +134,23 @@ class KnotProfile:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("a profile needs a nonempty name")
+        if self.alexander is not None:
+            try:
+                declared = balanced_alexander(self.alexander)
+            except ValueError as exc:
+                raise ValueError(
+                    f"declared polynomial {self.alexander} of {self.name!r} is "
+                    f"not an Alexander polynomial: {exc}"
+                ) from None
+            # store the balanced normal form so downstream code can rely on it
+            object.__setattr__(self, "alexander", declared)
         if self.seifert is not None:
             computed = alexander(self.seifert)
-            if self.alexander is not None and not doteq(self.alexander, computed):
+            if self.alexander is not None and self.alexander != computed:
                 raise ValueError(
                     f"declared Alexander polynomial of {self.name!r} does not "
                     f"match the Seifert matrix (expected {computed})"
                 )
-            # store the balanced normal form so downstream code can rely on it
             object.__setattr__(self, "alexander", computed)
         if self.declared_genus is not None:
             g = self.declared_genus.value
@@ -239,7 +251,7 @@ def cable_profile(K: KnotProfile, p: int) -> KnotProfile:
         raise ValueError("cable parameter p must be a positive integer")
     delta = None if K.alexander is None else K.alexander.substitute_power(p)
     slice_note = None
-    if delta is not None and doteq(delta, LaurentPoly.one()):
+    if delta == LaurentPoly.one():
         slice_note = Cited(True, TRIVIAL_ALEXANDER_CITATION)
     base, genus, tau = K.declared_tau, K.declared_genus, None
     if base is not None and (p == 1 or genus is not None and base.value == genus.value):

@@ -5,7 +5,8 @@ matrix with declared (always cited) invariants, references to Legendrian
 front files, an annular pattern declaration, and references to surgery
 presentation files.  Computed quantities (Alexander polynomials,
 signatures, front counts) are never stored, only recomputed; a declared
-Alexander polynomial is cross-checked against the Seifert matrix.
+Alexander polynomial must be one, and is cross-checked against the
+Seifert matrix when there is one.
 
 The default catalog ships with the package; the CONCORDANCE_CATALOG
 environment variable or an explicit path overrides it, with file

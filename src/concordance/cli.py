@@ -249,31 +249,13 @@ def _cmd_legendrian_satellite(catalog, args):
 def _cmd_theorem31(catalog, args):
     profile = catalog.profile(args.knot)
     pattern = catalog.pattern(args.pattern)
-    if args.front is not None:
-        front_name = args.front
-        realization = _companion_front(catalog, front_name).invariants()
-    else:
-        if profile.declared_genus is None:
-            raise HypothesisNotMet(f"{profile.name}: no declared genus")
-        target = 2 * profile.declared_genus.value - 1
-        entry = catalog.entry(args.knot)
-        for front_name, front in entry.fronts.items():
-            inv = front.invariants()
-            if inv.tb == target and inv.rot == 0:
-                realization = inv
-                break
-        else:
-            raise HypothesisNotMet(
-                f"{profile.name}: no stored front realizes tb = 2g - 1 = "
-                f"{target} with rot = 0; pass one with --front"
-            )
-    result = satellite_genus_pipeline(profile, realization, pattern)
+    result = satellite_genus_pipeline(profile, catalog.entry(args.knot).fronts, pattern)
     return {
         "command": "theorem31",
         "companion": result.companion,
         "genus": result.genus,
         "pattern": pattern.name,
-        "realization": {"front": front_name, **_invariants_dict(realization)},
+        "realization": {"front": result.front, **_invariants_dict(result.realization)},
         "stabilized": _invariants_dict(result.stabilized),
         "satellite": _invariants_dict(result.satellite),
         "bounds": {
@@ -402,7 +384,6 @@ def build_parser():
     )
     p.add_argument("knot")
     p.add_argument("--pattern", default="paper-pattern-P")
-    p.add_argument("--front", help="stored front realizing tb = 2g - 1, rot = 0")
     p.set_defaults(handler=_cmd_theorem31)
 
     p = sub.add_parser(

@@ -476,40 +476,45 @@ class SatelliteGenusReport:
 
     companion: str
     genus: int
+    front: str
+    realization: LegendrianInvariants
     stabilized: LegendrianInvariants
     satellite: LegendrianInvariants
     bounds: GenusBounds
     conclusions: tuple[str, ...]
 
 
-def satellite_genus_pipeline(profile, realization, pattern):
+def satellite_genus_pipeline(profile, fronts, pattern):
     """Bound the smooth invariants of a satellite from below.
 
-    Given a knot with declared genus g and a Legendrian realization that
-    attains tb = 2g - 1 with rot = 0, stabilize positively to
-    (tb, rot) = (0, 2g - 1), form the satellite, and convert tb + |rot|
-    of the result into lower bounds for g4, tau, and s.  The report
-    compares the bounds against the companion's declared values and, for
-    winding-one patterns whose P-tilde is unknotted, records that the
-    zero surgeries on companion and satellite are Z-homology cobordant
-    rel meridians.
+    Given a knot with declared genus g and ``fronts``, a mapping from
+    names to the knot's own fronts in catalog order, take as the
+    realization the first one with tb = 2g - 1 and rot = 0, stabilize it
+    positively to (tb, rot) = (0, 2g - 1), form the satellite, and
+    convert tb + |rot| of the result into lower bounds for g4, tau, and
+    s.  Annular fronts are skipped: an entry that also declares a pattern
+    holds the pattern's front.  The report compares the bounds against
+    the companion's declared values and, for winding-one patterns whose
+    P-tilde is unknotted, records that the zero surgeries on companion
+    and satellite are Z-homology cobordant rel meridians.
 
-    Raises HypothesisNotMet when the genus is missing or the realization
-    does not satisfy tb = 2g - 1, rot = 0.
+    Raises HypothesisNotMet when the genus is missing or no front
+    realizes tb = 2g - 1, rot = 0.
     """
     if not isinstance(profile, KnotProfile):
         raise TypeError(f"expected a KnotProfile, got {type(profile).__name__}")
     if profile.declared_genus is None:
         raise HypothesisNotMet(f"{profile.name}: no declared genus")
     g = profile.declared_genus.value
-    if realization.tb != 2 * g - 1:
+    for front, diagram in fronts.items():
+        if not diagram.seam_strands:
+            realization = diagram.invariants()
+            if (realization.tb, realization.rot) == (2 * g - 1, 0):
+                break
+    else:
         raise HypothesisNotMet(
-            f"{profile.name}: realization has tb = {realization.tb}, "
-            f"the pipeline needs tb = 2g - 1 = {2 * g - 1}"
-        )
-    if realization.rot != 0:
-        raise HypothesisNotMet(
-            f"{profile.name}: realization has rot = {realization.rot}, expected 0"
+            f"{profile.name}: no stored front realizes tb = 2g - 1 = "
+            f"{2 * g - 1} with rot = 0"
         )
     stabilized = stabilize(realization, "positive", 2 * g - 1)
     sat = satellite_invariants(pattern, stabilized)
@@ -554,6 +559,8 @@ def satellite_genus_pipeline(profile, realization, pattern):
     return SatelliteGenusReport(
         companion=profile.name,
         genus=g,
+        front=front,
+        realization=realization,
         stabilized=stabilized,
         satellite=sat,
         bounds=bounds,

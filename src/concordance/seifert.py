@@ -45,8 +45,8 @@ from .realroots import RootMarker, compare_markers, exact_quotient, isolate_root
 
 __all__ = [
     "SeifertMatrix", "RootOfUnity", "SignatureFunction", "OmegaIsOne",
-    "SingularAtOmega", "alexander", "levine_tristram", "signature_function",
-    "block_sum", "mirror",
+    "SingularAtOmega", "alexander", "balanced_alexander", "levine_tristram",
+    "signature_function", "block_sum", "mirror",
 ]
 
 
@@ -157,6 +157,11 @@ class RootOfUnity:
     denominator: int
 
     def __post_init__(self):
+        if not (is_int(self.numerator) and is_int(self.denominator)):
+            raise TypeError(
+                f"numerator and denominator must be ints, got "
+                f"{self.numerator!r} and {self.denominator!r}"
+            )
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
         a = self.numerator % self.denominator
@@ -166,8 +171,8 @@ class RootOfUnity:
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "RootOfUnity":
-        q = Fraction(q)
-        return cls(q.numerator % q.denominator, q.denominator)
+        q = _as_fraction(q)
+        return cls(q.numerator, q.denominator)
 
     @property
     def fraction(self) -> Fraction:
@@ -200,15 +205,29 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
         _int_det([[e[i][j] - k * e[j][i] for j in range(n)] for i in range(n)])
         for k in range(n + 1)
     ]
-    norm = LaurentPoly.from_coeffs(_interpolate(values)).associate_normal()
+    return balanced_alexander(LaurentPoly.from_coeffs(_interpolate(values)))
+
+
+def balanced_alexander(delta: LaurentPoly) -> LaurentPoly:
+    """The balanced normal form of an Alexander polynomial, given up to
+    +-t^g: exponents symmetric about 0 and a positive leading coefficient.
+
+    Raises ValueError unless delta is one: |delta(1)| = 1, even span and
+    delta(t^-1) = delta(t) once balanced.
+
+    >>> str(balanced_alexander(LaurentPoly.parse("-t^3 + t^2 - t^1")))
+    '1*t^1 - 1 + 1*t^-1'
+    """
+    at_one = sum(c for _, c in delta.items())  # delta(1), the coefficient sum
+    if abs(at_one) != 1:
+        raise ValueError(f"|delta(1)| = {abs(at_one)}, not 1")
+    norm = delta.associate_normal()
     d = norm.high()
     if d % 2:
-        raise ArithmeticError("Alexander degree of a Seifert form must be even")
+        raise ValueError(f"its span {d} is odd")
     bal = norm.shift(-(d // 2))
     if bal.reciprocal() != bal:
-        raise ArithmeticError("Alexander polynomial must be symmetric")
-    if abs(sum(c for _, c in bal.items())) != 1:  # delta(1), the coefficient sum
-        raise ArithmeticError("Alexander polynomial must have |delta(1)| = 1")
+        raise ValueError("it is not symmetric")
     return bal
 
 
@@ -541,8 +560,12 @@ class SignatureFunction:
 
 
 def _as_fraction(q) -> Fraction:
+    """The angle q in [0, 1) of exp(2*pi*i*q), for an int, a Fraction or a
+    RootOfUnity q; a float or a bool is no exact angle."""
     if isinstance(q, RootOfUnity):
         return q.fraction
+    if not (isinstance(q, Fraction) or is_int(q)):
+        raise TypeError(f"an angle must be an int, a Fraction or a RootOfUnity, got {q!r}")
     q = Fraction(q)
     if not 0 <= q < 1:
         q = q % 1

@@ -80,8 +80,9 @@ def test_criterion_2_satellite_genus_pipeline():
     def body():
         trefoil = CATALOG.profile("RH-trefoil")
         pattern = CATALOG.pattern("paper-pattern-P")
-        realization = CATALOG.front("legendrian-RH-trefoil-maxtb").invariants()
-        result = satellite_genus_pipeline(trefoil, realization, pattern)
+        fronts = CATALOG.entry("RH-trefoil").fronts
+        result = satellite_genus_pipeline(trefoil, fronts, pattern)
+        assert result.front == "legendrian-RH-trefoil-maxtb"
         assert result.bounds.g4_lower == 2
         assert result.bounds.tau_lower == Fraction(2)
         assert result.bounds.s_lower == 4

@@ -19,7 +19,7 @@ def test_layers_script_writes_its_keys(tmp_path):
     assert set(report["layers"]) == {
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
         "legendrian.cable_front", "seifert.alexander", "seifert.levine_tristram",
-        "seifert.signature_function",
+        "seifert.signature_function", "laurent.factor", "realroots.isolate_roots",
     }
     for medians in report["layers"].values():
         assert list(medians) == ["6"]

@@ -93,13 +93,15 @@ class TestCableAlexander:
             TWIST_PROFILE.alexander,
             FIGURE_EIGHT_PROFILE.alexander,
         ]
+        # 1 + (t - 2 + 1/t) * h(t + 1/t) is symmetric with delta(1) = 1: an
+        # Alexander polynomial for every integer polynomial h
+        x = LaurentPoly.parse("t^1 + t^-1")
         for _ in range(10):
-            polys.append(
-                LaurentPoly(
-                    {e: rng.randint(-5, 5) for e in range(rng.randint(1, 4))}
-                )
-                + LaurentPoly.one()
+            h = sum(
+                (rng.randint(-5, 5) * x**e for e in range(rng.randint(1, 4))),
+                LaurentPoly(),
             )
+            polys.append(LaurentPoly.one() + (x - 2) * h)
         for delta in polys:
             for p in (1, 2, 3):
                 for q in (1, 2, 4):
@@ -188,7 +190,7 @@ class TestKnotProfile:
             KnotProfile(
                 "RH-trefoil",
                 seifert=TREFOIL,
-                alexander=LaurentPoly.parse("t^2 + t^1 + 1"),
+                alexander=LaurentPoly.parse("t^2 - 3*t^1 + 1"),
             )
 
     def test_citation_required(self):

@@ -34,6 +34,20 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def user_catalog(tmp_path, *entries):
+    """The path of a catalog of `entries` and paper-pattern-P, beside the
+    bundled pattern and max-tb trefoil fronts and `two.front`, the annular
+    front S 2 / O E / X 0 (tb 1, rot 0)."""
+    data = os.path.join(os.path.dirname(cli.__file__), "_data")
+    for name in ("paper-pattern-P.front", "legendrian-RH-trefoil-maxtb.front"):
+        shutil.copy(os.path.join(data, name), tmp_path)
+    (tmp_path / "two.front").write_text("S 2\nO E\nX 0\n")
+    pattern = {"front": "paper-pattern-P.front", "tilde_class": "unknot", "citation": "c"}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([*entries, {"name": "paper-pattern-P", "pattern": pattern}]))
+    return str(path)
+
+
 class TestLoadCatalog:
     def test_bundled_entries(self):
         catalog = load_catalog()
@@ -123,6 +137,16 @@ class TestLoadCatalog:
                 ' "alexander": "1*t^1 - 3 + 1*t^-1"}]',
                 ValidationError,
                 "does not match the Seifert matrix",
+            ),
+            (
+                '[{"name": "k", "alexander": "t^3 - t^2 + 1"}]',
+                ValidationError,
+                "of 'k' is not an Alexander polynomial: its span 3 is odd",
+            ),
+            (
+                '[{"name": "k", "alexander": "t^2 + t - 1"}]',
+                ValidationError,
+                "not an Alexander polynomial: it is not symmetric",
             ),
             (
                 '[{"name": "k", "seifert_matrix": []},'
@@ -334,12 +358,34 @@ class TestReports:
         assert any("Z-homology cobordant rel meridians" in c for c in conclusions)
         assert any(c.startswith("both knots are topologically slice") for c in conclusions)
 
-    def test_theorem31_explicit_front(self, capsys):
-        data = run_json(
-            capsys, "theorem31", "RH-trefoil",
-            "--front", "legendrian-RH-trefoil-maxtb",
-        )
-        assert data["bounds"]["g4_lower"] == 2
+    def test_theorem31_has_no_front_flag(self, capsys):
+        # the realization is chosen from the knot's own fronts; a front of
+        # another knot cannot be passed in
+        for knot in ("RH-trefoil", "whitehead-double-RH-trefoil"):
+            with pytest.raises(SystemExit) as exc:
+                main(["theorem31", knot, "--front", "legendrian-RH-trefoil-maxtb"])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert "unrecognized arguments: --front" in err
+
+    def test_theorem31_skips_the_entrys_pattern_front(self, capsys, tmp_path):
+        # an entry with a profile and a pattern holds the pattern's front,
+        # here listed before a closed front with tb 1 and rot 0
+        path = user_catalog(tmp_path, {
+            "name": "k",
+            "seifert_matrix": [[-1, 1], [0, -1]],
+            "genus": {"value": 1, "citation": "c"},
+            "fronts": ["two.front", "legendrian-RH-trefoil-maxtb.front"],
+            "pattern": {"front": "two.front", "tilde_class": "other", "citation": "c"},
+        })
+        assert list(load_catalog(path).entry("k").fronts) == [
+            "two", "legendrian-RH-trefoil-maxtb",
+        ]
+        data = run_json(capsys, "--catalog", path, "theorem31", "k")
+        assert data["realization"] == {
+            "front": "legendrian-RH-trefoil-maxtb", "tb": 1, "rot": 0, "writhe": 3,
+            "cusps": 4, "down_left_cusps": 1, "up_right_cusps": 1,
+        }
 
     def test_homology_check(self, capsys):
         data = run_json(capsys, "homology-check", "--p", "5")
@@ -468,8 +514,6 @@ class TestExitCodes:
             # an annular pattern front cannot carry a satellite
             (("legendrian", "satellite", "paper-pattern-P", "paper-pattern-P"),
              "companion must be a closed front"),
-            (("theorem31", "RH-trefoil", "--front", "paper-pattern-P"),
-             "companion must be a closed front"),
         ],
     )
     def test_input_errors_are_two(self, capsys, argv, fragment):
@@ -518,14 +562,16 @@ class TestExitCodes:
         assert code == 2 and f"above {MAX_DEGREE}" in err
 
     def test_recombination_cap_is_an_input_error(self, capsys, tmp_path):
-        # t^36 * g(t + 1/t) for g = prod SD(x + c), SD = x^4 - 10x^2 + 1,
-        # c = 0..8: degree 72, within MAX_DEGREE, but its trace polynomial
-        # has at least 18 modular factors at every prime and no factor of
-        # degree < 4, so recombination would pass MAX_MODULAR_FACTORS
-        x = LaurentPoly.parse("t^1 + t^-1")
+        # t^36 * prod Q_a(t + 1/t) with Q_a(x) = (x - 2)^4 - 2(2a + 1)(x - 2)^2 + 1:
+        # an Alexander polynomial (symmetric, Q_a(2) = 1 so delta(1) = 1) of
+        # span 72, within MAX_DEGREE, whose trace polynomial has at least 18
+        # modular factors at every prime and no factor of degree < 4, so
+        # recombination would pass MAX_MODULAR_FACTORS
+        y = LaurentPoly.parse("t^1 - 2 + t^-1")
         delta = LaurentPoly.one()
-        for c in range(9):
-            delta = delta * ((x + c) ** 4 - 10 * (x + c) ** 2 + 1)
+        for a in (2, 5, 6, 7, 10, 11, 12, 13, 14):
+            delta = delta * (y**4 - 2 * (2 * a + 1) * y**2 + 1)
+        assert (delta.span(), delta.evaluate(1)) == (72, 1)
         path = tmp_path / "catalog.json"
         entries = [{"name": "unknot", "seifert_matrix": []}, {"name": "sd", "alexander": str(delta)}]
         path.write_text(json.dumps(entries))
@@ -589,19 +635,17 @@ class TestExitCodes:
              2, "'k' has no Alexander polynomial"),
             ({"seifert_matrix": [[-1, 1], [0, -1]]}, ("theorem31", "k"),
              3, "k: no declared genus"),
+            # an annular front (tb 1, rot 0) realizes no knot
+            ({"genus": {"value": 1, "citation": "c"}, "fronts": ["two.front"]},
+             ("theorem31", "k"), 3,
+             "k: no stored front realizes tb = 2g - 1 = 1 with rot = 0"),
         ],
         ids=["signature-without-seifert", "alexander-without-polynomial",
-             "theorem31-without-genus"],
+             "theorem31-without-genus", "theorem31-annular-front-only"],
     )
     def test_missing_entry_data(self, capsys, tmp_path, fields, argv, code, message):
-        data = os.path.join(os.path.dirname(cli.__file__), "_data")
-        shutil.copy(os.path.join(data, "paper-pattern-P.front"), tmp_path)
-        pattern = {"front": "paper-pattern-P.front", "tilde_class": "unknot", "citation": "c"}
-        path = tmp_path / "catalog.json"
-        path.write_text(json.dumps([
-            {"name": "k", **fields}, {"name": "paper-pattern-P", "pattern": pattern},
-        ]))
-        assert run_cli(capsys, "--catalog", str(path), *argv) == (
+        path = user_catalog(tmp_path, {"name": "k", **fields})
+        assert run_cli(capsys, "--catalog", path, *argv) == (
             code, "", f"error: {message}\n",
         )
 
@@ -620,6 +664,27 @@ class TestExitCodes:
         )
         assert code == 2
         assert "line 1" in err
+
+    def test_non_alexander_polynomial_is_two(self, capsys, tmp_path):
+        # delta(1) = 0 is no knot's: the catalog fails at load, before any
+        # command could report Fox-Milnor witnesses for it
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([
+            {"name": "unknot", "seifert_matrix": []},
+            {"name": "k", "alexander": "2*t^1 - 4 + 2*t^-1"},
+        ]))
+        for argv in (("alexander", "k"), ("fox-milnor", "k", "--k-max", "2")):
+            assert run_cli(capsys, "--catalog", str(path), *argv) == (
+                2, "", "error: entry 'k': declared polynomial 2*t^1 - 4 + 2*t^-1 "
+                "of 'k' is not an Alexander polynomial: |delta(1)| = 0, not 1\n",
+            )
+
+    def test_declared_alexander_is_stored_balanced(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "k", "alexander": "t^2 - t + 1"}]))
+        data = run_json(capsys, "--catalog", str(path), "alexander", "k")
+        assert data["alexander"] == "1*t^1 - 1 + 1*t^-1"
+        assert data["normalization"].startswith("balanced")
 
     def test_zero_denominator_in_catalog_is_two(self, capsys, tmp_path):
         path = tmp_path / "catalog.json"

@@ -476,3 +476,35 @@ def test_bools_are_not_integer_parameters(call, message):
     # isinstance(True, int) holds, yet no integer parameter is a bool
     with pytest.raises(ValueError, match=message):
         call(True)
+
+
+def _angle_cases():
+    """One case per angle input: a call of the library with a float or a
+    bool where an exact angle belongs."""
+    from concordance.seifert import (
+        RootOfUnity, SeifertMatrix, levine_tristram, signature_function,
+    )
+
+    trefoil = SeifertMatrix([[-1, 1], [0, -1]])
+    sig = signature_function(trefoil)
+    cases = {
+        "RootOfUnity-bool-numerator": lambda: RootOfUnity(True, 2),
+        "RootOfUnity-bool-denominator": lambda: RootOfUnity(1, True),
+        "RootOfUnity-float-numerator": lambda: RootOfUnity(0.5, 1),
+        "RootOfUnity.from_fraction-float": lambda: RootOfUnity.from_fraction(0.5),
+        "levine_tristram-float": lambda: levine_tristram(trefoil, 0.1),
+        "levine_tristram-bool": lambda: levine_tristram(trefoil, True),
+        "evaluate-float": lambda: sig.evaluate(0.5),
+        "evaluate-bool": lambda: sig.evaluate(True),
+        "is_jump-float": lambda: sig.is_jump(1 / 6),
+    }
+    return [pytest.param(call, id=name) for name, call in cases.items()]
+
+
+@pytest.mark.parametrize("call", _angle_cases())
+def test_floats_and_bools_are_not_angles(call):
+    # no float decides an angle: 0.1 is the binary fraction
+    # 3602879701896397/36028797018963968, not 1/10, and True is no integer
+    with pytest.raises(TypeError):
+        call()
+

@@ -557,11 +557,21 @@ TREFOIL_PROFILE = KnotProfile(
 )
 
 
+# the (2,5) torus knot at its maximal tb = 2g - 1 = 3, rot 0
+TORUS_2_5 = front_from_text("O E\nL 0\nL 2\n" + "X 1\n" * 5 + "R 2\nR 0\n")
+# the same front with two zigzags on its top strand: tb 1, rot 2
+TORUS_2_5_TWICE_STABILIZED = front_from_text(
+    "O W\nL 0\nL 0\nR 1\nL 0\nR 1\nL 2\n" + "X 1\n" * 5 + "R 2\nR 0\n"
+)
+
+
 class TestSatelliteGenusPipeline:
     def test_trefoil(self):
         report = satellite_genus_pipeline(
-            TREFOIL_PROFILE, TREFOIL_MAXTB.invariants(), PATTERN
+            TREFOIL_PROFILE, {"legendrian-RH-trefoil-maxtb": TREFOIL_MAXTB}, PATTERN
         )
+        assert report.front == "legendrian-RH-trefoil-maxtb"
+        assert report.realization == TREFOIL_MAXTB.invariants()
         assert report.genus == 1
         assert (report.stabilized.tb, report.stabilized.rot) == (0, 1)
         assert (report.satellite.tb, report.satellite.rot) == (2, 1)
@@ -573,13 +583,13 @@ class TestSatelliteGenusPipeline:
         assert "Z-homology cobordant rel meridians" in text
 
     def test_genus_two_bound(self):
+        inv = TORUS_2_5.invariants()
+        assert (inv.tb, inv.rot) == (3, 0)
         profile = KnotProfile(
             "genus-two-positive-braid",
             declared_genus=Cited(2, "positive braid closure genus"),
         )
-        report = satellite_genus_pipeline(
-            profile, LegendrianInvariants(3, 0), PATTERN
-        )
+        report = satellite_genus_pipeline(profile, {"T(2,5)": TORUS_2_5}, PATTERN)
         assert (report.satellite.tb, report.satellite.rot) == (2, 3)
         assert report.bounds.g4_lower == 3
 
@@ -590,21 +600,44 @@ class TestSatelliteGenusPipeline:
             declared_genus=Cited(1, "genus of the double"),
             topologically_slice=Cited(True, "trivial Alexander polynomial"),
         )
-        report = satellite_genus_pipeline(wd, LegendrianInvariants(1, 0), PATTERN)
+        report = satellite_genus_pipeline(
+            wd, {"whitehead-double-RH-trefoil": WHITEHEAD_FRONT}, PATTERN
+        )
         text = "\n".join(report.conclusions)
         assert "tau strictly increases" in text
         assert "both knots are topologically slice" in text
 
+    def test_first_closed_front_with_the_invariants(self):
+        # the annular pattern front and the tb-0 front come first
+        fronts = {
+            "paper-pattern-P": PATTERN_FRONT,
+            "legendrian-RH-trefoil": TREFOIL_FRONT,
+            "legendrian-RH-trefoil-maxtb": TREFOIL_MAXTB,
+            "again": TREFOIL_MAXTB,
+        }
+        report = satellite_genus_pipeline(TREFOIL_PROFILE, fronts, PATTERN)
+        assert report.front == "legendrian-RH-trefoil-maxtb"
+        with pytest.raises(HypothesisNotMet, match="tb = 2g - 1 = 1 with rot = 0"):
+            satellite_genus_pipeline(
+                TREFOIL_PROFILE, {"paper-pattern-P": PATTERN_FRONT}, PATTERN
+            )
+        with pytest.raises(TypeError, match="KnotProfile"):
+            satellite_genus_pipeline("RH-trefoil", fronts, PATTERN)
+
     def test_hypotheses(self):
         with pytest.raises(HypothesisNotMet, match="no declared genus"):
             satellite_genus_pipeline(
-                KnotProfile("bare"), LegendrianInvariants(1, 0), PATTERN
+                KnotProfile("bare"), {"maxtb": TREFOIL_MAXTB}, PATTERN
             )
+        inv = TREFOIL_FRONT.invariants()
+        assert (inv.tb, inv.rot) == (0, 1)
         with pytest.raises(HypothesisNotMet, match="tb = 2g - 1"):
             satellite_genus_pipeline(
-                TREFOIL_PROFILE, LegendrianInvariants(0, 1), PATTERN
+                TREFOIL_PROFILE, {"stabilized": TREFOIL_FRONT}, PATTERN
             )
+        inv = TORUS_2_5_TWICE_STABILIZED.invariants()
+        assert (inv.tb, inv.rot) == (1, 2)
         with pytest.raises(HypothesisNotMet, match="rot"):
             satellite_genus_pipeline(
-                TREFOIL_PROFILE, LegendrianInvariants(1, 2), PATTERN
+                TREFOIL_PROFILE, {"rot-2": TORUS_2_5_TWICE_STABILIZED}, PATTERN
             )
