@@ -15,10 +15,12 @@ omega = exp(2 pi i 5/1260), `signature_function`) take COUNT scrambled
 sums of genus g (`random_knot`), drawn from a fresh `random.Random(SEED)`;
 each call builds a fresh `SeifertMatrix`, since delta is cached on the
 matrix.  The polynomial layers take delta of the same knots, computed
-before timing: `factor` takes delta(t^6) with no memo, and
-`isolate_roots` takes the trace polynomial of delta
-(`cyclotomic.trace_polynomial`) on (-2, 2), as a signature function
-does.  Each input is timed REPEAT times and its fastest kept; the
+before timing: `factor` takes delta(t^6), and `isolate_roots` takes
+the trace polynomial of delta (`cyclotomic.trace_polynomial`) on
+(-2, 2), as a signature function does.  The library keeps
+factorizations per process, so both of its factorization caches are
+emptied before every timed call: `factor` is timed factoring, not
+looking up.  Each input is timed REPEAT times and its fastest kept; the
 repeats go round-robin over a layer's inputs at a size, so a slow
 stretch of the host falls on one repeat of several inputs, not on every
 repeat of one.  A layer's figure at a size is the median over its
@@ -53,6 +55,7 @@ REPEAT = 3
 
 sys.path.insert(0, str(SRC))
 
+from concordance import intfactor, laurent  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.cyclotomic import trace_polynomial  # noqa: E402
 from concordance.laurent import factor  # noqa: E402
@@ -77,12 +80,21 @@ def load_families():
     return module
 
 
+def clear_factor_caches():
+    """Empty the caches of `laurent.factor` (primitive parts) and of
+    `intfactor` (roots and q(t^j)), so the next call factors afresh."""
+    laurent._primitive_factors.cache_clear()
+    intfactor._factors_at.cache_clear()
+
+
 def best_ms(fn, args):
-    """Each input's fastest of REPEAT calls, in milliseconds; round r
-    calls every input once before round r + 1 begins."""
+    """Each input's fastest of REPEAT calls, in milliseconds, each call
+    on empty factorization caches; round r calls every input once before
+    round r + 1 begins."""
     best = [float("inf")] * len(args)
     for _ in range(REPEAT):
         for i, arg in enumerate(args):
+            clear_factor_caches()
             start = time.perf_counter()
             fn(arg)
             best[i] = min(best[i], time.perf_counter() - start)

@@ -357,12 +357,13 @@ def fox_milnor_obstruction(
     complexity up to k_max, and only up to k_max, since the underlying
     condition is existential in k.
 
-    The product is factored by its parts, with one memo for every k:
-    ``factor`` factors delta_0 and delta_1 once and each irreducible
-    q(t^j) once, and a (p,1)-cable's delta_0(t^(p*k)) reuses the entry
-    of delta_0 at p*k.  The merged factorization must multiply back to
-    the product.  Each violation witness states the rule the pairing
-    names as broken (``FoxMilnorResult.reason``).
+    The product is factored by its parts.  Each primitive part, root and
+    irreducible q(t^j) is factored once per process, in LRUs of
+    ``laurent.FACTOR_CACHE_SIZE`` and ``intfactor.FACTORS_AT_CACHE_SIZE``
+    entries, so a (p,1)-cable's delta_0(t^(p*k)) reuses the entry of
+    delta_0 at p*k.  The merged factorization must multiply back to the
+    product.  Each violation witness states the rule the pairing names as
+    broken (``FoxMilnorResult.reason``).
     """
     if not is_int(k_max) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
@@ -370,11 +371,10 @@ def fox_milnor_obstruction(
         if K.alexander is None:
             raise MissingAlexander(f"{K.name!r} has no Alexander polynomial")
     witnesses = []
-    memo: dict = {}
     for k in range(1, k_max + 1):
         d0 = K0.alexander.substitute_power(k)
         d1 = K1.alexander.substitute_power(k)
-        result = fox_milnor_pairing(d0 * d1, factor(d0, memo) * factor(d1, memo))
+        result = fox_milnor_pairing(d0 * d1, factor(d0) * factor(d1))
         if result.is_norm:
             verdict, category = "consistent-up-to-bounds", None
             witnesses = [Witness("fox-milnor-norm", {"k": k, "f": result.witness})]

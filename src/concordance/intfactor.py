@@ -24,6 +24,8 @@ and runs Zassenhaus's algorithm only on what structure cannot settle:
    F * F(1/t), or holds t -+ 1.
 3. Everything else is factored whole.
 
+Roots and q(t^j) are factored once per process, in an LRU of 256 (q, j).
+
 ``irreducible_factors`` is the general algorithm.  It splits off x^j and
 the square-free parts (Yun), and factors each part by Zassenhaus's
 algorithm (1969): distinct-degree factorization at a few primes,
@@ -38,6 +40,7 @@ Only the standard library is used.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import combinations, islice
@@ -49,6 +52,9 @@ from .realroots import exact_quotient, poly_derivative, poly_eval, poly_gcd, pri
 # of them for r factors (39,202 at r = 16, a fraction of a second); it
 # refuses to look past single factors among more than this many.
 MAX_MODULAR_FACTORS = 16
+# (q, j) kept by ``_factors_at``; a fox-milnor call within the CLI's bound
+# k_max * (deg delta_0 + deg delta_1) <= 72 needs at most 2 + 72
+FACTORS_AT_CACHE_SIZE = 256
 # square-free primes whose distinct-degree factorizations are compared
 _CANDIDATE_PRIMES = 5
 # Odd primes tried for the Hensel certificate of a lift before the lift
@@ -61,27 +67,27 @@ class TooManyModularFactors(ValueError):
     ``MAX_MODULAR_FACTORS`` modular factors."""
 
 
-def factor_by_structure(b: list[int], memo: dict) -> dict[tuple, int]:
+def factor_by_structure(b: list[int]) -> dict[tuple, int]:
     """The irreducible factors (coefficient tuples, lowest degree first)
     of a primitive b with b[0] != 0 and b[-1] > 0, with multiplicities.
 
-    ``memo`` maps (q, j) to the irreducible factors of q(t^j); one dict
-    passed to several calls factors each root b(t^(1/m)) and each q(t^j)
-    once.  Since a(t^k) has the same root as a, the calls for a(t),
-    a(t^2), ... share the factorization of the root, and a(t^p), a
-    (p,1)-cable's polynomial, reuses at k the entry of a at p*k."""
+    The root b(t^(1/m)) and each q(t^j) are factored once per process
+    (``_factors_at``): a(t), a(t^2), ... share the root of a, and a(t^p),
+    a (p,1)-cable's polynomial, reuses at k the entry of a at p*k."""
     m = math.gcd(*(e for e, c in enumerate(b) if c))
     merged: dict[tuple, int] = {}
     if m:
-        root = tuple(b[::m])
-        if (root, 1) not in memo:
-            memo[root, 1] = _factor_primitive(list(root))
-        for q, mu in memo[root, 1]:
-            if (q, m) not in memo:
-                memo[q, m] = _substitute(q, m)
-            for f, nu in memo[q, m]:
+        for q, mu in _factors_at(tuple(b[::m]), 1):
+            for f, nu in _factors_at(q, m) if m > 1 else [(q, 1)]:
                 merged[f] = merged.get(f, 0) + mu * nu
     return merged
+
+
+@functools.lru_cache(maxsize=FACTORS_AT_CACHE_SIZE)
+def _factors_at(q: tuple, j: int) -> tuple[tuple[tuple, int], ...]:
+    """The irreducible factors of q(t^j): for j = 1, q is a root and is
+    factored (steps 2 and 3); for j > 1, q is irreducible (step 1)."""
+    return tuple(_substitute(q, j) if j > 1 else _factor_primitive(list(q)))
 
 
 def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
@@ -127,9 +133,7 @@ def _lift_is_irreducible(h: tuple) -> bool:
 
 
 def _substitute(q: tuple, m: int) -> list[tuple[tuple, int]]:
-    """Step 1: the irreducible factors of q(t^m) for an irreducible q."""
-    if m == 1:
-        return [(q, 1)]
+    """Step 1: the irreducible factors of q(t^m), m > 1, for an irreducible q."""
     e = _cyclotomic_index(q)
     if e:
         return [

@@ -24,6 +24,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -163,7 +164,9 @@ class LaurentPoly:
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction); x must be nonzero if any
-        exponent is negative."""
+        exponent is negative.  A float or a bool is no exact point."""
+        if not (isinstance(x, Fraction) or is_int(x)):
+            raise TypeError(f"a point must be an int or a Fraction, got {x!r}")
         x = Fraction(x)
         total = Fraction(0)
         for e, c in self._c.items():
@@ -364,7 +367,7 @@ class Factorization:
         )
 
 
-def factor(a: LaurentPoly, memo: dict | None = None) -> Factorization:
+def factor(a: LaurentPoly) -> Factorization:
     """Factor into irreducibles over the rationals.
 
     pre: a nonzero.
@@ -372,33 +375,38 @@ def factor(a: LaurentPoly, memo: dict | None = None) -> Factorization:
     The sign, the content and the power of t are split off, and the
     primitive part goes to ``intfactor.factor_by_structure``, which
     factors it by structure and runs Zassenhaus's algorithm only on what
-    structure cannot settle.  ``memo`` maps (q, j) to the irreducible
-    factors of q(t^j); one dict passed to several calls (say, for a(t^k)
-    at k = 1, 2, ...) factors each polynomial once.  The result is
-    multiplied out again and must reproduce a exactly.
+    structure cannot settle.  Each primitive part is factored once per
+    process, in an LRU of ``FACTOR_CACHE_SIZE`` entries; hit or miss, the
+    result is multiplied out again and must reproduce a exactly.
 
     >>> f = factor(LaurentPoly.parse("t^4 - 3*t^2 + 1"))
     >>> [str(q) for q, m in f.factors]
     ['1*t^2 - 1*t^1 - 1', '1*t^2 + 1*t^1 - 1']
     """
-    # imported on first use: without a bytecode cache every module that
-    # ``import concordance`` loads is compiled, and most commands never factor
-    from .intfactor import factor_by_structure
-
     if a.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     low, content = a.low(), a.content()
     sign = 1 if a.coeff(a.high()) > 0 else -1
-    b = [sign * a.coeff(e) // content for e in range(low, a.high() + 1)]
-    merged = factor_by_structure(b, {} if memo is None else memo)
-    factors = sorted(
-        ((LaurentPoly.from_coeffs(f), mu) for f, mu in merged.items()),
-        key=lambda fm: _factor_sort_key(fm[0]),
-    )
-    result = Factorization(sign=sign, power=low, content=content, factors=tuple(factors))
+    b = tuple(sign * a.coeff(e) // content for e in range(low, a.high() + 1))
+    result = Factorization(sign=sign, power=low, content=content, factors=_primitive_factors(b))
     if result.expand() != a:
         raise ArithmeticError(f"factorization of {a} failed to round-trip")
     return result
+
+
+# primitive parts kept by ``factor``; one CLI fox-milnor call factors <= 72
+FACTOR_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _primitive_factors(b: tuple) -> tuple:
+    """The sorted (factor, multiplicity) pairs of a primitive part b."""
+    # imported on first use: without a bytecode cache every module that
+    # ``import concordance`` loads is compiled, and most commands never factor
+    from .intfactor import factor_by_structure
+
+    factors = [(LaurentPoly.from_coeffs(f), mu) for f, mu in factor_by_structure(list(b)).items()]
+    return tuple(sorted(factors, key=lambda fm: _factor_sort_key(fm[0])))
 
 
 @dataclass(frozen=True)

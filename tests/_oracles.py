@@ -45,6 +45,15 @@ def load_perfbench(name):
 families = load_perfbench("families")
 
 
+def clear_factor_caches():
+    """Empty the process-wide factorization caches of ``laurent.factor``
+    and ``intfactor``, so that the next call factors from scratch."""
+    from concordance import intfactor, laurent
+
+    laurent._primitive_factors.cache_clear()
+    intfactor._factors_at.cache_clear()
+
+
 def _candidate_table():
     """All brute-force witnesses: degree <= 4, coefficients in [-5, 5],
     nonzero constant term, positive leading coefficient, keyed by

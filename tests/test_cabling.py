@@ -5,7 +5,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from _oracles import scan_cable_witness, scan_signature_mismatch, scrambled_seifert
+from _oracles import (
+    clear_factor_caches, scan_cable_witness, scan_signature_mismatch, scrambled_seifert,
+)
 
 from concordance.cabling import (
     Cited,
@@ -413,12 +415,13 @@ class TestFoxMilnorObstruction:
             backward = fox_milnor_obstruction(k1, k0, k_max)
             assert forward.verdict == backward.verdict
 
-    def test_each_polynomial_is_factored_once_per_call(self, monkeypatch):
+    def test_each_polynomial_is_factored_once_per_process(self, monkeypatch):
         # the 3-twist knot against its (2,1)-cable to k = 4 needs the trace
         # polynomials of delta(t^j) for j in {1, 2, 3, 4} and {2, 4, 6, 8};
-        # j = 1 is linear and never sent, and j = 2, 4 come back from the memo
+        # j = 1 is linear and never sent, and j = 2, 4 come back from the cache
         from concordance import intfactor
 
+        clear_factor_caches()
         degrees = []
         whole = intfactor.irreducible_factors
 
@@ -430,9 +433,14 @@ class TestFoxMilnorObstruction:
         cable = cable_profile(TWIST_PROFILE, 2)
         fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
         assert degrees == [2, 4, 3, 6, 8]
-        # the memo lives in one call: the next call factors them again
-        fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
-        assert degrees == [2, 4, 3, 6, 8] * 2
+        # the caches live in the process: a second call factors nothing,
+        # and neither does a call on another profile with the same delta
+        second = fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
+        renamed = KnotProfile("renamed-3-twist", alexander=TWIST_PROFILE.alexander)
+        third = fox_milnor_obstruction(renamed, cable, 4)
+        assert degrees == [2, 4, 3, 6, 8]
+        assert third.verdict == second.verdict
+        assert third.witnesses == second.witnesses
 
     def test_parts_route_matches_whole_product_at_every_k(self):
         # the report factors delta_0 and delta_1 by parts; each k must say

@@ -383,11 +383,22 @@ def test_factor_matches_whole_product_route():
     cases += _many_modular_factor_cases(r)
     mismatches = [a for a in cases if factor(a) != sympy_factor(a)]
     assert mismatches == []
+    # a second pass answers from the cache, which is keyed by the
+    # primitive part: sign, content and power must come from a itself
+    from concordance import laurent
+
+    misses = laurent._primitive_factors.cache_info().misses
+    unit = LaurentPoly({5: -3})
+    assert [a for a in cases if factor(a) != sympy_factor(a)] == []
+    assert [a for a in cases if factor(unit * a) != sympy_factor(unit * a)] == []
+    assert laurent._primitive_factors.cache_info().misses == misses
 
 
 def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
+    from _oracles import clear_factor_caches
     from concordance import intfactor
 
+    clear_factor_caches()  # a warm cache would send nothing
     degrees = []
     whole = intfactor.irreducible_factors
 
@@ -479,8 +490,8 @@ def test_bools_are_not_integer_parameters(call, message):
 
 
 def _angle_cases():
-    """One case per angle input: a call of the library with a float or a
-    bool where an exact angle belongs."""
+    """One case per angle or point input: a call of the library with a
+    float or a bool where an exact angle or point belongs."""
     from concordance.seifert import (
         RootOfUnity, SeifertMatrix, levine_tristram, signature_function,
     )
@@ -497,6 +508,8 @@ def _angle_cases():
         "evaluate-float": lambda: sig.evaluate(0.5),
         "evaluate-bool": lambda: sig.evaluate(True),
         "is_jump-float": lambda: sig.is_jump(1 / 6),
+        "LaurentPoly.evaluate-float": lambda: P("t^2 - t + 1").evaluate(0.1),
+        "LaurentPoly.evaluate-bool": lambda: P("t^1").evaluate(True),
     }
     return [pytest.param(call, id=name) for name, call in cases.items()]
 
