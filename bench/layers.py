@@ -3,28 +3,36 @@
     python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48]
 
 Run from anywhere; the library is imported from the `src/` beside this
-directory, and the inputs come from `perfbench/families.py` (loaded by
-path, not changed).  The surgery layers take COUNT presentations of
-each size, drawn from a fresh `random.Random(SEED)`.  The front sweep,
-`satellite_front` of the bundled RH trefoil front followed by
-`invariants()`, takes the twist pattern on n strands (`pattern_events`);
-the cable layer, `cable_front` of the bundled satellite-P-of-trefoil
-front followed by `component_count`, takes n itself; each is timed COUNT
-times over.  The signature layers (`alexander`, `levine_tristram` at
-omega = exp(2 pi i 5/1260), `signature_function`) take COUNT scrambled
-sums of genus g (`random_knot`), drawn from a fresh `random.Random(SEED)`;
-each call builds a fresh `SeifertMatrix`, since delta is cached on the
-matrix.  The polynomial layers take delta of the same knots, computed
-before timing: `factor` takes delta(t^6), and `isolate_roots` takes
-the trace polynomial of delta (`cyclotomic.trace_polynomial`) on
-(-2, 2), as a signature function does.  The library keeps
-factorizations per process, so both of its factorization caches are
-emptied before every timed call: `factor` is timed factoring, not
-looking up.  Each input is timed REPEAT times and its fastest kept; the
-repeats go round-robin over a layer's inputs at a size, so a slow
-stretch of the host falls on one repeat of several inputs, not on every
-repeat of one.  A layer's figure at a size is the median over its
-inputs, in milliseconds.
+directory, and the inputs come from `perfbench/families.py` (imported
+from `perfbench/`, not changed).  The surgery layers take COUNT
+presentations of each size, drawn from a fresh `random.Random(SEED)`.
+The front sweep, `satellite_front` of the bundled RH trefoil front
+followed by `invariants()`, takes the twist pattern on n strands
+(`pattern_events`); the cable layer, `cable_front` of the bundled
+satellite-P-of-trefoil front followed by `component_count`, takes n
+itself; each is timed COUNT times over.  The signature layers
+(`alexander`, `levine_tristram` at omega = exp(2 pi i 5/1260),
+`signature_function`) take COUNT scrambled sums of genus g
+(`random_knot`), drawn from a fresh `random.Random(SEED)`; each call
+builds a fresh `SeifertMatrix`, since delta is cached on the matrix.
+The polynomial layers take delta of the same knots, computed before
+timing: `factor` takes delta(t^6), and `isolate_roots` takes the trace
+polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
+signature function does.  The library keeps factorizations per process,
+so both of its factorization caches are emptied before every timed call:
+`factor` is timed factoring, not looking up.  Each input is timed REPEAT
+times and its fastest kept; the repeats go round-robin over a layer's
+inputs at a size, so a slow stretch of the host falls on one repeat of
+several inputs, not on every repeat of one.  A layer's figure at a size
+is the median over its inputs, in milliseconds.
+The host's pace is measured beside the work, as `perfbench/pace.py`
+measures it for the end-to-end metrics: its fixed reference computation
+(`pace.reference`) runs once before a layer's first round at a size and
+once after each round.  A layer's scaled figure is its median brought to
+the nominal pace by `pace.scale`, with the median of those references;
+the raw medians stay under `layers`, comparable with earlier files, the
+scaled ones are under `layers_scaled`, and `reference_ms` is the median
+of every reference of the run (`reference_nominal_ms` is the nominal).
 Each layer has its own default sizes (`--sizes` sets them for every
 layer).  The JSON holds the machine, the Python version, the git commit
 (and whether `src/` differs from it), the inputs, the medians keyed by
@@ -35,7 +43,6 @@ library only.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -54,6 +61,10 @@ SEED = 1
 REPEAT = 3
 
 sys.path.insert(0, str(SRC))
+sys.path.append(str(ROOT / "perfbench"))
+
+import families  # noqa: E402
+import pace  # noqa: E402
 
 from concordance import intfactor, laurent  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
@@ -71,15 +82,6 @@ from concordance.realroots import isolate_roots  # noqa: E402
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
 
 
-def load_families():
-    path = ROOT / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("perfbench_families", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def clear_factor_caches():
     """Empty the caches of `laurent.factor` (primitive parts) and of
     `intfactor` (roots and q(t^j)), so the next call factors afresh."""
@@ -90,21 +92,23 @@ def clear_factor_caches():
 def best_ms(fn, args):
     """Each input's fastest of REPEAT calls, in milliseconds, each call
     on empty factorization caches; round r calls every input once before
-    round r + 1 begins."""
+    round r + 1 begins.  Also the reference's seconds, timed once before
+    the first round and once after each."""
     best = [float("inf")] * len(args)
+    references = [pace.reference()]
     for _ in range(REPEAT):
         for i, arg in enumerate(args):
             clear_factor_caches()
             start = time.perf_counter()
             fn(arg)
             best[i] = min(best[i], time.perf_counter() - start)
-    return [1000 * t for t in best]
+        references.append(pace.reference())
+    return [1000 * t for t in best], references
 
 
 def layers():
     """Layer name -> (function, its inputs at one size, default sizes,
     where the inputs come from)."""
-    families = load_families()
     catalog = load_catalog()
     trefoil = catalog.front("legendrian-RH-trefoil")
     satellite = catalog.front("satellite-P-of-trefoil")
@@ -195,13 +199,16 @@ def git(*args):
 
 def measure(sizes=None):
     """The report; `sizes` replaces every layer's default sizes."""
-    medians, inputs = {}, {}
+    medians, scaled, inputs, references = {}, {}, {}, []
     for name, (fn, make, default, family) in layers().items():
         layer_sizes = sizes or default
-        medians[name] = {
-            str(size): round(statistics.median(best_ms(fn, make(size))), 4)
-            for size in layer_sizes
-        }
+        medians[name], scaled[name] = {}, {}
+        for size in layer_sizes:
+            times, paces = best_ms(fn, make(size))
+            median = statistics.median(times)
+            medians[name][str(size)] = round(median, 4)
+            scaled[name][str(size)] = round(pace.scale(median, statistics.median(paces)), 4)
+            references += paces
         inputs[name] = {"family": family, "sizes": layer_sizes}
     status = git("status", "--porcelain", "--", "src")
     return {
@@ -216,6 +223,9 @@ def measure(sizes=None):
         "inputs": {"layers": inputs, "count": COUNT, "seed": SEED, "repeat": REPEAT},
         "unit": "ms",
         "layers": medians,
+        "layers_scaled": scaled,
+        "reference_ms": round(1000 * statistics.median(references), 4),
+        "reference_nominal_ms": 1000 * pace.REFERENCE_S,
         "src_lines": sum(len(p.read_text().splitlines()) for p in (SRC / "concordance").glob("*.py")),
     }
 

@@ -86,15 +86,21 @@ def _eliminate(M, B, V):
     to promote read only the first n columns: whatever B and V hold, the
     operations, and with them U and D, are those of `smith_normal_form`.
 
-    Three facts spare work without changing a single operation.  The
+    Six facts spare work without changing a single operation.  The
     pivot search stops at the first row that holds a unit, since no entry
     is smaller, and so still finds the row-major minimum (`_find_pivot`).
+    Rows t and below are zero left of column t, so `row_i -= q * row_t`
+    changes only the columns where row t is nonzero (its support), and is
+    done there in place: W's first m rows are lists built here.
     When the row loop at step t is done, column t of the first m rows is
     zero except at row t: the rows below were just cleared, and a
     finished pivot row is zero off its diagonal.  So a column operation
-    against column t changes only row t and the rows of V.  The repair
-    `row_sub(t, bad, -1)` keeps this, because W[bad][t] is 0.  And a
-    pivot of +-1 divides everything, so the divisibility scan is skipped.
+    against column t changes only row t and the rows of V whose column t
+    is nonzero, and a column swap only rows t and below.  The repair
+    `row_t += row_bad` keeps this, because W[bad][t] is 0.  A pivot of
+    +-1 divides everything, so the divisibility scan is skipped; else p
+    divides a row's entries exactly when it divides their gcd, so one
+    `math.gcd` per row finds the same first bad row.
     M is not checked here; its callers check it (`smith_normal_form`, or
     `SurgeryPresentation` when it is built).
     """
@@ -106,12 +112,8 @@ def _eliminate(M, B, V):
         W[i], W[k] = W[k], W[i]
 
     def col_swap(j, k):
-        for row in W:
+        for row in W[t:]:
             row[j], row[k] = row[k], row[j]
-
-    def row_sub(i, k, q):
-        # row_i -= q * row_k
-        W[i] = [a - q * b for a, b in zip(W[i], W[k])]
 
     for t in range(min(m, n)):
         pivot = _find_pivot(W, t, m, n)
@@ -120,43 +122,51 @@ def _eliminate(M, B, V):
         row_swap(t, pivot[1])
         col_swap(t, pivot[2])
         while True:
-            p = W[t][t]
+            top = W[t]
+            p = top[t]
+            # row_i -= q * row_t, on row t's support only
+            support = [(j, top[j]) for j in itertools.compress(itertools.count(), top)]
             left = []
             for i in range(t + 1, m):
-                if W[i][t]:
-                    row_sub(i, t, W[i][t] // p)
-                    if W[i][t]:
+                row = W[i]
+                if row[t]:
+                    q = row[t] // p
+                    for j, x in support:
+                        row[j] -= q * x
+                    if row[t]:
                         left.append(i)
             if left:
                 # a remainder smaller than the pivot surfaced; promote it
                 row_swap(t, min(left, key=lambda i: (abs(W[i][t]), i)))
                 continue
-            # col_j -= q * col_t, on the only rows where col_t can be nonzero
-            rows = [W[t], *V]
+            # col_j -= q * col_t, on the only rows where col_t is nonzero
+            rows = [top, *(row for row in V if row[t])]
             for j in range(t + 1, n):
-                if W[t][j]:
-                    q = W[t][j] // p
+                if top[j]:
+                    q = top[j] // p
                     for row in rows:
                         row[j] -= q * row[t]
-            left = [j for j in range(t + 1, n) if W[t][j]]
+                    if top[j]:
+                        left.append(j)
             if left:
-                col_swap(t, min(left, key=lambda j: (abs(W[t][j]), j)))
+                col_swap(t, min(left, key=lambda j: (abs(top[j]), j)))
                 continue
             if abs(p) == 1:
                 break
             # pivot must divide the rest of the submatrix for the chain
-            bad = next(
-                (i for i in range(t + 1, m)
-                 if any(x % p for x in W[i][t + 1:n])),
-                None,
-            )
+            bad = next((i for i in range(t + 1, m) if math.gcd(*W[i][t + 1:n]) % p), None)
             if bad is None:
                 break
-            row_sub(t, bad, -1)
+            W[t] = [a + b for a, b in zip(top, W[bad])]
     for i in range(min(m, n)):
         if W[i][i] < 0:
             W[i] = [-x for x in W[i]]
     return W[:m]
+
+
+def _identity(k):
+    """The k x k identity matrix as k new lists."""
+    return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
 
 
 def smith_normal_form(M):
@@ -180,8 +190,8 @@ def smith_normal_form(M):
         raise ValueError("matrix rows have unequal lengths")
     if not all(map(all_int, M)):
         raise ValueError("matrix entries must be integers")
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    W = _eliminate(M, [[int(i == k) for k in range(len(M))] for i in range(len(M))], V)
+    V = _identity(n)
+    W = _eliminate(M, _identity(len(M)), V)
     return [row[n:] for row in W], [row[:n] for row in W], V
 
 
@@ -198,10 +208,9 @@ class SurgeryPresentation:
                 raise ValueError("linking matrix must be square")
             if not all_int(row):
                 raise ValueError("linking matrix entries must be integers")
-        for i in range(n):
-            for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError(f"linking matrix not symmetric at ({i}, {j})")
+        if self.matrix != tuple(zip(*self.matrix)):
+            i, j = next((i, j) for i in range(n) for j in range(i) if self.matrix[i][j] != self.matrix[j][i])
+            raise ValueError(f"linking matrix not symmetric at ({i}, {j})")
         checked = {}
         for label, vector in dict(classes).items():
             vec = tuple(vector)

@@ -15,13 +15,22 @@ def test_layers_script_writes_its_keys(tmp_path):
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads(out.read_text())
-    assert set(report) >= {"machine", "python", "git_sha", "layers", "src_lines", "unit"}
+    assert set(report) == {
+        "machine", "python", "git_sha", "src_differs_from_commit", "inputs", "unit", "layers",
+        "layers_scaled", "reference_ms", "reference_nominal_ms", "src_lines",
+    }
     assert set(report["layers"]) == {
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
         "legendrian.cable_front", "seifert.alexander", "seifert.levine_tristram",
         "seifert.signature_function", "laurent.factor", "realroots.isolate_roots",
     }
-    for medians in report["layers"].values():
+    assert set(report["layers_scaled"]) == set(report["layers"])
+    for name, medians in report["layers"].items():
         assert list(medians) == ["6"]
         assert medians["6"] > 0
+        # the same figure brought to the nominal pace by the run's own references
+        assert list(report["layers_scaled"][name]) == ["6"]
+        assert report["layers_scaled"][name]["6"] > 0
+    assert report["reference_ms"] > 0
+    assert report["reference_nominal_ms"] > 0
     assert report["src_lines"] > 0

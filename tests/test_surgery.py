@@ -143,12 +143,41 @@ class TestSmithNormalForm:
             assert len([d for d in diag if d]) == sympy.Matrix(M).rank()
 
 
+def sparse_cases(rng):
+    """Sparse 36 x 48 and 48 x 36 matrices, each with four zero rows and
+    four zero columns: most of a pivot row and of a V column is zero."""
+    for m, n in ((36, 48), (48, 36)) * 2:
+        M = [[rng.choice((0,) * 9 + (1, -1, 2, -3, 4)) for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), 4):
+            M[i] = [0] * n
+        for j in rng.sample(range(n), 4):
+            for row in M:
+                row[j] = 0
+        yield M
+
+
+def scrambled_blocks(rng):
+    """Q * D * Q^T for a unimodular Q and a diagonal D of even entries of
+    both signs that form no divisibility chain, at sizes 6 to 36: no
+    entry is a unit, so every pivot is a non-unit, many of them negative,
+    the gcd scan finds rows that the pivot does not divide and the repair
+    runs."""
+    for size in (6, 12, 24, 36):
+        Q = families.unimodular(rng, size, size)
+        D = [[0] * size for _ in range(size)]
+        for i in range(size):
+            D[i][i] = rng.choice((-4, -6, -10, 12, -18, 30))
+        yield families.matmul(families.matmul(Q, D), families.transpose(Q))
+
+
 def reference_cases():
     """Seeded matrices for the comparison with the reference elimination:
     every m x n shape with m, n <= 9, n = 0 and the empty matrix; pools
     with units, without units (so pivots above 1 and the divisibility
     repair run) and with few values (so minima tie across rows and
-    columns); presentations of size 24 to 48; 100-bit entries."""
+    columns); presentations of size 24 to 48; 100-bit entries; sparse
+    rectangular matrices (`sparse_cases`); scrambled blocks with negative
+    non-unit pivots (`scrambled_blocks`)."""
     rng = random.Random(20261019)
     pools = (
         (0, 1, -1, 2, 3, -4, 6, 9, -12),
@@ -166,11 +195,29 @@ def reference_cases():
     for _ in range(10):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         yield [[rng.getrandbits(100) - 2**99 for _ in range(n)] for _ in range(m)]
+    yield from sparse_cases(rng)
+    yield from scrambled_blocks(rng)
 
 
 def test_transforms_match_the_reference_elimination():
     mismatched = [M for M in reference_cases() if smith_normal_form(M) != reference_smith_normal_form(M)]
     assert mismatched == []
+
+
+def test_int_subclass_entries_give_the_plain_results():
+    # the elimination updates a row only on the pivot row's support, so an
+    # entry it never touches keeps its type: the results must still be the
+    # plain-int ones
+    rng = random.Random(20261022)
+    for M in [*sparse_cases(rng), *scrambled_blocks(rng)]:
+        assert smith_normal_form([[Int(x) for x in row] for row in M]) == reference_smith_normal_form(M)
+    symmetric = [(M, {"a": M[0], "b": M[-1]}) for M in scrambled_blocks(rng)]
+    symmetric += [(p.matrix, p.classes) for p in (families.random_presentation(rng, s) for s in (12, 48))]
+    for M, classes in symmetric:
+        wrapped = SurgeryPresentation(
+            [[Int(x) for x in row] for row in M], {k: [Int(x) for x in v] for k, v in classes.items()}
+        )
+        assert first_homology(wrapped) == reference_first_homology(SurgeryPresentation(M, classes))
 
 
 def homology_oracle_cases():
@@ -252,6 +299,11 @@ class TestSurgeryPresentation:
             SurgeryPresentation([[0, 1]], {})
         with pytest.raises(ValueError, match=r"symmetric at \(1, 0\)"):
             SurgeryPresentation([[0, 1], [2, 0]], {})
+        # the first asymmetric pair in row-major order below the diagonal
+        with pytest.raises(ValueError, match=r"symmetric at \(2, 1\)"):
+            SurgeryPresentation([[0, 1, 2], [1, 0, 3], [2, 4, 0]], {})
+        with pytest.raises(ValueError, match=r"symmetric at \(2, 1\)"):
+            SurgeryPresentation([[0, 0, 0, 5], [0, 0, 1, 0], [0, 2, 0, 0], [6, 0, 0, 0]], {})
         with pytest.raises(ValueError, match="length 1, matrix has 2"):
             SurgeryPresentation(UNLINK2, {"mu": (1,)})
 
