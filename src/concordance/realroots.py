@@ -10,6 +10,9 @@ signs of the remainder over Q; it builds the remainder sequences, Sturm
 chains and gcds, with primitive parts.  Roots come back as markers that
 are either exact rationals or open isolating intervals with rational
 endpoints.
+Bisection points are N/(D*2^k), D the lcm of the endpoint denominators,
+carried as two ints; only a marker's lo, hi and exact are Fractions.
+Floats are for display only (``float_value``).
 Markers are values: refining one returns a narrower marker, nothing
 changes a marker in place, and no comparison commits to a
 floating-point answer.
@@ -30,10 +33,9 @@ def poly_eval(coeffs: list, x):
     return acc
 
 
-def _sign_at(coeffs: list, x: Fraction) -> int:
-    """Sign of the polynomial at x, from d^deg * p(n/d) in integer
-    arithmetic."""
-    n, d = x.numerator, x.denominator
+def _sign_at(coeffs: list, n: int, d: int) -> int:
+    """Sign of the polynomial at n/d (d > 0), from d^deg * p(n/d) in
+    integer arithmetic."""
     acc = 0
     scale = 1
     for c in reversed(coeffs):
@@ -137,10 +139,16 @@ def sturm_chain(coeffs: list) -> list[list]:
     return chain
 
 
-def _variations(chain: list[list], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(N_lo, N_hi, D) with lo = N_lo/D and hi = N_hi/D, D the lcm of the
+    two denominators."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
+
+def _variations(chain: list[list], n: int, d: int) -> int:
+    signs = [s for s in (_sign_at(p, n, d) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 @dataclass(frozen=True)
@@ -158,18 +166,19 @@ class RootMarker:
         an exact marker when a bisection point is the root."""
         if self.exact is not None:
             return self
-        lo, hi = self.lo, self.hi
-        s_lo = _sign_at(self.poly, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = _sign_at(self.poly, mid)
+        lo, hi, d = _common_denominator(self.lo, self.hi)
+        s_lo = _sign_at(self.poly, lo, d)
+        while (hi - lo) * width.denominator > width.numerator * d:
+            mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+            v = _sign_at(self.poly, mid, d)
             if v == 0:
-                return RootMarker(self.poly, mid, mid, exact=mid)
+                x = Fraction(mid, d)
+                return RootMarker(self.poly, x, x, exact=x)
             if v == s_lo:
                 lo = mid
             else:
                 hi = mid
-        return RootMarker(self.poly, lo, hi)
+        return RootMarker(self.poly, Fraction(lo, d), Fraction(hi, d))
 
     def compare_rational(self, x: Fraction) -> int:
         """-1, 0, +1 as the root is below, equal to, or above x."""
@@ -179,11 +188,11 @@ class RootMarker:
             return 1
         if x >= self.hi:
             return -1
-        s_x = _sign_at(self.poly, x)
+        s_x = _sign_at(self.poly, *x.as_integer_ratio())
         if s_x == 0:
             return 0
         # the sign changes on the side of x that holds the root
-        return 1 if s_x == _sign_at(self.poly, self.lo) else -1
+        return 1 if s_x == _sign_at(self.poly, *self.lo.as_integer_ratio()) else -1
 
     def float_value(self) -> float:
         """An approximation of the root, for display only."""
@@ -211,7 +220,7 @@ def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
         if m2.hi <= m1.lo:
             return 1
         lo, hi = max(m1.lo, m2.lo), min(m1.hi, m2.hi)
-        if _sign_at(common, lo) != _sign_at(common, hi):
+        if _sign_at(common, *lo.as_integer_ratio()) != _sign_at(common, *hi.as_integer_ratio()):
             return 0
         m1 = m1.refine((m1.hi - m1.lo) / 2)
         m2 = m2.refine((m2.hi - m2.lo) / 2)
@@ -227,30 +236,31 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
     and (c, b) holds V(c) - V(b).  An interval with one root becomes a
     marker only once neither end is a root, so every marker interval is a
     node of the bisection tree of (lo, hi) with root-free ends."""
-    lo, hi = Fraction(lo), Fraction(hi)
     sf = squarefree_part(coeffs)
     if len(sf) <= 1:
         return []
-    if _sign_at(sf, lo) == 0 or _sign_at(sf, hi) == 0:
+    lo, hi, d = _common_denominator(Fraction(lo), Fraction(hi))
+    if _sign_at(sf, lo, d) == 0 or _sign_at(sf, hi, d) == 0:
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(sf)
     markers = []
-    exact: set[Fraction] = set()
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    # (a/d, b/d), their variation counts, and whether each end is a root
+    stack = [(lo, hi, d, _variations(chain, lo, d), _variations(chain, hi, d), False, False)]
     while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb - (b in exact)
+        a, b, d, va, vb, a_root, b_root = stack.pop()
+        n = va - vb - b_root
         if n == 0:
             continue
-        if n == 1 and a not in exact and b not in exact:
-            markers.append(RootMarker(sf, a, b).refine(Fraction(1, 64)))
+        if n == 1 and not a_root and not b_root:
+            markers.append(RootMarker(sf, Fraction(a, d), Fraction(b, d)).refine(Fraction(1, 64)))
             continue
-        mid = (a + b) / 2
-        if _sign_at(sf, mid) == 0:
-            exact.add(mid)
-            markers.append(RootMarker(sf, mid, mid, exact=mid))
-        vm = _variations(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        mid_root = _sign_at(sf, mid, d) == 0
+        if mid_root:
+            x = Fraction(mid, d)
+            markers.append(RootMarker(sf, x, x, exact=x))
+        vm = _variations(chain, mid, d)
+        stack.append((a, mid, d, va, vm, a_root, mid_root))
+        stack.append((mid, b, d, vm, vb, mid_root, b_root))
     markers.sort(key=lambda m: m.lo)
     return markers

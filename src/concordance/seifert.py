@@ -4,15 +4,18 @@ whole signature step function on the unit circle, with its pullback
 along omega -> omega^p and the search for roots of unity where two step
 functions differ.
 
-Everything here is exact.  det(V - t*V^T) has degree at most n, the
-size of V, so it is fixed by its values at t = 0, 1, ..., n: each value
-is an integer determinant by fraction-free Bareiss elimination, the one
-determinant routine of the library, and Newton forward differences give
-back the integer coefficients.  For omega = exp(i*theta) the form
-(1 - omega)V + (1 - conj(omega))V^T equals 2*sin(theta/2)^2 * (A - i*u*S)
-with A = V + V^T, S = V - V^T and u = cot(theta/2), so sigma(omega) is
-half the signature of the real symmetric matrix [[A, u*S], [-u*S, A]].
-The signature is constant on each arc between unit-circle roots of the
+Everything here is exact.  With A = V + V^T and S = V - V^T, for V of
+size n = 2g, det(V - t*V^T) = ((1 + t)/2)^n * f(w) with
+f(w) = det(S + w*A) and w = (1 - t)/(1 + t).  f is even, so
+f(w) = r(w^2) with deg r <= g, and f(0) = det S = Pf(S)^2 = 1: the g
+integer determinants f(1), ..., f(g), by fraction-free Bareiss
+elimination (the one determinant routine of the library), fix r, and
+Newton divided differences at the integer nodes k^2, which are
+integers, give its coefficients.  For omega = exp(i*theta) the form
+(1 - omega)V + (1 - conj(omega))V^T is 2*sin(theta/2)^2 * (A - i*u*S)
+with u = cot(theta/2), so sigma(omega) is half the signature of the
+real symmetric matrix [[A, u*S], [-u*S, A]].  The signature is
+constant on each arc between unit-circle roots of the
 Alexander polynomial, and every arc holds points with rational u, where
 that matrix is rational and its signature comes from exact congruence
 elimination over the integers.  Jump points are detected by cyclotomic
@@ -34,13 +37,14 @@ witness search places each angle a/b by exact comparison of cosines.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_polynomial, v_polys
-from .laurent import LaurentPoly, is_int
+from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial, v_polys
+from .laurent import LaurentPoly, all_int, is_int
 from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
@@ -65,13 +69,14 @@ class SeifertMatrix:
     __slots__ = ("entries", "name", "_delta")
 
     def __init__(self, entries: Sequence[Sequence[int]], name: str | None = None):
-        rows = tuple(tuple(v for v in row) for row in entries)
+        rows = tuple(map(tuple, entries))
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("Seifert matrix must be square")
-            for v in row:
-                if not is_int(v):
+        # one pass over the types accepts; the row loop decides anything else
+        if {*map(len, rows)} - {n} or not {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
+            for row in rows:
+                if len(row) != n:
+                    raise ValueError("Seifert matrix must be square")
+                if not all_int(row):
                     raise TypeError("Seifert matrix entries must be integers")
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         if abs(_int_det(skew)) != 1:
@@ -200,12 +205,32 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
 
 
 def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
-    e, n = v.entries, v.size
-    values = [
-        _int_det([[e[i][j] - k * e[j][i] for j in range(n)] for i in range(n)])
-        for k in range(n + 1)
+    """det(V - t*V^T), balanced, from the g determinants f(k) =
+    det(S + k*A), k = 1..g: V - t*V^T = ((1 + t)/2) * (S + w*A) with
+    w = (1 - t)/(1 + t); f is even (transpose; n is even), so
+    f(w) = r(w^2); f(0) = det S = Pf(S)^2 = 1; and r's Newton divided
+    differences at the integer nodes k^2 are integers.  In x = t + 1/t,
+    w^2 = (x - 2)/(x + 2), so t^-g * delta(t) is
+    Q(x) = 4^-g * (x + 2)^g * r((x - 2)/(x + 2)), lifted back to t."""
+    A, S = _forms(v)
+    g = v.genus
+    c = [1] + [
+        _int_det([[s + k * a for s, a in zip(rs, ra)] for rs, ra in zip(S, A)])
+        for k in range(1, g + 1)
     ]
-    return balanced_alexander(LaurentPoly.from_coeffs(_interpolate(values)))
+    for j in range(1, g + 1):
+        for k in range(g, j - 1, -1):
+            c[k], rem = divmod(c[k] - c[k - 1], k * k - (k - j) ** 2)
+            if rem:
+                raise ArithmeticError("divided difference is not an integer")
+    # Horner in the Newton basis of r, homogenized: power = (x + 2)^(g - j)
+    q, power = [c[g]], [1]
+    for j in reversed(range(g)):
+        power = [2 * a + b for a, b in zip(power + [0], [0] + power)]
+        q = [c[j] * p - 2 * (1 + j * j) * a + (1 - j * j) * b for a, b, p in zip(q + [0], [0] + q, power)]
+    if any(a % 4**g for a in q):
+        raise ArithmeticError("trace polynomial is not integral")
+    return balanced_alexander(LaurentPoly.from_coeffs(trace_lift([a // 4**g for a in q])))
 
 
 def balanced_alexander(delta: LaurentPoly) -> LaurentPoly:
@@ -229,30 +254,6 @@ def balanced_alexander(delta: LaurentPoly) -> LaurentPoly:
     if bal.reciprocal() != bal:
         raise ValueError("it is not symmetric")
     return bal
-
-
-def _interpolate(values: list[int]) -> list[int]:
-    """Integer coefficients, lowest degree first, of the polynomial of
-    degree < len(values) taking values[k] at k = 0, 1, ...
-
-    Newton forward differences: p(t) = sum_j a_j * t(t-1)...(t-j+1) with
-    a_j = (j-th difference at 0) / j!, which is an integer whenever p has
-    integer coefficients."""
-    diffs, newton = list(values), []
-    for j in range(len(values)):
-        a, r = divmod(diffs[0], math.factorial(j))
-        if r:
-            raise ArithmeticError("interpolated coefficient is not an integer")
-        newton.append(a)
-        diffs = [y1 - y0 for y0, y1 in zip(diffs, diffs[1:])]
-    # Horner in the falling-factorial basis: acc <- acc * (t - j) + a_j
-    acc = [0]
-    for j in reversed(range(len(newton))):
-        nxt = [newton[j]] + acc
-        for i, c in enumerate(acc):
-            nxt[i] -= j * c
-        acc = nxt
-    return acc
 
 
 def _int_coeffs(p: LaurentPoly) -> list[int]:

@@ -203,11 +203,13 @@ class SurgeryPresentation:
     def __init__(self, matrix, classes, name=None):
         self.matrix = tuple(map(tuple, matrix))
         n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n:
-                raise ValueError("linking matrix must be square")
-            if not all_int(row):
-                raise ValueError("linking matrix entries must be integers")
+        # one pass over the types accepts; the row loop decides anything else
+        if {*map(len, self.matrix)} - {n} or not {*map(type, itertools.chain.from_iterable(self.matrix))} <= {int}:
+            for row in self.matrix:
+                if len(row) != n:
+                    raise ValueError("linking matrix must be square")
+                if not all_int(row):
+                    raise ValueError("linking matrix entries must be integers")
         if self.matrix != tuple(zip(*self.matrix)):
             i, j = next((i, j) for i in range(n) for j in range(i) if self.matrix[i][j] != self.matrix[j][i])
             raise ValueError(f"linking matrix not symmetric at ({i}, {j})")

@@ -6,6 +6,7 @@ complete decision procedure for products whose witnesses must live in
 that box; the generators below only produce such products."""
 
 import importlib.util
+import math
 import operator
 import random
 import sys
@@ -28,7 +29,8 @@ from concordance.legendrian import (
     LegendrianInvariants,
     MultiComponent,
 )
-from concordance.seifert import RootOfUnity, SeifertMatrix
+from concordance.realroots import RootMarker, squarefree_part, sturm_chain
+from concordance.seifert import RootOfUnity, SeifertMatrix, balanced_alexander
 from concordance.surgery import AbelianGroupDescription, smith_normal_form
 
 
@@ -638,3 +640,93 @@ def scan_signature_mismatch(sig0, sig1, denominator_bound):
             if v0 != v1:
                 return RootOfUnity(a, b), v0, v1
     return None
+
+
+def reference_alexander(v):
+    """The Alexander route that preceded the halving: det(V - t*V^T) at
+    t = 0, 1, ..., n (by sympy's integer determinant, not the library's
+    Bareiss), then Newton forward differences (the j-th difference at 0
+    over j!) and Horner in the falling-factorial basis, balanced."""
+    e, n = v.entries, v.size
+    diffs = [
+        int(DomainMatrix.from_list([[e[i][j] - k * e[j][i] for j in range(n)] for i in range(n)], sympy.ZZ).det())
+        if n else 1
+        for k in range(n + 1)
+    ]
+    newton = []
+    for j in range(n + 1):
+        a, r = divmod(diffs[0], math.factorial(j))
+        _check(r == 0, "interpolated coefficient is not an integer")
+        newton.append(a)
+        diffs = [y1 - y0 for y0, y1 in zip(diffs, diffs[1:])]
+    acc = [0]
+    for j in reversed(range(n + 1)):
+        nxt = [newton[j]] + acc
+        for i, c in enumerate(acc):
+            nxt[i] -= j * c
+        acc = nxt
+    return balanced_alexander(LaurentPoly.from_coeffs(acc))
+
+
+def _reference_sign_at(coeffs, x):
+    """Sign of the polynomial at the Fraction x, by Horner over Q."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _reference_variations(chain, x):
+    signs = [s for s in (_reference_sign_at(p, x) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def reference_refine(marker, width):
+    """RootMarker.refine as it was before bisection ran on integers: every
+    midpoint a Fraction."""
+    if marker.exact is not None:
+        return marker
+    lo, hi = marker.lo, marker.hi
+    s_lo = _reference_sign_at(marker.poly, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = _reference_sign_at(marker.poly, mid)
+        if v == 0:
+            return RootMarker(marker.poly, mid, mid, exact=mid)
+        if v == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RootMarker(marker.poly, lo, hi)
+
+
+def reference_isolate_roots(coeffs, lo, hi):
+    """isolate_roots as it was before bisection ran on integers: the same
+    Sturm bisection of (lo, hi) with Fraction midpoints and a set of the
+    midpoints found to be roots."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    sf = squarefree_part(coeffs)
+    if len(sf) <= 1:
+        return []
+    _check(_reference_sign_at(sf, lo) and _reference_sign_at(sf, hi), "isolation endpoints must not be roots")
+    chain = sturm_chain(sf)
+    markers = []
+    exact = set()
+    stack = [(lo, hi, _reference_variations(chain, lo), _reference_variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb - (b in exact)
+        if n == 0:
+            continue
+        if n == 1 and a not in exact and b not in exact:
+            markers.append(reference_refine(RootMarker(sf, a, b), Fraction(1, 64)))
+            continue
+        mid = (a + b) / 2
+        if _reference_sign_at(sf, mid) == 0:
+            exact.add(mid)
+            markers.append(RootMarker(sf, mid, mid, exact=mid))
+        vm = _reference_variations(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    markers.sort(key=lambda m: m.lo)
+    return markers

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from _oracles import reference_isolate_roots, reference_refine
 
 from concordance.cyclotomic import trace_polynomial
 from concordance.realroots import (
@@ -103,6 +104,29 @@ def test_isolate_roots_finds_each_root_once(lo, hi):
     for coeffs in _seeded_polys(1, 150):
         if poly_eval(coeffs, lo) and poly_eval(coeffs, hi):
             _check_isolation(coeffs, lo, hi)
+
+
+def _fields(m):
+    return (m.lo, m.hi, m.exact)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(Fraction(-2), Fraction(2)), (Fraction(-5, 2), Fraction(9, 4))]
+)
+def test_integer_bisection_matches_the_fraction_bisection(lo, hi):
+    # the same markers and the same refinements, field by field, as the
+    # bisection with a Fraction at every midpoint
+    compared = 0
+    for coeffs in _seeded_polys(2, 150) + [_t_2_q_trace(q) for q in (5, 9, 15)]:
+        if not (poly_eval(coeffs, lo) and poly_eval(coeffs, hi)):
+            continue
+        markers = isolate_roots(coeffs, lo, hi)
+        assert [_fields(m) for m in markers] == [_fields(m) for m in reference_isolate_roots(coeffs, lo, hi)]
+        for m in markers:
+            for width in (Fraction(1, 64), (m.hi - m.lo) / 2, Fraction(1, 10**12)):
+                assert _fields(m.refine(width)) == _fields(reference_refine(m, width)), (coeffs, m, width)
+                compared += 1
+    assert compared > 500
 
 
 def test_isolate_roots_keeps_bisecting_next_to_exact_roots():

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import cyclotomic_levine_tristram, families, scrambled_seifert, sympy_alexander
+
+import concordance.seifert as seifert_module
+from _oracles import cyclotomic_levine_tristram, families, reference_alexander, scrambled_seifert, sympy_alexander
 
 from concordance.laurent import LaurentPoly, doteq
 from concordance.seifert import (
@@ -45,6 +47,21 @@ def test_construction_validates():
         SeifertMatrix([[True, 1], [0, 1]])
     assert TREFOIL.genus == 1 and UNKNOT.genus == 0
     assert TREFOIL.entries[0][1] == 1
+
+
+def test_construction_checks_rows_in_order():
+    # row 0 has a bad entry and row 1 is short: the integer check of row 0
+    # comes before the squareness check of row 1
+    with pytest.raises(TypeError, match="Seifert matrix entries must be integers"):
+        SeifertMatrix([[0.5, 1], [0]])
+    with pytest.raises(ValueError, match="Seifert matrix must be square"):
+        SeifertMatrix([[0, 1], [0.5]])
+    # an int subclass is an integer: accepted, equal to the plain matrix
+    assert SeifertMatrix([[_Int(-1), 1], [0, _Int(-1)]]) == TREFOIL
+
+
+class _Int(int):
+    pass
 
 
 def test_alexander_frozen_values():
@@ -404,6 +421,49 @@ def test_alexander_matches_sympy_oracle():
     for q in (3, 5, 7, 9):
         v = scrambled_seifert(rng, _torus_2(q))
         assert alexander(v) == _torus_2_delta(q) == sympy_alexander(v)
+
+
+def _reference_cases():
+    """Scrambled sums of genus 0-8, sparse and dense, sums of one kind of
+    summand, mirrors and block sums."""
+    rng = random.Random(25)
+    for genus in range(9):
+        for density in (1, 4):
+            for _ in range(2):
+                yield SeifertMatrix(families.random_knot(rng, genus, density=density).seifert())
+    for genus in range(1, 7):
+        yield SeifertMatrix(families.random_knot(rng, genus, torus_share=1.0).seifert())
+        yield SeifertMatrix(families.random_knot(rng, genus, torus_share=0.0).seifert())
+    for genus in (2, 3, 5):
+        v = SeifertMatrix(families.random_knot(rng, genus, density=2).seifert())
+        w = SeifertMatrix(families.random_knot(rng, 8 - genus).seifert())
+        yield mirror(v)
+        yield block_sum(v, w)
+        yield block_sum(mirror(w), v)
+
+
+def test_alexander_matches_the_reference_interpolation():
+    # the g determinants of S + k*A against the 2g + 1 of V - k*V^T,
+    # byte for byte in the printed normal form
+    cases = list(_reference_cases())
+    assert {v.genus for v in cases} == set(range(9))
+    for v in cases:
+        assert str(alexander(v)) == str(reference_alexander(v)), v
+
+
+@pytest.mark.parametrize("genus", range(1, 9))
+def test_alexander_takes_genus_many_determinants(monkeypatch, genus):
+    v = SeifertMatrix(families.random_knot(random.Random(genus), genus, density=4).seifert())
+    calls = []
+    det = seifert_module._int_det
+
+    def counted(rows):
+        calls.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(seifert_module, "_int_det", counted)
+    alexander(v)
+    assert calls == [2 * genus] * genus
 
 
 def test_dense_genus_eight_alexander_is_fast():

@@ -307,6 +307,14 @@ class TestSurgeryPresentation:
         with pytest.raises(ValueError, match="length 1, matrix has 2"):
             SurgeryPresentation(UNLINK2, {"mu": (1,)})
 
+    def test_rows_are_checked_in_order(self):
+        # row 0 has a bad entry and row 1 is short: the integer check of
+        # row 0 comes before the squareness check of row 1
+        with pytest.raises(ValueError, match="linking matrix entries must be integers"):
+            SurgeryPresentation([[0.5, 1], [1]], {})
+        with pytest.raises(ValueError, match="linking matrix must be square"):
+            SurgeryPresentation([[0, 1], [0.5]], {})
+
     def test_entries_are_checked_not_truncated(self):
         with pytest.raises(ValueError, match="linking matrix entries must be integers"):
             SurgeryPresentation([[2.5]], {"mu": (1,)})
