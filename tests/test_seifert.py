@@ -49,6 +49,10 @@ def test_construction_validates():
     assert TREFOIL.entries[0][1] == 1
 
 
+class _Int(int):
+    pass
+
+
 def test_construction_checks_rows_in_order():
     # row 0 has a bad entry and row 1 is short: the integer check of row 0
     # comes before the squareness check of row 1
@@ -58,10 +62,6 @@ def test_construction_checks_rows_in_order():
         SeifertMatrix([[0, 1], [0.5]])
     # an int subclass is an integer: accepted, equal to the plain matrix
     assert SeifertMatrix([[_Int(-1), 1], [0, _Int(-1)]]) == TREFOIL
-
-
-class _Int(int):
-    pass
 
 
 def test_alexander_frozen_values():
