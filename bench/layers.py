@@ -33,6 +33,9 @@ the nominal pace by `pace.scale`, with the median of those references;
 the raw medians stay under `layers`, comparable with earlier files, the
 scaled ones are under `layers_scaled`, and `reference_ms` is the median
 of every reference of the run (`reference_nominal_ms` is the nominal).
+The script first pins its own process to one CPU, as the perfbench worker
+does (`worker.pin_to_one_cpu`), so that the references and the layers run
+on the same CPU; `machine.cpus_used` names the CPUs it ran on.
 Each layer has its own default sizes (`--sizes` sets them for every
 layer).  The JSON holds the machine, the Python version, the git commit
 (and whether `src/` differs from it), the inputs, the medians keyed by
@@ -65,6 +68,7 @@ sys.path.append(str(ROOT / "perfbench"))
 
 import families  # noqa: E402
 import pace  # noqa: E402
+from worker import pin_to_one_cpu  # noqa: E402
 
 from concordance import intfactor, laurent  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
@@ -216,6 +220,7 @@ def measure(sizes=None):
             "platform": platform.platform(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "cpus_used": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         },
         "python": platform.python_version(),
         "git_sha": git("rev-parse", "HEAD"),
@@ -236,6 +241,7 @@ def main(argv=None):
     parser.add_argument("--sizes", nargs="+", type=int,
                         help="sizes for every layer (default: each layer's own)")
     args = parser.parse_args(argv)
+    pin_to_one_cpu()
     report = measure(args.sizes)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for name, medians in report["layers"].items():

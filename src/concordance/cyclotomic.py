@@ -14,8 +14,8 @@ that places a root of unity among isolated real roots.  The enclosure is
 integer fixed point: pi by Machin's formula, the cosine by its Taylor
 series at a 2^r-th of the angle and r doublings, each step with a proven
 error bound, so it needs nothing beyond the standard library.
-Signatures themselves are computed in ``seifert`` from rational
-matrices.
+Signatures themselves are computed in ``seifert``, from Hermitian
+matrices over the Gaussian integers Z[i], at rational points of the arcs.
 
 ``CycloInt`` and ``hermitian_signature`` are an independent second route
 to the same signatures, kept as the oracle the tests compare against.

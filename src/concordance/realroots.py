@@ -163,22 +163,13 @@ class RootMarker:
 
     def refine(self, width: Fraction) -> RootMarker:
         """The same root isolated below the given width by bisection, or
-        an exact marker when a bisection point is the root."""
-        if self.exact is not None:
-            return self
-        lo, hi, d = _common_denominator(self.lo, self.hi)
-        s_lo = _sign_at(self.poly, lo, d)
-        while (hi - lo) * width.denominator > width.numerator * d:
-            mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
-            v = _sign_at(self.poly, mid, d)
-            if v == 0:
-                x = Fraction(mid, d)
-                return RootMarker(self.poly, x, x, exact=x)
-            if v == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        return RootMarker(self.poly, Fraction(lo, d), Fraction(hi, d))
+        an exact marker when a bisection point is the root; this marker
+        itself when it is exact or already narrow enough."""
+        if self.exact is None:
+            lo, hi, d = _common_denominator(self.lo, self.hi)
+            if (hi - lo) * width.denominator > width.numerator * d:
+                return _bisect(self.poly, lo, hi, d, width)
+        return self
 
     def compare_rational(self, x: Fraction) -> int:
         """-1, 0, +1 as the root is below, equal to, or above x."""
@@ -198,6 +189,24 @@ class RootMarker:
         """An approximation of the root, for display only."""
         m = self.refine(Fraction(1, 10**12))
         return float((m.lo + m.hi) / 2)
+
+
+def _bisect(poly: list, lo: int, hi: int, d: int, width: Fraction) -> RootMarker:
+    """The root of poly in (lo/d, hi/d), whose ends are not roots,
+    isolated below width by bisection, or an exact marker when a
+    bisection point is the root."""
+    s_lo = _sign_at(poly, lo, d)
+    while (hi - lo) * width.denominator > width.numerator * d:
+        mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+        v = _sign_at(poly, mid, d)
+        if v == 0:
+            x = Fraction(mid, d)
+            return RootMarker(poly, x, x, exact=x)
+        if v == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RootMarker(poly, Fraction(lo, d), Fraction(hi, d))
 
 
 def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
@@ -252,7 +261,7 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
         if n == 0:
             continue
         if n == 1 and not a_root and not b_root:
-            markers.append(RootMarker(sf, Fraction(a, d), Fraction(b, d)).refine(Fraction(1, 64)))
+            markers.append(_bisect(sf, a, b, d, Fraction(1, 64)))
             continue
         mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
         mid_root = _sign_at(sf, mid, d) == 0

@@ -13,19 +13,20 @@ elimination (the one determinant routine of the library), fix r, and
 Newton divided differences at the integer nodes k^2, which are
 integers, give its coefficients.  For omega = exp(i*theta) the form
 (1 - omega)V + (1 - conj(omega))V^T is 2*sin(theta/2)^2 * (A - i*u*S)
-with u = cot(theta/2), so sigma(omega) is half the signature of the
-real symmetric matrix [[A, u*S], [-u*S, A]].  The signature is
-constant on each arc between unit-circle roots of the
-Alexander polynomial, and every arc holds points with rational u, where
-that matrix is rational and its signature comes from exact congruence
-elimination over the integers.  Jump points are detected by cyclotomic
-divisibility of the Alexander polynomial; the arcs between jumps are
-isolated with Sturm sequences after the substitution x = 2*cos(theta),
-and a sample lies in its arc by exact comparison of
-x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating intervals.  Floats
-are for display only: the approximate angles that ``jumps``, ``arcs``
-and ``repr`` print.  No floating-point value decides anything, and the
-witness search places each angle a/b by exact comparison of cosines.
+with u = cot(theta/2), so sigma(omega) is the signature of the 2g x 2g
+Hermitian matrix A - i*u*S itself.  The signature is constant on each
+arc between unit-circle roots of the Alexander polynomial, and every
+arc holds points with rational u = r/s, where s*A - i*r*S has entries
+in the Gaussian integers and its signature comes from exact congruence
+elimination over Z[i], kept as two integer matrices.  Jump points are
+detected by cyclotomic divisibility of the Alexander polynomial; the
+arcs between jumps are isolated with Sturm sequences after the
+substitution x = 2*cos(theta), and a sample lies in its arc by exact
+comparison of x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating
+intervals.  Floats are for display only: the approximate angles that
+``jumps``, ``arcs`` and ``repr`` print.  No floating-point value decides
+anything, and the witness search places each angle a/b by exact
+comparison of cosines.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
 >>> str(alexander(V))
@@ -273,50 +274,61 @@ def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     return exact_quotient(_int_coeffs(delta), cyclotomic_coeffs(b)) is not None
 
 
-def _symmetric_signature(m: list[list[int]]) -> tuple[int, int]:
-    """(signature, rank) of a symmetric integer matrix, by congruence.
+def _hermitian_signature(R: list[list[int]], I: list[list[int]]) -> tuple[int, int]:
+    """(signature, rank) of the Hermitian matrix R + i*I over Z[i], R
+    symmetric and I skew, by congruence on the two integer matrices.
 
-    Fraction-free symmetric elimination: after each pivot the trailing
-    block is the Schur complement scaled by the pivot minor (Bareiss), so
-    every division is exact, and the sign of each LDL^T pivot is the sign
-    of d * prev.  Symmetric swaps and the step e_i <- e_i + e_j (which
-    makes the (i, i) entry 2*m[i][j] when the trailing diagonal vanishes)
-    are unimodular congruences of the trailing block, which commute with
+    Fraction-free LDL* elimination: after each pivot the trailing block is
+    the Schur complement scaled by the pivot minor (Bareiss), so every
+    entry is a minor in Z[i] and each division is exact, by the previous
+    pivot, a leading principal minor of a Hermitian matrix and so a real
+    integer.  The sign of each LDL* pivot is the sign of d * prev.
+    Symmetric swaps and, when the trailing diagonal vanishes, the step
+    e_p <- e_p + e_j (new diagonal 2*Re h_pj) or, when Re h_pj = 0,
+    e_p <- e_p + i*e_j (new diagonal -2*Im h_pj) are unimodular
+    congruences of the trailing block over Z[i], which commute with
     taking the Schur complement, so the divisions stay exact after them.
     """
-    m = [row[:] for row in m]
-    n = len(m)
-    sig = 0
-    prev = 1
+    re, im = [row[:] for row in R], [row[:] for row in I]
+    n = len(re)
+    sig, prev = 0, 1
     for k in range(n):
-        p = next((i for i in range(k, n) if m[i][i]), None)
+        p = next((i for i in range(k, n) if re[i][i]), None)
         if p is None:
             pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if re[i][j] or im[i][j]),
                 None,
             )
             if pair is None:
                 return sig, k  # the trailing block is zero
             p, j = pair
-            row_p, row_j = m[p], m[j]
+            # e_p <- e_p + w*e_j, w = wr + i*wi = 1 or i: row p += conj(w)
+            # times row j, then column p += w times column j
+            wr, wi = (1, 0) if re[p][j] else (0, 1)
+            re_p, im_p, re_j, im_j = re[p], im[p], re[j], im[j]
             for c in range(k, n):
-                row_p[c] += row_j[c]
+                re_p[c] += wr * re_j[c] + wi * im_j[c]
+                im_p[c] += wr * im_j[c] - wi * re_j[c]
             for r in range(k, n):
-                m[r][p] += m[r][j]
+                x, y = re[r][j], im[r][j]
+                re[r][p] += wr * x - wi * y
+                im[r][p] += wr * y + wi * x
         if p != k:
-            m[k], m[p] = m[p], m[k]
-            for row in m[k:]:
+            re[k], re[p] = re[p], re[k]
+            im[k], im[p] = im[p], im[k]
+            for row in re[k:] + im[k:]:
                 row[k], row[p] = row[p], row[k]
-        d = m[k][k]
+        d = re[k][k]
         sig += 1 if (d > 0) == (prev > 0) else -1
-        row_k = m[k]
+        re_k, im_k = re[k], im[k]
         for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
+            re_i, im_i = re[i], im[i]
+            a, b = re_i[k], im_i[k]  # h_ik = conj(h_ki)
             for j in range(i, n):
-                val = (d * row_i[j] - mik * row_k[j]) // prev
-                row_i[j] = val
-                m[j][i] = val
+                c, e = re_k[j], im_k[j]
+                re_i[j] = re[j][i] = (d * re_i[j] - a * c + b * e) // prev
+                y = (d * im_i[j] - a * e - b * c) // prev
+                im_i[j], im[j][i] = y, -y
         prev = d
     return sig, n
 
@@ -331,26 +343,17 @@ def _forms(v: SeifertMatrix) -> tuple[list[list[int]], list[list[int]]]:
 
 def _signature_at(A: list[list[int]], S: list[list[int]], u: Fraction) -> int:
     """sigma(omega) at the omega with cot(theta/2) = u, where the form
-    (1 - omega)V + (1 - conj(omega))V^T is a positive multiple of
-    A - i*u*S; its real model [[A, u*S], [-u*S, A]], scaled by the
-    denominator of u, has twice the signature.  At u = 0 (omega = -1)
-    the model is A twice over."""
-    n = len(A)
+    (1 - omega)V + (1 - conj(omega))V^T is a positive multiple of the
+    Hermitian A - i*u*S; scaled by the denominator s of u = r/s, that is
+    s*A - i*r*S, and sigma(omega) is its signature.  It is even because
+    the signature has the parity of the rank, which must be the full 2g."""
     r, s = u.numerator, u.denominator
-    if r == 0:
-        sig, rank = _symmetric_signature(A)
-        sig, rank = 2 * sig, 2 * rank
-    else:
-        sA = [[s * a for a in row] for row in A]
-        rS = [[r * c for c in row] for row in S]
-        top = [sA[i] + rS[i] for i in range(n)]
-        bottom = [[-c for c in rS[i]] + sA[i] for i in range(n)]
-        sig, rank = _symmetric_signature(top + bottom)
-    if rank != 2 * n:
+    sig, rank = _hermitian_signature(
+        [[s * a for a in row] for row in A], [[-r * c for c in row] for row in S]
+    )
+    if rank != len(A):
         raise ArithmeticError(f"the form is singular at the sample point u = {u}")
-    if sig % 4:
-        raise ArithmeticError("nonsingular even-rank form must have even signature")
-    return sig // 2
+    return sig
 
 
 def _x_of_u(u: Fraction) -> Fraction:

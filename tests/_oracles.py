@@ -730,3 +730,61 @@ def reference_isolate_roots(coeffs, lo, hi):
         stack.append((mid, b, vm, vb))
     markers.sort(key=lambda m: m.lo)
     return markers
+
+
+def _reference_symmetric_signature(m):
+    """(signature, rank) of a symmetric integer matrix by fraction-free
+    symmetric elimination: the real kernel that preceded the Hermitian
+    one.  Symmetric swaps and the step e_i <- e_i + e_j (which makes the
+    (i, i) entry 2*m[i][j] when the trailing diagonal vanishes) are
+    unimodular congruences, so the Bareiss divisions stay exact."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sig = 0
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
+            if pair is None:
+                return sig, k  # the trailing block is zero
+            p, j = pair
+            for c in range(k, n):
+                m[p][c] += m[j][c]
+            for r in range(k, n):
+                m[r][p] += m[r][j]
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            for row in m[k:]:
+                row[k], row[p] = row[p], row[k]
+        d = m[k][k]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(i, n):
+                m[i][j] = m[j][i] = (d * m[i][j] - mik * m[k][j]) // prev
+        prev = d
+    return sig, n
+
+
+def reference_signature_at(A, S, u):
+    """sigma(omega) at cot(theta/2) = u as it was computed before the
+    Hermitian kernel: half the signature of the 4g x 4g real model
+    [[A, u*S], [-u*S, A]] of A - i*u*S, scaled by the denominator of u;
+    at u = 0 the model is A twice over."""
+    n = len(A)
+    r, s = u.numerator, u.denominator
+    if r == 0:
+        sig, rank = _reference_symmetric_signature(A)
+        sig, rank = 2 * sig, 2 * rank
+    else:
+        sA = [[s * a for a in row] for row in A]
+        rS = [[r * c for c in row] for row in S]
+        top = [sA[i] + rS[i] for i in range(n)]
+        bottom = [[-c for c in rS[i]] + sA[i] for i in range(n)]
+        sig, rank = _reference_symmetric_signature(top + bottom)
+    if rank != 2 * n:
+        raise ArithmeticError(f"the form is singular at the sample point u = {u}")
+    if sig % 4:
+        raise ArithmeticError("nonsingular even-rank form must have even signature")
+    return sig // 2

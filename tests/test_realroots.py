@@ -123,6 +123,7 @@ def test_integer_bisection_matches_the_fraction_bisection(lo, hi):
         markers = isolate_roots(coeffs, lo, hi)
         assert [_fields(m) for m in markers] == [_fields(m) for m in reference_isolate_roots(coeffs, lo, hi)]
         for m in markers:
+            assert m.refine(m.hi - m.lo) is m  # no step, no new marker
             for width in (Fraction(1, 64), (m.hi - m.lo) / 2, Fraction(1, 10**12)):
                 assert _fields(m.refine(width)) == _fields(reference_refine(m, width)), (coeffs, m, width)
                 compared += 1

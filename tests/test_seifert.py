@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import concordance.seifert as seifert_module
-from _oracles import cyclotomic_levine_tristram, families, reference_alexander, scrambled_seifert, sympy_alexander
+from _oracles import (
+    cyclotomic_levine_tristram,
+    families,
+    reference_alexander,
+    reference_signature_at,
+    scrambled_seifert,
+    sympy_alexander,
+)
 
 from concordance.laurent import LaurentPoly, doteq
 from concordance.seifert import (
@@ -19,7 +26,7 @@ from concordance.seifert import (
     SeifertMatrix,
     SingularAtOmega,
     _arc_index,
-    _symmetric_signature,
+    _hermitian_signature,
     alexander,
     block_sum,
     first_witness,
@@ -275,21 +282,71 @@ def _torus_2(q):
     )
 
 
-def test_symmetric_signature_matches_numpy():
+def test_hermitian_signature_matches_numpy():
     rng = random.Random(808)
-    for _ in range(200):
+    entries = (0, 0, 0, -2, -1, 1, 3)
+    for _ in range(300):
         n = rng.randint(1, 7)
-        m = [[0] * n for _ in range(n)]
+        R = [[0] * n for _ in range(n)]
+        I = [[0] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i, n):
-                m[i][j] = m[j][i] = rng.choice((0, 0, 0, -2, -1, 1, 3))
+            R[i][i] = rng.choice(entries)
+            for j in range(i + 1, n):
+                R[i][j] = R[j][i] = rng.choice(entries)
+                I[i][j] = rng.choice(entries)
+                I[j][i] = -I[i][j]
         if rng.random() < 0.5:
             for i in range(n):
-                m[i][i] = 0  # forces the e_i <- e_i + e_j step
-        eigs = np.linalg.eigvalsh(np.array(m, dtype=float))
+                R[i][i] = 0  # forces the e_p <- e_p + e_j or + i*e_j step
+        eigs = np.linalg.eigvalsh(np.array(R, dtype=float) + 1j * np.array(I, dtype=float))
         pos = sum(1 for e in eigs if e > 1e-9)
         neg = sum(1 for e in eigs if e < -1e-9)
-        assert _symmetric_signature(m) == (pos - neg, pos + neg)
+        assert _hermitian_signature(R, I) == (pos - neg, pos + neg), (R, I)
+
+
+@pytest.mark.parametrize(
+    "R, I, expected",
+    [
+        # [[0, i], [-i, 0]]: only the e_p <- e_p + i*e_j step finds a pivot
+        ([[0, 0], [0, 0]], [[0, 1], [-1, 0]], (0, 2)),
+        # L (1 + B) L* with B = [[0, i, 1], [-i, 0, 1 + i], [1, 1 - i, 0]]:
+        # one real pivot leaves B, whose first entry is imaginary
+        (
+            [[1, 1, 2, 0], [1, 2, 2, 0], [2, 2, 4, 1], [0, 0, 1, 1]],
+            [[0, -1, 0, 1], [1, 0, 3, 1], [0, -3, 0, 3], [-1, -1, -3, 0]],
+            (2, 4),
+        ),
+        # rows 1 and 2 agree: rank 2 of 3, after the imaginary step
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]], (0, 2)),
+    ],
+    ids=["2x2", "4x4-after-a-real-pivot", "singular-3x3"],
+)
+def test_hermitian_signature_takes_the_imaginary_step(R, I, expected):
+    assert _hermitian_signature(R, I) == expected
+
+
+def test_signature_at_refuses_a_singular_form():
+    # no rational u = cot(theta/2) is a circle root of an Alexander
+    # polynomial (x = 2*cos(theta) = p/q needs 2q - p = 1 and then
+    # u^2 = 4q - 1), so only a form that is no Seifert form reaches the check
+    with pytest.raises(ArithmeticError, match="singular"):
+        seifert_module._signature_at([[0, 0], [0, 0]], [[0, 1], [-1, 0]], Fraction(0))
+    with pytest.raises(ArithmeticError, match="singular"):
+        seifert_module._signature_at([[2, 0], [0, 2]], [[0, 1], [-1, 0]], Fraction(2))
+
+
+def test_signature_at_matches_the_real_model():
+    # the 2g x 2g Hermitian form against the 4g x 4g real model, with u
+    # on both sides of 0 and at 0 itself (omega = -1)
+    rng = random.Random(26)
+    cases = list(_reference_cases())
+    assert {v.genus for v in cases} == set(range(9))
+    for v in cases:
+        A, S = seifert_module._forms(v)
+        us = [Fraction(0), Fraction(1, 3), Fraction(-1, 3)]
+        us += [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(5)]
+        for u in us:
+            assert seifert_module._signature_at(A, S, u) == reference_signature_at(A, S, u), (v, u)
 
 
 def test_levine_tristram_matches_cyclotomic_route():
