@@ -26,7 +26,11 @@ involved:
     a right cusp as downward when its upper branch points east.
 
 From these, tb = writhe - (#cusps)/2 and rot = (#downward left cusps)
-- (#upward right cusps).  The slice-Bennequin inequality and its
+- (#upward right cusps).  A cable (`cable_front`, `satellite_front`)
+turns a crossing into n^2 crossings, a run in which a bundle of strands U
+passes a bundle L; the sweep takes such a run as one move.  Each pair
+(u, l) crosses once, so with s = +1 east and -1 west the run adds
+(sum of s over U) * (sum of s over L) to the writhe.  The slice-Bennequin inequality and its
 refinements through tau and s turn (tb, rot) of a front into lower
 bounds for the smooth four-genus; `satellite_genus_pipeline` chains
 stabilization, the satellite formulas of Ng, and those bounds.
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .cabling import KnotProfile
 from .laurent import is_int
@@ -55,6 +60,8 @@ WEST = "W"
 LEFT_CUSP = "L"
 RIGHT_CUSP = "R"
 CROSSING = "X"
+# a run of at most 4 crossings sweeps faster as events than as one bundle
+_PLAIN_RUN = 4
 
 SATELLITE_FORMULA_CITATION = (
     "Ng, 'On arc index and maximal Thurston-Bennequin number', Remark 2.4"
@@ -100,12 +107,17 @@ class LegendrianInvariants:
     up_right_cusps: int | None = None
 
 
+class _Bundle(tuple):
+    """The kind (a, b) of a bundle move, told by its type (see _sweep)."""
+
+
 class FrontDiagram:
     """An oriented front, validated and analyzed at construction.
 
     Segments, the arcs between cusps or the seam, are numbered in sweep
     order: seam strand j is segment j, and each left cusp starts two,
-    upper then lower.  A crossing only swaps two segments on the stack.
+    upper then lower.  A crossing only swaps two segments on the stack,
+    a bundle move of a cable (see _sweep) two adjacent runs of them.
 
     Parameters
     ----------
@@ -117,32 +129,42 @@ class FrontDiagram:
         first left cusp
     """
 
-    def __init__(self, events, seam_strands=0, orient=EAST):
+    def __init__(self, events, seam_strands=0, orient=EAST, *, _moves=None):
         if not is_int(seam_strands) or seam_strands < 0:
             raise FrontError(f"seam_strands must be a nonnegative int, got {seam_strands!r}")
         if orient not in (EAST, WEST):
             raise FrontError(f"orient must be {EAST!r} or {WEST!r}, got {orient!r}")
-        self.events = tuple(map(tuple, events))
+        # cable_front and satellite_front pass a fresh tuple and its moves
+        self.events = tuple(map(tuple, events)) if _moves is None else events
         self.seam_strands = seam_strands
         self.orient = orient
-        self._sweep()
+        try:
+            self._sweep(_moves or self.events)
+        except FrontError:  # the events' sweep raises it again, naming the event
+            self._sweep(self.events)
         if self.is_closed:
             self._orient_components()
 
-    def _sweep(self):
+    def _sweep(self, moves):
         """Run the left-to-right simulation, recording segments and features.
+
+        A move is an event or a bundle move (_Bundle((a, b)), pos), where
+        the a strands at pos cross the b strands below them, each pair
+        once, recorded as (upper segments, lower segments).
 
         No shortcut changes a result: a position of type exactly int is
         never a bool, so it skips is_int; crossings, most events of a
-        cable, are tested first and swap two entries by two stores; and a
+        front, are tested first and swap two entries by two stores; and a
         missing strand at a crossing or right cusp is the IndexError of
-        its read, exact because negative positions were rejected."""
+        its read, exact because negative positions were rejected.  After
+        any error of a move, __init__ sweeps the events for their error."""
         positions = list(range(self.seam_strands))
         next_id = self.seam_strands
         cusps = []       # (side, upper_seg, lower_seg)
         crossings = []   # (upper_seg, lower_seg)
+        bundles = []     # (upper_segs, lower_segs)
         try:
-            for n, (kind, pos) in enumerate(self.events):
+            for n, (kind, pos) in enumerate(moves):
                 if type(pos) is not int and not is_int(pos):
                     raise FrontError("position must be an integer")
                 if pos < 0:
@@ -161,6 +183,13 @@ class FrontDiagram:
                     upper, lower = positions[pos], positions[pos + 1]
                     del positions[pos:pos + 2]
                     cusps.append((RIGHT_CUSP, upper, lower))
+                elif type(kind) is _Bundle:
+                    a, b = kind
+                    upper, lower = positions[pos:pos + a], positions[pos + a:pos + a + b]
+                    if len(lower) < b:
+                        raise FrontError(f"bundle beyond {len(positions)} strands")
+                    positions[pos:pos + a + b] = lower + upper
+                    bundles.append((upper, lower))
                 else:
                     raise FrontError("unknown event kind")
         except (FrontError, IndexError) as exc:
@@ -170,6 +199,7 @@ class FrontDiagram:
         self._segment_count = next_id
         self._cusps = cusps
         self._crossings = crossings
+        self._bundles = bundles
         self._right_edge = tuple(positions)
         self.is_closed = len(positions) == self.seam_strands
 
@@ -226,6 +256,10 @@ class FrontDiagram:
     def invariants(self):
         """Compute (tb, rot) and the raw counts behind them.
 
+        With s = +1 east and -1 west, a crossing of u and l adds s_u * s_l
+        (positive exactly when both point the same way).  Each pair of a
+        bundle move's U x L crosses once: it adds (sum_U s) * (sum_L s).
+
         Raises NonClosed for a front that does not close up and
         MultiComponent when it traces more than one curve.
         """
@@ -235,15 +269,12 @@ class FrontDiagram:
                 f"front has {self._components} components, expected 1"
             )
         dirs = self._dirs
-        writhe = 2 * sum([dirs[a] == dirs[b] for a, b in self._crossings]) - len(self._crossings)
-        down_left = sum(
-            1 for side, upper, _ in self._cusps
-            if side == LEFT_CUSP and dirs[upper] == WEST
-        )
-        up_right = sum(
-            1 for side, upper, _ in self._cusps
-            if side == RIGHT_CUSP and dirs[upper] == WEST
-        )
+        s = [1 if d == EAST else -1 for d in dirs]
+        writhe = sum([s[u] * s[l] for u, l in self._crossings]) + sum([
+            sum(map(s.__getitem__, U)) * sum(map(s.__getitem__, L)) for U, L in self._bundles])
+        # the sides of the cusps whose upper branch points west
+        west = [side for side, upper, _ in self._cusps if dirs[upper] == WEST]
+        down_left, up_right = west.count(LEFT_CUSP), west.count(RIGHT_CUSP)
         cusps = len(self._cusps)
         if cusps % 2:
             raise ArithmeticError(f"a closed front has {cusps} cusps, an odd count")
@@ -317,24 +348,46 @@ def front_to_text(front):
     return "\n".join(lines) + "\n"
 
 
-def _cable_blocks(events, n):
-    """Each event's block of the n-copy cable, in order.
-
-    The block of an event at position pos is a template, built once per
-    kind at position 0, with every position shifted by n * pos.
-    """
-    # crossings turning [u0 l0 u1 l1 ...] into [u0 .. u_{n-1} l0 .. l_{n-1}]
+def _cable_templates(n):
+    """Each kind's block at position 0 of the n-copy cable, as kind ->
+    (events, moves), the same list twice when no move is a bundle.  The
+    left cusps give [u0 l0 u1 l1 ...]; in run i = 1 .. n - 1, l0 .. l_{i-1}
+    cross u_i, (i, i, 1) as (pos, a, b), leaving [u0 .. u_{n-1} l0 .. l_{n-1}];
+    a right cusp undoes that by runs (i, 1, i), i = n - 1 .. 1, and a
+    crossing is the one run (0, n, n)."""
     down = [(CROSSING, q) for i in range(1, n) for q in range(2 * i - 1, i - 1, -1)]
+    left, right = [(LEFT_CUSP, 2 * j) for j in range(n)], [(RIGHT_CUSP, 0)] * n
+    # walk the upper bundle of n strands down through the lower one
+    across = [(CROSSING, (n - 1) - i + j) for i in range(n) for j in range(n)]
     templates = {
-        LEFT_CUSP: [(LEFT_CUSP, 2 * j) for j in range(n)] + down,
-        # a crossing sequence read backwards undoes its permutation
-        RIGHT_CUSP: down[::-1] + [(RIGHT_CUSP, 0)] * n,
-        # walk the upper block of n strands down through the lower one
-        CROSSING: [(CROSSING, (n - 1) - i + j) for i in range(n) for j in range(n)],
+        LEFT_CUSP: (left + down,) * 2,
+        RIGHT_CUSP: (down[::-1] + right,) * 2,
+        CROSSING: (across, across if n * n <= _PLAIN_RUN else [(_Bundle((n, n)), 0)]),
     }
-    return [
-        [(k, n * pos + q) for k, q in templates[kind]] for kind, pos in events
-    ]
+    if n - 1 > _PLAIN_RUN:  # the runs i > _PLAIN_RUN are bundle moves
+        plain = down[:_PLAIN_RUN * (_PLAIN_RUN + 1) // 2]
+        templates[LEFT_CUSP] = left + down, left + plain + [
+            (_Bundle((i, 1)), i) for i in range(_PLAIN_RUN + 1, n)]
+        templates[RIGHT_CUSP] = down[::-1] + right, [
+            (_Bundle((1, i)), i) for i in range(n - 1, _PLAIN_RUN, -1)] + plain[::-1] + right
+    return templates
+
+
+def _cable_blocks(events, n):
+    """The lists of the events' blocks in the n-copy cable and of their
+    moves, the same list when n * n <= _PLAIN_RUN, as then no run is a
+    bundle.  An event's blocks are its kind's templates shifted by n * pos,
+    built once per distinct event."""
+    templates, made, blocks, moves = _cable_templates(n), {}, [], []
+    for event in events:
+        pair = made.get(event)
+        if pair is None:
+            shift, (plain, runs) = n * event[1], templates[event[0]]
+            block = [(k, q + shift) for k, q in plain]
+            pair = made[event] = block, block if runs is plain else [(k, q + shift) for k, q in runs]
+        blocks.append(pair[0])
+        moves.append(pair[1])
+    return blocks, blocks if n * n <= _PLAIN_RUN else moves
 
 
 def cable_front(front, n):
@@ -342,15 +395,13 @@ def cable_front(front, n):
 
     The cable of a closed front is an n-component link diagram; it becomes
     a knot only after a pattern tangle is spliced in (satellite_front).
+    The sweep takes each block's runs a bundle at a time (_cable_blocks).
     """
     if not is_int(n) or n < 1:
         raise ValueError(f"need an integer n >= 1, got {n!r}")
     if n == 1:
         return front
-    events = [e for block in _cable_blocks(front.events, n) for e in block]
-    return FrontDiagram(
-        events, seam_strands=front.seam_strands * n, orient=front.orient
-    )
+    return _cabled(*_cable_blocks(front.events, n), front.seam_strands * n, front.orient)
 
 
 def satellite_front(companion, pattern, splice_after=1, base=0):
@@ -373,10 +424,19 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
         raise FrontError(f"splice_after out of range: {splice_after!r}")
     if not is_int(base) or base < 0 or base % n:
         raise FrontError(f"base must be a nonnegative multiple of {n}, got {base!r}")
-    blocks = _cable_blocks(companion.events, n)
-    blocks.insert(splice_after, [(kind, pos + base) for kind, pos in pattern.events])
-    events = [e for block in blocks for e in block]
-    return FrontDiagram(events, seam_strands=0, orient=companion.orient)
+    blocks, moves = _cable_blocks(companion.events, n)
+    spliced = [(kind, pos + base) for kind, pos in pattern.events]
+    blocks.insert(splice_after, spliced)
+    if moves is not blocks:
+        moves.insert(splice_after, spliced)
+    return _cabled(blocks, moves, 0, companion.orient)
+
+
+def _cabled(blocks, moves, seam_strands, orient):
+    """The front of the blocks' events, swept by the moves (_cable_blocks)."""
+    events = tuple(chain.from_iterable(blocks))
+    moves = events if moves is blocks else chain.from_iterable(moves)
+    return FrontDiagram(events, seam_strands, orient, _moves=moves)
 
 
 @dataclass(frozen=True)

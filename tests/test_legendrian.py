@@ -1,10 +1,13 @@
 """Front-diagram invariants, satellites, and the genus-bound pipeline."""
 
+from dataclasses import astuple
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import collections
+import hashlib
+import json
 import random
 
 import pytest
@@ -315,6 +318,11 @@ class TestCableAndSatelliteFronts:
                 satellite_front(TREFOIL_FRONT, PATTERN_FRONT, splice_after=splice_after)
 
 
+def _twist(n):
+    """The twist pattern on n strands: X 0 .. X n-2, one full turn."""
+    return FrontDiagram([("X", i) for i in range(n - 1)], seam_strands=n)
+
+
 def _random_pattern(rng, n, length):
     """Events of a random annular front on n seam strands: crossings and
     cusps at random positions, then right cusps until n strands remain
@@ -358,10 +366,11 @@ def _corrupt(rng, events, seam):
     return events
 
 
-def _sweep_summary(build, events, seam, orient):
-    """Everything a front reports, with each exception as (type, message)."""
+def _sweep_summary(build, *args):
+    """Everything the front build(*args) reports, with each exception as
+    (type, message)."""
     try:
-        front = build(events, seam_strands=seam, orient=orient)
+        front = build(*args)
     except Exception as exc:  # the exception is the result
         return type(exc), str(exc)
     reads = [front.events, front.is_closed]
@@ -411,13 +420,6 @@ def test_sweep_matches_the_reference_sweep():
     assert set(outcomes) >= {"invariants", "MultiComponent", "NonClosed", "FrontError", "ValueError"}
 
 
-def _events_or_error(build):
-    try:
-        return list(build().events)
-    except FrontError as exc:  # the exception is the result
-        return type(exc), str(exc)
-
-
 def _strands_before(front):
     """The number of strands before each event, and after the last."""
     counts = [front.seam_strands]
@@ -426,32 +428,58 @@ def _strands_before(front):
     return counts
 
 
+def _failing_index(summary):
+    """The event a FrontError names, or None."""
+    if isinstance(summary, tuple) and summary[0] is FrontError:
+        return int(summary[1].split()[1])
+    return None
+
+
 def test_cables_and_satellites_match_the_blockwise_route():
     """Cables of the bundled fronts and of random patterns for n = 1..14,
     and their satellites at every splice point and every base that is a
     multiple of n (each arc, and the first position past the last), give
-    the events of the earlier route that built every block afresh."""
+    the events of the earlier route that built every block afresh, and
+    the closure, components, winding and invariants of the reference
+    sweep of those events, or its exception and message.  The patterns
+    are the twist pattern, a random one, and the random one ending on two
+    strands fewer than it starts on, which makes a companion block after
+    it fail, where the move index is not the event index."""
     rng = random.Random(20)
     closed = [TREFOIL_FRONT, TREFOIL_MAXTB]
-    compared = 0
+    outcomes, failed_after = collections.Counter(), 0
+
+    def compare(got, events, seam, orient):
+        want = _sweep_summary(reference_front_sweep, events, seam, orient)
+        assert got == want, (n, events)
+        last = got if isinstance(got, tuple) else got[-1]  # the exception, or invariants'
+        outcomes[last[0].__name__ if isinstance(last, tuple) else "invariants", n >= 3] += 1
+
     for n in range(1, 15):
-        pattern = FrontDiagram(_random_pattern(rng, n, rng.randint(0, 8)), seam_strands=n)
+        events = _random_pattern(rng, n, rng.randint(0, 8))
+        patterns = [_twist(n), FrontDiagram(events, seam_strands=n)]
+        if n >= 2:
+            patterns.append(FrontDiagram(events + [("R", 0)], seam_strands=n))
         bundled = [SATELLITE_FRONT, WHITEHEAD_FRONT, PATTERN_FRONT, TREFOIL_CLOSURE_PATTERN]
-        for front in closed + bundled + [pattern]:
-            assert list(cable_front(front, n).events) == reference_cable_events(front.events, n)
-            compared += 1
+        for front in closed + bundled + patterns:
+            compare(_sweep_summary(cable_front, front, n),
+                    reference_cable_events(front.events, n), front.seam_strands * n, front.orient)
         for companion in closed + [SATELLITE_FRONT] * (n <= 2):
-            for splice, strands in enumerate(_strands_before(companion)):
-                for base in range(0, n * strands + 1, n):
-                    got = _events_or_error(
-                        lambda: satellite_front(companion, pattern, splice, base)
-                    )
-                    want = _events_or_error(lambda: FrontDiagram(reference_satellite_events(
-                        companion.events, pattern.events, splice, base, n
-                    )))
-                    assert got == want, (n, splice, base)
-                    compared += 1
-    assert compared >= 500
+            for pattern in patterns:
+                for splice, strands in enumerate(_strands_before(companion)):
+                    for base in range(0, n * strands + 1, n):
+                        got = _sweep_summary(satellite_front, companion, pattern, splice, base)
+                        compare(got, reference_satellite_events(
+                            companion.events, pattern.events, splice, base, n
+                        ), 0, companion.orient)
+                        # the events up to the end of the pattern
+                        upto = reference_satellite_events(
+                            companion.events[:splice], pattern.events, splice, base, n)
+                        index = _failing_index(got)
+                        failed_after += index is not None and index >= len(upto)
+    assert sum(outcomes.values()) >= 1000
+    # both outcomes occur on fronts with bundle moves (n >= 3)
+    assert outcomes["invariants", True] and outcomes["FrontError", True] and failed_after
 
 
 class TestFrontAlexander:
@@ -641,3 +669,59 @@ class TestSatelliteGenusPipeline:
             satellite_genus_pipeline(
                 TREFOIL_PROFILE, {"rot-2": TORUS_2_5_TWICE_STABILIZED}, PATTERN
             )
+
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "front_digests.json"
+BUNDLED = {
+    "legendrian-RH-trefoil": TREFOIL_FRONT,
+    "legendrian-RH-trefoil-maxtb": TREFOIL_MAXTB,
+    "paper-pattern-P": PATTERN_FRONT,
+    "satellite-P-of-trefoil": SATELLITE_FRONT,
+    "whitehead-double-RH-trefoil": WHITEHEAD_FRONT,
+}
+
+
+def front_digest_cases():
+    """Fronts by name: the n-copy cable of every bundled front and the
+    satellite of every closed one with the twist pattern, n = 1..14; then
+    the satellite of every closed bundled front with paper-pattern-P."""
+    closed = {name: front for name, front in BUNDLED.items() if not front.seam_strands}
+    for n in range(1, 15):
+        for name, front in BUNDLED.items():
+            yield f"cable {name} n={n}", cable_front, (front, n)
+        for name, front in closed.items():
+            yield f"satellite {name} twist n={n}", satellite_front, (front, _twist(n))
+    for name, front in closed.items():
+        yield f"satellite {name} paper-pattern-P", satellite_front, (front, PATTERN_FRONT)
+
+
+def _front_record(build, args):
+    """sha256 of the events, then the component count, the winding and
+    (tb, rot, writhe, cusps, down_left, up_right); each read that raises
+    gives [exception type, message] instead."""
+    try:
+        front = build(*args)
+    except FrontError as exc:  # the exception is the result
+        return [type(exc).__name__, str(exc)]
+    record = [hashlib.sha256(json.dumps(front.events).encode()).hexdigest()]
+    for read in (lambda: front.component_count, front.winding, lambda: astuple(front.invariants())):
+        try:
+            record.append(read())
+        except FrontError as exc:
+            record.append([type(exc).__name__, str(exc)])
+    return record
+
+
+def record_front_digests():
+    return {name: _front_record(build, args) for name, build, args in front_digest_cases()}
+
+
+def test_fronts_match_the_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    got = json.loads(json.dumps(record_front_digests()))
+    assert list(got) == list(recorded)
+    assert [name for name in got if got[name] != recorded[name]] == []
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(record_front_digests(), indent=1) + "\n")
