@@ -18,9 +18,11 @@ builds a fresh `SeifertMatrix`, since delta is cached on the matrix.
 The polynomial layers take delta of the same knots, computed before
 timing: `factor` takes delta(t^6), and `isolate_roots` takes the trace
 polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
-signature function does.  The library keeps factorizations per process,
-so both of its factorization caches are emptied before every timed call:
-`factor` is timed factoring, not looking up.  Each input is timed REPEAT
+signature function does.  The library keeps factorizations, and the
+circle roots and arc samples of each Alexander polynomial, per process,
+so its three caches are emptied before every timed call: `factor` is
+timed factoring, and `levine_tristram` and `signature_function` are timed
+isolating roots, not looking up.  Each input is timed REPEAT
 times and its fastest kept; the repeats go round-robin over a layer's
 inputs at a size, so a slow stretch of the host falls on one repeat of
 several inputs, not on every repeat of one.  A layer's figure at a size
@@ -70,7 +72,7 @@ import families  # noqa: E402
 import pace  # noqa: E402
 from worker import pin_to_one_cpu  # noqa: E402
 
-from concordance import intfactor, laurent  # noqa: E402
+from concordance import intfactor, laurent, seifert  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.cyclotomic import trace_polynomial  # noqa: E402
 from concordance.laurent import factor  # noqa: E402
@@ -86,23 +88,25 @@ from concordance.realroots import isolate_roots  # noqa: E402
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
 
 
-def clear_factor_caches():
-    """Empty the caches of `laurent.factor` (primitive parts) and of
-    `intfactor` (roots and q(t^j)), so the next call factors afresh."""
+def clear_caches():
+    """Empty the caches of `laurent.factor` (primitive parts), of
+    `intfactor` (roots and q(t^j)) and of `seifert` (circle roots and arc
+    samples), so the next call factors and isolates afresh."""
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
+    seifert._circle_arcs.cache_clear()
 
 
 def best_ms(fn, args):
     """Each input's fastest of REPEAT calls, in milliseconds, each call
-    on empty factorization caches; round r calls every input once before
+    on empty caches; round r calls every input once before
     round r + 1 begins.  Also the reference's seconds, timed once before
     the first round and once after each."""
     best = [float("inf")] * len(args)
     references = [pace.reference()]
     for _ in range(REPEAT):
         for i, arg in enumerate(args):
-            clear_factor_caches()
+            clear_caches()
             start = time.perf_counter()
             fn(arg)
             best[i] = min(best[i], time.perf_counter() - start)

@@ -26,7 +26,11 @@ comparison of x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating
 intervals.  Floats are for display only: the approximate angles that
 ``jumps``, ``arcs`` and ``repr`` print.  No floating-point value decides
 anything, and the witness search places each angle a/b by exact
-comparison of cosines.
+comparison of cosines.  The isolated roots and arc samples of each
+polynomial are kept per process, the library's third cache beside the
+two of factoring: an LRU of ``ARCS_CACHE_SIZE`` (256) entries keyed by
+delta itself.  Signature values are never cached: a knot and its mirror
+share delta and have opposite signatures.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
 >>> str(alexander(V))
@@ -38,6 +42,7 @@ comparison of cosines.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -404,6 +409,19 @@ def _circle_markers(g_coeffs: list) -> list[RootMarker]:
     return markers
 
 
+# polynomials kept by ``_circle_arcs``; a sigma-sweep run meets 21, a cable-obstruct run 24
+ARCS_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=ARCS_CACHE_SIZE)
+def _circle_arcs(delta: LaurentPoly) -> tuple[tuple[RootMarker, ...], tuple[Fraction, ...]]:
+    """The circle roots of delta (``_circle_markers``) and one sample u
+    per arc (``_arc_sample``), once per process: both depend on delta
+    alone, while a knot and its mirror share delta but not signatures."""
+    markers = _circle_markers(trace_polynomial(_int_coeffs(delta)))
+    return tuple(markers), tuple(_arc_sample(markers, i) for i in range(len(markers) + 1))
+
+
 def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     """Signature of (1 - omega)V + (1 - conj(omega))V^T, exactly.
 
@@ -424,12 +442,12 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     if omega.fraction == Fraction(1, 2):
         u = Fraction(0)  # omega = -1 itself, on the last arc
     else:
-        markers = _circle_markers(trace_polynomial(_int_coeffs(delta)))
-        u = _arc_sample(markers, _arc_index(markers, omega.fraction))
+        markers, samples = _circle_arcs(delta)
+        u = samples[_arc_index(markers, omega.fraction)]
     return _signature_at(*_forms(v), u)
 
 
-def _markers_above(markers: list[RootMarker], lo: Fraction, hi: Fraction) -> int | None:
+def _markers_above(markers: Sequence[RootMarker], lo: Fraction, hi: Fraction) -> int | None:
     """The number of markers whose root exceeds hi, or None when some
     root lies in [lo, hi]."""
     count = 0
@@ -441,7 +459,7 @@ def _markers_above(markers: list[RootMarker], lo: Fraction, hi: Fraction) -> int
     return count
 
 
-def _arc_index(markers: list[RootMarker], q: Fraction) -> int:
+def _arc_index(markers: Sequence[RootMarker], q: Fraction) -> int:
     """Index of the arc that holds angle q, which must not be a jump
     angle: the number of markers below q folded into [0, 1/2], since
     conjugation leaves the signature unchanged.  In x = 2cos(2*pi*angle)
@@ -470,7 +488,7 @@ class SignatureFunction:
     def __init__(
         self,
         delta: LaurentPoly,
-        markers: list[RootMarker],
+        markers: Sequence[RootMarker],
         values: Sequence[int],
     ):
         # delta is the balanced Alexander polynomial; markers ascend in
@@ -515,7 +533,7 @@ class SignatureFunction:
         """The step function omega -> sigma(omega^p), for an integer p >= 1.
 
         Its jump angles are the p-th roots of the jump angles of sigma, so
-        the arcs are isolated afresh from delta(t^p) and each new arc is
+        the arcs are isolated from delta(t^p) and each new arc is
         sampled through sigma: a rational sample x = 2*cos(theta) of a new
         arc maps to the rational point 2*cos(p*theta) = v_p(x), which
         avoids the jumps of sigma."""
@@ -583,11 +601,10 @@ def _marker_angle_float(m: RootMarker) -> float:
 def _assemble_signature_function(
     delta: LaurentPoly, value_at: Callable[[Fraction], int]
 ) -> SignatureFunction:
-    """Isolate the circle roots of delta and take value_at(u) at one
-    rational sample u per arc."""
-    markers = _circle_markers(trace_polynomial(_int_coeffs(delta)))
-    values = [value_at(_arc_sample(markers, i)) for i in range(len(markers) + 1)]
-    return SignatureFunction(delta, markers, values)
+    """The circle roots of delta and value_at(u) at the rational sample
+    u of each arc."""
+    markers, samples = _circle_arcs(delta)
+    return SignatureFunction(delta, markers, [value_at(u) for u in samples])
 
 
 def signature_function(v: SeifertMatrix) -> SignatureFunction:

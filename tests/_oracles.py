@@ -47,13 +47,15 @@ def load_perfbench(name):
 families = load_perfbench("families")
 
 
-def clear_factor_caches():
-    """Empty the process-wide factorization caches of ``laurent.factor``
-    and ``intfactor``, so that the next call factors from scratch."""
-    from concordance import intfactor, laurent
+def clear_caches():
+    """Empty the library's process-wide caches: the factorizations of
+    ``laurent.factor`` and ``intfactor``, and the circle roots and arc
+    samples of ``seifert``, so that the next call computes from scratch."""
+    from concordance import intfactor, laurent, seifert
 
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
+    seifert._circle_arcs.cache_clear()
 
 
 def _candidate_table():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from _oracles import (
-    clear_factor_caches, scan_cable_witness, scan_signature_mismatch, scrambled_seifert,
+    clear_caches, scan_cable_witness, scan_signature_mismatch, scrambled_seifert,
 )
 
 from concordance.cabling import (
@@ -421,7 +421,7 @@ class TestFoxMilnorObstruction:
         # j = 1 is linear and never sent, and j = 2, 4 come back from the cache
         from concordance import intfactor
 
-        clear_factor_caches()
+        clear_caches()
         degrees = []
         whole = intfactor.irreducible_factors
 

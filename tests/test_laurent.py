@@ -395,10 +395,10 @@ def test_factor_matches_whole_product_route():
 
 
 def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
-    from _oracles import clear_factor_caches
+    from _oracles import clear_caches
     from concordance import intfactor
 
-    clear_factor_caches()  # a warm cache would send nothing
+    clear_caches()  # a warm cache would send nothing
     degrees = []
     whole = intfactor.irreducible_factors
 

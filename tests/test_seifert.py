@@ -11,6 +11,7 @@ import pytest
 
 import concordance.seifert as seifert_module
 from _oracles import (
+    clear_caches,
     cyclotomic_levine_tristram,
     families,
     reference_alexander,
@@ -19,7 +20,9 @@ from _oracles import (
     sympy_alexander,
 )
 
+from concordance.cyclotomic import trace_polynomial, v_polys
 from concordance.laurent import LaurentPoly, doteq
+from concordance.realroots import poly_eval
 from concordance.seifert import (
     OmegaIsOne,
     RootOfUnity,
@@ -249,7 +252,7 @@ def test_congruence_invariance_of_signature():
 def test_dense_sampling_agrees_with_arc_values():
     # 100 interior rational angles per arc, evaluated both through the
     # step function and through levine_tristram, which locates each angle
-    # among freshly isolated roots and takes a rational signature there
+    # among the isolated roots and takes a rational signature there
     for v in (TREFOIL, FIGURE_EIGHT, block_sum(TREFOIL, TREFOIL)):
         sig = signature_function(v)
         for lo, hi, val in sig.arcs():
@@ -595,3 +598,102 @@ def test_pretzel_sums_with_dyadic_circle_roots():
             assert lo < q < hi
             assert sig.evaluate(q) == val == levine_tristram(v, RootOfUnity.from_fraction(q))
             assert val == _lt_oracle(v, q.numerator, q.denominator)
+
+
+def _direct_arcs(delta, value_at):
+    """Markers, samples and arc values of delta from ``_circle_markers``
+    and ``_arc_sample`` called directly, around the cache."""
+    markers = seifert_module._circle_markers(trace_polynomial(seifert_module._int_coeffs(delta)))
+    samples = [seifert_module._arc_sample(markers, i) for i in range(len(markers) + 1)]
+    return markers, samples, [value_at(u) for u in samples]
+
+
+def _direct_route(v, ps):
+    """_direct_arcs of v and of its pullbacks at each p in ps, each arc of
+    a pullback placed among v's own markers at v_p(x(u))."""
+    A, S = seifert_module._forms(v)
+    markers, samples, values = _direct_arcs(v.delta, lambda u: seifert_module._signature_at(A, S, u))
+
+    def pulled_back(p):
+        def value_at(u):
+            x = poly_eval(v_polys(p)[p], seifert_module._x_of_u(u))
+            return values[seifert_module._markers_above(markers, x, x)]
+
+        return _direct_arcs(v.delta.substitute_power(p), value_at)
+
+    return [(markers, samples, values)] + [pulled_back(p) for p in ps]
+
+
+def _cached_route(v, ps):
+    """Markers, samples (read from the cache) and arc values of the step
+    function of v and of its pullbacks at each p in ps."""
+    sig = signature_function(v)
+    return [
+        (list(f._markers), list(seifert_module._circle_arcs(f._delta)[1]), list(f.arc_values))
+        for f in [sig] + [sig.pullback(p) for p in ps]
+    ]
+
+
+def test_mirror_shares_the_circle_arcs_but_not_the_signatures():
+    # a knot and its mirror have one delta: the mirror isolates nothing,
+    # and its values are the negatives of the knot's
+    clear_caches()
+    right = signature_function(T_2_5)
+    left = signature_function(mirror(T_2_5))
+    info = seifert_module._circle_arcs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert right.arc_values == (0, -2, -4)
+    assert left.arc_values == (0, 2, 4)
+    assert levine_tristram(T_2_5, RootOfUnity(2, 5)) == -4
+    assert levine_tristram(mirror(T_2_5), RootOfUnity(2, 5)) == 4
+
+
+def test_cached_circle_arcs_match_the_direct_route():
+    # one cache for every knot and pullback, so two polynomials of one
+    # degree meet in it; the warm pass isolates nothing
+    rng = random.Random(2028)
+    knots = [SeifertMatrix(families.random_knot(rng, genus).seifert()) for genus in [*range(1, 7)] * 2]
+    ps = range(2, 6)
+    clear_caches()
+    cold = [_cached_route(v, ps) for v in knots]
+    misses = seifert_module._circle_arcs.cache_info().misses
+    warm = [_cached_route(v, ps) for v in knots]
+    assert seifert_module._circle_arcs.cache_info().misses == misses
+    assert cold == warm == [_direct_route(v, ps) for v in knots]
+
+
+def test_levine_tristram_matches_the_step_function_at_seeded_angles():
+    rng = random.Random(2029)
+    for genus in range(1, 7):
+        v = SeifertMatrix(families.random_knot(rng, genus).seifert())
+        for _ in range(4):
+            b = rng.randrange(2, 400)
+            omega = RootOfUnity(rng.randrange(1, b), b)
+            clear_caches()  # the first call below isolates, the others look up
+            try:
+                value = levine_tristram(v, omega)
+            except SingularAtOmega:
+                with pytest.raises(SingularAtOmega):
+                    signature_function(v).evaluate(omega)
+                continue
+            assert signature_function(v).evaluate(omega) == value == levine_tristram(v, omega)
+
+
+def test_warm_entries_are_unchanged_by_their_users():
+    def fields(entry):
+        markers, samples = entry
+        return [(list(m.poly), m.lo, m.hi, m.exact) for m in markers], list(samples)
+
+    v = scrambled_seifert(random.Random(2030), block_sum(T_2_5, TREFOIL))
+    sig = signature_function(v)
+    pb = sig.pullback(3)
+    entries = [seifert_module._circle_arcs(f._delta) for f in (sig, pb)]
+    assert sig._markers is entries[0][0] and pb._markers is entries[1][0]
+    before = [fields(entry) for entry in entries]
+    assert first_witness(sig, pb, lambda s0, s1: s0 == 0 and s1 != 0, 50)[1] is not None
+    first_witness(pb, sig, lambda s0, s1: s0 != s1, 50)
+    sig.pullback(2), pb.pullback(2)
+    sig.jumps(), pb.arcs()
+    after = [seifert_module._circle_arcs(f._delta) for f in (sig, pb)]
+    assert all(a is b for a, b in zip(after, entries))
+    assert [fields(entry) for entry in after] == before
