@@ -167,21 +167,23 @@ class KnotProfile:
                 raise ValueError("cable_of must be (profile, positive integer)")
 
     def _check_bounds(self):
-        g4 = self.declared_slice_genus
-        if g4 is None:
-            return
-        if self.declared_genus is not None and g4.upper is not None:
-            if g4.upper > self.declared_genus.value:
+        """|tau| <= g4 <= g (Ozsvath-Szabo), |s| <= 2 g4 and s even
+        (Rasmussen), with g4 read as its declared upper bound."""
+        tau, s = self.declared_tau, self.declared_s
+        g = None if self.declared_genus is None else self.declared_genus.value
+        g4 = None if self.declared_slice_genus is None else self.declared_slice_genus.upper
+        if g4 is not None and g is not None and g4 > g:
+            raise ValueError(f"{self.name!r}: slice genus bound {g4} exceeds genus {g}")
+        for bound, kind in ((g4, "slice genus bound"), (g, "genus")):
+            if bound is None:
+                continue
+            if tau is not None and abs(tau.value) > bound:
+                raise ValueError(f"{self.name!r}: |tau| = {abs(tau.value)} exceeds {kind} {bound}")
+            if s is not None and abs(s.value) > 2 * bound:
                 raise ValueError(
-                    f"{self.name!r}: slice genus bound {g4.upper} exceeds "
-                    f"genus {self.declared_genus.value}"
-                )
-        if self.declared_tau is not None and g4.upper is not None:
-            if abs(self.declared_tau.value) > g4.upper:
-                raise ValueError(
-                    f"{self.name!r}: |tau| = {abs(self.declared_tau.value)} "
-                    f"exceeds slice genus bound {g4.upper}"
-                )
+                    f"{self.name!r}: |s| = {abs(s.value)} exceeds twice the {kind} {bound}")
+        if s is not None and s.value % 2:
+            raise ValueError(f"{self.name!r}: s = {s.value} is odd, and s is even (Rasmussen)")
 
 
 @dataclass(frozen=True)

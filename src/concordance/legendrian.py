@@ -14,11 +14,11 @@ the left edge.  Annular fronts model patterns in a solid torus.
 
 A segment is an arc of the front from a cusp or the seam to the next
 cusp or the seam: it keeps one horizontal direction, and a crossing does
-not cut it.  Orientations are propagated from the marked direction of
-segment 0 (east = rightward).  Over/under data at crossings is not
+not cut it.  Its direction is a sign, s = +1 east (rightward) and -1
+west, found by walking each closed curve once from segment 0, whose
+direction the front marks.  Over/under data at crossings is not
 recorded: the crossing sign, the cusp up/down classification, and hence
-tb and rot depend only on the horizontal directions of the strands
-involved:
+tb and rot depend only on the signs of the strands involved:
 
   * a crossing is positive exactly when its two strands point in the
     same horizontal direction;
@@ -29,8 +29,8 @@ From these, tb = writhe - (#cusps)/2 and rot = (#downward left cusps)
 - (#upward right cusps).  A cable (`cable_front`, `satellite_front`)
 turns a crossing into n^2 crossings, a run in which a bundle of strands U
 passes a bundle L; the sweep takes such a run as one move.  Each pair
-(u, l) crosses once, so with s = +1 east and -1 west the run adds
-(sum of s over U) * (sum of s over L) to the writhe.  The slice-Bennequin inequality and its
+(u, l) crosses once, so the run adds (sum of s over U) * (sum of s over L)
+to the writhe.  The slice-Bennequin inequality and its
 refinements through tau and s turn (tb, rot) of a front into lower
 bounds for the smooth four-genus; `satellite_genus_pipeline` chains
 stabilization, the satellite formulas of Ng, and those bounds.
@@ -115,9 +115,10 @@ class FrontDiagram:
     """An oriented front, validated and analyzed at construction.
 
     Segments, the arcs between cusps or the seam, are numbered in sweep
-    order: seam strand j is segment j, and each left cusp starts two,
-    upper then lower.  A crossing only swaps two segments on the stack,
-    a bundle move of a cable (see _sweep) two adjacent runs of them.
+    order: seam strand j is segment j, and the i-th left cusp starts
+    seam + 2i (upper) and seam + 2i + 1, so no left cusp is recorded.  A
+    crossing only swaps two segments on the stack, a bundle move of a
+    cable (see _sweep) two adjacent runs of them.
 
     Parameters
     ----------
@@ -160,9 +161,9 @@ class FrontDiagram:
         any error of a move, __init__ sweeps the events for their error."""
         positions = list(range(self.seam_strands))
         next_id = self.seam_strands
-        cusps = []       # (side, upper_seg, lower_seg)
-        crossings = []   # (upper_seg, lower_seg)
-        bundles = []     # (upper_segs, lower_segs)
+        right_cusps = []  # (upper_seg, lower_seg)
+        crossings = []    # (upper_seg, lower_seg)
+        bundles = []      # (upper_segs, lower_segs)
         try:
             for n, (kind, pos) in enumerate(moves):
                 if type(pos) is not int and not is_int(pos):
@@ -177,12 +178,11 @@ class FrontDiagram:
                     if pos > len(positions):
                         raise FrontError(f"position beyond {len(positions)} strands")
                     positions[pos:pos] = [next_id, next_id + 1]
-                    cusps.append((LEFT_CUSP, next_id, next_id + 1))
                     next_id += 2
                 elif kind == RIGHT_CUSP:
                     upper, lower = positions[pos], positions[pos + 1]
                     del positions[pos:pos + 2]
-                    cusps.append((RIGHT_CUSP, upper, lower))
+                    right_cusps.append((upper, lower))
                 elif type(kind) is _Bundle:
                     a, b = kind
                     upper, lower = positions[pos:pos + a], positions[pos + a:pos + a + b]
@@ -197,41 +197,45 @@ class FrontDiagram:
                 exc = f"needs two strands at {pos}, have {len(positions)}"
             raise FrontError(f"event {n} ({kind} {pos}): {exc}") from None
         self._segment_count = next_id
-        self._cusps = cusps
+        self._right_cusps = right_cusps
         self._crossings = crossings
         self._bundles = bundles
         self._right_edge = tuple(positions)
         self.is_closed = len(positions) == self.seam_strands
 
     def _orient_components(self):
-        # a cusp joins two segments of opposite directions; the seam glues
-        # right-edge position j to seam strand j in the same direction
-        adjacency = [[] for _ in range(self._segment_count)]
-        links = [(upper, lower, True) for _, upper, lower in self._cusps]
-        links += [(j, seg, False) for j, seg in enumerate(self._right_edge)]
-        for a, b, flip in links:
-            adjacency[a].append((b, flip))
-            adjacency[b].append((a, flip))
-        dirs = [None] * self._segment_count
-        components = 0
-        for start in range(self._segment_count):
-            if dirs[start] is not None:
+        """Walk each closed curve once, signing its segments: an east one
+        leaves by its right end, a west one by its left end.  A right cusp,
+        or the i-th left cusp (segments seam + 2i and seam + 2i + 1), names
+        the next segment and flips the sign; the seam glues right-edge
+        position j to seam strand j and keeps it.  Segment 0 starts with
+        the sign of orient, each further curve its lowest segment with +1."""
+        seam, edge, count = self.seam_strands, self._right_edge, self._segment_count
+        across = [None] * count  # the other branch of a segment's right cusp
+        for upper, lower in self._right_cusps:
+            across[upper], across[lower] = lower, upper
+        glued = dict(zip(edge, range(seam)))  # right-edge segment -> seam strand
+        signs, components = [0] * count, 0
+        for start in range(count):
+            if signs[start]:
                 continue
             components += 1
-            dirs[start] = self.orient if start == 0 else EAST
-            stack = [start]
-            while stack:
-                seg = stack.pop()
-                for other, flip in adjacency[seg]:
-                    want = _flip(dirs[seg]) if flip else dirs[seg]
-                    if dirs[other] is None:
-                        dirs[other] = want
-                        stack.append(other)
-                    elif dirs[other] != want:
-                        # cusps alternate left and right along a closed
-                        # curve, so 2-coloring never conflicts
-                        raise RuntimeError(f"segments {seg} and {other} get opposite orientations")
-        self._dirs = dirs
+            seg, s = start, -1 if start == 0 and self.orient == WEST else 1
+            while True:
+                signs[seg] = s
+                if s > 0:
+                    nxt, t = (glued[seg], s) if seg in glued else (across[seg], -s)
+                elif seg < seam:
+                    nxt, t = edge[seg], s
+                else:
+                    nxt, t = seam + ((seg - seam) ^ 1), -s
+                if signs[nxt]:
+                    break
+                seg, s = nxt, t
+            if signs[nxt] != t:
+                # a closed curve's walk comes back with the sign it left
+                raise RuntimeError(f"segments {seg} and {nxt} get opposite orientations")
+        self._signs = signs
         self._components = components
 
     @property
@@ -249,9 +253,7 @@ class FrontDiagram:
     def winding(self):
         """Net signed count of seam strands (eastward minus westward)."""
         self._require_closed()
-        return sum(
-            1 if self._dirs[j] == EAST else -1 for j in range(self.seam_strands)
-        )
+        return sum(self._signs[:self.seam_strands])
 
     def invariants(self):
         """Compute (tb, rot) and the raw counts behind them.
@@ -268,14 +270,12 @@ class FrontDiagram:
             raise MultiComponent(
                 f"front has {self._components} components, expected 1"
             )
-        dirs = self._dirs
-        s = [1 if d == EAST else -1 for d in dirs]
+        s, seam = self._signs, self.seam_strands
         writhe = sum([s[u] * s[l] for u, l in self._crossings]) + sum([
             sum(map(s.__getitem__, U)) * sum(map(s.__getitem__, L)) for U, L in self._bundles])
-        # the sides of the cusps whose upper branch points west
-        west = [side for side, upper, _ in self._cusps if dirs[upper] == WEST]
-        down_left, up_right = west.count(LEFT_CUSP), west.count(RIGHT_CUSP)
-        cusps = len(self._cusps)
+        down_left = s[seam::2].count(-1)  # the left cusps' upper branches
+        up_right = [s[upper] for upper, _ in self._right_cusps].count(-1)
+        cusps = (len(s) - seam) // 2 + len(self._right_cusps)
         if cusps % 2:
             raise ArithmeticError(f"a closed front has {cusps} cusps, an odd count")
         tb = writhe - cusps // 2
@@ -290,10 +290,6 @@ class FrontDiagram:
             f"FrontDiagram({len(self.events)} events, "
             f"seam={self.seam_strands}, {closure})"
         )
-
-
-def _flip(direction):
-    return WEST if direction == EAST else EAST
 
 
 def front_from_text(text):

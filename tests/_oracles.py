@@ -328,9 +328,10 @@ class _ReferenceFront(FrontDiagram):
     """A front analyzed by the library's earlier sweep: the event copy of
     `__init__`, `_sweep`, `_orient_components` and `invariants` as they
     stood before the sweep tested positions by type, crossings first and
-    bounds by the IndexError of the read.  The rest (winding, component
-    count, the closure check) is the library's.  The library must give
-    the same events, results, exceptions and messages."""
+    bounds by the IndexError of the read, and `winding` as it stood while
+    directions were the strings "E" and "W".  The rest (component count,
+    the closure check) is the library's.  The library must give the same
+    events, results, exceptions and messages."""
 
     def __init__(self, events, seam_strands=0, orient=EAST):
         if not is_int(seam_strands) or seam_strands < 0:
@@ -412,6 +413,13 @@ class _ReferenceFront(FrontDiagram):
                         raise RuntimeError(f"segments {seg} and {other} get opposite orientations")
         self._dirs = dirs
         self._components = components
+
+    def winding(self):
+        """Net signed count of seam strands (eastward minus westward)."""
+        self._require_closed()
+        return sum(
+            1 if self._dirs[j] == EAST else -1 for j in range(self.seam_strands)
+        )
 
     def invariants(self):
         """Compute (tb, rot) and the raw counts behind them.

@@ -1,6 +1,7 @@
 """Cable transforms and the rational-concordance obstruction reports."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -242,6 +243,24 @@ class TestKnotProfile:
                 declared_tau=Cited(2, "x"),
                 declared_slice_genus=CitedBounds(1, 1, "x"),
             )
+        # |tau| <= g4 <= g and |s| <= 2 g4, g4 read as its upper bound; s is even
+        genus = {"declared_genus": Cited(1, "x")}
+        g4 = {"declared_slice_genus": CitedBounds(0, 1, "x")}
+        for declared, message in [
+            ({**genus, "declared_tau": Cited(3, "x"), "declared_s": Cited(9, "x")},
+             "'bad': |tau| = 3 exceeds genus 1"),
+            ({**genus, "declared_tau": Cited(-2, "x")}, "'bad': |tau| = 2 exceeds genus 1"),
+            ({**genus, "declared_s": Cited(4, "x")}, "'bad': |s| = 4 exceeds twice the genus 1"),
+            ({**g4, "declared_s": Cited(-4, "x")},
+             "'bad': |s| = 4 exceeds twice the slice genus bound 1"),
+            ({"declared_s": Cited(3, "x")}, "'bad': s = 3 is odd"),
+            ({**genus, "declared_s": Cited(1, "x")}, "'bad': s = 1 is odd"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                KnotProfile("bad", seifert=TREFOIL, **declared)
+        # the trefoil's own values meet every bound
+        KnotProfile("ok", seifert=TREFOIL, **genus, **g4,
+                    declared_tau=Cited(1, "x"), declared_s=Cited(2, "x"))
 
     def test_name_required(self):
         with pytest.raises(ValueError, match="name"):

@@ -679,6 +679,19 @@ class TestExitCodes:
                 "of 'k' is not an Alexander polynomial: |delta(1)| = 0, not 1\n",
             )
 
+    def test_contradictory_declared_values_are_two(self, capsys, tmp_path):
+        # the trefoil's matrix with genus 1, tau 3 and s 9: |tau| <= g and
+        # |s| <= 2g rule the entry out at load
+        cited = [{"value": v, "citation": "c"} for v in (1, 3, 9)]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{
+            "name": "k", "seifert_matrix": [[-1, 1], [0, -1]],
+            **dict(zip(("genus", "tau", "s"), cited)),
+        }]))
+        assert run_cli(capsys, "--catalog", str(path), "verdict", "k", "--cable", "2") == (
+            2, "", "error: entry 'k': 'k': |tau| = 3 exceeds genus 1\n",
+        )
+
     def test_declared_alexander_is_stored_balanced(self, capsys, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps([{"name": "k", "alexander": "t^2 - t + 1"}]))

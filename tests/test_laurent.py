@@ -5,6 +5,7 @@ brute-force witness search (degree <= 4, coefficients in [-5, 5]) on a
 fixed-seed corpus of products, per the acceptance contract.
 """
 
+import dataclasses
 import enum
 import random
 from fractions import Fraction
@@ -390,7 +391,13 @@ def test_factor_matches_whole_product_route():
     misses = laurent._primitive_factors.cache_info().misses
     unit = LaurentPoly({5: -3})
     assert [a for a, f in zip(cases, expected) if factor(a) != f] == []
-    assert [a for a in cases if factor(unit * a) != sympy_factor(unit * a)] == []
+    # unit * a = -3 t^5 * a: the sign flips, the content triples, the power
+    # grows by 5 and the factors stay
+    unit_expected = [
+        dataclasses.replace(f, sign=-f.sign, content=3 * f.content, power=f.power + 5)
+        for f in expected
+    ]
+    assert [a for a, f in zip(cases, unit_expected) if factor(unit * a) != f] == []
     assert laurent._primitive_factors.cache_info().misses == misses
 
 

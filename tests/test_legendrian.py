@@ -681,6 +681,29 @@ BUNDLED = {
 }
 
 
+def test_reversing_the_orientation_negates_winding_and_rot():
+    """Rebuilt with the other orient, each bundled front and 200 seeded
+    one-component patterns keep tb, writhe and the cusp count, and
+    negate winding and rot."""
+    rng = random.Random(29)
+    fronts = list(BUNDLED.values())
+    while len(fronts) < len(BUNDLED) + 200:
+        n = rng.randint(1, 4)
+        front = FrontDiagram(_random_pattern(rng, n, rng.randint(0, 12)), seam_strands=n)
+        if front.is_closed and front.component_count == 1:
+            fronts.append(front)
+    reversed_ = {}
+    for front in fronts:
+        back = FrontDiagram(front.events, front.seam_strands, "W" if front.orient == "E" else "E")
+        inv, rev = front.invariants(), back.invariants()
+        assert (rev.tb, rev.writhe, rev.cusps) == (inv.tb, inv.writhe, inv.cusps)
+        assert (back.winding(), rev.rot) == (-front.winding(), -inv.rot)
+        reversed_[front] = back.winding(), rev.rot
+    assert reversed_[TREFOIL_FRONT][1] == -1 and reversed_[PATTERN_FRONT][0] == -1
+    assert sum(rot != 0 for _, rot in reversed_.values()) >= 50
+    assert sum(w != 0 for w, _ in reversed_.values()) >= 50
+
+
 def front_digest_cases():
     """Fronts by name: the n-copy cable of every bundled front and the
     satellite of every closed one with the twist pattern, n = 1..14; then
