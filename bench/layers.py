@@ -15,6 +15,9 @@ itself; each is timed COUNT times over.  The signature layers
 `signature_function`) take COUNT scrambled sums of genus g
 (`random_knot`), drawn from a fresh `random.Random(SEED)`; each call
 builds a fresh `SeifertMatrix`, since delta is cached on the matrix.
+The constructor layer (`SeifertMatrix`, whose det(V - V^T) check is the
+second caller of the determinant) takes the same matrices and times the
+constructor alone.
 The polynomial layers take delta of the same knots, computed before
 timing: `factor` takes delta(t^6), and `isolate_roots` takes the trace
 polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
@@ -177,6 +180,9 @@ def layers():
             lambda n: [n] * COUNT,
             list(range(2, 15)),
             "n-copy cables of the satellite-P-of-trefoil front",
+        ),
+        "seifert.SeifertMatrix": (
+            SeifertMatrix, knots, list(range(1, 9)), "perfbench/families.random_knot",
         ),
         **{
             name: (fresh(fn), knots, list(range(1, 9)), "perfbench/families.random_knot")

@@ -168,12 +168,16 @@ class KnotProfile:
 
     def _check_bounds(self):
         """|tau| <= g4 <= g (Ozsvath-Szabo), |s| <= 2 g4 and s even
-        (Rasmussen), with g4 read as its declared upper bound."""
+        (Rasmussen), with g4 read as its declared upper bound; neither
+        side of the declared slice genus may exceed the genus."""
         tau, s = self.declared_tau, self.declared_s
         g = None if self.declared_genus is None else self.declared_genus.value
-        g4 = None if self.declared_slice_genus is None else self.declared_slice_genus.upper
-        if g4 is not None and g is not None and g4 > g:
-            raise ValueError(f"{self.name!r}: slice genus bound {g4} exceeds genus {g}")
+        bounds = self.declared_slice_genus
+        g4 = None if bounds is None else bounds.upper
+        if bounds is not None and g is not None:
+            for side, kind in ((g4, "bound"), (bounds.lower, "lower bound")):
+                if side is not None and side > g:
+                    raise ValueError(f"{self.name!r}: slice genus {kind} {side} exceeds genus {g}")
         for bound, kind in ((g4, "slice genus bound"), (g, "genus")):
             if bound is None:
                 continue

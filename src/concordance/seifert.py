@@ -84,7 +84,7 @@ class SeifertMatrix:
                     raise ValueError("Seifert matrix must be square")
                 if not all_int(row):
                     raise TypeError("Seifert matrix entries must be integers")
-        skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+        skew = [[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
         if abs(_int_det(skew)) != 1:
             raise ValueError("|det(V - V^T)| must be 1")
         # an odd-size integer skew form has det 0, so n is forced even
@@ -122,28 +122,29 @@ class SeifertMatrix:
 
 
 def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant, fraction-free Bareiss elimination."""
+    """Exact integer determinant, fraction-free Bareiss elimination, in
+    place: ``rows`` is overwritten, so each caller passes rows it built.
+    The column below a pivot is never read again and is left as it is."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        top = rows[k]
+        p = top[k]
+        if not p:
             for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
+                if rows[r][k]:
+                    top, rows[r] = rows[r], top
+                    rows[k], p, sign = top, top[k], -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        cols = range(k + 1, n)
+        for row in rows[k + 1:]:
+            a = row[k]
+            for j in cols:
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return sign * rows[-1][-1] if n else 1
 
 
 def block_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:
@@ -340,9 +341,9 @@ def _hermitian_signature(R: list[list[int]], I: list[list[int]]) -> tuple[int, i
 
 def _forms(v: SeifertMatrix) -> tuple[list[list[int]], list[list[int]]]:
     """A = V + V^T and S = V - V^T."""
-    e, n = v.entries, v.size
-    A = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
-    S = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
+    pairs = list(zip(v.entries, zip(*v.entries)))
+    A = [[a + b for a, b in zip(row, col)] for row, col in pairs]
+    S = [[a - b for a, b in zip(row, col)] for row, col in pairs]
     return A, S
 
 

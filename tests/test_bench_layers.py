@@ -21,8 +21,9 @@ def test_layers_script_writes_its_keys(tmp_path):
     }
     assert set(report["layers"]) == {
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
-        "legendrian.cable_front", "seifert.alexander", "seifert.levine_tristram",
-        "seifert.signature_function", "laurent.factor", "realroots.isolate_roots",
+        "legendrian.cable_front", "seifert.SeifertMatrix", "seifert.alexander",
+        "seifert.levine_tristram", "seifert.signature_function", "laurent.factor",
+        "realroots.isolate_roots",
     }
     assert set(report["layers_scaled"]) == set(report["layers"])
     for name, medians in report["layers"].items():

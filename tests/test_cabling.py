@@ -254,6 +254,11 @@ class TestKnotProfile:
             ({**g4, "declared_s": Cited(-4, "x")},
              "'bad': |s| = 4 exceeds twice the slice genus bound 1"),
             ({"declared_s": Cited(3, "x")}, "'bad': s = 3 is odd"),
+            # g4 <= g bounds the lower side too, declared alone or with the upper
+            ({**genus, "declared_slice_genus": CitedBounds(3, None, "x")},
+             "'bad': slice genus lower bound 3 exceeds genus 1"),
+            ({**genus, "declared_slice_genus": CitedBounds(2, 2, "x")},
+             "'bad': slice genus bound 2 exceeds genus 1"),
             ({**genus, "declared_s": Cited(1, "x")}, "'bad': s = 1 is odd"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -261,6 +266,7 @@ class TestKnotProfile:
         # the trefoil's own values meet every bound
         KnotProfile("ok", seifert=TREFOIL, **genus, **g4,
                     declared_tau=Cited(1, "x"), declared_s=Cited(2, "x"))
+        KnotProfile("ok", seifert=TREFOIL, **genus, declared_slice_genus=CitedBounds(1, None, "x"))
 
     def test_name_required(self):
         with pytest.raises(ValueError, match="name"):

@@ -692,6 +692,19 @@ class TestExitCodes:
             2, "", "error: entry 'k': 'k': |tau| = 3 exceeds genus 1\n",
         )
 
+    def test_slice_genus_lower_bound_above_the_genus_is_two(self, capsys, tmp_path):
+        # g4 <= g: a declared lower bound 3 on the trefoil's matrix with
+        # genus 1 rules the entry out at load, with no upper bound declared
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{
+            "name": "k", "seifert_matrix": [[-1, 1], [0, -1]],
+            "genus": {"value": 1, "citation": "c"},
+            "slice_genus": {"lower": 3, "citation": "c"},
+        }]))
+        assert run_cli(capsys, "--catalog", str(path), "alexander", "k") == (
+            2, "", "error: entry 'k': 'k': slice genus lower bound 3 exceeds genus 1\n",
+        )
+
     def test_declared_alexander_is_stored_balanced(self, capsys, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps([{"name": "k", "alexander": "t^2 - t + 1"}]))

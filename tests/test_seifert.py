@@ -1,13 +1,26 @@
 """Seifert-matrix invariants: frozen small-knot values, a numpy
-eigenvalue oracle, and the algebraic symmetries of signatures."""
+eigenvalue oracle, and the algebraic symmetries of signatures.
+
+The printed Alexander polynomial and the signature jumps of a fixed set
+of seeded and catalog matrices are pinned in
+``data/alexander_digests.json``.  An intended change to them regenerates
+the file:
+
+    PYTHONPATH=src python tests/test_seifert.py
+"""
 
 import dataclasses
+import json
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 import concordance.seifert as seifert_module
 from _oracles import (
@@ -20,6 +33,7 @@ from _oracles import (
     sympy_alexander,
 )
 
+from concordance.catalog import load_catalog
 from concordance.cyclotomic import trace_polynomial, v_polys
 from concordance.laurent import LaurentPoly, doteq
 from concordance.realroots import poly_eval
@@ -57,6 +71,69 @@ def test_construction_validates():
         SeifertMatrix([[True, 1], [0, 1]])
     assert TREFOIL.genus == 1 and UNKNOT.genus == 0
     assert TREFOIL.entries[0][1] == 1
+
+
+def test_construction_rejects_a_skew_form_that_is_not_unimodular():
+    # det(V - V^T) = Pf(V - V^T)^2 is a square, so |det| = 2 cannot occur:
+    # 0 (a zero form, an odd size) and 4 and 9 (Pfaffian 2 and 3) are refused
+    for rows in ([[0, 0], [0, 0]], [[1, 1], [1, 1]], [[1, 0, 0], [1, 1, 0], [0, 2, 1]],
+                 [[0, 2], [0, 0]], [[1, 0], [3, 1]]):
+        with pytest.raises(ValueError, match=re.escape("|det(V - V^T)| must be 1")):
+            SeifertMatrix(rows)
+
+
+def test_construction_leaves_the_callers_rows_unchanged():
+    rng = random.Random(30)
+    for genus in range(1, 6):
+        rows = [list(row) for row in families.random_knot(rng, genus, density=4).seifert()]
+        before = [row[:] for row in rows]
+        v = SeifertMatrix(rows)
+        alexander(v), signature_function(v)
+        assert rows == before
+        assert v.entries == tuple(map(tuple, before))
+
+
+def _det_cases():
+    """Square integer matrices of size 0-10: dense and sparse, then with a
+    zero leading entry (a row swap at the first step), then singular (a
+    zero column, or a last row that is the sum of two others)."""
+    rng = random.Random(31)
+    for n in range(11):
+        for _ in range(4):
+            yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            yield [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        if n < 2:
+            continue
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m[0][0] = 0
+        yield m
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        for row in m:
+            row[rng.randrange(n)] = 0
+            row[0] = 0
+        m[-1][0] = 1
+        yield m
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for row in m:
+            row[n // 2] = 0
+        yield m
+        if n > 2:
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+            m.append([a + b for a, b in zip(m[0], m[1])])
+            yield m
+
+
+def test_int_det_matches_sympy():
+    cases = list(_det_cases())
+    dets = []
+    for m in cases:
+        expected = int(DomainMatrix.from_list(m, sympy.ZZ).det()) if m else 1
+        dets.append(expected)
+        assert seifert_module._int_det([row[:] for row in m]) == expected, m
+    # the cases reach the swap with its sign flip and both ways to 0
+    assert any(m and m[0][0] == 0 and d for m, d in zip(cases, dets))
+    assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
+    assert sum(d == 0 for d in dets) >= 20
 
 
 class _Int(int):
@@ -697,3 +774,42 @@ def test_warm_entries_are_unchanged_by_their_users():
     after = [seifert_module._circle_arcs(f._delta) for f in (sig, pb)]
     assert all(a is b for a, b in zip(after, entries))
     assert [fields(entry) for entry in after] == before
+
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "alexander_digests.json"
+
+
+def digest_cases():
+    """Seifert matrices by name: three scrambled sums (``random_knot``) at
+    each genus 0-8 and density 1 and 4, then every catalog matrix, each
+    rebuilt so that its delta is computed afresh."""
+    rng = random.Random(20261019)
+    for genus in range(9):
+        for density in (1, 4):
+            for i in range(3):
+                knot = families.random_knot(rng, genus, density=density)
+                yield f"genus {genus} density {density} #{i}", knot.seifert()
+    for entry in load_catalog():
+        if entry.profile is not None and entry.profile.seifert is not None:
+            yield f"catalog {entry.name}", entry.profile.seifert.entries
+
+
+def record_alexander_digests():
+    """Each case's printed delta and its signature function's jumps
+    (approximate angle, height)."""
+    digests = {}
+    for name, rows in digest_cases():
+        v = SeifertMatrix(rows)
+        digests[name] = [str(alexander(v)), signature_function(v).jumps()]
+    return digests
+
+
+def test_alexander_matches_the_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    got = json.loads(json.dumps(record_alexander_digests()))
+    assert list(got) == list(recorded)
+    assert [name for name in got if got[name] != recorded[name]] == []
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(record_alexander_digests(), indent=1) + "\n")
