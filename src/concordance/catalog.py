@@ -97,9 +97,6 @@ class Catalog:
     def __len__(self):
         return len(self.entries)
 
-    def names(self):
-        return [entry.name for entry in self.entries]
-
     def entry(self, name) -> CatalogEntry:
         return _lookup(self._by_name, name, "catalog entry", sort=False)
 

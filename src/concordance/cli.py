@@ -424,14 +424,6 @@ def _context(args):
     return " ".join(words)
 
 
-def report(command, argv=(), catalog=None):
-    """Run one subcommand programmatically; returns the report dict."""
-    args = build_parser().parse_args([command, *argv])
-    if catalog is None:
-        catalog = load_catalog(args.catalog)
-    return args.handler(catalog, args)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -7,6 +7,9 @@ acting on the current stack of strands (position 0 on top):
     ("R", i)  right cusp merging the strands at positions i, i+1
     ("X", i)  crossing swapping the strands at positions i, i+1
 
+The catalog stores each front as a text file of these events, which
+`front_from_text` reads; the library writes no front file.
+
 A closed front starts and ends with zero strands.  A front with
 ``seam_strands = n > 0`` lives in an annulus: it starts and ends with n
 strands, and position j on the right edge is glued back to position j on
@@ -49,9 +52,9 @@ from .laurent import is_int
 __all__ = [
     "FrontDiagram", "FrontError", "GenusBounds", "HypothesisNotMet",
     "LegendrianInvariants", "MultiComponent", "NonClosed", "PatternData",
-    "SatelliteGenusReport", "cable_front", "front_from_text", "front_to_text",
-    "genus_bounds", "satellite_front", "satellite_genus_pipeline",
-    "satellite_invariants", "stabilize",
+    "SatelliteGenusReport", "cable_front", "front_from_text", "genus_bounds",
+    "satellite_front", "satellite_genus_pipeline", "satellite_invariants",
+    "stabilize",
 ]
 
 EAST = "E"
@@ -293,7 +296,7 @@ class FrontDiagram:
 
 
 def front_from_text(text):
-    """Parse the front file format.
+    """Parse the front file format of the catalog (the library writes none).
 
     One record per line: `S n` (seam strand count), `O E|W` (direction of
     segment 0), and events `L i`, `R i`, `X i`.  `#` starts a comment.
@@ -332,16 +335,6 @@ def _parse_int(value, lineno):
         return int(value)
     except ValueError:
         raise FrontError(f"line {lineno}: expected an integer, got {value!r}") from None
-
-
-def front_to_text(front):
-    """Serialize a front; round-trips through front_from_text."""
-    lines = []
-    if front.seam_strands:
-        lines.append(f"S {front.seam_strands}")
-    lines.append(f"O {front.orient}")
-    lines.extend(f"{kind} {pos}" for kind, pos in front.events)
-    return "\n".join(lines) + "\n"
 
 
 def _cable_templates(n):

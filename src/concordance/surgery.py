@@ -33,7 +33,7 @@ from .laurent import all_int, is_int
 __all__ = [
     "AbelianGroupDescription", "ClassMismatch", "MeridianCheck", "SurgeryPresentation",
     "cobordism_meridian_check", "first_homology", "localize", "presentation_from_text",
-    "presentation_to_text", "satellite_cobordism_presentation", "smith_normal_form",
+    "satellite_cobordism_presentation", "smith_normal_form",
 ]
 
 
@@ -419,7 +419,8 @@ def satellite_cobordism_presentation(p):
 
 
 def presentation_from_text(text):
-    """Parse the presentation file format.
+    """Parse the presentation file format of the catalog (the library
+    writes none).
 
     `M n` starts an n x n matrix given on the following n lines; `C name
     v1 .. vn` declares a tracked class.  `#` starts a comment.
@@ -472,13 +473,3 @@ def presentation_from_text(text):
     if matrix is None:
         raise ValueError("no matrix block (M n) found")
     return SurgeryPresentation(matrix, classes)
-
-
-def presentation_to_text(presentation):
-    """Serialize a presentation; round-trips through presentation_from_text."""
-    lines = [f"M {presentation.size}"]
-    lines.extend(" ".join(str(x) for x in row) for row in presentation.matrix)
-    for label in sorted(presentation.classes):
-        coords = " ".join(str(x) for x in presentation.classes[label])
-        lines.append(f"C {label} {coords}".rstrip())
-    return "\n".join(lines) + "\n"

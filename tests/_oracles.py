@@ -324,6 +324,17 @@ def reference_first_homology(presentation):
     )
 
 
+def presentation_to_text(presentation):
+    """The presentation file of `presentation`: the round-trip oracle of
+    `presentation_from_text`, since the library writes no such file."""
+    lines = [f"M {presentation.size}"]
+    lines.extend(" ".join(str(x) for x in row) for row in presentation.matrix)
+    for label in sorted(presentation.classes):
+        coords = " ".join(str(x) for x in presentation.classes[label])
+        lines.append(f"C {label} {coords}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
 class _ReferenceFront(FrontDiagram):
     """A front analyzed by the library's earlier sweep: the event copy of
     `__init__`, `_sweep`, `_orient_components` and `invariants` as they
@@ -494,6 +505,17 @@ def reference_satellite_events(companion_events, pattern_events, splice_after, b
     blocks = [_cable_block(event, n) for event in companion_events]
     blocks.insert(splice_after, [(kind, pos + base) for kind, pos in pattern_events])
     return [e for block in blocks for e in block]
+
+
+def front_to_text(front):
+    """The front file of `front`: the round-trip oracle of
+    `front_from_text`, since the library writes no such file."""
+    lines = []
+    if front.seam_strands:
+        lines.append(f"S {front.seam_strands}")
+    lines.append(f"O {front.orient}")
+    lines.extend(f"{kind} {pos}" for kind, pos in front.events)
+    return "\n".join(lines) + "\n"
 
 
 def cyclotomic_levine_tristram(v, a, b):

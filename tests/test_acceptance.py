@@ -20,7 +20,6 @@ from concordance.cabling import (
     fox_milnor_obstruction,
     profile_signature,
     rational_concordance_verdict,
-    tau_cable_rule,
 )
 from concordance.catalog import load_catalog
 from concordance.laurent import LaurentPoly, doteq, factor
@@ -167,9 +166,7 @@ def test_criterion_6_whitehead_double_verdict():
     def body():
         double = CATALOG.profile("whitehead-double-RH-trefoil")
         for p in (2, 3, 4, 5, 7):
-            verdict = rational_concordance_verdict(
-                double, tau_cable_rule(double, p)
-            )
+            verdict = rational_concordance_verdict(double, cable_profile(double, p))
             assert verdict.verdict == "obstructed", p
             assert verdict.category == "smooth", p
             tau = next(

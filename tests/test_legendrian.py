@@ -13,6 +13,7 @@ import random
 import pytest
 from _oracles import (
     front_alexander,
+    front_to_text,
     reference_cable_events,
     reference_front_sweep,
     reference_satellite_events,
@@ -31,7 +32,6 @@ from concordance.legendrian import (
     PatternData,
     cable_front,
     front_from_text,
-    front_to_text,
     genus_bounds,
     satellite_front,
     satellite_genus_pipeline,

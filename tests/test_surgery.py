@@ -16,7 +16,13 @@ from importlib import resources
 import pytest
 import sympy
 
-from _oracles import assert_valid_snf, families, reference_first_homology, reference_smith_normal_form
+from _oracles import (
+    assert_valid_snf,
+    families,
+    presentation_to_text,
+    reference_first_homology,
+    reference_smith_normal_form,
+)
 
 from concordance.surgery import (
     AbelianGroupDescription,
@@ -27,7 +33,6 @@ from concordance.surgery import (
     first_homology,
     localize,
     presentation_from_text,
-    presentation_to_text,
     satellite_cobordism_presentation,
     smith_normal_form,
 )
