@@ -40,7 +40,8 @@ UNREACHED = {
     "legendrian.satellite_front":
         "perfbench's diagram-homology and bench/layers.py build fronts with it",
     "surgery.smith_normal_form":
-        "perfbench's diagram-homology calls it and its tracer targets it",
+        "perfbench's diagram-homology calls it and its tracer targets it "
+        "(first_homology never forms U and V)",
     "seifert.block_sum":
         "the tests build connected sums with it",
     "seifert.mirror":
