@@ -5,11 +5,15 @@ the diagonal) together with named classes written in the meridian basis.
 First homology of the presented manifold is the cokernel of the matrix,
 read off an exact Smith normal form, so named classes can be followed
 into the canonical decomposition Z^rank + Z/d_1 + ... + Z/d_k
-(d_1 | d_2 | ...).  One elimination serves both public routes: it runs on
-a working matrix whose first m rows are [M | B], and every choice it
-makes reads only M's columns.  `smith_normal_form` puts I_m in B (and
-I_n below) to build U (and V); `first_homology` puts the class vectors
-in B, so B ends as their images U*v without U ever being formed.
+(d_1 | d_2 | ...).  One elimination serves both public routes: it runs
+on the rows [M | B] and on V kept as a list of its columns, and every
+choice it makes reads only M's columns.  `smith_normal_form` puts I_m in
+B and I_n in V to build U and V; `first_homology` puts the class vectors
+in B and leaves V's columns empty, so B ends as their images U*v without
+U or V ever being formed.  The pivot search keeps each row's smallest
+nonzero |entry| until a row operation changes the row: column
+operations change only the pivot row and V, and column swaps permute
+the entries it is taken over (`_eliminate`).
 One rule writes a class's coordinates: reduce each mod its modulus (0 for
 a free one) and drop those of modulus 1.  The Smith diagonal reads units,
 the torsion chain, zeros, and inverting p keeps that order.
@@ -49,83 +53,82 @@ class ClassMismatch(ValueError):
         self.residual = residual
 
 
-def _find_pivot(W, t, m, n):
-    """(|entry|, i, j) of the smallest nonzero entry in W[t:m][t:n], ties
-    row-major; None when that block is zero.
-
-    Rows are scanned in order, each by one `min` over its nonzero
-    absolute values; a later row replaces the best only with a strictly
-    smaller value, and the scan stops at the first row whose minimum is 1,
-    since no entry is smaller.  The column is the first in the best row
-    that holds the minimum.  So the pivot is the row-major minimum of
-    (|entry|, i, j), and the pivot sequence does not depend on the scan.
-    """
-    best = None
-    for i in range(t, m):
-        low = min(map(abs, filter(None, W[i][t:n])), default=0)
-        if low and (best is None or low < best[0]):
-            best = low, i
-            if low == 1:
-                break
-    if best is None:
-        return None
-    low, i = best
-    return low, i, next(j for j in range(t, n) if abs(W[i][j]) == low)
-
-
 def _eliminate(M, B, V):
     """The Smith elimination of the m x n integer matrix M, carrying B
-    and V along; returns the first m rows of the working matrix, [D | U*B].
+    and V along; returns the working rows, [D | U*B].
 
-    The working matrix W has [M | B] as its first m rows (B: m rows of
-    any one length) and the rows of V, each of length n, below them.
-    Row operations act on whole rows of [M | B] and column operations on
-    the first n columns, V included; the sign fix negates whole rows.  So
-    B ends as U*B and V as V times the column transform.  The pivot
-    search, the divisibility scan and the choice of which row or column
-    to promote read only the first n columns: whatever B and V hold, the
+    The working rows W are [M | B] (B: m rows of any one length); V is a
+    list of n columns of any one length, changed in place.  Row
+    operations act on whole rows of W, column operations on W's first n
+    columns and on V's columns, and the sign fix negates whole rows of
+    W.  So B ends as U*B and V as V times the column transform.  Every
+    choice reads only W's first n columns: whatever B and V hold, the
     operations, and with them U and D, are those of `smith_normal_form`.
 
-    Six facts spare work without changing a single operation.  The
-    pivot search stops at the first row that holds a unit, since no entry
-    is smaller, and so still finds the row-major minimum (`_find_pivot`).
     Rows t and below are zero left of column t, so `row_i -= q * row_t`
-    changes only the columns where row t is nonzero (its support), and is
-    done there in place: W's first m rows are lists built here.
-    When the row loop at step t is done, column t of the first m rows is
-    zero except at row t: the rows below were just cleared, and a
-    finished pivot row is zero off its diagonal.  So a column operation
-    against column t changes only row t and the rows of V whose column t
-    is nonzero, and a column swap only rows t and below.  The repair
-    `row_t += row_bad` keeps this, because W[bad][t] is 0.  A pivot of
-    +-1 divides everything, so the divisibility scan is skipped; else p
-    divides a row's entries exactly when it divides their gcd, so one
-    `math.gcd` per row finds the same first bad row.
-    M is not checked here; its callers check it (`smith_normal_form`, or
-    `SurgeryPresentation` when it is built).
+    is done in place on the columns where row t is nonzero (its
+    support): W's rows are lists built here.  Three facts spare more
+    work without changing a single operation:
+
+    - a step's column operations change only row t and V (in V, only
+      where column t is nonzero): after the row loop, column t is zero
+      but at row t, since the rows below were just cleared and a
+      finished pivot row is zero off its diagonal, and the repair
+      `row_t += row_bad` adds a row that is 0 in column t;
+    - column swaps permute columns t and right: they change rows t and
+      below, and swap two of V's columns whole;
+    - after each step, the rows below row t are zero in column t.
+
+    So `low[i]`, row i's smallest nonzero |entry| in columns t and right
+    (0 for a zero row), stays exact while row i is unchanged: a column
+    swap permutes the entries it is taken over, and a finished column
+    drops a zero.  A row operation clears it, and a row swap swaps it
+    with its row.  The pivot row's goes stale under the column
+    operations but is never read: later scans start below it, and a
+    promotion swaps it to a row holding the old pivot in column t, which
+    the next pass reduces and so clears.  The pivot scan fills `low`
+    lazily, row by row: a later row wins only with a strictly smaller
+    minimum, a minimum of 1 ends the scan, and the column is the first
+    in the row that holds the minimum, so the pivot is the row-major
+    minimum of (|entry|, i, j).  A pivot of +-1 divides everything, so
+    the divisibility scan is skipped; else p divides a row's entries
+    exactly when it divides their gcd, so one `math.gcd` per row finds
+    the same first bad row.  M is not checked here; its callers check it
+    (`smith_normal_form`, or `SurgeryPresentation` when it is built).
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    W = [list(row) + b for row, b in zip(M, B)] + V
+    W = [list(row) + b for row, b in zip(M, B)]
+    low = [None] * m
 
     def row_swap(i, k):
         W[i], W[k] = W[k], W[i]
+        low[i], low[k] = low[k], low[i]
 
     def col_swap(j, k):
         for row in W[t:]:
             row[j], row[k] = row[k], row[j]
+        V[j], V[k] = V[k], V[j]
 
     for t in range(min(m, n)):
-        pivot = _find_pivot(W, t, m, n)
-        if pivot is None:
+        best = 0
+        for i in range(t, m):
+            least = low[i]
+            if least is None:
+                least = low[i] = min(map(abs, filter(None, W[i][t:n])), default=0)
+            if least and (not best or least < best):
+                best, at = least, i
+                if least == 1:
+                    break
+        if not best:
             break
-        row_swap(t, pivot[1])
-        col_swap(t, pivot[2])
+        row_swap(t, at)
+        col_swap(t, t + [*map(abs, W[t][t:n])].index(best))
         while True:
             top = W[t]
             p = top[t]
             # row_i -= q * row_t, on row t's support only
-            support = [(j, top[j]) for j in itertools.compress(itertools.count(), top)]
+            support = [*zip(itertools.compress(itertools.count(), top), filter(None, top))]
             left = []
             for i in range(t + 1, m):
                 row = W[i]
@@ -133,19 +136,23 @@ def _eliminate(M, B, V):
                     q = row[t] // p
                     for j, x in support:
                         row[j] -= q * x
+                    low[i] = None
                     if row[t]:
                         left.append(i)
             if left:
                 # a remainder smaller than the pivot surfaced; promote it
                 row_swap(t, min(left, key=lambda i: (abs(W[i][t]), i)))
                 continue
-            # col_j -= q * col_t, on the only rows where col_t is nonzero
-            rows = [top, *(row for row in V if row[t])]
+            # col_j -= q * col_t, on row t and on V where column t is nonzero
+            column = V[t]
+            entries = [*zip(itertools.compress(itertools.count(), column), filter(None, column))]
             for j in range(t + 1, n):
                 if top[j]:
                     q = top[j] // p
-                    for row in rows:
-                        row[j] -= q * row[t]
+                    top[j] -= q * p
+                    column = V[j]
+                    for k, x in entries:
+                        column[k] -= q * x
                     if top[j]:
                         left.append(j)
             if left:
@@ -161,7 +168,7 @@ def _eliminate(M, B, V):
     for i in range(min(m, n)):
         if W[i][i] < 0:
             W[i] = [-x for x in W[i]]
-    return W[:m]
+    return W
 
 
 def _identity(k):
@@ -178,10 +185,9 @@ def smith_normal_form(M):
     order) makes the transforms deterministic.
 
     It is the module's one elimination (`_eliminate`), run on [M | I_m]
-    with the n rows of I_n below.  A row operation on the first m rows
-    builds U in the right block, and a column operation on the first n
-    columns builds V in the bottom block; at the end the first m rows are
-    [D | U] and the rest is V.
+    with V = I_n kept as its n columns.  A row operation builds U in the
+    right block and a column operation builds V's columns; at the end
+    the rows are [D | U], and V is transposed once into rows.
 
     Returns (U, D, V) as lists of lists.
     """
@@ -192,7 +198,7 @@ def smith_normal_form(M):
         raise ValueError("matrix entries must be integers")
     V = _identity(n)
     W = _eliminate(M, _identity(len(M)), V)
-    return [row[n:] for row in W], [row[:n] for row in W], V
+    return [row[n:] for row in W], [row[:n] for row in W], list(map(list, zip(*V)))
 
 
 class SurgeryPresentation:
@@ -273,21 +279,23 @@ def first_homology(presentation):
     A class v maps to U * v, written in the Smith basis by `_coordinates`,
     where U is the row transform of `smith_normal_form`.  Here the same
     elimination runs on [M | C], the columns of C being the class vectors,
-    with no V below.  No choice of the elimination reads the right block,
-    so its row operations are those that turn I_m into U, and the block
-    ends as U * C: the images, integer for integer, without U or V.  The
-    presentation was checked when it was built.
+    with V's columns empty, so no V is kept.  No choice of the elimination
+    reads the right block, so its row operations are those that turn I_m
+    into U, and the block ends as U * C: the images, integer for integer,
+    without U or V, read off by one transpose.  The presentation was
+    checked when it was built.
     """
     M = presentation.matrix
-    W = _eliminate(M, [[v[i] for v in presentation.classes.values()] for i in range(len(M))], [])
+    n = len(M)
+    # classes in and images out by one transpose each; that of no classes, or of no rows, is empty
+    C = [*map(list, zip(*presentation.classes.values()))] or [[]] * n
+    W = _eliminate(M, C, [()] * n)
     diag = [row[i] for i, row in enumerate(W)]
+    images = zip(*(row[n:] for row in W)) if n else itertools.repeat(())
     return AbelianGroupDescription(
         rank=diag.count(0),
         torsion=tuple(d for d in diag if d >= 2),
-        images={
-            label: _coordinates([row[len(M) + j] for row in W], diag)
-            for j, label in enumerate(presentation.classes)
-        },
+        images={label: _coordinates(image, diag) for label, image in zip(presentation.classes, images)},
     )
 
 

@@ -175,6 +175,21 @@ def scrambled_blocks(rng):
         yield families.matmul(families.matmul(Q, D), families.transpose(Q))
 
 
+def lone_minimum_cases(rng):
+    """Tall 48 x 12 and wide 12 x 48 matrices of even entries whose last
+    column is zero, but for a lone +-2 in the last row, behind rows whose
+    entries are no smaller.  With no unit anywhere, the first pivot scan
+    passes every row and keeps each row's minimum; no step touches or
+    moves the last row, since its column never becomes the pivot column,
+    and its entry divides every pivot.  So its minimum, kept since the
+    first step, decides a late pivot: the first step at which the other
+    rows hold no +-2 (step 6 to 8 here)."""
+    for m, n in ((48, 12), (12, 48)) * 2:
+        M = [[rng.choice((0, 0, 2, -2, 4, -6)) for _ in range(n - 1)] + [0] for _ in range(m - 1)]
+        M.append([0] * (n - 1) + [rng.choice((2, -2))])
+        yield M
+
+
 def reference_cases():
     """Seeded matrices for the comparison with the reference elimination:
     every m x n shape with m, n <= 9, n = 0 and the empty matrix; pools
@@ -182,7 +197,8 @@ def reference_cases():
     repair run) and with few values (so minima tie across rows and
     columns); presentations of size 24 to 48; 100-bit entries; sparse
     rectangular matrices (`sparse_cases`); scrambled blocks with negative
-    non-unit pivots (`scrambled_blocks`)."""
+    non-unit pivots (`scrambled_blocks`); rows whose kept minimum decides
+    a late pivot (`lone_minimum_cases`)."""
     rng = random.Random(20261019)
     pools = (
         (0, 1, -1, 2, 3, -4, 6, 9, -12),
@@ -202,6 +218,7 @@ def reference_cases():
         yield [[rng.getrandbits(100) - 2**99 for _ in range(n)] for _ in range(m)]
     yield from sparse_cases(rng)
     yield from scrambled_blocks(rng)
+    yield from lone_minimum_cases(rng)
 
 
 def test_transforms_match_the_reference_elimination():
