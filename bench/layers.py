@@ -21,11 +21,12 @@ constructor alone.
 The polynomial layers take delta of the same knots, computed before
 timing: `factor` takes delta(t^6), and `isolate_roots` takes the trace
 polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
-signature function does.  The library keeps factorizations, and the
-circle roots and arc samples of each Alexander polynomial, per process,
-so its three caches are emptied before every timed call: `factor` is
-timed factoring, and `levine_tristram` and `signature_function` are timed
-isolating roots, not looking up.  Each input is timed REPEAT
+signature function does.  The library keeps factorizations, the
+circle roots and arc samples of each Alexander polynomial, and the cable
+templates of each n, per process, so its four caches are emptied before
+every timed call: `factor` is timed factoring, `levine_tristram` and
+`signature_function` are timed isolating roots, and the front layers
+building their templates, not looking up.  Each input is timed REPEAT
 times and its fastest kept; the repeats go round-robin over a layer's
 inputs at a size, so a slow stretch of the host falls on one repeat of
 several inputs, not on every repeat of one.  A layer's figure at a size
@@ -75,7 +76,7 @@ import families  # noqa: E402
 import pace  # noqa: E402
 from worker import pin_to_one_cpu  # noqa: E402
 
-from concordance import intfactor, laurent, seifert  # noqa: E402
+from concordance import intfactor, laurent, legendrian, seifert  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.cyclotomic import trace_polynomial  # noqa: E402
 from concordance.laurent import factor  # noqa: E402
@@ -93,11 +94,13 @@ from concordance.surgery import SurgeryPresentation, first_homology, smith_norma
 
 def clear_caches():
     """Empty the caches of `laurent.factor` (primitive parts), of
-    `intfactor` (roots and q(t^j)) and of `seifert` (circle roots and arc
-    samples), so the next call factors and isolates afresh."""
+    `intfactor` (roots and q(t^j)), of `seifert` (circle roots and arc
+    samples) and of `legendrian` (cable templates), so the next call
+    factors, isolates and builds afresh."""
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
     seifert._circle_arcs.cache_clear()
+    legendrian._cable_templates.cache_clear()
 
 
 def best_ms(fn, args):

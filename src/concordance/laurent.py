@@ -28,7 +28,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "Factorization", "FoxMilnorResult", "LaurentPoly", "doteq", "factor",
@@ -162,19 +161,6 @@ class LaurentPoly:
         """gcd of the coefficients, positive (0 for the zero polynomial)."""
         return math.gcd(*self._c.values())
 
-    def evaluate(self, x):
-        """Exact value at x (int or Fraction); x must be nonzero if any
-        exponent is negative.  A float or a bool is no exact point."""
-        if not (isinstance(x, Fraction) or is_int(x)):
-            raise TypeError(f"a point must be an int or a Fraction, got {x!r}")
-        x = Fraction(x)
-        total = Fraction(0)
-        for e, c in self._c.items():
-            if e < 0 and x == 0:
-                raise ZeroDivisionError("evaluating t^negative at 0")
-            total += Fraction(c) * x**e
-        return int(total) if total.denominator == 1 else total
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -262,6 +248,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self._c.keys() <= {0}:
+            return hash(self.coeff(0))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self):

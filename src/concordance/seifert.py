@@ -194,12 +194,6 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.numerator == 0
 
-    def power(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.numerator * k, self.denominator)
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity(-self.numerator, self.denominator)
-
     def __str__(self):
         return f"e^(2*pi*i*{self.numerator}/{self.denominator})"
 
@@ -504,12 +498,6 @@ class SignatureFunction:
         self._delta = delta
         self._markers = markers
         self._values = tuple(values)
-
-    @property
-    def arc_values(self) -> tuple[int, ...]:
-        """Values on the arcs of the upper half circle, from omega = 1 to
-        omega = -1."""
-        return self._values
 
     def is_jump(self, q) -> bool:
         """Is exp(2*pi*i*q) a root of the Alexander polynomial?"""

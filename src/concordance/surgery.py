@@ -194,7 +194,9 @@ def smith_normal_form(M):
     n = len(M[0]) if M else 0
     if any(len(row) != n for row in M):
         raise ValueError("matrix rows have unequal lengths")
-    if not all(map(all_int, M)):
+    # one type set for the whole matrix; all_int row by row only when
+    # some entry is not exactly an int
+    if not ({*map(type, itertools.chain.from_iterable(M))} <= {int} or all(map(all_int, M))):
         raise ValueError("matrix entries must be integers")
     V = _identity(n)
     W = _eliminate(M, _identity(len(M)), V)

@@ -49,13 +49,20 @@ families = load_perfbench("families")
 
 def clear_caches():
     """Empty the library's process-wide caches: the factorizations of
-    ``laurent.factor`` and ``intfactor``, and the circle roots and arc
-    samples of ``seifert``, so that the next call computes from scratch."""
-    from concordance import intfactor, laurent, seifert
+    ``laurent.factor`` and ``intfactor``, the circle roots and arc
+    samples of ``seifert``, and the cable templates of ``legendrian``, so
+    that the next call computes from scratch."""
+    from concordance import intfactor, laurent, legendrian, seifert
 
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
     seifert._circle_arcs.cache_clear()
+    legendrian._cable_templates.cache_clear()
+
+
+def laurent_at_sign(a, x):
+    """a(x) at x = 1 or -1, where x^e = x^(e mod 2)."""
+    return sum(c * x ** (e % 2) for e, c in a.items())
 
 
 def _candidate_table():
@@ -95,7 +102,7 @@ def brute_force_norm_witness(a):
     span = norm.span()
     if span % 2:
         return None
-    key = (span // 2, abs(a.evaluate(1)), abs(a.evaluate(-1)))
+    key = (span // 2, abs(laurent_at_sign(a, 1)), abs(laurent_at_sign(a, -1)))
     for coeffs in _TABLE.get(key, []):
         f = LaurentPoly({e: c for e, c in enumerate(coeffs)})
         if doteq(a, f * f.reciprocal()):

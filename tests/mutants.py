@@ -50,6 +50,9 @@ SEIFERT = "src/concordance/seifert.py"
 REFERENCE = "tests/test_surgery.py::test_transforms_match_the_reference_elimination"
 DIGESTS = "tests/test_surgery.py::test_transforms_match_the_recorded_digests"
 INT_DET = "tests/test_seifert.py::test_int_det_matches_sympy"
+LEGENDRIAN = "src/concordance/legendrian.py"
+BLOCKWISE = "tests/test_legendrian.py::test_cables_and_satellites_match_the_blockwise_route"
+FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digests"
 
 MUTANTS = (
     Mutant(
@@ -144,6 +147,20 @@ MUTANTS = (
         "        prev = p\n",
         "",
         (INT_DET,),
+    ),
+    Mutant(
+        "cable run walked from its top strand down",
+        LEGENDRIAN,
+        "for k in reversed(range(a))",
+        "for k in range(a)",
+        (BLOCKWISE, FRONT_DIGESTS),
+    ),
+    Mutant(
+        "bundle move with its (a, b) swapped",
+        LEGENDRIAN,
+        "[(_Bundle((a, b)), pos)] if",
+        "[(_Bundle((b, a)), pos)] if",
+        (BLOCKWISE, FRONT_DIGESTS),
     ),
 )
 

@@ -114,7 +114,8 @@ def test_criterion_3_cable_obstruction_witnesses():
             assert data["sigma_at_omega_power"] == -2
             # re-verify both evaluations with the exact signature routine
             assert levine_tristram(trefoil.seifert, omega) == 0
-            assert levine_tristram(trefoil.seifert, omega.power(p)) == -2
+            power = RootOfUnity(omega.numerator * p, omega.denominator)
+            assert levine_tristram(trefoil.seifert, power) == -2
 
     _criterion(3, "cable obstruction witnesses", 10.0, body)
 
@@ -222,7 +223,7 @@ def test_criterion_8_property_suites():
             v0 = knots[rng.randrange(len(knots))]
             v1 = knots[rng.randrange(len(knots))]
             s0 = levine_tristram(v0, omega)
-            assert levine_tristram(v0, omega.conjugate()) == s0
+            assert levine_tristram(v0, RootOfUnity(-omega.numerator, omega.denominator)) == s0
             assert levine_tristram(mirror(v0), omega) == -s0
             assert levine_tristram(block_sum(v0, v1), omega) == s0 + levine_tristram(v1, omega)
 

@@ -1,15 +1,24 @@
 """The package republishes each module's public names, and only those.
 
-Every public name in ``src/`` is reached from ``cli.main``, imported by
-the README's library example, or listed in ``UNREACHED`` with the caller
-that keeps it.  A public name is one in a module's ``__all__``; in a
-module without ``__all__``, a top-level def, class or assignment with no
-``_`` prefix.  ``cli.main`` reaches a name when a chain of ``ast.Name``
-loads leads there, each load in a reached top-level def, class or
-assignment (decorators and defaults included), through relative imports
-at module level or inside a function.  A name that the def binds itself
-(an argument, an assignment or loop target, a comprehension target, a
-nested def) is not a reference."""
+Every public name in ``src/``, and every method of a class that is
+reached, is reached from ``cli.main``, imported by the README's library
+example, or listed in ``UNREACHED`` with the caller that keeps it.  A
+public name is one in a module's ``__all__``; in a module without
+``__all__``, a top-level def, class or assignment with no ``_`` prefix.
+``cli.main`` reaches a name when a chain of ``ast.Name`` loads leads
+there, each load in reached code, through relative imports at module
+level or inside a function.  Reached code is a reached top-level def,
+class or assignment (decorators and defaults included), without the
+bodies of a class's methods, and each reached method.  A name that the
+def binds itself (an argument, an assignment or loop target, a
+comprehension target, a nested def) is not a reference.
+
+A method of a reached class, named ``Class.method``, is reached when its
+name is loaded as an ``ast.Attribute`` in reached code.  The walk does
+not resolve the object's type, so a load of another class's attribute of
+the same name reaches it too.  Every dunder of a reached class is
+reached, as operators and the protocols of the language dispatch on the
+type."""
 
 import ast
 from pathlib import Path
@@ -24,8 +33,8 @@ SRC = Path(concordance.__file__).parent
 
 ROOT = ("cli", "main")
 
-# Public names that cli.main does not reach and the README does not
-# import, each with the caller outside src/ that keeps it there.
+# Public names and methods that cli.main does not reach and the README
+# does not import, each with the caller outside src/ that keeps it there.
 UNREACHED = {
     "cabling.tau_cable_rule":
         "perfbench/workloads.py builds its tau-rule cables with it",
@@ -46,6 +55,10 @@ UNREACHED = {
         "the tests build connected sums with it",
     "seifert.mirror":
         "the tests build connected sums of mirrors with it",
+    "legendrian.FrontDiagram.component_count":
+        "perfbench's run_cable and bench/layers.py call it",
+    "seifert.SignatureFunction.evaluate":
+        "perfbench's sigma-sweep checker calls it, and its tracer targets it",
 }
 
 _SCOPES = (
@@ -92,13 +105,23 @@ def _free_loads(node, bound=frozenset()):
         yield from _free_loads(child, bound)
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _index(tree):
-    """A module's top-level definitions by name, and its relative imports
-    as local name -> (module, name)."""
+    """A module's definitions by name, top-level ones and each class's
+    methods as Class.method, and its relative imports as local name ->
+    (module, name)."""
     defs, imports = {}, {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defs[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                defs.update(
+                    (f"{node.name}.{method.name}", method)
+                    for method in node.body
+                    if isinstance(method, _DEFS)
+                )
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -111,11 +134,27 @@ def _index(tree):
     return defs, imports
 
 
+def _code(node):
+    """The parts of a definition that run when it is reached: a class's
+    body without its methods' bodies, which run only when reached."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    parts = [*node.bases, *node.keywords, *node.decorator_list]
+    for stmt in node.body:
+        if isinstance(stmt, _DEFS):
+            parts += [*stmt.decorator_list, stmt.args]
+        else:
+            parts.append(stmt)
+    return parts
+
+
 def reached(sources, root):
     """The (module, name) definitions that root reaches, in the modules
-    given as module name -> source text."""
+    given as module name -> source text; a method's name is
+    Class.method."""
     index = {module: _index(ast.parse(text)) for module, text in sources.items()}
     seen, todo = set(), [root]
+    attributes, waiting = set(), {}  # waiting: method name -> its unreached defs
     while todo:
         module, name = todo.pop()
         if (module, name) in seen or module not in index:
@@ -127,15 +166,24 @@ def reached(sources, root):
         if name not in defs:
             continue
         node = defs[name]
-        todo.extend(
-            (module, load) for load in _free_loads(node) if load in defs or load in imports
-        )
-        todo.extend(
-            (inner.module, alias.name)
-            for inner in ast.walk(node)
-            if isinstance(inner, ast.ImportFrom) and inner.level == 1
-            for alias in inner.names
-        )
+        for part in _code(node):
+            todo.extend(
+                (module, load) for load in _free_loads(part) if load in defs or load in imports
+            )
+            for inner in ast.walk(part):
+                if isinstance(inner, ast.ImportFrom) and inner.level == 1:
+                    todo.extend((inner.module, alias.name) for alias in inner.names)
+                elif isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load):
+                    attributes.add(inner.attr)
+                    todo.extend(waiting.pop(inner.attr, ()))
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, _DEFS):
+                    key = (module, f"{name}.{method.name}")
+                    if method.name in attributes or method.name[:2] == method.name[-2:] == "__":
+                        todo.append(key)
+                    else:
+                        waiting.setdefault(method.name, []).append(key)
     return {(module, name) for module, name in seen if name in index[module][0]}
 
 
@@ -146,7 +194,26 @@ def public_names(tree):
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return list(ast.literal_eval(node.value))
-    return [name for name in _index(tree)[0] if not name.startswith("_")]
+    return [name for name in _index(tree)[0] if not name.startswith("_") and "." not in name]
+
+
+def unlisted_and_stale(sources, readme, unreached):
+    """The public names and the methods of reached classes that are
+    neither reached from ROOT, named in readme nor listed in unreached,
+    and the entries of unreached that name none of those, each sorted."""
+    found = reached(sources, ROOT)
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    flagged = {f"{module}.{name}" for module, tree in trees.items() for name in public_names(tree)}
+    flagged |= {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _index(tree)[0]
+        if "." in name and (module, name.split(".")[0]) in found
+    }
+    covered = {f"{module}.{name}" for module, name in found}
+    covered |= {name for name in flagged if name.split(".", 1)[1] in readme}
+    unlisted = flagged - covered
+    return sorted(unlisted - unreached.keys()), sorted(unreached.keys() - unlisted)
 
 
 def readme_names():
@@ -177,16 +244,7 @@ def test_every_public_name_is_reached_named_by_the_readme_or_listed():
         if path.stem != "__init__"
     }
     assert len(sources) >= 10
-    public = {
-        f"{module}.{name}"
-        for module, text in sources.items()
-        for name in public_names(ast.parse(text))
-    }
-    readme = readme_names()
-    covered = {f"{module}.{name}" for module, name in reached(sources, ROOT)}
-    covered |= {name for name in public if name.split(".")[1] in readme}
-    assert sorted(public - covered - UNREACHED.keys()) == []  # unlisted
-    assert sorted(UNREACHED.keys() - (public - covered)) == []  # stale
+    assert unlisted_and_stale(sources, readme_names(), UNREACHED) == ([], [])
 
 
 def test_a_local_binding_does_not_reach_the_name_it_shadows():
@@ -226,3 +284,74 @@ def test_an_import_inside_a_function_reaches_its_name():
     assert reached(sources, ("a", "main")) == {
         ("a", "main"), ("b", "lazy"), ("b", "helper"), ("b", "top"),
     }
+
+
+def test_a_method_loaded_only_in_unreached_code_is_not_reached():
+    source = (
+        "def main():\n"
+        "    return Thing().used\n"
+        "def unused():\n"
+        "    return Thing().idle()\n"
+        "class Thing:\n"
+        "    @property\n"
+        "    def used(self): pass\n"
+        "    def idle(self): pass\n"
+    )
+    assert reached({"m": source}, ("m", "main")) == {
+        ("m", "main"), ("m", "Thing"), ("m", "Thing.used"),
+    }
+
+
+def test_a_method_reached_only_through_a_reached_method_is_reached():
+    source = (
+        "def main():\n"
+        "    return Thing().first()\n"
+        "class Thing:\n"
+        "    def first(self):\n"
+        "        return self._second()\n"
+        "    def _second(self):\n"
+        "        return helper()\n"
+        "    def third(self): pass\n"
+        "def helper(): pass\n"
+    )
+    assert reached({"m": source}, ("m", "main")) == {
+        ("m", "main"), ("m", "Thing"), ("m", "Thing.first"), ("m", "Thing._second"),
+        ("m", "helper"),
+    }
+
+
+def test_the_dunders_of_a_reached_class_are_reached():
+    source = (
+        "def main():\n"
+        "    return Thing() + Other()\n"
+        "class Thing:\n"
+        "    def __init__(self): pass\n"
+        "    def __add__(self, other): return helper()\n"
+        "    def plain(self): pass\n"
+        "class Other:\n"
+        "    def __radd__(self, other): pass\n"
+        "class Unused:\n"
+        "    def __init__(self): pass\n"
+        "def helper(): pass\n"
+    )
+    assert reached({"m": source}, ("m", "main")) == {
+        ("m", "main"), ("m", "Thing"), ("m", "Thing.__init__"), ("m", "Thing.__add__"),
+        ("m", "helper"), ("m", "Other"), ("m", "Other.__radd__"),
+    }
+
+
+def test_an_unreached_method_must_be_listed_and_a_stale_entry_fails():
+    sources = {
+        "cli": "def main():\n"
+               "    return Thing().used()\n"
+               "class Thing:\n"
+               "    def used(self): pass\n"
+               "    def idle(self): pass\n",
+    }
+    assert unlisted_and_stale(sources, set(), {}) == (["cli.Thing.idle"], [])
+    # a README name covers the class it names, not the class's methods
+    assert unlisted_and_stale(sources, {"Thing"}, {}) == (["cli.Thing.idle"], [])
+    listed = {"cli.Thing.idle": "a caller outside src/"}
+    assert unlisted_and_stale(sources, set(), listed) == ([], [])
+    stale = dict(listed, **{"cli.Thing.used": "reached, so stale"})
+    assert unlisted_and_stale(sources, set(), stale) == ([], ["cli.Thing.used"])
