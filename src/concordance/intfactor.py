@@ -184,15 +184,14 @@ def _zassenhaus(f: list[int]) -> list[tuple]:
     has the fewest factors is kept.  A factor of f over Z reduces to a
     product of modular factors at every p, so its degree is a sum of
     their degrees at each p; when no degree 0 < d < deg f is such a sum
-    at all the primes seen (one modular factor, say), f is irreducible.
+    at all the primes seen (one modular factor, say), f is irreducible:
+    a linear f has no such degree, so the first prime returns it.
     Otherwise the kept factors are split to irreducibles
     (Cantor-Zassenhaus), lifted to monic u_i mod P = p^(2^e) > 2B
     (Hensel), with B = |lc(f)| * 2^deg(f) * ||f||_2 >=
     ||lc(f)/lc(q) * q||_inf for every factor q of f over Z (Mignotte),
     and recombined: lc(f) * prod(u_i over S) in symmetric residues is
     tried for subsets S of growing size and possible degree."""
-    if len(f) <= 2:
-        return [tuple(f)]
     degrees = (1 << (len(f) - 1)) - 2  # bit d: a factor of degree d is possible
     best = None
     for p in _candidate_primes(f):

@@ -101,8 +101,6 @@ class LaurentPoly:
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial string")
-        if s == "0":
-            return cls()
         # Split into terms at +/- signs that are not exponent signs.
         terms = []
         buf = []

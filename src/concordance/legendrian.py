@@ -393,8 +393,6 @@ def cable_front(front, n):
     """
     if not is_int(n) or n < 1:
         raise ValueError(f"need an integer n >= 1, got {n!r}")
-    if n == 1:
-        return front
     return _cabled(*_cable_blocks(front.events, n), front.seam_strands * n, front.orient)
 
 

@@ -434,12 +434,8 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
         raise SingularAtOmega(
             f"omega = {omega} is a root of the Alexander polynomial"
         )
-    if omega.fraction == Fraction(1, 2):
-        u = Fraction(0)  # omega = -1 itself, on the last arc
-    else:
-        markers, samples = _circle_arcs(delta)
-        u = samples[_arc_index(markers, omega.fraction)]
-    return _signature_at(*_forms(v), u)
+    markers, samples = _circle_arcs(delta)
+    return _signature_at(*_forms(v), samples[_arc_index(markers, omega.fraction)])
 
 
 def _markers_above(markers: Sequence[RootMarker], lo: Fraction, hi: Fraction) -> int | None:
@@ -480,40 +476,32 @@ class SignatureFunction:
     value at omega = 1 is 0.  Angles are fractions of a full turn.
     """
 
-    def __init__(
-        self,
-        delta: LaurentPoly,
-        markers: Sequence[RootMarker],
-        values: Sequence[int],
-    ):
-        # delta is the balanced Alexander polynomial; markers ascend in
-        # angle (descend in x = 2 cos 2*pi*angle); values[i] is the
-        # constant on the arc between marker i-1 and i
-        if len(values) != len(markers) + 1:
-            raise ValueError("a step function needs one value per arc")
+    def __init__(self, delta: LaurentPoly, value_at: Callable[[Fraction], int]):
+        # delta is the balanced Alexander polynomial; its circle roots
+        # (markers) ascend in angle (descend in x = 2 cos 2*pi*angle), and
+        # values[i] = value_at(u) at the rational sample u of the arc
+        # between marker i-1 and i
+        markers, samples = _circle_arcs(delta)
+        values = tuple(map(value_at, samples))
         if values[0] != 0:
             raise ArithmeticError("the arc at omega = 1 must carry signature 0")
         if any(val % 2 for val in values):
             raise ArithmeticError("signature values must be even")
         self._delta = delta
         self._markers = markers
-        self._values = tuple(values)
+        self._values = values
 
     def is_jump(self, q) -> bool:
-        """Is exp(2*pi*i*q) a root of the Alexander polynomial?"""
-        q = _as_fraction(q)
-        if q == 0:
-            return False
-        return _cyclotomic_divides(self._delta, q.denominator)
+        """Is exp(2*pi*i*q) a root of the Alexander polynomial?  Never
+        at q = 0, as |delta(1)| = 1."""
+        return _cyclotomic_divides(self._delta, _as_fraction(q).denominator)
 
     def evaluate(self, q) -> int:
         """Value at omega = exp(2*pi*i*q) for exact rational q.
 
         Raises SingularAtOmega at jump points (the step function has no
-        value there); returns 0 at q = 0 by convention."""
+        value there).  Angle 0 lies on arc 0, whose value is 0."""
         q = _as_fraction(q)
-        if q == 0:
-            return 0
         if self.is_jump(q):
             raise SingularAtOmega(f"signature function jumps at angle {q}")
         return self._values[_arc_index(self._markers, q)]
@@ -528,12 +516,10 @@ class SignatureFunction:
         avoids the jumps of sigma."""
         if not is_int(p) or p < 1:
             raise ValueError("cable parameter p must be a positive integer")
-        if p == 1:
-            return self
         delta = self._delta.substitute_power(p)
         if self.is_identically_zero():
             # so is the pullback; v_p alone would cost O(p^2) integers
-            return _assemble_signature_function(delta, lambda u: 0)
+            return SignatureFunction(delta, lambda u: 0)
         v_p = v_polys(p)[p]
 
         def value_at(u: Fraction) -> int:
@@ -543,7 +529,7 @@ class SignatureFunction:
                 raise SingularAtOmega(f"signature function jumps at x = {x}")
             return self._values[count]
 
-        return _assemble_signature_function(delta, value_at)
+        return SignatureFunction(delta, value_at)
 
     def jumps(self) -> list[tuple[float, int]]:
         """(approximate angle, jump height) per jump in (0, 1/2)."""
@@ -587,15 +573,6 @@ def _marker_angle_float(m: RootMarker) -> float:
     return math.acos(max(-1.0, min(1.0, m.float_value() / 2.0))) / (2 * math.pi)
 
 
-def _assemble_signature_function(
-    delta: LaurentPoly, value_at: Callable[[Fraction], int]
-) -> SignatureFunction:
-    """The circle roots of delta and value_at(u) at the rational sample
-    u of each arc."""
-    markers, samples = _circle_arcs(delta)
-    return SignatureFunction(delta, markers, [value_at(u) for u in samples])
-
-
 def signature_function(v: SeifertMatrix) -> SignatureFunction:
     """The full signature step function of a Seifert matrix.
 
@@ -603,9 +580,7 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     via Sturm sequences in x = 2cos(theta); each arc between consecutive
     roots gets one rational signature at a certified interior sample."""
     A, S = _forms(v)
-    return _assemble_signature_function(
-        v.delta, lambda u: _signature_at(A, S, u)
-    )
+    return SignatureFunction(v.delta, lambda u: _signature_at(A, S, u))
 
 
 def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:

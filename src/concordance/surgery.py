@@ -316,8 +316,6 @@ def localize(group, p):
     """
     if not is_int(p) or p < 1:
         raise ValueError(f"need an integer p >= 1, got {p!r}")
-    if p == 1:
-        return group
     moduli = [_prime_to(d, p) for d in group.torsion] + [0] * group.rank
     return AbelianGroupDescription(
         rank=group.rank,

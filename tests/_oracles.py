@@ -48,10 +48,11 @@ families = load_perfbench("families")
 
 
 def clear_caches():
-    """Empty the library's process-wide caches: the factorizations of
+    """Empty the library's caches of results: the factorizations of
     ``laurent.factor`` and ``intfactor``, the circle roots and arc
     samples of ``seifert``, and the cable templates of ``legendrian``, so
-    that the next call computes from scratch."""
+    that the next call computes from scratch.  Pi at a precision
+    (``cyclotomic._pi_fixed``) stays; ``test_caches.py`` lists why."""
     from concordance import intfactor, laurent, legendrian, seifert
 
     laurent._primitive_factors.cache_clear()

@@ -162,6 +162,34 @@ MUTANTS = (
         "[(_Bundle((b, a)), pos)] if",
         (BLOCKWISE, FRONT_DIGESTS),
     ),
+    Mutant(
+        "an omitted magnitude parsed as 0",
+        "src/concordance/laurent.py",
+        '(mag_s or "1")',
+        '(mag_s or "0")',
+        ("tests/test_laurent.py::test_parse_accepts_loose_variants",),
+    ),
+    Mutant(
+        "lift certificate tests for a residue instead of a non-residue",
+        "src/concordance/intfactor.py",
+        "pow(r * r - 4, (p - 1) // 2, p) == p - 1",
+        "pow(r * r - 4, (p - 1) // 2, p) == 1",
+        ("tests/test_laurent.py::test_factor_matches_whole_product_route",),
+    ),
+    Mutant(
+        "isolating intervals bisected only to width 1/2",
+        "src/concordance/realroots.py",
+        "_bisect(sf, a, b, d, Fraction(1, 64))",
+        "_bisect(sf, a, b, d, Fraction(1, 2))",
+        ("tests/test_realroots.py::test_integer_bisection_matches_the_fraction_bisection[lo0-hi0]",),
+    ),
+    Mutant(
+        "the last arc, which holds omega = -1, sampled at u = 1",
+        SEIFERT,
+        "        return Fraction(0)\n",
+        "        return Fraction(1)\n",
+        ("tests/test_seifert.py::test_torus_knot_2_9_step_function",),
+    ),
 )
 
 

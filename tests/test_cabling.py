@@ -116,7 +116,9 @@ class TestCableAlexander:
 class TestCableSignature:
     def test_p1_unchanged(self):
         sig = signature_function(TREFOIL)
-        assert cable_signature(sig, 1) is sig
+        same = cable_signature(sig, 1)
+        assert (same._delta, same._values) == (sig._delta, sig._values)
+        assert same.jumps() == sig.jumps() and same.arcs() == sig.arcs()
 
     def test_trefoil_p3_at_one_seventh(self):
         # omega = e^(2 pi i/7); omega^3 lands past the jump at angle 1/6

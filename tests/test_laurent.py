@@ -49,6 +49,21 @@ def test_parse_accepts_loose_variants():
         P("3/2*t^1")
 
 
+def test_parse_reads_every_spelling_of_zero_as_the_zero_polynomial():
+    for s in ["0", " 0 ", "-0", "0*t^3"]:
+        assert P(s) == LaurentPoly(), s
+
+
+def test_linear_polynomials_are_irreducible_factors_of_themselves():
+    # the leading coefficient 3*5*7*...*43 makes the candidate-prime
+    # search skip the first thirteen odd primes
+    from concordance.intfactor import irreducible_factors
+
+    lead = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    for f in ([1, 1], [-1, 1], [2, 3], [-7, 3], [2, lead], [2 - lead, lead]):
+        assert irreducible_factors(f) == [(tuple(f), 1)], f
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "t^", "3**t", "x+1", "1 + + 2", "t^1.5"]:
         with pytest.raises(ValueError):

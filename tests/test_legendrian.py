@@ -230,7 +230,10 @@ class TestCableAndSatelliteFronts:
                 link.invariants()
 
     def test_cable_identity(self):
-        assert cable_front(TREFOIL_FRONT, 1) is TREFOIL_FRONT
+        for front in (TREFOIL_FRONT, PATTERN_FRONT):
+            same = cable_front(front, 1)
+            assert (same.events, same.seam_strands, same.orient) == (front.events, front.seam_strands, front.orient)
+            assert same.invariants() == front.invariants()
         with pytest.raises(ValueError):
             cable_front(TREFOIL_FRONT, 0)
 

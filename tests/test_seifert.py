@@ -445,6 +445,30 @@ def test_levine_tristram_matches_cyclotomic_route():
         checked += 1
 
 
+def test_levine_tristram_at_minus_one_matches_cyclotomic_route():
+    # omega = -1 is the sample u = 0 of the last arc, read off a cold arc
+    # table; delta(-1) = det(V + V^T) is odd, so it is never a jump
+    rng = random.Random(2034)
+    for genus in range(1, 5):
+        for _ in range(3):
+            v = scrambled_seifert(rng, _random_seifert(rng, genus))
+            clear_caches()
+            assert levine_tristram(v, RootOfUnity(1, 2)) == cyclotomic_levine_tristram(v, 1, 2)
+
+
+def test_angle_zero_lies_on_arc_zero():
+    # |delta(1)| = 1, also for delta(t^3), so angle 0 is no jump; it lies
+    # on arc 0, whose value is 0
+    v = _torus_2(9)
+    sig = signature_function(v)
+    pulled = sig.pullback(3)
+    assert pulled._delta == alexander(v).substitute_power(3)
+    for f in (signature_function(UNKNOT), sig, pulled):
+        for zero in (0, Fraction(0), RootOfUnity(0, 1)):
+            assert f.is_jump(zero) is False
+            assert f.evaluate(zero) == 0
+
+
 def test_genus_four_sum_at_one_sixteenth():
     # T + F + F + T with F the 3-twist knot: sigma_T(1/16) = 0 and
     # sigma_F = 0 everywhere
