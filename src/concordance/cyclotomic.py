@@ -13,7 +13,9 @@ isolates circle roots in it and ``intfactor`` factors in it); and
 that places a root of unity among isolated real roots.  The enclosure is
 integer fixed point: pi by Machin's formula, the cosine by its Taylor
 series at a 2^r-th of the angle and r doublings, each step with a proven
-error bound, so it needs nothing beyond the standard library.
+error bound, so it needs nothing beyond the standard library.  Each
+Phi_b is built once per process and handed out as the same immutable
+tuple, so no caller copies it.
 Signatures themselves are computed in ``seifert``, from Hermitian
 matrices over the Gaussian integers Z[i], at rational points of the arcs.
 
@@ -41,8 +43,6 @@ from fractions import Fraction
 
 from .realroots import exact_quotient
 
-_PHI_CACHE: dict[int, list[int]] = {}
-
 
 def totient(b: int) -> int:
     """Euler's phi by trial division."""
@@ -68,22 +68,20 @@ def primes():
         n += 2
 
 
-def cyclotomic_coeffs(b: int) -> list[int]:
-    """Coefficients (low->high) of the b-th cyclotomic polynomial."""
+@functools.lru_cache(maxsize=None)
+def cyclotomic_coeffs(b: int) -> tuple[int, ...]:
+    """Coefficients (low->high) of the b-th cyclotomic polynomial, kept
+    per process as a tuple and handed out as is."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    if b not in _PHI_CACHE:
-        # x^b - 1 divided by the product of Phi_d over proper divisors d
-        poly = [-1] + [0] * (b - 1) + [1]
-        for d in range(1, b):
-            if b % d == 0:
-                poly = exact_quotient(poly, cyclotomic_coeffs(d))
-                if poly is None:
-                    raise ArithmeticError(
-                        f"Phi_{d} left a remainder in x^{b} - 1"
-                    )
-        _PHI_CACHE[b] = poly
-    return list(_PHI_CACHE[b])
+    # x^b - 1 divided by the product of Phi_d over proper divisors d
+    poly = [-1] + [0] * (b - 1) + [1]
+    for d in range(1, b):
+        if b % d == 0:
+            poly = exact_quotient(poly, cyclotomic_coeffs(d))
+            if poly is None:
+                raise ArithmeticError(f"Phi_{d} left a remainder in x^{b} - 1")
+    return tuple(poly)
 
 
 def v_polys(n: int) -> list[list[int]]:

@@ -137,7 +137,7 @@ def _substitute(q: tuple, m: int) -> list[tuple[tuple, int]]:
     e = _cyclotomic_index(q)
     if e:
         return [
-            (tuple(cyclotomic_coeffs(d)), 1)
+            (cyclotomic_coeffs(d), 1)
             for d in range(1, e * m + 1)
             if (e * m) % d == 0 and d // math.gcd(d, m) == e
         ]
@@ -152,7 +152,7 @@ def _cyclotomic_index(q: tuple) -> int | None:
     if q[-1] != 1 or abs(q[0]) != 1:
         return None
     for e in range(1, 2 * deg * deg + 1):
-        if totient(e) == deg and tuple(cyclotomic_coeffs(e)) == q:
+        if totient(e) == deg and cyclotomic_coeffs(e) == q:
             return e
     return None
 

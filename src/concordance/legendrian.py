@@ -369,9 +369,9 @@ def _cable_templates(n):
 
 def _cable_blocks(events, n):
     """The lists of the events' blocks in the n-copy cable and of their
-    moves, the same list when n * n <= _PLAIN_RUN, as then no run is a
-    bundle.  An event's blocks are its kind's templates shifted by n * pos,
-    built once per distinct event."""
+    moves.  An event's blocks are its kind's templates shifted by n * pos,
+    built once per distinct event; its move block is its event block
+    when the template has no bundle."""
     templates, made, blocks, moves = _cable_templates(n), {}, [], []
     for event in events:
         pair = made.get(event)
@@ -381,7 +381,7 @@ def _cable_blocks(events, n):
             pair = made[event] = block, block if runs is plain else [(k, q + shift) for k, q in runs]
         blocks.append(pair[0])
         moves.append(pair[1])
-    return blocks, blocks if n * n <= _PLAIN_RUN else moves
+    return blocks, moves
 
 
 def cable_front(front, n):
@@ -419,16 +419,14 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
     blocks, moves = _cable_blocks(companion.events, n)
     spliced = [(kind, pos + base) for kind, pos in pattern.events]
     blocks.insert(splice_after, spliced)
-    if moves is not blocks:
-        moves.insert(splice_after, spliced)
+    moves.insert(splice_after, spliced)
     return _cabled(blocks, moves, 0, companion.orient)
 
 
 def _cabled(blocks, moves, seam_strands, orient):
     """The front of the blocks' events, swept by the moves (_cable_blocks)."""
     events = tuple(chain.from_iterable(blocks))
-    moves = events if moves is blocks else chain.from_iterable(moves)
-    return FrontDiagram(events, seam_strands, orient, _moves=moves)
+    return FrontDiagram(events, seam_strands, orient, _moves=chain.from_iterable(moves))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,10 @@ comparison of x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating
 intervals.  Floats are for display only: the approximate angles that
 ``jumps``, ``arcs`` and ``repr`` print.  No floating-point value decides
 anything, and the witness search places each angle a/b by exact
-comparison of cosines.  The isolated roots and arc samples of each
+comparison of cosines.  Each integer buffer has one owner: a
+``SeifertMatrix`` keeps A and S as read-only tuples, and the kernels
+``_int_det`` and ``_hermitian_signature`` eliminate in place on rows
+their caller built.  The isolated roots and arc samples of each
 polynomial are kept per process, the library's third cache beside the
 two of factoring: an LRU of ``ARCS_CACHE_SIZE`` (256) entries keyed by
 delta itself.  Signature values are never cached: a knot and its mirror
@@ -45,6 +48,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -72,7 +76,7 @@ class SingularAtOmega(ValueError):
 class SeifertMatrix:
     """Square integer matrix V with |det(V - V^T)| = 1."""
 
-    __slots__ = ("entries", "name", "_delta")
+    __slots__ = ("entries", "name", "_delta", "_A", "_S")
 
     def __init__(self, entries: Sequence[Sequence[int]], name: str | None = None):
         rows = tuple(map(tuple, entries))
@@ -84,8 +88,10 @@ class SeifertMatrix:
                     raise ValueError("Seifert matrix must be square")
                 if not all_int(row):
                     raise TypeError("Seifert matrix entries must be integers")
-        skew = [[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-        if abs(_int_det(skew)) != 1:
+        cols = [*zip(*rows)]
+        self._A = tuple([tuple(map(operator.add, row, col)) for row, col in zip(rows, cols)])
+        self._S = tuple([tuple(map(operator.sub, row, col)) for row, col in zip(rows, cols)])
+        if abs(_int_det([*map(list, self._S)])) != 1:
             raise ValueError("|det(V - V^T)| must be 1")
         # an odd-size integer skew form has det 0, so n is forced even
         self.entries = rows
@@ -213,7 +219,7 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
     differences at the integer nodes k^2 are integers.  In x = t + 1/t,
     w^2 = (x - 2)/(x + 2), so t^-g * delta(t) is
     Q(x) = 4^-g * (x + 2)^g * r((x - 2)/(x + 2)), lifted back to t."""
-    A, S = _forms(v)
+    A, S = v._A, v._S
     g = v.genus
     c = [1] + [
         _int_det([[s + k * a for s, a in zip(rs, ra)] for rs, ra in zip(S, A)])
@@ -274,9 +280,9 @@ def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     return exact_quotient(_int_coeffs(delta), cyclotomic_coeffs(b)) is not None
 
 
-def _hermitian_signature(R: list[list[int]], I: list[list[int]]) -> tuple[int, int]:
-    """(signature, rank) of the Hermitian matrix R + i*I over Z[i], R
-    symmetric and I skew, by congruence on the two integer matrices.
+def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
+    """(signature, rank) of the Hermitian matrix re + i*im over Z[i], re
+    symmetric and im skew, by congruence on the two integer matrices.
 
     Fraction-free LDL* elimination: after each pivot the trailing block is
     the Schur complement scaled by the pivot minor (Bareiss), so every
@@ -288,8 +294,7 @@ def _hermitian_signature(R: list[list[int]], I: list[list[int]]) -> tuple[int, i
     e_p <- e_p + i*e_j (new diagonal -2*Im h_pj) are unimodular
     congruences of the trailing block over Z[i], which commute with
     taking the Schur complement, so the divisions stay exact after them.
-    """
-    re, im = [row[:] for row in R], [row[:] for row in I]
+    In place, as ``_int_det``: each caller passes rows it built."""
     n = len(re)
     sig, prev = 0, 1
     for k in range(n):
@@ -333,20 +338,13 @@ def _hermitian_signature(R: list[list[int]], I: list[list[int]]) -> tuple[int, i
     return sig, n
 
 
-def _forms(v: SeifertMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    """A = V + V^T and S = V - V^T."""
-    pairs = list(zip(v.entries, zip(*v.entries)))
-    A = [[a + b for a, b in zip(row, col)] for row, col in pairs]
-    S = [[a - b for a, b in zip(row, col)] for row, col in pairs]
-    return A, S
-
-
-def _signature_at(A: list[list[int]], S: list[list[int]], u: Fraction) -> int:
+def _signature_at(A: Sequence[Sequence[int]], S: Sequence[Sequence[int]], u: Fraction) -> int:
     """sigma(omega) at the omega with cot(theta/2) = u, where the form
     (1 - omega)V + (1 - conj(omega))V^T is a positive multiple of the
     Hermitian A - i*u*S; scaled by the denominator s of u = r/s, that is
     s*A - i*r*S, and sigma(omega) is its signature.  It is even because
-    the signature has the parity of the rank, which must be the full 2g."""
+    the signature has the parity of the rank, which must be the full 2g.
+    The kernel overwrites the scaled rows built here; A and S are read."""
     r, s = u.numerator, u.denominator
     sig, rank = _hermitian_signature(
         [[s * a for a in row] for row in A], [[-r * c for c in row] for row in S]
@@ -435,7 +433,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
             f"omega = {omega} is a root of the Alexander polynomial"
         )
     markers, samples = _circle_arcs(delta)
-    return _signature_at(*_forms(v), samples[_arc_index(markers, omega.fraction)])
+    return _signature_at(v._A, v._S, samples[_arc_index(markers, omega.fraction)])
 
 
 def _markers_above(markers: Sequence[RootMarker], lo: Fraction, hi: Fraction) -> int | None:
@@ -579,8 +577,7 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     Roots of the Alexander polynomial on the circle are isolated exactly
     via Sturm sequences in x = 2cos(theta); each arc between consecutive
     roots gets one rational signature at a certified interior sample."""
-    A, S = _forms(v)
-    return SignatureFunction(v.delta, lambda u: _signature_at(A, S, u))
+    return SignatureFunction(v.delta, lambda u: _signature_at(v._A, v._S, u))
 
 
 def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:

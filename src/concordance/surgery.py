@@ -262,6 +262,11 @@ class AbelianGroupDescription:
                 raise ValueError(f"invariant factor {d} < 2")
             if i and self.torsion[i] % self.torsion[i - 1]:
                 raise ValueError("invariant factors fail the divisibility chain")
+        size = len(self.torsion) + self.rank
+        for label, coords in self.images.items():
+            if len(coords) != size or not all(0 <= x < d for x, d in zip(coords, self.torsion)):
+                raise ValueError(f"AbelianGroupDescription: the image {coords!r} of class {label!r} is not"
+                                 f" {size} coordinates, each torsion one in [0, d_i)")
 
     def describe(self):
         parts = [f"Z/{d}" for d in self.torsion] + ["Z"] * self.rank

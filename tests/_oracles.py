@@ -778,7 +778,7 @@ def _reference_symmetric_signature(m):
     one.  Symmetric swaps and the step e_i <- e_i + e_j (which makes the
     (i, i) entry 2*m[i][j] when the trailing diagonal vanishes) are
     unimodular congruences, so the Bareiss divisions stay exact."""
-    m = [row[:] for row in m]
+    m = [list(row) for row in m]
     n = len(m)
     sig = 0
     prev = 1

@@ -53,6 +53,7 @@ INT_DET = "tests/test_seifert.py::test_int_det_matches_sympy"
 LEGENDRIAN = "src/concordance/legendrian.py"
 BLOCKWISE = "tests/test_legendrian.py::test_cables_and_satellites_match_the_blockwise_route"
 FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digests"
+KEPT_FORMS = "tests/test_buffer_rule.py::test_readers_leave_the_kept_forms_unchanged_and_answer_twice_alike"
 
 MUTANTS = (
     Mutant(
@@ -189,6 +190,55 @@ MUTANTS = (
         "        return Fraction(0)\n",
         "        return Fraction(1)\n",
         ("tests/test_seifert.py::test_torus_knot_2_9_step_function",),
+    ),
+    Mutant(
+        "the kernel handed the kept A itself when the scale s is 1",
+        SEIFERT,
+        "[[s * a for a in row] for row in A], [[-r * c",
+        "[[s * a for a in row] for row in A] if s != 1 else A, [[-r * c",
+        (KEPT_FORMS,),
+    ),
+    Mutant(
+        "the constructor's determinant run on the kept S",
+        SEIFERT,
+        "_int_det([*map(list, self._S)])",
+        "_int_det(self._S)",
+        (KEPT_FORMS,),
+    ),
+    Mutant(
+        "tau of a cable carried whatever the base tau",
+        "src/concordance/cabling.py",
+        "if base is not None and (p == 1 or genus is not None and base.value == genus.value):",
+        "if base is not None:",
+        ("tests/test_cabling.py::TestTauCableRule::test_only_tau_equal_to_genus_is_cabled",),
+    ),
+    Mutant(
+        "a duplicate catalog name accepted",
+        "src/concordance/catalog.py",
+        "        if name in table:\n",
+        "        if False:\n",
+        (
+            "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[front]",
+            "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[presentation]",
+        ),
+    ),
+    Mutant(
+        "the degree bound refuses its own limit",
+        "src/concordance/cli.py",
+        "if degree > MAX_DEGREE:",
+        "if degree >= MAX_DEGREE:",
+        ("tests/test_cli.py::TestExitCodes::test_degree_bound_is_sharp",),
+    ),
+    Mutant(
+        "cosine enclosure's upper end rounded inward",
+        "src/concordance/cyclotomic.py",
+        "Fraction(-(-hi >> guard - 1), 1 << prec)",
+        "Fraction(hi >> guard - 1, 1 << prec)",
+        (
+            "tests/test_cyclotomic.py::test_cos2pi_bounds_encloses_known_values",
+            "tests/test_cyclotomic.py::test_cos2pi_bounds_contains_mpmath_enclosure[64]",
+            "tests/test_cyclotomic.py::test_cos2pi_bounds_contains_mpmath_enclosure[16384]",
+        ),
     ),
 )
 

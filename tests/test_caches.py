@@ -15,6 +15,7 @@ HELPERS = (ROOT / "tests" / "_oracles.py", ROOT / "bench" / "layers.py")
 # module.function -> why neither helper empties it
 KEPT = {
     "cyclotomic._pi_fixed": "pi enclosed at a given precision, a constant: no input of a test or a layer changes it",
+    "cyclotomic.cyclotomic_coeffs": "Phi_b, a constant: no input of a test or a layer changes it",
 }
 
 

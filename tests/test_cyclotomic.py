@@ -17,17 +17,17 @@ from concordance.cyclotomic import (
 )
 
 KNOWN_CYCLOTOMICS = {
-    1: [-1, 1],
-    2: [1, 1],
-    3: [1, 1, 1],
-    4: [1, 0, 1],
-    5: [1, 1, 1, 1, 1],
-    6: [1, -1, 1],
-    7: [1, 1, 1, 1, 1, 1, 1],
-    8: [1, 0, 0, 0, 1],
-    9: [1, 0, 0, 1, 0, 0, 1],
-    10: [1, -1, 1, -1, 1],
-    12: [1, 0, -1, 0, 1],
+    1: (-1, 1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    8: (1, 0, 0, 0, 1),
+    9: (1, 0, 0, 1, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    12: (1, 0, -1, 0, 1),
 }
 
 

@@ -419,6 +419,15 @@ class TestFirstHomology:
         with pytest.raises(ValueError, match="< 2"):
             AbelianGroupDescription(rank=0, torsion=(1,), images={})
 
+    @pytest.mark.parametrize("image", [(7, 3), (-1, 3), (6, 3), (1,), (1, 3, 0)])
+    def test_images_are_checked_by_description_type(self, image):
+        # one coordinate per factor and per free rank, each torsion one
+        # in [0, d_i): (7, 3) was accepted, and localize(G, 1) != G for it
+        with pytest.raises(ValueError, match="AbelianGroupDescription: the image .* of class 'x'"):
+            AbelianGroupDescription(rank=1, torsion=(6,), images={"x": image})
+        G = AbelianGroupDescription(rank=1, torsion=(6,), images={"x": (5, -3)})
+        assert localize(G, 1) == G
+
     def test_random_against_rank_and_determinant(self):
         rng = random.Random(7)
         for _ in range(60):
