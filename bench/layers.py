@@ -1,6 +1,6 @@
 """Time library layers one at a time, on inputs of growing size.
 
-    python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48]
+    python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48] [--cold-runs 9]
 
 Run from anywhere; the library is imported from the `src/` beside this
 directory, and the inputs come from `perfbench/families.py` (imported
@@ -42,8 +42,16 @@ of every reference of the run (`reference_nominal_ms` is the nominal).
 The script first pins its own process to one CPU, as the perfbench worker
 does (`worker.pin_to_one_cpu`), so that the references and the layers run
 on the same CPU; `machine.cpus_used` names the CPUs it ran on.
+The `cold_start` layer times fresh interpreters on a copy of the
+package without bytecode, as a user's first run compiles it: `import
+concordance`, and each subcommand form of the README (read from
+`tests/data/readme_forms.json`, text output), each run `--cold-runs`
+times, round-robin over the forms; its figure for a form is the median
+wall time from spawn to exit, in milliseconds, and its scaled figure is
+brought to the nominal pace with `pace.START_SENSITIVITY`, as perfbench
+scales its CLI operations.
 Each layer has its own default sizes (`--sizes` sets them for every
-layer).  The JSON holds the machine, the Python version, the git commit
+layer but `cold_start`, whose sizes are its forms).  The JSON holds the machine, the Python version, the git commit
 (and whether `src/` differs from it), the inputs, the medians keyed by
 layer name, and the line count of `src/concordance/*.py`.  Standard
 library only.
@@ -56,9 +64,11 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +78,8 @@ SRC = ROOT / "src"
 COUNT = 15
 SEED = 1
 REPEAT = 3
+COLD_RUNS = 9
+CLI = "import sys\nfrom concordance import cli\nsys.exit(cli.main(sys.argv[1:]))"
 
 sys.path.insert(0, str(SRC))
 sys.path.append(str(ROOT / "perfbench"))
@@ -206,6 +218,36 @@ def layers():
     }
 
 
+def cold_forms():
+    """(name, interpreter arguments) of each cold start: `import
+    concordance`, then the README's subcommand forms with text output."""
+    recorded = json.loads((ROOT / "tests" / "data" / "readme_forms.json").read_text())
+    forms = [entry["argv"] for entry in recorded if entry["argv"][0] != "--output"]
+    return [("import concordance", ["-c", "import concordance"])] + [
+        (" ".join(argv), ["-c", CLI, *argv]) for argv in forms
+    ]
+
+
+def cold_ms(runs):
+    """Each cold start's median over `runs` fresh interpreters, in
+    milliseconds, on a copy of the package without bytecode; round r runs
+    every form once before round r + 1 begins.  Also the reference's
+    seconds, timed once before the first round and once after each."""
+    forms = cold_forms()
+    times = {name: [] for name, _ in forms}
+    references = [pace.reference()]
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(SRC / "concordance", Path(tmp) / "concordance", ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        for _ in range(runs):
+            for name, args in forms:
+                start = time.perf_counter()
+                subprocess.run([sys.executable, *args], cwd=tmp, env=env, stdout=subprocess.DEVNULL, check=True)
+                times[name].append(time.perf_counter() - start)
+            references.append(pace.reference())
+    return {name: 1000 * statistics.median(t) for name, t in times.items()}, references
+
+
 def git(*args):
     try:
         out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
@@ -214,8 +256,9 @@ def git(*args):
     return out.stdout.strip()
 
 
-def measure(sizes=None):
-    """The report; `sizes` replaces every layer's default sizes."""
+def measure(sizes=None, cold_runs=COLD_RUNS):
+    """The report; `sizes` replaces every layer's default sizes but
+    those of `cold_start`, whose forms run `cold_runs` times each."""
     medians, scaled, inputs, references = {}, {}, {}, []
     for name, (fn, make, default, family) in layers().items():
         layer_sizes = sizes or default
@@ -227,6 +270,18 @@ def measure(sizes=None):
             scaled[name][str(size)] = round(pace.scale(median, statistics.median(paces)), 4)
             references += paces
         inputs[name] = {"family": family, "sizes": layer_sizes}
+    cold, paces = cold_ms(cold_runs)
+    medians["cold_start"] = {name: round(ms, 4) for name, ms in cold.items()}
+    scaled["cold_start"] = {
+        name: round(pace.scale(ms, statistics.median(paces), pace.START_SENSITIVITY), 4) for name, ms in cold.items()
+    }
+    references += paces
+    inputs["cold_start"] = {
+        "family": "import concordance and the README forms of tests/data/readme_forms.json, "
+                  "fresh interpreters without bytecode",
+        "sizes": list(cold),
+        "runs": cold_runs,
+    }
     status = git("status", "--porcelain", "--", "src")
     return {
         "machine": {
@@ -252,10 +307,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="where to write the JSON")
     parser.add_argument("--sizes", nargs="+", type=int,
-                        help="sizes for every layer (default: each layer's own)")
+                        help="sizes for every layer but cold_start (default: each layer's own)")
+    parser.add_argument("--cold-runs", type=int, default=COLD_RUNS,
+                        help=f"fresh interpreters per cold start (default: {COLD_RUNS})")
     args = parser.parse_args(argv)
     pin_to_one_cpu()
-    report = measure(args.sizes)
+    report = measure(args.sizes, args.cold_runs)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for name, medians in report["layers"].items():
         print(name, " ".join(f"{size}:{ms}ms" for size, ms in medians.items()))

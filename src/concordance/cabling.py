@@ -23,9 +23,7 @@ two signature values, a violating irreducible factor, or a tau mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .laurent import LaurentPoly, factor, fox_milnor_pairing, is_int
+from .laurent import LaurentPoly, Record, factor, fox_milnor_pairing, is_int
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
@@ -74,8 +72,7 @@ ALL_K_IRREDUCIBILITY_CITATION = (
 )
 
 
-@dataclass(frozen=True)
-class Cited:
+class Cited(Record):
     """A declared value paired with the literature reference backing it."""
 
     value: object
@@ -86,8 +83,7 @@ class Cited:
             raise ValueError("a declared value must carry a citation")
 
 
-@dataclass(frozen=True)
-class CitedBounds:
+class CitedBounds(Record):
     """Declared integer bounds (either side optional) with their citation."""
 
     lower: int | None
@@ -107,8 +103,7 @@ class CitedBounds:
                 raise ValueError("lower bound exceeds upper bound")
 
 
-@dataclass(frozen=True)
-class KnotProfile:
+class KnotProfile(Record):
     """A knot's computable data plus cited literature values.
 
     The Alexander polynomial is computed from the Seifert matrix when one
@@ -190,16 +185,14 @@ class KnotProfile:
             raise ValueError(f"{self.name!r}: s = {s.value} is odd, and s is even (Rasmussen)")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One independently checkable piece of evidence inside a report."""
 
     kind: str
     data: dict
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Outcome of an obstruction procedure.
 
     ``verdict`` is one of ``obstructed``, ``obstructed-up-to-complexity-k``

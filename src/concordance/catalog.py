@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .cabling import Cited, CitedBounds, KnotProfile
-from .laurent import LaurentPoly, all_int, is_int
+from .laurent import LaurentPoly, Record, all_int, is_int
 from .legendrian import FrontDiagram, PatternData, front_from_text
 from .seifert import SeifertMatrix
 from .surgery import SurgeryPresentation, presentation_from_text
@@ -66,15 +65,15 @@ class UnknownKnot(LookupError):
     """A requested name is not in the catalog (or lacks the needed data)."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One catalog record: a knot profile and/or packaged diagram data."""
+class CatalogEntry(Record):
+    """One catalog record: a knot profile and/or packaged diagram data.
+    Every field is given: the loader builds each entry whole."""
 
     name: str
-    profile: KnotProfile | None = None
-    fronts: dict = field(default_factory=dict)
-    pattern: PatternData | None = None
-    presentations: dict = field(default_factory=dict)
+    profile: KnotProfile | None
+    fronts: dict
+    pattern: PatternData | None
+    presentations: dict
 
 
 class Catalog:

@@ -13,6 +13,10 @@ Zassenhaus's algorithm; the result must multiply back exactly.
 ``fox_milnor_pairing`` decides on that factorization whether a
 polynomial is a norm f * f(1/t).
 
+Two rules that every module shares live here: ``is_int``, the one test of
+an integer input, and ``Record``, the one base of the package's frozen
+result classes (a record's fields are its annotations, in order).
+
 The textual syntax round-trips bit-exactly through ``parse``/``str``:
 
 >>> p = LaurentPoly({1: 3, 0: -7, -1: 3})
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "Factorization", "FoxMilnorResult", "LaurentPoly", "doteq", "factor",
@@ -55,6 +59,52 @@ def all_int(values) -> bool:
     every type is exactly int, no item is a bool and no call is needed;
     any other type sends the check through is_int item by item."""
     return {*map(type, values)} <= {int} or all(map(is_int, values))
+
+
+class Record:
+    """A frozen record: the base of every result class of the package.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute of a field's name is that field's default.  Each subclass
+    gets one ``__init__``, compiled once from a short ``def``: it takes
+    the fields by position or keyword, sets every one with
+    ``object.__setattr__`` and then runs the class's ``__post_init__``,
+    if it has one.  Records are equal when their classes are the same and
+    their field tuples equal, hash by the field tuple, print as
+    ``Name(field=value, ...)`` and refuse assignment and deletion.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._values = operator.attrgetter(*names)
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
+        body = [f" _set(self, {n!r}, {n})\n" for n in names]
+        if hasattr(cls, "__post_init__"):
+            body.append(" self.__post_init__()\n")
+        scope = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__(self, {params}):\n{''.join(body)}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _exact(v):
@@ -298,8 +348,7 @@ def _factor_sort_key(p: LaurentPoly):
     return (top, tuple(p.coeff(e) for e in range(0, top + 1)))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Irreducible factorization over Q of an integer Laurent polynomial.
 
     ``sign * content * t**power * prod(q**m)`` reproduces the input exactly.
@@ -396,8 +445,7 @@ def _primitive_factors(b: tuple) -> tuple:
     return tuple(sorted(factors, key=lambda fm: _factor_sort_key(fm[0])))
 
 
-@dataclass(frozen=True)
-class FoxMilnorResult:
+class FoxMilnorResult(Record):
     """Outcome of the norm test a =. f * reciprocal(f).
 
     On success ``witness`` holds one valid f.  On failure exactly one of

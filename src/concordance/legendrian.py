@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .cabling import KnotProfile
-from .laurent import is_int
+from .laurent import Record, is_int
 
 __all__ = [
     "FrontDiagram", "FrontError", "GenusBounds", "HypothesisNotMet",
@@ -75,7 +74,7 @@ SLICE_BENNEQUIN_TAU_CITATION = (
 )
 SLICE_BENNEQUIN_S_CITATION = (
     "Plamenevskaya, 'Transverse knots and Khovanov homology'; "
-    "Shumakovitch, 'Rasmussen invariant, slice-Bennequin inequality, and sliceness'"
+    "Shumakovitch, 'Rasmussen invariant, Slice-Bennequin inequality, and sliceness of knots'"
 )
 
 
@@ -95,8 +94,7 @@ class HypothesisNotMet(ValueError):
     """A pipeline hypothesis fails for the supplied data."""
 
 
-@dataclass(frozen=True)
-class LegendrianInvariants:
+class LegendrianInvariants(Record):
     """Classical invariants of an oriented front.
 
     Formula-level results (stabilize, satellite_invariants) populate only
@@ -429,8 +427,7 @@ def _cabled(blocks, moves, seam_strands, orient):
     return FrontDiagram(events, seam_strands, orient, _moves=chain.from_iterable(moves))
 
 
-@dataclass(frozen=True)
-class PatternData:
+class PatternData(Record):
     """Invariants of a pattern in the solid torus.
 
     tilde_class records the declared type of the associated knot P-tilde
@@ -501,8 +498,7 @@ def satellite_invariants(pattern, companion):
     )
 
 
-@dataclass(frozen=True)
-class GenusBounds:
+class GenusBounds(Record):
     """Lower bounds from tb + |rot| via slice-Bennequin and refinements."""
 
     g4_lower: int
@@ -520,8 +516,7 @@ def genus_bounds(inv):
     )
 
 
-@dataclass(frozen=True)
-class SatelliteGenusReport:
+class SatelliteGenusReport(Record):
     """Outcome of the stabilize-satellite-bound pipeline."""
 
     companion: str

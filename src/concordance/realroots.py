@@ -21,8 +21,9 @@ floating-point answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .laurent import Record
 
 
 def poly_eval(coeffs: list, x):
@@ -151,8 +152,7 @@ def _variations(chain: list[list], n: int, d: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
-class RootMarker:
+class RootMarker(Record):
     """One real root of a squarefree polynomial: exact, or isolated in an
     open interval (lo, hi) whose endpoints are not roots."""
 

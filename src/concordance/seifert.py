@@ -49,12 +49,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial, v_polys
-from .laurent import LaurentPoly, all_int, is_int
+from .laurent import LaurentPoly, Record, all_int, is_int
 from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
 
 __all__ = [
@@ -167,8 +166,7 @@ def mirror(v: SeifertMatrix) -> SeifertMatrix:
     return SeifertMatrix([[-v.entries[j][i] for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(Record):
     """omega = exp(2*pi*i*numerator/denominator), stored reduced."""
 
     numerator: int

@@ -30,9 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import types
-from dataclasses import dataclass
 
-from .laurent import all_int, is_int
+from .laurent import Record, all_int, is_int
 
 __all__ = [
     "AbelianGroupDescription", "ClassMismatch", "MeridianCheck", "SurgeryPresentation",
@@ -244,8 +243,7 @@ class SurgeryPresentation:
         )
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescription:
+class AbelianGroupDescription(Record):
     """Canonical form Z^rank + Z/d_1 + ... + Z/d_k with tracked images.
 
     Class images are coordinate tuples, torsion coordinates first (in
@@ -280,8 +278,9 @@ def _coordinates(vector, moduli):
     return tuple(x % d if d else x for x, d in zip(vector, moduli) if d != 1)
 
 
-def first_homology(presentation):
-    """Cokernel of the linking matrix, with class images tracked.
+def first_homology(presentation, labels=None):
+    """Cokernel of the linking matrix, with the images of the classes
+    named in labels tracked (of every class when labels is None).
 
     A class v maps to U * v, written in the Smith basis by `_coordinates`,
     where U is the row transform of `smith_normal_form`.  Here the same
@@ -294,15 +293,16 @@ def first_homology(presentation):
     """
     M = presentation.matrix
     n = len(M)
+    classes = presentation.classes if labels is None else {label: presentation.classes[label] for label in labels}
     # classes in and images out by one transpose each; that of no classes, or of no rows, is empty
-    C = [*map(list, zip(*presentation.classes.values()))] or [[]] * n
+    C = [*map(list, zip(*classes.values()))] or [[]] * n
     W = _eliminate(M, C, [()] * n)
     diag = [row[i] for i, row in enumerate(W)]
     images = zip(*(row[n:] for row in W)) if n else itertools.repeat(())
     return AbelianGroupDescription(
         rank=diag.count(0),
         torsion=tuple(d for d in diag if d >= 2),
-        images={label: _coordinates(image, diag) for label, image in zip(presentation.classes, images)},
+        images={label: _coordinates(image, diag) for label, image in zip(classes, images)},
     )
 
 
@@ -332,9 +332,9 @@ def localize(group, p):
     )
 
 
-@dataclass(frozen=True)
-class MeridianCheck:
-    """Successful verification of the rel-meridians condition."""
+class MeridianCheck(Record):
+    """Successful verification of the rel-meridians condition.  The two
+    groups carry the images of class0 and class1 only."""
 
     class0: str
     class1: str
@@ -362,7 +362,8 @@ def cobordism_meridian_check(presentation, name0, name1, p):
     for label in (name0, name1):
         if label not in presentation.classes:
             raise ValueError(f"presentation has no class named {label!r}")
-    group = first_homology(presentation)
+    # no choice of the elimination reads the class columns: the other classes change neither image
+    group = first_homology(presentation, (name0, name1))
     residual = _coordinates(
         [a - p * b for a, b in zip(group.images[name0], group.images[name1])],
         group.torsion + (0,) * group.rank,

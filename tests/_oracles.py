@@ -310,11 +310,12 @@ def reference_smith_normal_form(M):
     return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], W[m:]
 
 
-def reference_first_homology(presentation):
+def reference_first_homology(presentation, labels=None):
     """First homology by the library's earlier route: U from
     `smith_normal_form`, each class image the product U * v, one dot
     product per row of U.  A coordinate is reduced mod its diagonal entry
-    (kept as is for a zero one) and dropped for a unit entry."""
+    (kept as is for a zero one) and dropped for a unit entry.  Only the
+    classes named in labels are mapped, every class when it is None."""
     U, D, _ = smith_normal_form(presentation.matrix)
     diag = [row[i] for i, row in enumerate(D)]
     images = {
@@ -324,6 +325,7 @@ def reference_first_homology(presentation):
             if d != 1
         )
         for label, vector in presentation.classes.items()
+        if labels is None or label in labels
     }
     return AbelianGroupDescription(
         rank=diag.count(0),

@@ -6,11 +6,18 @@ Each entry of `MUTANTS` names a file, an exact piece of its source, the
 replacement, the tests that must fail, and a timeout in seconds.  The
 runner copies `src/` and `tests/` (and `perfbench/`, whose input
 families the test oracles load) to a temporary directory.  It first runs
-every named test there once, unmutated: each must exist and pass.  Then,
-for each entry, it applies the mutation to the copy, runs only the
-entry's tests in a fresh interpreter, and puts the file back.
+every named test there once, unmutated: each must be an id that pytest
+collects, exactly as written (a parametrized test with its parameter),
+and must pass.  Then, for each entry, it applies the mutation to the
+copy, runs only the entry's tests in a fresh interpreter, and puts the
+file back.  A test fails when pytest reports it failed or errored, or
+reports an error for its whole file (the mutant broke the file's
+imports).
 
 The run fails, exit code 1, when
+- an entry names a test id that pytest does not collect, or a named test
+  fails on the unmutated tree: then no mutant runs, and none counts as
+  caught;
 - an entry's source text is not in its file exactly once: the code it
   mutates has changed, so the same change must update the table;
 - a mutant survives: one of its tests passes;
@@ -54,6 +61,8 @@ LEGENDRIAN = "src/concordance/legendrian.py"
 BLOCKWISE = "tests/test_legendrian.py::test_cables_and_satellites_match_the_blockwise_route"
 FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digests"
 KEPT_FORMS = "tests/test_buffer_rule.py::test_readers_leave_the_kept_forms_unchanged_and_answer_twice_alike"
+LAURENT = "src/concordance/laurent.py"
+RECORDS = "tests/test_records.py"
 
 MUTANTS = (
     Mutant(
@@ -165,7 +174,7 @@ MUTANTS = (
     ),
     Mutant(
         "an omitted magnitude parsed as 0",
-        "src/concordance/laurent.py",
+        LAURENT,
         '(mag_s or "1")',
         '(mag_s or "0")',
         ("tests/test_laurent.py::test_parse_accepts_loose_variants",),
@@ -223,6 +232,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "record equality without the class test",
+        LAURENT,
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, Record):\n",
+        (f"{RECORDS}::test_equality_and_hash_by_class_and_field_tuple[Cited]",),
+    ),
+    Mutant(
+        "record equality and hash over all but the last field",
+        LAURENT,
+        "operator.attrgetter(*names)",
+        "operator.attrgetter(*names[:-1])",
+        (f"{RECORDS}::test_equality_and_hash_by_class_and_field_tuple[Factorization]",),
+    ),
+    Mutant(
+        "a record field that can be assigned",
+        LAURENT,
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        (
+            f"{RECORDS}::test_fields_cannot_be_assigned_or_deleted[RootOfUnity]",
+            "tests/test_seifert.py::test_markers_are_values",
+        ),
+    ),
+    Mutant(
+        "a record's __init__ that skips __post_init__",
+        LAURENT,
+        '        if hasattr(cls, "__post_init__"):\n',
+        "        if False:\n",
+        (f"{RECORDS}::test_post_init_runs_once[Cited]", f"{RECORDS}::test_post_init_checks_and_normalizes"),
+    ),
+    Mutant(
         "the degree bound refuses its own limit",
         "src/concordance/cli.py",
         "if degree > MAX_DEGREE:",
@@ -249,17 +289,32 @@ def copy_tree(into):
         shutil.copytree(ROOT / name, into / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
 
 
-def run_tests(root, tests, timeout):
-    """Run `tests` under `root` in a fresh interpreter: (the ids that
-    failed or errored, pytest's exit code), or None past the timeout."""
+def run_pytest(root, args, timeout):
+    """pytest on `args` under `root` in a fresh interpreter, without
+    bytecode or cache; the finished process, or None past the timeout."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "-o", "addopts=", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", *args]
     try:
-        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+        return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
-    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE))
-    return failed, done.returncode
+
+
+def collected(root, tests):
+    """The test ids that pytest collects from the files of `tests`."""
+    done = run_pytest(root, ["--collect-only", *sorted({test.split("::")[0] for test in tests})], 600)
+    return set() if done is None else {line for line in done.stdout.splitlines() if "::" in line}
+
+
+def run_tests(root, tests, timeout):
+    """Run `tests` under `root`: (the named tests that failed or errored,
+    each also when its whole file errored, pytest's exit code), or None
+    past the timeout."""
+    done = run_pytest(root, ["-rfE", *tests], timeout)
+    if done is None:
+        return None
+    reported = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE))
+    return {test for test in tests if test in reported or test.split("::")[0] in reported}, done.returncode
 
 
 def apply(root, mutant):
@@ -289,29 +344,47 @@ def check(root, mutant):
     return f"survived: {', '.join(survived)} passed" if survived else None
 
 
+def report(name, problem):
+    """Print one outcome as it is known."""
+    print(f"{'caught' if problem is None else 'FAIL'}: {name}" + (f": {problem}" if problem else ""), flush=True)
+
+
 def run(mutants, root):
     """Check `mutants` on the tree under `root`, changing it only while a
-    mutant runs; a list of (name, problem), empty when all are caught."""
+    mutant runs: (the number caught, a list of (name, problem)), the list
+    empty when all are caught."""
     tests = sorted({test for mutant in mutants for test in mutant.tests})
-    outcome = run_tests(root, tests, sum(mutant.timeout for mutant in mutants))
-    if outcome is None or outcome[1]:
-        detail = "ran past its timeout" if outcome is None else f"pytest exit code {outcome[1]}"
-        return [("unmutated tree", f"{detail}; failing or missing: {', '.join(sorted(outcome[0])) if outcome else '-'}")]
-    problems = []
+    known = collected(root, tests)
+    problems = [
+        (mutant.name, f"pytest collects no test {test}")
+        for mutant in mutants
+        for test in mutant.tests
+        if test not in known
+    ]
+    if not problems:
+        outcome = run_tests(root, tests, sum(mutant.timeout for mutant in mutants))
+        if outcome is None:
+            problems = [("unmutated tree", "ran past its timeout")]
+        elif outcome[1]:
+            problems = [("unmutated tree", f"pytest exit code {outcome[1]}; failing: {', '.join(sorted(outcome[0]))}")]
+    if problems:
+        for name, problem in problems:
+            report(name, problem)
+        return 0, problems
     for mutant in mutants:
         problem = check(root, mutant)
-        print(f"{'caught' if problem is None else 'FAIL'}: {mutant.name}" + (f": {problem}" if problem else ""), flush=True)
+        report(mutant.name, problem)
         if problem is not None:
             problems.append((mutant.name, problem))
-    return problems
+    return len(mutants) - len(problems), problems
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         copy_tree(root)
-        problems = run(MUTANTS, root)
-    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants caught")
+        caught, problems = run(MUTANTS, root)
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
     return 1 if problems else 0
 
 

@@ -1,4 +1,5 @@
-"""Smoke test of the layer timing script, bench/layers.py, at one small size."""
+"""Smoke test of the layer timing script, bench/layers.py, at one small
+size and one run of each cold start."""
 
 import json
 import pathlib
@@ -11,7 +12,7 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 def test_layers_script_writes_its_keys(tmp_path):
     out = tmp_path / "BENCH.json"
     subprocess.run(
-        [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "6"],
+        [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "6", "--cold-runs", "1"],
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads(out.read_text())
@@ -23,9 +24,15 @@ def test_layers_script_writes_its_keys(tmp_path):
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
         "legendrian.cable_front", "seifert.SeifertMatrix", "seifert.alexander",
         "seifert.levine_tristram", "seifert.signature_function", "laurent.factor",
-        "realroots.isolate_roots",
+        "realroots.isolate_roots", "cold_start",
     }
     assert set(report["layers_scaled"]) == set(report["layers"])
+    cold = report["layers"].pop("cold_start")
+    # import concordance, then the eleven README forms with text output
+    assert len(cold) == 12 and list(cold)[:2] == ["import concordance", "signature RH-trefoil --omega 1/3"]
+    assert list(report["layers_scaled"]["cold_start"]) == list(cold)
+    assert all(ms > 0 for ms in [*cold.values(), *report["layers_scaled"]["cold_start"].values()])
+    assert report["inputs"]["layers"]["cold_start"]["runs"] == 1
     for name, medians in report["layers"].items():
         assert list(medians) == ["6"]
         assert medians["6"] > 0

@@ -5,7 +5,6 @@ brute-force witness search (degree <= 4, coefficients in [-5, 5]) on a
 fixed-seed corpus of products, per the acceptance contract.
 """
 
-import dataclasses
 import enum
 import random
 from fractions import Fraction
@@ -13,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concordance.laurent import LaurentPoly, doteq, factor, fox_milnor_pairing
+from concordance.laurent import Factorization, LaurentPoly, doteq, factor, fox_milnor_pairing
 
 P = LaurentPoly.parse
 
@@ -413,7 +412,7 @@ def test_factor_matches_whole_product_route():
     # unit * a = -3 t^5 * a: the sign flips, the content triples, the power
     # grows by 5 and the factors stay
     unit_expected = [
-        dataclasses.replace(f, sign=-f.sign, content=3 * f.content, power=f.power + 5)
+        Factorization(sign=-f.sign, power=f.power + 5, content=3 * f.content, factors=f.factors)
         for f in expected
     ]
     assert [a for a, f in zip(cases, unit_expected) if factor(unit * a) != f] == []

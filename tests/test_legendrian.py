@@ -1,6 +1,5 @@
 """Front-diagram invariants, satellites, and the genus-bound pipeline."""
 
-from dataclasses import astuple
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -721,6 +720,11 @@ def front_digest_cases():
         yield f"satellite {name} paper-pattern-P", satellite_front, (front, PATTERN_FRONT)
 
 
+def _invariant_fields(inv):
+    """The six fields of LegendrianInvariants, in order."""
+    return (inv.tb, inv.rot, inv.writhe, inv.cusps, inv.down_left_cusps, inv.up_right_cusps)
+
+
 def _front_record(build, args):
     """sha256 of the events, then the component count, the winding and
     (tb, rot, writhe, cusps, down_left, up_right); each read that raises
@@ -730,7 +734,7 @@ def _front_record(build, args):
     except FrontError as exc:  # the exception is the result
         return [type(exc).__name__, str(exc)]
     record = [hashlib.sha256(json.dumps(front.events).encode()).hexdigest()]
-    for read in (lambda: front.component_count, front.winding, lambda: astuple(front.invariants())):
+    for read in (lambda: front.component_count, front.winding, lambda: _invariant_fields(front.invariants())):
         try:
             record.append(read())
         except FrontError as exc:

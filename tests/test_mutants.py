@@ -30,7 +30,56 @@ def test_a_stale_entry_and_a_surviving_mutant_fail_the_run(tmp_path):
     survivor = Mutant(
         "survivor", "src/concordance/surgery.py", "# a remainder smaller than the pivot surfaced", "# changed", (PASSING,)
     )
-    problems = dict(mutants.run([stale, survivor], tmp_path))
+    caught, problems = mutants.run([stale, survivor], tmp_path)
+    assert caught == 0
+    problems = dict(problems)
     assert problems["stale"].startswith("stale entry")
     assert problems["survivor"] == f"survived: {PASSING} passed"
     assert surgery.read_text() == before
+
+
+def test_a_mutant_that_breaks_its_test_module_import_is_caught(tmp_path, capsys):
+    mutants.copy_tree(tmp_path)
+    # tests/test_surgery.py imports smith_normal_form: its collection errors
+    renamed = Mutant(
+        "renamed", "src/concordance/surgery.py", "def smith_normal_form(", "def smith_normal_form_(", (PASSING,)
+    )
+    assert mutants.run([renamed], tmp_path) == (1, [])
+    assert "caught: renamed" in capsys.readouterr().out
+
+
+def test_an_id_that_pytest_does_not_collect_runs_no_mutant(tmp_path, capsys):
+    mutants.copy_tree(tmp_path)
+    # a parametrized test named without its parameter
+    bare = "tests/test_surgery.py::TestSmithNormalForm::test_hyperbolic_pair"
+    entry = Mutant("bare id", "src/concordance/surgery.py", "def smith_normal_form(", "def smith_normal_form_(", (bare,))
+    assert mutants.run([entry], tmp_path) == (0, [("bare id", f"pytest collects no test {bare}")])
+    assert f"FAIL: bare id: pytest collects no test {bare}" in capsys.readouterr().out
+
+
+def test_a_failing_unmutated_tree_runs_no_mutant_and_names_the_failures(tmp_path, monkeypatch, capsys):
+    mutants.copy_tree(tmp_path)
+    test_file = tmp_path / "tests/test_surgery.py"
+    test_file.write_text(test_file.read_text().replace("== ([[1]], [[0]], [[1]])", "== ([[1]], [[1]], [[1]])"))
+    monkeypatch.setattr(mutants, "copy_tree", lambda root: None)
+    monkeypatch.setattr(mutants.tempfile, "TemporaryDirectory", lambda: _Fixed(tmp_path))
+    survivor = Mutant("comment", "src/concordance/surgery.py", "def smith_normal_form(", "def  smith_normal_form(", (PASSING,))
+    monkeypatch.setattr(mutants, "MUTANTS", (survivor,))
+    assert mutants.main() == 1
+    out = capsys.readouterr().out
+    assert f"FAIL: unmutated tree: pytest exit code 1; failing: {PASSING}" in out
+    assert out.endswith("0 of 1 mutants caught\n")
+    assert "caught: comment" not in out
+
+
+class _Fixed:
+    """A TemporaryDirectory stand-in that yields a given directory."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        return str(self.path)
+
+    def __exit__(self, *exc):
+        return False

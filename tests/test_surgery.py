@@ -285,6 +285,28 @@ def test_first_homology_matches_the_dot_product_route():
     assert [P for P in cases if first_homology(P) != reference_first_homology(P)] == []
 
 
+def test_first_homology_of_named_classes_is_the_full_one_restricted():
+    # the elimination reads no class column, so the other classes change no image
+    rng = random.Random(20261019)
+    checked = 0
+    for P in homology_oracle_cases():
+        full = first_homology(P)
+        labels = rng.sample(sorted(P.classes), min(2, len(P.classes)))
+        for named in (labels, labels[:1] * 2, ()):
+            G = first_homology(P, named)
+            assert (G.rank, G.torsion) == (full.rank, full.torsion)
+            assert G.images == {label: full.images[label] for label in named}
+        checked += len(labels) == 2 and len(P.classes) > 2
+    assert checked > 50
+    # the meridian check's groups carry its two classes only
+    P = satellite_cobordism_presentation(3)
+    S = SurgeryPresentation(P.matrix, {**P.classes, "other": (1,) * P.size})
+    result = cobordism_meridian_check(S, "mu_K", "mu_Ptilde", 3)
+    assert set(result.homology.images) == set(result.localized.images) == {"mu_K", "mu_Ptilde"}
+    full = first_homology(S)
+    assert result.homology.images == {label: full.images[label] for label in ("mu_K", "mu_Ptilde")}
+
+
 def _meridian_outcome(P, name0, name1, p):
     """The check's result, or its ClassMismatch message and residual."""
     try:
