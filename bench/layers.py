@@ -1,6 +1,6 @@
 """Time library layers one at a time, on inputs of growing size.
 
-    python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48] [--cold-runs 9]
+    python3 bench/layers.py --out BENCH_<n>.json [--sizes 12 24 36 48]
 
 Run from anywhere; the library is imported from the `src/` beside this
 directory, and the inputs come from `perfbench/families.py` (imported
@@ -45,7 +45,7 @@ on the same CPU; `machine.cpus_used` names the CPUs it ran on.
 The `cold_start` layer times fresh interpreters on a copy of the
 package without bytecode, as a user's first run compiles it: `import
 concordance`, and each subcommand form of the README (read from
-`tests/data/readme_forms.json`, text output), each run `--cold-runs`
+`tests/data/readme_forms.json`, text output), each run COLD_RUNS
 times, round-robin over the forms; its figure for a form is the median
 wall time from spawn to exit, in milliseconds, and its scaled figure is
 brought to the nominal pace with `pace.START_SENSITIVITY`, as perfbench
@@ -228,8 +228,8 @@ def cold_forms():
     ]
 
 
-def cold_ms(runs):
-    """Each cold start's median over `runs` fresh interpreters, in
+def cold_ms():
+    """Each cold start's median over COLD_RUNS fresh interpreters, in
     milliseconds, on a copy of the package without bytecode; round r runs
     every form once before round r + 1 begins.  Also the reference's
     seconds, timed once before the first round and once after each."""
@@ -239,7 +239,7 @@ def cold_ms(runs):
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(SRC / "concordance", Path(tmp) / "concordance", ignore=shutil.ignore_patterns("__pycache__"))
         env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
-        for _ in range(runs):
+        for _ in range(COLD_RUNS):
             for name, args in forms:
                 start = time.perf_counter()
                 subprocess.run([sys.executable, *args], cwd=tmp, env=env, stdout=subprocess.DEVNULL, check=True)
@@ -256,9 +256,9 @@ def git(*args):
     return out.stdout.strip()
 
 
-def measure(sizes=None, cold_runs=COLD_RUNS):
+def measure(sizes=None):
     """The report; `sizes` replaces every layer's default sizes but
-    those of `cold_start`, whose forms run `cold_runs` times each."""
+    those of `cold_start`, whose sizes are its forms."""
     medians, scaled, inputs, references = {}, {}, {}, []
     for name, (fn, make, default, family) in layers().items():
         layer_sizes = sizes or default
@@ -270,7 +270,7 @@ def measure(sizes=None, cold_runs=COLD_RUNS):
             scaled[name][str(size)] = round(pace.scale(median, statistics.median(paces)), 4)
             references += paces
         inputs[name] = {"family": family, "sizes": layer_sizes}
-    cold, paces = cold_ms(cold_runs)
+    cold, paces = cold_ms()
     medians["cold_start"] = {name: round(ms, 4) for name, ms in cold.items()}
     scaled["cold_start"] = {
         name: round(pace.scale(ms, statistics.median(paces), pace.START_SENSITIVITY), 4) for name, ms in cold.items()
@@ -280,7 +280,7 @@ def measure(sizes=None, cold_runs=COLD_RUNS):
         "family": "import concordance and the README forms of tests/data/readme_forms.json, "
                   "fresh interpreters without bytecode",
         "sizes": list(cold),
-        "runs": cold_runs,
+        "runs": COLD_RUNS,
     }
     status = git("status", "--porcelain", "--", "src")
     return {
@@ -308,11 +308,9 @@ def main(argv=None):
     parser.add_argument("--out", required=True, type=Path, help="where to write the JSON")
     parser.add_argument("--sizes", nargs="+", type=int,
                         help="sizes for every layer but cold_start (default: each layer's own)")
-    parser.add_argument("--cold-runs", type=int, default=COLD_RUNS,
-                        help=f"fresh interpreters per cold start (default: {COLD_RUNS})")
     args = parser.parse_args(argv)
     pin_to_one_cpu()
-    report = measure(args.sizes, args.cold_runs)
+    report = measure(args.sizes)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for name, medians in report["layers"].items():
         print(name, " ".join(f"{size}:{ms}ms" for size, ms in medians.items()))

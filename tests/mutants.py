@@ -9,10 +9,12 @@ families the test oracles load) to a temporary directory.  It first runs
 every named test there once, unmutated: each must be an id that pytest
 collects, exactly as written (a parametrized test with its parameter),
 and must pass.  Then, for each entry, it applies the mutation to the
-copy, runs only the entry's tests in a fresh interpreter, and puts the
-file back.  A test fails when pytest reports it failed or errored, or
-reports an error for its whole file (the mutant broke the file's
-imports).
+copy, runs only the entry's tests, in a fresh interpreter for each of
+their files, and puts the file back.  A test fails when pytest reports
+it failed or errored, or reports an error for its whole file (the mutant
+broke the file's imports; the entry's other files still run).  A test
+survives when pytest reports it passed; a test that pytest reports
+neither way (it was skipped, say) did not run.
 
 The run fails, exit code 1, when
 - an entry names a test id that pytest does not collect, or a named test
@@ -21,6 +23,7 @@ The run fails, exit code 1, when
 - an entry's source text is not in its file exactly once: the code it
   mutates has changed, so the same change must update the table;
 - a mutant survives: one of its tests passes;
+- one of a mutant's tests does not run;
 - a mutant runs past its timeout, unless its entry says it hangs.
 
 pytest does not collect this file: its name does not start with `test_`.
@@ -34,6 +37,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -307,14 +311,24 @@ def collected(root, tests):
 
 
 def run_tests(root, tests, timeout):
-    """Run `tests` under `root`: (the named tests that failed or errored,
-    each also when its whole file errored, pytest's exit code), or None
-    past the timeout."""
-    done = run_pytest(root, ["-rfE", *tests], timeout)
-    if done is None:
-        return None
-    reported = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE))
-    return {test for test in tests if test in reported or test.split("::")[0] in reported}, done.returncode
+    """Run `tests` under `root`, one pytest per file, so that a file that
+    fails to import stops none of the others: (the named tests that failed
+    or errored, each also when its whole file errored; those that passed;
+    the largest exit code), or None when the runs together pass the
+    timeout."""
+    deadline = time.monotonic() + timeout
+    failed, passed, code = set(), set(), 0
+    for path in sorted({test.split("::")[0] for test in tests}):
+        group = [test for test in tests if test.split("::")[0] == path]
+        done = run_pytest(root, ["-rfEp", *group], deadline - time.monotonic())
+        if done is None:
+            return None
+        reported = re.findall(r"^(FAILED|ERROR|PASSED) (\S+)", done.stdout, re.MULTILINE)
+        bad = {test for outcome, test in reported if outcome != "PASSED"}
+        failed |= {test for test in group if test in bad or path in bad}
+        passed |= {test for outcome, test in reported if outcome == "PASSED"} & set(group)
+        code = max(code, done.returncode)
+    return failed, passed, code
 
 
 def apply(root, mutant):
@@ -339,9 +353,15 @@ def check(root, mutant):
         (root / mutant.path).write_text(original)
     if outcome is None:
         return None if mutant.hangs else f"ran past its timeout of {mutant.timeout} s"
-    failed, _ = outcome
-    survived = [test for test in mutant.tests if test not in failed]
-    return f"survived: {', '.join(survived)} passed" if survived else None
+    failed, passed, _ = outcome
+    survived = [test for test in mutant.tests if test not in failed and test in passed]
+    not_run = [test for test in mutant.tests if test not in failed and test not in passed]
+    problems = []
+    if survived:
+        problems.append(f"survived: {', '.join(survived)} passed")
+    if not_run:
+        problems.append(f"not run: {', '.join(not_run)}")
+    return "; ".join(problems) or None
 
 
 def report(name, problem):
@@ -365,8 +385,8 @@ def run(mutants, root):
         outcome = run_tests(root, tests, sum(mutant.timeout for mutant in mutants))
         if outcome is None:
             problems = [("unmutated tree", "ran past its timeout")]
-        elif outcome[1]:
-            problems = [("unmutated tree", f"pytest exit code {outcome[1]}; failing: {', '.join(sorted(outcome[0]))}")]
+        elif outcome[2]:
+            problems = [("unmutated tree", f"pytest exit code {outcome[2]}; failing: {', '.join(sorted(outcome[0]))}")]
     if problems:
         for name, problem in problems:
             report(name, problem)

@@ -1,5 +1,4 @@
-"""Smoke test of the layer timing script, bench/layers.py, at one small
-size and one run of each cold start."""
+"""Smoke test of the layer timing script, bench/layers.py, at one small size."""
 
 import json
 import pathlib
@@ -12,7 +11,7 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 def test_layers_script_writes_its_keys(tmp_path):
     out = tmp_path / "BENCH.json"
     subprocess.run(
-        [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "6", "--cold-runs", "1"],
+        [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "6"],
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads(out.read_text())
@@ -32,7 +31,7 @@ def test_layers_script_writes_its_keys(tmp_path):
     assert len(cold) == 12 and list(cold)[:2] == ["import concordance", "signature RH-trefoil --omega 1/3"]
     assert list(report["layers_scaled"]["cold_start"]) == list(cold)
     assert all(ms > 0 for ms in [*cold.values(), *report["layers_scaled"]["cold_start"].values()])
-    assert report["inputs"]["layers"]["cold_start"]["runs"] == 1
+    assert report["inputs"]["layers"]["cold_start"]["runs"] == 9
     for name, medians in report["layers"].items():
         assert list(medians) == ["6"]
         assert medians["6"] > 0

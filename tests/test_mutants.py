@@ -48,6 +48,43 @@ def test_a_mutant_that_breaks_its_test_module_import_is_caught(tmp_path, capsys)
     assert "caught: renamed" in capsys.readouterr().out
 
 
+PROBE = """from pathlib import Path
+
+import pytest
+
+RENAMED = "def smith_normal_form_(" in (Path(__file__).parents[1] / "src/concordance/surgery.py").read_text()
+
+
+def test_fails_on_the_mutant():
+    assert not RENAMED
+
+
+def test_skips_on_the_mutant():
+    if RENAMED:
+        pytest.skip("mutated")
+"""
+
+
+def _two_file_entry(tmp_path, probe):
+    """An entry whose mutant breaks the import of tests/test_surgery.py
+    and names a second test, in a file that imports nothing it renames."""
+    mutants.copy_tree(tmp_path)
+    (tmp_path / "tests/test_probe.py").write_text(PROBE)
+    return Mutant(
+        "two files", "src/concordance/surgery.py", "def smith_normal_form(", "def smith_normal_form_(",
+        (PASSING, f"tests/test_probe.py::{probe}"),
+    )
+
+
+def test_a_file_that_fails_to_import_does_not_stop_the_entry_s_other_files(tmp_path):
+    assert mutants.run([_two_file_entry(tmp_path, "test_fails_on_the_mutant")], tmp_path) == (1, [])
+
+
+def test_a_named_test_that_does_not_run_is_reported_as_not_run(tmp_path):
+    entry = _two_file_entry(tmp_path, "test_skips_on_the_mutant")
+    assert mutants.run([entry], tmp_path) == (0, [("two files", "not run: tests/test_probe.py::test_skips_on_the_mutant")])
+
+
 def test_an_id_that_pytest_does_not_collect_runs_no_mutant(tmp_path, capsys):
     mutants.copy_tree(tmp_path)
     # a parametrized test named without its parameter
