@@ -361,8 +361,10 @@ def fox_milnor_obstruction(
     ``laurent.FACTOR_CACHE_SIZE`` and ``intfactor.FACTORS_AT_CACHE_SIZE``
     entries, so a (p,1)-cable's delta_0(t^(p*k)) reuses the entry of
     delta_0 at p*k.  The merged factorization must multiply back to the
-    product.  Each violation witness states the rule the pairing names as
-    broken (``FoxMilnorResult.reason``).
+    product.  Each violation witness names a factor and the rule broken
+    (``FoxMilnorResult.reason``); the content rule holds, as an Alexander
+    polynomial's content divides delta(1) = +-1 and, by Gauss's lemma,
+    so does the product's.
     """
     if not is_int(k_max) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
@@ -382,13 +384,7 @@ def fox_milnor_obstruction(
                 "is consistent with rational concordance, not a proof"
             )
             break
-        if result.violating_content is not None:
-            detail = {"content": result.violating_content}
-        else:
-            detail = {
-                "factor": result.violating_factor,
-                "multiplicity": result.violating_multiplicity,
-            }
+        detail = {"factor": result.violating_factor, "multiplicity": result.violating_multiplicity}
         witnesses.append(
             Witness("fox-milnor-violation", {"k": k, **detail, "reason": result.reason})
         )

@@ -93,9 +93,6 @@ class Catalog:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def entry(self, name) -> CatalogEntry:
         return _lookup(self._by_name, name, "catalog entry", sort=False)
 

@@ -113,14 +113,6 @@ class SeifertMatrix:
     def genus(self) -> int:
         return len(self.entries) // 2
 
-    def __eq__(self, other):
-        if not isinstance(other, SeifertMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         label = f", name={self.name!r}" if self.name else ""
         return f"SeifertMatrix({[list(r) for r in self.entries]}{label})"
@@ -184,11 +176,6 @@ class RootOfUnity(Record):
         g = math.gcd(a, self.denominator)
         object.__setattr__(self, "numerator", a // g)
         object.__setattr__(self, "denominator", self.denominator // g)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RootOfUnity":
-        q = _as_fraction(q)
-        return cls(q.numerator, q.denominator)
 
     @property
     def fraction(self) -> Fraction:
@@ -422,7 +409,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
     the certified arc of omega is located among the isolated roots and
     the signature is taken at a rational sample u of that arc."""
     if not isinstance(omega, RootOfUnity):
-        omega = RootOfUnity.from_fraction(omega)
+        raise TypeError(f"omega must be a RootOfUnity, got {omega!r}")
     if omega.is_one:
         raise OmegaIsOne("signature is undefined at omega = 1")
     delta = v.delta
@@ -470,9 +457,14 @@ class SignatureFunction:
     Piecewise constant with even values, symmetric under conjugation,
     jumping only at unit-circle roots of the Alexander polynomial; the
     value at omega = 1 is 0.  Angles are fractions of a full turn.
+    Raises ValueError unless |delta(1)| = 1, which ``first_witness``
+    relies on.
     """
 
     def __init__(self, delta: LaurentPoly, value_at: Callable[[Fraction], int]):
+        at_one = sum(c for _, c in delta.items())
+        if abs(at_one) != 1:
+            raise ValueError(f"|delta(1)| = {abs(at_one)}, not 1")
         # delta is the balanced Alexander polynomial; its circle roots
         # (markers) ascend in angle (descend in x = 2 cos 2*pi*angle), and
         # values[i] = value_at(u) at the rational sample u of the arc
@@ -559,10 +551,7 @@ def _as_fraction(q) -> Fraction:
         return q.fraction
     if not (isinstance(q, Fraction) or is_int(q)):
         raise TypeError(f"an angle must be an int, a Fraction or a RootOfUnity, got {q!r}")
-    q = Fraction(q)
-    if not 0 <= q < 1:
-        q = q % 1
-    return q
+    return Fraction(q) % 1
 
 
 def _marker_angle_float(m: RootMarker) -> float:
@@ -634,8 +623,11 @@ def first_witness(
     Returns (some sub-arc is bad, (omega, value_0, value_1) or None).  If
     no sub-arc is bad, no root of unity of any order off the jumps is a
     witness.  Otherwise the witness is the least a/b strictly inside a
-    bad sub-arc, by increasing prime b up to denominator_bound (skipping
-    the jump denominators of either function), then by increasing a.
+    bad sub-arc, by increasing prime b up to denominator_bound, then by
+    increasing a.  No prime b is a jump denominator of either function:
+    Phi_b(1) = b for a prime b, so Phi_b dividing delta would make b
+    divide delta(1) = +-1 (``SignatureFunction`` refuses any other
+    delta), and a pullback's delta(t^p) takes the same value at 1.
     The bad set is symmetric under q -> 1 - q, so the least a lies in
     (0, 1/2], and the sub-arcs ascend, so the first bad sub-arc that
     holds some a/b holds the least.  Each a/b is placed against the
@@ -650,8 +642,6 @@ def first_witness(
     for b in primes():
         if b > denominator_bound:
             break
-        if sig0.is_jump(Fraction(1, b)) or sig1.is_jump(Fraction(1, b)):
-            continue
         for lower, upper, v0, v1 in bad_arcs:
             a = 1 if lower is None else _least_numerator_above(lower, b)
             if a is None:

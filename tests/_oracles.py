@@ -130,7 +130,7 @@ def fox_milnor_oracle_cases(seed):
             g = LaurentPoly.one()
         shift = r.randint(-2, 2)
         sign = r.choice([1, -1])
-        cases.append((g * g.reciprocal()).shift(shift) * sign)
+        cases.append((g * g.reciprocal()).shift(shift) * LaurentPoly({0: sign}))
     for _ in range(100):
         # random small products, mostly non-norms
         a = LaurentPoly.one()

@@ -267,6 +267,20 @@ MUTANTS = (
         (f"{RECORDS}::test_post_init_runs_once[Cited]", f"{RECORDS}::test_post_init_checks_and_normalizes"),
     ),
     Mutant(
+        "a step function accepts delta(1) = 0",
+        SEIFERT,
+        "        if abs(at_one) != 1:\n",
+        "        if abs(at_one) > 1:\n",
+        ("tests/test_seifert.py::test_a_delta_with_delta_at_one_not_a_unit_is_refused",),
+    ),
+    Mutant(
+        "an int operand of * taken as a constant polynomial",
+        LAURENT,
+        "        if not isinstance(other, LaurentPoly):\n            return NotImplemented\n        c: dict",
+        "        if not isinstance(other, LaurentPoly):\n            other = LaurentPoly({0: other})\n        c: dict",
+        ("tests/test_laurent.py::test_an_int_is_no_operand",),
+    ),
+    Mutant(
         "the degree bound refuses its own limit",
         "src/concordance/cli.py",
         "if degree > MAX_DEGREE:",

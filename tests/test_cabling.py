@@ -96,15 +96,13 @@ class TestCableAlexander:
             TWIST_PROFILE.alexander,
             FIGURE_EIGHT_PROFILE.alexander,
         ]
-        # 1 + (t - 2 + 1/t) * h(t + 1/t) is symmetric with delta(1) = 1: an
-        # Alexander polynomial for every integer polynomial h
-        x = LaurentPoly.parse("t^1 + t^-1")
+        # a symmetric polynomial with delta(1) = 1 is an Alexander
+        # polynomial: it is 1 + (t - 2 + 1/t) * h(t + 1/t) for an integer
+        # polynomial h
         for _ in range(10):
-            h = sum(
-                (rng.randint(-5, 5) * x**e for e in range(rng.randint(1, 4))),
-                LaurentPoly(),
-            )
-            polys.append(LaurentPoly.one() + (x - 2) * h)
+            half = {e: rng.randint(-5, 5) for e in range(1, rng.randint(1, 4) + 1)}
+            mirrored = {-e: c for e, c in half.items()}
+            polys.append(LaurentPoly({**half, **mirrored, 0: 1 - 2 * sum(half.values())}))
         for delta in polys:
             for p in (1, 2, 3):
                 for q in (1, 2, 4):
@@ -482,7 +480,7 @@ class TestFoxMilnorObstruction:
         bases = [twist(n) for n in (-3, -2, -1, 1, 2, 3)] + [torus(q) for q in (3, 5, 7)]
         pairs = []
         for i in range(24):
-            delta = r.choice(bases) * (r.choice(bases) if r.random() < 0.3 else 1)
+            delta = r.choice(bases) * (r.choice(bases) if r.random() < 0.3 else LaurentPoly.one())
             K0 = KnotProfile(f"K{i}", alexander=delta)
             if i % 2:
                 K1 = cable_profile(K0, r.choice((2, 3)))

@@ -60,7 +60,7 @@ class TestLoadCatalog:
             "paper-pattern-P",
             "satellite-P-of-trefoil",
         ]
-        assert len(catalog) == 7
+        assert len(catalog.entries) == 7
 
     def test_bundled_profiles_are_cited(self):
         catalog = load_catalog()
@@ -85,9 +85,9 @@ class TestLoadCatalog:
     def test_empty_catalog(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text("[]")
-        assert len(load_catalog(path)) == 0
+        assert load_catalog(path).entries == []
         path.write_text("  \n")
-        assert len(load_catalog(path)) == 0
+        assert load_catalog(path).entries == []
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         path = tmp_path / "catalog.json"
@@ -561,10 +561,14 @@ class TestExitCodes:
         # span 72, within MAX_DEGREE, whose trace polynomial has at least 18
         # modular factors at every prime and no factor of degree < 4, so
         # recombination would pass MAX_MODULAR_FACTORS
-        y = LaurentPoly.parse("t^1 - 2 + t^-1")
+        # with y = (t - 1)^2 / t, Q_a(y) = ((t - 1)^8 - c t^2 (t - 1)^4 + t^4) / t^4
+        # for c = 2(2a + 1)
         delta = LaurentPoly.one()
         for a in (2, 5, 6, 7, 10, 11, 12, 13, 14):
-            delta = delta * (y**4 - 2 * (2 * a + 1) * y**2 + 1)
+            c = 2 * (2 * a + 1)
+            delta = delta * LaurentPoly.from_coeffs(
+                [1, -8, 28 - c, 4 * c - 56, 71 - 6 * c, 4 * c - 56, 28 - c, -8, 1], low=-4
+            )
         assert (delta.span(), laurent_at_sign(delta, 1)) == (72, 1)
         path = tmp_path / "catalog.json"
         entries = [{"name": "unknot", "seifert_matrix": []}, {"name": "sd", "alexander": str(delta)}]
@@ -790,12 +794,11 @@ def test_cli_starts_without_sympy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
         "import sys\n"
-        "from fractions import Fraction\n"
         "import concordance, concordance.cli\n"
         "concordance.load_catalog()\n"
-        "from concordance.seifert import SeifertMatrix, levine_tristram, signature_function\n"
+        "from concordance.seifert import RootOfUnity, SeifertMatrix, levine_tristram, signature_function\n"
         "v = SeifertMatrix([[-1, 1], [0, -1]])\n"
-        "print(levine_tristram(v, Fraction(1, 7)), signature_function(v)._values)\n"
+        "print(levine_tristram(v, RootOfUnity(1, 7)), signature_function(v)._values)\n"
         "codes = [concordance.cli.main(['alexander', 'RH-trefoil'])]\n"
         "loaded = ['concordance.intfactor' in sys.modules]\n"
         "codes += [concordance.cli.main(argv) for argv in (\n"

@@ -16,16 +16,27 @@ comprehension target, a nested def) is not a reference.
 A method of a reached class, named ``Class.method``, is reached when its
 name is loaded as an ``ast.Attribute`` in reached code.  The walk does
 not resolve the object's type, so a load of another class's attribute of
-the same name reaches it too.  Every dunder of a reached class is
-reached, as operators and the protocols of the language dispatch on the
-type."""
+the same name reaches it too.  A dunder of a reached class is reached
+when a run-time census calls it: operators and the protocols of the
+language dispatch on the type, which the walk does not see.  The census
+(``CENSUS``) runs the README's command forms, in table and json output,
+and its library example in a fresh interpreter, under a profile hook
+installed before the package is imported, and reports each function of
+``src/`` it called by file and first line (``co_qualname`` is 3.11 and
+later).  ``__repr__`` is always reached: pytest, tracebacks and the REPL
+call it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import concordance
 from concordance import cabling, catalog, laurent, legendrian, seifert, surgery
 from test_doc_examples import library_example
+from test_readme_forms import readme_forms
 
 MODULES = (laurent, seifert, cabling, legendrian, surgery, catalog)
 
@@ -34,7 +45,9 @@ SRC = Path(concordance.__file__).parent
 ROOT = ("cli", "main")
 
 # Public names and methods that cli.main does not reach and the README
-# does not import, each with the caller outside src/ that keeps it there.
+# does not import, and dunders that the census does not call, each with
+# the caller that keeps it: one outside src/, or a src/ caller that no
+# README form runs.
 UNREACHED = {
     "cabling.tau_cable_rule":
         "perfbench/workloads.py builds its tau-rule cables with it",
@@ -59,7 +72,67 @@ UNREACHED = {
         "perfbench's run_cable and bench/layers.py call it",
     "seifert.SignatureFunction.evaluate":
         "perfbench's sigma-sweep checker calls it, and its tracer targets it",
+    "seifert.SignatureFunction.is_jump":
+        "evaluate calls it, and the tests' jump scans",
+    "laurent.Record.__eq__":
+        "tests/test_records.py pins it: records of one class with equal fields are equal",
+    "laurent.Record.__hash__":
+        "tests/test_records.py pins it: a record hashes by its fields",
+    "laurent.Record.__setattr__":
+        "tests/test_records.py pins it: a record refuses assignment",
+    "laurent.Record.__delattr__":
+        "tests/test_records.py pins it: a record refuses deletion",
+    "laurent.LaurentPoly.__pow__":
+        "fox_milnor_pairing's norm witness at an even multiplicity of a "
+        "self-reciprocal factor, as perfbench's cable-obstruct asks and no README form",
+    "catalog.Catalog.__iter__":
+        "the README's note on the removed Catalog.names(): [entry.name for entry in catalog]",
+    "surgery.ClassMismatch.__init__":
+        "homology-check's exit 3 (tests/test_cli.py) and perfbench's diagram-homology "
+        "torsion probes; no README form mismatches",
 }
+
+CENSUS = """\
+import contextlib, io, json, sys
+
+job = json.load(sys.stdin)
+called = set()
+
+
+def census(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(census)
+from concordance.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in job["forms"]:
+        main(argv)
+    exec(compile(job["example"], "README.md", "exec"), {})
+sys.setprofile(None)
+json.dump(sorted(called), sys.stdout)
+"""
+
+
+def census():
+    """The (module, first line) of each function of src/ that CENSUS
+    calls, in a fresh interpreter that imports the package from SRC."""
+    forms = [argv for form in readme_forms() for argv in (form, ["--output", "json", *form])]
+    src = SRC.resolve()
+    run = subprocess.run(
+        [sys.executable, "-c", CENSUS],
+        input=json.dumps({"forms": forms, "example": library_example()}),
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src.parent)),
+    )
+    return {
+        (Path(file).stem, line)
+        for file, line in json.loads(run.stdout)
+        if Path(file).resolve().parent == src
+    }
+
 
 _SCOPES = (
     ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
@@ -148,10 +221,17 @@ def _code(node):
     return parts
 
 
-def reached(sources, root):
+def _first_line(node):
+    """A definition's first line, its first decorator's if it has one, as
+    a code object counts it."""
+    return min([node.lineno, *(d.lineno for d in node.decorator_list)])
+
+
+def reached(sources, root, called=frozenset()):
     """The (module, name) definitions that root reaches, in the modules
     given as module name -> source text; a method's name is
-    Class.method."""
+    Class.method.  A dunder is reached when its (module, first line) is
+    in called, or when it is ``__repr__``."""
     index = {module: _index(ast.parse(text)) for module, text in sources.items()}
     seen, todo = set(), [root]
     attributes, waiting = set(), {}  # waiting: method name -> its unreached defs
@@ -180,7 +260,10 @@ def reached(sources, root):
             for method in node.body:
                 if isinstance(method, _DEFS):
                     key = (module, f"{name}.{method.name}")
-                    if method.name in attributes or method.name[:2] == method.name[-2:] == "__":
+                    if method.name[:2] == method.name[-2:] == "__":
+                        if method.name == "__repr__" or (module, _first_line(method)) in called:
+                            todo.append(key)
+                    elif method.name in attributes:
                         todo.append(key)
                     else:
                         waiting.setdefault(method.name, []).append(key)
@@ -197,11 +280,12 @@ def public_names(tree):
     return [name for name in _index(tree)[0] if not name.startswith("_") and "." not in name]
 
 
-def unlisted_and_stale(sources, readme, unreached):
+def unlisted_and_stale(sources, readme, unreached, called):
     """The public names and the methods of reached classes that are
-    neither reached from ROOT, named in readme nor listed in unreached,
-    and the entries of unreached that name none of those, each sorted."""
-    found = reached(sources, ROOT)
+    neither reached from ROOT (a dunder: called, see ``reached``), named
+    in readme nor listed in unreached, and the entries of unreached that
+    name none of those, each sorted."""
+    found = reached(sources, ROOT, called)
     trees = {module: ast.parse(text) for module, text in sources.items()}
     flagged = {f"{module}.{name}" for module, tree in trees.items() for name in public_names(tree)}
     flagged |= {
@@ -244,7 +328,7 @@ def test_every_public_name_is_reached_named_by_the_readme_or_listed():
         if path.stem != "__init__"
     }
     assert len(sources) >= 10
-    assert unlisted_and_stale(sources, readme_names(), UNREACHED) == ([], [])
+    assert unlisted_and_stale(sources, readme_names(), UNREACHED, census()) == ([], [])
 
 
 def test_a_local_binding_does_not_reach_the_name_it_shadows():
@@ -320,24 +404,46 @@ def test_a_method_reached_only_through_a_reached_method_is_reached():
     }
 
 
-def test_the_dunders_of_a_reached_class_are_reached():
+def test_a_dunder_is_reached_only_when_the_census_calls_it():
     source = (
         "def main():\n"
         "    return Thing() + Other()\n"
         "class Thing:\n"
         "    def __init__(self): pass\n"
         "    def __add__(self, other): return helper()\n"
-        "    def plain(self): pass\n"
+        "    def __repr__(self): return shown()\n"
         "class Other:\n"
+        "    @classmethod\n"
+        "    def __init_subclass__(cls): pass\n"
         "    def __radd__(self, other): pass\n"
         "class Unused:\n"
         "    def __init__(self): pass\n"
         "def helper(): pass\n"
+        "def shown(): pass\n"
     )
-    assert reached({"m": source}, ("m", "main")) == {
-        ("m", "main"), ("m", "Thing"), ("m", "Thing.__init__"), ("m", "Thing.__add__"),
-        ("m", "helper"), ("m", "Other"), ("m", "Other.__radd__"),
+    # called: Thing.__add__, Other.__init_subclass__ by its decorator's
+    # line, and Unused.__init__, whose class is not reached; __repr__ is
+    # reached uncalled, Thing.__init__ and Other.__radd__ are not
+    called = {("m", 5), ("m", 8), ("m", 12)}
+    assert reached({"m": source}, ("m", "main"), called) == {
+        ("m", "main"), ("m", "Thing"), ("m", "Thing.__add__"), ("m", "helper"),
+        ("m", "Thing.__repr__"), ("m", "shown"), ("m", "Other"), ("m", "Other.__init_subclass__"),
     }
+
+
+def test_an_uncalled_dunder_must_be_listed():
+    sources = {
+        "cli": "def main():\n"
+               "    return Thing() * Thing()\n"
+               "class Thing:\n"
+               "    def __mul__(self, other): pass\n"
+               "    def __add__(self, other): pass\n",
+    }
+    assert unlisted_and_stale(sources, set(), {}, {("cli", 4)}) == (["cli.Thing.__add__"], [])
+    listed = {"cli.Thing.__add__": "a caller outside src/"}
+    assert unlisted_and_stale(sources, set(), listed, {("cli", 4)}) == ([], [])
+    # a census that calls __add__ too makes its entry stale
+    assert unlisted_and_stale(sources, set(), listed, {("cli", 4), ("cli", 5)}) == ([], ["cli.Thing.__add__"])
 
 
 def test_an_unreached_method_must_be_listed_and_a_stale_entry_fails():
@@ -348,10 +454,10 @@ def test_an_unreached_method_must_be_listed_and_a_stale_entry_fails():
                "    def used(self): pass\n"
                "    def idle(self): pass\n",
     }
-    assert unlisted_and_stale(sources, set(), {}) == (["cli.Thing.idle"], [])
+    assert unlisted_and_stale(sources, set(), {}, set()) == (["cli.Thing.idle"], [])
     # a README name covers the class it names, not the class's methods
-    assert unlisted_and_stale(sources, {"Thing"}, {}) == (["cli.Thing.idle"], [])
+    assert unlisted_and_stale(sources, {"Thing"}, {}, set()) == (["cli.Thing.idle"], [])
     listed = {"cli.Thing.idle": "a caller outside src/"}
-    assert unlisted_and_stale(sources, set(), listed) == ([], [])
+    assert unlisted_and_stale(sources, set(), listed, set()) == ([], [])
     stale = dict(listed, **{"cli.Thing.used": "reached, so stale"})
-    assert unlisted_and_stale(sources, set(), stale) == ([], ["cli.Thing.used"])
+    assert unlisted_and_stale(sources, set(), stale, set()) == ([], ["cli.Thing.used"])

@@ -101,9 +101,17 @@ def _check_isolation(coeffs, lo, hi):
     "lo, hi", [(Fraction(-2), Fraction(2)), (Fraction(-5, 2), Fraction(9, 4))]
 )
 def test_isolate_roots_finds_each_root_once(lo, hi):
+    inside = 0
     for coeffs in _seeded_polys(1, 150):
         if poly_eval(coeffs, lo) and poly_eval(coeffs, hi):
-            _check_isolation(coeffs, lo, hi)
+            for m in _check_isolation(coeffs, lo, hi):
+                # -1/3 and 5/7 are no bisection points: a marker of either
+                # root holds it strictly inside, and compares equal to it
+                for x in (Fraction(-1, 3), Fraction(5, 7)):
+                    if m.exact is None and m.lo < x < m.hi and not poly_eval(coeffs, x):
+                        assert m.compare_rational(x) == 0
+                        inside += 1
+    assert inside
 
 
 def _fields(m):

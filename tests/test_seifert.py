@@ -49,6 +49,7 @@ from concordance.seifert import (
     first_witness,
     levine_tristram,
     mirror,
+    SignatureFunction,
     signature_function,
 )
 
@@ -148,7 +149,7 @@ def test_construction_checks_rows_in_order():
     with pytest.raises(ValueError, match="Seifert matrix must be square"):
         SeifertMatrix([[0, 1], [0.5]])
     # an int subclass is an integer: accepted, equal to the plain matrix
-    assert SeifertMatrix([[_Int(-1), 1], [0, _Int(-1)]]) == TREFOIL
+    assert SeifertMatrix([[_Int(-1), 1], [0, _Int(-1)]]).entries == TREFOIL.entries
 
 
 def test_alexander_frozen_values():
@@ -170,7 +171,7 @@ def test_root_of_unity_normalization():
     assert RootOfUnity(2, 4) == RootOfUnity(1, 2)
     assert RootOfUnity(-1, 6) == RootOfUnity(5, 6)
     assert RootOfUnity(5, 5).is_one
-    assert RootOfUnity.from_fraction(Fraction(3, 12)) == RootOfUnity(1, 4)
+    assert RootOfUnity(3, 12) == RootOfUnity(1, 4)
     assert str(RootOfUnity(1, 2)) == "e^(2*pi*i*1/2)"
     with pytest.raises(ValueError):
         RootOfUnity(1, 0)
@@ -182,8 +183,8 @@ def test_levine_tristram_frozen_values():
     assert levine_tristram(TREFOIL, RootOfUnity(1, 7)) == 0
     assert levine_tristram(TREFOIL, RootOfUnity(2, 7)) == -2
     assert levine_tristram(TREFOIL, RootOfUnity(6, 7)) == 0
-    for q in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)):
-        assert levine_tristram(UNKNOT, q) == 0
+    for a, b in ((1, 3), (1, 2), (2, 7)):
+        assert levine_tristram(UNKNOT, RootOfUnity(a, b)) == 0
 
 
 def test_levine_tristram_error_cases():
@@ -194,6 +195,9 @@ def test_levine_tristram_error_cases():
         levine_tristram(TREFOIL, RootOfUnity(1, 6))
     with pytest.raises(SingularAtOmega):
         levine_tristram(TREFOIL, RootOfUnity(5, 6))
+    # omega is a RootOfUnity, not an angle
+    with pytest.raises(TypeError, match="RootOfUnity"):
+        levine_tristram(TREFOIL, Fraction(1, 3))
 
 
 def test_signature_function_trefoil_structure():
@@ -214,6 +218,14 @@ def test_signature_function_trefoil_structure():
     assert not sig.is_jump(Fraction(1, 7))
     with pytest.raises(SingularAtOmega):
         sig.evaluate(Fraction(1, 6))
+    # an angle outside [0, 1) is taken mod 1: 7/6 and -5/6 are the jump 1/6,
+    # and 4/3 and -2/3 lie on the arc of 1/3
+    for q in (Fraction(7, 6), Fraction(-5, 6)):
+        assert sig.is_jump(q)
+        with pytest.raises(SingularAtOmega):
+            sig.evaluate(q)
+    assert sig.evaluate(Fraction(4, 3)) == sig.evaluate(Fraction(-2, 3)) == -2
+    assert not sig.is_jump(Fraction(4, 3)) and not sig.is_jump(Fraction(-2, 3))
 
 
 def test_signature_function_no_jump_cases():
@@ -340,7 +352,7 @@ def test_dense_sampling_agrees_with_arc_values():
                 if sig.is_jump(q):
                     continue
                 assert sig.evaluate(q) == val
-                assert levine_tristram(v, RootOfUnity.from_fraction(q)) == val
+                assert levine_tristram(v, RootOfUnity(q.numerator, q.denominator)) == val
 
 
 def test_signature_function_values_always_even():
@@ -533,7 +545,7 @@ def test_markers_are_values():
             jumps, arcs = sig.jumps(), sig.arcs()
             for q in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)):
                 try:
-                    assert sig.evaluate(q) == levine_tristram(v, q)
+                    assert sig.evaluate(q) == levine_tristram(v, RootOfUnity(q.numerator, q.denominator))
                 except SingularAtOmega:
                     pass
             pb = sig.pullback(2)
@@ -697,7 +709,7 @@ def test_pretzel_sums_with_dyadic_circle_roots():
         for lo, hi, val in sig.arcs():
             q = Fraction((lo + hi) / 2).limit_denominator(10**4)
             assert lo < q < hi
-            assert sig.evaluate(q) == val == levine_tristram(v, RootOfUnity.from_fraction(q))
+            assert sig.evaluate(q) == val == levine_tristram(v, RootOfUnity(q.numerator, q.denominator))
             assert val == _lt_oracle(v, q.numerator, q.denominator)
 
 
@@ -777,6 +789,26 @@ def test_levine_tristram_matches_the_step_function_at_seeded_angles():
                     signature_function(v).evaluate(omega)
                 continue
             assert signature_function(v).evaluate(omega) == value == levine_tristram(v, omega)
+
+
+def test_no_prime_is_a_jump_denominator():
+    # Phi_b(1) = b for a prime b, and delta(1) = +-1 for delta and its
+    # pullbacks: first_witness scans prime denominators without a jump test
+    rng = random.Random(3701)
+    small_primes = [b for b in range(2, 212) if all(b % d for d in range(2, b))]
+    for genus in range(1, 5):
+        for _ in range(3):
+            sig = signature_function(SeifertMatrix(families.random_knot(rng, genus).seifert()))
+            for f in (sig, sig.pullback(2), sig.pullback(3)):
+                assert not any(f.is_jump(Fraction(1, b)) for b in small_primes)
+
+
+def test_a_delta_with_delta_at_one_not_a_unit_is_refused():
+    # t + 1 + 1/t is Phi_3 up to a unit: delta(1) = 3, and angle 1/3 would
+    # be a jump of prime denominator; t - 2 + 1/t vanishes at 1
+    for delta, at_one in ((LaurentPoly({1: 1, 0: 1, -1: 1}), 3), (LaurentPoly({1: 1, 0: -2, -1: 1}), 0)):
+        with pytest.raises(ValueError, match=rf"\|delta\(1\)\| = {at_one}, not 1"):
+            SignatureFunction(delta, lambda u: 0)
 
 
 def test_warm_entries_are_unchanged_by_their_users():
