@@ -179,29 +179,31 @@ def _cmd_cable_obstruction(catalog, args):
 
 
 def _pair(catalog, args):
+    """The two knots of a pair command, once --k-max is checked and the
+    last Fox-Milnor product bounded: a --cable's delta(t^p), of degree
+    p * deg(delta), is built only then."""
     K0 = catalog.profile(args.knot0)
-    if args.cable is not None:
+    if args.cable is None:
+        K1 = catalog.profile("unknot" if args.knot1 is None else args.knot1)
+        degree = _degree(K0, K1)
+    else:
         if args.knot1 is not None:
             raise BadFlag("give either a second knot or --cable, not both")
         _positive("--cable", args.cable, 1)
-        return K0, cable_profile(K0, args.cable)
-    if args.knot1 is not None:
-        return K0, catalog.profile(args.knot1)
-    return K0, catalog.profile("unknot")
+        K1, degree = None, _degree(K0) * (1 + args.cable)
+    _positive("--k-max", args.k_max, 1)
+    _bounded("the last Fox-Milnor product", args.k_max * degree)
+    return K0, K1 or cable_profile(K0, args.cable)
 
 
 def _cmd_fox_milnor(catalog, args):
     K0, K1 = _pair(catalog, args)
-    _positive("--k-max", args.k_max, 1)
-    _bounded("the last Fox-Milnor product", args.k_max * _degree(K0, K1))
     report = fox_milnor_obstruction(K0, K1, k_max=args.k_max)
     return _obstruction_dict("fox-milnor", report)
 
 
 def _cmd_verdict(catalog, args):
     K0, K1 = _pair(catalog, args)
-    _positive("--k-max", args.k_max, 1)
-    _bounded("the last Fox-Milnor product", args.k_max * _degree(K0, K1))
     _positive("--angle-denominator-bound", args.angle_denominator_bound, 2)
     report = rational_concordance_verdict(
         K0,

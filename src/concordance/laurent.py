@@ -17,9 +17,19 @@ Two rules that every module shares live here: ``is_int``, the one test of
 an integer input, and ``Record``, the one base of the package's frozen
 result classes (a record's fields are its annotations, in order).
 
-``LaurentPoly`` keeps the operators the library calls: ``*``, ``**`` to
-n >= 0, unary ``-``, ``==`` and ``hash``, each between polynomials only
-(no ``+``; a scalar c multiplies as ``p * LaurentPoly({0: c})``).
+``LaurentPoly`` is dense: the lowest exponent and the tuple of the
+coefficients from t^low to t^high, trimmed so that neither end is zero
+(the zero polynomial is ``()``).  Shifts share the tuple, the reciprocal
+reverses it, t -> t^k spreads it with one strided assignment, and
+equality and hashing compare (low, tuple).  A span above ``MAX_SPAN``
+is refused with ValueError before it is allocated, by every constructor
+and operation; a huge exponent with a small span costs nothing.  The
+public constructors (a dict {exponent: coefficient}, ``from_coeffs``,
+``parse``) check their types; what this module builds itself goes
+through the one trusted ``_dense``, which only trims zeros.  The
+operators are the ones the library calls: ``*``, ``**`` to n >= 0,
+``==`` and ``hash``, each between polynomials only (no ``+`` and no
+unary ``-``; a scalar c multiplies as ``p * LaurentPoly({0: c})``).
 
 The textual syntax round-trips bit-exactly through ``parse``/``str``:
 
@@ -111,12 +121,27 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# the widest span high - low a polynomial may have: the layout keeps one
+# coefficient per exponent of the span, so every constructor and
+# operation refuses a wider one before it allocates
+MAX_SPAN = 1 << 16
+
+
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise ValueError(f"span {span} is above MAX_SPAN = {MAX_SPAN}")
+
+
 class LaurentPoly:
-    """sum(c_e * t**e) with int coefficients; immutable after construction."""
+    """sum(c_e * t**e) with int coefficients; immutable after construction.
 
-    __slots__ = ("_c",)
+    Kept dense: the lowest exponent and the tuple of coefficients from
+    t^low to t^high, with no zero at either end; the zero polynomial is
+    low 0 and ().  Every instance comes from ``_dense``."""
 
-    def __init__(self, coeffs=None):
+    __slots__ = ("_low", "_c")
+
+    def __new__(cls, coeffs=None):
         coeffs = coeffs or {}
         # one pass over the types, not a call per term: plain ints pass
         # at once, and anything else goes through is_int term by term
@@ -126,18 +151,29 @@ class LaurentPoly:
                     raise TypeError(f"exponent {e!r} must be an int")
                 if not is_int(v):
                     raise TypeError(f"coefficient {v!r} must be an int")
-        self._c = {e: v for e, v in coeffs.items() if v != 0}
+        exponents = [e for e, v in coeffs.items() if v]
+        if not exponents:
+            return _dense(0, ())
+        low, high = min(exponents), max(exponents)
+        _check_span(high - low)
+        c = [0] * (high - low + 1)
+        for e in exponents:
+            c[e - low] = coeffs[e]
+        return _dense(low, c)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _dense(0, (1,))
 
     @classmethod
     def from_coeffs(cls, coeffs, low: int = 0) -> "LaurentPoly":
-        """Build from a list of coefficients for t^low, t^(low+1), ..."""
-        return cls({low + i: c for i, c in enumerate(coeffs)})
+        """Build from a sequence of int coefficients for t^low, t^(low+1), ..."""
+        if not (all_int(coeffs) and is_int(low)):
+            raise TypeError("coefficients and the lowest exponent must be ints")
+        _check_span(len(coeffs) - 1)
+        return _dense(low, coeffs)
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
@@ -179,11 +215,14 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        """Sorted (exponent, coefficient) pairs, ascending exponent."""
-        return sorted(self._c.items())
+        """Sorted (exponent, coefficient) pairs of the nonzero terms,
+        ascending exponent."""
+        return [(e, v) for e, v in enumerate(self._c, self._low) if v]
 
-    def coeff(self, e: int):
-        return self._c.get(e, 0)
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of t^low() .. t^high(), a tuple; () for zero."""
+        return self._c
 
     @property
     def is_zero(self) -> bool:
@@ -192,12 +231,12 @@ class LaurentPoly:
     def low(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no lowest exponent")
-        return min(self._c)
+        return self._low
 
     def high(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no highest exponent")
-        return max(self._c)
+        return self._low + len(self._c) - 1
 
     def span(self) -> int:
         """Difference between highest and lowest exponent (0 for monomials)."""
@@ -205,77 +244,79 @@ class LaurentPoly:
 
     def content(self) -> int:
         """gcd of the coefficients, positive (0 for the zero polynomial)."""
-        return math.gcd(*self._c.values())
+        return math.gcd(*self._c)
 
     # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()})
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c)
+        x, y = self._c, other._c
+        _check_span(len(x) + len(y) - 2)
+        c = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    c[j] += a * b
+        return _dense(self._low + other._low, c)
 
     def __pow__(self, n: int):
         if not is_int(n) or n < 0:
             raise ValueError("exponent must be a nonnegative int")
-        result = LaurentPoly.one()
-        base = self
-        while n:
+        _check_span(n * (len(self._c) - 1))
+        result, base = LaurentPoly.one(), self
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- normal forms ------------------------------------------------------
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
+        if not is_int(k):
+            raise TypeError(f"shift {k!r} must be an int")
+        return _dense(self._low + k, self._c)
 
     def reciprocal(self) -> "LaurentPoly":
         """t -> t^-1.  An exact involution."""
-        return LaurentPoly({-e: v for e, v in self._c.items()})
+        return _dense(1 - self._low - len(self._c), self._c[::-1])
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """t -> t^k for k >= 1; exponents multiply, coefficients unchanged."""
         if not is_int(k) or k < 1:
             raise ValueError("substitution power must be an int >= 1")
-        return LaurentPoly({e * k: v for e, v in self._c.items()})
+        _check_span((len(self._c) - 1) * k)
+        c = [0] * ((len(self._c) - 1) * k + 1)
+        c[::k] = self._c
+        return _dense(self._low * k, c)
 
     def associate_normal(self) -> "LaurentPoly":
         """Canonical representative up to units +-t^g: lowest exponent 0,
         positive leading coefficient.  Content is preserved."""
-        if self.is_zero:
-            return self
-        shifted = self.shift(-self.low())
-        if shifted.coeff(shifted.high()) < 0:
-            shifted = -shifted
-        return shifted
+        c = self._c
+        if c and c[-1] < 0:
+            c = tuple(map(operator.neg, c))
+        return _dense(0, c)
 
     # -- comparison / output -------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._low == other._low and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._low, self._c))
 
     def __str__(self):
         if not self._c:
             return "0"
         parts = []
-        for e in sorted(self._c, reverse=True):
-            c = self._c[e]
+        for e, c in reversed(self.items()):
             sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
             if e == 0:
@@ -291,6 +332,21 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly.parse({str(self)!r})"
+
+
+def _dense(low: int, coeffs) -> LaurentPoly:
+    """The polynomial sum(coeffs[i] * t**(low + i)), trusted: coeffs is a
+    list or tuple of ints within MAX_SPAN, and only its zeros at either
+    end are trimmed (a tuple with none is kept as it is)."""
+    start, stop = 0, len(coeffs)
+    while start < stop and not coeffs[start]:
+        start += 1
+    while stop > start and not coeffs[stop - 1]:
+        stop -= 1
+    p = object.__new__(LaurentPoly)
+    p._low = low + start if start < stop else 0
+    p._c = tuple(coeffs[start:stop])
+    return p
 
 
 # -- module-level operation names ------------------------------------------
@@ -309,9 +365,8 @@ def doteq(a: LaurentPoly, b: LaurentPoly) -> bool:
 
 def _factor_sort_key(p: LaurentPoly):
     """Deterministic factor order: degree, then coefficient tuple from the
-    constant term upward."""
-    top = p.high()
-    return (top, tuple(p.coeff(e) for e in range(0, top + 1)))
+    constant term upward (a factor's lowest exponent is 0)."""
+    return (p.high(), p._c)
 
 
 class Factorization(Record):
@@ -332,28 +387,31 @@ class Factorization(Record):
     def expand(self) -> LaurentPoly:
         """The product, multiplied out by Kronecker substitution: t = 2^w
         with 2^(w-1) above every coefficient of the product (a bound is
-        content * prod ||q||_1^m), one integer product, and its digits in
-        base 2^w, taken in [-2^(w-1), 2^(w-1)), as the coefficients."""
+        content * prod ||q||_1^m), one integer product, and its span + 1
+        digits in base 2^w, taken in [-2^(w-1), 2^(w-1)), as the
+        coefficients."""
+        span = sum((len(q._c) - 1) * m for q, m in self.factors)
+        _check_span(span)
         bound = self.content
         for q, m in self.factors:
-            bound *= sum(abs(c) for _, c in q.items()) ** m
+            bound *= sum(map(abs, q._c)) ** m
         w = bound.bit_length() + 1
-        value = self.sign * self.content
+        value, power = self.sign * self.content, self.power
         for q, m in self.factors:
             at = 0
-            for e in range(q.high(), -1, -1):
-                at = (at << w) + q.coeff(e)
+            for c in reversed(q._c):
+                at = (at << w) + c
             value *= at**m
-        coeffs, e, half = {}, self.power, 1 << (w - 1)
-        while value:
-            digit = value & ((1 << w) - 1)
+            power += q._low * m
+        coeffs, mask, half = [], (1 << w) - 1, 1 << (w - 1)
+        for _ in range(span + 1):
+            digit = value & mask
             value >>= w
             if digit >= half:
                 digit -= 1 << w
                 value += 1
-            coeffs[e] = digit
-            e += 1
-        return LaurentPoly(coeffs)
+            coeffs.append(digit)
+        return _dense(power, coeffs)
 
     def __mul__(self, other: "Factorization") -> "Factorization":
         """The factorization of the product: units and contents multiply,
@@ -387,10 +445,11 @@ def factor(a: LaurentPoly) -> Factorization:
     """
     if a.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    low, content = a.low(), a.content()
-    sign = 1 if a.coeff(a.high()) > 0 else -1
-    b = tuple(sign * a.coeff(e) // content for e in range(low, a.high() + 1))
-    result = Factorization(sign=sign, power=low, content=content, factors=_primitive_factors(b))
+    c, content = a._c, a.content()
+    sign = 1 if c[-1] > 0 else -1
+    unit = sign * content
+    b = c if unit == 1 else tuple(v // unit for v in c)
+    result = Factorization(sign=sign, power=a._low, content=content, factors=_primitive_factors(b))
     if result.expand() != a:
         raise ArithmeticError(f"factorization of {a} failed to round-trip")
     return result
@@ -407,7 +466,7 @@ def _primitive_factors(b: tuple) -> tuple:
     # ``import concordance`` loads is compiled, and most commands never factor
     from .intfactor import factor_by_structure
 
-    factors = [(LaurentPoly.from_coeffs(f), mu) for f, mu in factor_by_structure(list(b)).items()]
+    factors = [(_dense(0, f), mu) for f, mu in factor_by_structure(list(b)).items()]
     return tuple(sorted(factors, key=lambda fm: _factor_sort_key(fm[0])))
 
 
@@ -465,7 +524,7 @@ def fox_milnor_pairing(
     root = math.isqrt(fact.content)
     if root * root != fact.content:
         return fail("content is not a perfect square", content=fact.content)
-    witness = LaurentPoly({0: root})
+    witness = _dense(0, (root,))
     multiplicity = dict(fact.factors)
     for q, m in fact.factors:
         # q is primitive, so this is the normal form the factors are keyed by

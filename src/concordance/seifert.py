@@ -235,7 +235,7 @@ def balanced_alexander(delta: LaurentPoly) -> LaurentPoly:
     >>> str(balanced_alexander(LaurentPoly.parse("-t^3 + t^2 - t^1")))
     '1*t^1 - 1 + 1*t^-1'
     """
-    at_one = sum(c for _, c in delta.items())  # delta(1), the coefficient sum
+    at_one = sum(delta.coeffs)  # delta(1), the coefficient sum
     if abs(at_one) != 1:
         raise ValueError(f"|delta(1)| = {abs(at_one)}, not 1")
     norm = delta.associate_normal()
@@ -248,12 +248,6 @@ def balanced_alexander(delta: LaurentPoly) -> LaurentPoly:
     return bal
 
 
-def _int_coeffs(p: LaurentPoly) -> list[int]:
-    """Associate-normal integer coefficient list, lowest degree first."""
-    norm = p.associate_normal()
-    return [norm.coeff(k) for k in range(norm.high() + 1)]
-
-
 def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     """Does Phi_b divide delta?  Phi_b has degree phi(b) >= sqrt(b/2), so
     it cannot divide a nonzero polynomial of lower degree d: b > 2*d^2
@@ -262,7 +256,7 @@ def _cyclotomic_divides(delta: LaurentPoly, b: int) -> bool:
     d = delta.high() - delta.low()
     if b > 2 * d * d or totient(b) > d:
         return False
-    return exact_quotient(_int_coeffs(delta), cyclotomic_coeffs(b)) is not None
+    return exact_quotient(delta.associate_normal().coeffs, cyclotomic_coeffs(b)) is not None
 
 
 def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
@@ -279,9 +273,12 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
     e_p <- e_p + i*e_j (new diagonal -2*Im h_pj) are unimodular
     congruences of the trailing block over Z[i], which commute with
     taking the Schur complement, so the divisions stay exact after them.
+    When im is zero (u = 0, omega = -1), every step keeps it zero, so
+    its half of the arithmetic is skipped throughout.
     In place, as ``_int_det``: each caller passes rows it built."""
     n = len(re)
     sig, prev = 0, 1
+    real = not any(map(any, im))
     for k in range(n):
         p = next((i for i in range(k, n) if re[i][i]), None)
         if p is None:
@@ -306,7 +303,7 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
         if p != k:
             re[k], re[p] = re[p], re[k]
             im[k], im[p] = im[p], im[k]
-            for row in re[k:] + im[k:]:
+            for row in re[k:] if real else re[k:] + im[k:]:
                 row[k], row[p] = row[p], row[k]
         d = re[k][k]
         sig += 1 if (d > 0) == (prev > 0) else -1
@@ -314,6 +311,10 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
         for i in range(k + 1, n):
             re_i, im_i = re[i], im[i]
             a, b = re_i[k], im_i[k]  # h_ik = conj(h_ki)
+            if real:
+                for j in range(i, n):
+                    re_i[j] = re[j][i] = (d * re_i[j] - a * re_k[j]) // prev
+                continue
             for j in range(i, n):
                 c, e = re_k[j], im_k[j]
                 re_i[j] = re[j][i] = (d * re_i[j] - a * c + b * e) // prev
@@ -396,7 +397,7 @@ def _circle_arcs(delta: LaurentPoly) -> tuple[tuple[RootMarker, ...], tuple[Frac
     """The circle roots of delta (``_circle_markers``) and one sample u
     per arc (``_arc_sample``), once per process: both depend on delta
     alone, while a knot and its mirror share delta but not signatures."""
-    markers = _circle_markers(trace_polynomial(_int_coeffs(delta)))
+    markers = _circle_markers(trace_polynomial(delta.associate_normal().coeffs))
     return tuple(markers), tuple(_arc_sample(markers, i) for i in range(len(markers) + 1))
 
 
@@ -462,7 +463,7 @@ class SignatureFunction:
     """
 
     def __init__(self, delta: LaurentPoly, value_at: Callable[[Fraction], int]):
-        at_one = sum(c for _, c in delta.items())
+        at_one = sum(delta.coeffs)
         if abs(at_one) != 1:
             raise ValueError(f"|delta(1)| = {abs(at_one)}, not 1")
         # delta is the balanced Alexander polynomial; its circle roots

@@ -61,6 +61,98 @@ def clear_caches():
     legendrian._cable_templates.cache_clear()
 
 
+class ReferenceLaurentPoly:
+    """A Laurent polynomial kept as a dict {exponent: nonzero coefficient},
+    the layout ``LaurentPoly`` had before it became dense: each public
+    method of ``LaurentPoly`` recomputed term by term, to check it."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def low(self):
+        return min(self.terms)
+
+    def high(self):
+        return max(self.terms)
+
+    def dense(self):
+        """The coefficients of t^low .. t^high, a tuple; () for zero."""
+        if not self.terms:
+            return ()
+        return tuple(self.terms.get(e, 0) for e in range(self.low(), self.high() + 1))
+
+    def content(self):
+        return math.gcd(*self.terms.values())
+
+    def __mul__(self, other):
+        product = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+        return ReferenceLaurentPoly(product)
+
+    def __pow__(self, n):
+        result = ReferenceLaurentPoly({0: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def shift(self, k):
+        return ReferenceLaurentPoly({e + k: c for e, c in self.terms.items()})
+
+    def reciprocal(self):
+        return ReferenceLaurentPoly({-e: c for e, c in self.terms.items()})
+
+    def substitute_power(self, k):
+        return ReferenceLaurentPoly({e * k: c for e, c in self.terms.items()})
+
+    def associate_normal(self):
+        if not self.terms:
+            return self
+        sign = 1 if self.terms[self.high()] > 0 else -1
+        return ReferenceLaurentPoly({e - self.low(): sign * c for e, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        words = []
+        for e, c in reversed(self.items()):
+            body = f"{abs(c)}" if e == 0 else f"{abs(c)}*t^{e}"
+            if words:
+                words.append(f"{'-' if c < 0 else '+'} {body}")
+            else:
+                words.append(f"-{body}" if c < 0 else body)
+        return " ".join(words)
+
+
+CAPPED_BYTES = 1 << 30
+
+
+def run_capped(code, *args, timeout=30):
+    """Run `code` in a fresh interpreter whose address space is capped at
+    CAPPED_BYTES, so that an allocation a check should have refused
+    raises MemoryError there instead of taking the host's memory; the
+    finished process, its output as text."""
+    import os
+    import resource
+    import subprocess
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAPPED_BYTES, CAPPED_BYTES))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], preexec_fn=cap, capture_output=True, text=True,
+        timeout=timeout, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def laurent_at_sign(a, x):
     """a(x) at x = 1 or -1, where x^e = x^(e mod 2)."""
     return sum(c * x ** (e % 2) for e, c in a.items())
@@ -174,7 +266,8 @@ def sympy_factor(a):
     ``laurent.factor``."""
     low, high = a.low(), a.high()
     t = sympy.Symbol("t")
-    desc = [a.coeff(e) for e in range(high, low - 1, -1)]
+    terms = dict(a.items())
+    desc = [terms.get(e, 0) for e in range(high, low - 1, -1)]
     unit, raw = sympy.Poly(desc, t, domain=sympy.ZZ).factor_list()
     factors = []
     for f, m in raw:

@@ -67,6 +67,7 @@ FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digest
 KEPT_FORMS = "tests/test_buffer_rule.py::test_readers_leave_the_kept_forms_unchanged_and_answer_twice_alike"
 LAURENT = "src/concordance/laurent.py"
 RECORDS = "tests/test_records.py"
+DENSE = "tests/test_laurent.py::test_every_method_agrees_with_the_dict_reference"
 
 MUTANTS = (
     Mutant(
@@ -276,9 +277,37 @@ MUTANTS = (
     Mutant(
         "an int operand of * taken as a constant polynomial",
         LAURENT,
-        "        if not isinstance(other, LaurentPoly):\n            return NotImplemented\n        c: dict",
-        "        if not isinstance(other, LaurentPoly):\n            other = LaurentPoly({0: other})\n        c: dict",
+        "        if not isinstance(other, LaurentPoly):\n            return NotImplemented\n        x, y",
+        "        if not isinstance(other, LaurentPoly):\n            other = LaurentPoly({0: other})\n        x, y",
         ("tests/test_laurent.py::test_an_int_is_no_operand",),
+    ),
+    Mutant(
+        "the trusted constructor keeps zeros at the low end",
+        LAURENT,
+        "    while start < stop and not coeffs[start]:\n        start += 1\n",
+        "",
+        (DENSE,),
+    ),
+    Mutant(
+        "the trusted constructor keeps zeros at the high end",
+        LAURENT,
+        "    while stop > start and not coeffs[stop - 1]:\n        stop -= 1\n",
+        "",
+        (DENSE,),
+    ),
+    Mutant(
+        "Kronecker digits unpacked without the borrow",
+        LAURENT,
+        "                value += 1\n",
+        "",
+        (DENSE, "tests/test_laurent.py::test_factor_spec_products"),
+    ),
+    Mutant(
+        "the span bound refuses its own limit",
+        LAURENT,
+        "if span > MAX_SPAN:",
+        "if span >= MAX_SPAN:",
+        ("tests/test_laurent.py::test_span_bound_is_sharp",),
     ),
     Mutant(
         "the degree bound refuses its own limit",

@@ -23,7 +23,7 @@ def test_layers_script_writes_its_keys(tmp_path):
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
         "legendrian.cable_front", "seifert.SeifertMatrix", "seifert.alexander",
         "seifert.levine_tristram", "seifert.signature_function", "laurent.factor",
-        "realroots.isolate_roots", "cold_start",
+        "cabling.fox_milnor_obstruction", "realroots.isolate_roots", "cold_start",
     }
     assert set(report["layers_scaled"]) == set(report["layers"])
     cold = report["layers"].pop("cold_start")

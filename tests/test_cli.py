@@ -619,6 +619,21 @@ class TestExitCodes:
             assert data["signature"] == expected, a
         assert time.perf_counter() - start < 2.0
 
+    def test_a_catalog_polynomial_of_huge_span_is_two(self, tmp_path):
+        # in a child whose memory is capped, timed there: the span bound
+        # refuses the polynomial before its coefficients are allocated
+        from _oracles import run_capped
+
+        path = user_catalog(tmp_path, {"name": "wide", "alexander": "t^2000000000 - t^1000000000 + 1"})
+        timed = (
+            "import sys, time\nfrom concordance.cli import main\nstart = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\nprint(time.perf_counter() - start)\nsys.exit(code)"
+        )
+        done = run_capped(timed, "--catalog", path, "alexander", "wide")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "error: entry 'wide': alexander: span 2000000000 is above MAX_SPAN = 65536\n"
+        assert float(done.stdout) < 1.0
+
     def test_hypothesis_not_met_is_three(self, capsys):
         code, out, err = run_cli(capsys, "theorem31", "figure-eight")
         assert code == 3

@@ -95,6 +95,16 @@ def test_constructor_checks_every_term():
     # an int subclass other than bool is an int
     one = enum.IntEnum("One", "ONE").ONE
     assert LaurentPoly({one: one, 0: 0}) == LaurentPoly({1: 1})
+    # the other public routes to a polynomial check their ints too
+    for call in (
+        lambda: LaurentPoly.from_coeffs([1, 0.5]),
+        lambda: LaurentPoly.from_coeffs([1, True]),
+        lambda: LaurentPoly.from_coeffs([1, 2], low=1.0),
+        lambda: LaurentPoly.one().shift(0.5),
+    ):
+        with pytest.raises(TypeError, match="must be (an int|ints)$"):
+            call()
+    assert LaurentPoly.from_coeffs([0, one, 0], low=one) == LaurentPoly({2: 1})
 
 
 # -- arithmetic and normal forms ---------------------------------------------
@@ -145,6 +155,149 @@ def test_reciprocal_involution():
 def test_substitute_power_validates():
     with pytest.raises(ValueError):
         P("t").substitute_power(0)
+
+
+# -- the dense layout ----------------------------------------------------------
+
+
+def _random_terms(r):
+    """Random {exponent: coefficient} terms: the zero polynomial, a
+    monomial at a huge exponent, or up to eight consecutive terms from a
+    random lowest exponent, some of them zero."""
+    kind = r.random()
+    if kind < 0.1:
+        return {}
+    if kind < 0.2:
+        return {r.choice((1, -1)) * 10**12 + r.randint(-3, 3): r.choice((1, -1, 5))}
+    low = r.randint(-6, 6)
+    return {low + i: r.randint(-9, 9) for i in range(r.randint(1, 8))}
+
+
+def _agrees(p, ref):
+    return p.items() == ref.items() and p.coeffs == ref.dense() and str(p) == str(ref)
+
+
+def test_every_method_agrees_with_the_dict_reference():
+    from _oracles import ReferenceLaurentPoly
+
+    r = random.Random(20261019)
+    for _ in range(400):
+        terms, other = _random_terms(r), _random_terms(r)
+        a, ra = LaurentPoly(terms), ReferenceLaurentPoly(terms)
+        b, rb = LaurentPoly(other), ReferenceLaurentPoly(other)
+        k, m, n = r.randint(-5, 5), r.randint(1, 4), r.randint(0, 3)
+        assert _agrees(a, ra), terms
+        for got, want in (
+            (a * b, ra * rb),
+            (a**n, ra**n),
+            (a.shift(k), ra.shift(k)),
+            (a.reciprocal(), ra.reciprocal()),
+            (a.substitute_power(m), ra.substitute_power(m)),
+            (a.associate_normal(), ra.associate_normal()),
+        ):
+            assert _agrees(got, want), (terms, other, k, m, n)
+        if ra.terms and rb.terms:
+            # the Kronecker expansion against products taken term by term
+            sign, content = r.choice((1, -1)), r.randint(1, 4)
+            factors = ((a.associate_normal(), n), (b.associate_normal(), m))
+            want = ReferenceLaurentPoly({k: sign * content})
+            want = want * ra.associate_normal() ** n * rb.associate_normal() ** m
+            assert _agrees(Factorization(sign, k, content, factors).expand(), want), (terms, other)
+        assert a.is_zero == (not ra.terms) and a.content() == ra.content()
+        if ra.terms:
+            assert (a.low(), a.high(), a.span()) == (ra.low(), ra.high(), ra.high() - ra.low())
+        else:
+            for inspect in (a.low, a.high, a.span):
+                with pytest.raises(ValueError, match="zero polynomial"):
+                    inspect()
+        # coefficients padded with zeros at both ends are trimmed
+        low = ra.low() if ra.terms else k
+        pad_low, pad_high = r.randint(0, 3), r.randint(0, 3)
+        padded = LaurentPoly.from_coeffs([0] * pad_low + [*ra.dense()] + [0] * pad_high, low - pad_low)
+        assert _agrees(padded, ra), (terms, pad_low, pad_high)
+        # == as the reference's, and equal polynomials built apart hash alike
+        assert (a == b) == (ra == rb)
+        for same in (padded, P(str(a)), a.shift(k).shift(-k), a.reciprocal().reciprocal()):
+            assert same == a and hash(same) == hash(a), terms
+
+
+def test_huge_exponents_with_small_spans_cost_nothing():
+    big = P("t^1000000000000")
+    a = big * P("t^1 - 2")
+    assert str(a) == "1*t^1000000000001 - 2*t^1000000000000"
+    assert P(str(a)) == a and a.span() == 1
+    assert a.reciprocal().low() == -(10**12) - 1
+    assert (big**3).low() == big.substitute_power(3).low() == 3 * 10**12
+    assert a.associate_normal() == P("t^1 - 2") and doteq(a, P("2 - t^1"))
+    f = factor(a)
+    assert f.power == 10**12 and f.expand() == a
+
+
+def test_span_bound_is_sharp():
+    from concordance.laurent import MAX_SPAN
+
+    one = P("t^1 + 1")
+    half = LaurentPoly({MAX_SPAN // 2: 1, 0: -1})
+    edge = LaurentPoly({MAX_SPAN: 1, 0: -1})
+    for built in (
+        edge,
+        LaurentPoly.from_coeffs([1] + [0] * (MAX_SPAN - 1) + [1]),
+        P(f"t^{MAX_SPAN} + 1"),
+        half * half,
+        half**2,
+        one.substitute_power(MAX_SPAN),
+        Factorization(sign=1, power=0, content=1, factors=((half, 2),)).expand(),
+    ):
+        assert built.span() == MAX_SPAN
+    for call in (
+        lambda: LaurentPoly({MAX_SPAN + 1: 1, 0: -1}),
+        lambda: LaurentPoly.from_coeffs([1] + [0] * MAX_SPAN + [1]),
+        lambda: P(f"t^{MAX_SPAN + 1} + 1"),
+        lambda: edge * one,
+        lambda: half**3,
+        lambda: one.substitute_power(MAX_SPAN + 1),
+        lambda: Factorization(sign=1, power=0, content=1, factors=((half, 3),)).expand(),
+    ):
+        with pytest.raises(ValueError, match=f"above MAX_SPAN = {MAX_SPAN}"):
+            call()
+
+
+HUGE_SPANS = """
+import time
+from concordance.laurent import Factorization, LaurentPoly
+
+P = LaurentPoly.parse
+calls = {
+    "parse": lambda: P("t^2000000000 - t^1000000000 + 1"),
+    "dict": lambda: LaurentPoly({-(10**9): 1, 10**9: 1}),
+    "product": lambda: P("t^60000 + 1") * P("t^60000 - 1"),
+    "power": lambda: P("t^1 + 1") ** 10**9,
+    "substitute_power": lambda: P("t^1 + 1").substitute_power(10**9),
+    "expand": lambda: Factorization(1, 0, 1, ((P("t^1 + 1"), 10**9),)).expand(),
+}
+for name, call in calls.items():
+    start = time.perf_counter()
+    try:
+        call()
+        outcome = "answered"
+    except ValueError as exc:
+        outcome = str(exc)
+    print(name, time.perf_counter() - start, outcome)
+"""
+
+
+def test_huge_spans_fail_fast():
+    # in a child whose memory is capped: a span that slipped through the
+    # bound would be allocated, a list of 10^9 coefficients or more
+    from _oracles import run_capped
+
+    done = run_capped(HUGE_SPANS)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        name, seconds, outcome = line.split(" ", 2)
+        assert "above MAX_SPAN" in outcome and float(seconds) < 1.0, line
 
 
 # -- factorization ------------------------------------------------------------
@@ -384,10 +537,10 @@ def _swinnerton_dyer(ps):
 def _trace_lift(g):
     """t^n * g(t + 1/t) for g of degree n, as a balanced Laurent polynomial."""
     coeffs = {}
-    for j in range(g.high() + 1):
+    for j, gj in g.items():
         # (t + 1/t)^j = sum over k of C(j, k) * t^(j - 2k)
         for k in range(j + 1):
-            coeffs[j - 2 * k] = coeffs.get(j - 2 * k, 0) + g.coeff(j) * math.comb(j, k)
+            coeffs[j - 2 * k] = coeffs.get(j - 2 * k, 0) + gj * math.comb(j, k)
     return LaurentPoly(coeffs)
 
 

@@ -82,6 +82,9 @@ UNREACHED = {
         "tests/test_records.py pins it: a record refuses assignment",
     "laurent.Record.__delattr__":
         "tests/test_records.py pins it: a record refuses deletion",
+    "laurent.LaurentPoly.__new__":
+        "the public constructor from a dict {exponent: coefficient}: LaurentPoly.parse "
+        "calls it for a catalog entry's alexander string, which no bundled entry has",
     "laurent.LaurentPoly.__pow__":
         "fox_milnor_pairing's norm witness at an even multiplicity of a "
         "self-reciprocal factor, as perfbench's cable-obstruct asks and no README form",

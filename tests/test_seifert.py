@@ -716,7 +716,7 @@ def test_pretzel_sums_with_dyadic_circle_roots():
 def _direct_arcs(delta, value_at):
     """Markers, samples and arc values of delta from ``_circle_markers``
     and ``_arc_sample`` called directly, around the cache."""
-    markers = seifert_module._circle_markers(trace_polynomial(seifert_module._int_coeffs(delta)))
+    markers = seifert_module._circle_markers(trace_polynomial(delta.associate_normal().coeffs))
     samples = [seifert_module._arc_sample(markers, i) for i in range(len(markers) + 1)]
     return markers, samples, [value_at(u) for u in samples]
 
