@@ -193,7 +193,7 @@ def _pair(catalog, args):
         K1, degree = None, _degree(K0) * (1 + args.cable)
     _positive("--k-max", args.k_max, 1)
     _bounded("the last Fox-Milnor product", args.k_max * degree)
-    return K0, K1 or cable_profile(K0, args.cable)
+    return K0, cable_profile(K0, args.cable) if K1 is None else K1
 
 
 def _cmd_fox_milnor(catalog, args):
