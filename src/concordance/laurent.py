@@ -254,10 +254,11 @@ class LaurentPoly:
         x, y = self._c, other._c
         _check_span(len(x) + len(y) - 2)
         c = [0] * (len(x) + len(y) - 1)
+        terms = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(y, i):
-                    c[j] += a * b
+                for j, b in terms:
+                    c[i + j] += a * b
         return _dense(self._low + other._low, c)
 
     def __pow__(self, n: int):

@@ -273,12 +273,9 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
     e_p <- e_p + i*e_j (new diagonal -2*Im h_pj) are unimodular
     congruences of the trailing block over Z[i], which commute with
     taking the Schur complement, so the divisions stay exact after them.
-    When im is zero (u = 0, omega = -1), every step keeps it zero, so
-    its half of the arithmetic is skipped throughout.
     In place, as ``_int_det``: each caller passes rows it built."""
     n = len(re)
     sig, prev = 0, 1
-    real = not any(map(any, im))
     for k in range(n):
         p = next((i for i in range(k, n) if re[i][i]), None)
         if p is None:
@@ -303,7 +300,7 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
         if p != k:
             re[k], re[p] = re[p], re[k]
             im[k], im[p] = im[p], im[k]
-            for row in re[k:] if real else re[k:] + im[k:]:
+            for row in re[k:] + im[k:]:
                 row[k], row[p] = row[p], row[k]
         d = re[k][k]
         sig += 1 if (d > 0) == (prev > 0) else -1
@@ -311,10 +308,6 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
         for i in range(k + 1, n):
             re_i, im_i = re[i], im[i]
             a, b = re_i[k], im_i[k]  # h_ik = conj(h_ki)
-            if real:
-                for j in range(i, n):
-                    re_i[j] = re[j][i] = (d * re_i[j] - a * re_k[j]) // prev
-                continue
             for j in range(i, n):
                 c, e = re_k[j], im_k[j]
                 re_i[j] = re[j][i] = (d * re_i[j] - a * c + b * e) // prev

@@ -282,20 +282,6 @@ MUTANTS = (
         ("tests/test_laurent.py::test_an_int_is_no_operand",),
     ),
     Mutant(
-        "the real-only Hermitian update without the pivot scale",
-        SEIFERT,
-        "(d * re_i[j] - a * re_k[j]) // prev",
-        "(re_i[j] - a * re_k[j]) // prev",
-        ("tests/test_seifert.py::test_signature_at_matches_the_real_model",),
-    ),
-    Mutant(
-        "the real-only Hermitian kernel chosen when only the first row of im is zero",
-        SEIFERT,
-        "real = not any(map(any, im))",
-        "real = not any(im[0])",
-        ("tests/test_seifert.py::test_hermitian_signature_matches_numpy",),
-    ),
-    Mutant(
         "the trusted constructor keeps zeros at the low end",
         LAURENT,
         "    while start < stop and not coeffs[start]:\n        start += 1\n",
