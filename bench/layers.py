@@ -21,7 +21,10 @@ constructor alone.
 The polynomial layers take delta of the same knots, computed before
 timing: `factor` takes delta(t^6), and `isolate_roots` takes the trace
 polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
-signature function does.  The library keeps factorizations, the
+signature function does.  The cyclotomic layer builds Phi_b at b = 210,
+420, 1260 and 2310, COUNT times each, with the cache of
+`cyclotomic_coeffs` emptied inside each timed call, so that no Phi_d
+comes from an earlier call.  The library keeps factorizations, the
 circle roots and arc samples of each Alexander polynomial, and the cable
 templates of each n, per process, so its four caches are emptied before
 every timed call: `factor` is timed factoring, `levine_tristram` and
@@ -99,7 +102,7 @@ from worker import pin_to_one_cpu  # noqa: E402
 from concordance import intfactor, laurent, legendrian, seifert  # noqa: E402
 from concordance.cabling import KnotProfile, cable_profile, fox_milnor_obstruction  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
-from concordance.cyclotomic import trace_polynomial  # noqa: E402
+from concordance.cyclotomic import cyclotomic_coeffs, trace_polynomial  # noqa: E402
 from concordance.laurent import factor  # noqa: E402
 from concordance.legendrian import FrontDiagram, cable_front, satellite_front  # noqa: E402
 from concordance.seifert import (  # noqa: E402
@@ -192,6 +195,10 @@ def layers():
     def cable_sweep(n):
         return cable_front(satellite, n).component_count
 
+    def cold_phi(b):
+        cyclotomic_coeffs.cache_clear()
+        return cyclotomic_coeffs(b)
+
     surgery_sizes = [12, 24, 36, 48]
     return {
         "surgery.smith_normal_form": (
@@ -230,6 +237,12 @@ def layers():
             lambda genus: [delta.substitute_power(6) for delta in deltas(genus)],
             list(range(1, 9)),
             "delta(t^6) of perfbench/families.random_knot",
+        ),
+        "cyclotomic.cyclotomic_coeffs": (
+            cold_phi,
+            lambda b: [b] * COUNT,
+            [210, 420, 1260, 2310],
+            "Phi_b, its cache cleared before each call",
         ),
         "cabling.fox_milnor_obstruction": (
             lambda pair: fox_milnor_obstruction(*pair, k_max=FOX_MILNOR_K_MAX),

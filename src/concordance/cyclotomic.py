@@ -2,9 +2,9 @@
 rational angles, and exact arithmetic in Z[zeta_b], zeta_b = exp(2*pi*i/b).
 
 The library uses four things from here: the cyclotomic polynomials,
-built by exact division of x^b - 1 (``realroots.exact_quotient``), whose
-divisibility decides where a signature function jumps and which
-``intfactor`` expands without factoring; Euler's phi and the primes;
+each a Moebius product of binomials x^d - 1, whose divisibility decides
+where a signature function jumps and which ``intfactor`` expands without
+factoring; the prime factors of an integer, Euler's phi and the primes;
 the trace coordinate, in which the self-reciprocal t^n * g(t + 1/t) of
 degree 2n is g of degree n, with values g(2*cos(theta)) on the unit
 circle (``trace_polynomial`` and its inverse ``trace_lift``: ``seifert``
@@ -38,49 +38,72 @@ ladder can run out of precision on forms of genus 4 and more.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .realroots import exact_quotient
 
 
-def totient(b: int) -> int:
-    """Euler's phi by trial division."""
-    phi, n, d = b, b, 2
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
+            out.append(d)
             while n % d == 0:
                 n //= d
-            phi -= phi // d
         d += 1
     if n > 1:
-        phi -= phi // n
+        out.append(n)
+    return out
+
+
+def totient(b: int) -> int:
+    """Euler's phi: b times (1 - 1/p) over the primes p dividing b."""
+    phi = b
+    for p in prime_factors(b):
+        phi -= phi // p
     return phi
 
 
 def primes():
-    """2, 3, 5, 7, ... without end, by trial division."""
-    yield 2
-    n = 3
-    while True:
-        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
-            yield n
-        n += 2
+    """2, 3, 5, 7, ... without end: each n >= 2 that is its only prime factor."""
+    return (n for n in itertools.count(2) if prime_factors(n) == [n])
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_coeffs(b: int) -> tuple[int, ...]:
     """Coefficients (low->high) of the b-th cyclotomic polynomial, kept
-    per process as a tuple and handed out as is."""
+    per process as a tuple and handed out as is.
+
+    Phi_b is the product of (x^d - 1)^mu(b/d) over the divisors d of b
+    (Moebius inversion of x^b - 1 = prod Phi_d), and mu(b/d) is nonzero
+    only when b/d is a product of distinct primes of b.  The binomials
+    with mu = 1 are multiplied in, one pass each; those with mu = -1 are
+    then divided out exactly, one pass each from the constant term up,
+    and each quotient must reproduce the top coefficients of its
+    dividend."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    # x^b - 1 divided by the product of Phi_d over proper divisors d
-    poly = [-1] + [0] * (b - 1) + [1]
-    for d in range(1, b):
-        if b % d == 0:
-            poly = exact_quotient(poly, cyclotomic_coeffs(d))
-            if poly is None:
-                raise ArithmeticError(f"Phi_{d} left a remainder in x^{b} - 1")
+    ps = prime_factors(b)
+    # mu(b/d) = (-1)^r for d = b over a product of r distinct primes of b
+    up, down = [], []
+    for r in range(len(ps) + 1):
+        (down if r % 2 else up).extend(b // math.prod(s) for s in itertools.combinations(ps, r))
+    poly = [1]
+    for d in up:
+        poly = list(map(operator.sub, [0] * d + poly, poly + [0] * d))
+    for d in down:
+        # q with (x^d - 1) * q = poly: poly_i = q_(i-d) - q_i
+        n = len(poly) - d
+        q = [-c for c in poly[:n]]
+        for i in range(d, n):
+            q[i] += q[i - d]
+        if poly[n:] != ([0] * d + q)[n:]:
+            raise ArithmeticError(f"x^{d} - 1 left a remainder in Phi_{b}")
+        poly = q
     return tuple(poly)
 
 

@@ -6,11 +6,24 @@ and runs Zassenhaus's algorithm only on what structure cannot settle:
 
 1. Power substitution.  A polynomial b(t^m), with m the gcd of its
    exponents, is factored as b, and each irreducible q is substituted
-   back on its own; distinct q give coprime q(t^m).  A cyclotomic
-   q = Phi_e is recognised exactly (phi(e) = deg q forces
-   e <= 2*deg(q)^2) and expanded without factoring: Phi_e(t^m) is the
-   product of Phi_d over the d | e*m with d / gcd(d, m) = e.  Any other
-   q(t^m) goes to step 2.
+   back on its own; distinct q give coprime q(t^m), and q(t^m) is
+   square-free since q(0) != 0.  A cyclotomic q = Phi_e is recognised
+   exactly (phi(e) = deg q forces e <= 2*deg(q)^2) and expanded without
+   factoring: Phi_e(t^m) is the product of Phi_d over the d | e*m with
+   d / gcd(d, m) = e.  Any other q(t^m) is factored by Capelli's theorem
+   (Lang, *Algebra*, VI Thm 9.1): for a in a field K, x^m - a is
+   irreducible over K exactly when x^l - a is for each prime l | m, and
+   also x^4 - a when 4 | m.  For a root alpha of q and K = Q(alpha), a
+   root beta of x^j - alpha has K in Q(beta), so [Q(beta):Q] = deg(q) *
+   [K(beta):K]; as q(t^j) has degree j*deg(q) and the root beta, q(t^j)
+   is irreducible over Q (and over Z, being primitive with q) exactly
+   when x^j - alpha is irreducible over K.  So q(t^j) is factored whole
+   (step 2 or 3) only for j prime or 4.  For any other j, q(t^d) is
+   factored for d in the primes dividing j, and 4 when 4 | j: if each
+   is irreducible, so is q(t^j); otherwise the first q(t^d) that splits
+   gives q(t^j) as the product of r(t^(j/d)) over its factors r, each
+   factored by the same rule.  No r is cyclotomic: a root of r is a
+   d-th root of a root of q, so q would be.
 2. Trace coordinate.  A self-reciprocal polynomial of even degree 2n is
    t^n * g(t + 1/t) with deg g = n (``cyclotomic.trace_polynomial``).  A
    g of degree at most 1 is irreducible as it stands; any other g is
@@ -24,7 +37,8 @@ and runs Zassenhaus's algorithm only on what structure cannot settle:
    F * F(1/t), or holds t -+ 1.
 3. Everything else is factored whole.
 
-Roots and q(t^j) are factored once per process, in an LRU of 256 (q, j).
+Roots and non-cyclotomic q(t^j) are factored once per process, in an LRU
+of 256 (q, j).
 
 ``irreducible_factors`` is the general algorithm.  It splits off x^j and
 the square-free parts (Yun), and factors each part by Zassenhaus's
@@ -45,15 +59,20 @@ import math
 import random
 from itertools import combinations, islice
 
-from .cyclotomic import cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial
+from .cyclotomic import cyclotomic_coeffs, prime_factors, primes, totient, trace_lift, trace_polynomial
 from .realroots import exact_quotient, poly_derivative, poly_eval, poly_gcd, primitive_part
 
 # Recombination tries the subsets of the modular factors, about 2^(r-1)
 # of them for r factors (39,202 at r = 16, a fraction of a second); it
 # refuses to look past single factors among more than this many.
 MAX_MODULAR_FACTORS = 16
-# (q, j) kept by ``_factors_at``; a fox-milnor call within the CLI's bound
-# k_max * (deg delta_0 + deg delta_1) <= 72 needs at most 2 + 72
+# (q, j) kept by ``_factors_at``.  A fox-milnor call within the CLI's bound
+# k_max * (deg delta_0 + deg delta_1) <= 72 needs the two roots and, for
+# each non-cyclotomic factor q of the root of delta_i = R(t^g), the (q, j)
+# for j = 2..k_max*g at most (the j asked and Capelli's steps, all below
+# it): 2 + 72 in all, since deg R * g = deg delta_i.  A q(t^d) that splits
+# adds its factors r at j / d.  The catalog's worst pair at the bound, the
+# figure-eight knot against the 3-twist knot at k_max 18, needs 52.
 FACTORS_AT_CACHE_SIZE = 256
 # square-free primes whose distinct-degree factorizations are compared
 _CANDIDATE_PRIMES = 5
@@ -71,14 +90,15 @@ def factor_by_structure(b: list[int]) -> dict[tuple, int]:
     """The irreducible factors (coefficient tuples, lowest degree first)
     of a primitive b with b[0] != 0 and b[-1] > 0, with multiplicities.
 
-    The root b(t^(1/m)) and each q(t^j) are factored once per process
-    (``_factors_at``): a(t), a(t^2), ... share the root of a, and a(t^p),
-    a (p,1)-cable's polynomial, reuses at k the entry of a at p*k."""
+    The root b(t^(1/m)) and each non-cyclotomic q(t^j) are factored once
+    per process (``_factors_at``): a(t), a(t^2), ... share the root of a
+    and the q(t^d) of Capelli's steps, and a(t^p), a (p,1)-cable's
+    polynomial, reuses at k the entry of a at p*k."""
     m = math.gcd(*(e for e, c in enumerate(b) if c))
     merged: dict[tuple, int] = {}
     if m:
         for q, mu in _factors_at(tuple(b[::m]), 1):
-            for f, nu in _factors_at(q, m) if m > 1 else [(q, 1)]:
+            for f, nu in _substitute(q, m) if m > 1 else [(q, 1)]:
                 merged[f] = merged.get(f, 0) + mu * nu
     return merged
 
@@ -86,8 +106,21 @@ def factor_by_structure(b: list[int]) -> dict[tuple, int]:
 @functools.lru_cache(maxsize=FACTORS_AT_CACHE_SIZE)
 def _factors_at(q: tuple, j: int) -> tuple[tuple[tuple, int], ...]:
     """The irreducible factors of q(t^j): for j = 1, q is a root and is
-    factored (steps 2 and 3); for j > 1, q is irreducible (step 1)."""
-    return tuple(_substitute(q, j) if j > 1 else _factor_primitive(list(q)))
+    factored (steps 2 and 3); for j > 1, q is irreducible and not
+    cyclotomic, and q(t^j) is factored whole only for j prime or 4, else
+    by Capelli's steps (step 1)."""
+    if j == 1:
+        return tuple(_factor_primitive(list(q)))
+    qj = [0] * (j * (len(q) - 1) + 1)
+    qj[::j] = q
+    steps = prime_factors(j) + [4] * (j % 4 == 0)
+    if j in steps:
+        return tuple(_factor_primitive(qj))
+    for d in steps:
+        split = _factors_at(q, d)
+        if len(split) > 1:
+            return tuple(f for r, _ in split for f in _factors_at(r, j // d))
+    return ((tuple(qj), 1),)
 
 
 def _factor_primitive(b: list[int]) -> list[tuple[tuple, int]]:
@@ -132,18 +165,16 @@ def _lift_is_irreducible(h: tuple) -> bool:
     return False
 
 
-def _substitute(q: tuple, m: int) -> list[tuple[tuple, int]]:
+def _substitute(q: tuple, m: int) -> tuple[tuple[tuple, int], ...]:
     """Step 1: the irreducible factors of q(t^m), m > 1, for an irreducible q."""
     e = _cyclotomic_index(q)
     if e:
-        return [
+        return tuple(
             (cyclotomic_coeffs(d), 1)
             for d in range(1, e * m + 1)
             if (e * m) % d == 0 and d // math.gcd(d, m) == e
-        ]
-    qm = [0] * (m * (len(q) - 1) + 1)
-    qm[::m] = q
-    return _factor_primitive(qm)
+        )
+    return _factors_at(q, m)
 
 
 def _cyclotomic_index(q: tuple) -> int | None:

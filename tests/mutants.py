@@ -26,6 +26,9 @@ The run fails, exit code 1, when
 - one of a mutant's tests does not run;
 - a mutant runs past its timeout, unless its entry says it hangs.
 
+Each pytest runs with its address space capped at `MEMORY_CAP`, so a
+mutant that allocates without bound fails its tests with MemoryError.
+
 pytest does not collect this file: its name does not start with `test_`.
 """
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -43,6 +47,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench")
+# The address space of each pytest child, so that a mutant that allocates
+# without bound fails there with MemoryError instead of taking the host's
+# memory; a named test file with numpy and sympy loaded needs about 250 MB.
+MEMORY_CAP = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,30 @@ MUTANTS = (
         ("tests/test_laurent.py::test_factor_matches_whole_product_route",),
     ),
     Mutant(
+        "Capelli's d = 4 step dropped",
+        "src/concordance/intfactor.py",
+        "steps = prime_factors(j) + [4] * (j % 4 == 0)",
+        "steps = prime_factors(j)",
+        ("tests/test_laurent.py::test_the_fourth_power_step_splits_what_no_prime_step_splits",),
+    ),
+    Mutant(
+        "a q(t^d) that splits taken as irreducible",
+        "src/concordance/intfactor.py",
+        "        if len(split) > 1:\n",
+        "        if False:\n",
+        ("tests/test_laurent.py::test_a_twist_polynomial_at_every_power_matches_sympy[1]",),
+    ),
+    Mutant(
+        "the binomials with mu = 1 and mu = -1 swapped in Phi_b",
+        "src/concordance/cyclotomic.py",
+        "(down if r % 2 else up)",
+        "(up if r % 2 else down)",
+        (
+            "tests/test_cyclotomic.py::test_cyclotomic_polynomials_match_known_table",
+            "tests/test_cyclotomic.py::test_cyclotomic_polynomials_match_sympy_to_1500_and_at_2310",
+        ),
+    ),
+    Mutant(
         "isolating intervals bisected only to width 1/2",
         "src/concordance/realroots.py",
         "_bisect(sf, a, b, d, Fraction(1, 64))",
@@ -336,13 +368,21 @@ def copy_tree(into):
         shutil.copytree(ROOT / name, into / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
 
 
+def cap_memory():
+    """Cap this process's address space at MEMORY_CAP."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run_pytest(root, args, timeout):
     """pytest on `args` under `root` in a fresh interpreter, without
-    bytecode or cache; the finished process, or None past the timeout."""
+    bytecode or cache, its address space capped at MEMORY_CAP; the
+    finished process, or None past the timeout."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", *args]
     try:
-        return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+        return subprocess.run(
+            command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=cap_memory
+        )
     except subprocess.TimeoutExpired:
         return None
 

@@ -1,12 +1,14 @@
 """Exact cyclotomic arithmetic and Hermitian signatures, cross-checked
 against numpy eigenvalues on random matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from mpmath.libmp import to_rational
 
 from concordance.cyclotomic import (
@@ -14,6 +16,9 @@ from concordance.cyclotomic import (
     cos2pi_bounds,
     cyclotomic_coeffs,
     hermitian_signature,
+    prime_factors,
+    primes,
+    totient,
 )
 
 KNOWN_CYCLOTOMICS = {
@@ -48,6 +53,28 @@ def test_cyclotomic_product_recovers_x_pow_b_minus_one():
                         out[i + j] += a * c
                 prod = out
         assert prod == [-1] + [0] * (b - 1) + [1]
+
+
+def test_cyclotomic_polynomials_match_sympy_to_1500_and_at_2310():
+    # Phi_b from a cold cache, each built by its own Moebius product; a prime
+    # b against (x^b - 1)/(x - 1), whose sympy route costs most of the time
+    x = sympy.Symbol("x")
+    cyclotomic_coeffs.cache_clear()
+    wrong = []
+    for b in [*range(1, 1501), 2310]:
+        if sympy.isprime(b):
+            expected = [1] * b
+        else:
+            expected = [int(c) for c in reversed(sympy.cyclotomic_poly(b, x, polys=True).all_coeffs())]
+        if list(cyclotomic_coeffs(b)) != expected:
+            wrong.append(b)
+    assert wrong == []
+
+
+def test_prime_factors_and_totient_match_sympy():
+    assert [b for b in range(1, 3000) if prime_factors(b) != sorted(sympy.primefactors(b))] == []
+    assert [b for b in range(1, 3000) if totient(b) != sympy.totient(b)] == []
+    assert list(itertools.islice(primes(), 430)) == list(sympy.primerange(2, 3000))
 
 
 def test_basic_arithmetic_and_conjugation():

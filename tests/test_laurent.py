@@ -6,9 +6,11 @@ fixed-seed corpus of products, per the acceptance contract.
 """
 
 import enum
+import functools
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -604,16 +606,75 @@ def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
     # degree 3, both lifts are certified, and both factors are cyclotomic
     factor(_torus_2(3).substitute_power(20) * _torus_2(3).substitute_power(40))
     assert degrees == [3]
-    # the 3-twist knot at k = 36: its g is linear and never sent, then g of
-    # b(t^36), never the degree-72 polynomial itself
+    # the 3-twist knot at k = 36: its g is linear and never sent; Capelli's
+    # steps send the g of b(t^2), b(t^3) and b(t^4), all irreducible, so
+    # b(t^36) is irreducible, and neither it nor its g of degree 36 is sent
     degrees.clear()
     factor(_twist(3).substitute_power(36))
-    assert degrees == [36]
+    assert degrees == [2, 3, 4]
     # the figure-eight at m = 2: x^2 - 5 lifts to (t^2 - t - 1)(t^2 + t - 1),
     # which no certificate covers, so the lift is factored
     degrees.clear()
     assert len(factor(_twist(1).substitute_power(2)).factors) == 2
     assert degrees == [2, 4]
+
+
+# Capelli's steps decide q(t^m) irreducible from q(t^d) at the primes d | m
+# (and d = 4 when 4 | m); a reducible q(t^m) reported irreducible would
+# still round-trip, so only a second factorizer can catch it.  The twist
+# polynomials n*t - (2n + 1) + n/t include the figure-eight's t^2 - 3t + 1
+# (n = 1), whose q(t^2) splits, and -Phi_6 (n = -1).
+_TWISTS = [n for n in range(-6, 7) if n]
+_CAPELLI_POWERS = range(2, 37)
+
+
+@functools.cache
+def _sympy_twist_at(n, m):
+    from _oracles import sympy_factor
+
+    return sympy_factor(_twist(n).substitute_power(m))
+
+
+@pytest.mark.parametrize("n", _TWISTS)
+def test_a_twist_polynomial_at_every_power_matches_sympy(n):
+    assert [m for m in _CAPELLI_POWERS if factor(_twist(n).substitute_power(m)) != _sympy_twist_at(n, m)] == []
+
+
+def _merged(f, g):
+    """The factorization of a product from those of its two parts, by
+    unique factorization, in the order of ``Factorization``."""
+    counts = dict(f.factors)
+    for q, mu in g.factors:
+        counts[q] = counts.get(q, 0) + mu
+    return Factorization(
+        sign=f.sign * g.sign, power=f.power + g.power, content=f.content * g.content,
+        factors=tuple(sorted(counts.items(), key=lambda qm: (len(qm[0].coeffs), qm[0].coeffs))),
+    )
+
+
+def test_products_of_twist_polynomials_at_every_power_match_sympy():
+    # each pair of twist polynomials at each m, against sympy's factors of
+    # the two parts; m runs outermost, so every q(t^d) a step needs stays
+    # in the caches while its m is factored
+    pairs = list(combinations(_TWISTS, 2))
+    wrong = [
+        (n0, n1, m)
+        for m in _CAPELLI_POWERS
+        for n0, n1 in pairs
+        if factor((_twist(n0) * _twist(n1)).substitute_power(m))
+        != _merged(_sympy_twist_at(n0, m), _sympy_twist_at(n1, m))
+    ]
+    assert wrong == []
+
+
+def test_the_fourth_power_step_splits_what_no_prime_step_splits():
+    # x^4 - a splits over K when a is in -4K^4 although a is no square:
+    # t + 4 at t^2 stays irreducible, at t^4 it is (t^2 - 2t + 2)(t^2 + 2t + 2)
+    from _oracles import sympy_factor
+
+    cases = [P("t^8 + 4"), P("t^12 + 4"), P("4*t^8 + 1")]
+    assert [a for a in cases if factor(a) != sympy_factor(a)] == []
+    assert [str(q) for q, _ in factor(cases[0]).factors] == ["1*t^4 - 2*t^2 + 2", "1*t^4 + 2*t^2 + 2"]
 
 
 def test_recombination_cap_raises_a_named_input_error():

@@ -1,6 +1,7 @@
 """The mutation runner (`tests/mutants.py`) on its own table and on made-up
 entries: a stale entry and a surviving mutant must each fail the run."""
 
+import time
 from pathlib import Path
 
 import mutants
@@ -46,6 +47,20 @@ def test_a_mutant_that_breaks_its_test_module_import_is_caught(tmp_path, capsys)
     )
     assert mutants.run([renamed], tmp_path) == (1, [])
     assert "caught: renamed" in capsys.readouterr().out
+
+
+# at import of the library: 1 GiB at a time, each calloc'd and never
+# touched, so the host's memory stays free however far it gets uncapped
+HOG = "import time\n_HOG = []\nwhile True:\n    _HOG.append(bytes(1 << 30))\n    time.sleep(0.01)\n"
+
+
+def test_a_mutant_that_allocates_without_bound_is_caught_within_its_timeout(tmp_path):
+    mutants.copy_tree(tmp_path)
+    hog = Mutant("hog", "src/concordance/surgery.py", "def smith_normal_form(", HOG + "def smith_normal_form(", (PASSING,),
+                 timeout=60.0)
+    start = time.monotonic()
+    assert mutants.run([hog], tmp_path) == (1, [])
+    assert time.monotonic() - start < hog.timeout
 
 
 PROBE = """from pathlib import Path
