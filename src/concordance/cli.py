@@ -47,8 +47,8 @@ class BadFlag(ValueError):
 # The largest degree of a polynomial a command may build: deg(delta) * p
 # for a (p,1)-cable, k_max * (deg(delta_0) + deg(delta_1)) for the
 # Fox-Milnor loop.  On a 2-vCPU VM the slowest catalog form at this
-# bound, the 3-twist knot alone at k_max 36, takes 0.35-0.7 s in a fresh
-# process (best of three); at degree 96 (k_max 48) it takes about 0.9 s.
+# bound, the 3-twist knot alone at k_max 36, takes 0.15-0.2 s in a fresh
+# process (best of three); at degree 96 (k_max 48) it takes about 0.3 s.
 # Factoring refuses, also with exit code 2, a polynomial whose
 # recombination needs more than intfactor.MAX_MODULAR_FACTORS factors.
 MAX_DEGREE = 72
