@@ -47,14 +47,15 @@ from .realroots import exact_quotient
 
 
 def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    """The distinct primes dividing n >= 1, ascending, by trial division
+    by 2 and the odd numbers."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 2 if d > 2 else 1
     if n > 1:
         out.append(n)
     return out
@@ -69,8 +70,9 @@ def totient(b: int) -> int:
 
 
 def primes():
-    """2, 3, 5, 7, ... without end: each n >= 2 that is its only prime factor."""
-    return (n for n in itertools.count(2) if prime_factors(n) == [n])
+    """2, 3, 5, 7, ... without end: 2, then each odd n that is its only
+    prime factor."""
+    return itertools.chain([2], (n for n in itertools.count(3, 2) if prime_factors(n) == [n]))
 
 
 @functools.lru_cache(maxsize=None)
