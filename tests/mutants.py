@@ -27,7 +27,8 @@ The run fails, exit code 1, when
 - a mutant runs past its timeout, unless its entry says it hangs.
 
 Each pytest runs with its address space capped at `MEMORY_CAP`, so a
-mutant that allocates without bound fails its tests with MemoryError.
+mutant that allocates without bound fails its tests with MemoryError
+instead of taking the host's memory.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -47,9 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench")
-# The address space of each pytest child, so that a mutant that allocates
-# without bound fails there with MemoryError instead of taking the host's
-# memory; a named test file with numpy and sympy loaded needs about 250 MB.
+# bytes of address space per pytest child; a named test file with numpy
+# and sympy loaded needs about 250 MB
 MEMORY_CAP = 2 << 30
 
 
