@@ -99,7 +99,7 @@ import families  # noqa: E402
 import pace  # noqa: E402
 from worker import pin_to_one_cpu  # noqa: E402
 
-from concordance import intfactor, laurent, legendrian, seifert  # noqa: E402
+from concordance import cyclotomic, intfactor, laurent, legendrian, seifert  # noqa: E402
 from concordance.cabling import KnotProfile, cable_profile, fox_milnor_obstruction  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.cyclotomic import cyclotomic_coeffs, trace_polynomial  # noqa: E402
@@ -119,11 +119,13 @@ from concordance.surgery import SurgeryPresentation, first_homology, smith_norma
 def clear_caches():
     """Empty the caches of `laurent.factor` (primitive parts), of
     `intfactor` (roots and q(t^j)), of `seifert` (circle roots and arc
-    samples) and of `legendrian` (cable templates), so the next call
-    factors, isolates and builds afresh."""
+    samples), of `cyclotomic` (cosine enclosures) and of `legendrian`
+    (cable templates), so the next call factors, isolates, encloses and
+    builds afresh."""
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
     seifert._circle_arcs.cache_clear()
+    cyclotomic.cos2pi_bounds.cache_clear()
     legendrian._cable_templates.cache_clear()
 
 

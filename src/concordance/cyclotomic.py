@@ -9,13 +9,17 @@ the trace coordinate, in which the self-reciprocal t^n * g(t + 1/t) of
 degree 2n is g of degree n, with values g(2*cos(theta)) on the unit
 circle (``trace_polynomial`` and its inverse ``trace_lift``: ``seifert``
 isolates circle roots in it and ``intfactor`` factors in it); and
-``cos2pi_bounds``, the certified rational enclosure of 2*cos(2*pi*a/b)
-that places a root of unity among isolated real roots.  The enclosure is
-integer fixed point: pi by Machin's formula, the cosine by its Taylor
-series at a 2^r-th of the angle and r doublings, each step with a proven
-error bound, so it needs nothing beyond the standard library.  Each
-Phi_b is built once per process and handed out as the same immutable
-tuple, so no caller copies it.
+``cos2pi_bounds``, the certified enclosure of 2*cos(2*pi*a/b) that
+places a root of unity among isolated real roots, returned as the two
+integer numerators of its ends over 2^prec.  The enclosure is integer
+fixed point: pi by Machin's formula, the cosine by its Taylor series at
+a 2^r-th of the angle and r doublings, each step with a proven error
+bound, so it needs nothing beyond the standard library.  Each Phi_b is
+built once per process and handed out as the same immutable tuple, so
+no caller copies it; each enclosure is kept per process too, in an LRU
+of ``COS_CACHE_SIZE`` (256) entries keyed by (a, b, prec), the
+library's fourth cache, since every query at a/b asks the same
+precisions again.
 Signatures themselves are computed in ``seifert``, from Hermitian
 matrices over the Gaussian integers Z[i], at rational points of the arcs.
 
@@ -246,7 +250,7 @@ class CycloInt:
         2*cos(2*pi*k/b), so the sum of the enclosures of its terms holds
         twice the value."""
         for prec in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-            ends = [sorted(v * c for c in cos2pi_bounds(k, self.b, prec))
+            ends = [sorted(Fraction(v * c, 1 << prec) for c in cos2pi_bounds(k, self.b, prec))
                     for k, v in self._c.items()]
             if sum(lo for lo, _ in ends) > 0:
                 return 1
@@ -381,9 +385,16 @@ def _cos_fixed(x: int, bits: int) -> tuple[int, int]:
     return lo >> 2 * r, -(-hi >> 2 * r)
 
 
-def cos2pi_bounds(numerator: int, denominator: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Dyadic rationals lo <= 2*cos(2*pi*numerator/denominator) <= hi, for
-    denominator > 0, with hi - lo <= 2^(1 - prec).
+# (angle, precision) pairs kept by ``cos2pi_bounds``; a cable-obstruct run
+# at seed 1 asks 16 distinct ones
+COS_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=COS_CACHE_SIZE)
+def cos2pi_bounds(numerator: int, denominator: int, prec: int) -> tuple[int, int]:
+    """Integers lo, hi with lo/2^prec <= 2*cos(2*pi*numerator/denominator)
+    <= hi/2^prec, for denominator > 0, and hi - lo <= 2; kept per process
+    in an LRU of ``COS_CACHE_SIZE`` entries.
 
     q = numerator/denominator is folded into [0, 1/2], which leaves the
     cosine as is, so x = 2*pi*q lies in [0, pi], where cos falls and is
@@ -402,4 +413,4 @@ def cos2pi_bounds(numerator: int, denominator: int, prec: int) -> tuple[Fraction
     x_hi = -(-2 * pi_hi * a // b)
     lo, hi = _cos_fixed(x_lo, bits)
     lo -= x_hi - x_lo
-    return Fraction(lo >> guard - 1, 1 << prec), Fraction(-(-hi >> guard - 1), 1 << prec)
+    return lo >> guard - 1, -(-hi >> guard - 1)

@@ -11,7 +11,11 @@ chains and gcds, with primitive parts.  Roots come back as markers that
 are either exact rationals or open isolating intervals with rational
 endpoints.
 Bisection points are N/(D*2^k), D the lcm of the endpoint denominators,
-carried as two ints; only a marker's lo, hi and exact are Fractions.
+carried as two ints.  A marker keeps its ends the same way, as two
+integer numerators over one positive denominator, with the sign of its
+polynomial at the lower end, and compares itself with a rational n/d
+given as two ints by cross-multiplication; only a marker's lo, hi and
+exact are Fractions, built when read.
 Floats are for display only (``float_value``).
 Markers are values: refining one returns a narrower marker, nothing
 changes a marker in place, and no comparison commits to a
@@ -140,73 +144,84 @@ def sturm_chain(coeffs: list) -> list[list]:
     return chain
 
 
-def _common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(N_lo, N_hi, D) with lo = N_lo/D and hi = N_hi/D, D the lcm of the
-    two denominators."""
-    d = math.lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
-
-
 def _variations(chain: list[list], n: int, d: int) -> int:
     signs = [s for s in (_sign_at(p, n, d) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 class RootMarker(Record):
-    """One real root of a squarefree polynomial: exact, or isolated in an
-    open interval (lo, hi) whose endpoints are not roots."""
+    """One real root of a squarefree polynomial, with its ends as integer
+    numerators over one positive denominator: exact at lo_num/den =
+    hi_num/den, or isolated in the open interval (lo_num/den, hi_num/den),
+    whose ends are not roots.  sign_lo, the sign of poly at the lower
+    end, is computed once by whoever builds the marker: 0 exactly when
+    the marker is exact."""
 
     poly: list
-    lo: Fraction
-    hi: Fraction
-    exact: Fraction | None = None
+    lo_num: int
+    hi_num: int
+    den: int
+    sign_lo: int
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
+
+    @property
+    def exact(self) -> Fraction | None:
+        """The root when the marker is exact, else None."""
+        return None if self.sign_lo else Fraction(self.lo_num, self.den)
 
     def refine(self, width: Fraction) -> RootMarker:
         """The same root isolated below the given width by bisection, or
         an exact marker when a bisection point is the root; this marker
         itself when it is exact or already narrow enough."""
-        if self.exact is None:
-            lo, hi, d = _common_denominator(self.lo, self.hi)
-            if (hi - lo) * width.denominator > width.numerator * d:
-                return _bisect(self.poly, lo, hi, d, width)
+        if self.sign_lo and (self.hi_num - self.lo_num) * width.denominator > width.numerator * self.den:
+            return _bisect(self.poly, self.lo_num, self.hi_num, self.den, self.sign_lo, width)
         return self
 
-    def compare_rational(self, x: Fraction) -> int:
-        """-1, 0, +1 as the root is below, equal to, or above x."""
-        if self.exact is not None:
-            return (self.exact > x) - (self.exact < x)
-        if x <= self.lo:
+    def compare(self, n: int, d: int) -> int:
+        """-1, 0, +1 as the root is below, equal to, or above n/d (d > 0),
+        by cross-multiplication with the ends and, inside the interval,
+        the sign of poly at n/d against its sign at the lower end."""
+        x = n * self.den
+        if not self.sign_lo:
+            y = self.lo_num * d
+            return (y > x) - (y < x)
+        if x <= self.lo_num * d:
             return 1
-        if x >= self.hi:
+        if x >= self.hi_num * d:
             return -1
-        s_x = _sign_at(self.poly, *x.as_integer_ratio())
-        if s_x == 0:
+        s = _sign_at(self.poly, n, d)
+        if s == 0:
             return 0
-        # the sign changes on the side of x that holds the root
-        return 1 if s_x == _sign_at(self.poly, *self.lo.as_integer_ratio()) else -1
+        # the sign changes on the side of n/d that holds the root
+        return 1 if s == self.sign_lo else -1
 
     def float_value(self) -> float:
         """An approximation of the root, for display only."""
         m = self.refine(Fraction(1, 10**12))
-        return float((m.lo + m.hi) / 2)
+        return (m.lo_num + m.hi_num) / (2 * m.den)
 
 
-def _bisect(poly: list, lo: int, hi: int, d: int, width: Fraction) -> RootMarker:
-    """The root of poly in (lo/d, hi/d), whose ends are not roots,
-    isolated below width by bisection, or an exact marker when a
-    bisection point is the root."""
-    s_lo = _sign_at(poly, lo, d)
+def _bisect(poly: list, lo: int, hi: int, d: int, s_lo: int, width: Fraction) -> RootMarker:
+    """The root of poly in (lo/d, hi/d), whose ends are not roots and
+    where poly has sign s_lo at lo/d, isolated below width by bisection,
+    or an exact marker when a bisection point is the root."""
     while (hi - lo) * width.denominator > width.numerator * d:
         mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
         v = _sign_at(poly, mid, d)
         if v == 0:
-            x = Fraction(mid, d)
-            return RootMarker(poly, x, x, exact=x)
+            return RootMarker(poly, mid, mid, d, 0)
         if v == s_lo:
             lo = mid
         else:
             hi = mid
-    return RootMarker(poly, Fraction(lo, d), Fraction(hi, d))
+    return RootMarker(poly, lo, hi, d, s_lo)
 
 
 def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
@@ -220,19 +235,22 @@ def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
     the roots differ and bisection separates them, so refinement never
     tries to separate a root from itself."""
     while True:
-        if m1.exact is not None:
-            return -m2.compare_rational(m1.exact)
-        if m2.exact is not None:
-            return m1.compare_rational(m2.exact)
-        if m1.hi <= m2.lo:
+        if not m1.sign_lo:
+            return -m2.compare(m1.lo_num, m1.den)
+        if not m2.sign_lo:
+            return m1.compare(m2.lo_num, m2.den)
+        d1, d2 = m1.den, m2.den
+        if m1.hi_num * d2 <= m2.lo_num * d1:
             return -1
-        if m2.hi <= m1.lo:
+        if m2.hi_num * d1 <= m1.lo_num * d2:
             return 1
-        lo, hi = max(m1.lo, m2.lo), min(m1.hi, m2.hi)
-        if _sign_at(common, *lo.as_integer_ratio()) != _sign_at(common, *hi.as_integer_ratio()):
+        # the intersection's ends over d1 * d2
+        lo = max(m1.lo_num * d2, m2.lo_num * d1)
+        hi = min(m1.hi_num * d2, m2.hi_num * d1)
+        if _sign_at(common, lo, d1 * d2) != _sign_at(common, hi, d1 * d2):
             return 0
-        m1 = m1.refine((m1.hi - m1.lo) / 2)
-        m2 = m2.refine((m2.hi - m2.lo) / 2)
+        m1 = m1.refine(Fraction(m1.hi_num - m1.lo_num, 2 * d1))
+        m2 = m2.refine(Fraction(m2.hi_num - m2.lo_num, 2 * d2))
 
 
 def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
@@ -248,7 +266,9 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
     sf = squarefree_part(coeffs)
     if len(sf) <= 1:
         return []
-    lo, hi, d = _common_denominator(Fraction(lo), Fraction(hi))
+    lo, hi = Fraction(lo), Fraction(hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     if _sign_at(sf, lo, d) == 0 or _sign_at(sf, hi, d) == 0:
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(sf)
@@ -261,13 +281,12 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
         if n == 0:
             continue
         if n == 1 and not a_root and not b_root:
-            markers.append(_bisect(sf, a, b, d, Fraction(1, 64)))
+            markers.append(_bisect(sf, a, b, d, _sign_at(sf, a, d), Fraction(1, 64)))
             continue
         mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
         mid_root = _sign_at(sf, mid, d) == 0
         if mid_root:
-            x = Fraction(mid, d)
-            markers.append(RootMarker(sf, x, x, exact=x))
+            markers.append(RootMarker(sf, mid, mid, d, 0))
         vm = _variations(chain, mid, d)
         stack.append((a, mid, d, va, vm, a_root, mid_root))
         stack.append((mid, b, d, vm, vb, mid_root, b_root))

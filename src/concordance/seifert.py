@@ -26,13 +26,18 @@ comparison of x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating
 intervals.  Floats are for display only: the approximate angles that
 ``jumps``, ``arcs`` and ``repr`` print.  No floating-point value decides
 anything, and the witness search places each angle a/b by exact
-comparison of cosines.  Each integer buffer has one owner: a
+comparison of cosines, in integers: a/b is passed as two ints, its
+cosine enclosure from ``cyclotomic.cos2pi_bounds`` is two integer
+numerators over 2^prec, and each marker compares them with its own integer ends by cross-multiplication.
+A pullback reads sigma at v_p(x(u)) as an integer over d^p, by Horner on
+the homogenized v_p.  Each integer buffer has one owner: a
 ``SeifertMatrix`` keeps A and S as read-only tuples, and the kernels
 ``_int_det`` and ``_hermitian_signature`` eliminate in place on rows
 their caller built.  The isolated roots and arc samples of each
 polynomial are kept per process, the library's third cache beside the
 two of factoring: an LRU of ``ARCS_CACHE_SIZE`` (256) entries keyed by
-delta itself.  Signature values are never cached: a knot and its mirror
+delta itself; the fourth keeps each cosine enclosure (``cyclotomic``).
+Signature values are never cached: a knot and its mirror
 share delta and have opposite signatures.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
@@ -54,7 +59,7 @@ from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial, v_polys
 from .laurent import LaurentPoly, Record, all_int, is_int
-from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_eval, poly_gcd
+from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_gcd
 
 __all__ = [
     "SeifertMatrix", "RootOfUnity", "SignatureFunction", "OmegaIsOne",
@@ -176,10 +181,6 @@ class RootOfUnity(Record):
         g = math.gcd(a, self.denominator)
         object.__setattr__(self, "numerator", a // g)
         object.__setattr__(self, "denominator", self.denominator // g)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     @property
     def is_one(self) -> bool:
@@ -412,33 +413,34 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
             f"omega = {omega} is a root of the Alexander polynomial"
         )
     markers, samples = _circle_arcs(delta)
-    return _signature_at(v._A, v._S, samples[_arc_index(markers, omega.fraction)])
+    return _signature_at(v._A, v._S, samples[_arc_index(markers, omega.numerator, omega.denominator)])
 
 
-def _markers_above(markers: Sequence[RootMarker], lo: Fraction, hi: Fraction) -> int | None:
-    """The number of markers whose root exceeds hi, or None when some
-    root lies in [lo, hi]."""
+def _markers_above(markers: Sequence[RootMarker], lo: int, hi: int, d: int) -> int | None:
+    """The number of markers whose root exceeds hi/d, or None when some
+    root lies in [lo/d, hi/d] (d > 0)."""
     count = 0
     for m in markers:
-        if m.compare_rational(hi) > 0:
+        if m.compare(hi, d) > 0:
             count += 1
-        elif m.compare_rational(lo) >= 0:
+        elif m.compare(lo, d) >= 0:
             return None
     return count
 
 
-def _arc_index(markers: Sequence[RootMarker], q: Fraction) -> int:
-    """Index of the arc that holds angle q, which must not be a jump
-    angle: the number of markers below q folded into [0, 1/2], since
-    conjugation leaves the signature unchanged.  In x = 2cos(2*pi*angle)
-    the order reverses, so these are the roots above an enclosure of
-    2cos(2*pi*q), whose precision doubles from 64 bits until no root
-    lies in it, up to max(16384, 4 * bits of q's denominator): a larger
-    denominator can put q closer to a jump, and a jump q fails fast."""
-    q = min(q, 1 - q)
-    prec, limit = 64, max(16384, 4 * q.denominator.bit_length())
+def _arc_index(markers: Sequence[RootMarker], a: int, b: int) -> int:
+    """Index of the arc that holds the angle a/b in lowest terms, 0 <= a
+    < b, which must not be a jump angle: the number of markers below a/b
+    folded into [0, 1/2], since conjugation leaves the signature
+    unchanged.  In x = 2cos(2*pi*angle) the order reverses, so these are
+    the roots above an enclosure of 2cos(2*pi*a/b), whose precision
+    doubles from 64 bits until no root lies in it, up to max(16384, 4 *
+    bits of b): a larger denominator can put a/b closer to a jump, and a
+    jump a/b fails fast."""
+    a = min(a, b - a)
+    prec, limit = 64, max(16384, 4 * b.bit_length())
     while prec <= limit:
-        count = _markers_above(markers, *cos2pi_bounds(q.numerator, q.denominator, prec))
+        count = _markers_above(markers, *cos2pi_bounds(a, b, prec), 1 << prec)
         if count is not None:
             return count
         prec *= 2
@@ -486,7 +488,7 @@ class SignatureFunction:
         q = _as_fraction(q)
         if self.is_jump(q):
             raise SingularAtOmega(f"signature function jumps at angle {q}")
-        return self._values[_arc_index(self._markers, q)]
+        return self._values[_arc_index(self._markers, q.numerator, q.denominator)]
 
     def pullback(self, p: int) -> "SignatureFunction":
         """The step function omega -> sigma(omega^p), for an integer p >= 1.
@@ -505,10 +507,18 @@ class SignatureFunction:
         v_p = v_polys(p)[p]
 
         def value_at(u: Fraction) -> int:
-            x = poly_eval(v_p, _x_of_u(u))
-            count = _markers_above(self._markers, x, x)
+            # x(u) = n/d with n = 2(r^2 - s^2), d = r^2 + s^2 at u = r/s, and
+            # v_p(x) = acc/d^p by Horner on the homogenized v_p (degree p)
+            r2, s2 = u.numerator**2, u.denominator**2
+            n, d = 2 * (r2 - s2), r2 + s2
+            den = d**p
+            acc, scale = 0, 1
+            for c in reversed(v_p):
+                acc = acc * n + c * scale
+                scale *= d
+            count = _markers_above(self._markers, acc, acc, den)
             if count is None:
-                raise SingularAtOmega(f"signature function jumps at x = {x}")
+                raise SingularAtOmega(f"signature function jumps at x = {Fraction(acc, den)}")
             return self._values[count]
 
         return SignatureFunction(delta, value_at)
@@ -542,7 +552,7 @@ def _as_fraction(q) -> Fraction:
     """The angle q in [0, 1) of exp(2*pi*i*q), for an int, a Fraction or a
     RootOfUnity q; a float or a bool is no exact angle."""
     if isinstance(q, RootOfUnity):
-        return q.fraction
+        return Fraction(q.numerator, q.denominator)
     if not (isinstance(q, Fraction) or is_int(q)):
         raise TypeError(f"an angle must be an int, a Fraction or a RootOfUnity, got {q!r}")
     return Fraction(q) % 1
@@ -600,7 +610,7 @@ def _least_numerator_above(m: RootMarker, b: int) -> int | None:
     (The test compares cosines, so it only sees angles up to 1/2.)"""
     half = b // 2
     a = 1 + bisect.bisect_left(
-        range(1, half + 1), 1, key=lambda n: _arc_index([m], Fraction(n, b))
+        range(1, half + 1), 1, key=lambda n: _arc_index([m], n, b)
     )
     return a if a <= half else None
 
@@ -640,6 +650,6 @@ def first_witness(
             a = 1 if lower is None else _least_numerator_above(lower, b)
             if a is None:
                 break  # no a/b in (0, 1/2] above this sub-arc's start, nor later ones
-            if upper is None or not _arc_index([upper], Fraction(a, b)):
+            if upper is None or not _arc_index([upper], a, b):
                 return True, (RootOfUnity(a, b), v0, v1)
     return True, None

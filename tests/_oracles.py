@@ -16,7 +16,7 @@ from pathlib import Path
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from concordance.cyclotomic import CycloInt, hermitian_signature
+from concordance.cyclotomic import CycloInt, hermitian_signature, v_polys
 from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing, is_int
 from concordance.legendrian import (
     CROSSING,
@@ -50,14 +50,16 @@ families = load_perfbench("families")
 def clear_caches():
     """Empty the library's caches of results: the factorizations of
     ``laurent.factor`` and ``intfactor``, the circle roots and arc
-    samples of ``seifert``, and the cable templates of ``legendrian``, so
-    that the next call computes from scratch.  Pi at a precision
-    (``cyclotomic._pi_fixed``) stays; ``test_caches.py`` lists why."""
-    from concordance import intfactor, laurent, legendrian, seifert
+    samples of ``seifert``, the cosine enclosures of ``cyclotomic`` and
+    the cable templates of ``legendrian``, so that the next call computes
+    from scratch.  Pi at a precision (``cyclotomic._pi_fixed``) stays;
+    ``test_caches.py`` lists why."""
+    from concordance import cyclotomic, intfactor, laurent, legendrian, seifert
 
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
     seifert._circle_arcs.cache_clear()
+    cyclotomic.cos2pi_bounds.cache_clear()
     legendrian._cable_templates.cache_clear()
 
 
@@ -816,6 +818,15 @@ def _reference_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def reference_marker(poly, lo, hi):
+    """The RootMarker of the root of poly in (lo, hi), or at lo = hi, from
+    two Fractions: the ends over the lcm of their denominators, and the
+    sign of poly at lo."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    n_lo, n_hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    return RootMarker(poly, n_lo, n_hi, d, _reference_sign_at(poly, lo))
+
+
 def reference_refine(marker, width):
     """RootMarker.refine as it was before bisection ran on integers: every
     midpoint a Fraction."""
@@ -827,12 +838,52 @@ def reference_refine(marker, width):
         mid = (lo + hi) / 2
         v = _reference_sign_at(marker.poly, mid)
         if v == 0:
-            return RootMarker(marker.poly, mid, mid, exact=mid)
+            return reference_marker(marker.poly, mid, mid)
         if v == s_lo:
             lo = mid
         else:
             hi = mid
-    return RootMarker(marker.poly, lo, hi)
+    return reference_marker(marker.poly, lo, hi)
+
+
+def reference_compare(marker, x):
+    """RootMarker.compare as it was before markers kept integer ends
+    (``compare_rational``): -1, 0, +1 as the root is below, equal to, or
+    above the Fraction x, from the Fraction ends and signs over Q."""
+    if marker.exact is not None:
+        return (marker.exact > x) - (marker.exact < x)
+    if x <= marker.lo:
+        return 1
+    if x >= marker.hi:
+        return -1
+    s_x = _reference_sign_at(marker.poly, x)
+    if s_x == 0:
+        return 0
+    return 1 if s_x == _reference_sign_at(marker.poly, marker.lo) else -1
+
+
+def reference_markers_above(markers, lo, hi):
+    """seifert._markers_above on Fractions, through ``reference_compare``:
+    the number of markers whose root exceeds hi, or None when some root
+    lies in [lo, hi]."""
+    count = 0
+    for m in markers:
+        if reference_compare(m, hi) > 0:
+            count += 1
+        elif reference_compare(m, lo) >= 0:
+            return None
+    return count
+
+
+def reference_pullback_point(p, u):
+    """v_p(x(u)) as a Fraction, x(u) = 2(u^2 - 1)/(u^2 + 1): the point at
+    which a pullback's arc sample u reads the step function it pulls
+    back, by Horner over Q."""
+    x = 2 * (u * u - 1) / (u * u + 1)
+    acc = Fraction(0)
+    for c in reversed(v_polys(p)[p]):
+        acc = acc * x + c
+    return acc
 
 
 def reference_isolate_roots(coeffs, lo, hi):
@@ -854,12 +905,12 @@ def reference_isolate_roots(coeffs, lo, hi):
         if n == 0:
             continue
         if n == 1 and a not in exact and b not in exact:
-            markers.append(reference_refine(RootMarker(sf, a, b), Fraction(1, 64)))
+            markers.append(reference_refine(reference_marker(sf, a, b), Fraction(1, 64)))
             continue
         mid = (a + b) / 2
         if _reference_sign_at(sf, mid) == 0:
             exact.add(mid)
-            markers.append(RootMarker(sf, mid, mid, exact=mid))
+            markers.append(reference_marker(sf, mid, mid))
         vm = _reference_variations(chain, mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))

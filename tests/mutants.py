@@ -76,6 +76,7 @@ KEPT_FORMS = "tests/test_buffer_rule.py::test_readers_leave_the_kept_forms_uncha
 LAURENT = "src/concordance/laurent.py"
 RECORDS = "tests/test_records.py"
 DENSE = "tests/test_laurent.py::test_every_method_agrees_with_the_dict_reference"
+PLACEMENT = "tests/test_seifert.py::test_integer_placement_matches_the_fraction_route"
 
 MUTANTS = (
     Mutant(
@@ -226,9 +227,30 @@ MUTANTS = (
     Mutant(
         "isolating intervals bisected only to width 1/2",
         "src/concordance/realroots.py",
-        "_bisect(sf, a, b, d, Fraction(1, 64))",
-        "_bisect(sf, a, b, d, Fraction(1, 2))",
+        "_sign_at(sf, a, d), Fraction(1, 64))",
+        "_sign_at(sf, a, d), Fraction(1, 2))",
         ("tests/test_realroots.py::test_integer_bisection_matches_the_fraction_bisection[lo0-hi0]",),
+    ),
+    Mutant(
+        "a marker's cross-multiplication with n/d reversed at its lower end",
+        "src/concordance/realroots.py",
+        "        if x <= self.lo_num * d:\n",
+        "        if n * d <= self.lo_num * self.den:\n",
+        (PLACEMENT, "tests/test_cabling.py::TestAgainstAngleScan::test_finite_order_matches_scan"),
+    ),
+    Mutant(
+        "a marker's cached lower-end sign taken at its upper end",
+        "src/concordance/realroots.py",
+        "_bisect(sf, a, b, d, _sign_at(sf, a, d),",
+        "_bisect(sf, a, b, d, _sign_at(sf, b, d),",
+        (PLACEMENT, "tests/test_realroots.py::test_integer_bisection_matches_the_fraction_bisection[lo0-hi0]"),
+    ),
+    Mutant(
+        "the pullback's homogenized v_p(x) over one power of d too few",
+        SEIFERT,
+        "            den = d**p\n",
+        "            den = d ** (p - 1)\n",
+        (PLACEMENT, "tests/test_seifert.py::test_cached_circle_arcs_match_the_direct_route"),
     ),
     Mutant(
         "the last arc, which holds omega = -1, sampled at u = 1",
@@ -351,8 +373,8 @@ MUTANTS = (
     Mutant(
         "cosine enclosure's upper end rounded inward",
         "src/concordance/cyclotomic.py",
-        "Fraction(-(-hi >> guard - 1), 1 << prec)",
-        "Fraction(hi >> guard - 1, 1 << prec)",
+        "return lo >> guard - 1, -(-hi >> guard - 1)",
+        "return lo >> guard - 1, hi >> guard - 1",
         (
             "tests/test_cyclotomic.py::test_cos2pi_bounds_encloses_known_values",
             "tests/test_cyclotomic.py::test_cos2pi_bounds_contains_mpmath_enclosure[64]",

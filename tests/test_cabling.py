@@ -320,8 +320,29 @@ class TestFiniteOrderObstruction:
             report = finite_order_obstruction(TREFOIL_PROFILE, p)
             omega = report.witnesses[0].data["omega"]
             sig = signature_function(TREFOIL)
-            assert not sig.is_jump(omega.fraction)
-            assert not cable_signature(sig, p).is_jump(omega.fraction)
+            assert not sig.is_jump(omega)
+            assert not cable_signature(sig, p).is_jump(omega)
+
+    def test_a_second_query_computes_no_cosine(self, monkeypatch):
+        # the witness search places each a/b at the precisions it needs, and
+        # the enclosures are kept per process: the same query on the same
+        # profile again reads each one from the cache
+        from concordance import cyclotomic
+
+        clear_caches()
+        runs = []
+        cos_fixed = cyclotomic._cos_fixed
+
+        def spy(x, bits):
+            runs.append(bits)
+            return cos_fixed(x, bits)
+
+        monkeypatch.setattr(cyclotomic, "_cos_fixed", spy)
+        first = finite_order_obstruction(TREFOIL_PROFILE, 2)
+        assert runs
+        runs.clear()
+        assert finite_order_obstruction(TREFOIL_PROFILE, 2) == first
+        assert runs == []
 
     def test_figure_eight_finds_nothing(self):
         report = finite_order_obstruction(FIGURE_EIGHT_PROFILE, 2)

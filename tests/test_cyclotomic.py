@@ -175,13 +175,18 @@ def test_hermitian_signature_matches_numpy_on_random_matrices():
         checked += 1
 
 
+def _cos2pi_ends(a, b, prec):
+    """The ends of ``cos2pi_bounds``, its integer numerators over 2^prec."""
+    return tuple(Fraction(n, 1 << prec) for n in cos2pi_bounds(a, b, prec))
+
+
 def test_cos2pi_bounds_encloses_known_values():
-    lo, hi = cos2pi_bounds(1, 6, 64)
+    lo, hi = _cos2pi_ends(1, 6, 64)
     assert lo <= 1 <= hi
-    lo, hi = cos2pi_bounds(1, 4, 64)
+    lo, hi = _cos2pi_ends(1, 4, 64)
     assert lo <= 0 <= hi
-    lo64 = cos2pi_bounds(1, 7, 64)
-    lo256 = cos2pi_bounds(1, 7, 256)
+    lo64 = _cos2pi_ends(1, 7, 64)
+    lo256 = _cos2pi_ends(1, 7, 256)
     assert lo256[1] - lo256[0] < lo64[1] - lo64[0]
     assert lo64[0] < lo256[0] and lo256[1] < lo64[1]
 
@@ -204,7 +209,7 @@ def test_cos2pi_bounds_contains_mpmath_enclosure(prec):
     denominators.append(rng.randrange(10**3999, 10**4000))
     for b in denominators:
         a = rng.randrange(-b, 2 * b)
-        lo, hi = cos2pi_bounds(a, b, prec)
+        lo, hi = _cos2pi_ends(a, b, prec)
         m_lo, m_hi = _mpmath_2cos(a, b, prec)
         assert lo <= m_lo and m_hi <= hi, (a, b)
         assert hi - lo <= Fraction(2, 2**prec)
@@ -218,7 +223,7 @@ def test_cos2pi_bounds_at_rational_cosines(prec):
                      (Fraction(1, 3), -1), (Fraction(1, 2), -2)):
         q = Fraction(q)
         for a in (q.numerator, -q.numerator, q.numerator + 3 * q.denominator):
-            lo, hi = cos2pi_bounds(a, q.denominator, prec)
+            lo, hi = _cos2pi_ends(a, q.denominator, prec)
             assert lo <= value <= hi
             assert hi - lo <= Fraction(2, 2**prec)
             assert lo.denominator & (lo.denominator - 1) == 0  # dyadic

@@ -3,14 +3,22 @@
 The Fox-Milnor decision procedure is checked against an independent
 brute-force witness search (degree <= 4, coefficients in [-5, 5]) on a
 fixed-seed corpus of products, per the acceptance contract.
+
+sympy's factorizations of the twist polynomials at every power m = 2..36
+are recorded in ``data/twist_factors.json``, since sympy takes seconds on
+some of them; the recorder derives them all again:
+
+    PYTHONPATH=src python tests/test_laurent.py
 """
 
 import enum
 import functools
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -626,13 +634,35 @@ def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
 # (n = 1), whose q(t^2) splits, and -Phi_6 (n = -1).
 _TWISTS = [n for n in range(-6, 7) if n]
 _CAPELLI_POWERS = range(2, 37)
+TWIST_FACTORS = Path(__file__).resolve().parent / "data" / "twist_factors.json"
+
+
+def record_twist_factors():
+    """sympy's factorization of each twist polynomial at each power, by
+    "n m": [sign, power, content, [[coefficients from t^0 up,
+    multiplicity], ...]]."""
+    from _oracles import sympy_factor
+
+    recorded = {}
+    for n in _TWISTS:
+        for m in _CAPELLI_POWERS:
+            f = sympy_factor(_twist(n).substitute_power(m))
+            recorded[f"{n} {m}"] = [f.sign, f.power, f.content, [[list(q.coeffs), mu] for q, mu in f.factors]]
+    return recorded
 
 
 @functools.cache
-def _sympy_twist_at(n, m):
-    from _oracles import sympy_factor
+def _recorded_twist_factors():
+    return json.loads(TWIST_FACTORS.read_text())
 
-    return sympy_factor(_twist(n).substitute_power(m))
+
+def _sympy_twist_at(n, m):
+    """sympy's factorization of the n-twist polynomial at t^m, as recorded."""
+    sign, power, content, factors = _recorded_twist_factors()[f"{n} {m}"]
+    return Factorization(
+        sign=sign, power=power, content=content,
+        factors=tuple((LaurentPoly.from_coeffs(c), mu) for c, mu in factors),
+    )
 
 
 @pytest.mark.parametrize("n", _TWISTS)
@@ -772,3 +802,9 @@ def test_floats_and_bools_are_not_angles(call):
     with pytest.raises(TypeError):
         call()
 
+
+
+if __name__ == "__main__":
+    # one line per entry: the factors of q(t^36) run to 145 coefficients
+    entries = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in record_twist_factors().items()]
+    TWIST_FACTORS.write_text("{\n" + ",\n".join(entries) + "\n}\n")

@@ -78,8 +78,7 @@ RECORDS = {
         ("d",),
         {},
     ),
-    RootMarker: (("poly", "lo", "hi", "exact"), ([1, 0, -2], Fraction(1), Fraction(2), None), Fraction(3, 2),
-                 {"exact": None}),
+    RootMarker: (("poly", "lo_num", "hi_num", "den", "sign_lo"), ([1, 0, -2], 2, 4, 2, -1), 1, {}),
     RootOfUnity: (("numerator", "denominator"), (1, 3), 4, {}),
     AbelianGroupDescription: (("rank", "torsion", "images"), (1, (2,), {"x": (1, 0)}), {"x": (0, 1)}, {}),
     MeridianCheck: (

@@ -10,6 +10,7 @@ the file:
 """
 
 import json
+import math
 import random
 import re
 import time
@@ -28,6 +29,9 @@ from _oracles import (
     families,
     laurent_at_sign,
     reference_alexander,
+    reference_compare,
+    reference_markers_above,
+    reference_pullback_point,
     reference_signature_at,
     scrambled_seifert,
     sympy_alexander,
@@ -36,7 +40,7 @@ from _oracles import (
 from concordance.catalog import load_catalog
 from concordance.cyclotomic import trace_polynomial, v_polys
 from concordance.laurent import LaurentPoly, doteq
-from concordance.realroots import poly_eval
+from concordance.realroots import isolate_roots, poly_eval
 from concordance.seifert import (
     OmegaIsOne,
     RootOfUnity,
@@ -532,8 +536,56 @@ def test_arc_index_at_a_jump_angle_fails_fast():
     markers = signature_function(T_2_5)._markers
     start = time.perf_counter()
     with pytest.raises(ArithmeticError):
-        _arc_index(markers, Fraction(1, 10))
+        _arc_index(markers, 1, 10)
     assert time.perf_counter() - start < 1.0
+
+
+# Phi_6, Phi_4 and Phi_3 in balanced form: trace polynomials x - 1, x and
+# x + 1, whose roots are bisection points of (-2, 2), so exact markers
+_EXACT_FACTORS = [LaurentPoly({1: 1, 0: c, -1: 1}) for c in (-1, 0, 1)]
+
+
+def _over_one_denominator(xs):
+    """The numerators of the Fractions xs over the lcm of their
+    denominators, and that lcm."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def test_integer_placement_matches_the_fraction_route():
+    # RootMarker.compare and _markers_above against the Fraction route of
+    # compare_rational, on the isolating and exact markers of random knots'
+    # trace polynomials, at each marker's ends and at dyadic and non-dyadic
+    # rationals; and each pullback's arc values against its samples placed
+    # by the Fraction route at v_p(x(u))
+    rng = random.Random(4040)
+    exact = compared = 0
+    for genus in range(1, 8):
+        for extra in [None] + _EXACT_FACTORS:
+            v = SeifertMatrix(families.random_knot(rng, genus).seifert())
+            delta = v.delta if extra is None else v.delta * extra
+            markers = isolate_roots(trace_polynomial(delta.associate_normal().coeffs), Fraction(-2), Fraction(2))
+            exact += sum(m.exact is not None for m in markers)
+            # each marker's ends, and a dyadic and a non-dyadic point inside
+            points = [x for m in markers for x in (m.lo, m.hi, (m.lo + m.hi) / 2, (2 * m.lo + m.hi) / 3)]
+            points += [Fraction(rng.randrange(-2**20, 2**20), 2**rng.randrange(18, 21)) for _ in range(8)]
+            points += [Fraction(rng.randrange(-2 * 10**6, 2 * 10**6), rng.randrange(3, 10**6, 2)) for _ in range(8)]
+            points.sort()
+            for m in markers:
+                for x in points:
+                    assert m.compare(x.numerator, x.denominator) == reference_compare(m, x), (m, x)
+            for lo, hi in [(x, x) for x in points] + list(zip(points, points[1:])):
+                (n_lo, n_hi), d = _over_one_denominator([lo, hi])
+                assert seifert_module._markers_above(markers, n_lo, n_hi, d) == reference_markers_above(markers, lo, hi)
+                compared += 1
+            if extra is None:
+                sig = signature_function(v)
+                for p in (2, 3):
+                    samples = seifert_module._circle_arcs(v.delta.substitute_power(p))[1]
+                    counts = [reference_markers_above(sig._markers, x, x)
+                              for x in (reference_pullback_point(p, u) for u in samples)]
+                    assert list(sig.pullback(p)._values) == [sig._values[c] for c in counts]
+    assert exact and compared
 
 
 def test_markers_are_values():
@@ -552,10 +604,10 @@ def test_markers_are_values():
             first_witness(sig, pb, lambda s0, s1: s0 == 0 and s1 != 0, 50)
             assert sig.jumps() == jumps and sig.arcs() == arcs
             for m in sig._markers:
-                lo = m.lo
+                lo = m.lo_num
                 with pytest.raises(AttributeError):
-                    m.lo = m.hi
-                assert m.lo == lo
+                    m.lo_num = m.hi_num
+                assert m.lo_num == lo
 
 
 def test_signature_function_of_repeated_twist_factor():
@@ -729,7 +781,7 @@ def _direct_route(v, ps):
     def pulled_back(p):
         def value_at(u):
             x = poly_eval(v_polys(p)[p], seifert_module._x_of_u(u))
-            return values[seifert_module._markers_above(markers, x, x)]
+            return values[seifert_module._markers_above(markers, x.numerator, x.numerator, x.denominator)]
 
         return _direct_arcs(v.delta.substitute_power(p), value_at)
 
