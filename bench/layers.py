@@ -25,10 +25,12 @@ signature function does.  The cyclotomic layer builds Phi_b at b = 210,
 420, 1260 and 2310, COUNT times each, with the cache of
 `cyclotomic_coeffs` emptied inside each timed call, so that no Phi_d
 comes from an earlier call.  The library keeps factorizations, the
-circle roots and arc samples of each Alexander polynomial, and the cable
-templates of each n, per process, so its four caches are emptied before
-every timed call: `factor` is timed factoring, `levine_tristram` and
-`signature_function` are timed isolating roots, and the front layers
+circle roots and arc samples of each Alexander polynomial, the cosine
+enclosure of each angle and precision, and the cable templates of each
+n, per process, so its five caches are emptied before every timed call:
+`factor` is timed factoring, `levine_tristram` and `signature_function`
+are timed isolating roots (and `levine_tristram` enclosing cosines), and
+the front layers
 building their templates, not looking up.  The one warm layer (`WARM`),
 `cabling.fox_milnor_obstruction`, takes each knot of the same family,
 as a profile with delta alone, against its (2,1)-cable, up to k =

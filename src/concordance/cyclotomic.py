@@ -45,7 +45,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .realroots import exact_quotient
 
@@ -248,9 +247,10 @@ class CycloInt:
 
         A real element equals its real part, half the sum of c_k times
         2*cos(2*pi*k/b), so the sum of the enclosures of its terms holds
-        twice the value."""
+        twice the value; their ends share the denominator 2^prec, so the
+        sums of their numerators have the signs of the sums of the ends."""
         for prec in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-            ends = [sorted(Fraction(v * c, 1 << prec) for c in cos2pi_bounds(k, self.b, prec))
+            ends = [sorted(v * c for c in cos2pi_bounds(k, self.b, prec))
                     for k, v in self._c.items()]
             if sum(lo for lo, _ in ends) > 0:
                 return 1
