@@ -28,17 +28,18 @@ intervals.  Floats are for display only: the approximate angles that
 anything, and the witness search places each angle a/b by exact
 comparison of cosines, in integers: a/b is passed as two ints, its
 cosine enclosure from ``cyclotomic.cos2pi_bounds`` is two integer
-numerators over 2^prec, and each marker compares them with its own integer ends by cross-multiplication.
-A pullback reads sigma at v_p(x(u)) as an integer over d^p, by Horner on
-the homogenized v_p.  Each integer buffer has one owner: a
-``SeifertMatrix`` keeps A and S as read-only tuples, and the kernels
-``_int_det`` and ``_hermitian_signature`` eliminate in place on rows
-their caller built.  The isolated roots and arc samples of each
-polynomial are kept per process, the library's third cache beside the
-two of factoring: an LRU of ``ARCS_CACHE_SIZE`` (256) entries keyed by
-delta itself; the fourth keeps each cosine enclosure (``cyclotomic``).
-Signature values are never cached: a knot and its mirror
-share delta and have opposite signatures.
+numerators over 2^prec, and each marker compares them with its own
+integer ends by cross-multiplication.  A pullback reads sigma at
+v_p(x(u)) as an integer over d^p, by Horner on the homogenized v_p.
+Each integer buffer has one owner: a ``SeifertMatrix`` keeps A and S as
+read-only tuples, and the kernels ``_int_det`` and
+``_hermitian_signature`` eliminate in place on rows their caller built.
+The isolated roots and arc samples of each polynomial are kept per
+process, the library's third cache beside the two of factoring: an LRU
+of ``ARCS_CACHE_SIZE`` (256) entries keyed by delta itself; the fourth
+keeps each cosine enclosure (``cyclotomic``).  Signature values are
+never cached: a knot and its mirror share delta and have opposite
+signatures.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
 >>> str(alexander(V))

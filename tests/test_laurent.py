@@ -803,7 +803,6 @@ def test_floats_and_bools_are_not_angles(call):
         call()
 
 
-
 if __name__ == "__main__":
     # one line per entry: the factors of q(t^36) run to 145 coefficients
     entries = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in record_twist_factors().items()]
