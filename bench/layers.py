@@ -24,21 +24,22 @@ polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
 signature function does.  The cyclotomic layer builds Phi_b at b = 210,
 420, 1260 and 2310, COUNT times each, with the cache of
 `cyclotomic_coeffs` emptied inside each timed call, so that no Phi_d
-comes from an earlier call.  The library keeps factorizations, the
-circle roots and arc samples of each Alexander polynomial, the cosine
-enclosure of each angle and precision, and the cable templates of each
-n, per process, so its five caches are emptied before every timed call:
-`factor` is timed factoring, `levine_tristram` and `signature_function`
-are timed isolating roots (and `levine_tristram` enclosing cosines), and
-the front layers
-building their templates, not looking up.  The one warm layer (`WARM`),
+comes from an earlier call.  The library keeps Fox-Milnor pairings,
+factorizations, the circle roots and arc samples of each Alexander
+polynomial, the cosine enclosure of each angle and precision, and the
+cable templates of each n, per process, so its six caches are emptied
+before every timed call: `factor` is timed factoring, `levine_tristram`
+and `signature_function` are timed isolating roots (and
+`levine_tristram` enclosing cosines), and the front layers building
+their templates, not looking up.  The one warm layer (`WARM`),
 `cabling.fox_milnor_obstruction`, takes each knot of the same family,
 as a profile with delta alone, against its (2,1)-cable, up to k =
 FOX_MILNOR_K_MAX; one untimed call per input fills the caches first and
-none is emptied, so it times the Laurent arithmetic, the merging of
-cached factorizations and the round-trip checks that a repeated query
-costs, as perfbench's cable-obstruct runs them.  Each input is timed REPEAT
-times and its fastest kept; the repeats go round-robin over a layer's
+none is emptied, so it times what a repeated query costs, as perfbench's
+cable-obstruct runs them: since the pairings are kept per (delta_0,
+delta_1, k), that is one cache lookup per k and the report around them,
+not the factoring, merging and round-trip checks of a miss.  Each input
+is timed REPEAT times and its fastest kept; the repeats go round-robin over a layer's
 inputs at a size, so a slow stretch of the host falls on one repeat of
 several inputs, not on every repeat of one.  A layer's figure at a size
 is the median over its inputs, in milliseconds.
@@ -101,7 +102,7 @@ import families  # noqa: E402
 import pace  # noqa: E402
 from worker import pin_to_one_cpu  # noqa: E402
 
-from concordance import cyclotomic, intfactor, laurent, legendrian, seifert  # noqa: E402
+from concordance import cabling, cyclotomic, intfactor, laurent, legendrian, seifert  # noqa: E402
 from concordance.cabling import KnotProfile, cable_profile, fox_milnor_obstruction  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.cyclotomic import cyclotomic_coeffs, trace_polynomial  # noqa: E402
@@ -119,11 +120,12 @@ from concordance.surgery import SurgeryPresentation, first_homology, smith_norma
 
 
 def clear_caches():
-    """Empty the caches of `laurent.factor` (primitive parts), of
-    `intfactor` (roots and q(t^j)), of `seifert` (circle roots and arc
-    samples), of `cyclotomic` (cosine enclosures) and of `legendrian`
-    (cable templates), so the next call factors, isolates, encloses and
-    builds afresh."""
+    """Empty the caches of `cabling` (Fox-Milnor pairings), of
+    `laurent.factor` (primitive parts), of `intfactor` (roots and
+    q(t^j)), of `seifert` (circle roots and arc samples), of `cyclotomic`
+    (cosine enclosures) and of `legendrian` (cable templates), so the
+    next call decides, factors, isolates, encloses and builds afresh."""
+    cabling._pairing_at.cache_clear()
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
     seifert._circle_arcs.cache_clear()
@@ -252,7 +254,7 @@ def layers():
             lambda pair: fox_milnor_obstruction(*pair, k_max=FOX_MILNOR_K_MAX),
             cables,
             list(range(1, 9)),
-            "delta of perfbench/families.random_knot against its (2,1)-cable, warm caches",
+            "delta of perfbench/families.random_knot against its (2,1)-cable, warm caches: one Fox-Milnor cache lookup per k",
         ),
         "realroots.isolate_roots": (
             lambda g: isolate_roots(g, Fraction(-2), Fraction(2)),

@@ -23,7 +23,9 @@ two signature values, a violating irreducible factor, or a tau mismatch.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, Record, factor, fox_milnor_pairing, is_int
+import functools
+
+from .laurent import FoxMilnorResult, LaurentPoly, Record, factor, fox_milnor_pairing, is_int
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
@@ -64,6 +66,9 @@ TRIVIAL_ALEXANDER_CITATION = (
 # the default search bounds of the obstructions and of their subcommands
 K_MAX = 6
 DENOMINATOR_BOUND = 211
+# (delta_0, delta_1, k) kept by ``_pairing_at``; a cable-obstruct run asks
+# about 100 distinct ones, and one fox-milnor call asks each k once
+FOX_MILNOR_CACHE_SIZE = 256
 
 ALL_K_IRREDUCIBILITY_CITATION = (
     "irreducibility of delta(t^k) for every k >= 1 for twist-knot "
@@ -356,12 +361,18 @@ def fox_milnor_obstruction(
     complexity up to k_max, and only up to k_max, since the underlying
     condition is existential in k.
 
-    The product is factored by its parts.  Each primitive part, root and
-    irreducible q(t^j) is factored once per process, in LRUs of
-    ``laurent.FACTOR_CACHE_SIZE`` and ``intfactor.FACTORS_AT_CACHE_SIZE``
-    entries, so a (p,1)-cable's delta_0(t^(p*k)) reuses the entry of
-    delta_0 at p*k.  The merged factorization must multiply back to the
-    product.  Each violation witness names a factor and the rule broken
+    Each pairing at k depends on delta_0 and delta_1 alone, not on the
+    profiles' names or order, so it is decided once per process for each
+    (delta_0, delta_1, k), with the pair in one fixed order, in an LRU of
+    ``FOX_MILNOR_CACHE_SIZE`` entries (``_pairing_at``): a repeated
+    query, a renamed profile or the swapped pair is one lookup per k.  On
+    a miss the product is factored by its parts, the merged factorization
+    must multiply back to it, and the norm witness is checked.  Each
+    primitive part, root and irreducible q(t^j) is factored once per
+    process, in LRUs of ``laurent.FACTOR_CACHE_SIZE`` and
+    ``intfactor.FACTORS_AT_CACHE_SIZE`` entries, so a (p,1)-cable's
+    delta_0(t^(p*k)) reuses the entry of delta_0 at p*k.  Each violation
+    witness names a factor and the rule broken
     (``FoxMilnorResult.reason``); the content rule holds, as an Alexander
     polynomial's content divides delta(1) = +-1 and, by Gauss's lemma,
     so does the product's.
@@ -371,11 +382,10 @@ def fox_milnor_obstruction(
     for K in (K0, K1):
         if K.alexander is None:
             raise MissingAlexander(f"{K.name!r} has no Alexander polynomial")
+    pair = sorted((K0.alexander, K1.alexander), key=lambda delta: (delta.low(), delta.coeffs))
     witnesses = []
     for k in range(1, k_max + 1):
-        d0 = K0.alexander.substitute_power(k)
-        d1 = K1.alexander.substitute_power(k)
-        result = fox_milnor_pairing(d0 * d1, factor(d0) * factor(d1))
+        result = _pairing_at(*pair, k)
         if result.is_norm:
             verdict, category = "consistent-up-to-bounds", None
             witnesses = [Witness("fox-milnor-norm", {"k": k, "f": result.witness})]
@@ -402,6 +412,15 @@ def fox_milnor_obstruction(
         parameters={"k_max": k_max, "knots": (K0.name, K1.name)},
         notes=(note,),
     )
+
+
+@functools.lru_cache(maxsize=FOX_MILNOR_CACHE_SIZE)
+def _pairing_at(delta_0: LaurentPoly, delta_1: LaurentPoly, k: int) -> FoxMilnorResult:
+    """The Fox-Milnor pairing of delta_0(t^k) * delta_1(t^k), decided on
+    the product of the two factorizations."""
+    d0 = delta_0.substitute_power(k)
+    d1 = delta_1.substitute_power(k)
+    return fox_milnor_pairing(d0 * d1, factor(d0) * factor(d1))
 
 
 def rational_concordance_verdict(

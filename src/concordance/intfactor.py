@@ -17,13 +17,27 @@ and runs Zassenhaus's algorithm only on what structure cannot settle:
    root beta of x^j - alpha has K in Q(beta), so [Q(beta):Q] = deg(q) *
    [K(beta):K]; as q(t^j) has degree j*deg(q) and the root beta, q(t^j)
    is irreducible over Q (and over Z, being primitive with q) exactly
-   when x^j - alpha is irreducible over K.  So q(t^j) is factored whole
-   (step 2 or 3) only for j prime or 4.  For any other j, q(t^d) is
-   factored for d in the primes dividing j, and 4 when 4 | j: if each
-   is irreducible, so is q(t^j); otherwise the first q(t^d) that splits
-   gives q(t^j) as the product of r(t^(j/d)) over its factors r, each
-   factored by the same rule.  No r is cyclotomic: a root of r is a
-   d-th root of a root of q, so q would be.
+   when x^j - alpha is irreducible over K.  So only for j prime or 4
+   is q(t^j) ever factored whole (step 2 or 3), and only when no
+   certificate covers it.  For any other j, q(t^d) is factored for d in
+   the primes dividing j, and 4 when 4 | j: if each is irreducible, so
+   is q(t^j); otherwise the first q(t^d) that splits gives q(t^j) as the
+   product of r(t^(j/d)) over its factors r, each factored by the same
+   rule, and j = 4 takes this route through d = 2 first.  No r is
+   cyclotomic: a root of r is a d-th root of a root of q, so q would be.
+   The certificate: by Capelli, x^l - alpha (l prime) is irreducible
+   unless alpha is in K^l, and x^4 - alpha unless alpha is in K^2 or in
+   -4K^4.  Take a prime p = 1 (mod j) dividing neither lc(q) nor q(0),
+   and a simple root r of q mod p.  By Hensel r lifts to a root of q in
+   the p-adic integers Z_p, so some embedding of K into Q_p sends alpha
+   to a unit lifting r.  If alpha = beta^l, beta goes to a unit too, and
+   r is an l-th power mod p; if alpha = -4*beta^4, r is a square, as -1
+   is a square mod p = 1 (mod 4).  So a simple root r that is no l-th
+   power (for j = 4, no square), tested by r^((p - 1)/l) != 1 (or
+   r^((p - 1)/2) != 1), certifies q(t^j) irreducible.  No other prime
+   is tried: when l does not divide p - 1 every unit mod p is an l-th
+   power, and at p = 3 (mod 4) a root r of a q with alpha in -4K^4 is
+   no square, -1 being none.
 2. Trace coordinate.  A self-reciprocal polynomial of even degree 2n is
    t^n * g(t + 1/t) with deg g = n (``cyclotomic.trace_polynomial``).  A
    g of degree at most 1 is irreducible as it stands; any other g is
@@ -57,7 +71,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 
 from .cyclotomic import cyclotomic_coeffs, prime_factors, primes, totient, trace_lift, trace_polynomial
 from .realroots import exact_quotient, poly_derivative, poly_eval, poly_gcd, primitive_part
@@ -76,8 +90,9 @@ MAX_MODULAR_FACTORS = 16
 FACTORS_AT_CACHE_SIZE = 256
 # square-free primes whose distinct-degree factorizations are compared
 _CANDIDATE_PRIMES = 5
-# Odd primes tried for the Hensel certificate of a lift before the lift
-# is factored whole; an uncertified lift is only slower, never wrong.
+# Odd primes tried for the Hensel certificate of a lift, or for the
+# Capelli certificate of a q(t^j), before it is factored whole; an
+# uncertified polynomial is only slower, never wrong.
 _CERTIFICATE_PRIMES = 12
 
 
@@ -107,16 +122,19 @@ def factor_by_structure(b: list[int]) -> dict[tuple, int]:
 def _factors_at(q: tuple, j: int) -> tuple[tuple[tuple, int], ...]:
     """The irreducible factors of q(t^j): for j = 1, q is a root and is
     factored (steps 2 and 3); for j > 1, q is irreducible and not
-    cyclotomic, and q(t^j) is factored whole only for j prime or 4, else
-    by Capelli's steps (step 1)."""
+    cyclotomic, and q(t^j) is factored whole only for j prime or 4 with
+    no certificate, else by Capelli's steps (step 1)."""
     if j == 1:
         return tuple(_factor_primitive(list(q)))
     qj = [0] * (j * (len(q) - 1) + 1)
     qj[::j] = q
     steps = prime_factors(j) + [4] * (j % 4 == 0)
-    if j in steps:
-        return tuple(_factor_primitive(qj))
     for d in steps:
+        if d == j:
+            # j prime, or 4 with q(t^2) irreducible
+            if _capelli_certified(q, j):
+                break
+            return tuple(_factor_primitive(qj))
         split = _factors_at(q, d)
         if len(split) > 1:
             return tuple(f for r, _ in split for f in _factors_at(r, j // d))
@@ -151,18 +169,45 @@ def _lift_is_irreducible(h: tuple) -> bool:
     norm = poly_eval(h, 2) * poly_eval(h, -2)
     if norm < 0 or math.isqrt(norm) ** 2 != norm:
         return True
-    dh = poly_derivative(h)
     for p in islice(primes(), 1, 1 + _CERTIFICATE_PRIMES):
-        if h[-1] % p == 0:
-            continue
-        for r in range(p):
-            if (
-                poly_eval(h, r) % p == 0
-                and poly_eval(dh, r) % p
-                and pow(r * r - 4, (p - 1) // 2, p) == p - 1
-            ):
-                return True
+        if h[-1] % p and any(pow(r * r - 4, (p - 1) // 2, p) == p - 1 for r in _simple_roots(h, p)):
+            return True
     return False
+
+
+def _capelli_certified(q: tuple, j: int) -> bool:
+    """A certificate that q(t^j) is irreducible, for an irreducible q that
+    is not cyclotomic and j prime or 4: a simple root of q mod a prime
+    p = 1 (mod j) that is no j-th power (for j = 4, no square) mod p
+    (step 1).  Up to ``_CERTIFICATE_PRIMES`` primes dividing neither
+    lc(q) nor q(0) are tried.  False means no certificate was found, not
+    that q(t^j) is reducible."""
+    # r is a j-th power (for j = 4, a square) mod p exactly when r^((p - 1)/e) = 1
+    e = 2 if j == 4 else j
+    step = 2 * j if j % 2 else j  # p = 1 (mod j) and odd
+    tried = 0
+    for p in count(1 + step, step):
+        if prime_factors(p) != [p] or q[-1] % p == 0 or q[0] % p == 0:
+            continue
+        if any(pow(r, (p - 1) // e, p) != 1 for r in _simple_roots(q, p)):
+            return True
+        tried += 1
+        if tried == _CERTIFICATE_PRIMES:
+            return False
+
+
+def _simple_roots(h: tuple, p: int):
+    """The simple roots r in [0, p) of h mod a prime p not dividing lc(h),
+    each of which lifts to a root of h in the p-adic integers (Hensel):
+    h(r) = 0 and h'(r) != 0 mod p, by one Horner pass per r."""
+    high_first = [c % p for c in reversed(h)]
+    for r in range(p):
+        value = slope = 0
+        for c in high_first:
+            slope = (slope * r + value) % p
+            value = (value * r + c) % p
+        if not value and slope:
+            yield r
 
 
 def _substitute(q: tuple, m: int) -> tuple[tuple[tuple, int], ...]:
@@ -229,16 +274,16 @@ def _zassenhaus(f: list[int]) -> list[tuple]:
         fp = _monic(_reduce(f, p), p)
         power_p = _frobenius(fp, p)
         ddf = _distinct_degree(fp, p, power_p)
-        sums, count = 1, 0
+        sums, n_factors = 1, 0
         for d, g in ddf:
             for _ in range((len(g) - 1) // d):
                 sums |= sums << d
-                count += 1
+                n_factors += 1
         degrees &= sums
         if not degrees:
             return [tuple(f)]
-        if best is None or count < best[0]:
-            best = (count, p, power_p, ddf)
+        if best is None or n_factors < best[0]:
+            best = (n_factors, p, power_p, ddf)
     _, p, power_p, ddf = best
     rng = random.Random(p)
     modular = sorted(u for d, g in ddf for u in _equal_degree(g, d, p, power_p, rng))

@@ -419,14 +419,15 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
 
 def _markers_above(markers: Sequence[RootMarker], lo: int, hi: int, d: int) -> int | None:
     """The number of markers whose root exceeds hi/d, or None when some
-    root lies in [lo/d, hi/d] (d > 0)."""
-    count = 0
-    for m in markers:
-        if m.compare(hi, d) > 0:
-            count += 1
-        elif m.compare(lo, d) >= 0:
-            return None
-    return count
+    root lies in [lo/d, hi/d] (d > 0).
+
+    pre: the markers' roots descend, as a step function's do (they
+    ascend in angle), so the first root not above hi/d decides: it lies
+    in [lo/d, hi/d], or it and every later root lie below lo/d."""
+    for count, m in enumerate(markers):
+        if m.compare(hi, d) <= 0:
+            return None if m.compare(lo, d) >= 0 else count
+    return len(markers)
 
 
 def _arc_index(markers: Sequence[RootMarker], a: int, b: int) -> int:

@@ -48,14 +48,16 @@ families = load_perfbench("families")
 
 
 def clear_caches():
-    """Empty the library's caches of results: the factorizations of
-    ``laurent.factor`` and ``intfactor``, the circle roots and arc
-    samples of ``seifert``, the cosine enclosures of ``cyclotomic`` and
-    the cable templates of ``legendrian``, so that the next call computes
-    from scratch.  Pi at a precision (``cyclotomic._pi_fixed``) stays;
-    ``test_caches.py`` lists why."""
-    from concordance import cyclotomic, intfactor, laurent, legendrian, seifert
+    """Empty the library's caches of results: the Fox-Milnor pairings of
+    ``cabling``, the factorizations of ``laurent.factor`` and
+    ``intfactor``, the circle roots and arc samples of ``seifert``, the
+    cosine enclosures of ``cyclotomic`` and the cable templates of
+    ``legendrian``, so that the next call computes from scratch.  Pi at a
+    precision (``cyclotomic._pi_fixed``) stays; ``test_caches.py`` lists
+    why."""
+    from concordance import cabling, cyclotomic, intfactor, laurent, legendrian, seifert
 
+    cabling._pairing_at.cache_clear()
     laurent._primitive_factors.cache_clear()
     intfactor._factors_at.cache_clear()
     seifert._circle_arcs.cache_clear()

@@ -77,6 +77,9 @@ LAURENT = "src/concordance/laurent.py"
 RECORDS = "tests/test_records.py"
 DENSE = "tests/test_laurent.py::test_every_method_agrees_with_the_dict_reference"
 PLACEMENT = "tests/test_seifert.py::test_integer_placement_matches_the_fraction_route"
+INTFACTOR = "src/concordance/intfactor.py"
+CAPELLI = "tests/test_laurent.py::test_capelli_certificates_cover_no_split"
+FOX_MILNOR = "tests/test_cabling.py::TestFoxMilnorObstruction"
 
 MUTANTS = (
     Mutant(
@@ -195,24 +198,55 @@ MUTANTS = (
     ),
     Mutant(
         "lift certificate tests for a residue instead of a non-residue",
-        "src/concordance/intfactor.py",
+        INTFACTOR,
         "pow(r * r - 4, (p - 1) // 2, p) == p - 1",
         "pow(r * r - 4, (p - 1) // 2, p) == 1",
         ("tests/test_laurent.py::test_factor_matches_whole_product_route",),
     ),
     Mutant(
         "Capelli's d = 4 step dropped",
-        "src/concordance/intfactor.py",
+        INTFACTOR,
         "steps = prime_factors(j) + [4] * (j % 4 == 0)",
         "steps = prime_factors(j)",
         ("tests/test_laurent.py::test_the_fourth_power_step_splits_what_no_prime_step_splits",),
     ),
     Mutant(
         "a q(t^d) that splits taken as irreducible",
-        "src/concordance/intfactor.py",
+        INTFACTOR,
         "        if len(split) > 1:\n",
         "        if False:\n",
         ("tests/test_laurent.py::test_a_twist_polynomial_at_every_power_matches_sympy[1]",),
+    ),
+    Mutant(
+        "Capelli certificate taken from a j-th power instead of a non-power",
+        INTFACTOR,
+        "pow(r, (p - 1) // e, p) != 1",
+        "pow(r, (p - 1) // e, p) == 1",
+        (CAPELLI,),
+    ),
+    Mutant(
+        "Capelli certificate tried at primes not 1 mod j",
+        INTFACTOR,
+        "step = 2 * j if j % 2 else j",
+        "step = 2",
+        (CAPELLI,),
+    ),
+    Mutant(
+        "Capelli certificate at j = 4 asks for no fourth power, not for no square",
+        INTFACTOR,
+        "e = 2 if j == 4 else j",
+        "e = j",
+        (CAPELLI,),
+    ),
+    Mutant(
+        "k dropped from the Fox-Milnor cache key (every k compares equal)",
+        "src/concordance/cabling.py",
+        "result = _pairing_at(*pair, k)",
+        'result = _pairing_at(*pair, type("AnyK", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(k))',
+        (
+            f"{FOX_MILNOR}::test_each_pairing_is_decided_once_per_pair_of_deltas_and_k",
+            f"{FOX_MILNOR}::test_trefoil_vs_cable_to_degree_120_is_fast",
+        ),
     ),
     Mutant(
         "the binomials with mu = 1 and mu = -1 swapped in Phi_b",

@@ -464,8 +464,9 @@ class TestFoxMilnorObstruction:
     def test_each_polynomial_is_factored_once_per_process(self, monkeypatch):
         # the 3-twist knot against its (2,1)-cable to k = 4 needs delta(t^j)
         # for j in {1, 2, 3, 4} and {2, 4, 6, 8}; the trace polynomial of j = 1
-        # is linear and never sent, j = 2, 4 come back from the cache, and
-        # j = 6, 8 are irreducible by Capelli's steps j = 2, 3 and 2, 4
+        # is linear and never sent, j = 2, 3, 4 are certified irreducible
+        # without factoring, j = 2, 4 come back from the cache, and j = 6, 8
+        # are irreducible by Capelli's steps j = 2, 3 and 2, 4
         from concordance import intfactor
 
         clear_caches()
@@ -479,15 +480,39 @@ class TestFoxMilnorObstruction:
         monkeypatch.setattr(intfactor, "irreducible_factors", spy)
         cable = cable_profile(TWIST_PROFILE, 2)
         fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
-        assert degrees == [2, 4, 3]
+        assert degrees == []
         # the caches live in the process: a second call factors nothing,
         # and neither does a call on another profile with the same delta
+        misses = intfactor._factors_at.cache_info().misses
         second = fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
         renamed = KnotProfile("renamed-3-twist", alexander=TWIST_PROFILE.alexander)
         third = fox_milnor_obstruction(renamed, cable, 4)
-        assert degrees == [2, 4, 3]
+        assert degrees == []
+        assert intfactor._factors_at.cache_info().misses == misses
         assert third.verdict == second.verdict
         assert third.witnesses == second.witnesses
+
+    def test_each_pairing_is_decided_once_per_pair_of_deltas_and_k(self):
+        # the pairing at k reads delta_0 and delta_1 alone: a renamed
+        # profile, the swapped pair and the verdict's Fox-Milnor half (the
+        # renamed profile has no Seifert matrix, so the verdict rests on
+        # Fox-Milnor) are each one lookup per k, with the same witnesses
+        from concordance import cabling
+
+        clear_caches()
+        cable = cable_profile(TWIST_PROFILE, 2)
+        first = fox_milnor_obstruction(TWIST_PROFILE, cable, 4)
+        assert cabling._pairing_at.cache_info()[:2] == (0, 4)
+        renamed = KnotProfile("renamed-3-twist", alexander=TWIST_PROFILE.alexander)
+        reports = [
+            fox_milnor_obstruction(renamed, cable, 4),
+            fox_milnor_obstruction(cable, TWIST_PROFILE, 4),
+            rational_concordance_verdict(renamed, cable, k_max=4),
+        ]
+        assert cabling._pairing_at.cache_info()[:2] == (12, 4)
+        assert first.verdict == "obstructed-up-to-complexity-4"
+        for report in reports:
+            assert (report.verdict, report.witnesses) == (first.verdict, first.witnesses)
 
     def test_parts_route_matches_whole_product_at_every_k(self):
         # the report factors delta_0 and delta_1 by parts; each k must say

@@ -615,11 +615,12 @@ def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
     factor(_torus_2(3).substitute_power(20) * _torus_2(3).substitute_power(40))
     assert degrees == [3]
     # the 3-twist knot at k = 36: its g is linear and never sent; Capelli's
-    # steps send the g of b(t^2), b(t^3) and b(t^4), all irreducible, so
-    # b(t^36) is irreducible, and neither it nor its g of degree 36 is sent
+    # steps b(t^2), b(t^3) and b(t^4) are each certified irreducible by a
+    # simple root that is no square, cube, or square mod a prime, so
+    # b(t^36) is irreducible and nothing is sent
     degrees.clear()
     factor(_twist(3).substitute_power(36))
-    assert degrees == [2, 3, 4]
+    assert degrees == []
     # the figure-eight at m = 2: x^2 - 5 lifts to (t^2 - t - 1)(t^2 + t - 1),
     # which no certificate covers, so the lift is factored
     degrees.clear()
@@ -705,6 +706,25 @@ def test_the_fourth_power_step_splits_what_no_prime_step_splits():
     cases = [P("t^8 + 4"), P("t^12 + 4"), P("4*t^8 + 1")]
     assert [a for a in cases if factor(a) != sympy_factor(a)] == []
     assert [str(q) for q, _ in factor(cases[0]).factors] == ["1*t^4 - 2*t^2 + 2", "1*t^4 + 2*t^2 + 2"]
+
+
+def test_capelli_certificates_cover_no_split():
+    # q(t^j) splits when alpha is a j-th power (a cube for t^2 - 18t + 1, a
+    # square for the figure-eight's t^2 - 3t + 1) or, at j = 4, in -4K^4
+    # (t + 4): factor splits each, and no prime certifies any
+    from concordance import intfactor
+
+    splits = {
+        "t^6 - 18*t^3 + 1": ["1*t^2 - 3*t^1 + 1", "1*t^4 + 3*t^3 + 8*t^2 + 3*t^1 + 1"],
+        "t^4 - 3*t^2 + 1": ["1*t^2 - 1*t^1 - 1", "1*t^2 + 1*t^1 - 1"],
+        "t^8 - 3*t^4 + 1": ["1*t^4 - 1*t^2 - 1", "1*t^4 + 1*t^2 - 1"],
+        "t^4 + 4": ["1*t^2 - 2*t^1 + 2", "1*t^2 + 2*t^1 + 2"],
+    }
+    assert {a: [str(q) for q, _ in factor(P(a)).factors] for a in splits} == splits
+    for q, j in [((1, -18, 1), 3), ((1, -3, 1), 2), ((1, -3, 1), 4), ((4, 1), 4)]:
+        assert not intfactor._capelli_certified(q, j), (q, j)
+    # the 3-twist knot's q = 3t^2 - 7t + 3 is certified at every j asked
+    assert all(intfactor._capelli_certified((3, -7, 3), j) for j in (2, 3, 4, 5, 7))
 
 
 def test_recombination_cap_raises_a_named_input_error():

@@ -508,6 +508,29 @@ def test_torus_knot_2_9_step_function():
     assert sig._values == (0, -2, -4, -6, -8)
 
 
+def test_markers_above_stops_at_the_first_root_not_above(monkeypatch):
+    # T(2, 9) has four circle roots; a point on arc i is above none of the
+    # roots after the i it counts, so placing it takes i compares for the
+    # roots above and two for the root that decides (none on the last arc)
+    from concordance.realroots import RootMarker
+
+    markers, samples = seifert_module._circle_arcs(alexander(_torus_2(9)))
+    assert len(markers) == 4
+    calls = []
+    compare = RootMarker.compare
+
+    def counted(self, n, d):
+        calls.append(self)
+        return compare(self, n, d)
+
+    monkeypatch.setattr(RootMarker, "compare", counted)
+    for i, u in enumerate(samples):
+        x = seifert_module._x_of_u(u)
+        calls.clear()
+        assert seifert_module._markers_above(markers, x.numerator, x.numerator, x.denominator) == i
+        assert len(calls) == (i + 2 if i < len(markers) else i)
+
+
 def test_levine_tristram_at_large_denominator_is_fast():
     start = time.perf_counter()
     assert levine_tristram(TREFOIL, RootOfUnity(1, 55440)) == 0
@@ -564,7 +587,8 @@ def test_integer_placement_matches_the_fraction_route():
         for extra in [None] + _EXACT_FACTORS:
             v = SeifertMatrix(families.random_knot(rng, genus).seifert())
             delta = v.delta if extra is None else v.delta * extra
-            markers = isolate_roots(trace_polynomial(delta.associate_normal().coeffs), Fraction(-2), Fraction(2))
+            # descending in x, as a step function keeps them: _markers_above stops at the first root not above
+            markers = isolate_roots(trace_polynomial(delta.associate_normal().coeffs), Fraction(-2), Fraction(2))[::-1]
             exact += sum(m.exact is not None for m in markers)
             # each marker's ends, and a dyadic and a non-dyadic point inside
             points = [x for m in markers for x in (m.lo, m.hi, (m.lo + m.hi) / 2, (2 * m.lo + m.hi) / 3)]
