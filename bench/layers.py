@@ -14,10 +14,9 @@ itself; each is timed COUNT times over.  The signature layers
 (`alexander`, `levine_tristram` at omega = exp(2 pi i 5/1260),
 `signature_function`) take COUNT scrambled sums of genus g
 (`random_knot`), drawn from a fresh `random.Random(SEED)`; each call
-builds a fresh `SeifertMatrix`, since delta is cached on the matrix.
-The constructor layer (`SeifertMatrix`, whose det(V - V^T) check is the
-second caller of the determinant) takes the same matrices and times the
-constructor alone.
+builds a fresh `SeifertMatrix`, whose constructor computes delta with
+its det(V - V^T) check from one determinant, so `alexander` times the
+constructor.
 The polynomial layers take delta of the same knots, computed before
 timing: `factor` takes delta(t^6), and `isolate_roots` takes the trace
 polynomial of delta (`cyclotomic.trace_polynomial`) on (-2, 2), as a
@@ -31,14 +30,17 @@ cable templates of each n, per process, so its six caches are emptied
 before every timed call: `factor` is timed factoring, `levine_tristram`
 and `signature_function` are timed isolating roots (and
 `levine_tristram` enclosing cosines), and the front layers building
-their templates, not looking up.  The one warm layer (`WARM`),
-`cabling.fox_milnor_obstruction`, takes each knot of the same family,
-as a profile with delta alone, against its (2,1)-cable, up to k =
-FOX_MILNOR_K_MAX; one untimed call per input fills the caches first and
-none is emptied, so it times what a repeated query costs, as perfbench's
-cable-obstruct runs them: since the pairings are kept per (delta_0,
-delta_1, k), that is one cache lookup per k and the report around them,
-not the factoring, merging and round-trip checks of a miss.  Each input
+their templates, not looking up.  The two Fox-Milnor layers take each
+knot of the same family, as a profile with delta alone, against its
+(2,1)-cable, up to k = FOX_MILNOR_K_MAX.  The cold one,
+`cabling.fox_milnor_obstruction.cold`, empties the caches before each
+call like the others, so it times what a first query pays: the
+factoring, merging, multiply-back and witness checks of each k.  The
+one warm layer (`WARM`), `cabling.fox_milnor_obstruction`, fills the
+caches with one untimed call per input and empties none, so it times
+what a repeated query costs, as perfbench's cable-obstruct runs them:
+since the pairings are kept per (delta_0, delta_1, k), that is one
+cache lookup per k and the report around them.  Each input
 is timed REPEAT times and its fastest kept; the repeats go round-robin over a layer's
 inputs at a size, so a slow stretch of the host falls on one repeat of
 several inputs, not on every repeat of one.  A layer's figure at a size
@@ -185,7 +187,8 @@ def layers():
         return [(K, cable_profile(K, 2)) for K in profiles]
 
     def fresh(fn):
-        """fn on a new SeifertMatrix per call: delta is cached on the matrix."""
+        """fn on a new SeifertMatrix per call: delta is computed when the
+        matrix is built and kept on it."""
         return lambda matrix: fn(SeifertMatrix(matrix))
 
     omega = RootOfUnity(5, 1260)
@@ -200,6 +203,9 @@ def layers():
 
     def cable_sweep(n):
         return cable_front(satellite, n).component_count
+
+    def fox_milnor(pair):
+        return fox_milnor_obstruction(*pair, k_max=FOX_MILNOR_K_MAX)
 
     def cold_phi(b):
         cyclotomic_coeffs.cache_clear()
@@ -231,9 +237,6 @@ def layers():
             list(range(2, 15)),
             "n-copy cables of the satellite-P-of-trefoil front",
         ),
-        "seifert.SeifertMatrix": (
-            SeifertMatrix, knots, list(range(1, 9)), "perfbench/families.random_knot",
-        ),
         **{
             name: (fresh(fn), knots, list(range(1, 9)), "perfbench/families.random_knot")
             for name, fn in signature_layers.items()
@@ -251,10 +254,16 @@ def layers():
             "Phi_b, its cache cleared before each call",
         ),
         "cabling.fox_milnor_obstruction": (
-            lambda pair: fox_milnor_obstruction(*pair, k_max=FOX_MILNOR_K_MAX),
+            fox_milnor,
             cables,
             list(range(1, 9)),
             "delta of perfbench/families.random_knot against its (2,1)-cable, warm caches: one Fox-Milnor cache lookup per k",
+        ),
+        "cabling.fox_milnor_obstruction.cold": (
+            fox_milnor,
+            cables,
+            list(range(1, 9)),
+            "delta of perfbench/families.random_knot against its (2,1)-cable, caches emptied before each call",
         ),
         "realroots.isolate_roots": (
             lambda g: isolate_roots(g, Fraction(-2), Fraction(2)),

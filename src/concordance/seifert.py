@@ -7,11 +7,12 @@ functions differ.
 Everything here is exact.  With A = V + V^T and S = V - V^T, for V of
 size n = 2g, det(V - t*V^T) = ((1 + t)/2)^n * f(w) with
 f(w) = det(S + w*A) and w = (1 - t)/(1 + t).  f is even, so
-f(w) = r(w^2) with deg r <= g, and f(0) = det S = Pf(S)^2 = 1: the g
-integer determinants f(1), ..., f(g), by fraction-free Bareiss
-elimination (the one determinant routine of the library), fix r, and
-Newton divided differences at the integer nodes k^2, which are
-integers, give its coefficients.  For omega = exp(i*theta) the form
+f(w) = r_0 + r_1*w^2 + ... + r_g*w^(2g), and r_0 = det S = Pf(S)^2.
+One integer determinant, D = f(W) at a power of two W chosen from the
+entries, by fraction-free Bareiss elimination (the one determinant
+routine of the library), holds each r_j as a balanced base-W^2 digit:
+r_0 = 1 is the constructor's check |det(V - V^T)| = 1, and the others
+give delta, kept on the matrix.  For omega = exp(i*theta) the form
 (1 - omega)V + (1 - conj(omega))V^T is 2*sin(theta/2)^2 * (A - i*u*S)
 with u = cot(theta/2), so sigma(omega) is the signature of the 2g x 2g
 Hermitian matrix A - i*u*S itself.  The signature is constant on each
@@ -79,7 +80,8 @@ class SingularAtOmega(ValueError):
 
 
 class SeifertMatrix:
-    """Square integer matrix V with |det(V - V^T)| = 1."""
+    """Square integer matrix V with |det(V - V^T)| = 1; A, S and delta are
+    kept read-only, checked and computed by one determinant at construction."""
 
     __slots__ = ("entries", "name", "_delta", "_A", "_S")
 
@@ -96,19 +98,14 @@ class SeifertMatrix:
         cols = [*zip(*rows)]
         self._A = tuple([tuple(map(operator.add, row, col)) for row, col in zip(rows, cols)])
         self._S = tuple([tuple(map(operator.sub, row, col)) for row, col in zip(rows, cols)])
-        if abs(_int_det([*map(list, self._S)])) != 1:
-            raise ValueError("|det(V - V^T)| must be 1")
-        # an odd-size integer skew form has det 0, so n is forced even
+        self._delta = _balanced_alexander(self)
         self.entries = rows
         self.name = name
-        self._delta: LaurentPoly | None = None
 
     @property
     def delta(self) -> LaurentPoly:
-        """The Alexander polynomial (see :func:`alexander`), computed on
-        first use and kept: the entries never change."""
-        if self._delta is None:
-            self._delta = _balanced_alexander(self)
+        """The Alexander polynomial (see :func:`alexander`), computed
+        with the det(V - V^T) check when the matrix is built."""
         return self._delta
 
     @property
@@ -126,8 +123,9 @@ class SeifertMatrix:
 
 def _int_det(rows: list[list[int]]) -> int:
     """Exact integer determinant, fraction-free Bareiss elimination, in
-    place: ``rows`` is overwritten, so each caller passes rows it built.
-    The column below a pivot is never read again and is left as it is."""
+    place: ``rows`` is overwritten, so its one caller, the constructor's
+    ``_balanced_alexander``, passes rows it built.  The column below a
+    pivot is never read again and is left as it is."""
     n = len(rows)
     sign = prev = 1
     for k in range(n - 1):
@@ -194,34 +192,40 @@ class RootOfUnity(Record):
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """det(V - t*V^T) in balanced normal form: exponents symmetric about 0,
     positive leading coefficient, reciprocal(delta) equal to delta, and
-    |delta(1)| = 1.  Computed once per matrix and cached on it."""
+    |delta(1)| = 1.  Computed when the matrix is built; this reads it."""
     return v.delta
 
 
 def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
-    """det(V - t*V^T), balanced, from the g determinants f(k) =
-    det(S + k*A), k = 1..g: V - t*V^T = ((1 + t)/2) * (S + w*A) with
-    w = (1 - t)/(1 + t); f is even (transpose; n is even), so
-    f(w) = r(w^2); f(0) = det S = Pf(S)^2 = 1; and r's Newton divided
-    differences at the integer nodes k^2 are integers.  In x = t + 1/t,
-    w^2 = (x - 2)/(x + 2), so t^-g * delta(t) is
+    """det(V - t*V^T), balanced, from D = f(W) = det(S + W*A) at W = 2^B
+    (f and r_j as in the module docstring), for the constructor once it
+    has set A and S; a ValueError unless r_0 = 1, an odd size (det 0)
+    refused first.  By Cauchy's bound |r_j| <= max |f(w)| over |w| = 1,
+    and there, by Hadamard's inequality, |f(w)| <= prod_i ||s_i + w*a_i||
+    over the rows of S and A, with ||s_i + w*a_i||^2 <= h_i = ||s_i||^2 +
+    ||a_i||^2 + 2|<s_i, a_i>|.  So |r_j| <= sqrt(h), h = prod_i h_i, and
+    W^4 > 4h makes each r_j a digit of D in base W^2, in [-W^2/2, W^2/2).
+    In x = t + 1/t, w^2 = (x - 2)/(x + 2), so t^-g * delta(t) is
     Q(x) = 4^-g * (x + 2)^g * r((x - 2)/(x + 2)), lifted back to t."""
     A, S = v._A, v._S
-    g = v.genus
-    c = [1] + [
-        _int_det([[s + k * a for s, a in zip(rs, ra)] for rs, ra in zip(S, A)])
-        for k in range(1, g + 1)
-    ]
-    for j in range(1, g + 1):
-        for k in range(g, j - 1, -1):
-            c[k], rem = divmod(c[k] - c[k - 1], k * k - (k - j) ** 2)
-            if rem:
-                raise ArithmeticError("divided difference is not an integer")
-    # Horner in the Newton basis of r, homogenized: power = (x + 2)^(g - j)
-    q, power = [c[g]], [1]
-    for j in reversed(range(g)):
+    g, odd = divmod(len(S), 2)
+    if odd:
+        raise ValueError("|det(V - V^T)| must be 1")
+    h = 1
+    for rs, ra in zip(S, A):
+        h *= sum(s * s + a * a for s, a in zip(rs, ra)) + 2 * abs(sum(map(operator.mul, rs, ra)))
+    B = (h.bit_length() + 5) // 4  # the least B with 2^(4B) > 4h
+    D = _int_det([[s + (a << B) for s, a in zip(rs, ra)] for rs, ra in zip(S, A)])
+    base, r = 1 << 2 * B, []
+    for _ in range(g + 1):
+        r.append((D + base // 2) % base - base // 2)
+        D = (D - r[-1]) >> 2 * B
+    if r[0] != 1:
+        raise ValueError("|det(V - V^T)| must be 1")
+    q, power = [r[g]], [1]  # Horner in r, homogenized: power = (x + 2)^(g - j)
+    for c in reversed(r[:g]):
         power = [2 * a + b for a, b in zip(power + [0], [0] + power)]
-        q = [c[j] * p - 2 * (1 + j * j) * a + (1 - j * j) * b for a, b, p in zip(q + [0], [0] + q, power)]
+        q = [c * p - 2 * a + b for a, b, p in zip(q + [0], [0] + q, power)]
     if any(a % 4**g for a in q):
         raise ArithmeticError("trace polynomial is not integral")
     return balanced_alexander(LaurentPoly.from_coeffs(trace_lift([a // 4**g for a in q])))

@@ -69,6 +69,7 @@ SEIFERT = "src/concordance/seifert.py"
 REFERENCE = "tests/test_surgery.py::test_transforms_match_the_reference_elimination"
 DIGESTS = "tests/test_surgery.py::test_transforms_match_the_recorded_digests"
 INT_DET = "tests/test_seifert.py::test_int_det_matches_sympy"
+ALEXANDER = "tests/test_seifert.py::test_alexander_matches_the_reference_interpolation"
 LEGENDRIAN = "src/concordance/legendrian.py"
 BLOCKWISE = "tests/test_legendrian.py::test_cables_and_satellites_match_the_blockwise_route"
 FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digests"
@@ -301,11 +302,41 @@ MUTANTS = (
         (KEPT_FORMS,),
     ),
     Mutant(
-        "the constructor's determinant run on the kept S",
+        "the balanced-digit correction dropped from delta's digits",
         SEIFERT,
-        "_int_det([*map(list, self._S)])",
-        "_int_det(self._S)",
-        (KEPT_FORMS,),
+        "r.append((D + base // 2) % base - base // 2)",
+        "r.append(D % base)",
+        (ALEXANDER, KEPT_FORMS),
+    ),
+    Mutant(
+        "the carry dropped after a negative digit",
+        SEIFERT,
+        "        D = (D - r[-1]) >> 2 * B\n",
+        "        D >>= 2 * B\n",
+        (ALEXANDER,),
+    ),
+    Mutant(
+        "the unimodularity check read off r_g instead of r_0",
+        SEIFERT,
+        "    if r[0] != 1:\n",
+        "    if r[-1] != 1:\n",
+        (KEPT_FORMS, "tests/test_seifert.py::test_construction_validates"),
+    ),
+    Mutant(
+        "(x - 2) and (x + 2) swapped in the Horner step",
+        SEIFERT,
+        "        power = [2 * a + b for a, b in zip(power + [0], [0] + power)]\n"
+        "        q = [c * p - 2 * a + b",
+        "        power = [-2 * a + b for a, b in zip(power + [0], [0] + power)]\n"
+        "        q = [c * p + 2 * a + b",
+        (ALEXANDER, KEPT_FORMS),
+    ),
+    Mutant(
+        "the digit bound h taken over the first row only",
+        SEIFERT,
+        "    for rs, ra in zip(S, A):\n",
+        "    for rs, ra in zip(S[:1], A[:1]):\n",
+        (ALEXANDER,),
     ),
     Mutant(
         "tau of a cable carried whatever the base tau",

@@ -21,9 +21,10 @@ def test_layers_script_writes_its_keys(tmp_path):
     }
     assert set(report["layers"]) == {
         "surgery.smith_normal_form", "surgery.first_homology", "legendrian.front_sweep",
-        "legendrian.cable_front", "seifert.SeifertMatrix", "seifert.alexander",
-        "seifert.levine_tristram", "seifert.signature_function", "laurent.factor", "cyclotomic.cyclotomic_coeffs",
-        "cabling.fox_milnor_obstruction", "realroots.isolate_roots", "cold_start",
+        "legendrian.cable_front", "seifert.alexander", "seifert.levine_tristram",
+        "seifert.signature_function", "laurent.factor", "cyclotomic.cyclotomic_coeffs",
+        "cabling.fox_milnor_obstruction", "cabling.fox_milnor_obstruction.cold", "realroots.isolate_roots",
+        "cold_start",
     }
     assert set(report["layers_scaled"]) == set(report["layers"])
     cold = report["layers"].pop("cold_start")

@@ -278,12 +278,12 @@ def test_levine_tristram_matches_numpy_oracle():
         checked += 1
 
 
-def _random_seifert(rng, genus):
+def _random_seifert(rng, genus, bound=2):
     n = 2 * genus
     s = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            s[i][j] = s[j][i] = rng.randint(-2, 2)
+            s[i][j] = s[j][i] = rng.randint(-bound, bound)
     for g in range(genus):
         s[2 * g][2 * g + 1] += 1
     return SeifertMatrix(s)
@@ -688,10 +688,21 @@ def _reference_cases():
         yield mirror(v)
         yield block_sum(v, w)
         yield block_sum(mirror(w), v)
+    # f(w) = 1 - m^2 w^2 with m = 2b - 1, and h = (1 + m)^4: |r_1| meets
+    # the digit bound sqrt(h) within a factor (1 + 1/m)^2, so a bound one
+    # binary digit short, W^4 > 2h, misreads r_1 when m / 2^k lies in
+    # (2^-1/2, 2^-1/4), as at b = 25 * 2^k / 64
+    for k in range(1, 41):
+        for b in {2**k - 1, 2**k, 2**k + 1, 25 * 2**k // 64 + 1, rng.randint(2 ** (k - 1), 2**k)}:
+            yield SeifertMatrix([[0, b], [b - 1, 0]])
+    # symmetric parts with entries up to 2^21, most of them 2^20 or more
+    # before the scramble, so the digits are wide at every genus
+    for genus in range(1, 9):
+        yield scrambled_seifert(rng, _random_seifert(rng, genus, 2**21))
 
 
 def test_alexander_matches_the_reference_interpolation():
-    # the g determinants of S + k*A against the 2g + 1 of V - k*V^T,
+    # the one determinant of S + W*A against the 2g + 1 of V - k*V^T,
     # byte for byte in the printed normal form
     cases = list(_reference_cases())
     assert {v.genus for v in cases} == set(range(9))
@@ -700,8 +711,8 @@ def test_alexander_matches_the_reference_interpolation():
 
 
 @pytest.mark.parametrize("genus", range(1, 9))
-def test_alexander_takes_genus_many_determinants(monkeypatch, genus):
-    v = SeifertMatrix(families.random_knot(random.Random(genus), genus, density=4).seifert())
+def test_the_constructor_takes_one_determinant_and_alexander_none(monkeypatch, genus):
+    entries = families.random_knot(random.Random(genus), genus, density=4).seifert()
     calls = []
     det = seifert_module._int_det
 
@@ -710,8 +721,10 @@ def test_alexander_takes_genus_many_determinants(monkeypatch, genus):
         return det(rows)
 
     monkeypatch.setattr(seifert_module, "_int_det", counted)
+    v = SeifertMatrix(entries)
+    assert calls == [2 * genus]
     alexander(v)
-    assert calls == [2 * genus] * genus
+    assert calls == [2 * genus]
 
 
 def test_dense_genus_eight_alexander_is_fast():
