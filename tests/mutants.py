@@ -332,6 +332,13 @@ MUTANTS = (
         (ALEXANDER, KEPT_FORMS),
     ),
     Mutant(
+        "the digit bound one binary digit short: W^4 > 2h",
+        SEIFERT,
+        "    B = (h.bit_length() + 5) // 4",
+        "    B = (h.bit_length() + 4) // 4",
+        (ALEXANDER,),
+    ),
+    Mutant(
         "the digit bound h taken over the first row only",
         SEIFERT,
         "    for rs, ra in zip(S, A):\n",

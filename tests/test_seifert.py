@@ -690,8 +690,8 @@ def _reference_cases():
         yield block_sum(mirror(w), v)
     # f(w) = 1 - m^2 w^2 with m = 2b - 1, and h = (1 + m)^4: |r_1| meets
     # the digit bound sqrt(h) within a factor (1 + 1/m)^2, so a bound one
-    # binary digit short, W^4 > 2h, misreads r_1 when m / 2^k lies in
-    # (2^-1/2, 2^-1/4), as at b = 25 * 2^k / 64
+    # binary digit short, W^4 > 2h, misreads r_1 when m / W lies in
+    # (2^-1/2, 2^-1/4) for the W it takes, as at b = 25 * 2^k / 64 + 1
     for k in range(1, 41):
         for b in {2**k - 1, 2**k, 2**k + 1, 25 * 2**k // 64 + 1, rng.randint(2 ** (k - 1), 2**k)}:
             yield SeifertMatrix([[0, b], [b - 1, 0]])
