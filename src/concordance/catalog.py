@@ -2,15 +2,17 @@
 
 The catalog is a JSON list of entries.  Each entry may carry a Seifert
 matrix with declared (always cited) invariants, references to Legendrian
-front files, an annular pattern declaration, and references to surgery
-presentation files.  Computed quantities (Alexander polynomials,
-signatures, front counts) are never stored, only recomputed; a declared
-Alexander polynomial must be one, and is cross-checked against the
-Seifert matrix when there is one.
+front files, and an annular pattern declaration.  Computed quantities
+(Alexander polynomials, signatures, front counts) are never stored, only
+recomputed; a declared Alexander polynomial must be one, and is
+cross-checked against the Seifert matrix when there is one.
 
 The default catalog ships with the package; the CONCORDANCE_CATALOG
 environment variable or an explicit path overrides it, with file
-references resolved relative to the catalog's own directory.
+references resolved relative to the catalog's own directory.  Surgery
+presentations are not catalog data: `surgery.satellite_cobordism_presentation`
+builds the satellite cobordism's, and `surgery.SurgeryPresentation` takes
+any other from Python.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .cabling import Cited, CitedBounds, KnotProfile
 from .laurent import LaurentPoly, Record, all_int, is_int
 from .legendrian import FrontDiagram, PatternData, front_from_text
 from .seifert import SeifertMatrix
-from .surgery import SurgeryPresentation, presentation_from_text
 
 __all__ = [
     "CATALOG_ENV_VAR", "Catalog", "CatalogEntry", "ParseError", "UnknownKnot",
@@ -45,7 +46,6 @@ _ENTRY_FIELDS = {
     "topologically_slice",
     "fronts",
     "pattern",
-    "presentations",
 }
 
 
@@ -73,7 +73,6 @@ class CatalogEntry(Record):
     profile: KnotProfile | None
     fronts: dict
     pattern: PatternData | None
-    presentations: dict
 
 
 class Catalog:
@@ -84,10 +83,6 @@ class Catalog:
         self._by_name = _table("entry", ((e.name, e) for e in self.entries))
         self._fronts = _table(
             "front", (pair for e in self.entries for pair in e.fronts.items())
-        )
-        self._presentations = _table(
-            "presentation",
-            (pair for e in self.entries for pair in e.presentations.items()),
         )
 
     def __iter__(self):
@@ -113,9 +108,6 @@ class Catalog:
         if entry.pattern is None:
             raise UnknownKnot(f"{name!r} declares no satellite pattern")
         return entry.pattern
-
-    def presentation(self, name) -> SurgeryPresentation:
-        return _lookup(self._presentations, name, "presentation")
 
 
 def _table(kind, pairs):
@@ -180,16 +172,16 @@ def _cited_bounds(raw, where):
         return CitedBounds(raw.get("lower"), raw.get("upper"), raw.get("citation"))
 
 
-def _load_file(base, filename, where, kind, suffix, parse):
-    """Read and parse a file referenced by a catalog entry."""
-    if not isinstance(filename, str) or not filename.endswith(suffix):
-        raise ParseError(f"{where}: {kind} references end in {suffix}")
+def _load_front(base, filename, where):
+    """Read and parse a front file referenced by a catalog entry."""
+    if not isinstance(filename, str) or not filename.endswith(".front"):
+        raise ParseError(f"{where}: front references end in .front")
     try:
         text = (base / filename).read_text()
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {filename!r}: {exc}") from None
     with _reraise(ParseError, f"{where}: {filename}"):
-        return parse(text)
+        return front_from_text(text)
 
 
 def _parse_entry(raw, index, base):
@@ -251,12 +243,10 @@ def _parse_entry(raw, index, base):
                 name=name, seifert=seifert, alexander=alexander, **declared
             )
 
-    for key in ("fronts", "presentations"):
-        _require(isinstance(raw.get(key, []), list), f"{where}: {key} must be a list")
+    _require(isinstance(raw.get("fronts", []), list), f"{where}: fronts must be a list")
     fronts = {}
     for filename in raw.get("fronts", []):
-        front = _load_file(base, filename, where, "front", ".front", front_from_text)
-        fronts[filename[: -len(".front")]] = front
+        fronts[filename[: -len(".front")]] = _load_front(base, filename, where)
 
     pattern = None
     if "pattern" in raw:
@@ -271,9 +261,7 @@ def _parse_entry(raw, index, base):
             isinstance(obj.get("citation", ""), str),
             f"{where}: pattern: citation must be a string",
         )
-        front = _load_file(
-            base, obj["front"], f"{where}: pattern", "front", ".front", front_from_text
-        )
+        front = _load_front(base, obj["front"], f"{where}: pattern")
         fronts.setdefault(obj["front"][: -len(".front")], front)
         with _reraise(ValidationError, f"{where}: pattern"):
             pattern = PatternData.from_front(
@@ -283,21 +271,9 @@ def _parse_entry(raw, index, base):
                 tilde_citation=obj.get("citation"),
             )
 
-    presentations = {}
-    for filename in raw.get("presentations", []):
-        presentations[filename[: -len(".pres")]] = _load_file(
-            base, filename, where, "presentation", ".pres", presentation_from_text
-        )
-
-    if profile is None and not fronts and pattern is None and not presentations:
+    if profile is None and not fronts:  # a pattern's front is in fronts
         raise ValidationError(f"{where}: entry declares nothing")
-    return CatalogEntry(
-        name=name,
-        profile=profile,
-        fronts=fronts,
-        pattern=pattern,
-        presentations=presentations,
-    )
+    return CatalogEntry(name=name, profile=profile, fronts=fronts, pattern=pattern)
 
 
 def load_catalog(path=None) -> Catalog:

@@ -271,16 +271,11 @@ def _cmd_theorem31(catalog, args):
 
 def _cmd_homology_check(catalog, args):
     _positive("--p", args.p, 1)
-    if args.presentation is not None:
-        pres = catalog.presentation(args.presentation)
-        name = args.presentation
-    else:
-        pres = satellite_cobordism_presentation(args.p)
-        name = pres.name
+    pres = satellite_cobordism_presentation(args.p)
     result = cobordism_meridian_check(pres, "mu_K", "mu_Ptilde", args.p)
     return {
         "command": "homology-check",
-        "presentation": name,
+        "presentation": pres.name,
         "p": result.p,
         "classes": [result.class0, result.class1],
         "homology": _group_dict(result.homology),
@@ -392,8 +387,6 @@ def build_parser():
         "homology-check",
         help="meridian condition for the satellite cobordism presentation",
     )
-    p.add_argument("presentation", nargs="?",
-                   help="stored presentation (default: built for --p)")
     p.add_argument("--p", type=int, default=2)
     p.set_defaults(handler=_cmd_homology_check)
 
@@ -411,7 +404,7 @@ def build_parser():
 
 # the inputs an internal-error line names after its subcommand
 _CONTEXT = ("knot", "knot0", "knot1", "front", "pattern", "companion",
-            "presentation", "omega", "p", "cable")
+            "omega", "p", "cable")
 
 
 def _context(args):

@@ -14,8 +14,8 @@ Bisection points are N/(D*2^k), D the lcm of the endpoint denominators,
 carried as two ints.  A marker keeps its ends the same way, as two
 integer numerators over one positive denominator, with the sign of its
 polynomial at the lower end, and compares itself with a rational n/d
-given as two ints by cross-multiplication; only a marker's lo, hi and
-exact are Fractions, built when read.
+given as two ints by cross-multiplication; only a marker's lo and hi
+are Fractions, built when read.
 Floats are for display only (``float_value``).
 Markers are values: refining one returns a narrower marker, nothing
 changes a marker in place, and no comparison commits to a
@@ -170,11 +170,6 @@ class RootMarker(Record):
     @property
     def hi(self) -> Fraction:
         return Fraction(self.hi_num, self.den)
-
-    @property
-    def exact(self) -> Fraction | None:
-        """The root when the marker is exact, else None."""
-        return None if self.sign_lo else Fraction(self.lo_num, self.den)
 
     def refine(self, width: Fraction) -> RootMarker:
         """The same root isolated below the given width by bisection, or

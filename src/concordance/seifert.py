@@ -112,10 +112,6 @@ class SeifertMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    @property
-    def genus(self) -> int:
-        return len(self.entries) // 2
-
     def __repr__(self):
         label = f", name={self.name!r}" if self.name else ""
         return f"SeifertMatrix({[list(r) for r in self.entries]}{label})"

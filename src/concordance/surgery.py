@@ -22,7 +22,10 @@ the torsion chain, zeros, and inverting p keeps that order.
 a homology cobordism built from such a presentation: the first meridian
 class must equal p times the second integrally, and after inverting p
 the common class must span a free rank-one summand, so that the two
-meridians differ by a positive unit of Z[1/p].
+meridians differ by a positive unit of Z[1/p].  The satellite
+cobordism's presentation is built for each p
+(`satellite_cobordism_presentation`), any other one from Python
+(`SurgeryPresentation`); no presentation is read from a file.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .laurent import Record, all_int, is_int
 
 __all__ = [
     "AbelianGroupDescription", "ClassMismatch", "MeridianCheck", "SurgeryPresentation",
-    "cobordism_meridian_check", "first_homology", "localize", "presentation_from_text",
-    "satellite_cobordism_presentation", "smith_normal_form",
+    "cobordism_meridian_check", "first_homology", "localize", "satellite_cobordism_presentation",
+    "smith_normal_form",
 ]
 
 
@@ -430,60 +433,3 @@ def satellite_cobordism_presentation(p):
         {"mu_K": (1, 0, 0), "mu_Ptilde": (0, 1, 0)},
         name=f"satellite-cobordism-p{p}",
     )
-
-
-def presentation_from_text(text):
-    """Parse the presentation file format of the catalog (the library
-    writes none).
-
-    `M n` starts an n x n matrix given on the following n lines; `C name
-    v1 .. vn` declares a tracked class.  `#` starts a comment.
-    """
-    records = (
-        (lineno, fields)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (fields := raw.split("#", 1)[0].split())
-    )
-    matrix = None
-    classes = {}
-    for lineno, fields in records:
-        if fields[0] == "M":
-            if matrix is not None:
-                raise ValueError(f"line {lineno}: second matrix block")
-            try:
-                (n,) = map(int, fields[1:])
-            except ValueError:  # no size, a second field, or not an integer
-                n = -1
-            if n < 0:
-                raise ValueError(f"line {lineno}: M needs a size")
-            matrix = []
-            for row_lineno, row_fields in itertools.islice(records, n):
-                try:
-                    row = [int(x) for x in row_fields]
-                except ValueError:
-                    raise ValueError(
-                        f"line {row_lineno}: matrix rows are integers"
-                    ) from None
-                if len(row) != n:
-                    raise ValueError(
-                        f"line {row_lineno}: expected {n} entries, got {len(row)}"
-                    )
-                matrix.append(row)
-            if len(matrix) < n:
-                raise ValueError(f"line {lineno}: matrix needs {n} rows")
-        elif fields[0] == "C":
-            if len(fields) < 2:
-                raise ValueError(f"line {lineno}: C needs a name")
-            if fields[1] in classes:
-                raise ValueError(f"line {lineno}: second class named {fields[1]!r}")
-            try:
-                classes[fields[1]] = [int(x) for x in fields[2:]]
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: class coordinates are integers"
-                ) from None
-        else:
-            raise ValueError(f"line {lineno}: unknown record {fields[0]!r}")
-    if matrix is None:
-        raise ValueError("no matrix block (M n) found")
-    return SurgeryPresentation(matrix, classes)

@@ -431,17 +431,6 @@ def reference_first_homology(presentation, labels=None):
     )
 
 
-def presentation_to_text(presentation):
-    """The presentation file of `presentation`: the round-trip oracle of
-    `presentation_from_text`, since the library writes no such file."""
-    lines = [f"M {presentation.size}"]
-    lines.extend(" ".join(str(x) for x in row) for row in presentation.matrix)
-    for label in sorted(presentation.classes):
-        coords = " ".join(str(x) for x in presentation.classes[label])
-        lines.append(f"C {label} {coords}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 class _ReferenceFront(FrontDiagram):
     """A front analyzed by the library's earlier sweep: the event copy of
     `__init__`, `_sweep`, `_orient_components` and `invariants` as they
@@ -832,7 +821,7 @@ def reference_marker(poly, lo, hi):
 def reference_refine(marker, width):
     """RootMarker.refine as it was before bisection ran on integers: every
     midpoint a Fraction."""
-    if marker.exact is not None:
+    if marker.sign_lo == 0:
         return marker
     lo, hi = marker.lo, marker.hi
     s_lo = _reference_sign_at(marker.poly, lo)
@@ -852,8 +841,8 @@ def reference_compare(marker, x):
     """RootMarker.compare as it was before markers kept integer ends
     (``compare_rational``): -1, 0, +1 as the root is below, equal to, or
     above the Fraction x, from the Fraction ends and signs over Q."""
-    if marker.exact is not None:
-        return (marker.exact > x) - (marker.exact < x)
+    if marker.sign_lo == 0:
+        return (marker.lo > x) - (marker.lo < x)
     if x <= marker.lo:
         return 1
     if x >= marker.hi:

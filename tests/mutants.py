@@ -5,16 +5,17 @@
 Each entry of `MUTANTS` names a file, an exact piece of its source, the
 replacement, the tests that must fail, and a timeout in seconds.  The
 runner copies `src/` and `tests/` (and `perfbench/`, whose input
-families the test oracles load) to a temporary directory.  It first runs
-every named test there once, unmutated: each must be an id that pytest
-collects, exactly as written (a parametrized test with its parameter),
-and must pass.  Then, for each entry, it applies the mutation to the
-copy, runs only the entry's tests, in a fresh interpreter for each of
-their files, and puts the file back.  A test fails when pytest reports
-it failed or errored, or reports an error for its whole file (the mutant
-broke the file's imports; the entry's other files still run).  A test
-survives when pytest reports it passed; a test that pytest reports
-neither way (it was skipped, say) did not run.
+families the test oracles load, and `README.md`, whose command forms and
+library example the package-surface test runs) to a temporary directory.
+It first runs every named test there once, unmutated: each must be an id
+that pytest collects, exactly as written (a parametrized test with its
+parameter), and must pass.  Then, for each entry, it applies the
+mutation to the copy, runs only the entry's tests, in a fresh
+interpreter for each of their files, and puts the file back.  A test
+fails when pytest reports it failed or errored, or reports an error for
+its whole file (the mutant broke the file's imports; the entry's other
+files still run).  A test survives when pytest reports it passed; a test
+that pytest reports neither way (it was skipped, say) did not run.
 
 The run fails, exit code 1, when
 - an entry names a test id that pytest does not collect, or a named test
@@ -359,7 +360,7 @@ MUTANTS = (
         "        if False:\n",
         (
             "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[front]",
-            "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[presentation]",
+            "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[pattern]",
         ),
     ),
     Mutant(
@@ -429,6 +430,14 @@ MUTANTS = (
         (DENSE, "tests/test_laurent.py::test_factor_spec_products"),
     ),
     Mutant(
+        "a method that only tests call, named like a record field",
+        SEIFERT,
+        "    @property\n    def size(self) -> int:\n",
+        "    @property\n    def genus(self) -> int:\n        return len(self.entries) // 2\n\n"
+        "    @property\n    def size(self) -> int:\n",
+        ("tests/test_package_surface.py::test_every_public_name_is_reached_named_by_the_readme_or_listed",),
+    ),
+    Mutant(
         "the span bound refuses its own limit",
         LAURENT,
         "if span > MAX_SPAN:",
@@ -460,6 +469,7 @@ def copy_tree(into):
     """The parts of the checkout that the tests need, without bytecode."""
     for name in COPIED:
         shutil.copytree(ROOT / name, into / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    shutil.copy(ROOT / "README.md", into / "README.md")
 
 
 def cap_memory():

@@ -737,7 +737,7 @@ def _scan_cases():
         while genus < target:
             v = rng.choice(GENUS_ONE + (T_2_5,) if target - genus >= 2 else GENUS_ONE)
             blocks.append(mirror(v) if rng.random() < 0.5 else v)
-            genus += v.genus
+            genus += len(v.entries) // 2
         v = blocks[0]
         for w in blocks[1:]:
             v = block_sum(v, w)

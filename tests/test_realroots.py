@@ -82,18 +82,18 @@ def _check_isolation(coeffs, lo, hi):
     sqf = _sympy_poly(coeffs).sqf_part()
     assert len(markers) == sqf.count_roots(_q(lo), _q(hi))
     for m in markers:
-        if m.exact is not None:
-            assert m.lo == m.hi == m.exact
-            assert lo < m.exact < hi
-            assert sqf.eval(_q(m.exact)) == 0
+        if m.sign_lo == 0:
+            assert m.lo == m.hi
+            assert lo < m.lo < hi
+            assert sqf.eval(_q(m.lo)) == 0
         else:
             assert lo <= m.lo < m.hi <= hi
             assert sqf.eval(_q(m.lo)) != 0 and sqf.eval(_q(m.hi)) != 0
             assert sqf.count_roots(_q(m.lo), _q(m.hi)) == 1
     for m1, m2 in zip(markers, markers[1:]):
         assert m1.hi <= m2.lo
-        assert m1.exact is None or m1.hi < m2.lo
-        assert m2.exact is None or m1.hi < m2.lo
+        assert m1.sign_lo or m1.hi < m2.lo
+        assert m2.sign_lo or m1.hi < m2.lo
     return markers
 
 
@@ -108,14 +108,14 @@ def test_isolate_roots_finds_each_root_once(lo, hi):
                 # -1/3 and 5/7 are no bisection points: a marker of either
                 # root holds it strictly inside, and compares equal to it
                 for x in (Fraction(-1, 3), Fraction(5, 7)):
-                    if m.exact is None and m.lo < x < m.hi and not poly_eval(coeffs, x):
+                    if m.sign_lo and m.lo < x < m.hi and not poly_eval(coeffs, x):
                         assert m.compare(x.numerator, x.denominator) == 0
                         inside += 1
     assert inside
 
 
 def _fields(m):
-    return (m.lo, m.hi, m.exact)
+    return (m.lo, m.hi, m.sign_lo)
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_isolate_roots_keeps_bisecting_next_to_exact_roots():
     coeffs = _mul(_mul(FACTORS[0], FACTORS[3]), _mul(FACTORS[1], FACTORS[6]))
     coeffs = _mul(coeffs, FACTORS[7])
     markers = _check_isolation(coeffs, Fraction(-2), Fraction(2))
-    assert [m.exact for m in markers if m.exact is not None] == [0, 1, Fraction(3, 2)]
+    assert [m.lo for m in markers if m.sign_lo == 0] == [0, 1, Fraction(3, 2)]
     assert len(markers) == 7
 
 
@@ -154,7 +154,7 @@ def test_isolate_roots_on_t_2_9():
     got = [m.float_value() for m in markers]
     expected = sorted(2 * float(sympy.cos(k * sympy.pi / 9)) for k in (1, 3, 5, 7))
     assert got == pytest.approx(expected, abs=1e-11)
-    assert [m.exact for m in markers] == [None, None, 1, None]
+    assert [None if m.sign_lo else m.lo for m in markers] == [None, None, 1, None]
 
 
 def _t_2_q_markers(q):

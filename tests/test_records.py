@@ -87,7 +87,7 @@ RECORDS = {
         ("m",),
         {},
     ),
-    CatalogEntry: (("name", "profile", "fronts", "pattern", "presentations"), ("K", None, {}, None, {}), {"p": 1}, {}),
+    CatalogEntry: (("name", "profile", "fronts", "pattern"), ("K", None, {}, None), PatternData("P", 1, 2, 0, None, None), {}),
 }
 WITH_POST_INIT = {Cited, CitedBounds, KnotProfile, ObstructionReport, PatternData, RootOfUnity, AbelianGroupDescription}
 

@@ -11,7 +11,6 @@ import hashlib
 import json
 import pathlib
 import random
-from importlib import resources
 
 import pytest
 import sympy
@@ -19,7 +18,6 @@ import sympy
 from _oracles import (
     assert_valid_snf,
     families,
-    presentation_to_text,
     reference_first_homology,
     reference_smith_normal_form,
 )
@@ -32,7 +30,6 @@ from concordance.surgery import (
     cobordism_meridian_check,
     first_homology,
     localize,
-    presentation_from_text,
     satellite_cobordism_presentation,
     smith_normal_form,
 )
@@ -372,7 +369,7 @@ class TestSurgeryPresentation:
         S = SurgeryPresentation([[Int(2), 1], [1, Int(4)]], {"mu": (Int(1), 0), "nu": (1, Int(3))})
         plain = SurgeryPresentation([[2, 1], [1, 4]], {"mu": (1, 0), "nu": (1, 3)})
         assert first_homology(S) == first_homology(plain)
-        assert presentation_to_text(S) == presentation_to_text(plain)
+        assert (S.matrix, S.classes) == (plain.matrix, plain.classes)
 
     def test_checked_data_cannot_be_changed(self):
         # checked once when built: the matrix and classes are read-only
@@ -657,53 +654,6 @@ class TestMeridianCheck:
         for pres in (S, flipped):
             with pytest.raises(ClassMismatch):
                 cobordism_meridian_check(pres, "a", "b", 2)
-
-
-class TestPresentationFiles:
-    def test_round_trip(self):
-        S = satellite_cobordism_presentation(3)
-        S2 = presentation_from_text(presentation_to_text(S))
-        assert S2.matrix == S.matrix
-        assert S2.classes == S.classes
-
-    def test_packaged_presentation_matches_builder(self):
-        path = resources.files("concordance") / "_data" / "satellite-cobordism-p2.pres"
-        S = presentation_from_text(path.read_text())
-        built = satellite_cobordism_presentation(2)
-        assert S.matrix == built.matrix
-        assert S.classes == built.classes
-
-    def test_comments_and_blanks_ignored(self):
-        S = presentation_from_text(
-            "# header\n\nM 1   # inline\n0\n\nC mu 1  # class\n"
-        )
-        assert S.matrix == ((0,),)
-        assert S.classes == {"mu": (1,)}
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("Q 1\n", "line 1: unknown record 'Q'"),
-            ("M x\n", "M needs a size"),
-            ("M -1\n", "line 1: M needs a size"),
-            ("M 2 x\n0 0\n0 0\n", "line 1: M needs a size"),
-            ("M 2\n0 0\n", "matrix needs 2 rows"),
-            ("M 2\n0 0 0\n0 0\n", "line 2: expected 2 entries, got 3"),
-            ("M 1\na\n", "matrix rows are integers"),
-            ("M 1\n0\nC\n", "C needs a name"),
-            ("M 1\n0\nC mu x\n", "class coordinates are integers"),
-            ("M 1\n0\nM 1\n0\n", "second matrix block"),
-            ("C mu 1\n", "no matrix block"),
-            ("M 2\n0 5\n5 1\nC mu 1\n", "length 1, matrix has 2"),
-        ],
-    )
-    def test_parse_errors(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            presentation_from_text(text)
-
-    def test_duplicate_class_is_an_error(self):
-        with pytest.raises(ValueError, match="line 4: second class named 'mu'"):
-            presentation_from_text("M 1\n2\nC mu 1\nC mu 3\n")
 
 
 DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "snf_digests.json"
