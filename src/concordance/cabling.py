@@ -36,10 +36,10 @@ from .seifert import (
 )
 
 __all__ = [
-    "Cited", "CitedBounds", "KnotProfile", "MissingAlexander", "MissingSeifert",
-    "MissingTau", "ObstructionReport", "Witness", "cable_profile", "cable_signature",
-    "finite_order_obstruction", "fox_milnor_obstruction", "profile_signature",
-    "rational_concordance_verdict", "tau_cable_rule",
+    "Cited", "CitedBounds", "HypothesisNotMet", "KnotProfile", "MissingAlexander",
+    "MissingSeifert", "MissingTau", "ObstructionReport", "Witness", "cable_profile",
+    "cable_signature", "finite_order_obstruction", "fox_milnor_obstruction",
+    "profile_signature", "rational_concordance_verdict", "tau_cable_rule",
 ]
 
 
@@ -53,6 +53,10 @@ class MissingAlexander(ValueError):
 
 class MissingTau(ValueError):
     """The operation needs a declared tau value the profile does not have."""
+
+
+class HypothesisNotMet(ValueError):
+    """A theorem's hypothesis fails for the supplied data (exit code 3)."""
 
 
 TAU_CABLE_CITATION = (

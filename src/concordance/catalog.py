@@ -13,6 +13,11 @@ references resolved relative to the catalog's own directory.  Surgery
 presentations are not catalog data: `surgery.satellite_cobordism_presentation`
 builds the satellite cobordism's, and `surgery.SurgeryPresentation` takes
 any other from Python.
+
+Loading checks each entry's fields and profile and the names of its
+front files, but reads no front file: the first read of an entry (by
+`Catalog.entry`, `front` or `pattern`) parses and checks its fronts and
+pattern, and keeps them.  So only a command that reads one runs `legendrian`.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
+from . import legendrian
 from .cabling import Cited, CitedBounds, KnotProfile
 from .laurent import LaurentPoly, Record, all_int, is_int
-from .legendrian import FrontDiagram, PatternData, front_from_text
 from .seifert import SeifertMatrix
 
 __all__ = [
@@ -72,38 +77,48 @@ class CatalogEntry(Record):
     name: str
     profile: KnotProfile | None
     fronts: dict
-    pattern: PatternData | None
+    pattern: legendrian.PatternData | None
 
 
 class Catalog:
     """Loaded catalog with name-based lookups across all entries."""
 
     def __init__(self, entries):
-        self.entries = list(entries)
-        self._by_name = _table("entry", ((e.name, e) for e in self.entries))
-        self._fronts = _table(
-            "front", (pair for e in self.entries for pair in e.fronts.items())
+        # (name, profile, front names, read) per entry; read() returns
+        # the CatalogEntry, its fronts parsed and its pattern built
+        self._by_name = _table(
+            "entry", ((name, (profile, read)) for name, profile, _, read in entries)
         )
+        self._fronts = _table(
+            "front", ((front, name) for name, _, fronts, _ in entries for front in fronts)
+        )
+        self._read = {}
+
+    @property
+    def entries(self) -> list[CatalogEntry]:
+        return [self.entry(name) for name in self._by_name]
 
     def __iter__(self):
         return iter(self.entries)
 
     def entry(self, name) -> CatalogEntry:
-        return _lookup(self._by_name, name, "catalog entry", sort=False)
+        if name not in self._read:
+            self._read[name] = _lookup(self._by_name, name, "catalog entry", sort=False)[1]()
+        return self._read[name]
 
     def profile(self, name) -> KnotProfile:
-        entry = self.entry(name)
-        if entry.profile is None:
+        profile = _lookup(self._by_name, name, "catalog entry", sort=False)[0]
+        if profile is None:
             raise UnknownKnot(
                 f"{name!r} is not a knot entry (no Seifert data or "
                 "declared invariants)"
             )
-        return entry.profile
+        return profile
 
-    def front(self, name) -> FrontDiagram:
-        return _lookup(self._fronts, name, "front")
+    def front(self, name) -> legendrian.FrontDiagram:
+        return self.entry(_lookup(self._fronts, name, "front")).fronts[name]
 
-    def pattern(self, name) -> PatternData:
+    def pattern(self, name) -> legendrian.PatternData:
         entry = self.entry(name)
         if entry.pattern is None:
             raise UnknownKnot(f"{name!r} declares no satellite pattern")
@@ -172,16 +187,21 @@ def _cited_bounds(raw, where):
         return CitedBounds(raw.get("lower"), raw.get("upper"), raw.get("citation"))
 
 
-def _load_front(base, filename, where):
-    """Read and parse a front file referenced by a catalog entry."""
+def _front_name(filename, where):
+    """The name of a front file referenced by a catalog entry."""
     if not isinstance(filename, str) or not filename.endswith(".front"):
         raise ParseError(f"{where}: front references end in .front")
+    return filename[: -len(".front")]
+
+
+def _load_front(base, filename, where):
+    """Read and parse a front file referenced by a catalog entry."""
     try:
         text = (base / filename).read_text()
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {filename!r}: {exc}") from None
     with _reraise(ParseError, f"{where}: {filename}"):
-        return front_from_text(text)
+        return legendrian.front_from_text(text)
 
 
 def _parse_entry(raw, index, base):
@@ -244,11 +264,9 @@ def _parse_entry(raw, index, base):
             )
 
     _require(isinstance(raw.get("fronts", []), list), f"{where}: fronts must be a list")
-    fronts = {}
-    for filename in raw.get("fronts", []):
-        fronts[filename[: -len(".front")]] = _load_front(base, filename, where)
+    files = {_front_name(f, where): (f, where) for f in raw.get("fronts", [])}
 
-    pattern = None
+    pattern_front = None
     if "pattern" in raw:
         obj = raw["pattern"]
         _require(isinstance(obj, dict), f"{where}: pattern must be an object")
@@ -261,19 +279,23 @@ def _parse_entry(raw, index, base):
             isinstance(obj.get("citation", ""), str),
             f"{where}: pattern: citation must be a string",
         )
-        front = _load_front(base, obj["front"], f"{where}: pattern")
-        fronts.setdefault(obj["front"][: -len(".front")], front)
-        with _reraise(ValidationError, f"{where}: pattern"):
-            pattern = PatternData.from_front(
-                name,
-                front,
-                tilde_class=obj.get("tilde_class"),
-                tilde_citation=obj.get("citation"),
-            )
-
-    if profile is None and not fronts:  # a pattern's front is in fronts
+        pattern_front = _front_name(obj["front"], f"{where}: pattern")
+        files.setdefault(pattern_front, (obj["front"], f"{where}: pattern"))
+    if profile is None and not files:  # a pattern's front is in files
         raise ValidationError(f"{where}: entry declares nothing")
-    return CatalogEntry(name=name, profile=profile, fronts=fronts, pattern=pattern)
+
+    def read():
+        fronts = {front: _load_front(base, *file) for front, file in files.items()}
+        pattern = None
+        if pattern_front is not None:
+            with _reraise(ValidationError, f"{where}: pattern"):
+                pattern = legendrian.PatternData.from_front(
+                    name, fronts[pattern_front],
+                    tilde_class=obj.get("tilde_class"), tilde_citation=obj.get("citation"),
+                )
+        return CatalogEntry(name=name, profile=profile, fronts=fronts, pattern=pattern)
+
+    return name, profile, files, read
 
 
 def load_catalog(path=None) -> Catalog:
@@ -283,7 +305,8 @@ def load_catalog(path=None) -> Catalog:
     environment variable, then the packaged catalog.  File references
     inside the catalog resolve relative to the catalog's directory.
     Raises ParseError for malformed files and ValidationError for
-    invariant violations.
+    invariant violations; an entry's front files and pattern raise them
+    at the entry's first read.
     """
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)

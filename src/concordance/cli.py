@@ -13,9 +13,11 @@ import json
 import re
 import sys
 
+from . import legendrian, surgery
 from .cabling import (
     DENOMINATOR_BOUND,
     K_MAX,
+    HypothesisNotMet,
     MissingAlexander,
     MissingSeifert,
     cable_profile,
@@ -25,19 +27,7 @@ from .cabling import (
     rational_concordance_verdict,
 )
 from .catalog import UnknownKnot, load_catalog
-from .legendrian import (
-    SATELLITE_FORMULA_CITATION,
-    FrontError,
-    HypothesisNotMet,
-    satellite_genus_pipeline,
-    satellite_invariants,
-)
 from .seifert import levine_tristram, RootOfUnity
-from .surgery import (
-    ClassMismatch,
-    cobordism_meridian_check,
-    satellite_cobordism_presentation,
-)
 
 
 class BadFlag(ValueError):
@@ -229,14 +219,14 @@ def _cmd_legendrian_invariants(catalog, args):
 def _companion_front(catalog, name):
     front = catalog.front(name)
     if front.seam_strands:  # an annular front is a pattern, never a companion
-        raise FrontError("companion must be a closed front")
+        raise legendrian.FrontError("companion must be a closed front")
     return front
 
 
 def _cmd_legendrian_satellite(catalog, args):
     pattern = catalog.pattern(args.pattern)
     inv = _companion_front(catalog, args.companion).invariants()
-    sat = satellite_invariants(pattern, inv)
+    sat = legendrian.satellite_invariants(pattern, inv)
     return {
         "command": "legendrian satellite",
         "pattern": pattern.name,
@@ -244,14 +234,14 @@ def _cmd_legendrian_satellite(catalog, args):
         "companion": args.companion,
         "companion_invariants": _invariants_dict(inv),
         "satellite": _invariants_dict(sat),
-        "citation": SATELLITE_FORMULA_CITATION,
+        "citation": legendrian.SATELLITE_FORMULA_CITATION,
     }
 
 
 def _cmd_theorem31(catalog, args):
     profile = catalog.profile(args.knot)
     pattern = catalog.pattern(args.pattern)
-    result = satellite_genus_pipeline(profile, catalog.entry(args.knot).fronts, pattern)
+    result = legendrian.satellite_genus_pipeline(profile, catalog.entry(args.knot).fronts, pattern)
     return {
         "command": "theorem31",
         "companion": result.companion,
@@ -271,8 +261,8 @@ def _cmd_theorem31(catalog, args):
 
 def _cmd_homology_check(catalog, args):
     _positive("--p", args.p, 1)
-    pres = satellite_cobordism_presentation(args.p)
-    result = cobordism_meridian_check(pres, "mu_K", "mu_Ptilde", args.p)
+    pres = surgery.satellite_cobordism_presentation(args.p)
+    result = surgery.cobordism_meridian_check(pres, "mu_K", "mu_Ptilde", args.p)
     return {
         "command": "homology-check",
         "presentation": pres.name,
@@ -425,7 +415,7 @@ def main(argv=None):
     try:
         catalog = load_catalog(args.catalog)
         text = render(args.handler(catalog, args), args.output)
-    except (HypothesisNotMet, ClassMismatch) as exc:
+    except HypothesisNotMet as exc:  # surgery.ClassMismatch among them
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnknownKnot, ValueError) as exc:

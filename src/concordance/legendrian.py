@@ -46,15 +46,14 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from .cabling import KnotProfile
+from .cabling import HypothesisNotMet, KnotProfile
 from .laurent import Record, is_int
 
 __all__ = [
-    "FrontDiagram", "FrontError", "GenusBounds", "HypothesisNotMet",
-    "LegendrianInvariants", "MultiComponent", "NonClosed", "PatternData",
-    "SatelliteGenusReport", "cable_front", "front_from_text", "genus_bounds",
-    "satellite_front", "satellite_genus_pipeline", "satellite_invariants",
-    "stabilize",
+    "FrontDiagram", "FrontError", "GenusBounds", "LegendrianInvariants",
+    "MultiComponent", "NonClosed", "PatternData", "SatelliteGenusReport",
+    "cable_front", "front_from_text", "genus_bounds", "satellite_front",
+    "satellite_genus_pipeline", "satellite_invariants", "stabilize",
 ]
 
 EAST = "E"
@@ -88,10 +87,6 @@ class NonClosed(FrontError):
 
 class MultiComponent(FrontError):
     """Front traces more than one closed curve."""
-
-
-class HypothesisNotMet(ValueError):
-    """A pipeline hypothesis fails for the supplied data."""
 
 
 class LegendrianInvariants(Record):

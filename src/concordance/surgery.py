@@ -34,6 +34,7 @@ import itertools
 import math
 import types
 
+from .cabling import HypothesisNotMet
 from .laurent import Record, all_int, is_int
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 
-class ClassMismatch(ValueError):
+class ClassMismatch(HypothesisNotMet):
     """The tracked classes violate the meridian condition; carries evidence.
 
     Attributes: residual, the offending coordinate vector (or None when the

@@ -82,6 +82,12 @@ PLACEMENT = "tests/test_seifert.py::test_integer_placement_matches_the_fraction_
 INTFACTOR = "src/concordance/intfactor.py"
 CAPELLI = "tests/test_laurent.py::test_capelli_certificates_cover_no_split"
 FOX_MILNOR = "tests/test_cabling.py::TestFoxMilnorObstruction"
+CATALOG = "src/concordance/catalog.py"
+LAZY_CLI = "tests/test_lazy_modules.py::test_importing_cli_runs_neither"
+LAZY_ALEXANDER = (
+    "tests/test_lazy_modules.py::test_a_readme_form_runs_only_the_diagram_modules_it_reads"
+    "[alexander_3-twist-negative-clasp]"
+)
 
 MUTANTS = (
     Mutant(
@@ -355,13 +361,35 @@ MUTANTS = (
     ),
     Mutant(
         "a duplicate catalog name accepted",
-        "src/concordance/catalog.py",
+        CATALOG,
         "        if name in table:\n",
         "        if False:\n",
         (
             "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[front]",
             "tests/test_cli.py::TestLoadCatalog::test_file_names_are_unique_across_entries[pattern]",
         ),
+    ),
+    Mutant(
+        "the package's __getattr__ resolves a submodule's name by searching the lazy modules",
+        "src/concordance/__init__.py",
+        '    if importlib.util.find_spec(f"{__name__}.{name}") is not None:\n'
+        "        raise AttributeError(name)\n",
+        "",
+        (LAZY_CLI, LAZY_ALEXANDER),
+    ),
+    Mutant(
+        "the catalog parses each entry's fronts and pattern at load",
+        CATALOG,
+        "    return name, profile, files, read\n",
+        "    read()\n    return name, profile, files, read\n",
+        (LAZY_ALEXANDER, "tests/test_cli.py::TestLoadCatalog::test_front_files_are_read_at_the_first_read_of_their_entry"),
+    ),
+    Mutant(
+        "a private name read through a sibling module object",
+        CATALOG,
+        "        return legendrian.front_from_text(text)\n",
+        "        return legendrian.front_from_text(text) if legendrian._PLAIN_RUN else None\n",
+        ("tests/test_no_private_imports.py::test_no_module_reads_private_names_through_a_sibling_module",),
     ),
     Mutant(
         "record equality without the class test",

@@ -16,10 +16,11 @@ from concordance.catalog import (
     ValidationError,
     load_catalog,
 )
-from concordance import cli
+from concordance import cli, surgery
 from concordance.cli import MAX_DEGREE, main, render
 from concordance.intfactor import MAX_MODULAR_FACTORS
 from concordance.laurent import LaurentPoly
+from concordance.legendrian import FrontDiagram
 
 
 def run_cli(capsys, *argv):
@@ -166,10 +167,43 @@ class TestLoadCatalog:
         ],
     )
     def test_rejects_bad_catalogs(self, tmp_path, text, error, message):
+        # a front file is read at its entry's first read: reading every
+        # entry runs every check
         path = tmp_path / "catalog.json"
         path.write_text(text)
         with pytest.raises(error, match=message):
-            load_catalog(path)
+            load_catalog(path).entries
+
+    def test_front_files_are_read_at_the_first_read_of_their_entry(self, tmp_path):
+        # load checks the names of an entry's front files, not the files;
+        # each read of the entry, by entry, front or pattern, reads them
+        (tmp_path / "ok.front").write_text("O E\nL 0\nR 0\n")
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([
+            {"name": "k", "seifert_matrix": [[-1, 1], [0, -1]], "fronts": ["missing.front"]},
+            {"name": "j", "fronts": ["ok.front"]},
+        ]))
+        catalog = load_catalog(path)
+        assert str(catalog.profile("k").alexander) == "1*t^1 - 1 + 1*t^-1"
+        assert catalog.front("ok") is catalog.entry("j").fronts["ok"]
+        for read in (
+            lambda: catalog.entry("k"), lambda: catalog.front("missing"), lambda: catalog.pattern("k"),
+        ):
+            with pytest.raises(ParseError, match="entry 'k': cannot read 'missing.front'"):
+                read()
+
+    def test_every_bundled_front_and_pattern_is_read_and_checked(self):
+        # load reads no front file, so this is the test that a broken
+        # bundled front or pattern fails
+        catalog = load_catalog()
+        data = os.path.join(os.path.dirname(cli.__file__), "_data")
+        files = {name[: -len(".front")] for name in os.listdir(data) if name.endswith(".front")}
+        fronts = {name: front for entry in catalog.entries for name, front in entry.fronts.items()}
+        assert fronts.keys() == files
+        for name, front in fronts.items():
+            assert isinstance(front, FrontDiagram) and catalog.front(name) is front
+            front.invariants()
+        assert [e.name for e in catalog if e.pattern is not None] == ["paper-pattern-P"]
 
     def test_pattern_front_needs_a_seam(self, tmp_path):
         (tmp_path / "k.front").write_text("O E\nL 0\nR 0\n")
@@ -179,7 +213,7 @@ class TestLoadCatalog:
             ' "tilde_class": "unknot", "citation": "c"}}]'
         )
         with pytest.raises(ValidationError, match="seam"):
-            load_catalog(path)
+            load_catalog(path).pattern("k")
 
     def test_lookup_errors(self):
         catalog = load_catalog()
@@ -653,8 +687,8 @@ class TestExitCodes:
 
     def test_class_mismatch_is_three(self, capsys, monkeypatch):
         # the built presentation always passes: check the p = 2 one at p = 3
-        built = cli.satellite_cobordism_presentation
-        monkeypatch.setattr(cli, "satellite_cobordism_presentation", lambda p: built(2))
+        built = surgery.satellite_cobordism_presentation
+        monkeypatch.setattr(surgery, "satellite_cobordism_presentation", lambda p: built(2))
         code, out, err = run_cli(capsys, "homology-check", "--p", "3")
         assert code == 3
         assert "residual" in err
@@ -740,6 +774,46 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--catalog", str(path), "legendrian", "invariants", "k")
         assert (code, out) == (2, "")
         assert err == f"error: entry 'k': {message}\n"
+
+    @pytest.mark.parametrize(
+        "fields, front, message",
+        [
+            ({"fronts": ["missing.front"]}, "missing", "entry 'k': cannot read 'missing.front'"),
+            ({"fronts": ["twice.front"]}, "twice", "entry 'k': twice.front: line 2: second S record"),
+            ({"pattern": {"front": "closed.front", "tilde_class": "unknot", "citation": "c"}},
+             "closed", "entry 'k': pattern: pattern fronts need seam_strands >= 1"),
+        ],
+        ids=["missing-front", "bad-front", "pattern-without-seam"],
+    )
+    def test_a_bad_front_or_pattern_is_two_for_every_command_that_reads_its_entry(
+        self, capsys, tmp_path, fields, front, message
+    ):
+        # the entry's front files are read at its first read: a command
+        # that reads another entry, or only k's profile, never sees them
+        (tmp_path / "twice.front").write_text("S 2\nS 3\n")
+        (tmp_path / "closed.front").write_text("O E\nL 0\nR 0\n")
+        trefoil = {"seifert_matrix": [[-1, 1], [0, -1]], "genus": {"value": 1, "citation": "c"}}
+        path = user_catalog(tmp_path, {"name": "k", **trefoil, **fields})
+        for argv in (
+            ("legendrian", "invariants", front),
+            ("legendrian", "satellite", "paper-pattern-P", front),
+            ("theorem31", "k"),
+            ("theorem31", "k", "--pattern", "k"),
+        ):
+            code, out, err = run_cli(capsys, "--catalog", path, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {message}"), argv
+        for argv in (
+            ("alexander", "k"),
+            ("signature", "k", "--omega", "1/3"),
+            ("sigfn", "k"),
+            ("cable-obstruction", "k", "--p", "2"),
+            ("fox-milnor", "k", "--cable", "2"),
+            ("verdict", "k", "--cable", "2"),
+            ("homology-check",),
+            ("legendrian", "invariants", "paper-pattern-P"),
+        ):
+            assert run_cli(capsys, "--catalog", path, *argv)[0] == 0, argv
 
     @pytest.mark.parametrize(
         "fields, message",

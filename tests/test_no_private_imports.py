@@ -1,6 +1,8 @@
 """No library module imports a private (underscore) name from a sibling
-module: what one module needs of another goes through its public names.
-No library module imports sympy or mpmath: they are test oracles only."""
+module, or reads one through a sibling module it imports whole (``from .
+import legendrian``, then ``legendrian._name``): what one module needs of
+another goes through its public names.  No library module imports sympy
+or mpmath: they are test oracles only."""
 
 import ast
 from pathlib import Path
@@ -27,6 +29,30 @@ def test_no_module_imports_private_names_of_a_sibling():
         for alias in node.names
         if alias.name.startswith("_")
     ]
+    assert found == []
+
+
+def test_no_module_reads_private_names_through_a_sibling_module():
+    stems = {path.stem for path in SOURCES}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        siblings = {
+            alias.asname or alias.name
+            for node in _sibling_imports(tree)
+            if node.module in (None, "concordance")
+            for alias in node.names
+            if alias.name in stems
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ]
     assert found == []
 
 

@@ -7,7 +7,10 @@ public name is one in a module's ``__all__``; in a module without
 ``__all__``, a top-level def, class or assignment with no ``_`` prefix.
 ``cli.main`` reaches a name when a chain of ``ast.Name`` loads leads
 there, each load in reached code, through relative imports at module
-level or inside a function.  Reached code is a reached top-level def,
+level or inside a function.  A sibling module imported whole at module
+level (``from . import legendrian``) passes on each attribute read
+through it: ``legendrian.name`` in reached code reaches what
+``from .legendrian import name`` would.  Reached code is a reached top-level def,
 class or assignment (decorators and defaults included), without the
 bodies of a class's methods, and each reached method.  A name that the
 def binds itself (an argument, an assignment or loop target, a
@@ -190,7 +193,7 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def _index(tree):
     """A module's definitions by name, top-level ones and each class's
     methods as Class.method, and its relative imports as local name ->
-    (module, name)."""
+    (module, name); a sibling module imported whole is (module, None)."""
     defs, imports = {}, {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -209,7 +212,9 @@ def _index(tree):
                         defs[name.id] = node
         elif isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
-                imports[alias.asname or alias.name] = (node.module, alias.name)
+                imports[alias.asname or alias.name] = (
+                    (node.module, alias.name) if node.module else (alias.name, None)
+                )
     return defs, imports
 
 
@@ -278,6 +283,10 @@ def reached(sources, root, called=frozenset()):
                 elif isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load):
                     attributes.add(inner.attr)
                     todo.extend(waiting.pop(inner.attr, ()))
+                    if isinstance(inner.value, ast.Name) and inner.value.id in imports:
+                        sibling, whole = imports[inner.value.id]
+                        if whole is None:
+                            todo.append((sibling, inner.attr))
         if isinstance(node, ast.ClassDef):
             for method in node.body:
                 if isinstance(method, _DEFS):
@@ -390,6 +399,21 @@ def test_an_import_inside_a_function_reaches_its_name():
     assert reached(sources, ("a", "main")) == {
         ("a", "main"), ("b", "lazy"), ("b", "helper"), ("b", "top"),
     }
+
+
+def test_a_read_through_a_sibling_module_reaches_its_name():
+    sources = {
+        "a": "from . import b\n"
+             "def main():\n"
+             "    return b.used()\n"
+             "def unused():\n"
+             "    return b.idle()\n",
+        "b": "def used():\n"
+             "    return helper()\n"
+             "def helper(): pass\n"
+             "def idle(): pass\n",
+    }
+    assert reached(sources, ("a", "main")) == {("a", "main"), ("b", "used"), ("b", "helper")}
 
 
 def test_a_method_loaded_only_in_unreached_code_is_not_reached():

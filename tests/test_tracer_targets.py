@@ -2,6 +2,8 @@
 by module and attribute.  These tests install it on the package, so a
 renamed or moved target fails here, not only in a traced benchmark run."""
 
+import os
+import subprocess
 import sys
 
 import concordance
@@ -22,6 +24,22 @@ def _bindings():
     }
     owners = modules + list(classes)
     return {(id(owner), key): (owner, value) for owner in owners for key, value in vars(owner).items()}
+
+
+def test_import_registers_every_target_module_and_imports_the_numeric_half():
+    # Tracer.install indexes sys.modules by each target's module right
+    # after ``import concordance``, lazy ones included; perfbench/run.py's
+    # split_imports reads the -X importtime rows of laurent and cyclotomic
+    src = os.path.dirname(os.path.dirname(concordance.__file__))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import sys, concordance; print(' '.join(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+        capture_output=True, text=True, check=True,
+    )
+    assert {f"concordance.{module}" for module, _, _ in tracer.TARGETS} <= set(done.stdout.split())
+    rows = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"concordance.laurent", "concordance.cyclotomic"} <= rows
 
 
 def test_every_target_resolves():
