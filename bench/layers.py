@@ -26,7 +26,7 @@ signature function does.  The cyclotomic layer builds Phi_b at b = 210,
 comes from an earlier call.  The library keeps Fox-Milnor pairings,
 factorizations, the circle roots and arc samples of each Alexander
 polynomial, the cosine enclosure of each angle and precision, and the
-cable templates of each n, per process, so its six caches are emptied
+cable templates of each n, per process, so every bounded cache is emptied
 before every timed call: `factor` is timed factoring, `levine_tristram`
 and `signature_function` are timed isolating roots (and
 `levine_tristram` enclosing cosines), and the front layers building
@@ -104,11 +104,10 @@ import families  # noqa: E402
 import pace  # noqa: E402
 from worker import pin_to_one_cpu  # noqa: E402
 
-from concordance import cabling, cyclotomic, intfactor, laurent, legendrian, seifert  # noqa: E402
 from concordance.cabling import KnotProfile, cable_profile, fox_milnor_obstruction  # noqa: E402
 from concordance.catalog import load_catalog  # noqa: E402
 from concordance.cyclotomic import cyclotomic_coeffs, trace_polynomial  # noqa: E402
-from concordance.laurent import factor  # noqa: E402
+from concordance.laurent import clear_caches, factor  # noqa: E402
 from concordance.legendrian import FrontDiagram, cable_front, satellite_front  # noqa: E402
 from concordance.seifert import (  # noqa: E402
     RootOfUnity,
@@ -119,20 +118,6 @@ from concordance.seifert import (  # noqa: E402
 )
 from concordance.realroots import isolate_roots  # noqa: E402
 from concordance.surgery import SurgeryPresentation, first_homology, smith_normal_form  # noqa: E402
-
-
-def clear_caches():
-    """Empty the caches of `cabling` (Fox-Milnor pairings), of
-    `laurent.factor` (primitive parts), of `intfactor` (roots and
-    q(t^j)), of `seifert` (circle roots and arc samples), of `cyclotomic`
-    (cosine enclosures) and of `legendrian` (cable templates), so the
-    next call decides, factors, isolates, encloses and builds afresh."""
-    cabling._pairing_at.cache_clear()
-    laurent._primitive_factors.cache_clear()
-    intfactor._factors_at.cache_clear()
-    seifert._circle_arcs.cache_clear()
-    cyclotomic.cos2pi_bounds.cache_clear()
-    legendrian._cable_templates.cache_clear()
 
 
 def best_ms(fn, args, warm=False):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 
-from .laurent import FoxMilnorResult, LaurentPoly, Record, factor, fox_milnor_pairing, is_int
+from .laurent import CACHE_SIZE, FoxMilnorResult, LaurentPoly, Record, factor, fox_milnor_pairing, is_int
 from .seifert import (
     SeifertMatrix,
     SignatureFunction,
@@ -70,9 +70,6 @@ TRIVIAL_ALEXANDER_CITATION = (
 # the default search bounds of the obstructions and of their subcommands
 K_MAX = 6
 DENOMINATOR_BOUND = 211
-# (delta_0, delta_1, k) kept by ``_pairing_at``; a cable-obstruct run asks
-# about 100 distinct ones, and one fox-milnor call asks each k once
-FOX_MILNOR_CACHE_SIZE = 256
 
 ALL_K_IRREDUCIBILITY_CITATION = (
     "irreducibility of delta(t^k) for every k >= 1 for twist-knot "
@@ -367,14 +364,12 @@ def fox_milnor_obstruction(
 
     Each pairing at k depends on delta_0 and delta_1 alone, not on the
     profiles' names or order, so it is decided once per process for each
-    (delta_0, delta_1, k), with the pair in one fixed order, in an LRU of
-    ``FOX_MILNOR_CACHE_SIZE`` entries (``_pairing_at``): a repeated
-    query, a renamed profile or the swapped pair is one lookup per k.  On
-    a miss the product is factored by its parts, the merged factorization
-    must multiply back to it, and the norm witness is checked.  Each
-    primitive part, root and irreducible q(t^j) is factored once per
-    process, in LRUs of ``laurent.FACTOR_CACHE_SIZE`` and
-    ``intfactor.FACTORS_AT_CACHE_SIZE`` entries, so a (p,1)-cable's
+    (delta_0, delta_1, k), with the pair in one fixed order
+    (``_pairing_at``): a repeated query, a renamed profile or the swapped
+    pair is one lookup per k.  On a miss the product is factored by its
+    parts, the merged factorization must multiply back to it, and the
+    norm witness is checked.  Each primitive part, root and irreducible
+    q(t^j) is factored once per process too, so a (p,1)-cable's
     delta_0(t^(p*k)) reuses the entry of delta_0 at p*k.  Each violation
     witness names a factor and the rule broken
     (``FoxMilnorResult.reason``); the content rule holds, as an Alexander
@@ -418,7 +413,7 @@ def fox_milnor_obstruction(
     )
 
 
-@functools.lru_cache(maxsize=FOX_MILNOR_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _pairing_at(delta_0: LaurentPoly, delta_1: LaurentPoly, k: int) -> FoxMilnorResult:
     """The Fox-Milnor pairing of delta_0(t^k) * delta_1(t^k), decided on
     the product of the two factorizations."""

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import legendrian
 from .cabling import Cited, CitedBounds, KnotProfile
-from .laurent import LaurentPoly, Record, all_int, is_int
+from .laurent import LaurentPoly, Record, all_int_rows, is_int
 from .seifert import SeifertMatrix
 
 __all__ = [
@@ -221,11 +221,7 @@ def _parse_entry(raw, index, base):
     if "seifert_matrix" in raw:
         rows = raw["seifert_matrix"]
         _require(
-            isinstance(rows, list)
-            and all(
-                isinstance(row, list) and all_int(row)
-                for row in rows
-            ),
+            isinstance(rows, list) and all(isinstance(row, list) for row in rows) and all_int_rows(rows),
             f"{where}: seifert_matrix must be a list of integer rows",
         )
         with _reraise(ValidationError, where):

@@ -16,10 +16,8 @@ fixed point: pi by Machin's formula, the cosine by its Taylor series at
 a 2^r-th of the angle and r doublings, each step with a proven error
 bound, so it needs nothing beyond the standard library.  Each Phi_b is
 built once per process and handed out as the same immutable tuple, so
-no caller copies it; each enclosure is kept per process too, in an LRU
-of ``COS_CACHE_SIZE`` (256) entries keyed by (a, b, prec), the
-library's fourth cache, since every query at a/b asks the same
-precisions again.
+no caller copies it; each enclosure is kept per process too, as every
+query at a/b asks the same precisions again.
 Signatures themselves are computed in ``seifert``, from Hermitian
 matrices over the Gaussian integers Z[i], at rational points of the arcs.
 
@@ -46,6 +44,7 @@ import itertools
 import math
 import operator
 
+from .laurent import CACHE_SIZE
 from .realroots import exact_quotient
 
 
@@ -331,7 +330,7 @@ def hermitian_signature(M: list[list[CycloInt]]) -> int:
     return s + hermitian_signature(schur)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=None)
 def _pi_fixed(bits: int) -> tuple[int, int]:
     """Integers lo <= pi * 2^bits <= hi, by Machin's formula
     pi = 16 atan(1/5) - 4 atan(1/239).
@@ -385,16 +384,10 @@ def _cos_fixed(x: int, bits: int) -> tuple[int, int]:
     return lo >> 2 * r, -(-hi >> 2 * r)
 
 
-# (angle, precision) pairs kept by ``cos2pi_bounds``; a cable-obstruct run
-# at seed 1 asks 16 distinct ones
-COS_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=COS_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def cos2pi_bounds(numerator: int, denominator: int, prec: int) -> tuple[int, int]:
     """Integers lo, hi with lo/2^prec <= 2*cos(2*pi*numerator/denominator)
-    <= hi/2^prec, for denominator > 0, and hi - lo <= 2; kept per process
-    in an LRU of ``COS_CACHE_SIZE`` entries.
+    <= hi/2^prec, for denominator > 0, and hi - lo <= 2; kept per process.
 
     q = numerator/denominator is folded into [0, 1/2], which leaves the
     cosine as is, so x = 2*pi*q lies in [0, pi], where cos falls and is

@@ -51,9 +51,6 @@ and runs Zassenhaus's algorithm only on what structure cannot settle:
    F * F(1/t), or holds t -+ 1.
 3. Everything else is factored whole.
 
-Roots and non-cyclotomic q(t^j) are factored once per process, in an LRU
-of 256 (q, j).
-
 ``irreducible_factors`` is the general algorithm.  It splits off x^j and
 the square-free parts (Yun), and factors each part by Zassenhaus's
 algorithm (1969): distinct-degree factorization at a few primes,
@@ -74,20 +71,13 @@ import random
 from itertools import combinations, count, islice
 
 from .cyclotomic import cyclotomic_coeffs, prime_factors, primes, totient, trace_lift, trace_polynomial
+from .laurent import CACHE_SIZE
 from .realroots import exact_quotient, poly_derivative, poly_eval, poly_gcd, primitive_part
 
 # Recombination tries the subsets of the modular factors, about 2^(r-1)
 # of them for r factors (39,202 at r = 16, a fraction of a second); it
 # refuses to look past single factors among more than this many.
 MAX_MODULAR_FACTORS = 16
-# (q, j) kept by ``_factors_at``.  A fox-milnor call within the CLI's bound
-# k_max * (deg delta_0 + deg delta_1) <= 72 needs the two roots and, for
-# each non-cyclotomic factor q of the root of delta_i = R(t^g), the (q, j)
-# for j = 2..k_max*g at most (the j asked and Capelli's steps, all below
-# it): 2 + 72 in all, since deg R * g = deg delta_i.  A q(t^d) that splits
-# adds its factors r at j / d.  The catalog's worst pair at the bound, the
-# figure-eight knot against the 3-twist knot at k_max 18, needs 52.
-FACTORS_AT_CACHE_SIZE = 256
 # square-free primes whose distinct-degree factorizations are compared
 _CANDIDATE_PRIMES = 5
 # Odd primes tried for the Hensel certificate of a lift, or for the
@@ -118,7 +108,7 @@ def factor_by_structure(b: list[int]) -> dict[tuple, int]:
     return merged
 
 
-@functools.lru_cache(maxsize=FACTORS_AT_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _factors_at(q: tuple, j: int) -> tuple[tuple[tuple, int], ...]:
     """The irreducible factors of q(t^j): for j = 1, q is a root and is
     factored (steps 2 and 3); for j > 1, q is irreducible and not

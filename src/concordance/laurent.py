@@ -13,9 +13,10 @@ Zassenhaus's algorithm; the result must multiply back exactly.
 ``fox_milnor_pairing`` decides on that factorization whether a
 polynomial is a norm f * f(1/t).
 
-Two rules that every module shares live here: ``is_int``, the one test of
-an integer input, and ``Record``, the one base of the package's frozen
-result classes (a record's fields are its annotations, in order).
+Shared rules live here: ``is_int``, the one test of an integer input, and
+its forms ``all_int`` and ``all_int_rows``; ``balanced_digits``; ``Record``,
+the one base of the frozen result classes (its fields are its annotations,
+in order); and the cache policy, ``CACHE_SIZE`` and ``clear_caches``.
 
 ``LaurentPoly`` is dense: the lowest exponent and the tuple of the
 coefficients from t^low to t^high, trimmed so that neither end is zero
@@ -43,9 +44,12 @@ True
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
+import sys
+import types
 
 __all__ = [
     "Factorization", "FoxMilnorResult", "LaurentPoly", "doteq", "factor",
@@ -73,6 +77,26 @@ def all_int(values) -> bool:
     every type is exactly int, no item is a bool and no call is needed;
     any other type sends the check through is_int item by item."""
     return {*map(type, values)} <= {int} or all(map(is_int, values))
+
+
+def all_int_rows(rows) -> bool:
+    """all_int of every row of a matrix, by one type set over all its entries."""
+    return {*map(type, itertools.chain.from_iterable(rows))} <= {int} or all(map(all_int, rows))
+
+
+def balanced_digits(value: int, w: int, count: int) -> list[int]:
+    """The `count` lowest digits of value in base 2^w, each in
+    [-2^(w-1), 2^(w-1)): a digit at or above 2^(w-1) becomes negative and
+    borrows one from the digits above."""
+    digits, mask, half = [], (1 << w) - 1, 1 << (w - 1)
+    for _ in range(count):
+        digit = value & mask
+        value >>= w
+        if digit >= half:
+            digit -= 1 << w
+            value += 1
+        digits.append(digit)
+    return digits
 
 
 class Record:
@@ -389,8 +413,7 @@ class Factorization(Record):
         """The product, multiplied out by Kronecker substitution: t = 2^w
         with 2^(w-1) above every coefficient of the product (a bound is
         content * prod ||q||_1^m), one integer product, and its span + 1
-        digits in base 2^w, taken in [-2^(w-1), 2^(w-1)), as the
-        coefficients."""
+        balanced digits in base 2^w as the coefficients."""
         span = sum((len(q._c) - 1) * m for q, m in self.factors)
         _check_span(span)
         bound = self.content
@@ -404,15 +427,7 @@ class Factorization(Record):
                 at = (at << w) + c
             value *= at**m
             power += q._low * m
-        coeffs, mask, half = [], (1 << w) - 1, 1 << (w - 1)
-        for _ in range(span + 1):
-            digit = value & mask
-            value >>= w
-            if digit >= half:
-                digit -= 1 << w
-                value += 1
-            coeffs.append(digit)
-        return _dense(power, coeffs)
+        return _dense(power, balanced_digits(value, w, span + 1))
 
     def __mul__(self, other: "Factorization") -> "Factorization":
         """The factorization of the product: units and contents multiply,
@@ -437,7 +452,7 @@ def factor(a: LaurentPoly) -> Factorization:
     primitive part goes to ``intfactor.factor_by_structure``, which
     factors it by structure and runs Zassenhaus's algorithm only on what
     structure cannot settle.  Each primitive part is factored once per
-    process, in an LRU of ``FACTOR_CACHE_SIZE`` entries; hit or miss, the
+    process, in an LRU of ``CACHE_SIZE`` entries; hit or miss, the
     result is multiplied out again and must reproduce a exactly.
 
     >>> f = factor(LaurentPoly.parse("t^4 - 3*t^2 + 1"))
@@ -456,11 +471,34 @@ def factor(a: LaurentPoly) -> Factorization:
     return result
 
 
-# primitive parts kept by ``factor``; one CLI fox-milnor call factors <= 72
-FACTOR_CACHE_SIZE = 256
+# The size of each cache of results keyed by input, an LRU.  Their largest
+# working sets, in keys, after one in-process 20 s run of each workload at
+# seeds 1 and 3 (diagram-homology fills none) and after each README form:
+#   cache                        sigma-sweep  cable-obstruct  README form
+#   cabling._pairing_at                    0              87            4
+#   laurent._primitive_factors             0              57            6
+#   intfactor._factors_at                  0              46            6
+#   seifert._circle_arcs                  21              25            2
+#   cyclotomic.cos2pi_bounds              34              16            6
+# A fox-milnor call within the CLI's degree bound asks at most 74 (q, j) of
+# _factors_at: 2 roots, and j = 2..k_max*g at each factor q of a root.
+CACHE_SIZE = 256
 
 
-@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def clear_caches():
+    """Empty each global lru_cache with a finite maxsize in the concordance
+    modules that have run; an unbounded one holds a constant (pi at a
+    precision, Phi_b) and stays.  Modules and globals are told by type(), as
+    reading a lazy module that has not run (isinstance reads __class__) runs it."""
+    lru = type(functools.lru_cache()(lambda: None))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("concordance.") and type(module) is types.ModuleType:
+            for value in vars(module).values():
+                if type(value) is lru and value.cache_parameters()["maxsize"] is not None:
+                    value.cache_clear()
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _primitive_factors(b: tuple) -> tuple:
     """The sorted (factor, multiplicity) pairs of a primitive part b."""
     # imported on first use: without a bytecode cache every module that

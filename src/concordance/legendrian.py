@@ -340,9 +340,9 @@ def _cable_templates(n):
     a right cusp undoes that by runs (i, 1, i), i = n - 1 .. 1, and a
     crossing is the one run (0, n, n).  A run is its a * b crossings, the
     lowest of the a strands walked down first, and one bundle move when
-    a * b > _PLAIN_RUN.  Kept for the last 16 n of the process, as
-    building them takes about a fifth of a cable's build; callers only
-    read them."""
+    a * b > _PLAIN_RUN.  Kept for the last 16 n (an entry grows as n^2; a
+    diagram-homology run asks 10), as building them takes about a fifth of
+    a cable's build; callers only read them."""
     left, right = [(LEFT_CUSP, 2 * j) for j in range(n)], [(RIGHT_CUSP, 0)] * n
     templates = {}
     for kind, head, runs, tail in (

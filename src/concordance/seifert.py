@@ -36,11 +36,8 @@ Each integer buffer has one owner: a ``SeifertMatrix`` keeps A and S as
 read-only tuples, and the kernels ``_int_det`` and
 ``_hermitian_signature`` eliminate in place on rows their caller built.
 The isolated roots and arc samples of each polynomial are kept per
-process, the library's third cache beside the two of factoring: an LRU
-of ``ARCS_CACHE_SIZE`` (256) entries keyed by delta itself; the fourth
-keeps each cosine enclosure (``cyclotomic``).  Signature values are
-never cached: a knot and its mirror share delta and have opposite
-signatures.
+process, in an LRU keyed by delta itself.  Signature values are never
+cached: a knot and its mirror share delta and have opposite signatures.
 
 >>> V = SeifertMatrix([[-1, 1], [0, -1]])   # right-handed trefoil
 >>> str(alexander(V))
@@ -53,14 +50,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial, v_polys
-from .laurent import LaurentPoly, Record, all_int, is_int
+from .laurent import CACHE_SIZE, LaurentPoly, Record, all_int, all_int_rows, balanced_digits, is_int
 from .realroots import RootMarker, compare_markers, exact_quotient, isolate_roots, poly_gcd
 
 __all__ = [
@@ -88,8 +84,8 @@ class SeifertMatrix:
     def __init__(self, entries: Sequence[Sequence[int]], name: str | None = None):
         rows = tuple(map(tuple, entries))
         n = len(rows)
-        # one pass over the types accepts; the row loop decides anything else
-        if {*map(len, rows)} - {n} or not {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
+        # the rows rule accepts; the row loop decides anything else, in order
+        if {*map(len, rows)} - {n} or not all_int_rows(rows):
             for row in rows:
                 if len(row) != n:
                     raise ValueError("Seifert matrix must be square")
@@ -212,10 +208,7 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
         h *= sum(s * s + a * a for s, a in zip(rs, ra)) + 2 * abs(sum(map(operator.mul, rs, ra)))
     B = (h.bit_length() + 5) // 4  # the least B with 2^(4B) > 4h
     D = _int_det([[s + (a << B) for s, a in zip(rs, ra)] for rs, ra in zip(S, A)])
-    base, r = 1 << 2 * B, []
-    for _ in range(g + 1):
-        r.append((D + base // 2) % base - base // 2)
-        D = (D - r[-1]) >> 2 * B
+    r = balanced_digits(D, 2 * B, g + 1)
     if r[0] != 1:
         raise ValueError("|det(V - V^T)| must be 1")
     q, power = [r[g]], [1]  # Horner in r, homogenized: power = (x + 2)^(g - j)
@@ -383,11 +376,7 @@ def _circle_markers(g_coeffs: list) -> list[RootMarker]:
     return markers
 
 
-# polynomials kept by ``_circle_arcs``; a sigma-sweep run meets 21, a cable-obstruct run 24
-ARCS_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=ARCS_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _circle_arcs(delta: LaurentPoly) -> tuple[tuple[RootMarker, ...], tuple[Fraction, ...]]:
     """The circle roots of delta (``_circle_markers``) and one sample u
     per arc (``_arc_sample``), once per process: both depend on delta

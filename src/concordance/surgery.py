@@ -35,7 +35,7 @@ import math
 import types
 
 from .cabling import HypothesisNotMet
-from .laurent import Record, all_int, is_int
+from .laurent import Record, all_int, all_int_rows, is_int
 
 __all__ = [
     "AbelianGroupDescription", "ClassMismatch", "MeridianCheck", "SurgeryPresentation",
@@ -197,9 +197,7 @@ def smith_normal_form(M):
     n = len(M[0]) if M else 0
     if any(len(row) != n for row in M):
         raise ValueError("matrix rows have unequal lengths")
-    # one type set for the whole matrix; all_int row by row only when
-    # some entry is not exactly an int
-    if not ({*map(type, itertools.chain.from_iterable(M))} <= {int} or all(map(all_int, M))):
+    if not all_int_rows(M):
         raise ValueError("matrix entries must be integers")
     V = _identity(n)
     W = _eliminate(M, _identity(len(M)), V)
@@ -214,8 +212,8 @@ class SurgeryPresentation:
     def __init__(self, matrix, classes, name=None):
         self.matrix = tuple(map(tuple, matrix))
         n = len(self.matrix)
-        # one pass over the types accepts; the row loop decides anything else
-        if {*map(len, self.matrix)} - {n} or not {*map(type, itertools.chain.from_iterable(self.matrix))} <= {int}:
+        # the rows rule accepts; the row loop decides anything else, in order
+        if {*map(len, self.matrix)} - {n} or not all_int_rows(self.matrix):
             for row in self.matrix:
                 if len(row) != n:
                     raise ValueError("linking matrix must be square")

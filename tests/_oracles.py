@@ -17,7 +17,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from concordance.cyclotomic import CycloInt, hermitian_signature, v_polys
-from concordance.laurent import Factorization, LaurentPoly, doteq, fox_milnor_pairing, is_int
+from concordance.laurent import Factorization, LaurentPoly, clear_caches, doteq, fox_milnor_pairing, is_int  # noqa: F401
 from concordance.legendrian import (
     CROSSING,
     EAST,
@@ -45,24 +45,6 @@ def load_perfbench(name):
 
 
 families = load_perfbench("families")
-
-
-def clear_caches():
-    """Empty the library's caches of results: the Fox-Milnor pairings of
-    ``cabling``, the factorizations of ``laurent.factor`` and
-    ``intfactor``, the circle roots and arc samples of ``seifert``, the
-    cosine enclosures of ``cyclotomic`` and the cable templates of
-    ``legendrian``, so that the next call computes from scratch.  Pi at a
-    precision (``cyclotomic._pi_fixed``) stays; ``test_caches.py`` lists
-    why."""
-    from concordance import cabling, cyclotomic, intfactor, laurent, legendrian, seifert
-
-    cabling._pairing_at.cache_clear()
-    laurent._primitive_factors.cache_clear()
-    intfactor._factors_at.cache_clear()
-    seifert._circle_arcs.cache_clear()
-    cyclotomic.cos2pi_bounds.cache_clear()
-    legendrian._cable_templates.cache_clear()
 
 
 class ReferenceLaurentPoly:

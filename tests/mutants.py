@@ -309,18 +309,25 @@ MUTANTS = (
         (KEPT_FORMS,),
     ),
     Mutant(
-        "the balanced-digit correction dropped from delta's digits",
-        SEIFERT,
-        "r.append((D + base // 2) % base - base // 2)",
-        "r.append(D % base)",
-        (ALEXANDER, KEPT_FORMS),
+        "the balanced-digit correction dropped: digits read in [0, 2^w)",
+        LAURENT,
+        "        if digit >= half:\n",
+        "        if False:\n",
+        (ALEXANDER, DENSE, KEPT_FORMS),
     ),
     Mutant(
-        "the carry dropped after a negative digit",
-        SEIFERT,
-        "        D = (D - r[-1]) >> 2 * B\n",
-        "        D >>= 2 * B\n",
-        (ALEXANDER,),
+        "the carry dropped after a negative digit: Kronecker digits unpacked without the borrow",
+        LAURENT,
+        "            value += 1\n",
+        "",
+        (ALEXANDER, DENSE, "tests/test_laurent.py::test_factor_spec_products"),
+    ),
+    Mutant(
+        "a negative digit's borrow taken with the digit left in [0, 2^w)",
+        LAURENT,
+        "            digit -= 1 << w\n",
+        "",
+        (ALEXANDER, DENSE),
     ),
     Mutant(
         "the unimodularity check read off r_g instead of r_0",
@@ -451,11 +458,29 @@ MUTANTS = (
         (DENSE,),
     ),
     Mutant(
-        "Kronecker digits unpacked without the borrow",
+        "the rows rule accepts a bool as an int",
         LAURENT,
-        "                value += 1\n",
-        "",
-        (DENSE, "tests/test_laurent.py::test_factor_spec_products"),
+        "itertools.chain.from_iterable(rows))} <= {int} or",
+        "itertools.chain.from_iterable(rows))} <= {int, bool} or",
+        (
+            "tests/test_seifert.py::test_construction_validates",
+            "tests/test_surgery.py::TestSmithNormalForm::test_entries_are_checked_not_truncated[bool]",
+            "tests/test_surgery.py::TestSurgeryPresentation::test_entries_are_checked_not_truncated",
+        ),
+    ),
+    Mutant(
+        "clear_caches also empties the unbounded caches of constants",
+        LAURENT,
+        ' and value.cache_parameters()["maxsize"] is not None:',
+        ":",
+        ("tests/test_caches.py::test_clear_caches_empties_the_bounded_caches_and_keeps_the_constants",),
+    ),
+    Mutant(
+        "clear_caches tells a cache by isinstance, which runs a lazy module that a global holds",
+        LAURENT,
+        "if type(value) is lru and",
+        "if isinstance(value, lru) and",
+        ("tests/test_lazy_modules.py::test_clearing_the_caches_runs_neither",),
     ),
     Mutant(
         "a method that only tests call, named like a record field",

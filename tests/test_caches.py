@@ -1,74 +1,50 @@
-"""One list of caches: every ``functools.lru_cache`` in ``src/concordance``
-is emptied by both cache-clearing helpers, ``tests/_oracles.clear_caches``
-and ``bench/layers.clear_caches``, or is named in ``KEPT`` with the reason
-it is kept.  A helper that misses a cache leaves a cold-cache test or a
-layer timing warm; found by ``ast``, so a new cache fails this test until
-both helpers clear it or it is listed."""
+"""``laurent.clear_caches`` empties every cache of results and no constant.
+One call of each kind fills the package's caches; after clear_caches each
+``lru_cache`` wrapper of the package with a finite maxsize is empty, and
+the unbounded ones, pi at a precision and Phi_b, keep their entries.  The
+wrappers are found through ``gc``, not through the modules' names, so a
+cache that clear_caches cannot reach fails here."""
 
-import ast
-from pathlib import Path
+import functools
+import gc
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "concordance"
-HELPERS = (ROOT / "tests" / "_oracles.py", ROOT / "bench" / "layers.py")
+from concordance.cabling import cable_profile, fox_milnor_obstruction
+from concordance.catalog import load_catalog
+from concordance.laurent import clear_caches
+from concordance.legendrian import cable_front
+from concordance.seifert import RootOfUnity, levine_tristram
 
-# module.function -> why neither helper empties it
-KEPT = {
-    "cyclotomic._pi_fixed": "pi enclosed at a given precision, a constant: no input of a test or a layer changes it",
-    "cyclotomic.cyclotomic_coeffs": "Phi_b, a constant: no input of a test or a layer changes it",
+LRU = type(functools.lru_cache()(lambda: None))
+
+# the caches that bench/layers.py empties before each timed call, as in
+# BENCH_44.json: its figures stay comparable while this set holds
+CLEARED = {
+    "cabling._pairing_at", "laurent._primitive_factors", "intfactor._factors_at",
+    "seifert._circle_arcs", "cyclotomic.cos2pi_bounds", "legendrian._cable_templates",
 }
 
 
-def _is_lru_cache(decorator):
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return ast.unparse(target) in {"functools.lru_cache", "lru_cache", "functools.cache"}
-
-
-def _cached_functions(node, prefix):
-    """The dotted names under `prefix` of the functions in `node` (nested
-    ones and methods too) that an lru_cache decorates."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            name = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef) and any(map(_is_lru_cache, child.decorator_list)):
-                yield name
-            yield from _cached_functions(child, name)
-
-
-def library_caches():
+def package_caches():
+    """Module.qualname -> wrapper, for every lru_cache of the package."""
     return {
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _cached_functions(ast.parse(path.read_text()), path.stem)
+        f"{wrapper.__module__.removeprefix('concordance.')}.{wrapper.__qualname__}": wrapper
+        for wrapper in gc.get_objects()
+        if type(wrapper) is LRU and wrapper.__module__.startswith("concordance.")
     }
 
 
-def cleared_by(path):
-    """The `x.y` of each `x.y.cache_clear()` in the file's clear_caches."""
-    tree = ast.parse(path.read_text())
-    helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "clear_caches")
-    return {
-        ast.unparse(node.func.value)
-        for node in ast.walk(helper)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "cache_clear"
-    }
+def test_clear_caches_empties_the_bounded_caches_and_keeps_the_constants():
+    catalog = load_catalog()
+    trefoil = catalog.profile("RH-trefoil")
+    fox_milnor_obstruction(trefoil, cable_profile(trefoil, 2), k_max=2)
+    levine_tristram(trefoil.seifert, RootOfUnity(1, 3))
+    cable_front(catalog.front("satellite-P-of-trefoil"), 2)
+    caches = package_caches()
+    assert all(wrapper.cache_info().currsize for wrapper in caches.values())
 
-
-def test_both_helpers_clear_every_cache_not_kept():
-    caches = library_caches()
-    assert set(KEPT) <= caches, "a kept entry names no cache"
-    for path in HELPERS:
-        assert cleared_by(path) == caches - set(KEPT), path.relative_to(ROOT)
-
-
-def test_a_decorated_method_and_a_bare_decorator_are_found():
-    source = (
-        "import functools\n"
-        "class A:\n"
-        "    @functools.lru_cache\n"
-        "    def m(self): pass\n"
-        "def f():\n"
-        "    @functools.cache\n"
-        "    def g(): pass\n"
-    )
-    assert set(_cached_functions(ast.parse(source), "mod")) == {"mod.A.m", "mod.f.g"}
+    clear_caches()
+    bounded = {name for name, wrapper in caches.items() if wrapper.cache_parameters()["maxsize"] is not None}
+    assert {name for name in bounded if caches[name].cache_info().currsize} == set()
+    assert set(caches) - bounded == {"cyclotomic._pi_fixed", "cyclotomic.cyclotomic_coeffs"}
+    assert all(caches[name].cache_info().currsize for name in set(caches) - bounded)
+    assert bounded == CLEARED

@@ -28,16 +28,27 @@ ran = [name for name in ("legendrian", "surgery")
 print(json.dumps([code, ran]))
 """
 
+# clear_caches walks the globals of every loaded module, catalog's
+# reference to the lazy legendrian module among them
+CLEAR = """\
+import json, sys, types
+import concordance
+concordance.laurent.clear_caches()
+ran = [name for name in ("legendrian", "surgery")
+       if type(sys.modules["concordance." + name]) is types.ModuleType]
+print(json.dumps([None, ran]))
+"""
+
 # the lazy modules each command runs; the others run neither
 RUNS = {"legendrian": ["legendrian"], "theorem31": ["legendrian"], "homology-check": ["surgery"]}
 
 
-def run(argv):
+def run(argv, probe=PROBE):
     """[exit code, the lazy modules that ran] of `argv` in a fresh
     interpreter that imports cli; argv None imports cli alone."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", probe, json.dumps(argv)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -56,3 +67,7 @@ def test_an_input_error_runs_neither():
 
 def test_importing_cli_runs_neither():
     assert run(None) == [None, []]
+
+
+def test_clearing_the_caches_runs_neither():
+    assert run(None, CLEAR) == [None, []]
