@@ -63,7 +63,12 @@ concordance`, and each subcommand form of the README (read from
 times, round-robin over the forms; its figure for a form is the median
 wall time from spawn to exit, in milliseconds, and its scaled figure is
 brought to the nominal pace with `pace.START_SENSITIVITY`, as perfbench
-scales its CLI operations.
+scales its CLI operations.  Its last two forms run `import concordance`
+under `python -S`, once on the copy without bytecode and once on a
+second copy compiled by `compileall`: with site-packages off, no `.pth`
+file can load a standard-library module before the package does, so
+these two rows show what the package's own imports cost on a plain
+interpreter.
 Each layer has its own default sizes (`--sizes` sets them for every
 layer but `cold_start`, whose sizes are its forms).  The JSON holds the machine, the Python version, the git commit
 (and whether `src/` differs from it), the inputs, the medians keyed by
@@ -74,6 +79,7 @@ library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -260,28 +266,37 @@ def layers():
 
 
 def cold_forms():
-    """(name, interpreter arguments) of each cold start: `import
-    concordance`, then the README's subcommand forms with text output."""
+    """(name, interpreter arguments, copy) of each cold start: `import
+    concordance`, the README's subcommand forms with text output, then
+    `import concordance` under `python -S` (no site-packages, no `.pth`
+    file loading modules first) on the copy without bytecode and on the
+    compiled one."""
     recorded = json.loads((ROOT / "tests" / "data" / "readme_forms.json").read_text())
     forms = [entry["argv"] for entry in recorded if entry["argv"][0] != "--output"]
-    return [("import concordance", ["-c", "import concordance"])] + [
-        (" ".join(argv), ["-c", CLI, *argv]) for argv in forms
+    return [("import concordance", ["-c", "import concordance"], "plain")] + [
+        (" ".join(argv), ["-c", CLI, *argv], "plain") for argv in forms
+    ] + [
+        ("python -S: import concordance", ["-S", "-c", "import concordance"], "plain"),
+        ("python -S, bytecode: import concordance", ["-S", "-c", "import concordance"], "compiled"),
     ]
 
 
 def cold_ms():
     """Each cold start's median over COLD_RUNS fresh interpreters, in
-    milliseconds, on a copy of the package without bytecode; round r runs
+    milliseconds, on a copy of the package without bytecode (`plain`) or
+    a second copy compiled by `compileall` (`compiled`); round r runs
     every form once before round r + 1 begins.  Also the reference's
     seconds, timed once before the first round and once after each."""
     forms = cold_forms()
-    times = {name: [] for name, _ in forms}
+    times = {name: [] for name, _, _ in forms}
     references = [pace.reference()]
     with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(SRC / "concordance", Path(tmp) / "concordance", ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        for copy in ("plain", "compiled"):
+            shutil.copytree(SRC / "concordance", Path(tmp, copy, "concordance"), ignore=shutil.ignore_patterns("__pycache__"))
+        compileall.compile_dir(Path(tmp, "compiled"), quiet=1)
         for _ in range(COLD_RUNS):
-            for name, args in forms:
+            for name, args, copy in forms:
+                env = dict(os.environ, PYTHONPATH=str(Path(tmp, copy)), PYTHONDONTWRITEBYTECODE="1")
                 start = time.perf_counter()
                 subprocess.run([sys.executable, *args], cwd=tmp, env=env, stdout=subprocess.DEVNULL, check=True)
                 times[name].append(time.perf_counter() - start)
@@ -319,7 +334,8 @@ def measure(sizes=None):
     references += paces
     inputs["cold_start"] = {
         "family": "import concordance and the README forms of tests/data/readme_forms.json, "
-                  "fresh interpreters without bytecode",
+                  "fresh interpreters without bytecode; then import concordance under python -S, "
+                  "without bytecode and with it",
         "sizes": list(cold),
         "runs": COLD_RUNS,
     }

@@ -36,21 +36,27 @@ from .cabling import *  # noqa: E402
 from .catalog import *  # noqa: E402
 
 
+# each public name of legendrian and surgery and its module: looking a
+# name up here, unlike in a lazy module's __all__, runs neither module
+_LAZY = dict.fromkeys([
+    "FrontDiagram", "FrontError", "GenusBounds", "LegendrianInvariants", "MultiComponent", "NonClosed",
+    "PatternData", "SatelliteGenusReport", "cable_front", "front_from_text", "genus_bounds",
+    "satellite_front", "satellite_genus_pipeline", "satellite_invariants", "stabilize",
+], legendrian) | dict.fromkeys([
+    "AbelianGroupDescription", "ClassMismatch", "MeridianCheck", "SurgeryPresentation",
+    "cobordism_meridian_check", "first_homology", "localize", "satellite_cobordism_presentation",
+    "smith_normal_form",
+], surgery)
+__all__ = sorted([*laurent.__all__, *seifert.__all__, *cabling.__all__, *catalog.__all__, *_LAZY])
+
+
 def __getattr__(name):
-    """A public name of legendrian or surgery, or ``__all__``, looked up
-    at first use and kept.  A submodule's name raises at once: ``from
-    concordance import cli`` asks for it before importing the submodule."""
-    if importlib.util.find_spec(f"{__name__}.{name}") is not None:
-        raise AttributeError(name)
-    if name == "__all__":
-        modules = (laurent, seifert, cabling, legendrian, surgery, catalog)
-        value = sorted(public for module in modules for public in module.__all__)
-    else:
-        home = next((m for m in (legendrian, surgery) if name in m.__all__), None)
-        if home is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(home, name)
-    globals()[name] = value
+    """A public name of legendrian or surgery, run and kept at its first
+    read.  Any other name raises at once: ``from concordance import cli``
+    asks for it before importing the submodule."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_LAZY[name], name)
     return value
 
 

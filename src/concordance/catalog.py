@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from importlib import resources
-from pathlib import Path
 
 from . import legendrian
 from .cabling import Cited, CitedBounds, KnotProfile
@@ -197,7 +195,8 @@ def _front_name(filename, where):
 def _load_front(base, filename, where):
     """Read and parse a front file referenced by a catalog entry."""
     try:
-        text = (base / filename).read_text()
+        with open(os.path.join(base, filename)) as f:
+            text = f.read()
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {filename!r}: {exc}") from None
     with _reraise(ParseError, f"{where}: {filename}"):
@@ -305,17 +304,14 @@ def load_catalog(path=None) -> Catalog:
     at the entry's first read.
     """
     if path is None:
-        path = os.environ.get(CATALOG_ENV_VAR)
-    if path is None:
-        base = resources.files("concordance") / "_data"
-        file = base / "catalog.json"
-    else:
-        file = Path(path)
-        base = file.parent
+        bundled = os.path.join(os.path.dirname(__file__), "_data", "catalog.json")
+        path = os.environ.get(CATALOG_ENV_VAR, bundled)
+    path = os.fspath(path)
     try:
-        text = file.read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
-        raise ParseError(f"cannot read catalog {str(file)!r}: {exc}") from None
+        raise ParseError(f"cannot read catalog {path!r}: {exc}") from None
     if not text.strip():
         return Catalog([])
     try:
@@ -325,5 +321,5 @@ def load_catalog(path=None) -> Catalog:
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     _require(isinstance(data, list), "top level must be a list of entries")
-    entries = [_parse_entry(raw, index, base) for index, raw in enumerate(data)]
+    entries = [_parse_entry(raw, index, os.path.dirname(path)) for index, raw in enumerate(data)]
     return Catalog(entries)

@@ -52,8 +52,8 @@ import bisect
 import functools
 import math
 import operator
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial, v_polys
 from .laurent import CACHE_SIZE, LaurentPoly, Record, all_int, all_int_rows, balanced_digits, is_int

@@ -83,7 +83,6 @@ INTFACTOR = "src/concordance/intfactor.py"
 CAPELLI = "tests/test_laurent.py::test_capelli_certificates_cover_no_split"
 FOX_MILNOR = "tests/test_cabling.py::TestFoxMilnorObstruction"
 CATALOG = "src/concordance/catalog.py"
-LAZY_CLI = "tests/test_lazy_modules.py::test_importing_cli_runs_neither"
 LAZY_ALEXANDER = (
     "tests/test_lazy_modules.py::test_a_readme_form_runs_only_the_diagram_modules_it_reads"
     "[alexander_3-twist-negative-clasp]"
@@ -377,12 +376,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the package's __getattr__ resolves a submodule's name by searching the lazy modules",
+        "the package's lazy table maps a surgery name to legendrian",
         "src/concordance/__init__.py",
-        '    if importlib.util.find_spec(f"{__name__}.{name}") is not None:\n'
-        "        raise AttributeError(name)\n",
-        "",
-        (LAZY_CLI, LAZY_ALEXANDER),
+        "], surgery)\n",
+        '], surgery) | {"SurgeryPresentation": legendrian}\n',
+        (
+            "tests/test_lazy_modules.py::test_a_lazy_name_read_through_the_package_runs_only_its_module"
+            "[SurgeryPresentation-surgery]",
+            "tests/test_lazy_modules.py::test_the_lazy_table_maps_each_lazy_modules_public_names_to_it",
+        ),
+    ),
+    Mutant(
+        "the catalog locates its bundled files through importlib.resources again",
+        CATALOG,
+        "from contextlib import contextmanager\n",
+        "from contextlib import contextmanager\nfrom importlib import resources\n",
+        (
+            "tests/test_lazy_modules.py::test_the_library_and_its_catalog_load_no_resources_pathlib_or_typing",
+            LAZY_ALEXANDER,
+        ),
     ),
     Mutant(
         "the catalog parses each entry's fronts and pattern at load",

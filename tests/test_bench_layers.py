@@ -28,8 +28,10 @@ def test_layers_script_writes_its_keys(tmp_path):
     }
     assert set(report["layers_scaled"]) == set(report["layers"])
     cold = report["layers"].pop("cold_start")
-    # import concordance, then the eleven README forms with text output
-    assert len(cold) == 12 and list(cold)[:2] == ["import concordance", "signature RH-trefoil --omega 1/3"]
+    # import concordance, the eleven README forms with text output, then
+    # import concordance under python -S without and with bytecode
+    assert len(cold) == 14 and list(cold)[:2] == ["import concordance", "signature RH-trefoil --omega 1/3"]
+    assert list(cold)[12:] == ["python -S: import concordance", "python -S, bytecode: import concordance"]
     assert list(report["layers_scaled"]["cold_start"]) == list(cold)
     assert all(ms > 0 for ms in [*cold.values(), *report["layers_scaled"]["cold_start"].values()])
     assert report["inputs"]["layers"]["cold_start"]["runs"] == 9

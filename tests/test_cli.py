@@ -174,6 +174,30 @@ class TestLoadCatalog:
         with pytest.raises(error, match=message):
             load_catalog(path).entries
 
+    @pytest.mark.parametrize(
+        "catalog, argv, message",
+        [
+            ("missing.json", ("alexander", "unknot"),
+             "cannot read catalog 'missing.json': [Errno 2] No such file or directory: 'missing.json'"),
+            ("./missing.json", ("alexander", "unknot"),
+             "cannot read catalog './missing.json': [Errno 2] No such file or directory: './missing.json'"),
+            ("sub//missing.json", ("alexander", "unknot"),
+             "cannot read catalog 'sub//missing.json': [Errno 2] No such file or directory: 'sub//missing.json'"),
+            ("", ("alexander", "unknot"), "cannot read catalog '': [Errno 2] No such file or directory: ''"),
+            ("sub/catalog.json", ("legendrian", "invariants", "./missing"),
+             "entry 'k': cannot read './missing.front': [Errno 2] No such file or directory: 'sub/./missing.front'"),
+        ],
+        ids=["missing", "dot-slash", "double-slash", "empty", "front-dot-slash"],
+    )
+    def test_read_errors_name_each_path_as_spelled(self, capsys, tmp_path, monkeypatch, catalog, argv, message):
+        # the catalog and its fronts are opened as spelled, with no
+        # normalization: folding a/../b to b could open another file
+        # when a is a symbolic link
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "catalog.json").write_text('[{"name": "k", "fronts": ["./missing.front"]}]')
+        assert run_cli(capsys, "--catalog", catalog, *argv) == (2, "", f"error: {message}\n")
+
     def test_front_files_are_read_at_the_first_read_of_their_entry(self, tmp_path):
         # load checks the names of an entry's front files, not the files;
         # each read of the entry, by entry, front or pattern, reads them
