@@ -268,9 +268,8 @@ def layers():
 def cold_forms():
     """(name, interpreter arguments, copy) of each cold start: `import
     concordance`, the README's subcommand forms with text output, then
-    `import concordance` under `python -S` (no site-packages, no `.pth`
-    file loading modules first) on the copy without bytecode and on the
-    compiled one."""
+    `import concordance` under `python -S` on the copy without bytecode
+    and on the compiled one."""
     recorded = json.loads((ROOT / "tests" / "data" / "readme_forms.json").read_text())
     forms = [entry["argv"] for entry in recorded if entry["argv"][0] != "--output"]
     return [("import concordance", ["-c", "import concordance"], "plain")] + [
