@@ -488,7 +488,8 @@ CACHE_SIZE = 256
 def clear_caches():
     """Empty each global lru_cache with a finite maxsize in the concordance
     modules that have run; an unbounded one holds a constant (pi at a
-    precision, Phi_b) and stays.  Modules and globals are told by type(), as
+    precision, Phi_b, the lift table of a genus for seifert's Alexander
+    read-out) and stays.  Modules and globals are told by type(), as
     reading a lazy module that has not run (isinstance reads __class__) runs it."""
     lru = type(functools.lru_cache()(lambda: None))
     for name, module in list(sys.modules.items()):

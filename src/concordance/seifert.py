@@ -12,7 +12,13 @@ One integer determinant, D = f(W) at a power of two W chosen from the
 entries, by fraction-free Bareiss elimination (the one determinant
 routine of the library), holds each r_j as a balanced base-W^2 digit:
 r_0 = 1 is the constructor's check |det(V - V^T)| = 1, and the others
-give delta, kept on the matrix.  For omega = exp(i*theta) the form
+give delta, kept on the matrix: the low half of the palindrome t^g*delta
+is g + 1 dot products of the digits with the rows of an integer table,
+cached per genus.  That lift is unitriangular over Z, so the half is
+divisible by 4^g just when delta is integral, and the mirrored list is
+centred and sums to delta(1) = r_0: no balanced_alexander pass, only the
+sign and the |delta(1)| = 1 check.  A genus above MAX_GENUS = 32 is
+refused before any arithmetic.  For omega = exp(i*theta) the form
 (1 - omega)V + (1 - conj(omega))V^T is 2*sin(theta/2)^2 * (A - i*u*S)
 with u = cot(theta/2), so sigma(omega) is the signature of the 2g x 2g
 Hermitian matrix A - i*u*S itself.  The signature is constant on each
@@ -66,6 +72,10 @@ __all__ = [
 ]
 
 
+# a dense genus-32 matrix takes seconds to build, growing about as g^5
+MAX_GENUS = 32
+
+
 class OmegaIsOne(ValueError):
     """Signature evaluation requested at omega = 1."""
 
@@ -84,6 +94,8 @@ class SeifertMatrix:
     def __init__(self, entries: Sequence[Sequence[int]], name: str | None = None):
         rows = tuple(map(tuple, entries))
         n = len(rows)
+        if n > 2 * MAX_GENUS:
+            raise ValueError(f"Seifert matrix of size {n} is above 2 * MAX_GENUS = {2 * MAX_GENUS}")
         # the rows rule accepts; the row loop decides anything else, in order
         if {*map(len, rows)} - {n} or not all_int_rows(rows):
             for row in rows:
@@ -198,26 +210,51 @@ def _balanced_alexander(v: SeifertMatrix) -> LaurentPoly:
     ||a_i||^2 + 2|<s_i, a_i>|.  So |r_j| <= sqrt(h), h = prod_i h_i, and
     W^4 > 4h makes each r_j a digit of D in base W^2, in [-W^2/2, W^2/2).
     In x = t + 1/t, w^2 = (x - 2)/(x + 2), so t^-g * delta(t) is
-    Q(x) = 4^-g * (x + 2)^g * r((x - 2)/(x + 2)), lifted back to t."""
+    Q(x) = 4^-g * sum_j r_j * (x - 2)^j * (x + 2)^(g - j), lifted back to
+    t: a palindrome, so its low half, r dotted with the rows of
+    ``_lift_rows(g)``, is all of it.  The lift is unitriangular over Z
+    (coefficient i is h_(g-i) plus multiples of h_k, k > g - i), so the
+    half is divisible by 4^g just when Q is integral.  It sums to
+    delta(1) = Q(2) = r_0 and ``from_coeffs`` trims it about t^0, so no
+    ``balanced_alexander`` pass is needed; the sign and |delta(1)| = 1
+    are still checked, with that function's message."""
     A, S = v._A, v._S
     g, odd = divmod(len(S), 2)
     if odd:
         raise ValueError("|det(V - V^T)| must be 1")
+    mul = operator.mul
     h = 1
     for rs, ra in zip(S, A):
-        h *= sum(s * s + a * a for s, a in zip(rs, ra)) + 2 * abs(sum(map(operator.mul, rs, ra)))
+        h *= sum(map(mul, rs, rs)) + sum(map(mul, ra, ra)) + 2 * abs(sum(map(mul, rs, ra)))
     B = (h.bit_length() + 5) // 4  # the least B with 2^(4B) > 4h
     D = _int_det([[s + (a << B) for s, a in zip(rs, ra)] for rs, ra in zip(S, A)])
     r = balanced_digits(D, 2 * B, g + 1)
     if r[0] != 1:
         raise ValueError("|det(V - V^T)| must be 1")
-    q, power = [r[g]], [1]  # Horner in r, homogenized: power = (x + 2)^(g - j)
-    for c in reversed(r[:g]):
-        power = [2 * a + b for a, b in zip(power + [0], [0] + power)]
-        q = [c * p - 2 * a + b for a, b, p in zip(q + [0], [0] + q, power)]
-    if any(a % 4**g for a in q):
+    half = [sum(map(mul, r, row)) for row in _lift_rows(g)]
+    if any(a & ((1 << 2 * g) - 1) for a in half):
         raise ArithmeticError("trace polynomial is not integral")
-    return balanced_alexander(LaurentPoly.from_coeffs(trace_lift([a // 4**g for a in q])))
+    coeffs = [a >> 2 * g for a in half]
+    coeffs += coeffs[-2::-1]
+    at_one = sum(coeffs)
+    if abs(at_one) != 1:
+        raise ValueError(f"|delta(1)| = {abs(at_one)}, not 1")
+    if next(filter(None, coeffs)) < 0:
+        coeffs = [-a for a in coeffs]
+    return LaurentPoly.from_coeffs(coeffs, -g)
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_rows(g: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds coefficient i of trace_lift((x - 2)^j * (x + 2)^(g - j))
+    for j = 0..g: a constant, kept by ``clear_caches`` as Phi_b is."""
+    cols = []
+    for j in range(g + 1):
+        p = [1]
+        for root in [2] * j + [-2] * (g - j):
+            p = [b - root * a for a, b in zip(p + [0], [0] + p)]
+        cols.append(trace_lift(p)[: g + 1])
+    return tuple(zip(*cols))
 
 
 def balanced_alexander(delta: LaurentPoly) -> LaurentPoly:

@@ -71,6 +71,7 @@ REFERENCE = "tests/test_surgery.py::test_transforms_match_the_reference_eliminat
 DIGESTS = "tests/test_surgery.py::test_transforms_match_the_recorded_digests"
 INT_DET = "tests/test_seifert.py::test_int_det_matches_sympy"
 ALEXANDER = "tests/test_seifert.py::test_alexander_matches_the_reference_interpolation"
+S_EQUIVALENCE = "tests/test_seifert.py::test_alexander_is_invariant_under_s_equivalence"
 LEGENDRIAN = "src/concordance/legendrian.py"
 BLOCKWISE = "tests/test_legendrian.py::test_cables_and_satellites_match_the_blockwise_route"
 FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digests"
@@ -336,13 +337,35 @@ MUTANTS = (
         (KEPT_FORMS, "tests/test_seifert.py::test_construction_validates"),
     ),
     Mutant(
-        "(x - 2) and (x + 2) swapped in the Horner step",
+        "(x - 2) and (x + 2) swapped in the lift table",
         SEIFERT,
-        "        power = [2 * a + b for a, b in zip(power + [0], [0] + power)]\n"
-        "        q = [c * p - 2 * a + b",
-        "        power = [-2 * a + b for a, b in zip(power + [0], [0] + power)]\n"
-        "        q = [c * p + 2 * a + b",
-        (ALEXANDER, KEPT_FORMS),
+        "        for root in [2] * j + [-2] * (g - j):",
+        "        for root in [-2] * j + [2] * (g - j):",
+        (ALEXANDER, KEPT_FORMS, S_EQUIVALENCE),
+    ),
+    Mutant(
+        "the half mirrored one place off: the middle coefficient doubled",
+        SEIFERT,
+        "    coeffs += coeffs[-2::-1]\n",
+        "    coeffs += coeffs[::-1]\n",
+        (ALEXANDER, KEPT_FORMS, S_EQUIVALENCE),
+    ),
+    Mutant(
+        "the sign of delta left as the lift gives it",
+        SEIFERT,
+        "    if next(filter(None, coeffs)) < 0:\n        coeffs = [-a for a in coeffs]\n",
+        "",
+        (ALEXANDER, KEPT_FORMS, S_EQUIVALENCE),
+    ),
+    Mutant(
+        "no genus cap on a Seifert matrix",
+        SEIFERT,
+        "        if n > 2 * MAX_GENUS:\n",
+        "        if False:\n",
+        (
+            "tests/test_seifert.py::test_a_matrix_above_the_genus_cap_is_refused_at_once",
+            "tests/test_cli.py::TestLoadCatalog::test_a_matrix_above_the_genus_cap_fails_every_command_at_once",
+        ),
     ),
     Mutant(
         "the digit bound one binary digit short: W^4 > 2h",

@@ -1,9 +1,10 @@
 """``laurent.clear_caches`` empties every cache of results and no constant.
 One call of each kind fills the package's caches; after clear_caches each
 ``lru_cache`` wrapper of the package with a finite maxsize is empty, and
-the unbounded ones, pi at a precision and Phi_b, keep their entries.  The
-wrappers are found through ``gc``, not through the modules' names, so a
-cache that clear_caches cannot reach fails here."""
+the unbounded ones, pi at a precision, Phi_b and the lift table of a
+genus for seifert's Alexander read-out, keep their entries.  The wrappers
+are found through ``gc``, not through the modules' names, so a cache
+that clear_caches cannot reach fails here."""
 
 import functools
 import gc
@@ -45,6 +46,8 @@ def test_clear_caches_empties_the_bounded_caches_and_keeps_the_constants():
     clear_caches()
     bounded = {name for name, wrapper in caches.items() if wrapper.cache_parameters()["maxsize"] is not None}
     assert {name for name in bounded if caches[name].cache_info().currsize} == set()
-    assert set(caches) - bounded == {"cyclotomic._pi_fixed", "cyclotomic.cyclotomic_coeffs"}
+    assert set(caches) - bounded == {
+        "cyclotomic._pi_fixed", "cyclotomic.cyclotomic_coeffs", "seifert._lift_rows",
+    }
     assert all(caches[name].cache_info().currsize for name in set(caches) - bounded)
     assert bounded == CLEARED

@@ -96,6 +96,19 @@ class TestLoadCatalog:
         assert [e.name for e in catalog] == ["k"]
         assert str(catalog.profile("k").alexander) == "1*t^1 - 1 + 1*t^-1"
 
+    def test_a_matrix_above_the_genus_cap_fails_every_command_at_once(self, capsys, tmp_path):
+        # the catalog builds every entry's matrix at load, so one large
+        # entry reaches a command about another entry, a front's too
+        rows = [[0] * 66 for _ in range(66)]
+        for i in range(0, 66, 2):
+            rows[i][i], rows[i][i + 1], rows[i + 1][i + 1] = -1, 1, -1
+        path = user_catalog(tmp_path, {"name": "big", "seifert_matrix": rows}, {"name": "two", "fronts": ["two.front"]})
+        message = "error: entry 'big': Seifert matrix of size 66 is above 2 * MAX_GENUS = 64\n"
+        for argv in (("alexander", "big"), ("legendrian", "invariants", "two")):
+            start = time.perf_counter()
+            assert run_cli(capsys, "--catalog", path, *argv) == (2, "", message)
+            assert time.perf_counter() - start < 0.1
+
     def test_relative_file_references(self, tmp_path):
         (tmp_path / "k.front").write_text("O E\nL 0\nR 0\n")
         path = tmp_path / "catalog.json"

@@ -98,6 +98,50 @@ def test_construction_leaves_the_callers_rows_unchanged():
         assert v.entries == tuple(map(tuple, before))
 
 
+def _trefoils(count):
+    """The block sum of `count` right-handed trefoils, as rows."""
+    rows = [[0] * 2 * count for _ in range(2 * count)]
+    for i in range(0, 2 * count, 2):
+        rows[i][i], rows[i][i + 1], rows[i + 1][i + 1] = -1, 1, -1
+    return rows
+
+
+def test_a_matrix_above_the_genus_cap_is_refused_at_once():
+    # the cap is checked before any arithmetic; genus 32 is still taken
+    assert seifert_module.MAX_GENUS == 32
+    assert alexander(SeifertMatrix(_trefoils(32))) == alexander(TREFOIL) ** 32
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("Seifert matrix of size 66 is above 2 * MAX_GENUS = 64")):
+        SeifertMatrix(_trefoils(33))
+    assert time.perf_counter() - start < 0.1
+
+
+def _enlarged(rng, rows):
+    """The elementary enlargement [[V, xi, 0], [eta^T, x, 1], [0, 0, 0]]
+    of V, with random integer xi, eta and x: S-equivalent to V."""
+    n = len(rows)
+    out = [[*row, rng.randint(-3, 3), 0] for row in rows]
+    out.append([*(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 3), 1])
+    out.append([0] * (n + 2))
+    return out
+
+
+def test_alexander_is_invariant_under_s_equivalence():
+    # 1-4 enlargements, then a unimodular congruence: the top digits of
+    # D vanish, so the lift's half starts with up to 4 zeros, which the
+    # symmetric trim of the mirrored list removes at both ends
+    rng = random.Random(4747)
+    for _ in range(200):
+        v = SeifertMatrix(families.random_knot(rng, rng.randint(1, 4)).seifert())
+        rows = v.entries
+        for _ in range(rng.randint(1, 4)):
+            rows = _enlarged(rng, rows)
+        w = scrambled_seifert(rng, SeifertMatrix(rows))
+        delta = alexander(w)
+        assert delta == alexander(v), (v, w)
+        assert delta.low() == -delta.high() and delta.coeffs[-1] > 0
+
+
 def _det_cases():
     """Square integer matrices of size 0-10: dense and sparse, then with a
     zero leading entry (a row swap at the first step), then singular (a
