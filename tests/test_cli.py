@@ -98,7 +98,7 @@ class TestLoadCatalog:
 
     def test_a_matrix_above_the_genus_cap_fails_every_command_at_once(self, capsys, tmp_path):
         # the catalog builds every entry's matrix at load, so one large
-        # entry reaches a command about another entry, a front's too
+        # entry would stall commands about other entries and their fronts
         rows = [[0] * 66 for _ in range(66)]
         for i in range(0, 66, 2):
             rows[i][i], rows[i][i + 1], rows[i + 1][i + 1] = -1, 1, -1
