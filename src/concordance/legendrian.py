@@ -139,6 +139,8 @@ class FrontDiagram:
         try:
             self._sweep(_moves or self.events)
         except FrontError:  # the events' sweep raises it again, naming the event
+            if not _moves:
+                raise
             self._sweep(self.events)
         if self.is_closed:
             self._orient_components()
@@ -154,8 +156,8 @@ class FrontDiagram:
         never a bool, so it skips is_int; crossings, most events of a
         front, are tested first and swap two entries by two stores; and a
         missing strand at a crossing or right cusp is the IndexError of
-        its read, exact because negative positions were rejected.  After
-        any error of a move, __init__ sweeps the events for their error."""
+        its read, exact because negative positions were rejected.  After a
+        bundle move's error, __init__ sweeps the events for theirs."""
         positions = list(range(self.seam_strands))
         next_id = self.seam_strands
         right_cusps = []  # (upper_seg, lower_seg)

@@ -10,12 +10,11 @@ signs of the remainder over Q; it builds the remainder sequences, Sturm
 chains and gcds, with primitive parts.  Roots come back as markers that
 are either exact rationals or open isolating intervals with rational
 endpoints.
-Bisection points are N/(D*2^k), D the lcm of the endpoint denominators,
-carried as two ints.  A marker keeps its ends the same way, as two
-integer numerators over one positive denominator, with the sign of its
-polynomial at the lower end, and compares itself with a rational n/d
-given as two ints by cross-multiplication; only a marker's lo and hi
-are Fractions, built when read.
+Every rational here is two ints.  Bisection points are N/(D*2^k), D the
+lcm of the endpoint denominators.  A marker keeps its ends the same way,
+as two integer numerators over one positive denominator, with the sign
+of its polynomial at the lower end, and compares itself with a rational
+n/d, or refines itself below a width w_n/w_d, by cross-multiplication.
 Floats are for display only (``float_value``).
 Markers are values: refining one returns a narrower marker, nothing
 changes a marker in place, and no comparison commits to a
@@ -25,13 +24,12 @@ floating-point answer.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .laurent import Record
 
 
 def poly_eval(coeffs: list, x):
-    """Exact value at x by Horner: an int at an int, a Fraction at a Fraction."""
+    """Exact value at x by Horner: an int at an int, a rational at a rational."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -163,20 +161,12 @@ class RootMarker(Record):
     den: int
     sign_lo: int
 
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_num, self.den)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_num, self.den)
-
-    def refine(self, width: Fraction) -> RootMarker:
-        """The same root isolated below the given width by bisection, or
-        an exact marker when a bisection point is the root; this marker
-        itself when it is exact or already narrow enough."""
-        if self.sign_lo and (self.hi_num - self.lo_num) * width.denominator > width.numerator * self.den:
-            return _bisect(self.poly, self.lo_num, self.hi_num, self.den, self.sign_lo, width)
+    def refine(self, wn: int, wd: int) -> RootMarker:
+        """The same root isolated below the width wn/wd (wd > 0) by
+        bisection, or an exact marker when a bisection point is the root;
+        this marker itself when it is exact or already narrow enough."""
+        if self.sign_lo and (self.hi_num - self.lo_num) * wd > wn * self.den:
+            return _bisect(self.poly, self.lo_num, self.hi_num, self.den, self.sign_lo, wn, wd)
         return self
 
     def compare(self, n: int, d: int) -> int:
@@ -199,15 +189,15 @@ class RootMarker(Record):
 
     def float_value(self) -> float:
         """An approximation of the root, for display only."""
-        m = self.refine(Fraction(1, 10**12))
+        m = self.refine(1, 10**12)
         return (m.lo_num + m.hi_num) / (2 * m.den)
 
 
-def _bisect(poly: list, lo: int, hi: int, d: int, s_lo: int, width: Fraction) -> RootMarker:
+def _bisect(poly: list, lo: int, hi: int, d: int, s_lo: int, wn: int, wd: int) -> RootMarker:
     """The root of poly in (lo/d, hi/d), whose ends are not roots and
-    where poly has sign s_lo at lo/d, isolated below width by bisection,
-    or an exact marker when a bisection point is the root."""
-    while (hi - lo) * width.denominator > width.numerator * d:
+    where poly has sign s_lo at lo/d, isolated below the width wn/wd by
+    bisection, or an exact marker when a bisection point is the root."""
+    while (hi - lo) * wd > wn * d:
         mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
         v = _sign_at(poly, mid, d)
         if v == 0:
@@ -244,13 +234,14 @@ def compare_markers(m1: RootMarker, m2: RootMarker, common: list) -> int:
         hi = min(m1.hi_num * d2, m2.hi_num * d1)
         if _sign_at(common, lo, d1 * d2) != _sign_at(common, hi, d1 * d2):
             return 0
-        m1 = m1.refine(Fraction(m1.hi_num - m1.lo_num, 2 * d1))
-        m2 = m2.refine(Fraction(m2.hi_num - m2.lo_num, 2 * d2))
+        m1 = m1.refine(m1.hi_num - m1.lo_num, 2 * d1)
+        m2 = m2.refine(m2.hi_num - m2.lo_num, 2 * d2)
 
 
-def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
+def isolate_roots(coeffs: list, lo, hi) -> list[RootMarker]:
     """All distinct real roots of coeffs in the open interval (lo, hi),
-    sorted ascending.  Endpoints must not be roots.
+    sorted ascending.  Endpoints must not be roots; each is an int or a
+    rational, read through its numerator and denominator.
 
     Bisects (lo, hi) by Sturm counts.  A bisection point c that is a root
     becomes an exact marker, and both halves are bisected on: for the
@@ -261,7 +252,6 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
     sf = squarefree_part(coeffs)
     if len(sf) <= 1:
         return []
-    lo, hi = Fraction(lo), Fraction(hi)
     d = math.lcm(lo.denominator, hi.denominator)
     lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     if _sign_at(sf, lo, d) == 0 or _sign_at(sf, hi, d) == 0:
@@ -276,7 +266,7 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
         if n == 0:
             continue
         if n == 1 and not a_root and not b_root:
-            markers.append(_bisect(sf, a, b, d, _sign_at(sf, a, d), Fraction(1, 64)))
+            markers.append(_bisect(sf, a, b, d, _sign_at(sf, a, d), 1, 64))
             continue
         mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
         mid_root = _sign_at(sf, mid, d) == 0
@@ -285,5 +275,8 @@ def isolate_roots(coeffs: list, lo: Fraction, hi: Fraction) -> list[RootMarker]:
         vm = _variations(chain, mid, d)
         stack.append((a, mid, d, va, vm, a_root, mid_root))
         stack.append((mid, b, d, vm, vb, mid_root, b_root))
-    markers.sort(key=lambda m: m.lo)
+    # each denominator is the endpoints' lcm times a power of two, so it
+    # divides the largest, over which the lower ends sort as integers
+    top = max((m.den for m in markers), default=1)
+    markers.sort(key=lambda m: m.lo_num * (top // m.den))
     return markers

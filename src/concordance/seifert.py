@@ -30,14 +30,14 @@ detected by cyclotomic divisibility of the Alexander polynomial; the
 arcs between jumps are isolated with Sturm sequences after the
 substitution x = 2*cos(theta), and a sample lies in its arc by exact
 comparison of x(u) = 2*(u^2 - 1)/(u^2 + 1) with the isolating
-intervals.  Floats are for display only: the approximate angles that
-``jumps``, ``arcs`` and ``repr`` print.  No floating-point value decides
-anything, and the witness search places each angle a/b by exact
-comparison of cosines, in integers: a/b is passed as two ints, its
-cosine enclosure from ``cyclotomic.cos2pi_bounds`` is two integer
-numerators over 2^prec, and each marker compares them with its own
-integer ends by cross-multiplication.  A pullback reads sigma at
-v_p(x(u)) as an integer over d^p, by Horner on the homogenized v_p.
+intervals, each rational as two ints.  Floats are for display only: the
+approximate angles that ``jumps``, ``arcs`` and ``repr`` print.  No
+floating-point value decides anything, and the witness search places
+each angle a/b by exact comparison of cosines, in integers: its cosine
+enclosure from ``cyclotomic.cos2pi_bounds`` is two integer numerators
+over 2^prec, and each marker compares them with its own integer ends by
+cross-multiplication.  A pullback reads sigma at v_p(x(u)) as an
+integer over d^p, by Horner on the homogenized v_p.
 Each integer buffer has one owner: a ``SeifertMatrix`` keeps A and S as
 read-only tuples, and the kernels ``_int_det`` and
 ``_hermitian_signature`` eliminate in place on rows their caller built.
@@ -58,8 +58,8 @@ import bisect
 import functools
 import math
 import operator
+import sys
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 
 from .cyclotomic import cos2pi_bounds, cyclotomic_coeffs, primes, totient, trace_lift, trace_polynomial, v_polys
 from .laurent import CACHE_SIZE, LaurentPoly, Record, all_int, all_int_rows, balanced_digits, is_int
@@ -349,74 +349,75 @@ def _hermitian_signature(re: list[list[int]], im: list[list[int]]) -> tuple[int,
     return sig, n
 
 
-def _signature_at(A: Sequence[Sequence[int]], S: Sequence[Sequence[int]], u: Fraction) -> int:
-    """sigma(omega) at the omega with cot(theta/2) = u, where the form
-    (1 - omega)V + (1 - conj(omega))V^T is a positive multiple of the
-    Hermitian A - i*u*S; scaled by the denominator s of u = r/s, that is
+def _ratio(n: int, d: int) -> str:
+    """n/d (d > 0) in lowest terms, printed as a Fraction prints."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}" if d != g else str(n // g)
+
+
+def _signature_at(A: Sequence[Sequence[int]], S: Sequence[Sequence[int]], r: int, s: int) -> int:
+    """sigma(omega) at the omega with cot(theta/2) = u = r/s (s > 0),
+    where the form (1 - omega)V + (1 - conj(omega))V^T is a positive
+    multiple of the Hermitian A - i*u*S; scaled by s, that is
     s*A - i*r*S, and sigma(omega) is its signature.  It is even because
     the signature has the parity of the rank, which must be the full 2g.
     The kernel overwrites the scaled rows built here; A and S are read."""
-    r, s = u.numerator, u.denominator
     sig, rank = _hermitian_signature(
         [[s * a for a in row] for row in A], [[-r * c for c in row] for row in S]
     )
     if rank != len(A):
-        raise ArithmeticError(f"the form is singular at the sample point u = {u}")
+        raise ArithmeticError(f"the form is singular at the sample point u = {_ratio(r, s)}")
     return sig
 
 
-def _x_of_u(u: Fraction) -> Fraction:
-    """x = 2*cos(theta) at cot(theta/2) = u."""
-    u2 = u * u
-    return 2 * (u2 - 1) / (u2 + 1)
-
-
-def _arc_sample(markers: list[RootMarker], idx: int) -> Fraction:
-    """A rational u whose angle lies inside arc idx: between marker idx-1
-    and marker idx (angle-ascending, so x-descending).  The last arc
-    holds omega = -1, which is u = 0; elsewhere u is the first dyadic
-    rational with x(u) strictly inside the gap between the two isolating
-    intervals, checked exactly."""
+def _arc_sample(markers: list[RootMarker], idx: int) -> tuple[int, int]:
+    """A rational u = r/s in lowest terms (s > 0) whose angle lies inside
+    arc idx: between marker idx-1 and marker idx (angle-ascending, so
+    x-descending).  The last arc holds omega = -1, which is u = 0;
+    elsewhere u is the first dyadic rational with x(u) strictly inside
+    the gap (a/ad, b/bd) between the two isolating intervals, checked
+    exactly."""
     if idx == len(markers):
-        return Fraction(0)
+        return 0, 1
     lower = markers[idx]
     upper = markers[idx - 1] if idx > 0 else None
-    # an exact marker has lo = hi = its root, so (lower.hi, upper.lo) is
-    # root-free either way
-    while lower.hi >= (2 if upper is None else upper.lo):
-        lower = lower.refine((lower.hi - lower.lo) / 2)
+    # an exact marker has lo = hi = its root, so the gap above lower's
+    # interval and below upper's (or 2) is root-free either way
+    b, bd = (2, 1) if upper is None else (upper.lo_num, upper.den)
+    while lower.hi_num * bd >= b * lower.den:
+        lower = lower.refine(lower.hi_num - lower.lo_num, 2 * lower.den)
         if upper is not None:
-            upper = upper.refine((upper.hi - upper.lo) / 2)
-    a = lower.hi
-    b = Fraction(2) if upper is None else upper.lo
+            upper = upper.refine(upper.hi_num - b, 2 * bd)
+            b, bd = upper.lo_num, upper.den
+    a, ad = lower.hi_num, lower.den
     # x(u) = 2 - 4/(u^2 + 1) increases with u >= 0: a < x(u) < b exactly
-    # when alpha < u^2 < beta
-    alpha = (2 + a) / (2 - a)
-    den = 1
+    # when (2 + a)/(2 - a) < u^2 < (2 + b)/(2 - b), over ad and bd
+    s = 1
     while True:
-        num = math.isqrt(alpha.numerator * den * den // alpha.denominator) + 1
-        u = Fraction(num, den)
-        if upper is None or (2 - b) * (num * num) < (2 + b) * (den * den):
+        r = math.isqrt((2 * ad + a) * s * s // (2 * ad - a)) + 1
+        if upper is None or (2 * bd - b) * r * r < (2 * bd + b) * s * s:
             break
-        den *= 2
-    x = _x_of_u(u)
-    if not a < x < b:
-        raise ArithmeticError(f"sample u = {u} fell outside its arc")
-    return u
+        s *= 2
+    # x(u) = n/m with n = 2(r^2 - s^2), m = r^2 + s^2
+    n, m = 2 * (r * r - s * s), r * r + s * s
+    if not (a * m < n * ad and n * bd < b * m):
+        raise ArithmeticError(f"sample u = {_ratio(r, s)} fell outside its arc")
+    g = math.gcd(r, s)
+    return r // g, s // g
 
 
 def _circle_markers(g_coeffs: list) -> list[RootMarker]:
     """Roots of g in (-2, 2), that is the unit-circle roots of delta in
     the upper half, ascending in angle."""
-    markers = isolate_roots(g_coeffs, Fraction(-2), Fraction(2))
+    markers = isolate_roots(g_coeffs, -2, 2)
     markers.reverse()  # descending x = ascending angle
     return markers
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _circle_arcs(delta: LaurentPoly) -> tuple[tuple[RootMarker, ...], tuple[Fraction, ...]]:
-    """The circle roots of delta (``_circle_markers``) and one sample u
-    per arc (``_arc_sample``), once per process: both depend on delta
+def _circle_arcs(delta: LaurentPoly) -> tuple[tuple[RootMarker, ...], tuple[tuple[int, int], ...]]:
+    """The circle roots of delta (``_circle_markers``) and one sample
+    u = r/s per arc (``_arc_sample``), once per process: both depend on delta
     alone, while a knot and its mirror share delta but not signatures."""
     markers = _circle_markers(trace_polynomial(delta.associate_normal().coeffs))
     return tuple(markers), tuple(_arc_sample(markers, i) for i in range(len(markers) + 1))
@@ -440,7 +441,7 @@ def levine_tristram(v: SeifertMatrix, omega: RootOfUnity) -> int:
             f"omega = {omega} is a root of the Alexander polynomial"
         )
     markers, samples = _circle_arcs(delta)
-    return _signature_at(v._A, v._S, samples[_arc_index(markers, omega.numerator, omega.denominator)])
+    return _signature_at(v._A, v._S, *samples[_arc_index(markers, omega.numerator, omega.denominator)])
 
 
 def _markers_above(markers: Sequence[RootMarker], lo: int, hi: int, d: int) -> int | None:
@@ -485,16 +486,16 @@ class SignatureFunction:
     relies on.
     """
 
-    def __init__(self, delta: LaurentPoly, value_at: Callable[[Fraction], int]):
+    def __init__(self, delta: LaurentPoly, value_at: Callable[[int, int], int]):
         at_one = sum(delta.coeffs)
         if abs(at_one) != 1:
             raise ValueError(f"|delta(1)| = {abs(at_one)}, not 1")
         # delta is the balanced Alexander polynomial; its circle roots
         # (markers) ascend in angle (descend in x = 2 cos 2*pi*angle), and
-        # values[i] = value_at(u) at the rational sample u of the arc
-        # between marker i-1 and i
+        # values[i] = value_at(r, s) at the rational sample u = r/s of the
+        # arc between marker i-1 and i
         markers, samples = _circle_arcs(delta)
-        values = tuple(map(value_at, samples))
+        values = tuple(value_at(r, s) for r, s in samples)
         if values[0] != 0:
             raise ArithmeticError("the arc at omega = 1 must carry signature 0")
         if any(val % 2 for val in values):
@@ -506,17 +507,17 @@ class SignatureFunction:
     def is_jump(self, q) -> bool:
         """Is exp(2*pi*i*q) a root of the Alexander polynomial?  Never
         at q = 0, as |delta(1)| = 1."""
-        return _cyclotomic_divides(self._delta, _as_fraction(q).denominator)
+        return _cyclotomic_divides(self._delta, _angle(q)[1])
 
     def evaluate(self, q) -> int:
         """Value at omega = exp(2*pi*i*q) for exact rational q.
 
         Raises SingularAtOmega at jump points (the step function has no
         value there).  Angle 0 lies on arc 0, whose value is 0."""
-        q = _as_fraction(q)
-        if self.is_jump(q):
-            raise SingularAtOmega(f"signature function jumps at angle {q}")
-        return self._values[_arc_index(self._markers, q.numerator, q.denominator)]
+        a, b = _angle(q)
+        if _cyclotomic_divides(self._delta, b):
+            raise SingularAtOmega(f"signature function jumps at angle {a}/{b}")
+        return self._values[_arc_index(self._markers, a, b)]
 
     def pullback(self, p: int) -> "SignatureFunction":
         """The step function omega -> sigma(omega^p), for an integer p >= 1.
@@ -531,13 +532,13 @@ class SignatureFunction:
         delta = self._delta.substitute_power(p)
         if self.is_identically_zero():
             # so is the pullback; v_p alone would cost O(p^2) integers
-            return SignatureFunction(delta, lambda u: 0)
+            return SignatureFunction(delta, lambda r, s: 0)
         v_p = v_polys(p)[p]
 
-        def value_at(u: Fraction) -> int:
+        def value_at(r: int, s: int) -> int:
             # x(u) = n/d with n = 2(r^2 - s^2), d = r^2 + s^2 at u = r/s, and
             # v_p(x) = acc/d^p by Horner on the homogenized v_p (degree p)
-            r2, s2 = u.numerator**2, u.denominator**2
+            r2, s2 = r * r, s * s
             n, d = 2 * (r2 - s2), r2 + s2
             den = d**p
             acc, scale = 0, 1
@@ -546,7 +547,7 @@ class SignatureFunction:
                 scale *= d
             count = _markers_above(self._markers, acc, acc, den)
             if count is None:
-                raise SingularAtOmega(f"signature function jumps at x = {Fraction(acc, den)}")
+                raise SingularAtOmega(f"signature function jumps at x = {_ratio(acc, den)}")
             return self._values[count]
 
         return SignatureFunction(delta, value_at)
@@ -576,14 +577,16 @@ class SignatureFunction:
         return f"SignatureFunction({parts})"
 
 
-def _as_fraction(q) -> Fraction:
-    """The angle q in [0, 1) of exp(2*pi*i*q), for an int, a Fraction or a
+def _angle(q) -> tuple[int, int]:
+    """The angle of exp(2*pi*i*q) as a/b in lowest terms, 0 <= a < b, for
+    an int, a Fraction (whose module this one does not load) or a
     RootOfUnity q; a float or a bool is no exact angle."""
     if isinstance(q, RootOfUnity):
-        return Fraction(q.numerator, q.denominator)
-    if not (isinstance(q, Fraction) or is_int(q)):
+        return q.numerator, q.denominator
+    fractions = sys.modules.get("fractions")
+    if not (is_int(q) or fractions and isinstance(q, fractions.Fraction)):
         raise TypeError(f"an angle must be an int, a Fraction or a RootOfUnity, got {q!r}")
-    return Fraction(q) % 1
+    return q.numerator % q.denominator, q.denominator
 
 
 def _marker_angle_float(m: RootMarker) -> float:
@@ -596,7 +599,7 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     Roots of the Alexander polynomial on the circle are isolated exactly
     via Sturm sequences in x = 2cos(theta); each arc between consecutive
     roots gets one rational signature at a certified interior sample."""
-    return SignatureFunction(v.delta, lambda u: _signature_at(v._A, v._S, u))
+    return SignatureFunction(v.delta, lambda r, s: _signature_at(v._A, v._S, r, s))
 
 
 def _sub_arcs(sig0: SignatureFunction, sig1: SignatureFunction) -> list[tuple]:

@@ -791,6 +791,17 @@ def _reference_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def marker_ends(marker):
+    """A marker's ends (lo, hi) as Fractions: its two integer numerators
+    over its denominator."""
+    return Fraction(marker.lo_num, marker.den), Fraction(marker.hi_num, marker.den)
+
+
+def refine_below(marker, width):
+    """marker.refine at the Fraction width, passed as two ints."""
+    return marker.refine(width.numerator, width.denominator)
+
+
 def reference_marker(poly, lo, hi):
     """The RootMarker of the root of poly in (lo, hi), or at lo = hi, from
     two Fractions: the ends over the lcm of their denominators, and the
@@ -805,7 +816,7 @@ def reference_refine(marker, width):
     midpoint a Fraction."""
     if marker.sign_lo == 0:
         return marker
-    lo, hi = marker.lo, marker.hi
+    lo, hi = marker_ends(marker)
     s_lo = _reference_sign_at(marker.poly, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -823,16 +834,17 @@ def reference_compare(marker, x):
     """RootMarker.compare as it was before markers kept integer ends
     (``compare_rational``): -1, 0, +1 as the root is below, equal to, or
     above the Fraction x, from the Fraction ends and signs over Q."""
+    lo, hi = marker_ends(marker)
     if marker.sign_lo == 0:
-        return (marker.lo > x) - (marker.lo < x)
-    if x <= marker.lo:
+        return (lo > x) - (lo < x)
+    if x <= lo:
         return 1
-    if x >= marker.hi:
+    if x >= hi:
         return -1
     s_x = _reference_sign_at(marker.poly, x)
     if s_x == 0:
         return 0
-    return 1 if s_x == _reference_sign_at(marker.poly, marker.lo) else -1
+    return 1 if s_x == _reference_sign_at(marker.poly, lo) else -1
 
 
 def reference_markers_above(markers, lo, hi):
@@ -848,11 +860,16 @@ def reference_markers_above(markers, lo, hi):
     return count
 
 
+def x_of_u(u):
+    """x = 2*cos(theta) = 2(u^2 - 1)/(u^2 + 1) at cot(theta/2) = u, for an
+    arc sample u = r/s given as a Fraction."""
+    return 2 * (u * u - 1) / (u * u + 1)
+
+
 def reference_pullback_point(p, u):
-    """v_p(x(u)) as a Fraction, x(u) = 2(u^2 - 1)/(u^2 + 1): the point at
-    which a pullback's arc sample u reads the step function it pulls
-    back, by Horner over Q."""
-    x = 2 * (u * u - 1) / (u * u + 1)
+    """v_p(x(u)) as a Fraction: the point at which a pullback's arc
+    sample u reads the step function it pulls back, by Horner over Q."""
+    x = x_of_u(u)
     acc = Fraction(0)
     for c in reversed(v_polys(p)[p]):
         acc = acc * x + c
@@ -887,7 +904,7 @@ def reference_isolate_roots(coeffs, lo, hi):
         vm = _reference_variations(chain, mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
-    markers.sort(key=lambda m: m.lo)
+    markers.sort(key=lambda m: marker_ends(m)[0])
     return markers
 
 

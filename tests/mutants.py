@@ -80,6 +80,7 @@ LAURENT = "src/concordance/laurent.py"
 RECORDS = "tests/test_records.py"
 DENSE = "tests/test_laurent.py::test_every_method_agrees_with_the_dict_reference"
 PLACEMENT = "tests/test_seifert.py::test_integer_placement_matches_the_fraction_route"
+ARC_SAMPLE = "tests/test_seifert.py::test_an_arc_sample_lies_strictly_inside_its_gap"
 INTFACTOR = "src/concordance/intfactor.py"
 CAPELLI = "tests/test_laurent.py::test_capelli_certificates_cover_no_split"
 FOX_MILNOR = "tests/test_cabling.py::TestFoxMilnorObstruction"
@@ -269,9 +270,16 @@ MUTANTS = (
     Mutant(
         "isolating intervals bisected only to width 1/2",
         "src/concordance/realroots.py",
-        "_sign_at(sf, a, d), Fraction(1, 64))",
-        "_sign_at(sf, a, d), Fraction(1, 2))",
+        "_sign_at(sf, a, d), 1, 64))",
+        "_sign_at(sf, a, d), 1, 2))",
         ("tests/test_realroots.py::test_integer_bisection_matches_the_fraction_bisection[lo0-hi0]",),
+    ),
+    Mutant(
+        "markers sorted by their lower numerators, whatever their denominators",
+        "src/concordance/realroots.py",
+        "markers.sort(key=lambda m: m.lo_num * (top // m.den))",
+        "markers.sort(key=lambda m: m.lo_num)",
+        ("tests/test_realroots.py::test_isolate_roots_finds_each_root_once[lo0-hi0]",),
     ),
     Mutant(
         "a marker's cross-multiplication with n/d reversed at its lower end",
@@ -297,9 +305,32 @@ MUTANTS = (
     Mutant(
         "the last arc, which holds omega = -1, sampled at u = 1",
         SEIFERT,
-        "        return Fraction(0)\n",
-        "        return Fraction(1)\n",
+        "        return 0, 1\n",
+        "        return 1, 1\n",
         ("tests/test_seifert.py::test_torus_knot_2_9_step_function",),
+    ),
+    Mutant(
+        "the sample's gap test made non-strict: intervals that share an end are not refined apart",
+        SEIFERT,
+        "    while lower.hi_num * bd >= b * lower.den:\n",
+        "    while lower.hi_num * bd > b * lower.den:\n",
+        (ARC_SAMPLE,),
+        timeout=30.0,
+        hangs=True,
+    ),
+    Mutant(
+        "the sample's test u^2 < beta made non-strict: x(u) may be the upper root itself",
+        SEIFERT,
+        "(2 * bd - b) * r * r < (2 * bd + b) * s * s",
+        "(2 * bd - b) * r * r <= (2 * bd + b) * s * s",
+        (ARC_SAMPLE,),
+    ),
+    Mutant(
+        "the sample's final in-arc check dropped",
+        SEIFERT,
+        "    if not (a * m < n * ad and n * bd < b * m):\n",
+        "    if False:\n",
+        ("tests/test_seifert.py::test_an_arc_sample_outside_its_arc_is_refused",),
     ),
     Mutant(
         "the kernel handed the kept A itself when the scale s is 1",

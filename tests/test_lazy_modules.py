@@ -1,7 +1,10 @@
 """What a fresh interpreter loads: the diagram half of the package,
 legendrian and surgery, runs only for a command that reads a front or
 builds a presentation, and neither the library nor a command loads
-importlib.resources, pathlib or typing.
+importlib.resources, pathlib or typing.  Exact rationals are pairs of
+ints outside legendrian, whose tau bound is a Fraction, so fractions,
+with the decimal and numbers it imports, loads only where legendrian
+runs.
 
 Each check runs in a fresh interpreter under ``python -S``, so that no
 ``.pth`` file of the host's site-packages can load a module first.  It
@@ -40,6 +43,8 @@ UNLOADED = ["importlib.resources", "pathlib", "typing", "tempfile", "zipfile", "
 # argparse's help formatter imports shutil and intfactor imports random,
 # so only the library leaves these two unloaded
 LIBRARY_UNLOADED = UNLOADED + ["shutil", "random"]
+# loaded by legendrian alone
+FRACTIONS = ["fractions", "decimal", "numbers"]
 
 # the lazy modules each command runs; the others run neither
 RUNS = {"legendrian": ["legendrian"], "theorem31": ["legendrian"], "homology-check": ["surgery"]}
@@ -56,18 +61,20 @@ def run(source, unloaded=UNLOADED):
     return json.loads(done.stdout)
 
 
-def run_cli(argv):
-    return run(f"from concordance import cli\nvalue = cli.main({argv!r})")
+def run_cli(argv, unloaded=UNLOADED):
+    return run(f"from concordance import cli\nvalue = cli.main({argv!r})", unloaded)
 
 
 @pytest.mark.parametrize("argv", readme_forms(), ids="_".join)
 def test_a_readme_form_runs_only_the_diagram_modules_it_reads(argv):
-    assert run_cli(argv) == [0, RUNS.get(argv[0], []), []]
+    runs = RUNS.get(argv[0], [])
+    unloaded = UNLOADED if "legendrian" in runs else UNLOADED + FRACTIONS
+    assert run_cli(argv, unloaded) == [0, runs, []]
 
 
 def test_the_library_and_its_catalog_load_no_resources_pathlib_or_typing():
     source = "import concordance\nconcordance.load_catalog()"
-    assert run(source, LIBRARY_UNLOADED) == [None, [], []]
+    assert run(source, LIBRARY_UNLOADED + FRACTIONS) == [None, [], []]
 
 
 def test_an_input_error_runs_neither():
@@ -77,7 +84,7 @@ def test_an_input_error_runs_neither():
 
 
 def test_importing_cli_runs_neither():
-    assert run("from concordance import cli")[:2] == [None, []]
+    assert run("from concordance import cli", UNLOADED + FRACTIONS) == [None, [], []]
 
 
 def test_clearing_the_caches_runs_neither():

@@ -154,6 +154,23 @@ class TestFrontInvariants:
         with pytest.raises(FrontError, match="seam_strands"):
             FrontDiagram([], seam_strands=-1)
 
+    def test_a_bad_front_is_swept_once(self, monkeypatch):
+        # only a sweep of bundle moves is repeated on the events, to name
+        # the failing event; a user's events are swept once
+        calls = []
+        sweep = FrontDiagram._sweep
+
+        def counted(self, moves):
+            calls.append(moves)
+            return sweep(self, moves)
+
+        monkeypatch.setattr(FrontDiagram, "_sweep", counted)
+        for events, message in [([("X", 0)], "needs two strands"), ([("L", 1)], "beyond")]:
+            calls.clear()
+            with pytest.raises(FrontError, match=message):
+                FrontDiagram(events)
+            assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "events, seam, message",
         [

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from _oracles import reference_isolate_roots, reference_refine
+from _oracles import marker_ends, reference_isolate_roots, reference_refine, refine_below
 
 from concordance.cyclotomic import trace_polynomial
 from concordance.realroots import (
@@ -82,18 +82,20 @@ def _check_isolation(coeffs, lo, hi):
     sqf = _sympy_poly(coeffs).sqf_part()
     assert len(markers) == sqf.count_roots(_q(lo), _q(hi))
     for m in markers:
+        m_lo, m_hi = marker_ends(m)
         if m.sign_lo == 0:
-            assert m.lo == m.hi
-            assert lo < m.lo < hi
-            assert sqf.eval(_q(m.lo)) == 0
+            assert m_lo == m_hi
+            assert lo < m_lo < hi
+            assert sqf.eval(_q(m_lo)) == 0
         else:
-            assert lo <= m.lo < m.hi <= hi
-            assert sqf.eval(_q(m.lo)) != 0 and sqf.eval(_q(m.hi)) != 0
-            assert sqf.count_roots(_q(m.lo), _q(m.hi)) == 1
+            assert lo <= m_lo < m_hi <= hi
+            assert sqf.eval(_q(m_lo)) != 0 and sqf.eval(_q(m_hi)) != 0
+            assert sqf.count_roots(_q(m_lo), _q(m_hi)) == 1
     for m1, m2 in zip(markers, markers[1:]):
-        assert m1.hi <= m2.lo
-        assert m1.sign_lo or m1.hi < m2.lo
-        assert m2.sign_lo or m1.hi < m2.lo
+        m1_hi, m2_lo = marker_ends(m1)[1], marker_ends(m2)[0]
+        assert m1_hi <= m2_lo
+        assert m1.sign_lo or m1_hi < m2_lo
+        assert m2.sign_lo or m1_hi < m2_lo
     return markers
 
 
@@ -108,14 +110,15 @@ def test_isolate_roots_finds_each_root_once(lo, hi):
                 # -1/3 and 5/7 are no bisection points: a marker of either
                 # root holds it strictly inside, and compares equal to it
                 for x in (Fraction(-1, 3), Fraction(5, 7)):
-                    if m.sign_lo and m.lo < x < m.hi and not poly_eval(coeffs, x):
+                    m_lo, m_hi = marker_ends(m)
+                    if m.sign_lo and m_lo < x < m_hi and not poly_eval(coeffs, x):
                         assert m.compare(x.numerator, x.denominator) == 0
                         inside += 1
     assert inside
 
 
 def _fields(m):
-    return (m.lo, m.hi, m.sign_lo)
+    return (*marker_ends(m), m.sign_lo)
 
 
 @pytest.mark.parametrize(
@@ -131,9 +134,10 @@ def test_integer_bisection_matches_the_fraction_bisection(lo, hi):
         markers = isolate_roots(coeffs, lo, hi)
         assert [_fields(m) for m in markers] == [_fields(m) for m in reference_isolate_roots(coeffs, lo, hi)]
         for m in markers:
-            assert m.refine(m.hi - m.lo) is m  # no step, no new marker
-            for width in (Fraction(1, 64), (m.hi - m.lo) / 2, Fraction(1, 10**12)):
-                assert _fields(m.refine(width)) == _fields(reference_refine(m, width)), (coeffs, m, width)
+            assert m.refine(m.hi_num - m.lo_num, m.den) is m  # no step, no new marker
+            m_lo, m_hi = marker_ends(m)
+            for width in (Fraction(1, 64), (m_hi - m_lo) / 2, Fraction(1, 10**12)):
+                assert _fields(refine_below(m, width)) == _fields(reference_refine(m, width)), (coeffs, m, width)
                 compared += 1
     assert compared > 500
 
@@ -144,7 +148,7 @@ def test_isolate_roots_keeps_bisecting_next_to_exact_roots():
     coeffs = _mul(_mul(FACTORS[0], FACTORS[3]), _mul(FACTORS[1], FACTORS[6]))
     coeffs = _mul(coeffs, FACTORS[7])
     markers = _check_isolation(coeffs, Fraction(-2), Fraction(2))
-    assert [m.lo for m in markers if m.sign_lo == 0] == [0, 1, Fraction(3, 2)]
+    assert [marker_ends(m)[0] for m in markers if m.sign_lo == 0] == [0, 1, Fraction(3, 2)]
     assert len(markers) == 7
 
 
@@ -154,7 +158,7 @@ def test_isolate_roots_on_t_2_9():
     got = [m.float_value() for m in markers]
     expected = sorted(2 * float(sympy.cos(k * sympy.pi / 9)) for k in (1, 3, 5, 7))
     assert got == pytest.approx(expected, abs=1e-11)
-    assert [None if m.sign_lo else m.lo for m in markers] == [None, None, 1, None]
+    assert [None if m.sign_lo else marker_ends(m)[0] for m in markers] == [None, None, 1, None]
 
 
 def _t_2_q_markers(q):
@@ -176,9 +180,9 @@ def test_compare_markers_agrees_with_the_known_angles(monkeypatch, q1, q2, refin
     calls = []
     refine = RootMarker.refine
 
-    def counting(self, width):
-        calls.append(width)
-        return refine(self, width)
+    def counting(self, wn, wd):
+        calls.append((wn, wd))
+        return refine(self, wn, wd)
 
     pairs = [(a, b) for a in _t_2_q_markers(q1) for b in _t_2_q_markers(q2)]
     monkeypatch.setattr(RootMarker, "refine", counting)

@@ -14,6 +14,7 @@ import math
 import random
 import re
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from _oracles import (
     cyclotomic_levine_tristram,
     families,
     laurent_at_sign,
+    marker_ends,
     reference_alexander,
     reference_compare,
     reference_markers_above,
@@ -35,6 +37,7 @@ from _oracles import (
     reference_signature_at,
     scrambled_seifert,
     sympy_alexander,
+    x_of_u,
 )
 
 from concordance.catalog import load_catalog
@@ -467,10 +470,13 @@ def test_signature_at_refuses_a_singular_form():
     # no rational u = cot(theta/2) is a circle root of an Alexander
     # polynomial (x = 2*cos(theta) = p/q needs 2q - p = 1 and then
     # u^2 = 4q - 1), so only a form that is no Seifert form reaches the check
-    with pytest.raises(ArithmeticError, match="singular"):
-        seifert_module._signature_at([[0, 0], [0, 0]], [[0, 1], [-1, 0]], Fraction(0))
-    with pytest.raises(ArithmeticError, match="singular"):
-        seifert_module._signature_at([[2, 0], [0, 2]], [[0, 1], [-1, 0]], Fraction(2))
+    # u = r/s is printed in lowest terms, as a Fraction prints
+    with pytest.raises(ArithmeticError, match="singular at the sample point u = 0$"):
+        seifert_module._signature_at([[0, 0], [0, 0]], [[0, 1], [-1, 0]], 0, 3)
+    with pytest.raises(ArithmeticError, match="singular at the sample point u = 2$"):
+        seifert_module._signature_at([[2, 0], [0, 2]], [[0, 1], [-1, 0]], 4, 2)
+    with pytest.raises(ArithmeticError, match="singular at the sample point u = -2/3$"):
+        seifert_module._signature_at([[2, 0], [0, 2]], [[0, 3], [-3, 0]], -4, 6)
 
 
 def test_signature_at_matches_the_real_model():
@@ -484,7 +490,7 @@ def test_signature_at_matches_the_real_model():
         us = [Fraction(0), Fraction(1, 3), Fraction(-1, 3)]
         us += [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(5)]
         for u in us:
-            assert seifert_module._signature_at(A, S, u) == reference_signature_at(A, S, u), (v, u)
+            assert seifert_module._signature_at(A, S, u.numerator, u.denominator) == reference_signature_at(A, S, u), (v, u)
 
 
 def test_levine_tristram_matches_cyclotomic_route():
@@ -569,10 +575,43 @@ def test_markers_above_stops_at_the_first_root_not_above(monkeypatch):
 
     monkeypatch.setattr(RootMarker, "compare", counted)
     for i, u in enumerate(samples):
-        x = seifert_module._x_of_u(u)
+        x = x_of_u(Fraction(*u))
         calls.clear()
         assert seifert_module._markers_above(markers, x.numerator, x.numerator, x.denominator) == i
         assert len(calls) == (i + 2 if i < len(markers) else i)
+
+
+# Phi_4 * Phi_3 in balanced form: trace polynomial x * (x + 1), exact
+# circle roots at x = 0 and x = -1
+_PHI_4_PHI_3 = LaurentPoly({2: 1, 1: 1, 0: 2, -1: 1, -2: 1})
+
+
+def test_an_arc_sample_lies_strictly_inside_its_gap():
+    # between the exact roots x = -1 and x = 0, u = 1 is x = 0 itself: the
+    # sample is the first dyadic u with x(u) strictly below 0, u = 3/4
+    markers = seifert_module._circle_markers(trace_polynomial(_PHI_4_PHI_3.associate_normal().coeffs))
+    assert [(m.sign_lo, *marker_ends(m)) for m in markers] == [(0, 0, 0), (0, -1, -1)]
+    assert [seifert_module._arc_sample(markers, i) for i in range(3)] == [(2, 1), (3, 4), (0, 1)]
+    # isolating intervals of 3x^2 - 1 that share the end 0: refined apart
+    # before a sample is sought between them, at u = 1 (x = 0)
+    from concordance.realroots import RootMarker
+
+    shared = [RootMarker([-1, 0, 3], 0, 1, 1, -1), RootMarker([-1, 0, 3], -1, 0, 1, 1)]
+    assert seifert_module._arc_sample(shared, 1) == (1, 1)
+    # samples come in lowest terms
+    for v in (T_2_5, TREFOIL, block_sum(T_2_5, TWIST3)):
+        for r, s in seifert_module._circle_arcs(v.delta)[1]:
+            assert s > 0 and math.gcd(r, s) == 1
+
+
+def test_an_arc_sample_outside_its_arc_is_refused(monkeypatch):
+    # the in-arc check is live: with an integer square root that answers
+    # 0, the first sample tried between x = -1 and x = 0 is u = 1/2, at
+    # x = -6/5, which the check refuses, printing u as a Fraction prints
+    markers = seifert_module._circle_markers(trace_polynomial(_PHI_4_PHI_3.associate_normal().coeffs))
+    monkeypatch.setattr(seifert_module, "math", types.SimpleNamespace(isqrt=lambda n: 0, gcd=math.gcd))
+    with pytest.raises(ArithmeticError, match="^sample u = 1/2 fell outside its arc$"):
+        seifert_module._arc_sample(markers, 1)
 
 
 def test_levine_tristram_at_large_denominator_is_fast():
@@ -635,7 +674,8 @@ def test_integer_placement_matches_the_fraction_route():
             markers = isolate_roots(trace_polynomial(delta.associate_normal().coeffs), Fraction(-2), Fraction(2))[::-1]
             exact += sum(m.sign_lo == 0 for m in markers)
             # each marker's ends, and a dyadic and a non-dyadic point inside
-            points = [x for m in markers for x in (m.lo, m.hi, (m.lo + m.hi) / 2, (2 * m.lo + m.hi) / 3)]
+            ends = map(marker_ends, markers)
+            points = [x for lo, hi in ends for x in (lo, hi, (lo + hi) / 2, (2 * lo + hi) / 3)]
             points += [Fraction(rng.randrange(-2**20, 2**20), 2**rng.randrange(18, 21)) for _ in range(8)]
             points += [Fraction(rng.randrange(-2 * 10**6, 2 * 10**6), rng.randrange(3, 10**6, 2)) for _ in range(8)]
             points.sort()
@@ -650,7 +690,7 @@ def test_integer_placement_matches_the_fraction_route():
                 for p in (2, 3):
                     samples = seifert_module._circle_arcs(v.delta.substitute_power(p))[1]
                     counts = [reference_markers_above(sig._markers, x, x)
-                              for x in (reference_pullback_point(p, u) for u in samples)]
+                              for x in (reference_pullback_point(p, Fraction(*u)) for u in samples)]
                     assert list(sig.pullback(p)._values) == [sig._values[c] for c in counts]
     assert exact
 
@@ -850,17 +890,17 @@ def _direct_arcs(delta, value_at):
     and ``_arc_sample`` called directly, around the cache."""
     markers = seifert_module._circle_markers(trace_polynomial(delta.associate_normal().coeffs))
     samples = [seifert_module._arc_sample(markers, i) for i in range(len(markers) + 1)]
-    return markers, samples, [value_at(u) for u in samples]
+    return markers, samples, [value_at(r, s) for r, s in samples]
 
 
 def _direct_route(v, ps):
     """_direct_arcs of v and of its pullbacks at each p in ps, each arc of
     a pullback placed among v's own markers at v_p(x(u))."""
-    markers, samples, values = _direct_arcs(v.delta, lambda u: seifert_module._signature_at(v._A, v._S, u))
+    markers, samples, values = _direct_arcs(v.delta, lambda r, s: seifert_module._signature_at(v._A, v._S, r, s))
 
     def pulled_back(p):
-        def value_at(u):
-            x = poly_eval(v_polys(p)[p], seifert_module._x_of_u(u))
+        def value_at(r, s):
+            x = poly_eval(v_polys(p)[p], x_of_u(Fraction(r, s)))
             return values[seifert_module._markers_above(markers, x.numerator, x.numerator, x.denominator)]
 
         return _direct_arcs(v.delta.substitute_power(p), value_at)
@@ -940,13 +980,13 @@ def test_a_delta_with_delta_at_one_not_a_unit_is_refused():
     # be a jump of prime denominator; t - 2 + 1/t vanishes at 1
     for delta, at_one in ((LaurentPoly({1: 1, 0: 1, -1: 1}), 3), (LaurentPoly({1: 1, 0: -2, -1: 1}), 0)):
         with pytest.raises(ValueError, match=rf"\|delta\(1\)\| = {at_one}, not 1"):
-            SignatureFunction(delta, lambda u: 0)
+            SignatureFunction(delta, lambda r, s: 0)
 
 
 def test_warm_entries_are_unchanged_by_their_users():
     def fields(entry):
         markers, samples = entry
-        return [(list(m.poly), m.lo, m.hi, m.sign_lo) for m in markers], list(samples)
+        return [(list(m.poly), *marker_ends(m), m.sign_lo) for m in markers], list(samples)
 
     v = scrambled_seifert(random.Random(2030), block_sum(T_2_5, TREFOIL))
     sig = signature_function(v)
