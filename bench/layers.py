@@ -25,12 +25,13 @@ signature function does.  The cyclotomic layer builds Phi_b at b = 210,
 `cyclotomic_coeffs` emptied inside each timed call, so that no Phi_d
 comes from an earlier call.  The library keeps Fox-Milnor pairings,
 factorizations, the circle roots and arc samples of each Alexander
-polynomial, the cosine enclosure of each angle and precision, and the
-cable templates of each n, per process, so every bounded cache is emptied
-before every timed call: `factor` is timed factoring, `levine_tristram`
-and `signature_function` are timed isolating roots (and
-`levine_tristram` enclosing cosines), and the front layers building
-their templates, not looking up.  The two Fox-Milnor layers take each
+polynomial, the cosine enclosure of each angle and precision, the
+cable templates of each n, and each cable and satellite front with its
+invariants, per process, so every bounded cache is emptied before every
+timed call: `factor` is timed factoring, `levine_tristram` and
+`signature_function` are timed isolating roots (and `levine_tristram`
+enclosing cosines), and the front layers building their templates and
+fronts and sweeping them, not looking up.  The two Fox-Milnor layers take each
 knot of the same family, as a profile with delta alone, against its
 (2,1)-cable, up to k = FOX_MILNOR_K_MAX.  The cold one,
 `cabling.fox_milnor_obstruction.cold`, empties the caches before each

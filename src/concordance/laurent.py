@@ -473,13 +473,15 @@ def factor(a: LaurentPoly) -> Factorization:
 
 # The size of each cache of results keyed by input, an LRU.  Their largest
 # working sets, in keys, after one in-process 20 s run of each workload at
-# seeds 1 and 3 (diagram-homology fills none) and after each README form:
-#   cache                        sigma-sweep  cable-obstruct  README form
-#   cabling._pairing_at                    0              87            4
-#   laurent._primitive_factors             0              57            6
-#   intfactor._factors_at                  0              46            6
-#   seifert._circle_arcs                  21              25            2
-#   cyclotomic.cos2pi_bounds              34              16            6
+# seeds 1 and 3 and after each README form:
+#   cache                        sigma-sweep  cable-obstruct  diagram-homology  README form
+#   cabling._pairing_at                    0              87                 0            4
+#   laurent._primitive_factors             0              57                 0            6
+#   intfactor._factors_at                  0              46                 0            6
+#   seifert._circle_arcs                  21              25                 0            2
+#   cyclotomic.cos2pi_bounds              34              16                 0            6
+# diagram-homology fills only legendrian's two caches, each with its own
+# size and reason: _cable_templates (16) 10 keys, _cabled (64) 36 keys.
 # A fox-milnor call within the CLI's degree bound asks at most 74 (q, j) of
 # _factors_at: 2 roots, and j = 2..k_max*g at each factor q of a root.
 CACHE_SIZE = 256

@@ -115,7 +115,9 @@ class FrontDiagram:
     order: seam strand j is segment j, and the i-th left cusp starts
     seam + 2i (upper) and seam + 2i + 1, so no left cusp is recorded.  A
     crossing only swaps two segments on the stack, a bundle move of a
-    cable (see _sweep) two adjacent runs of them.
+    cable (see _sweep) two adjacent runs of them.  What a front keeps is
+    read-only, tuples and no list: `cable_front` and `satellite_front`
+    hand one kept front to every caller that asks for it (see _cabled).
 
     Parameters
     ----------
@@ -126,6 +128,8 @@ class FrontDiagram:
         strand at position 0, or for closed fronts the upper branch of the
         first left cusp
     """
+
+    _invariants = None  # counted by the first invariants() call, then kept on the front
 
     def __init__(self, events, seam_strands=0, orient=EAST, *, _moves=None):
         if not is_int(seam_strands) or seam_strands < 0:
@@ -188,7 +192,7 @@ class FrontDiagram:
                     if len(lower) < b:
                         raise FrontError(f"bundle beyond {len(positions)} strands")
                     positions[pos:pos + a + b] = lower + upper
-                    bundles.append((upper, lower))
+                    bundles.append((tuple(upper), tuple(lower)))
                 else:
                     raise FrontError("unknown event kind")
         except (FrontError, IndexError) as exc:
@@ -196,9 +200,9 @@ class FrontDiagram:
                 exc = f"needs two strands at {pos}, have {len(positions)}"
             raise FrontError(f"event {n} ({kind} {pos}): {exc}") from None
         self._segment_count = next_id
-        self._right_cusps = right_cusps
-        self._crossings = crossings
-        self._bundles = bundles
+        self._right_cusps = tuple(right_cusps)
+        self._crossings = tuple(crossings)
+        self._bundles = tuple(bundles)
         self._right_edge = tuple(positions)
         self.is_closed = len(positions) == self.seam_strands
 
@@ -234,7 +238,7 @@ class FrontDiagram:
             if signs[nxt] != t:
                 # a closed curve's walk comes back with the sign it left
                 raise RuntimeError(f"segments {seg} and {nxt} get opposite orientations")
-        self._signs = signs
+        self._signs = tuple(signs)
         self._components = components
 
     @property
@@ -262,13 +266,16 @@ class FrontDiagram:
         bundle move's U x L crosses once: it adds (sum_U s) * (sum_L s).
 
         Raises NonClosed for a front that does not close up and
-        MultiComponent when it traces more than one curve.
+        MultiComponent when it traces more than one curve, on every call;
+        the invariants are counted at the first call and kept on the front.
         """
         self._require_closed()
         if self._components != 1:
             raise MultiComponent(
                 f"front has {self._components} components, expected 1"
             )
+        if self._invariants is not None:
+            return self._invariants
         s, seam = self._signs, self.seam_strands
         writhe = sum([s[u] * s[l] for u, l in self._crossings]) + sum([
             sum(map(s.__getitem__, U)) * sum(map(s.__getitem__, L)) for U, L in self._bundles])
@@ -281,7 +288,8 @@ class FrontDiagram:
         rot = down_left - up_right
         if self.seam_strands == 0 and (tb + abs(rot)) % 2 != 1:
             raise ArithmeticError(f"tb + |rot| = {tb + abs(rot)} must be odd for a knot front")
-        return LegendrianInvariants(tb, rot, writhe, cusps, down_left, up_right)
+        self._invariants = LegendrianInvariants(tb, rot, writhe, cusps, down_left, up_right)
+        return self._invariants
 
     def __repr__(self):
         closure = "closed" if self.is_closed else "open"
@@ -344,7 +352,9 @@ def _cable_templates(n):
     lowest of the a strands walked down first, and one bundle move when
     a * b > _PLAIN_RUN.  Kept for the last 16 n (an entry grows as n^2; a
     diagram-homology run asks 10), as building them takes about a fifth of
-    a cable's build; callers only read them."""
+    a cable's build; callers only read them.  Since the fronts themselves
+    are kept (_cabled), a template is read only when a front is built: 36
+    times in a diagram-homology run that asks for 480 fronts."""
     left, right = [(LEFT_CUSP, 2 * j) for j in range(n)], [(RIGHT_CUSP, 0)] * n
     templates = {}
     for kind, head, runs, tail in (
@@ -385,10 +395,11 @@ def cable_front(front, n):
     The cable of a closed front is an n-component link diagram; it becomes
     a knot only after a pattern tangle is spliced in (satellite_front).
     The sweep takes each block's runs a bundle at a time (_cable_blocks).
+    Equal arguments get the one front built for them (_cabled).
     """
     if not is_int(n) or n < 1:
         raise ValueError(f"need an integer n >= 1, got {n!r}")
-    return _cabled(*_cable_blocks(front.events, n), front.seam_strands * n, front.orient)
+    return _cabled(front.events, front.seam_strands, front.orient, n, None, 0, 0)
 
 
 def satellite_front(companion, pattern, splice_after=1, base=0):
@@ -400,7 +411,8 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
     pattern rides on (copies of that arc occupy positions base..base+n-1
     at the splice point), so it must be a multiple of n: any other base
     would straddle the copies of two arcs and build another knot.  The
-    sweep validates the choice of arc.
+    sweep validates the choice of arc.  Equal arguments get the one front
+    built for them (_cabled).
     """
     if companion.seam_strands != 0:
         raise FrontError("companion must be a closed front")
@@ -411,17 +423,32 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
         raise FrontError(f"splice_after out of range: {splice_after!r}")
     if not is_int(base) or base < 0 or base % n:
         raise FrontError(f"base must be a nonnegative multiple of {n}, got {base!r}")
-    blocks, moves = _cable_blocks(companion.events, n)
-    spliced = [(kind, pos + base) for kind, pos in pattern.events]
-    blocks.insert(splice_after, spliced)
-    moves.insert(splice_after, spliced)
-    return _cabled(blocks, moves, 0, companion.orient)
+    return _cabled(companion.events, 0, companion.orient, n, pattern.events, splice_after, base)
 
 
-def _cabled(blocks, moves, seam_strands, orient):
-    """The front of the blocks' events, swept by the moves (_cable_blocks)."""
-    events = tuple(chain.from_iterable(blocks))
-    return FrontDiagram(events, seam_strands, orient, _moves=chain.from_iterable(moves))
+@functools.lru_cache(maxsize=64)
+def _cabled(events, seam_strands, orient, n, pattern, splice_after, base):
+    """The n-copy cable of a front's events, seam strands and orient, with
+    the pattern's events (None for a plain cable), shifted down by base,
+    spliced in after the first splice_after blocks; swept by the moves
+    (_cable_blocks).  A cable is a satellite with no pattern, so both
+    routes share this one cache, keyed by value: equal fronts built apart
+    hit it.  cable_front and satellite_front check every argument before
+    the lookup, and a build that raises is not kept, so a bad input
+    raises on every call.  Kept for the last 64 keys: an entry grows as
+    events * n^2 (about 0.3 MB for the 68 events of satellite-P-of-trefoil
+    at n = 14, its invariants read), and a diagram-homology run asks 36
+    keys in shuffled cycles (no command builds a cable: the CLI reads
+    satellites through Ng's formulas).  256 keys of large user fronts
+    could hold tens of MB; with fewer than 36 the workload would miss on
+    most calls, and on every call with 24."""
+    blocks, moves = _cable_blocks(events, n)
+    if pattern is not None:
+        spliced = [(kind, pos + base) for kind, pos in pattern]
+        blocks.insert(splice_after, spliced)
+        moves.insert(splice_after, spliced)
+    return FrontDiagram(tuple(chain.from_iterable(blocks)), seam_strands * n, orient,
+                        _moves=chain.from_iterable(moves))
 
 
 class PatternData(Record):

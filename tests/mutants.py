@@ -75,6 +75,13 @@ S_EQUIVALENCE = "tests/test_seifert.py::test_alexander_is_invariant_under_s_equi
 LEGENDRIAN = "src/concordance/legendrian.py"
 BLOCKWISE = "tests/test_legendrian.py::test_cables_and_satellites_match_the_blockwise_route"
 FRONT_DIGESTS = "tests/test_legendrian.py::test_fronts_match_the_recorded_digests"
+KEPT_FRONTS = "tests/test_legendrian.py::test_kept_fronts_match_a_fresh_build"
+# the kept fronts' cache, redefined by two mutants as a shim that passes
+# one argument around a cache keyed by the others
+CABLED = (
+    "@functools.lru_cache(maxsize=64)\n"
+    "def _cabled(events, seam_strands, orient, n, pattern, splice_after, base):\n"
+)
 KEPT_FORMS = "tests/test_buffer_rule.py::test_readers_leave_the_kept_forms_unchanged_and_answer_twice_alike"
 LAURENT = "src/concordance/laurent.py"
 RECORDS = "tests/test_records.py"
@@ -197,6 +204,39 @@ MUTANTS = (
         "[(_Bundle((a, b)), pos)] if",
         "[(_Bundle((b, a)), pos)] if",
         (BLOCKWISE, FRONT_DIGESTS),
+    ),
+    Mutant(
+        "kept fronts keyed without the base",
+        LEGENDRIAN,
+        CABLED,
+        "def _cabled(events, seam_strands, orient, n, pattern, splice_after, base):\n"
+        "    _cabled.base = base\n"
+        "    return _unbased(events, seam_strands, orient, n, pattern, splice_after)\n"
+        "\n\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def _unbased(events, seam_strands, orient, n, pattern, splice_after):\n"
+        "    base = _cabled.base\n",
+        (KEPT_FRONTS,),
+    ),
+    Mutant(
+        "kept fronts keyed without the companion's orient",
+        LEGENDRIAN,
+        CABLED,
+        "def _cabled(events, seam_strands, orient, n, pattern, splice_after, base):\n"
+        "    _cabled.orient = orient\n"
+        "    return _unoriented(events, seam_strands, n, pattern, splice_after, base)\n"
+        "\n\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def _unoriented(events, seam_strands, n, pattern, splice_after, base):\n"
+        "    orient = _cabled.orient\n",
+        (KEPT_FRONTS,),
+    ),
+    Mutant(
+        "kept invariants stored on the class, not on the front",
+        LEGENDRIAN,
+        "        self._invariants = LegendrianInvariants(",
+        "        type(self)._invariants = LegendrianInvariants(",
+        ("tests/test_legendrian.py::test_each_front_keeps_its_own_invariants", FRONT_DIGESTS),
     ),
     Mutant(
         "an omitted magnitude parsed as 0",

@@ -1,10 +1,12 @@
 """One owner per integer buffer.  A Seifert matrix keeps A = V + V^T and
 S = V - V^T as read-only tuples, and each reader builds from them the
 rows that an elimination kernel overwrites; Phi_b is one tuple per
-process, handed out as is.  Nothing here builds a Seifert matrix at
+process, handed out as is, and so is each kept cable or satellite front,
+which holds no list.  Nothing here builds a Seifert matrix at
 import, so a constructor that breaks the rule fails these tests by name
 rather than their collection."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -12,7 +14,9 @@ import pytest
 from _oracles import families, reference_alexander, reference_signature_at
 
 import concordance.seifert as seifert_module
+from concordance.catalog import load_catalog
 from concordance.cyclotomic import cyclotomic_coeffs
+from concordance.legendrian import FrontDiagram, cable_front, satellite_front
 from concordance.seifert import RootOfUnity, SeifertMatrix, levine_tristram, signature_function
 
 
@@ -53,3 +57,33 @@ def test_cyclotomic_coeffs_hands_out_one_tuple(b):
     phi = cyclotomic_coeffs(b)
     assert type(phi) is tuple
     assert cyclotomic_coeffs(b) is phi
+
+
+def _lists_in(value):
+    """The lists reachable from value through tuples and lists."""
+    if isinstance(value, list):
+        return [value, *(found for item in value for found in _lists_in(item))]
+    if isinstance(value, tuple):
+        return [found for item in value for found in _lists_in(item)]
+    return []
+
+
+def test_a_kept_front_holds_no_list_and_reads_twice_alike():
+    # n = 4: the twist satellite and the cable both hold bundle moves
+    trefoil = load_catalog().front("legendrian-RH-trefoil")
+    twist = FrontDiagram([("X", i) for i in range(3)], seam_strands=4)
+    for build, args in ((satellite_front, (trefoil, twist)), (cable_front, (trefoil, 4))):
+        front = build(*args)
+        assert front._bundles and _lists_in(tuple(vars(front).values())) == []
+
+        def reads():
+            try:
+                invariants = front.invariants()
+            except ValueError as exc:  # MultiComponent, for the cable
+                invariants = str(exc)
+            return front.events, front.component_count, front.winding(), invariants
+
+        first, kept = reads(), copy.deepcopy(vars(front))
+        assert build(*args) is front
+        assert reads() == first
+        assert vars(front) == kept

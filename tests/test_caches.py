@@ -12,16 +12,18 @@ import gc
 from concordance.cabling import cable_profile, fox_milnor_obstruction
 from concordance.catalog import load_catalog
 from concordance.laurent import clear_caches
-from concordance.legendrian import cable_front
+from concordance.legendrian import cable_front, satellite_front
 from concordance.seifert import RootOfUnity, levine_tristram
 
 LRU = type(functools.lru_cache()(lambda: None))
 
 # the caches that bench/layers.py empties before each timed call, as in
-# BENCH_44.json: its figures stay comparable while this set holds
+# BENCH_44.json, and the kept fronts, so that its front layers still time a
+# build: its figures stay comparable while this set holds
 CLEARED = {
     "cabling._pairing_at", "laurent._primitive_factors", "intfactor._factors_at",
     "seifert._circle_arcs", "cyclotomic.cos2pi_bounds", "legendrian._cable_templates",
+    "legendrian._cabled",
 }
 
 
@@ -40,6 +42,7 @@ def test_clear_caches_empties_the_bounded_caches_and_keeps_the_constants():
     fox_milnor_obstruction(trefoil, cable_profile(trefoil, 2), k_max=2)
     levine_tristram(trefoil.seifert, RootOfUnity(1, 3))
     cable_front(catalog.front("satellite-P-of-trefoil"), 2)
+    satellite_front(catalog.front("legendrian-RH-trefoil"), catalog.front("paper-pattern-P")).invariants()
     caches = package_caches()
     assert all(wrapper.cache_info().currsize for wrapper in caches.values())
 

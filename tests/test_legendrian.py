@@ -18,8 +18,9 @@ from _oracles import (
     reference_satellite_events,
 )
 
+import concordance.legendrian as legendrian
 from concordance.cabling import Cited, CitedBounds, KnotProfile
-from concordance.laurent import LaurentPoly
+from concordance.laurent import LaurentPoly, clear_caches
 from concordance.legendrian import (
     FrontDiagram,
     FrontError,
@@ -499,6 +500,109 @@ def test_cables_and_satellites_match_the_blockwise_route():
     assert sum(outcomes.values()) >= 1000
     # both outcomes occur on fronts with bundle moves (n >= 3)
     assert outcomes["invariants", True] and outcomes["FrontError", True] and failed_after
+
+
+def _copy(front, flip=False):
+    """A front built apart from the same events, with the other orient
+    when flip."""
+    orient = {"E": "W", "W": "E"}[front.orient] if flip else front.orient
+    return FrontDiagram(front.events, front.seam_strands, orient)
+
+
+def test_kept_fronts_match_a_fresh_build():
+    """On seeded random patterns of 1..4 strands, satellites of the two
+    trefoil fronts (the tb-0 one and the tb-1 one) in both orients, at
+    every splice point and every base that is a multiple of n (each arc,
+    and the first position past the last), and the cables of those
+    fronts and of the patterns, each asked twice, give the events,
+    closure, components, winding and invariants of a front built afresh
+    from the reference events, or its exception and message.  The loops
+    ask the keys that differ in base, splice point or orient one after
+    another, so a key that drops one of them hands out a wrong front."""
+    clear_caches()
+    rng = random.Random(49)
+    companions = [TREFOIL_FRONT, _copy(TREFOIL_FRONT, True), TREFOIL_MAXTB, _copy(TREFOIL_MAXTB, True)]
+    outcomes = collections.Counter()
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        pattern = FrontDiagram(_random_pattern(rng, n, rng.randint(0, 8)), seam_strands=n)
+        for front in companions + [pattern]:
+            want = _sweep_summary(FrontDiagram, reference_cable_events(front.events, n),
+                                  front.seam_strands * n, front.orient)
+            assert _sweep_summary(cable_front, front, n) == _sweep_summary(cable_front, front, n) == want
+        for companion in companions:
+            for splice, strands in enumerate(_strands_before(companion)):
+                for base in range(0, n * strands + 1, n):
+                    want = _sweep_summary(FrontDiagram, reference_satellite_events(
+                        companion.events, pattern.events, splice, base, n), 0, companion.orient)
+                    for _ in range(2):
+                        got = _sweep_summary(satellite_front, companion, pattern, splice, base)
+                        assert got == want, (n, companion.orient, splice, base)
+                    last = got if isinstance(got, tuple) else got[-1]
+                    outcomes[last[0].__name__ if isinstance(last, tuple) else "invariants"] += 1
+    assert outcomes["invariants"] > 300 and outcomes["FrontError"] > 100
+
+
+def test_equal_patterns_built_apart_hit_the_kept_front():
+    legendrian._cabled.cache_clear()
+    front = satellite_front(TREFOIL_FRONT, _twist(3))
+    again = satellite_front(_copy(TREFOIL_FRONT), _twist(3))
+    assert again is front
+    assert cable_front(_copy(PATTERN_FRONT), 2) is cable_front(PATTERN_FRONT, 2)
+    assert legendrian._cabled.cache_info()[:2] == (2, 2)  # hits, misses
+
+
+def test_another_orient_base_or_splice_point_misses():
+    legendrian._cabled.cache_clear()
+    asks = [
+        (TREFOIL_FRONT, PATTERN_FRONT, 1, 0),
+        (_copy(TREFOIL_FRONT, True), PATTERN_FRONT, 1, 0),
+        (TREFOIL_FRONT, PATTERN_FRONT, 1, 3),
+        (TREFOIL_FRONT, PATTERN_FRONT, 2, 0),
+    ]
+    fronts = [satellite_front(*ask) for ask in asks]
+    assert legendrian._cabled.cache_info()[:2] == (0, 4)
+    # the other orient keeps the events and negates rot; another base or
+    # splice point moves the pattern
+    assert fronts[1].events == fronts[0].events
+    assert fronts[1].invariants().rot == -fronts[0].invariants().rot == -1
+    assert len({front.events for front in fronts}) == 3
+    assert [satellite_front(*ask) for ask in asks] == fronts
+    assert legendrian._cabled.cache_info()[:2] == (4, 4)
+
+
+def test_a_bad_argument_raises_on_every_call_and_is_not_looked_up():
+    legendrian._cabled.cache_clear()
+    for _ in range(2):
+        with pytest.raises(FrontError, match="base must be a nonnegative multiple of 3"):
+            satellite_front(TREFOIL_FRONT, PATTERN_FRONT, base=1)
+        with pytest.raises(ValueError, match="need an integer n >= 1"):
+            cable_front(TREFOIL_FRONT, 0)
+    assert legendrian._cabled.cache_info()[:3] == (0, 0, 64)  # hits, misses, maxsize
+    # a build that raises in the sweep is not kept: the pattern ends on
+    # two strands fewer, so a companion block after it fails each time
+    short = FrontDiagram([("L", 1), ("R", 0), ("R", 0)], seam_strands=3)
+    for _ in range(2):
+        with pytest.raises(FrontError, match="event"):
+            satellite_front(TREFOIL_FRONT, short)
+    assert legendrian._cabled.cache_info().currsize == 0
+
+
+def test_a_kept_cable_raises_multi_component_on_every_read():
+    cable = cable_front(TREFOIL_FRONT, 2)
+    for _ in range(3):
+        assert cable_front(TREFOIL_FRONT, 2) is cable
+        with pytest.raises(MultiComponent, match="front has 2 components, expected 1"):
+            cable.invariants()
+
+
+def test_each_front_keeps_its_own_invariants():
+    # fresh fronts, read one after the other: no front hands out another's
+    first, second = _copy(TREFOIL_FRONT), _copy(TREFOIL_MAXTB)
+    for _ in range(2):
+        assert _invariant_fields(first.invariants()) == (0, 1, 3, 6, 2, 1)
+        assert _invariant_fields(second.invariants()) == (1, 0, 3, 4, 1, 1)
+    assert first.invariants() is first.invariants()
 
 
 class TestFrontAlexander:
