@@ -7,7 +7,11 @@ read off an exact Smith normal form, so named classes can be followed
 into the canonical decomposition Z^rank + Z/d_1 + ... + Z/d_k
 (d_1 | d_2 | ...).  One elimination serves both public routes: it runs
 on the rows [M | B] and on V kept as a list of its columns, and every
-choice it makes reads only M's columns.  `smith_normal_form` puts I_m in
+choice it makes reads only M's columns.  It diagonalizes first; then a
+chain pass replaces each pair d_i, d_j (i < j) where d_i does not
+divide d_j by their gcd and lcm, through one column addition, one 2 x 2
+Bezout step on rows i and j and one column subtraction, which keep M's
+block diagonal.  `smith_normal_form` puts I_m in
 B and I_n in V to build U and V; `first_homology` puts the class vectors
 in B and leaves V's columns empty, so B ends as their images U*v without
 U or V ever being formed.  The pivot search keeps each row's smallest
@@ -68,6 +72,22 @@ def _eliminate(M, B, V):
     choice reads only W's first n columns: whatever B and V hold, the
     operations, and with them U and D, are those of `smith_normal_form`.
 
+    The elimination only diagonalizes; the sign fix then makes the
+    diagonal nonnegative, and the chain pass makes its nonzero entries,
+    which come first since the elimination stops at a zero block, a
+    divisibility chain.  For each pair i < j of them, in order, where
+    d_i does not divide d_j, with g = gcd(d_i, d_j) and s * d_i + u * d_j
+    = g, it adds V's column j to column i, takes rows i and j of W's
+    right block to [[s, u], [-d_j/g, d_i/g]] times them, and subtracts
+    u * d_j/g times V's column i from column j.  On M's block these steps
+    take diag(d_i, d_j) to [[d_i, 0], [d_j, d_j]], then [[g, u * d_j],
+    [0, d_i * d_j/g]], then diag(g, d_i * d_j/g), and touch no other
+    row or column: so M's block stays diagonal, and only the two entries
+    are written.  After the pairs of i, d_i divides every later entry,
+    and the later pairs keep that, since gcds and lcms of multiples of
+    d_i are multiples of it.  A diagonal of units, and one that is
+    already a chain, runs no step.
+
     Rows t and below are zero left of column t, so `row_i -= q * row_t`
     is done in place on the columns where row t is nonzero (its
     support): W's rows are lists built here.  Three facts spare more
@@ -76,8 +96,7 @@ def _eliminate(M, B, V):
     - a step's column operations change only row t and V (in V, only
       where column t is nonzero): after the row loop, column t is zero
       but at row t, since the rows below were just cleared and a
-      finished pivot row is zero off its diagonal, and the repair
-      `row_t += row_bad` adds a row that is 0 in column t;
+      finished pivot row is zero off its diagonal;
     - column swaps permute columns t and right: they change rows t and
       below, and swap two of V's columns whole;
     - after each step, the rows below row t are zero in column t.
@@ -93,11 +112,9 @@ def _eliminate(M, B, V):
     lazily, row by row: a later row wins only with a strictly smaller
     minimum, a minimum of 1 ends the scan, and the column is the first
     in the row that holds the minimum, so the pivot is the row-major
-    minimum of (|entry|, i, j).  A pivot of +-1 divides everything, so
-    the divisibility scan is skipped; else p divides a row's entries
-    exactly when it divides their gcd, so one `math.gcd` per row finds
-    the same first bad row.  M is not checked here; its callers check it
-    (`smith_normal_form`, or `SurgeryPresentation` when it is built).
+    minimum of (|entry|, i, j).  M is not checked here; its callers
+    check it (`smith_normal_form`, or `SurgeryPresentation` when it is
+    built).
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -158,19 +175,33 @@ def _eliminate(M, B, V):
                         column[k] -= q * x
                     if top[j]:
                         left.append(j)
-            if left:
-                col_swap(t, min(left, key=lambda j: (abs(top[j]), j)))
-                continue
-            if abs(p) == 1:
+            if not left:
                 break
-            # pivot must divide the rest of the submatrix for the chain
-            bad = next((i for i in range(t + 1, m) if math.gcd(*W[i][t + 1:n]) % p), None)
-            if bad is None:
-                break
-            W[t] = [a + b for a, b in zip(top, W[bad])]
-    for i in range(min(m, n)):
-        if W[i][i] < 0:
+            col_swap(t, min(left, key=lambda j: (abs(top[j]), j)))
+    diag = [row[i] for i, row in enumerate(W[:n])]
+    for i, d in enumerate(diag):
+        if d < 0:
             W[i] = [-x for x in W[i]]
+            diag[i] = -d
+    # the chain pass: (d_i, d_j) -> (g, d_i * d_j / g) where d_i does not divide d_j
+    rank = len(diag) - diag.count(0)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                s = pow(a, -1, b)
+                u = (1 - s * a) // b
+                # now a = d_i/g and b = d_j/g, with s * a + u * b = 1
+                V[i] = [x + y for x, y in zip(V[i], V[j])]
+                c = u * b
+                V[j] = [y - c * x for x, y in zip(V[i], V[j])]
+                x_i, x_j = W[i][n:], W[j][n:]
+                W[i][n:] = [s * x + u * y for x, y in zip(x_i, x_j)]
+                W[j][n:] = [a * y - b * x for x, y in zip(x_i, x_j)]
+                diag[i] = W[i][i] = g
+                diag[j] = W[j][j] = a * b * g
     return W
 
 

@@ -45,6 +45,9 @@ def load_perfbench(name):
 
 
 families = load_perfbench("families")
+# perfbench/oracles.py imports its sibling by the plain name that perfbench/run.py's path gives it
+sys.modules.setdefault("families", families)
+perfbench_oracles = load_perfbench("oracles")
 
 
 class ReferenceLaurentPoly:
@@ -308,11 +311,11 @@ def _reference_find_pivot(W, t, m, n):
 def reference_smith_normal_form(M):
     """Diagonalize an integer matrix: U * M * V = D.
 
-    The library's elimination as it stood before the search stopped at a
-    unit and column operations skipped the rows where column t is zero:
-    every elementary operation on every row of W, a full pivot scan and a
-    divisibility scan after every pivot.  The library must give the same
-    U, D and V byte for byte.
+    The library's elimination written plainly: every elementary operation
+    on every row of W and a full pivot scan at every step, then a sign fix
+    and the chain pass, which also works on whole rows and columns, so the
+    D block it leaves is computed, not assumed diagonal.  The library must
+    give the same U, D and V byte for byte.
 
     U and V are unimodular; D is diagonal, nonnegative, and its nonzero
     entries form a divisibility chain d_1 | d_2 | ... followed by zeros.
@@ -371,21 +374,30 @@ def reference_smith_normal_form(M):
                 if W[t][j]:
                     col_sub(j, t, W[t][j] // W[t][t])
             left = [j for j in range(t + 1, n) if W[t][j]]
-            if left:
-                col_swap(t, min(left, key=lambda j: (abs(W[t][j]), j)))
-                continue
-            # pivot must divide the rest of the submatrix for the chain
-            bad = next(
-                (i for i in range(t + 1, m)
-                 if any(W[i][j] % W[t][t] for j in range(t + 1, n))),
-                None,
-            )
-            if bad is None:
+            if not left:
                 break
-            row_sub(t, bad, -1)
+            col_swap(t, min(left, key=lambda j: (abs(W[t][j]), j)))
     for i in range(min(m, n)):
         if W[i][i] < 0:
             W[i] = [-x for x in W[i]]
+    # the chain pass, on every row of W: for each pair i < j of nonzero
+    # diagonal entries a, b with a not dividing b, three operations turn
+    # them into gcd(a, b) and a * b / gcd(a, b)
+    rank = sum(1 for i in range(min(m, n)) if W[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = W[i][i], W[j][j]
+            if b % a == 0:
+                continue
+            g = math.gcd(a, b)
+            s = pow(a // g, -1, b // g)
+            u = (g - s * a) // b
+            col_sub(i, j, -1)
+            W[i], W[j] = (
+                [s * x + u * y for x, y in zip(W[i], W[j])],
+                [(a // g) * y - (b // g) * x for x, y in zip(W[i], W[j])],
+            )
+            col_sub(j, i, u * b // g)
     return [row[n:] for row in W[:m]], [row[:n] for row in W[:m]], W[m:]
 
 

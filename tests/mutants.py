@@ -69,6 +69,8 @@ SURGERY = "src/concordance/surgery.py"
 SEIFERT = "src/concordance/seifert.py"
 REFERENCE = "tests/test_surgery.py::test_transforms_match_the_reference_elimination"
 DIGESTS = "tests/test_surgery.py::test_transforms_match_the_recorded_digests"
+CHAIN_PASS = "tests/test_surgery.py::TestSmithNormalForm::test_pivot_rule_pins_the_transforms[chain-pass]"
+CONTRACT = "tests/test_surgery.py::test_seeded_presentations_meet_the_contract"
 INT_DET = "tests/test_seifert.py::test_int_det_matches_sympy"
 ALEXANDER = "tests/test_seifert.py::test_alexander_matches_the_reference_interpolation"
 S_EQUIVALENCE = "tests/test_seifert.py::test_alexander_is_invariant_under_s_equivalence"
@@ -150,25 +152,34 @@ MUTANTS = (
         (REFERENCE, DIGESTS),
     ),
     Mutant(
-        "no divisibility scan after a non-unit pivot",
+        "chain pass skipped",
         SURGERY,
-        "            if abs(p) == 1:\n",
-        "            if True:\n",
-        (REFERENCE, DIGESTS, "tests/test_surgery.py::TestSmithNormalForm::test_coprime_diagonal_merges"),
+        "    rank = len(diag) - diag.count(0)\n",
+        "    rank = 0\n",
+        (REFERENCE, DIGESTS, "tests/test_surgery.py::TestSmithNormalForm::test_coprime_diagonal_merges", CONTRACT),
     ),
     Mutant(
-        "sign-blind divisibility test, blind to bad rows under a negative pivot",
+        "chain pass: V's column update dropped",
         SURGERY,
-        "math.gcd(*W[i][t + 1:n]) % p)",
-        "math.gcd(*W[i][t + 1:n]) % p > 0)",
-        (REFERENCE,),
+        "                V[j] = [y - c * x for x, y in zip(V[i], V[j])]\n",
+        "",
+        (REFERENCE, DIGESTS, CHAIN_PASS, CONTRACT),
     ),
     Mutant(
-        "divisibility scan from column t + 2",
+        "chain pass: the two Bezout rows exchanged",
         SURGERY,
-        "math.gcd(*W[i][t + 1:n]) % p)",
-        "math.gcd(*W[i][t + 2:n]) % p)",
-        (REFERENCE, DIGESTS),
+        "                W[i][n:] = [s * x + u * y for x, y in zip(x_i, x_j)]\n"
+        "                W[j][n:] = [a * y - b * x for x, y in zip(x_i, x_j)]\n",
+        "                W[j][n:] = [s * x + u * y for x, y in zip(x_i, x_j)]\n"
+        "                W[i][n:] = [a * y - b * x for x, y in zip(x_i, x_j)]\n",
+        (REFERENCE, DIGESTS, CHAIN_PASS, CONTRACT),
+    ),
+    Mutant(
+        "chain pass over adjacent entries only",
+        SURGERY,
+        "        for j in range(i + 1, rank):\n",
+        "        for j in range(i + 1, min(i + 2, rank)):\n",
+        (REFERENCE, DIGESTS, CONTRACT),
     ),
     Mutant(
         "Bareiss row swap without the sign flip",

@@ -8,6 +8,7 @@ intended change to them regenerates the file:
 """
 
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -18,6 +19,7 @@ import sympy
 from _oracles import (
     assert_valid_snf,
     families,
+    perfbench_oracles,
     reference_first_homology,
     reference_smith_normal_form,
 )
@@ -76,12 +78,14 @@ class TestSmithNormalForm:
                 [[1, 0, 0], [0, 1, 0], [0, 0, 76]],
                 [[0, 0, 1], [0, 1, -7], [1, -3, 17]],
             ),
-            # equal minima at (0, 2) and (1, 0): the row-major one wins
+            # equal minima at (0, 2) and (1, 0): the row-major one wins; the
+            # elimination leaves diag(2, 1), and the chain pass (a, b) = (2, 1),
+            # g = 1, s = 0, u = 1 turns it into diag(1, 2)
             (
                 [[6, 4, 2], [2, 9, 8]],
-                [[-3, 1], [-25, 8]],
+                [[4, -1], [7, -2]],
                 [[1, 0, 0], [0, 2, 0]],
-                [[0, -2, 7], [1, 6, -22], [2, -7, 23]],
+                [[1, 0, -7], [-3, 0, 22], [4, -1, -23]],
             ),
             # equal minima at (0, 1), (0, 2) and (1, 0): the first column of row 0
             (
@@ -90,10 +94,13 @@ class TestSmithNormalForm:
                 [[1, 0, 0], [0, 1, 0]],
                 [[0, -1, 4], [1, -4, 17], [0, 8, -31]],
             ),
-            # 2 does not divide 3: the repair step adds row 1 to row 0
-            ([[2, 0], [0, 3]], [[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+            # 2 does not divide 3: the chain pass, with s = 2 and u = -1 from
+            # 2 * 2 - 1 * 3 = 1, adds column 1 to column 0, takes rows 0 and 1
+            # to [[2, -1], [-3, 2]] times them, and adds 3 times column 0 to
+            # column 1
+            ([[2, 0], [0, 3]], [[2, -1], [-3, 2]], [[1, 0], [0, 6]], [[1, 3], [1, 4]]),
         ],
-        ids=["later-unit", "tie-across-rows", "tie-in-a-row", "repair"],
+        ids=["later-unit", "tie-across-rows", "tie-in-a-row", "chain-pass"],
     )
     def test_pivot_rule_pins_the_transforms(self, M, U, D, V):
         assert smith_normal_form(M) == (U, D, V)
@@ -162,8 +169,7 @@ def scrambled_blocks(rng):
     """Q * D * Q^T for a unimodular Q and a diagonal D of even entries of
     both signs that form no divisibility chain, at sizes 6 to 36: no
     entry is a unit, so every pivot is a non-unit, many of them negative,
-    the gcd scan finds rows that the pivot does not divide and the repair
-    runs."""
+    and the chain pass has pairs to merge."""
     for size in (6, 12, 24, 36):
         Q = families.unimodular(rng, size, size)
         D = [[0] * size for _ in range(size)]
@@ -190,9 +196,9 @@ def lone_minimum_cases(rng):
 def reference_cases():
     """Seeded matrices for the comparison with the reference elimination:
     every m x n shape with m, n <= 9, n = 0 and the empty matrix; pools
-    with units, without units (so pivots above 1 and the divisibility
-    repair run) and with few values (so minima tie across rows and
-    columns); presentations of size 24 to 48; 100-bit entries; sparse
+    with units, without units (so pivots above 1 and the chain pass run)
+    and with few values (so minima tie across rows and columns);
+    presentations of size 24 to 48; 100-bit entries; sparse
     rectangular matrices (`sparse_cases`); scrambled blocks with negative
     non-unit pivots (`scrambled_blocks`); rows whose kept minimum decides
     a late pivot (`lone_minimum_cases`)."""
@@ -226,17 +232,77 @@ def test_transforms_match_the_reference_elimination():
 def test_int_subclass_entries_give_the_plain_results():
     # the elimination updates a row only on the pivot row's support, so an
     # entry it never touches keeps its type: the results must still be the
-    # plain-int ones
+    # library's own plain-int ones
     rng = random.Random(20261022)
     for M in [*sparse_cases(rng), *scrambled_blocks(rng)]:
-        assert smith_normal_form([[Int(x) for x in row] for row in M]) == reference_smith_normal_form(M)
+        assert smith_normal_form([[Int(x) for x in row] for row in M]) == smith_normal_form(M)
     symmetric = [(M, {"a": M[0], "b": M[-1]}) for M in scrambled_blocks(rng)]
     symmetric += [(p.matrix, p.classes) for p in (families.random_presentation(rng, s) for s in (12, 48))]
     for M, classes in symmetric:
         wrapped = SurgeryPresentation(
             [[Int(x) for x in row] for row in M], {k: [Int(x) for x in v] for k, v in classes.items()}
         )
-        assert first_homology(wrapped) == reference_first_homology(SurgeryPresentation(M, classes))
+        assert first_homology(wrapped) == first_homology(SurgeryPresentation(M, classes))
+
+
+def test_seeded_presentations_meet_the_contract():
+    # U * M * V = D with unimodular U and V, a divisibility chain, and the
+    # diagonal that the block structure predicts, checked by perfbench's
+    # oracle, which does not import the library, on two presentations of
+    # each size 3, 6, ..., 48; and the contract alone, checked with sympy,
+    # on blocks where every pivot is a non-unit
+    rng = random.Random(20261023)
+    for size in range(3, 49, 3):
+        for _ in range(2):
+            P = families.random_presentation(rng, size)
+            U, D, V = smith_normal_form(P.matrix)
+            assert perfbench_oracles.check_snf(P.matrix, U, D, V, perfbench_oracles.expected_snf(P)), size
+            nonzero = [d for d in (row[i] for i, row in enumerate(D)) if d]
+            assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    for M in scrambled_blocks(rng):
+        assert_valid_snf(M, *smith_normal_form(M))
+
+
+def test_meridian_verdicts_match_the_construction():
+    # 1,000 seeded presentations of sizes 3 to 48, one block's meridians
+    # asked at its own p, or in one query of three at another p: the check
+    # passes exactly at the right p, on the group that the blocks predict,
+    # and otherwise names that group and a residual
+    rng = random.Random(20261024)
+    for k in range(1000):
+        P = families.random_presentation(rng, rng.randint(3, 48))
+        i = rng.randrange(len(P.cob_ps))
+        p = P.cob_ps[i]
+        q = rng.choice([x for x in range(1, 9) if x != p]) if k % 3 == 2 else p
+        chain = tuple(d for d in perfbench_oracles.expected_snf(P) if d >= 2)
+        rank = len(P.cob_ps)
+        group = " + ".join([f"Z/{d}" for d in chain] + ["Z"] * rank)
+        outcome = _meridian_outcome(SurgeryPresentation(P.matrix, P.classes), f"mu_K_{i}", f"mu_Ptilde_{i}", q)
+        if q == p:
+            assert isinstance(outcome, MeridianCheck), (k, outcome)
+            assert (outcome.homology.rank, outcome.homology.torsion) == (rank, chain)
+            assert outcome.homology.describe() == group
+        else:
+            message, residual = outcome
+            assert message.startswith(f"mu_K_{i} != {q} * mu_Ptilde_{i} in {group}: residual"), (k, message)
+            assert any(residual)
+
+
+# ceilings on the largest |entry| of U and of V, in bits, over 20
+# `random_presentation`s of each size drawn from one random.Random(1): the
+# measured figures, since no stated function of the input bounds them yet
+TRANSFORM_BITS = {12: (17, 18), 24: (33, 51), 36: (62, 51), 48: (80, 83)}
+
+
+def test_transform_entries_stay_within_the_measured_growth():
+    rng = random.Random(1)
+    for size, (u_bits, v_bits) in TRANSFORM_BITS.items():
+        largest_u = largest_v = 0
+        for _ in range(20):
+            U, _, V = smith_normal_form(families.random_presentation(rng, size).matrix)
+            largest_u = max(largest_u, *map(abs, itertools.chain.from_iterable(U)))
+            largest_v = max(largest_v, *map(abs, itertools.chain.from_iterable(V)))
+        assert largest_u.bit_length() <= u_bits and largest_v.bit_length() <= v_bits, size
 
 
 def homology_oracle_cases():
