@@ -480,8 +480,8 @@ def factor(a: LaurentPoly) -> Factorization:
 #   intfactor._factors_at                  0              46                 0            6
 #   seifert._circle_arcs                  21              25                 0            2
 #   cyclotomic.cos2pi_bounds              34              16                 0            6
-# diagram-homology fills only legendrian's two caches, each with its own
-# size and reason: _cable_templates (16) 10 keys, _cabled (64) 36 keys.
+# diagram-homology fills only legendrian's _cabled, with its own size and
+# reason: 36 keys of 64.
 # A fox-milnor call within the CLI's degree bound asks at most 74 (q, j) of
 # _factors_at: 2 roots, and j = 2..k_max*g at each factor q of a root.
 CACHE_SIZE = 256

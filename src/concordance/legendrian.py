@@ -341,20 +341,15 @@ def _parse_int(value, lineno):
         raise FrontError(f"line {lineno}: expected an integer, got {value!r}") from None
 
 
-@functools.lru_cache(maxsize=16)
 def _cable_templates(n):
     """Each kind's block at position 0 of the n-copy cable, as kind ->
-    (events, moves), the same tuple twice when no move is a bundle.  The
-    left cusps give [u0 l0 u1 l1 ...]; in run i = 1 .. n - 1, l0 .. l_{i-1}
-    cross u_i, (i, i, 1) as (pos, a, b), leaving [u0 .. u_{n-1} l0 .. l_{n-1}];
-    a right cusp undoes that by runs (i, 1, i), i = n - 1 .. 1, and a
-    crossing is the one run (0, n, n).  A run is its a * b crossings, the
-    lowest of the a strands walked down first, and one bundle move when
-    a * b > _PLAIN_RUN.  Kept for the last 16 n (an entry grows as n^2; a
-    diagram-homology run asks 10), as building them takes about a fifth of
-    a cable's build; callers only read them.  Since the fronts themselves
-    are kept (_cabled), a template is read only when a front is built: 36
-    times in a diagram-homology run that asks for 480 fronts."""
+    (events, moves).  The left cusps give [u0 l0 u1 l1 ...]; in run
+    i = 1 .. n - 1, l0 .. l_{i-1} cross u_i, (i, i, 1) as (pos, a, b),
+    leaving [u0 .. u_{n-1} l0 .. l_{n-1}]; a right cusp undoes that by
+    runs (i, 1, i), i = n - 1 .. 1, and a crossing is the one run
+    (0, n, n).  A run is its a * b crossings, the lowest of the a strands
+    walked down first, and one bundle move when a * b > _PLAIN_RUN.
+    Built once per front that _cabled builds."""
     left, right = [(LEFT_CUSP, 2 * j) for j in range(n)], [(RIGHT_CUSP, 0)] * n
     templates = {}
     for kind, head, runs, tail in (
@@ -367,23 +362,20 @@ def _cable_templates(n):
             run = [(CROSSING, pos + k + j) for k in reversed(range(a)) for j in range(b)]
             events += run
             moves += [(_Bundle((a, b)), pos)] if a * b > _PLAIN_RUN else run
-        events, moves = tuple(events + tail), tuple(moves + tail)
-        templates[kind] = events, events if moves == events else moves
+        templates[kind] = tuple(events + tail), tuple(moves + tail)
     return templates
 
 
 def _cable_blocks(events, n):
     """The lists of the events' blocks in the n-copy cable and of their
     moves.  An event's blocks are its kind's templates shifted by n * pos,
-    built once per distinct event; its move block is its event block
-    when the template has no bundle."""
+    built once per distinct event."""
     templates, made, blocks, moves = _cable_templates(n), {}, [], []
     for event in events:
         pair = made.get(event)
         if pair is None:
             shift, (plain, runs) = n * event[1], templates[event[0]]
-            block = [(k, q + shift) for k, q in plain]
-            pair = made[event] = block, block if runs is plain else [(k, q + shift) for k, q in runs]
+            pair = made[event] = [(k, q + shift) for k, q in plain], [(k, q + shift) for k, q in runs]
         blocks.append(pair[0])
         moves.append(pair[1])
     return blocks, moves
@@ -411,8 +403,11 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
     pattern rides on (copies of that arc occupy positions base..base+n-1
     at the splice point), so it must be a multiple of n: any other base
     would straddle the copies of two arcs and build another knot.  The
-    sweep validates the choice of arc.  Equal arguments get the one front
-    built for them (_cabled).
+    sweep validates the choice of arc.  The result's orient is the
+    companion's, flipped when the pattern's is W: a W pattern reverses
+    the satellite of the E one, so that tb and rot are those of Ng's
+    formula (satellite_invariants) for either orient.  Equal arguments
+    get the one front built for them (_cabled).
     """
     if companion.seam_strands != 0:
         raise FrontError("companion must be a closed front")
@@ -423,7 +418,8 @@ def satellite_front(companion, pattern, splice_after=1, base=0):
         raise FrontError(f"splice_after out of range: {splice_after!r}")
     if not is_int(base) or base < 0 or base % n:
         raise FrontError(f"base must be a nonnegative multiple of {n}, got {base!r}")
-    return _cabled(companion.events, 0, companion.orient, n, pattern.events, splice_after, base)
+    orient = EAST if (companion.orient == EAST) == (pattern.orient == EAST) else WEST
+    return _cabled(companion.events, 0, orient, n, pattern.events, splice_after, base)
 
 
 @functools.lru_cache(maxsize=64)

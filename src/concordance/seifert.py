@@ -116,10 +116,6 @@ class SeifertMatrix:
         with the det(V - V^T) check when the matrix is built."""
         return self._delta
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
     def __repr__(self):
         label = f", name={self.name!r}" if self.name else ""
         return f"SeifertMatrix({[list(r) for r in self.entries]}{label})"
@@ -154,7 +150,7 @@ def _int_det(rows: list[list[int]]) -> int:
 
 def block_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:
     """Block-diagonal sum; the Seifert matrix of a connected sum."""
-    n1, n2 = v1.size, v2.size
+    n1, n2 = len(v1.entries), len(v2.entries)
     rows = [list(r) + [0] * n2 for r in v1.entries]
     rows += [[0] * n1 + list(r) for r in v2.entries]
     return SeifertMatrix(rows)
@@ -162,8 +158,7 @@ def block_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
     """Seifert matrix of the mirror image: -V^T."""
-    n = v.size
-    return SeifertMatrix([[-v.entries[j][i] for j in range(n)] for i in range(n)])
+    return SeifertMatrix([[-x for x in col] for col in zip(*v.entries)])
 
 
 class RootOfUnity(Record):
@@ -503,11 +498,6 @@ class SignatureFunction:
         self._delta = delta
         self._markers = markers
         self._values = values
-
-    def is_jump(self, q) -> bool:
-        """Is exp(2*pi*i*q) a root of the Alexander polynomial?  Never
-        at q = 0, as |delta(1)| = 1."""
-        return _cyclotomic_divides(self._delta, _angle(q)[1])
 
     def evaluate(self, q) -> int:
         """Value at omega = exp(2*pi*i*q) for exact rational q.

@@ -264,14 +264,11 @@ class SurgeryPresentation:
         self.classes = types.MappingProxyType(checked)
         self.name = name
 
-    @property
-    def size(self):
-        return len(self.matrix)
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
+        n = len(self.matrix)
         return (
-            f"SurgeryPresentation({self.size}x{self.size}{label}, "
+            f"SurgeryPresentation({n}x{n}{label}, "
             f"classes={sorted(self.classes)})"
         )
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from concordance import seifert
 from concordance.cyclotomic import CycloInt, hermitian_signature, v_polys
 from concordance.laurent import Factorization, LaurentPoly, clear_caches, doteq, fox_milnor_pairing, is_int  # noqa: F401
 from concordance.legendrian import (
@@ -612,7 +613,7 @@ def cyclotomic_levine_tristram(v, a, b):
     """Signature of (1 - omega)V + (1 - conj(omega))V^T at omega =
     zeta_b^a, as a Hermitian form over Z[zeta_b]: a route that shares no
     code with the rational signature engine."""
-    n = v.size
+    n = len(v.entries)
     if n == 0:
         return 0
     one_minus = CycloInt(b, {0: 1, a: -1})
@@ -630,7 +631,7 @@ def sympy_alexander(v):
     (-1)^n times the constant term of sympy's division-free Berkowitz
     characteristic polynomial over Z[t]: a route that shares no code with
     the Bareiss determinant and the interpolation."""
-    n = v.size
+    n = len(v.entries)
     if n == 0:
         return LaurentPoly.one()
     t = sympy.Symbol("t")
@@ -725,7 +726,7 @@ def scrambled_seifert(r, v):
     """P V P^T for a random unimodular P from the benchmark's generator:
     the same Seifert form in another basis, so Alexander polynomial and
     signatures are unchanged."""
-    p = families.unimodular(r, v.size, 3 * v.size)
+    p = families.unimodular(r, len(v.entries), 3 * len(v.entries))
     return SeifertMatrix(families.matmul(families.matmul(p, v.entries), families.transpose(p)))
 
 
@@ -733,12 +734,19 @@ def _primes_upto(n):
     return [b for b in range(2, n + 1) if all(b % d for d in range(2, b))]
 
 
+def is_jump(sig, q):
+    """Is exp(2*pi*i*q) a root of the Alexander polynomial of the step
+    function sig?  Never at q = 0, as |delta(1)| = 1.  q is an exact
+    angle, as ``SignatureFunction.evaluate`` takes it."""
+    return seifert._cyclotomic_divides(sig._delta, seifert._angle(q)[1])
+
+
 def scan_cable_witness(sig, p, denominator_bound):
     """The angle scan that preceded the arc merge: the first a/b, b prime
     up to the bound, in increasing b then a, with sigma(a/b) = 0 and
     sigma(p*a/b) != 0, as (omega, sigma(omega^p)), or None."""
     for b in _primes_upto(denominator_bound):
-        if p % b == 0 or sig.is_jump(Fraction(1, b)):
+        if p % b == 0 or is_jump(sig, Fraction(1, b)):
             continue
         for a in range(1, b):
             q = Fraction(a, b)
@@ -754,7 +762,7 @@ def scan_signature_mismatch(sig0, sig1, denominator_bound):
     up to the bound, where two signature functions differ, as
     (omega, sigma_0, sigma_1), or None."""
     for b in _primes_upto(denominator_bound):
-        if sig0.is_jump(Fraction(1, b)) or sig1.is_jump(Fraction(1, b)):
+        if is_jump(sig0, Fraction(1, b)) or is_jump(sig1, Fraction(1, b)):
             continue
         for a in range(1, b):
             q = Fraction(a, b)
@@ -769,7 +777,7 @@ def reference_alexander(v):
     t = 0, 1, ..., n (by sympy's integer determinant, not the library's
     Bareiss), then Newton forward differences (the j-th difference at 0
     over j!) and Horner in the falling-factorial basis, balanced."""
-    e, n = v.entries, v.size
+    e, n = v.entries, len(v.entries)
     diffs = [
         int(DomainMatrix.from_list([[e[i][j] - k * e[j][i] for j in range(n)] for i in range(n)], sympy.ZZ).det())
         if n else 1

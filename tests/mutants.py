@@ -243,6 +243,13 @@ MUTANTS = (
         (KEPT_FRONTS,),
     ),
     Mutant(
+        "a W pattern's satellite swept with the companion's orient",
+        LEGENDRIAN,
+        "    orient = EAST if (companion.orient == EAST) == (pattern.orient == EAST) else WEST\n",
+        "    orient = companion.orient\n",
+        ("tests/test_legendrian.py::test_satellites_of_either_pattern_orient_follow_ngs_formula",),
+    ),
+    Mutant(
         "kept invariants stored on the class, not on the front",
         LEGENDRIAN,
         "        self._invariants = LegendrianInvariants(",
@@ -600,11 +607,11 @@ MUTANTS = (
         ("tests/test_lazy_modules.py::test_clearing_the_caches_runs_neither",),
     ),
     Mutant(
-        "a method that only tests call, named like a record field",
-        SEIFERT,
-        "    @property\n    def size(self) -> int:\n",
-        "    @property\n    def genus(self) -> int:\n        return len(self.entries) // 2\n\n"
-        "    @property\n    def size(self) -> int:\n",
+        "a method that only tests call, named like an attribute that reached code reads",
+        SURGERY,
+        "    def __repr__(self):\n        label = f\" {self.name!r}\" if self.name else \"\"\n        n = len(self.matrix)\n",
+        "    def items(self):\n        return self.classes.items()\n\n"
+        "    def __repr__(self):\n        label = f\" {self.name!r}\" if self.name else \"\"\n        n = len(self.matrix)\n",
         ("tests/test_package_surface.py::test_every_public_name_is_reached_named_by_the_readme_or_listed",),
     ),
     Mutant(

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+from test_readme_forms import readme_forms
+
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
@@ -28,10 +30,12 @@ def test_layers_script_writes_its_keys(tmp_path):
     }
     assert set(report["layers_scaled"]) == set(report["layers"])
     cold = report["layers"].pop("cold_start")
-    # import concordance, the eleven README forms with text output, then
-    # import concordance under python -S without and with bytecode
-    assert len(cold) == 14 and list(cold)[:2] == ["import concordance", "signature RH-trefoil --omega 1/3"]
-    assert list(cold)[12:] == ["python -S: import concordance", "python -S, bytecode: import concordance"]
+    # import concordance, the README forms with text output, then import
+    # concordance under python -S without and with bytecode
+    assert list(cold) == [
+        "import concordance", *(" ".join(form) for form in readme_forms()),
+        "python -S: import concordance", "python -S, bytecode: import concordance",
+    ]
     assert list(report["layers_scaled"]["cold_start"]) == list(cold)
     assert all(ms > 0 for ms in [*cold.values(), *report["layers_scaled"]["cold_start"].values()])
     assert report["inputs"]["layers"]["cold_start"]["runs"] == 9

@@ -2,17 +2,22 @@
 S = V - V^T as read-only tuples, and each reader builds from them the
 rows that an elimination kernel overwrites; Phi_b is one tuple per
 process, handed out as is, and so is each kept cable or satellite front,
-which holds no list.  Nothing here builds a Seifert matrix at
-import, so a constructor that breaks the rule fails these tests by name
-rather than their collection."""
+which holds no list.  No code in ``src/`` tells two values apart by
+identity, so no result depends on which object a caller shares.
+Nothing here builds a Seifert matrix at import, so a constructor that
+breaks the rule fails these tests by name rather than their collection."""
 
+import ast
+import builtins
 import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from _oracles import families, reference_alexander, reference_signature_at
 
+import concordance
 import concordance.seifert as seifert_module
 from concordance.catalog import load_catalog
 from concordance.cyclotomic import cyclotomic_coeffs
@@ -87,3 +92,26 @@ def test_a_kept_front_holds_no_list_and_reads_twice_alike():
         assert build(*args) is front
         assert reads() == first
         assert vars(front) == kept
+
+
+def _names_a_type(node):
+    """None, a type(...) call, a .__class__ read or a builtin type's name."""
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "type"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__class__"
+    return isinstance(node, ast.Name) and isinstance(getattr(builtins, node.id, None), type)
+
+
+def test_src_tests_identity_only_against_none_or_a_type():
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(Path(concordance.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators)
+        if isinstance(op, (ast.Is, ast.IsNot)) and not (_names_a_type(left) or _names_a_type(right))
+    ]
+    assert found == []

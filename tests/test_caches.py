@@ -22,8 +22,7 @@ LRU = type(functools.lru_cache()(lambda: None))
 # build: its figures stay comparable while this set holds
 CLEARED = {
     "cabling._pairing_at", "laurent._primitive_factors", "intfactor._factors_at",
-    "seifert._circle_arcs", "cyclotomic.cos2pi_bounds", "legendrian._cable_templates",
-    "legendrian._cabled",
+    "seifert._circle_arcs", "cyclotomic.cos2pi_bounds", "legendrian._cabled",
 }
 
 

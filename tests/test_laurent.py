@@ -810,7 +810,6 @@ def _angle_cases():
         "levine_tristram-bool": lambda: levine_tristram(trefoil, True),
         "evaluate-float": lambda: sig.evaluate(0.5),
         "evaluate-bool": lambda: sig.evaluate(True),
-        "is_jump-float": lambda: sig.is_jump(1 / 6),
     }
     return [pytest.param(call, id=name) for name, call in cases.items()]
 

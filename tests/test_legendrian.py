@@ -552,6 +552,34 @@ def test_equal_patterns_built_apart_hit_the_kept_front():
     assert legendrian._cabled.cache_info()[:2] == (2, 2)  # hits, misses
 
 
+def test_satellites_of_either_pattern_orient_follow_ngs_formula():
+    """Satellites of the two trefoil fronts in both orients, with
+    paper-pattern-P and the 2- and 3-strand twist patterns in both
+    orients, at every splice point and base that builds a knot, have the
+    tb and rot of Ng's formula for that pattern's orientation.  A W
+    pattern's rot is the E one's negated, so a build that ignores the
+    pattern's orient gives -rot wherever rot != 0."""
+    companions = [TREFOIL_FRONT, _copy(TREFOIL_FRONT, True), TREFOIL_MAXTB, _copy(TREFOIL_MAXTB, True)]
+    knots = collections.Counter()
+    for pattern in (PATTERN_FRONT, _twist(2), _twist(3)):
+        for flip in (False, True):
+            oriented = _copy(pattern, flip)
+            data = PatternData.from_front("pattern", oriented)
+            n = oriented.seam_strands
+            for companion in companions:
+                formula = satellite_invariants(data, companion.invariants())
+                for splice, strands in enumerate(_strands_before(companion)):
+                    for base in range(0, n * strands, n):
+                        try:
+                            got = satellite_front(companion, oriented, splice, base).invariants()
+                        except FrontError:  # another arc's copies, or a link
+                            continue
+                        assert (got.tb, got.rot) == (formula.tb, formula.rot), (oriented.orient, splice, base)
+                        knots[oriented.orient, got.rot != 0] += 1
+    # 138 (front, pattern, splice, base) knots, each with the companion in both orients
+    assert knots == {("E", True): 156, ("E", False): 120, ("W", True): 156, ("W", False): 120}
+
+
 def test_another_orient_base_or_splice_point_misses():
     legendrian._cabled.cache_clear()
     asks = [

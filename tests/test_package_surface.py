@@ -16,15 +16,11 @@ bodies of a class's methods, and each reached method.  A name that the
 def binds itself (an argument, an assignment or loop target, a
 comprehension target, a nested def) is not a reference.
 
-A method of a reached class, named ``Class.method``, is reached when its
-name is loaded as an ``ast.Attribute`` in reached code.  The walk does
-not resolve the object's type, so a load of another class's attribute of
-the same name reaches it too.  A dunder of a reached class is reached
-when a run-time census calls it: operators and the protocols of the
-language dispatch on the type, which the walk does not see.  So is a
-method named like a field of a ``Record`` subclass: every read of that
-field would reach it by name (``SatelliteGenusReport.genus`` would reach
-a ``SeifertMatrix.genus``).  The census
+A method, property or dunder of a reached class, named
+``Class.method``, is reached only when a run-time census calls it.  The
+walk resolves no types, so a read of ``x.size`` in reached code cannot
+tell whose ``size`` it reads, and operators and the protocols of the
+language dispatch on the type, which the walk does not see.  The census
 (``CENSUS``) runs the README's command forms, in table and json output,
 and its library example in a fresh interpreter, under a profile hook
 installed before the package is imported, and reports each function of
@@ -35,6 +31,7 @@ call it."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,36 +47,39 @@ SRC = Path(concordance.__file__).parent
 
 ROOT = ("cli", "main")
 
-# Public names and methods that cli.main does not reach and the README
-# does not import, and dunders that the census does not call, each with
-# the caller that keeps it: one outside src/, or a src/ caller that no
-# README form runs.
+# Public names that cli.main does not reach and the README does not
+# import, and methods of reached classes that the census does not call,
+# each with the file of the caller that keeps it: one outside src/, or a
+# src/ caller that no README form runs.
 UNREACHED = {
     "cabling.tau_cable_rule":
         "perfbench/workloads.py builds its tau-rule cables with it",
     "cabling.MissingTau":
-        "raised only by tau_cable_rule",
+        "tests/test_cabling.py checks that tau_cable_rule raises it",
     "cyclotomic.CycloInt":
-        "perfbench/tracer.py targets CycloInt.sign; the tests' signature oracle",
+        "perfbench/tracer.py targets CycloInt.sign; tests/_oracles.py's signature oracle",
     "cyclotomic.hermitian_signature":
-        "perfbench/tracer.py targets it; the tests' signature oracle",
+        "perfbench/tracer.py targets it; tests/_oracles.py's signature oracle",
     "legendrian.cable_front":
-        "perfbench's diagram-homology and bench/layers.py build fronts with it",
+        "perfbench/workloads.py's diagram-homology and bench/layers.py build fronts with it",
     "legendrian.satellite_front":
-        "perfbench's diagram-homology and bench/layers.py build fronts with it",
+        "perfbench/workloads.py's diagram-homology and bench/layers.py build fronts with it",
     "surgery.smith_normal_form":
-        "perfbench's diagram-homology calls it and its tracer targets it "
-        "(first_homology never forms U and V)",
+        "perfbench/workloads.py's diagram-homology calls it and perfbench/tracer.py "
+        "targets it (first_homology never forms U and V)",
     "seifert.block_sum":
-        "the tests build connected sums with it",
+        "tests/test_acceptance.py builds connected sums with it",
     "seifert.mirror":
-        "the tests build connected sums of mirrors with it",
+        "tests/test_acceptance.py builds connected sums of mirrors with it",
     "legendrian.FrontDiagram.component_count":
-        "perfbench's run_cable and bench/layers.py call it",
+        "perfbench/workloads.py's run_cable and bench/layers.py call it",
     "seifert.SignatureFunction.evaluate":
-        "perfbench's sigma-sweep checker calls it, and its tracer targets it",
-    "seifert.SignatureFunction.is_jump":
-        "evaluate calls it, and the tests' jump scans",
+        "perfbench/workloads.py's sigma-sweep checker calls it, and perfbench/tracer.py targets it",
+    "catalog.Catalog.entries":
+        "README.md's migration note names len(catalog.entries), and Catalog.__iter__ reads it",
+    "laurent.LaurentPoly.parse":
+        "src/concordance/catalog.py reads an entry's alexander string with it, "
+        "which no bundled entry has",
     "laurent.Record.__eq__":
         "tests/test_records.py pins it: records of one class with equal fields are equal",
     "laurent.Record.__hash__":
@@ -89,15 +89,16 @@ UNREACHED = {
     "laurent.Record.__delattr__":
         "tests/test_records.py pins it: a record refuses deletion",
     "laurent.LaurentPoly.__new__":
-        "the public constructor from a dict {exponent: coefficient}: LaurentPoly.parse "
-        "calls it for a catalog entry's alexander string, which no bundled entry has",
+        "the public constructor from a dict {exponent: coefficient}, as tests/test_laurent.py "
+        "builds polynomials; LaurentPoly.parse in src/concordance/laurent.py calls it",
     "laurent.LaurentPoly.__pow__":
-        "fox_milnor_pairing's norm witness at an even multiplicity of a "
-        "self-reciprocal factor, as perfbench's cable-obstruct asks and no README form",
+        "src/concordance/laurent.py's fox_milnor_pairing, for the norm witness at an even "
+        "multiplicity of a self-reciprocal factor, as perfbench/workloads.py's "
+        "cable-obstruct asks and no README form",
     "catalog.Catalog.__iter__":
-        "the README's note on the removed Catalog.names(): [entry.name for entry in catalog]",
+        "README.md's note on the removed Catalog.names(): [entry.name for entry in catalog]",
     "surgery.ClassMismatch.__init__":
-        "perfbench's diagram-homology torsion probes and tests/test_surgery.py; "
+        "perfbench/workloads.py's diagram-homology torsion probes and tests/test_surgery.py; "
         "homology-check builds a presentation that always passes",
 }
 
@@ -238,30 +239,14 @@ def _first_line(node):
     return min([node.lineno, *(d.lineno for d in node.decorator_list)])
 
 
-def _record_fields(trees):
-    """The field names of the classes that list ``Record`` as a base."""
-    return {
-        stmt.target.id
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-        and any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases)
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    }
-
-
 def reached(sources, root, called=frozenset()):
     """The (module, name) definitions that root reaches, in the modules
     given as module name -> source text; a method's name is
-    Class.method.  A dunder, or a method named like a Record field, is
-    reached when its (module, first line) is in called, or when it is
-    ``__repr__``."""
+    Class.method.  A method of a reached class is reached when its
+    (module, first line) is in called, or when it is ``__repr__``."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     index = {module: _index(tree) for module, tree in trees.items()}
-    fields = _record_fields(trees.values())
     seen, todo = set(), [root]
-    attributes, waiting = set(), {}  # waiting: method name -> its unreached defs
     while todo:
         module, name = todo.pop()
         if (module, name) in seen or module not in index:
@@ -280,24 +265,20 @@ def reached(sources, root, called=frozenset()):
             for inner in ast.walk(part):
                 if isinstance(inner, ast.ImportFrom) and inner.level == 1:
                     todo.extend((inner.module, alias.name) for alias in inner.names)
-                elif isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load):
-                    attributes.add(inner.attr)
-                    todo.extend(waiting.pop(inner.attr, ()))
-                    if isinstance(inner.value, ast.Name) and inner.value.id in imports:
-                        sibling, whole = imports[inner.value.id]
-                        if whole is None:
-                            todo.append((sibling, inner.attr))
+                elif (
+                    isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load)
+                    and isinstance(inner.value, ast.Name) and inner.value.id in imports
+                ):
+                    sibling, whole = imports[inner.value.id]
+                    if whole is None:
+                        todo.append((sibling, inner.attr))
         if isinstance(node, ast.ClassDef):
-            for method in node.body:
-                if isinstance(method, _DEFS):
-                    key = (module, f"{name}.{method.name}")
-                    if method.name[:2] == method.name[-2:] == "__" or method.name in fields:
-                        if method.name == "__repr__" or (module, _first_line(method)) in called:
-                            todo.append(key)
-                    elif method.name in attributes:
-                        todo.append(key)
-                    else:
-                        waiting.setdefault(method.name, []).append(key)
+            todo.extend(
+                (module, f"{name}.{method.name}")
+                for method in node.body
+                if isinstance(method, _DEFS)
+                and (method.name == "__repr__" or (module, _first_line(method)) in called)
+            )
     return {(module, name) for module, name in seen if name in index[module][0]}
 
 
@@ -313,7 +294,7 @@ def public_names(tree):
 
 def unlisted_and_stale(sources, readme, unreached, called):
     """The public names and the methods of reached classes that are
-    neither reached from ROOT (a dunder: called, see ``reached``), named
+    neither reached from ROOT (a method: called, see ``reached``), named
     in readme nor listed in unreached, and the entries of unreached that
     name none of those, each sorted."""
     found = reached(sources, ROOT, called)
@@ -427,7 +408,8 @@ def test_a_method_loaded_only_in_unreached_code_is_not_reached():
         "    def used(self): pass\n"
         "    def idle(self): pass\n"
     )
-    assert reached({"m": source}, ("m", "main")) == {
+    # the census calls the property used, by its decorator's line
+    assert reached({"m": source}, ("m", "main"), {("m", 6)}) == {
         ("m", "main"), ("m", "Thing"), ("m", "Thing.used"),
     }
 
@@ -444,7 +426,8 @@ def test_a_method_reached_only_through_a_reached_method_is_reached():
         "    def third(self): pass\n"
         "def helper(): pass\n"
     )
-    assert reached({"m": source}, ("m", "main")) == {
+    # the census calls first and _second, and _second's body reaches helper
+    assert reached({"m": source}, ("m", "main"), {("m", 4), ("m", 6)}) == {
         ("m", "main"), ("m", "Thing"), ("m", "Thing.first"), ("m", "Thing._second"),
         ("m", "helper"),
     }
@@ -500,28 +483,50 @@ def test_an_unreached_method_must_be_listed_and_a_stale_entry_fails():
                "    def used(self): pass\n"
                "    def idle(self): pass\n",
     }
-    assert unlisted_and_stale(sources, set(), {}, set()) == (["cli.Thing.idle"], [])
+    called = {("cli", 4)}
+    assert unlisted_and_stale(sources, set(), {}, called) == (["cli.Thing.idle"], [])
     # a README name covers the class it names, not the class's methods
-    assert unlisted_and_stale(sources, {"Thing"}, {}, set()) == (["cli.Thing.idle"], [])
+    assert unlisted_and_stale(sources, {"Thing"}, {}, called) == (["cli.Thing.idle"], [])
     listed = {"cli.Thing.idle": "a caller outside src/"}
-    assert unlisted_and_stale(sources, set(), listed, set()) == ([], [])
+    assert unlisted_and_stale(sources, set(), listed, called) == ([], [])
     stale = dict(listed, **{"cli.Thing.used": "reached, so stale"})
-    assert unlisted_and_stale(sources, set(), stale, set()) == ([], ["cli.Thing.used"])
+    assert unlisted_and_stale(sources, set(), stale, called) == ([], ["cli.Thing.used"])
 
 
-def test_a_method_named_like_a_record_field_is_reached_only_when_called():
-    source = (
-        "def main():\n"
-        "    return Report(1).genus, Matrix().size\n"
-        "class Record: pass\n"
-        "class Report(Record):\n"
-        "    genus: int\n"
-        "class Matrix:\n"
-        "    def genus(self): pass\n"
-        "    def size(self): pass\n"
-    )
-    # the load of Report's field does not reach Matrix.genus; a census
-    # call of it (line 7) does
-    reached_names = {("m", "main"), ("m", "Report"), ("m", "Record"), ("m", "Matrix"), ("m", "Matrix.size")}
-    assert reached({"m": source}, ("m", "main")) == reached_names
-    assert reached({"m": source}, ("m", "main"), {("m", 7)}) == reached_names | {("m", "Matrix.genus")}
+def test_a_method_whose_name_is_read_is_reached_only_when_called():
+    sources = {
+        "cli": "def main():\n"
+               "    return Report().size, Matrix().genus()\n"
+               "class Report:\n"
+               "    size = 1\n"
+               "class Matrix:\n"
+               "    def genus(self): pass\n"
+               "    @property\n"
+               "    def size(self): pass\n",
+    }
+    # main reads .size and calls .genus(); neither read reaches a method
+    classes = {("cli", "main"), ("cli", "Report"), ("cli", "Matrix")}
+    assert reached(sources, ROOT) == classes
+    called = {("cli", 6)}
+    assert reached(sources, ROOT, called) == classes | {("cli", "Matrix.genus")}
+    # Report's size read does not stand in for the uncalled Matrix.size
+    assert unlisted_and_stale(sources, set(), {}, called) == (["cli.Matrix.size"], [])
+    listed = {"cli.Matrix.size": "a caller outside src/"}
+    assert unlisted_and_stale(sources, set(), listed, called) == ([], [])
+    # a census call of the property, by its decorator's line, makes the entry stale
+    assert unlisted_and_stale(sources, set(), listed, called | {("cli", 7)}) == ([], ["cli.Matrix.size"])
+
+
+# a repo path in an UNREACHED reason: a word with a slash, or a file name
+REASON_PATH = re.compile(r"[\w.-]*/[\w./-]*\w|\b\w+\.(?:py|md)\b")
+
+
+def test_each_unreached_reason_names_the_file_of_its_caller():
+    repo = SRC.parents[1]
+    for entry, reason in UNREACHED.items():
+        paths = REASON_PATH.findall(reason)
+        assert paths and all((repo / path).is_file() for path in paths), (entry, paths)
+        short = entry.rsplit(".", 1)[1]
+        # operators and protocols call a dunder by no name
+        if not short.startswith("__"):
+            assert any(short in (repo / path).read_text() for path in paths), entry

@@ -363,7 +363,7 @@ def test_first_homology_of_named_classes_is_the_full_one_restricted():
     assert checked > 50
     # the meridian check's groups carry its two classes only
     P = satellite_cobordism_presentation(3)
-    S = SurgeryPresentation(P.matrix, {**P.classes, "other": (1,) * P.size})
+    S = SurgeryPresentation(P.matrix, {**P.classes, "other": (1,) * len(P.matrix)})
     result = cobordism_meridian_check(S, "mu_K", "mu_Ptilde", 3)
     assert set(result.homology.images) == set(result.localized.images) == {"mu_K", "mu_Ptilde"}
     full = first_homology(S)
@@ -702,7 +702,7 @@ class TestMeridianCheck:
         import itertools
 
         S = satellite_cobordism_presentation(p)
-        n = S.size
+        n = len(S.matrix)
         for perm in itertools.permutations(range(n)):
             matrix = [[S.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
             classes = {
