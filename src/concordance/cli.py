@@ -44,26 +44,15 @@ class BadFlag(ValueError):
 MAX_DEGREE = 72
 
 
-def _plain(value):
-    """Deterministic JSON-ready form of any report value."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return str(value)
-
-
 def _obstruction_dict(command, report):
     return {
         "command": command,
         "verdict": report.verdict,
         "category": report.category,
         "witnesses": [
-            {"kind": w.kind, "data": _plain(w.data)} for w in report.witnesses
+            {"kind": w.kind, "data": w.data} for w in report.witnesses
         ],
-        "parameters": _plain(report.parameters),
+        "parameters": report.parameters,
         "notes": list(report.notes),
     }
 
@@ -302,7 +291,9 @@ def _flatten(value, key, out):
 
 def render(report, output):
     if output == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # a value JSON has no type for (a RootOfUnity, a LaurentPoly) is
+        # written as its str, as the table writes it
+        return json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     rows = []
     _flatten(report, "", rows)
     width = max(len(k) for k, _ in rows)
@@ -394,7 +385,7 @@ def build_parser():
 
 # the inputs an internal-error line names after its subcommand
 _CONTEXT = ("knot", "knot0", "knot1", "front", "pattern", "companion",
-            "omega", "p", "cable")
+            "omega", "p", "cable", "k_max", "angle_denominator_bound")
 
 
 def _context(args):

@@ -44,11 +44,10 @@ and runs Zassenhaus's algorithm only on what structure cannot settle:
    factored.  Each irreducible h of g lifts to H(t) = t^deg(h) *
    h(t + 1/t), which is irreducible unless x^2 - 4 is a square in
    Q[x]/(h).  That is certified to fail when h(2)*h(-2), a square times
-   the norm of x^2 - 4, is not a rational square, or when for some odd
-   prime p not dividing lc(h), h has a simple root a mod p (it lifts to
-   a p-adic root by Hensel) with a^2 - 4 a quadratic non-residue.  Only
-   an uncertified lift is factored; such a lift is typically a pair
-   F * F(1/t), or holds t -+ 1.
+   the norm of x^2 - 4, is not a rational square.  Only an uncertified
+   lift is factored; such a lift is a pair F * F(1/t), holds t -+ 1, or
+   is irreducible with a square norm, as Phi_12 = t^4 - t^2 + 1 over
+   h = x^2 - 3 is.
 3. Everything else is factored whole.
 
 ``irreducible_factors`` is the general algorithm.  It splits off x^j and
@@ -80,9 +79,8 @@ from .realroots import exact_quotient, poly_derivative, poly_eval, poly_gcd, pri
 MAX_MODULAR_FACTORS = 16
 # square-free primes whose distinct-degree factorizations are compared
 _CANDIDATE_PRIMES = 5
-# Odd primes tried for the Hensel certificate of a lift, or for the
-# Capelli certificate of a q(t^j), before it is factored whole; an
-# uncertified polynomial is only slower, never wrong.
+# Primes tried for the Capelli certificate of a q(t^j) before it is
+# factored whole; an uncertified polynomial is only slower, never wrong.
 _CERTIFICATE_PRIMES = 12
 
 
@@ -153,16 +151,11 @@ def _factor_reciprocal(b: list[int]) -> list[tuple[tuple, int]]:
 
 def _lift_is_irreducible(h: tuple) -> bool:
     """A certificate that x^2 - 4 is not a square in Q[x]/(h), for an
-    irreducible h, so that its lift t^deg(h) * h(t + 1/t) is irreducible.
-    False means no certificate was found, not that the lift is reducible."""
-    # the norm of x^2 - 4 = (x - 2)(x + 2) is h(2)*h(-2) / lc(h)^2
+    irreducible h, so that its lift t^deg(h) * h(t + 1/t) is irreducible:
+    its norm h(2)*h(-2) / lc(h)^2 is no rational square.  False means no
+    certificate, not that the lift is reducible."""
     norm = poly_eval(h, 2) * poly_eval(h, -2)
-    if norm < 0 or math.isqrt(norm) ** 2 != norm:
-        return True
-    for p in islice(primes(), 1, 1 + _CERTIFICATE_PRIMES):
-        if h[-1] % p and any(pow(r * r - 4, (p - 1) // 2, p) == p - 1 for r in _simple_roots(h, p)):
-            return True
-    return False
+    return norm < 0 or math.isqrt(norm) ** 2 != norm
 
 
 def _capelli_certified(q: tuple, j: int) -> bool:

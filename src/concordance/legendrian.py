@@ -598,18 +598,15 @@ def satellite_genus_pipeline(profile, fronts, pattern):
                 f"g4 strictly increases: {bounds.g4_lower} > {upper} = "
                 f"g4({profile.name}) ({profile.declared_slice_genus.citation})"
             )
-    if profile.declared_tau is not None and bounds.tau_lower > profile.declared_tau.value:
-        conclusions.append(
-            f"tau strictly increases: tau(satellite) >= {bounds.tau_lower} > "
-            f"{profile.declared_tau.value} = tau({profile.name}) "
-            f"({profile.declared_tau.citation})"
-        )
-    if profile.declared_s is not None and bounds.s_lower > profile.declared_s.value:
-        conclusions.append(
-            f"s strictly increases: s(satellite) >= {bounds.s_lower} > "
-            f"{profile.declared_s.value} = s({profile.name}) "
-            f"({profile.declared_s.citation})"
-        )
+    for name, lower, declared in (
+        ("tau", bounds.tau_lower, profile.declared_tau),
+        ("s", bounds.s_lower, profile.declared_s),
+    ):
+        if declared is not None and lower > declared.value:
+            conclusions.append(
+                f"{name} strictly increases: {name}(satellite) >= {lower} > "
+                f"{declared.value} = {name}({profile.name}) ({declared.citation})"
+            )
     if pattern.winding == 1 and pattern.tilde_class == "unknot":
         conclusions.append(
             "winding one and unknotted P-tilde: the zero surgeries on the "

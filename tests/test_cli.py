@@ -651,7 +651,7 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == (
-            "internal error in fox-milnor knot0=RH-trefoil cable=2: "
+            "internal error in fox-milnor knot0=RH-trefoil cable=2 k_max=6: "
             "RuntimeError: boom\n"
         )
 

@@ -610,10 +610,12 @@ def test_factor_sends_only_trace_polynomials_and_uncertified_lifts(monkeypatch):
         return whole(b)
 
     monkeypatch.setattr(intfactor, "irreducible_factors", spy)
-    # trefoil against its cable at k = 20: b = Phi_6 * Phi_12 has g of
-    # degree 3, both lifts are certified, and both factors are cyclotomic
+    # trefoil against its cable at k = 20: b = Phi_6 * Phi_12 has g =
+    # (x - 1)(x^2 - 3) of degree 3; x - 1 has norm -3 and its lift is
+    # certified, but x^2 - 3 has norm h(2)*h(-2) = 1, a square, so its
+    # lift t^4 - t^2 + 1 = Phi_12 is factored whole and comes back irreducible
     factor(_torus_2(3).substitute_power(20) * _torus_2(3).substitute_power(40))
-    assert degrees == [3]
+    assert degrees == [3, 4]
     # the 3-twist knot at k = 36: its g is linear and never sent; Capelli's
     # steps b(t^2), b(t^3) and b(t^4) are each certified irreducible by a
     # simple root that is no square, cube, or square mod a prime, so

@@ -22,6 +22,19 @@ def test_every_entry_applies_once_and_names_known_files():
             assert (ROOT / test.split("::")[0]).is_file(), test
 
 
+def test_a_reported_id_keeps_the_spaces_of_its_parameter():
+    summary = (
+        "PASSED tests/test_a.py::test_form[signature K --omega 1/3]\n"
+        "FAILED tests/test_a.py::test_form[--output json sigfn K] - AssertionError: assert 1 == 2\n"
+        "ERROR tests/test_b.py - ImportError: no name\n"
+    )
+    assert mutants.REPORTED.findall(summary) == [
+        ("PASSED", "tests/test_a.py::test_form[signature K --omega 1/3]"),
+        ("FAILED", "tests/test_a.py::test_form[--output json sigfn K]"),
+        ("ERROR", "tests/test_b.py"),
+    ]
+
+
 def test_a_stale_entry_and_a_surviving_mutant_fail_the_run(tmp_path):
     mutants.copy_tree(tmp_path)
     surgery = tmp_path / "src/concordance/surgery.py"

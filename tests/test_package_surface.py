@@ -39,7 +39,7 @@ from pathlib import Path
 import concordance
 from concordance import cabling, catalog, laurent, legendrian, seifert, surgery
 from test_doc_examples import library_example
-from test_readme_forms import readme_forms
+from test_readme_forms import both_outputs, readme_forms
 
 MODULES = (laurent, seifert, cabling, legendrian, surgery, catalog)
 
@@ -129,7 +129,7 @@ json.dump(sorted(called), sys.stdout)
 def census():
     """The (module, first line) of each function of src/ that CENSUS
     calls, in a fresh interpreter that imports the package from SRC."""
-    forms = [argv for form in readme_forms() for argv in (form, ["--output", "json", *form])]
+    forms = both_outputs(readme_forms())
     src = SRC.resolve()
     run = subprocess.run(
         [sys.executable, "-c", CENSUS],

@@ -1,8 +1,10 @@
 """The eleven command forms of the README, replayed through ``cli.main``
 and compared byte for byte (stdout, stderr, exit code, in table and json
-output) with the outputs recorded in ``data/readme_forms.json``.
+output) with the outputs recorded in ``data/readme_forms.json``; likewise
+``SHAPES``, the report shapes no README form prints, with
+``data/report_shapes.json``.
 
-An intended output change regenerates the file:
+An intended output change regenerates both files:
 
     PYTHONPATH=src python tests/test_readme_forms.py
 """
@@ -19,6 +21,14 @@ from concordance.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "readme_forms.json"
+SHAPES_FIXTURE = FIXTURE.with_name("report_shapes.json")
+# a signature-mismatch witness holding a RootOfUnity, a fox-milnor-norm
+# witness holding a LaurentPoly, and no category and no witnesses
+SHAPES = [
+    ["verdict", "RH-trefoil", "figure-eight"],
+    ["fox-milnor", "RH-trefoil", "RH-trefoil"],
+    ["verdict", "figure-eight", "figure-eight"],
+]
 
 
 def readme_forms():
@@ -41,29 +51,39 @@ def run(argv):
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def record():
-    """One entry per README form and output format, in README order."""
-    return [
-        {"argv": argv, **run(argv)}
-        for form in readme_forms()
-        for argv in (form, ["--output", "json", *form])
-    ]
+def both_outputs(forms):
+    """Each form in table output, then in json output."""
+    return [argv for form in forms for argv in (form, ["--output", "json", *form])]
 
 
-# a missing file fails the coverage test below
-RECORDED = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
+def record(forms):
+    """One entry per form and output format, in the order given."""
+    return [{"argv": argv, **run(argv)} for argv in both_outputs(forms)]
+
+
+def recorded(path):
+    # a missing file fails a coverage test below
+    return json.loads(path.read_text()) if path.exists() else []
+
+
+RECORDED = recorded(FIXTURE)
+SHAPES_RECORDED = recorded(SHAPES_FIXTURE)
 
 
 def test_fixture_covers_the_readme_forms():
     forms = readme_forms()
     assert len(forms) == 11
-    assert [entry["argv"] for entry in RECORDED] == [
-        argv for form in forms for argv in (form, ["--output", "json", *form])
-    ]
+    assert [entry["argv"] for entry in RECORDED] == both_outputs(forms)
+
+
+def test_fixture_covers_the_report_shapes():
+    assert [entry["argv"] for entry in SHAPES_RECORDED] == both_outputs(SHAPES)
 
 
 @pytest.mark.parametrize(
-    "entry", RECORDED, ids=[" ".join(entry["argv"]) for entry in RECORDED]
+    "entry",
+    RECORDED + SHAPES_RECORDED,
+    ids=[" ".join(entry["argv"]) for entry in RECORDED + SHAPES_RECORDED],
 )
 def test_readme_form_output_is_unchanged(entry):
     got = run(entry["argv"])
@@ -72,4 +92,5 @@ def test_readme_form_output_is_unchanged(entry):
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(record(), indent=1) + "\n")
+    FIXTURE.write_text(json.dumps(record(readme_forms()), indent=1) + "\n")
+    SHAPES_FIXTURE.write_text(json.dumps(record(SHAPES), indent=1) + "\n")
